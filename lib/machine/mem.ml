@@ -1,36 +1,63 @@
-module W32 = Hipstr_util.Wrap32
-
 exception Fault of int
 
 exception Cstring_unterminated of int
 
 exception Bad_span of int * int
 
+(* The backing store is a table of 4 KiB pages. Every slot starts out
+   pointing at [zero_page] — one all-zero buffer shared by every
+   memory of the program, domains included, and never written — and a
+   page gets a private buffer on its first write ({!wpage}). Creating
+   a 32 MiB address space is then one 8192-slot array instead of a
+   32 MiB zero fill, and two untouched pages compare equal by pointer
+   ({!equal_span}). 4 KiB is the snapshot delta's page size, so every
+   delta page is exactly one slot. *)
+let page_bits = 12
+let page_size = 1 lsl page_bits
+let page_mask = page_size - 1
+
+let zero_page = Bytes.make page_size '\000'
+
 (* A watched span of the address space with a write generation. The
    decode cache keys predecoded blocks to the generation their bytes
    were read under; any write landing in the region bumps it, so a
    stale block is detectable with one integer compare. Alongside the
-   region-wide counter each 64-byte page records the generation of
-   the last write that touched it, so a block whose region moved on
+   region-wide counter each 64-byte stamp page records the generation
+   of the last write that touched it, so a block whose region moved on
    can still prove its own bytes untouched ({!span_clean}) instead of
    being re-decoded — without that, every stub patch the VM writes
    into a code cache would throw away every decoded block of the
    region. Regions are few (the two code sections and the two
    code-cache regions), fixed at registration, disjoint, and kept
    sorted by [r_lo] so the write hook can stop at the first region
-   starting above the address. *)
-let page_bits = 6
+   starting above the address.
+
+   The stamps are paged like the bytes: one chunk of 64 stamps covers
+   4 KiB of the region, and every chunk starts as the shared,
+   never-written [zero_stamps] (generation 0: no write since the
+   region was registered) until a write lands in it. The four standard
+   regions span 18 MiB, so a flat stamp array would cost every system
+   2.25 MiB of zero fill at boot, for a guest that writes a few hundred
+   KiB of code. *)
+let stamp_bits = 6
+let chunk_bits = page_bits - stamp_bits
+let chunk_mask = (1 lsl chunk_bits) - 1
+let zero_stamps = Array.make (1 lsl chunk_bits) 0
 
 type region = {
   r_lo : int;
   r_hi : int;
   mutable r_gen : int;
-  r_pages : int array; (* last-write generation per 64-byte page *)
+  r_stamps : int array array;
+      (* last-write generation per 64-byte stamp page, in chunks of
+         [1 lsl chunk_bits]; [zero_stamps] until first written *)
 }
 
-type t = { bytes : Bytes.t; size : int; mutable regions : region array }
+type t = { pages : Bytes.t array; size : int; mutable regions : region array }
 
-let create size = { bytes = Bytes.make size '\000'; size; regions = [||] }
+let create size =
+  if size < 0 then invalid_arg "Mem.create: negative size";
+  { pages = Array.make ((size + page_mask) lsr page_bits) zero_page; size; regions = [||] }
 
 let size t = t.size
 
@@ -41,8 +68,9 @@ let watch t ~lo ~hi =
   | None ->
     if Array.exists (fun r -> lo < r.r_hi && r.r_lo < hi) t.regions then
       invalid_arg "Mem.watch: overlapping region";
-    let npages = ((hi - 1) lsr page_bits) - (lo lsr page_bits) + 1 in
-    let r = { r_lo = lo; r_hi = hi; r_gen = 0; r_pages = Array.make npages 0 } in
+    let nstamps = ((hi - 1) lsr stamp_bits) - (lo lsr stamp_bits) + 1 in
+    let nchunks = (nstamps + chunk_mask) lsr chunk_bits in
+    let r = { r_lo = lo; r_hi = hi; r_gen = 0; r_stamps = Array.make nchunks zero_stamps } in
     let rs = Array.append t.regions [| r |] in
     Array.sort (fun a b -> compare a.r_lo b.r_lo) rs;
     t.regions <- rs;
@@ -55,18 +83,35 @@ let[@inline] generation r = r.r_gen
 let region_lo r = r.r_lo
 let region_hi r = r.r_hi
 
+(* The generation stamp of [r]'s stamp page [k] (counted from the
+   region's first), and setting it to the region's current generation;
+   the first stamp in a chunk gives the chunk a private array. *)
+let[@inline] stamp r k =
+  Array.unsafe_get (Array.unsafe_get r.r_stamps (k lsr chunk_bits)) (k land chunk_mask)
+
+let own_stamps r c =
+  let s = Array.make (1 lsl chunk_bits) 0 in
+  Array.unsafe_set r.r_stamps c s;
+  s
+
+let set_stamp r k =
+  let c = k lsr chunk_bits in
+  let s = Array.unsafe_get r.r_stamps c in
+  let s = if s == zero_stamps then own_stamps r c else s in
+  Array.unsafe_set s (k land chunk_mask) r.r_gen
+
 (* Record a write to [lo, hi] (inclusive, clamped) in [r]'s page
    stamps under the already-bumped generation. *)
 let stamp_pages r lo hi =
   let lo = if lo < r.r_lo then r.r_lo else lo in
   let hi = if hi >= r.r_hi then r.r_hi - 1 else hi in
-  let base = r.r_lo lsr page_bits in
-  for p = (lo lsr page_bits) - base to (hi lsr page_bits) - base do
-    Array.unsafe_set r.r_pages p r.r_gen
+  let base = r.r_lo lsr stamp_bits in
+  for k = (lo lsr stamp_bits) - base to (hi lsr stamp_bits) - base do
+    set_stamp r k
   done
 
-let rec pages_clean pages p p1 since =
-  p > p1 || (Array.unsafe_get pages p <= since && pages_clean pages (p + 1) p1 since)
+let rec pages_clean r k k1 since =
+  k > k1 || (stamp r k <= since && pages_clean r (k + 1) k1 since)
 
 (* No write has touched [lo, hi) (clamped to the region) since
    generation [since]. *)
@@ -75,14 +120,14 @@ let span_clean r ~lo ~hi ~since =
   let hi = if hi > r.r_hi then r.r_hi else hi in
   lo >= hi
   ||
-  let base = r.r_lo lsr page_bits in
-  pages_clean r.r_pages ((lo lsr page_bits) - base) (((hi - 1) lsr page_bits) - base) since
+  let base = r.r_lo lsr stamp_bits in
+  pages_clean r ((lo lsr stamp_bits) - base) (((hi - 1) lsr stamp_bits) - base) since
 
-(* The scan loops below are top-level functions taking all their
-   state as arguments: a local [let rec] capturing the surrounding
-   bindings is a closure, and on this path — the write hook runs on
-   every store — that was the hot loop's single biggest allocation
-   (7 minor words per write). *)
+(* The scan loops below, and the page-split loops further down, are
+   top-level functions taking all their state as arguments: a local
+   [let rec] capturing the surrounding bindings is a closure, and on
+   this path — the write hook runs on every store — that was the hot
+   loop's single biggest allocation (7 minor words per write). *)
 let rec region_scan rs n a i =
   if i >= n then None
   else
@@ -102,7 +147,7 @@ let rec touch_scan rs n a i =
     if a < r.r_lo then ()
     else if a < r.r_hi then begin
       r.r_gen <- r.r_gen + 1;
-      Array.unsafe_set r.r_pages ((a lsr page_bits) - (r.r_lo lsr page_bits)) r.r_gen
+      set_stamp r ((a lsr stamp_bits) - (r.r_lo lsr stamp_bits))
     end
     else touch_scan rs n a (i + 1)
   end
@@ -131,14 +176,34 @@ let touch_range t lo hi =
 
 let check t a = if a < 0 || a >= t.size then raise (Fault a)
 
+(* The page holding in-bounds address [a], for reading: possibly the
+   shared zero page. *)
+let[@inline] page t a = Array.unsafe_get t.pages (a lsr page_bits)
+
+(* First write to a page: give its slot a private zeroed buffer. *)
+let own t i =
+  let p = Bytes.make page_size '\000' in
+  Array.unsafe_set t.pages i p;
+  p
+
+(* The page holding in-bounds address [a], for writing: never the
+   zero page. *)
+let[@inline] wpage t a =
+  let i = a lsr page_bits in
+  let p = Array.unsafe_get t.pages i in
+  if p == zero_page then own t i else p
+
+(* Store one byte without the write hook; the callers run it. *)
+let poke t a v = Bytes.unsafe_set (wpage t a) (a land page_mask) (Char.unsafe_chr (v land 0xFF))
+
 (* Unchecked byte accessors: callers must have span-checked already
    (the word paths below, and the decode reader after its own bounds
    test). [unsafe_write8] still runs the write hook — bypassing it
    would let a code write slip past the decode cache. *)
-let unsafe_read8 t a = Char.code (Bytes.unsafe_get t.bytes a)
+let unsafe_read8 t a = Char.code (Bytes.unsafe_get (page t a) (a land page_mask))
 
 let unsafe_write8 t a v =
-  Bytes.unsafe_set t.bytes a (Char.unsafe_chr (v land 0xFF));
+  poke t a v;
   touch t a
 
 let read8 t a =
@@ -157,62 +222,66 @@ let probe8 t a = if a < 0 || a >= t.size then -1 else unsafe_read8 t a
 
 let reader t = probe8 t
 
-(* Word load/store composed from unsafe byte accesses. The runtime's
-   [Bytes.get_int32_le]/[set_int32_le] primitives traffic in boxed
-   [int32] values — three minor words per guest load on a non-flambda
-   build, the second-largest allocation source the hot loop had — so
-   the word accessors compose the value from four byte reads and
-   sign-extend manually, which is bit-for-bit what
-   [Int32.to_int (Bytes.get_int32_le ...)] produced. Callers have
-   bounds-checked [a .. a+3]. *)
-let get32 b a =
-  let v =
-    Char.code (Bytes.unsafe_get b a)
-    lor (Char.code (Bytes.unsafe_get b (a + 1)) lsl 8)
-    lor (Char.code (Bytes.unsafe_get b (a + 2)) lsl 16)
-    lor (Char.code (Bytes.unsafe_get b (a + 3)) lsl 24)
-  in
-  if v land 0x80000000 <> 0 then v - 0x100000000 else v
+(* Word load/store within one page, composed from unsafe byte
+   accesses. The runtime's [Bytes.get_int32_le]/[set_int32_le]
+   primitives traffic in boxed [int32] values — three minor words per
+   guest load on a non-flambda build, the second-largest allocation
+   source the hot loop had — so the word accessors compose the value
+   from four byte reads and sign-extend manually, which is
+   bit-for-bit what [Int32.to_int (Bytes.get_int32_le ...)] produced.
+   Callers have checked that [o .. o+3] lies inside the page. *)
+let[@inline] sign32 v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
 
-let set32 b a v =
+let get32 b o =
+  sign32
+    (Char.code (Bytes.unsafe_get b o)
+    lor (Char.code (Bytes.unsafe_get b (o + 1)) lsl 8)
+    lor (Char.code (Bytes.unsafe_get b (o + 2)) lsl 16)
+    lor (Char.code (Bytes.unsafe_get b (o + 3)) lsl 24))
+
+let set32 b o v =
   let u = v land 0xFFFFFFFF in
-  Bytes.unsafe_set b a (Char.unsafe_chr (u land 0xFF));
-  Bytes.unsafe_set b (a + 1) (Char.unsafe_chr ((u lsr 8) land 0xFF));
-  Bytes.unsafe_set b (a + 2) (Char.unsafe_chr ((u lsr 16) land 0xFF));
-  Bytes.unsafe_set b (a + 3) (Char.unsafe_chr ((u lsr 24) land 0xFF))
+  Bytes.unsafe_set b o (Char.unsafe_chr (u land 0xFF));
+  Bytes.unsafe_set b (o + 1) (Char.unsafe_chr ((u lsr 8) land 0xFF));
+  Bytes.unsafe_set b (o + 2) (Char.unsafe_chr ((u lsr 16) land 0xFF));
+  Bytes.unsafe_set b (o + 3) (Char.unsafe_chr ((u lsr 24) land 0xFF))
 
-(* Word accesses span-check once, then load/store through the unboxed
-   word helpers. The slow path re-runs the per-byte checks only to
-   raise [Fault] with the same offending address as always. *)
+(* A word crossing a page edge (CISC operands need not be aligned):
+   byte by byte, each byte through its own page. *)
+let read32_split t a =
+  sign32
+    (unsafe_read8 t a
+    lor (unsafe_read8 t (a + 1) lsl 8)
+    lor (unsafe_read8 t (a + 2) lsl 16)
+    lor (unsafe_read8 t (a + 3) lsl 24))
+
+let write32_split t a v =
+  poke t a v;
+  poke t (a + 1) (v asr 8);
+  poke t (a + 2) (v asr 16);
+  poke t (a + 3) (v asr 24)
+
+(* An out-of-bounds word faults at [a] when [a] itself is outside,
+   else at [a+3] — the address the byte-by-byte accessors reported. *)
+let word_fault t a = raise (Fault (if a < 0 || a >= t.size then a else a + 3))
+
+(* Word accesses span-check once, then take one page's word helper or,
+   across a page edge, the byte-wise split. The bound is
+   [a <= t.size - 4], not [a + 3 < t.size]: the sum wraps negative for
+   [a] near [max_int] and would pass the check. *)
 let read32 t a =
-  if a >= 0 && a + 3 < t.size then get32 t.bytes a
-  else begin
-    check t a;
-    check t (a + 3);
-    assert false
-  end
+  if a >= 0 && a <= t.size - 4 then
+    let o = a land page_mask in
+    if o <= page_size - 4 then get32 (page t a) o else read32_split t a
+  else word_fault t a
 
 let write32 t a v =
-  if a >= 0 && a + 3 < t.size then begin
-    set32 t.bytes a v;
+  if a >= 0 && a <= t.size - 4 then begin
+    let o = a land page_mask in
+    if o <= page_size - 4 then set32 (wpage t a) o v else write32_split t a v;
     touch_range t a (a + 3)
   end
-  else begin
-    check t a;
-    check t (a + 3);
-    assert false
-  end
-
-(* Unchecked word accessors over the backing arena: callers must hold
-   a proof that [a, a+3] is in bounds — a span already validated with
-   [check_span], or a region whose registration bounds cover the
-   access ([watch] rejects out-of-range regions at creation). Like
-   [unsafe_write8], the write still runs the region hook. *)
-let unsafe_read32 t a = get32 t.bytes a
-
-let unsafe_write32 t a v =
-  set32 t.bytes a v;
-  touch_range t a (a + 3)
+  else word_fault t a
 
 (* Span validation for the bulk accessors. The old per-endpoint
    [check] pair accepted a negative length outright (for [n <= 0]
@@ -224,19 +293,59 @@ let unsafe_write32 t a v =
 let check_span t a n =
   if n < 0 || a < 0 || a > t.size - n then raise (Bad_span (a, n))
 
+(* The bytes of [a .. a+n-1] that share [a]'s page. *)
+let[@inline] chunk a n =
+  let room = page_size - (a land page_mask) in
+  if n < room then n else room
+
+let rec blit_pages t a s off n =
+  if n > 0 then begin
+    let k = chunk a n in
+    Bytes.blit_string s off (wpage t a) (a land page_mask) k;
+    blit_pages t (a + k) s (off + k) (n - k)
+  end
+
 let blit_string t a s =
   let n = String.length s in
   check_span t a n;
   if n > 0 then begin
-    Bytes.blit_string s 0 t.bytes a n;
+    blit_pages t a s 0 n;
     touch_range t a (a + n - 1)
   end
 
 let write_string = blit_string
 
+let rec read_pages t a b off n =
+  if n > 0 then begin
+    let k = chunk a n in
+    Bytes.blit (page t a) (a land page_mask) b off k;
+    read_pages t (a + k) b (off + k) (n - k)
+  end
+
 let read_string t a n =
   check_span t a n;
-  if n = 0 then "" else Bytes.sub_string t.bytes a n
+  let b = Bytes.create n in
+  read_pages t a b 0 n;
+  Bytes.unsafe_to_string b
+
+let rec equal_bytes p q i hi =
+  i >= hi || (Bytes.unsafe_get p i = Bytes.unsafe_get q i && equal_bytes p q (i + 1) hi)
+
+(* Page by page: the same buffer (both still the zero page) is equal
+   without a look, a whole page is one [Bytes.equal], a partial page
+   a byte loop. *)
+let rec equal_pages t u a n =
+  n <= 0
+  ||
+  let k = chunk a n and o = a land page_mask in
+  let p = page t a and q = page u a in
+  (p == q || if k = page_size then Bytes.equal p q else equal_bytes p q o (o + k))
+  && equal_pages t u (a + k) (n - k)
+
+let equal_span t u a n =
+  check_span t a n;
+  check_span u a n;
+  equal_pages t u a n
 
 let read_cstring ?(limit = 4096) t a =
   let buf = Buffer.create 16 in

@@ -1,4 +1,13 @@
-(** Simulated flat byte-addressable memory.
+(** Simulated byte-addressable guest memory.
+
+    The address space is flat to the guest; the host backs it with a
+    table of 4 KiB pages. Every page starts as one shared all-zero
+    page that is never written and gets a private buffer on its first
+    write, so an address space costs memory and set-up time in
+    proportion to the pages the guest touches, not to its size. The
+    paging is invisible through this interface: every accessor below
+    behaves exactly as on a flat zero-filled array, including words
+    that straddle a page edge (CISC operands need not be aligned).
 
     Accesses outside the configured size raise {!Fault}, which the
     execution engine converts into a simulated machine fault — this is
@@ -11,7 +20,11 @@
     cache entries to the generation their bytes were read under, so
     self-modifying code (the PSR translator installing or patching
     blocks, attack payloads rewriting code bytes, eviction restoring
-    trap bytes) invalidates stale decodes with one integer compare. *)
+    trap bytes) invalidates stale decodes with one integer compare.
+    The per-64-byte write stamps behind {!span_clean} are paged the
+    same way as the bytes: a 4 KiB stretch of a region gets its stamps
+    on the first write into it, so watching a large code-cache region
+    costs nothing until code is written there. *)
 
 exception Fault of int
 (** Raised with the offending address. *)
@@ -31,7 +44,11 @@ type region
 (** A watched span with a write generation (see {!watch}). *)
 
 val create : int -> t
-(** [create size] is zero-initialized memory of [size] bytes. *)
+(** [create size] is zero-initialized memory of [size] bytes. It
+    allocates only the page table (one slot per 4 KiB, all pointing at
+    the shared zero page); page buffers come into being on first
+    write.
+    @raise Invalid_argument when [size] is negative. *)
 
 val size : t -> int
 
@@ -84,19 +101,14 @@ val reader : t -> int -> int
     building a fresh closure per instruction. *)
 
 val read32 : t -> int -> int
-(** Signed 32-bit little-endian load (single span check + word
-    load). *)
+(** Signed 32-bit little-endian load: one overflow-safe span check,
+    then a single-page word load, or a byte-wise load when the word
+    straddles a page edge.
+    @raise Fault at [a] when [a] is out of bounds, else at [a+3]. *)
 
 val write32 : t -> int -> int -> unit
-
-val unsafe_read32 : t -> int -> int
-(** No bounds check: for arena sites where the span is provably in
-    bounds already — a span validated by the caller, or an address
-    inside a watched region (region bounds are checked at {!watch}
-    time). *)
-
-val unsafe_write32 : t -> int -> int -> unit
-(** No bounds check, but still runs the region write hook. *)
+(** Store the low 32 bits little-endian; runs the region write hook
+    once for the whole word. Faults like {!read32}. *)
 
 val blit_string : t -> int -> string -> unit
 (** Copy a string into memory at an address.
@@ -111,6 +123,12 @@ val read_string : t -> int -> int -> string
 (** [read_string t a n] is the [n] bytes at [a].
     @raise Bad_span when [n] is negative or [a..a+n-1] crosses the
     end of the address space. *)
+
+val equal_span : t -> t -> int -> int -> bool
+(** [equal_span t u a n] is [read_string t a n = read_string u a n]
+    without copying either span: pages both memories still share as
+    the zero page compare equal in O(1).
+    @raise Bad_span when the span is invalid in either memory. *)
 
 val read_cstring : ?limit:int -> t -> int -> string
 (** Read a NUL-terminated string.

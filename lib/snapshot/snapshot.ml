@@ -199,14 +199,17 @@ let manifest_of image = read_header (Wire.reader image)
 
 (* --- memory delta -------------------------------------------------- *)
 
+(* Pages are compared in place; only a differing page is copied out.
+   [page_bytes] matches [Mem]'s own page size, so a page neither side
+   has written compares by pointer. *)
 let save_delta w ~baseline mem =
   Wire.tag w "MEMDELTA";
   let npages = delta_limit / page_bytes in
   let dirty = ref [] in
   for page = npages - 1 downto 0 do
     let a = page * page_bytes in
-    let live = Mem.read_string mem a page_bytes in
-    if live <> Mem.read_string baseline a page_bytes then dirty := (page, live) :: !dirty
+    if not (Mem.equal_span mem baseline a page_bytes) then
+      dirty := (page, Mem.read_string mem a page_bytes) :: !dirty
   done;
   Wire.list w
     (fun w (page, bytes) ->

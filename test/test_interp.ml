@@ -170,7 +170,163 @@ let test_mem_word_fast_path_edges () =
   Alcotest.(check int) "probe8 oob is -1" (-1) (Mem.probe8 m 64);
   Alcotest.(check int) "probe8 negative is -1" (-1) (Mem.probe8 m (-1));
   let read = Mem.reader m in
-  Alcotest.(check int) "reader matches probe8" (Mem.probe8 m 60) (read 60)
+  Alcotest.(check int) "reader matches probe8" (Mem.probe8 m 60) (read 60);
+  (* [a + 3] wraps negative for [a] near [max_int]; the bound must
+     still reject it (the wrapped compare accepted it and indexed far
+     outside the backing store) *)
+  let m = Mem.create 4096 in
+  List.iter
+    (fun a ->
+      Alcotest.check_raises "read near max_int faults at a" (Mem.Fault a) (fun () ->
+          ignore (Mem.read32 m a));
+      Alcotest.check_raises "write near max_int faults at a" (Mem.Fault a) (fun () ->
+          Mem.write32 m a 1))
+    [ max_int - 1; max_int - 2 ]
+
+(* Paged backing store: 4 KiB pages, all sharing one zero page until
+   their first write. None of it may show through the accessors. *)
+let page = 4096
+
+let test_mem_word_across_page_edge () =
+  let m = Mem.create (4 * page) in
+  let a = page - 2 in
+  Mem.write32 m a (-0x12345679);
+  Alcotest.(check int) "read32 across the edge" (-0x12345679) (Mem.read32 m a);
+  let expect = [ 0x87; 0xA9; 0xCB; 0xED ] in
+  List.iteri
+    (fun i b -> Alcotest.(check int) (Printf.sprintf "read8 byte %d" i) b (Mem.read8 m (a + i)))
+    expect;
+  Alcotest.(check int) "neighbour below the word" 0 (Mem.read8 m (a - 1));
+  Alcotest.(check int) "neighbour above the word" 0 (Mem.read8 m (a + 4));
+  Alcotest.(check int) "rest of the upper page" 0 (Mem.read32 m (page + 4));
+  Alcotest.(check int) "an untouched page" 0 (Mem.read32 m (3 * page));
+  Mem.write8 m (2 * page) 0x5A;
+  Alcotest.(check int) "byte store on a fresh page" 0x5A (Mem.read8 m (2 * page));
+  Alcotest.(check int) "its neighbour" 0 (Mem.read8 m ((2 * page) + 1))
+
+let test_mem_strings_across_pages () =
+  let m = Mem.create (5 * page) in
+  let s = String.init ((3 * page) + 17) (fun i -> Char.chr (1 + (i * 7 mod 251))) in
+  let a = page - 9 in
+  Mem.blit_string m a s;
+  Alcotest.(check string) "round-trip over four pages" s (Mem.read_string m a (String.length s));
+  Alcotest.(check string) "a slice from the middle" (String.sub s 4000 300)
+    (Mem.read_string m (a + 4000) 300);
+  Alcotest.(check int) "byte before the blit" 0 (Mem.read8 m (a - 1));
+  Alcotest.(check int) "byte after the blit" 0 (Mem.read8 m (a + String.length s));
+  Alcotest.(check string) "untouched span reads zeros" (String.make 100 '\000')
+    (Mem.read_string m ((5 * page) - 100) 100)
+
+let test_mem_zero_page_never_written () =
+  let m = Mem.create (2 * page) in
+  Mem.write32 m 8 (-1);
+  Mem.write8 m (page + 3) 0xFF;
+  Mem.blit_string m 100 "payload";
+  let fresh = Mem.create (2 * page) in
+  Alcotest.(check string) "a fresh memory is still all zero" (String.make (2 * page) '\000')
+    (Mem.read_string fresh 0 (2 * page));
+  Alcotest.(check bool) "fresh memories compare equal" true
+    (Mem.equal_span fresh (Mem.create (2 * page)) 0 (2 * page));
+  Alcotest.(check bool) "the written one differs" false (Mem.equal_span m fresh 0 (2 * page))
+
+let test_mem_watch_across_page_edge () =
+  let m = Mem.create (2 * page) in
+  let r = Mem.watch m ~lo:(page - 64) ~hi:(page + 64) in
+  Mem.write32 m (page - 1) 0x01020304;
+  Alcotest.(check int) "straddling store bumps once" 1 (Mem.generation r);
+  Alcotest.(check bool) "and stamps its span dirty" false
+    (Mem.span_clean r ~lo:(page - 1) ~hi:(page + 3) ~since:0);
+  Mem.blit_string m (page - 2) "abcd";
+  Alcotest.(check int) "straddling blit bumps once" 2 (Mem.generation r)
+
+(* Region stamps are paged too (one chunk per 4 KiB of region, shared
+   all-zero until written). [span_clean] must agree with a flat model
+   of one stamp per 64 bytes over random stores, on a region whose
+   bounds sit off every page and stamp edge, and a write to one
+   memory's region must leave another memory's region clean. *)
+let test_mem_stamps_match_flat_model () =
+  let g = Hipstr_util.Rng.create 57 in
+  let lo = page + 100 and hi = (5 * page) + 37 in
+  let m = Mem.create (6 * page) in
+  let r = Mem.watch m ~lo ~hi in
+  let other = Mem.create (6 * page) in
+  let r' = Mem.watch other ~lo ~hi in
+  let model = Array.make (6 * page / 64) 0 in
+  let gen = ref 0 in
+  let wrote a b =
+    (* [a, b] inclusive; a write overlapping the region bumps it once
+       and stamps the 64-byte pages it covers inside the region *)
+    if a < hi && b >= lo then begin
+      incr gen;
+      for k = max a lo / 64 to min b (hi - 1) / 64 do
+        model.(k) <- !gen
+      done
+    end
+  in
+  for _ = 1 to 400 do
+    let a = Hipstr_util.Rng.int g ((6 * page) - 300) in
+    match Hipstr_util.Rng.int g 3 with
+    | 0 ->
+      Mem.write8 m a 1;
+      wrote a a
+    | 1 ->
+      Mem.write32 m a 1;
+      wrote a (a + 3)
+    | _ ->
+      let n = 1 + Hipstr_util.Rng.int g 299 in
+      Mem.blit_string m a (String.make n 'x');
+      wrote a (a + n - 1)
+  done;
+  Alcotest.(check int) "one bump per overlapping write" !gen (Mem.generation r);
+  for _ = 1 to 2000 do
+    let a = Hipstr_util.Rng.int g (6 * page) in
+    let b = a + 1 + Hipstr_util.Rng.int g 600 in
+    let since = Hipstr_util.Rng.int g (!gen + 1) in
+    let a' = max a lo and b' = min b hi in
+    let expect =
+      a' >= b'
+      ||
+      let ok = ref true in
+      for k = a' / 64 to (b' - 1) / 64 do
+        if model.(k) > since then ok := false
+      done;
+      !ok
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "span [%d, %d) since %d" a b since)
+      expect
+      (Mem.span_clean r ~lo:a ~hi:b ~since)
+  done;
+  Alcotest.(check int) "the other memory's region never moved" 0 (Mem.generation r');
+  Alcotest.(check bool) "and reads clean everywhere" true
+    (Mem.span_clean r' ~lo ~hi ~since:0)
+
+let test_mem_equal_span_matches_read_string () =
+  let g = Hipstr_util.Rng.create 41 in
+  let size = 6 * page in
+  let m = Mem.create size and m' = Mem.create size in
+  (* both memories get the same writes, then a few go to one only *)
+  for _ = 1 to 40 do
+    let a = Hipstr_util.Rng.int g (size - 4) and v = Hipstr_util.Rng.bits32 g in
+    Mem.write32 m a v;
+    Mem.write32 m' a v
+  done;
+  for _ = 1 to 6 do
+    let a = Hipstr_util.Rng.int g size in
+    Mem.write8 m a (Mem.read8 m a lxor (1 + Hipstr_util.Rng.int g 255))
+  done;
+  (* a zero store still gives a page a private buffer *)
+  Mem.write32 m' (4 * page) 0;
+  for _ = 1 to 500 do
+    let a = Hipstr_util.Rng.int g size in
+    let n = Hipstr_util.Rng.int g (size - a + 1) in
+    Alcotest.(check bool)
+      (Printf.sprintf "span %d+%d" a n)
+      (Mem.read_string m a n = Mem.read_string m' a n)
+      (Mem.equal_span m m' a n)
+  done;
+  Alcotest.check_raises "span past the end" (Mem.Bad_span (size - 2, 4)) (fun () ->
+      ignore (Mem.equal_span m m' (size - 2) 4))
 
 let test_mem_cstring_unterminated () =
   let m = Mem.create 8192 in
@@ -348,6 +504,13 @@ let () =
           Alcotest.test_case "region registry" `Quick test_mem_region_registry;
           Alcotest.test_case "word fast-path edges" `Quick test_mem_word_fast_path_edges;
           Alcotest.test_case "cstring unterminated" `Quick test_mem_cstring_unterminated;
+          Alcotest.test_case "word across a page edge" `Quick test_mem_word_across_page_edge;
+          Alcotest.test_case "strings across pages" `Quick test_mem_strings_across_pages;
+          Alcotest.test_case "zero page never written" `Quick test_mem_zero_page_never_written;
+          Alcotest.test_case "watch across a page edge" `Quick test_mem_watch_across_page_edge;
+          Alcotest.test_case "stamps match a flat model" `Quick test_mem_stamps_match_flat_model;
+          Alcotest.test_case "equal_span matches read_string" `Quick
+            test_mem_equal_span_matches_read_string;
         ] );
       ( "decode-cache",
         [
