@@ -46,14 +46,37 @@ profile-smoke:
 # Block-granular code-cache eviction end-to-end: a CMP run under an
 # 8 KiB cache with the fifo policy (forcing real evictions and memo
 # re-installs), --verify demanding byte-equality with the standalone
-# runs; then the cache-churn policy sweep (BENCH_cache.json), which
-# json_check validates.
+# runs; then a gobmk run under a 4 KiB flush-policy cache, which
+# serves thousands of re-translations from the translation memo,
+# checkpointing mid-flight: restoring that snapshot starts with an
+# empty memo, and its full state dump must be byte-identical to the
+# live run's, so the memo is invisible to the guest. Last, the
+# cache-churn policy sweep, regenerated beside the committed
+# BENCH_cache.json and gated against it at 0% and by cmp: every
+# number in it (cycles, flushes, translations, misses) is
+# guest-deterministic. The committed file is put back afterwards, so
+# a failed gate fails again on a re-run; refresh it on purpose with
+# `dune exec bench/main.exe -- --cache-only`.
 cache-smoke:
 	dune exec bin/hipstr_cli.exe -- cmp-run gobmk bzip2 \
 	  --cc-capacity 8192 --cc-policy fifo --quantum 2000 --verify \
 	  --metrics-out /tmp/hipstr-cache-metrics.json
+	dune exec bin/hipstr_cli.exe -- run gobmk --mode psr \
+	  --cc-capacity 4096 --cc-policy flush \
+	  --checkpoint-every 100000 --checkpoint-out /tmp/hipstr-cache-churn \
+	  --state-out /tmp/hipstr-cache-churn-straight.dump
+	dune exec bin/hipstr_cli.exe -- restore /tmp/hipstr-cache-churn.100000.snap \
+	  --state-out /tmp/hipstr-cache-churn-resumed.dump
+	cmp /tmp/hipstr-cache-churn-straight.dump /tmp/hipstr-cache-churn-resumed.dump
+	cp BENCH_cache.json /tmp/hipstr-cache-committed.json
 	dune exec bench/main.exe -- --cache-only
-	dune exec tools/json_check.exe -- /tmp/hipstr-cache-metrics.json BENCH_cache.json
+	mv BENCH_cache.json /tmp/hipstr-cache-bench.json
+	cp /tmp/hipstr-cache-committed.json BENCH_cache.json
+	dune exec tools/json_check.exe -- /tmp/hipstr-cache-metrics.json /tmp/hipstr-cache-bench.json
+	dune exec tools/bench_gate.exe -- --selftest /tmp/hipstr-cache-bench.json
+	dune exec tools/bench_gate.exe -- --max-drop 0 --max-rise 0 \
+	  BENCH_cache.json /tmp/hipstr-cache-bench.json
+	cmp BENCH_cache.json /tmp/hipstr-cache-bench.json
 
 # The predecoded-block interpreter end-to-end: the host-throughput
 # sweep (BENCH_interp.json; each point also asserts the cache-on and

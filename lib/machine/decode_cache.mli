@@ -80,6 +80,11 @@ type stats = {
 
 type t
 
+val max_decode_window : int
+(** Upper bound on the bytes one instruction decode may inspect, past
+    its start address, on either ISA. Anything that caches a decode
+    result must treat this many bytes as read. *)
+
 val create :
   ?obs:Hipstr_obs.Obs.t -> isa:string -> ?chain:bool -> Hipstr_isa.Desc.which -> Mem.t -> t
 (** Create a cache for one ISA over one memory, watching the four

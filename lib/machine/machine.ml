@@ -177,7 +177,9 @@ let deposit_decoded t =
 (* Drop every predecoded block of one core's cache — the PSR VM calls
    this when it rewrites its code-cache region wholesale (flush,
    relocation-map renewal). Generations already keep stale blocks from
-   executing; this models the cold start and frees the table. *)
+   executing; this frees the table at once instead of leaving each dead
+   block to fail its staleness check. The decode cache is host state
+   and charges no guest cycles, so this changes host time only. *)
 let invalidate_decoded t which =
   (match (ctx_of t which).dcode with
   | Some dc -> Decode_cache.invalidate_all dc

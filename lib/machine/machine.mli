@@ -74,8 +74,9 @@ val invalidate_decoded : t -> Hipstr_isa.Desc.which -> unit
 (** Drop every predecoded block of one core's decode cache. The PSR
     VM calls this on code-cache flush and relocation-map renewal;
     region write generations already guarantee stale blocks never
-    execute, so this only models the cold start eagerly. No-op
-    without a decode cache. *)
+    execute, so this only frees the table eagerly. The decode cache is
+    host state and charges no guest cycles. No-op without a decode
+    cache. *)
 
 val decode_cache_stats : t -> Hipstr_isa.Desc.which -> Decode_cache.stats option
 (** Hit/miss/invalidation/flush plus chain/IC counts of one core's

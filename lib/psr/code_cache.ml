@@ -215,6 +215,12 @@ let save w t =
   Wire.int w t.nflushes;
   Wire.int w t.nevictions
 
+let rec each_adjacent f = function
+  | a :: (b :: _ as rest) ->
+      f a b;
+      each_adjacent f rest
+  | _ -> ()
+
 let restore t r =
   Wire.expect_tag r "CCACHE";
   let cursor = Wire.r_int r in
@@ -235,12 +241,33 @@ let restore t r =
   let referenced = Wire.r_list r Wire.r_int in
   let nflushes = Wire.r_int r in
   let nevictions = Wire.r_int r in
+  let limit = t.cc_base + t.cc_capacity in
+  (* The next [alloc] trusts the cursor and [by_addr] blindly: a cursor
+     outside the region would place a unit over other guest memory, and
+     overlapping or same-source blocks would leave two live
+     translations claiming one range or one source. Bump allocation
+     (Flush) also never leaves a block past the cursor. *)
+  if cursor < t.cc_base || cursor > limit then
+    Wire.corrupt "code-cache cursor 0x%x outside this cache's region [0x%x, 0x%x]" cursor
+      t.cc_base limit;
   List.iter
     (fun b ->
-      if b.cb_cache < t.cc_base || b.cb_cache + b.cb_size > t.cc_base + t.cc_capacity then
+      if b.cb_size < 0 || b.cb_cache < t.cc_base || b.cb_cache + b.cb_size > limit then
         Wire.corrupt "code-cache block [0x%x, +%d) outside this cache's region" b.cb_cache
-          b.cb_size)
+          b.cb_size;
+      if t.cc_policy = Flush && b.cb_cache + b.cb_size > cursor then
+        Wire.corrupt "code-cache block [0x%x, +%d) lies past the cursor 0x%x" b.cb_cache b.cb_size
+          cursor)
     bs;
+  each_adjacent
+    (fun a b ->
+      if b.cb_cache = a.cb_cache || b.cb_cache < a.cb_cache + a.cb_size then
+        Wire.corrupt "code-cache blocks [0x%x, +%d) and [0x%x, +%d) overlap" a.cb_cache a.cb_size
+          b.cb_cache b.cb_size)
+    (List.sort (fun a b -> compare a.cb_cache b.cb_cache) bs);
+  each_adjacent
+    (fun a b -> if a = b then Wire.corrupt "two code-cache blocks translate source 0x%x" a)
+    (List.sort compare (List.map (fun b -> b.cb_src) bs));
   t.cursor <- cursor;
   Hashtbl.reset t.by_src;
   Hashtbl.reset t.referenced;

@@ -110,5 +110,7 @@ val save : Hipstr_util.Wire.w -> t -> unit
 
 val restore : t -> Hipstr_util.Wire.r -> unit
 (** Overwrite this cache's allocator state from a {!save} image.
-    @raise Hipstr_util.Wire.Corrupt when a block falls outside this
-    cache's region or the image is malformed. *)
+    @raise Hipstr_util.Wire.Corrupt when the cursor or a block falls
+    outside this cache's region, two blocks overlap or translate the
+    same source, a {!Flush} block lies past the cursor, or the image
+    is malformed. *)

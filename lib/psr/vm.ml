@@ -83,8 +83,22 @@ type patch_rec = { pt_src : int; pt_cache : int }
 
 (* Translation memo: a base-independent prepared unit, valid only
    while the reloc maps it was rewritten against are unchanged —
-   guarded by the map generation and the unit's own map fingerprint. *)
-type memo_entry = { me_gen : int; me_fp : int; me_prep : Translator.prepared }
+   guarded by the map generation and the unit's own map fingerprint.
+   Under the flush policy an entry must also prove the source bytes it
+   was read from unwritten ([source_unchanged]), since there a hit
+   stands in for a fresh translation. [me_saved] entries travel in
+   snapshots and memo files; the ones the flush path keeps for itself
+   are host state and never do. [me_laid] is the entry's last layout
+   and the base it was laid out at: a flushed cache refills in the
+   same order, so a unit usually lands where it was before. *)
+type memo_entry = {
+  me_gen : int;
+  me_fp : int;
+  me_prep : Translator.prepared;
+  me_saved : bool;
+  mutable me_src_gen : int;  (* source-region generation the spans are known clean under *)
+  mutable me_laid : (int * Translator.unit_code) option;
+}
 
 type t = {
   cfg : Config.t;
@@ -101,6 +115,7 @@ type t = {
   pr : probes;
   mutable ever_translated : (int, unit) Hashtbl.t;
   memo : (int, memo_entry) Hashtbl.t;
+  src_region : Mem.region;  (* this ISA's code section, watched for memo validity *)
   mutable map_gen : int;
   block_meta : (int, int list) Hashtbl.t;
       (* block base -> trap pcs registered at install, so eviction can
@@ -160,6 +175,9 @@ let create cfg ~seed which fatbin machine =
     pr;
     ever_translated = Hashtbl.create 256;
     memo = Hashtbl.create 256;
+    src_region =
+      (let lo = Layout.code_base which in
+       Mem.watch (Machine.mem machine) ~lo ~hi:(lo + Layout.code_region_size));
     map_gen = 0;
     block_meta = Hashtbl.create 256;
     patches = Hashtbl.create 256;
@@ -308,6 +326,25 @@ let invalidate_block t (b : Code_cache.block) =
       Hashtbl.replace t.stub_at pc (Sexit p.pt_src))
     (List.sort compare incoming)
 
+(* No write has landed in the source bytes [e]'s prepare read: each span
+   plus the decoder's look-ahead window lies in the watched code section
+   and is clean since [me_src_gen], which a clean answer re-stamps. The
+   region generation alone usually settles it: a guest rarely writes its
+   own code section. *)
+let source_unchanged t e =
+  let r = t.src_region in
+  let g = Mem.generation r in
+  let since = e.me_src_gen in
+  let clean (lo, len) =
+    let hi = lo + len + Hipstr_machine.Decode_cache.max_decode_window in
+    lo >= Mem.region_lo r && hi <= Mem.region_hi r && (g = since || Mem.span_clean r ~lo ~hi ~since)
+  in
+  List.for_all clean (Translator.prepared_spans e.me_prep)
+  && begin
+    e.me_src_gen <- g;
+    true
+  end
+
 let translate_unit t src =
   match Code_cache.lookup t.cache src with
   | Some cache_addr ->
@@ -337,26 +374,49 @@ let translate_unit t src =
       | None -> raise (Wild_target src)
     in
     let fp = Reloc_map.fingerprint (map_of t fs) in
-    let memoized =
-      if t.cfg.cc_policy = Code_cache.Flush then None
-      else
-        match Hashtbl.find_opt t.memo src with
-        | Some e when e.me_gen = t.map_gen && e.me_fp = fp -> Some e.me_prep
-        | _ -> None
+    let flush_policy = t.cfg.cc_policy = Code_cache.Flush in
+    let old = Hashtbl.find_opt t.memo src in
+    let hit =
+      match old with
+      | Some e
+        when e.me_gen = t.map_gen && e.me_fp = fp && ((not flush_policy) || source_unchanged t e) ->
+        old
+      | _ -> None
     in
-    let prep, memo_hit =
-      match memoized with
-      | Some p -> (p, true)
+    let prep =
+      match hit with
+      | Some e -> e.me_prep
       | None ->
-        let read = Mem.reader (mem t) in
-        let p =
-          Translator.prepare t.cfg t.desc ~read ~fatbin:t.fatbin
-            ~map_of:(fun fs -> map_of t fs)
-            ~src
-        in
-        if t.cfg.cc_policy <> Code_cache.Flush then
-          Hashtbl.replace t.memo src { me_gen = t.map_gen; me_fp = fp; me_prep = p };
-        (p, false)
+        Translator.prepare t.cfg t.desc ~read:(Mem.reader (mem t)) ~fatbin:t.fatbin
+          ~map_of:(fun fs -> map_of t fs)
+          ~src
+    in
+    (* Retention: fifo/clock memoize every unit, and those entries
+       travel. The flush path keeps a unit only once it comes back after
+       a flush: keeping first translations too would fill the major heap
+       of runs that never flush with entries never hit. A replaced entry
+       keeps its predecessor's [me_saved]. A unit that is not kept
+       allocates nothing here. *)
+    let entry =
+      match hit with
+      | Some _ -> hit
+      | None ->
+        let saved = (not flush_policy) || match old with Some e -> e.me_saved | None -> false in
+        if saved || not compulsory then begin
+          let e =
+            {
+              me_gen = t.map_gen;
+              me_fp = fp;
+              me_prep = prep;
+              me_saved = saved;
+              me_src_gen = Mem.generation t.src_region;
+              me_laid = None;
+            }
+          in
+          Hashtbl.replace t.memo src e;
+          Some e
+        end
+        else None
     in
     let base, evicted =
       Code_cache.alloc t.cache ~align ~src ~func:fs.fs_name
@@ -370,7 +430,15 @@ let translate_unit t src =
       let n = List.length evicted in
       t.st.evictions <- t.st.evictions + n;
       charge t (evict_cost *. float_of_int n));
-    let unit = Translator.layout prep ~base in
+    let unit =
+      match entry with
+      | Some { me_laid = Some (at, u); _ } when at = base -> u
+      | Some e ->
+        let u = Translator.layout prep ~base in
+        e.me_laid <- Some (base, u);
+        u
+      | None -> Translator.layout prep ~base
+    in
     Mem.blit_string (mem t) base unit.u_bytes;
     let trap_pcs = ref [] in
     List.iter
@@ -387,7 +455,9 @@ let translate_unit t src =
       unit.u_icalls;
     Hashtbl.replace t.block_meta base !trap_pcs;
     t.new_units <- src :: t.new_units;
-    if memo_hit then begin
+    (* Under flush a memo hit is host-side reuse of a translation the
+       model still performs: it is charged, counted and traced as one. *)
+    if Option.is_some hit && not flush_policy then begin
       t.st.memo_installs <- t.st.memo_installs + 1;
       if Obs.on t.pr.obs then begin
         Obs.Metrics.incr t.pr.c_memo_installs;
@@ -675,7 +745,8 @@ let save_memo_keys w t =
       Wire.int w fp)
     (List.sort compare
        (Hashtbl.fold
-          (fun src e acc -> if e.me_gen = t.map_gen then (src, e.me_fp) :: acc else acc)
+          (fun src e acc ->
+            if e.me_saved && e.me_gen = t.map_gen then (src, e.me_fp) :: acc else acc)
           t.memo []))
 
 (* Rebuild memo entries by re-running the (pure) translator scan
@@ -685,6 +756,7 @@ let save_memo_keys w t =
 let rebuild_memo t keys =
   Hashtbl.reset t.memo;
   let read = Mem.reader (mem t) in
+  let src_gen = Mem.generation t.src_region in
   List.iter
     (fun (src, fp) ->
       match Fatbin.func_at t.fatbin t.which src with
@@ -697,7 +769,15 @@ let rebuild_memo t keys =
             ~map_of:(fun fs -> map_of t fs)
             ~src
         in
-        Hashtbl.replace t.memo src { me_gen = t.map_gen; me_fp = fp; me_prep = prep })
+        Hashtbl.replace t.memo src
+          {
+            me_gen = t.map_gen;
+            me_fp = fp;
+            me_prep = prep;
+            me_saved = true;
+            me_src_gen = src_gen;
+            me_laid = None;
+          })
     keys
 
 (* Re-encode every live block at its recorded cache address and

@@ -25,9 +25,14 @@
     translation memo keyed by (unit, reloc-map generation, map
     fingerprint) re-installs a previously translated unit without
     re-running the translator; the memo dies with the maps
-    ({!renew_maps}). Either way, a source address is in the cache or
-    it is not — the hit/miss outcome that classifies an indirect
-    transfer as suspicious is policy-independent.
+    ({!renew_maps}). Under {!Code_cache.Flush} the memo also serves
+    re-translations after a flush, as host-only state: a hit is
+    charged, counted and traced exactly like the translation it
+    replaces, is only taken while the unit's source bytes are
+    unwritten, and never travels in a snapshot or memo file. Either
+    way, a source address is in the cache or it is not — the hit/miss
+    outcome that classifies an indirect transfer as suspicious is
+    policy-independent.
 
     Relocation maps survive a flush (live frames hold state at
     map-specified offsets), and re-randomization happens on process
@@ -134,7 +139,8 @@ val flush : t -> unit
 
 val save_state : Hipstr_util.Wire.w -> t -> unit
 (** Serialize the VM: rng word, map generation, relocation maps, memo
-    key set, translation history, code-cache allocator state, chain
+    key set (without the entries the flush path keeps for itself),
+    translation history, code-cache allocator state, chain
     patches, un-drained units, counters. Translated code bytes do NOT
     travel — {!restore_state} re-materializes them. *)
 
@@ -152,13 +158,15 @@ val restore_state : t -> Hipstr_util.Wire.r -> unit
 
 val save_meta : Hipstr_util.Wire.w -> t -> unit
 (** Serialize only the warm-start slice — rng word, map generation,
-    relocation maps, memo keys, translation history — with no machine
-    coupling, for persisting the translation memo across runs. *)
+    relocation maps, memo keys (as in {!save_state}), translation
+    history — with no machine coupling, for persisting the translation
+    memo across runs. *)
 
 val load_meta : t -> Hipstr_util.Wire.r -> unit
 (** Load {!save_meta} output into a freshly created VM (after the fat
     binary is in memory): subsequent translations of memoized units
-    are served as memo installs.
+    are served as memo installs (under {!Code_cache.Flush}, from the
+    memo but charged as translations).
     @raise Hipstr_util.Wire.Corrupt on malformed images. *)
 
 val forget_memo : t -> unit

@@ -300,6 +300,53 @@ let test_vm_counters () =
   Alcotest.(check bool) "compulsory misses counted" true (st.compulsory_misses > 0);
   Alcotest.(check bool) "patches happened (unit chaining)" true (st.patches > 0)
 
+(* Under the flush policy the translation memo serves re-translations,
+   so what it lays out must equal what the translator would produce
+   from the current source bytes — including after the guest rewrites
+   one of them. The decode cache is off so only the VM's own watch on
+   the code section can notice the rewrite. *)
+let test_flush_memo_matches_fresh () =
+  let fb = Lazy.force sample_fb in
+  let cfg = { Config.default with cc_policy = Code_cache.Flush } in
+  let sys =
+    System.of_fatbin ~cfg ~seed:11 ~start_isa:Desc.Cisc ~mode:System.Psr_only ~decode_cache:false fb
+  in
+  let vm = System.vm sys Desc.Cisc in
+  let mem = Machine.mem (System.machine sys) in
+  let entry name = (Fatbin.image (Fatbin.find_func fb name) Desc.Cisc).im_entry in
+  let a = entry "helper" and b = entry "main" in
+  let base = Layout.cisc_cache_base in
+  let fresh () =
+    Translator.translate cfg Hipstr_cisc.Isa.desc ~read:(Mem.reader mem) ~fatbin:fb
+      ~map_of:(Vm.map_of vm) ~src:a ~base
+  in
+  let check label =
+    let u = fresh () in
+    Alcotest.(check bool) label true (String.equal u.u_bytes (Mem.read_string mem base u.u_size))
+  in
+  let enter src =
+    Vm.flush vm;
+    Vm.enter vm src
+  in
+  let before = (Vm.stats vm).translations in
+  enter a;
+  enter b;
+  enter a;
+  check "first re-translation";
+  enter a;
+  check "memo-served unit";
+  let u0 = fresh () in
+  let lo, len = List.hd u0.u_src_spans in
+  let at = lo + len - 1 in
+  Mem.write8 mem at (Mem.read8 mem at lxor 0x01);
+  Alcotest.(check bool) "the rewrite changes the translation" false
+    (String.equal u0.u_bytes (fresh ()).u_bytes);
+  enter a;
+  check "after a source rewrite";
+  let st = Vm.stats vm in
+  Alcotest.(check int) "every entry charged as a translation" 5 (st.translations - before);
+  Alcotest.(check int) "no memo installs under flush" 0 st.memo_installs
+
 let test_hot_regs () =
   let w = Workloads.find "bzip2" in
   let sys = System.of_fatbin ~seed:4 ~start_isa:Desc.Cisc ~mode:System.Psr_only (Workloads.fatbin w) in
@@ -344,6 +391,7 @@ let () =
           Alcotest.test_case "clock second chance" `Quick test_code_cache_clock_second_chance;
           Alcotest.test_case "config validation" `Quick test_config_validation;
           Alcotest.test_case "vm counters" `Quick test_vm_counters;
+          Alcotest.test_case "flush memo matches fresh" `Quick test_flush_memo_matches_fresh;
           Alcotest.test_case "hot regs" `Quick test_hot_regs;
         ] );
     ]

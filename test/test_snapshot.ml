@@ -4,7 +4,7 @@
    continuing uninterrupted, across every workload and protection
    mode, including mid-quantum checkpoints and cross-ISA resume; and
    the image parser must reject truncated, trailing, version-skewed
-   and wrong-binary images loudly. *)
+   and wrong-binary images, and forged code-cache state, loudly. *)
 
 module Desc = Hipstr_isa.Desc
 module System = Hipstr.System
@@ -217,6 +217,52 @@ let test_rejects_bad_magic () =
   expect_corrupt "bad magic" (fun () ->
       Snapshot.restore ~obs:(Obs.create ()) ~fatbin:fb ("XIPSNAP" ^ image))
 
+(* Forged code-cache allocator state. [ccache_record] writes a CCACHE
+   section field by field, as [Code_cache.save] lays it out; the
+   well-formed record restores, so each forged one fails on the lie it
+   tells and not on the framing. *)
+let cc_base = Hipstr_machine.Layout.cisc_cache_base
+
+let ccache_record ~cursor blocks =
+  let w = Wire.writer () in
+  Wire.tag w "CCACHE";
+  Wire.int w cursor;
+  Wire.list w
+    (fun w (src, cache, size) ->
+      Wire.int w src;
+      Wire.int w cache;
+      Wire.int w size;
+      Wire.str w "f";
+      Wire.list w Wire.int [] (* no source spans *))
+    blocks;
+  Wire.list w Wire.int [];
+  Wire.int w 0;
+  Wire.int w 0;
+  Wire.contents w
+
+let restore_ccache record =
+  let cc = Code_cache.create ~base:cc_base ~capacity:4096 () in
+  Code_cache.restore cc (Wire.reader record);
+  cc
+
+let test_rejects_forged_code_cache () =
+  let cc =
+    restore_ccache
+      (ccache_record ~cursor:(cc_base + 200) [ (0x100, cc_base, 100); (0x200, cc_base + 100, 100) ])
+  in
+  Alcotest.(check (option int)) "well-formed record restores" (Some (cc_base + 100))
+    (Code_cache.lookup cc 0x200);
+  expect_corrupt "cursor outside the region (the guest's code section)" (fun () ->
+      restore_ccache (ccache_record ~cursor:0x10000 []));
+  expect_corrupt "overlapping blocks" (fun () ->
+      restore_ccache
+        (ccache_record ~cursor:(cc_base + 150) [ (0x100, cc_base, 100); (0x200, cc_base + 50, 100) ]));
+  expect_corrupt "duplicate sources" (fun () ->
+      restore_ccache
+        (ccache_record ~cursor:(cc_base + 200) [ (0x100, cc_base, 100); (0x100, cc_base + 100, 100) ]));
+  expect_corrupt "block past the flush cursor" (fun () ->
+      restore_ccache (ccache_record ~cursor:(cc_base + 50) [ (0x100, cc_base, 100) ]))
+
 (* --- warm-start memo ----------------------------------------------- *)
 
 let test_memo_warm_start () =
@@ -266,6 +312,7 @@ let () =
           Alcotest.test_case "version skew" `Quick test_rejects_version_skew;
           Alcotest.test_case "wrong binary" `Quick test_rejects_wrong_binary;
           Alcotest.test_case "bad magic" `Quick test_rejects_bad_magic;
+          Alcotest.test_case "forged code-cache state" `Quick test_rejects_forged_code_cache;
         ] );
       ("warm start", [ Alcotest.test_case "memo round-trip" `Quick test_memo_warm_start ]);
     ]
