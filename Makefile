@@ -118,9 +118,14 @@ chain-smoke:
 
 # The fleet serving subsystem end-to-end: the fleet determinism
 # suite, then one seeded open-loop trace served at -j 1 and -j 4 with
-# metrics and audit exports demanded byte-identical (the work-stealing
-# determinism contract), and a reduced fleet sweep whose
-# BENCH_fleet.json json_check validates.
+# metrics and audit exports demanded byte-identical (the fleet
+# determinism contract). Last, the reduced fleet sweep, regenerated
+# beside the committed BENCH_fleet.json and gated against it at 0% and
+# by cmp: every number in it (waves, makespan, latency percentiles) is
+# guest-deterministic and identical at any -j. The committed file is
+# put back afterwards, so a failed gate fails again on a re-run;
+# refresh it on purpose with
+# `dune exec bench/main.exe -- --fleet-only --fleet-procs 24 -j 2`.
 fleet-smoke:
 	dune exec test/test_fleet.exe
 	dune exec bin/hipstr_cli.exe -- fleet-run --procs 48 --arrival poisson:50 \
@@ -131,9 +136,16 @@ fleet-smoke:
 	  --metrics-out /tmp/hipstr-fleet-j4.json --audit-out /tmp/hipstr-fleet-j4.jsonl
 	cmp /tmp/hipstr-fleet-j1.json /tmp/hipstr-fleet-j4.json
 	cmp /tmp/hipstr-fleet-j1.jsonl /tmp/hipstr-fleet-j4.jsonl
+	cp BENCH_fleet.json /tmp/hipstr-fleet-committed.json
 	dune exec bench/main.exe -- --fleet-only --fleet-procs 24 -j 2
-	dune exec tools/json_check.exe -- BENCH_fleet.json /tmp/hipstr-fleet-j1.json \
+	mv BENCH_fleet.json /tmp/hipstr-fleet-bench.json
+	cp /tmp/hipstr-fleet-committed.json BENCH_fleet.json
+	dune exec tools/json_check.exe -- /tmp/hipstr-fleet-bench.json /tmp/hipstr-fleet-j1.json \
 	  /tmp/hipstr-fleet-j1.jsonl
+	dune exec tools/bench_gate.exe -- --selftest /tmp/hipstr-fleet-bench.json
+	dune exec tools/bench_gate.exe -- --max-drop 0 --max-rise 0 \
+	  BENCH_fleet.json /tmp/hipstr-fleet-bench.json
+	cmp BENCH_fleet.json /tmp/hipstr-fleet-bench.json
 
 # The time-resolved telemetry layer end-to-end: an attack-heavy
 # bursty fleet run emitting the windowed timeline (JSON + CSV, with
@@ -141,9 +153,10 @@ fleet-smoke:
 # byte-identical (the deterministic-timeline contract; --hostprof is
 # deliberately absent here because host allocation is not
 # deterministic), json_check validating the hipstr-timeline/1 schema,
-# then the bench_gate regression checker: self-compares of the
-# committed interp/fleet benchmarks must pass and its --selftest must
-# catch a synthetic 10% degradation.
+# then the bench_gate regression checker: the interp benchmark's
+# self-compare must pass and --selftest must catch a synthetic 10%
+# degradation of the interp and fleet benchmarks (fleet-smoke gates
+# BENCH_fleet.json against a fresh sweep).
 timeline-smoke:
 	dune exec bin/hipstr_cli.exe -- fleet-run --procs 96 --arrival bursty:40:24 \
 	  --mix 55,15,5,25 --policy security-first --mode hipstr --shards 4 -j 1 \
@@ -157,7 +170,6 @@ timeline-smoke:
 	cmp /tmp/hipstr-timeline-j1.csv /tmp/hipstr-timeline-j4.csv
 	dune exec tools/json_check.exe -- /tmp/hipstr-timeline-j1.json
 	dune exec tools/bench_gate.exe -- BENCH_interp.json BENCH_interp.json
-	dune exec tools/bench_gate.exe -- BENCH_fleet.json BENCH_fleet.json
 	dune exec tools/bench_gate.exe -- --selftest BENCH_interp.json
 	dune exec tools/bench_gate.exe -- --selftest BENCH_fleet.json
 
@@ -203,7 +215,10 @@ migrate-smoke:
 # host allocation profiling on, asserting minor GC words per retired
 # instruction stays below the committed threshold (the hot loop
 # itself is allocation-free; the residue is boot, migration edges and
-# the profiler's own bookkeeping), then CMP runs with the packed
+# the profiler's own bookkeeping); then a 200-connection hipstr fleet
+# at -j 1, whose count repeats exactly and is mostly per-connection
+# boot and translation, gated at its measured value plus under 5%;
+# then CMP runs with the packed
 # dispatcher disabled whose --verify re-runs every process standalone
 # with packing *on* — an end-to-end packed/no-packed differential —
 # at -j 1 and -j 4 with metrics exports demanded byte-identical,
@@ -211,6 +226,8 @@ migrate-smoke:
 alloc-smoke:
 	dune exec bin/hipstr_cli.exe -- run gobmk --mode hipstr \
 	  --hostprof --assert-alloc 1.0
+	dune exec bin/hipstr_cli.exe -- fleet-run --procs 200 --arrival poisson:100 \
+	  --mode hipstr --shards 4 -j 1 --hostprof --assert-alloc 76.0
 	dune exec bin/hipstr_cli.exe -- cmp-run gobmk bzip2 mcf --no-packed \
 	  --quantum 2000 --verify -j 1 --metrics-out /tmp/hipstr-nopacked-j1.json
 	dune exec bin/hipstr_cli.exe -- cmp-run gobmk bzip2 mcf --no-packed \

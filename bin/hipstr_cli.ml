@@ -557,7 +557,8 @@ let assert_alloc_arg =
         ~doc:
           "With $(b,--hostprof): exit non-zero unless host minor words allocated per retired \
            instruction stayed at or below $(docv). The alloc-smoke CI gate drives this to pin \
-           the allocation-free hot path.")
+           the allocation-free hot path of $(b,run) and the per-connection cost of \
+           $(b,fleet-run).")
 
 (* The CI allocation gate: --hostprof measures, this enforces. *)
 let check_alloc hp limit =
@@ -1025,28 +1026,27 @@ let cmp_run_cmd =
     in
     let cmp = Cmp.create ~obs ~policy ~quantum ~cores procs in
     let timeline = make_timeline tl_args in
-    (match checkpoint_every with
-    | None -> Cmp.run ~jobs ?timeline cmp
-    | Some n ->
-      (* drive the scheduler round by round; every n rounds write the
-         latest process image per live pid (PREFIX.pidK.snap), the
-         files a cross-pool restore re-injects from *)
-      let rounds = ref 0 in
-      while Cmp.runnable_count cmp > 0 do
-        ignore (Cmp.step ~jobs ?timeline cmp);
-        incr rounds;
-        if !rounds mod n = 0 then
-          List.iter
-            (fun p ->
-              if Process.runnable p then begin
-                let image = Snapshot.checkpoint_process ~workload:(Process.name p) p in
-                let path = Printf.sprintf "%s.pid%d.snap" checkpoint_out (Process.pid p) in
-                write_binary path image;
-                Printf.printf "checkpoint: %s (%d bytes, round %d, %d instructions)\n" path
-                  (String.length image) !rounds (Process.instructions p)
-              end)
-            (Cmp.processes cmp)
-      done);
+    (* every n rounds write the latest process image per live pid
+       (PREFIX.pidK.snap), the files a cross-pool restore re-injects
+       from *)
+    let after_round =
+      Option.map
+        (fun n () ->
+          let round = Cmp.rounds cmp in
+          if round mod n = 0 then
+            List.iter
+              (fun p ->
+                if Process.runnable p then begin
+                  let image = Snapshot.checkpoint_process ~workload:(Process.name p) p in
+                  let path = Printf.sprintf "%s.pid%d.snap" checkpoint_out (Process.pid p) in
+                  write_binary path image;
+                  Printf.printf "checkpoint: %s (%d bytes, round %d, %d instructions)\n" path
+                    (String.length image) round (Process.instructions p)
+                end)
+              (Cmp.processes cmp))
+        checkpoint_every
+    in
+    Cmp.run ~jobs ?timeline ?after_round cmp;
     let m = Cmp.metrics cmp in
     Printf.printf "cmp-run: %d processes on %d cores [%s], policy %s, quantum %d\n"
       (List.length ws) (Array.length core_arr)
@@ -1136,7 +1136,7 @@ let cmp_run_cmd =
 (* fleet-run: serve an open-loop trace of staged httpd connections
    across a sharded pool of CMPs and report tail latency. The whole
    run is named by (--seed, --procs, --arrival, --mix): -j N output
-   is bit-identical to -j 1, stealing or not. *)
+   is bit-identical to -j 1. *)
 let fleet_run_cmd =
   let arrival_conv =
     Arg.conv
@@ -1221,14 +1221,6 @@ let fleet_run_cmd =
       & opt (bounded_int_conv ~what:"tenants" ~lo:1 ()) 4
       & info [ "tenants" ] ~doc:"Tenants the connections tile across (per-tenant metric namespaces).")
   in
-  let no_steal_arg =
-    Arg.(
-      value & flag
-      & info [ "no-steal" ]
-          ~doc:
-            "Use a static shard partition instead of deterministic work stealing (results are \
-             bit-identical either way; only the wall clock changes).")
-  in
   let migrate_every_arg =
     Arg.(
       value
@@ -1266,9 +1258,9 @@ let fleet_run_cmd =
       & info [ "slo-budget" ] ~docv:"FRACTION"
           ~doc:"Error budget: fraction of requests allowed over the SLO target (default 0.1).")
   in
-  let action procs arrival mix policy shards cores quantum mode fuel max_live tenants no_steal
-      migrate_every seed migrate_prob jobs metrics trace hostprof tl_args slo_target slo_budget
-      exports =
+  let action procs arrival mix policy shards cores quantum mode fuel max_live tenants
+      migrate_every seed migrate_prob jobs metrics trace hostprof assert_alloc tl_args slo_target
+      slo_budget exports =
     let cfg =
       match (mode, migrate_prob) with
       | System.Hipstr, Some p -> Some { Config.default with migrate_prob = p }
@@ -1285,7 +1277,6 @@ let fleet_run_cmd =
         fl_seed = seed;
         fl_fuel = fuel;
         fl_max_live = max_live;
-        fl_steal = not no_steal;
         fl_migrate_every = migrate_every;
       }
     in
@@ -1353,7 +1344,8 @@ let fleet_run_cmd =
     if metrics then print_obs obs;
     print_hostprof hp;
     write_exports ?timeline ~obs exports;
-    write_timeline ?slo ?hostprof:hp timeline tl_args
+    write_timeline ?slo ?hostprof:hp timeline tl_args;
+    check_alloc hp assert_alloc
   in
   Cmd.v
     (Cmd.info "fleet-run"
@@ -1363,9 +1355,9 @@ let fleet_run_cmd =
           -j 1.")
     Term.(
       const action $ procs_arg $ arrival_arg $ mix_arg $ policy_arg $ shards_arg $ cores_arg
-      $ quantum_arg $ mode_arg $ fuel_arg $ max_live_arg $ tenants_arg $ no_steal_arg
-      $ migrate_every_arg $ seed_arg $ migrate_prob_arg $ jobs_arg $ metrics_arg $ trace_arg
-      $ hostprof_arg $ timeline_args $ slo_target_arg $ slo_budget_arg $ export_args)
+      $ quantum_arg $ mode_arg $ fuel_arg $ max_live_arg $ tenants_arg $ migrate_every_arg
+      $ seed_arg $ migrate_prob_arg $ jobs_arg $ metrics_arg $ trace_arg $ hostprof_arg
+      $ assert_alloc_arg $ timeline_args $ slo_target_arg $ slo_budget_arg $ export_args)
 
 let list_cmd =
   let action () =

@@ -290,15 +290,16 @@ let all_done t = Array.for_all (fun p -> not (Process.runnable p)) t.procs
    scheduler audit entries, and each slice's begin stamp (the core's
    cycle clock) are all decided before any slice runs.
 
-   Run (parallel when [jobs] > 1): the slices themselves. Processes
-   share no simulated state, each core has at most one assignment per
-   round, and every scheduling input was fixed in prep — so executing
-   them concurrently cannot change any simulation result. Shared
-   observability is domain-safe (atomic counters, mutex-guarded
-   histograms/spans/audit), and the exporters canonically re-sort, so
-   exported files are byte-identical to the serial run too. Each
-   slice gets a [schedule] span on its core's clock; the nested exec/
-   translate/migration spans land under it via the per-domain stack.
+   Run (parallel on [crew], serial without one): the slices
+   themselves. Processes share no simulated state, each core has at
+   most one assignment per round, and every scheduling input was fixed
+   in prep — so executing them concurrently cannot change any
+   simulation result. Shared observability is domain-safe (atomic
+   counters, mutex-guarded histograms/spans/audit), and the exporters
+   canonically re-sort, so exported files are byte-identical to the
+   serial run too. Each slice gets a [schedule] span on its core's
+   clock; the nested exec/translate/migration spans land under it via
+   the per-domain stack.
 
    Account (sequential, core order): fold results into cores, the
    trace and the queue. With [timeline], the accounting stage ends by
@@ -306,7 +307,7 @@ let all_done t = Array.for_all (fun p -> not (Process.runnable p)) t.procs
    after the Pool barrier, from the sequential section, so the
    timeline inherits the round's determinism. Returns how many slices
    ran. *)
-let step ?(jobs = 1) ?timeline t =
+let step ?crew ?timeline t =
   let queue = runnable_pids t in
   let assignments =
     (* sort by core id so execution order is the physical core order,
@@ -355,30 +356,32 @@ let step ?(jobs = 1) ?timeline t =
         (core, pid, security, isa0, cold, migrated, core.co_cycles))
       assignments
   in
+  let run_slice _ ((core : core), pid, _security, isa0, _cold, _migrated, begin_cycle) =
+    let p = proc t pid in
+    let sp =
+      Obs.enter_span t.obs ~name:"schedule"
+        ~attrs:
+          [
+            ("core", string_of_int core.co_id);
+            ("isa", isa_label core.co_isa);
+            ("pid", string_of_int pid);
+            ("proc", Process.name p);
+            ("proc_isa", isa_label isa0);
+            ("round", string_of_int t.round);
+          ]
+        ~cycle:begin_cycle ()
+    in
+    let sl = Process.run_slice p ~fuel:t.quantum in
+    (* end stamp on the core clock: begin + the cycles the slice
+       actually accumulated, so per-core schedule-span totals
+       reconcile with [cm_cycles] exactly *)
+    Obs.exit_span t.obs sp ~cycle:(begin_cycle +. sl.System.sl_cycles);
+    sl
+  in
   let slices =
-    Pool.mapi ~jobs
-      (fun _ ((core : core), pid, _security, isa0, _cold, _migrated, begin_cycle) ->
-        let p = proc t pid in
-        let sp =
-          Obs.enter_span t.obs ~name:"schedule"
-            ~attrs:
-              [
-                ("core", string_of_int core.co_id);
-                ("isa", isa_label core.co_isa);
-                ("pid", string_of_int pid);
-                ("proc", Process.name p);
-                ("proc_isa", isa_label isa0);
-                ("round", string_of_int t.round);
-              ]
-            ~cycle:begin_cycle ()
-        in
-        let sl = Process.run_slice p ~fuel:t.quantum in
-        (* end stamp on the core clock: begin + the cycles the slice
-           actually accumulated, so per-core schedule-span totals
-           reconcile with [cm_cycles] exactly *)
-        Obs.exit_span t.obs sp ~cycle:(begin_cycle +. sl.System.sl_cycles);
-        sl)
-      prepped
+    match crew with
+    | Some c -> Pool.crew_mapi c run_slice prepped
+    | None -> List.mapi run_slice prepped
   in
   List.iter2
     (fun ((core : core), pid, security, isa0, cold, migrated, _) (sl : System.slice) ->
@@ -417,18 +420,23 @@ let step ?(jobs = 1) ?timeline t =
     Obs.Timeline.sample tl ~key:"cmp" ~clock (Obs.snapshot t.obs));
   List.length assignments
 
-let run ?jobs ?timeline t =
-  (* Termination: every slice burns quantum from some process's
-     finite fuel budget, and a round with runnable processes always
-     schedules at least one of them (every process is compatible with
-     at least one core, checked at create). *)
-  while not (all_done t) do
-    let scheduled = step ?jobs ?timeline t in
-    if scheduled = 0 then
-      (* defensive: cannot happen given the create-time check, but an
-         infinite idle loop would be worse than a crash *)
-      failwith "Cmp.run: no process schedulable"
-  done
+(* One crew for the whole run, no wider than the core count: a round
+   runs at most one slice per core, and a helper with nothing to claim
+   would only slow every minor collection. *)
+let run ?(jobs = 1) ?timeline ?(after_round = ignore) t =
+  Pool.with_crew ~jobs:(min jobs (Array.length t.cores)) (fun crew ->
+      (* Termination: every slice burns quantum from some process's
+         finite fuel budget, and a round with runnable processes always
+         schedules at least one of them (every process is compatible
+         with at least one core, checked at create). *)
+      while not (all_done t) do
+        let scheduled = step ~crew ?timeline t in
+        if scheduled = 0 then
+          (* defensive: cannot happen given the create-time check, but an
+             infinite idle loop would be worse than a crash *)
+          failwith "Cmp.run: no process schedulable";
+        after_round ()
+      done)
 
 (* --- results --- *)
 

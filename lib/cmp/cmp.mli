@@ -91,29 +91,34 @@ val live_count : t -> int
 
 val runnable_count : t -> int
 
-val step : ?jobs:int -> ?timeline:Hipstr_obs.Obs.Timeline.t -> t -> int
+val step : ?crew:Pool.crew -> ?timeline:Hipstr_obs.Obs.Timeline.t -> t -> int
 (** One scheduling round: assign runnable processes to cores per the
     policy, run each for a quantum, account. Returns the number of
     slices executed.
 
-    [jobs] (default 1) runs the round's slices on that many domains —
-    the simulated-concurrency analogue of the physically concurrent
-    cores. All scheduling decisions (assignments, cold flushes,
-    migration requests) are made sequentially before any slice runs,
-    and accounting folds back in core order afterwards, so every
+    [crew] runs the round's slices on its domains — the
+    simulated-concurrency analogue of the physically concurrent
+    cores; without one they run serially in the caller. All
+    scheduling decisions (assignments, cold flushes, migration
+    requests) are made sequentially before any slice runs, and
+    accounting folds back in core order afterwards, so every
     simulation result — schedule trace, outputs, metrics, exported
-    trace/profile/audit files — is bit-identical for any [jobs].
+    trace/profile/audit files — is bit-identical with or without a
+    crew, whatever its size.
 
     [timeline] delta-samples the CMP's obs context at the end of the
     accounting stage, stamped at the maximum core clock — after the
     round barrier, from the sequential section, so per-window
     translation/cache/migration series stay bit-identical for any
-    [jobs] too. *)
+    crew too. *)
 
-val run : ?jobs:int -> ?timeline:Hipstr_obs.Obs.Timeline.t -> t -> unit
-(** {!step} until every process is done. Terminates: each process
-    carries a finite fuel budget and exhausting it retires the
-    process as [Out_of_fuel]. *)
+val run :
+  ?jobs:int -> ?timeline:Hipstr_obs.Obs.Timeline.t -> ?after_round:(unit -> unit) -> t -> unit
+(** {!step} until every process is done, calling [after_round] after
+    each round. The whole run shares one {!Pool.crew} of
+    [min jobs cores] domains ([jobs] defaults to 1: serial, no domain
+    is spawned). Terminates: each process carries a finite fuel budget
+    and exhausting it retires the process as [Out_of_fuel]. *)
 
 val processes : t -> Process.t list
 val proc : t -> int -> Process.t

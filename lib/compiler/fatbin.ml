@@ -12,6 +12,7 @@ type image = {
   im_block_size : int array;
   im_callsite_ret : (int * int) array;
   im_homes : location array;
+  im_reg_uses : int array;
 }
 
 type func_sym = {
@@ -39,6 +40,28 @@ let homes_of_alloc frame (alloc : Regalloc.result) n =
       | Regalloc.Hslot -> Lslot frame.Frame.slot_off.(v))
 
 let align a n = (n + a - 1) / a * a
+
+let count_reg_uses which ~read ~lo ~hi =
+  let counts = Array.make 16 0 in
+  let bump r = if r >= 0 && r < 16 then counts.(r) <- counts.(r) + 1 in
+  let decode addr =
+    match which with
+    | Desc.Cisc -> Hipstr_cisc.Isa.decode ~read addr
+    | Desc.Risc -> Hipstr_risc.Isa.decode ~read addr
+  in
+  let rec go pos =
+    if pos < hi then
+      match decode pos with
+      | None -> ()
+      | Some (i, len) ->
+        List.iter
+          (fun (op : Minstr.operand) ->
+            match op with Reg r -> bump r | Mem { base; _ } -> bump base | Imm _ -> ())
+          (Minstr.operands i);
+        go (pos + len)
+  in
+  go lo;
+  counts
 
 type prelinked = {
   pl_ir : Ir.func;
@@ -127,6 +150,14 @@ let link (p : Ir.program) =
               ~block_addr:(fun l -> base + cg.cg_block_off.(l))
               ~func_entry:(entry_of entries) ~global_addr cg
           in
+          (* The bytes {!load} writes at [base]. Every instruction
+             codegen emits lies inside them, and the decoders read only
+             the bytes of the instruction they decode, so this equals a
+             decode of freshly loaded memory. *)
+          let read a =
+            let o = a - base in
+            if o >= 0 && o < String.length code then Char.code (String.unsafe_get code o) else -1
+          in
           {
             im_entry = base;
             im_size = cg.cg_size;
@@ -136,6 +167,7 @@ let link (p : Ir.program) =
             im_callsite_ret =
               Array.of_list (List.map (fun (s, o) -> (s, base + o)) cg.cg_callsites);
             im_homes = homes_of_alloc pl.pl_frame alloc f.Ir.fn_nvals;
+            im_reg_uses = count_reg_uses desc.Desc.which ~read ~lo:base ~hi:(base + cg.cg_size);
           }
         in
         let live_in =

@@ -17,6 +17,11 @@ type image = {
   im_block_size : int array;
   im_callsite_ret : (int * int) array;  (** site id, source return address *)
   im_homes : location array;  (** value id -> location *)
+  im_reg_uses : int array;
+      (** operand uses of each register (indices 0–15) in this code,
+          decoded once at {!link} from the bytes {!load} writes
+          ({!count_reg_uses}) — immutable, shared by every system
+          booted from the binary *)
 }
 
 type func_sym = {
@@ -39,6 +44,13 @@ val link : Ir.program -> t
 (** Allocate addresses, run both backends, encode, and assemble the
     symbol table.
     @raise Failure if the program does not validate. *)
+
+val count_reg_uses :
+  Hipstr_isa.Desc.which -> read:(int -> int) -> lo:int -> hi:int -> int array
+(** Operand uses of each register (a 16-slot array) in the
+    instructions decoded from [lo] up to [hi] through [read] (the
+    decoders' reader contract), stopping at the first undecodable
+    byte. *)
 
 val load : t -> Hipstr_machine.Mem.t -> unit
 (** Write both code sections and the initialized data section into

@@ -13,16 +13,15 @@
    more than one round. When every shard is idle the clock jumps to
    the next pending arrival.
 
-   Work distribution and determinism. Waves fan the busy shards over
-   Pool domains. With stealing on, the shard tasks form one dynamic
-   queue claimed by atomic fetch-and-add — an idle domain steals the
-   next whole-CMP quantum by shard index order; with stealing off,
-   each domain walks a static stride-[jobs] partition. Either way
-   every simulated decision happens inside exactly one shard and
-   reads only that shard's state, results are folded back in shard
-   index order, and request latencies are stamped by the caller after
-   the wave barrier — so -j N, -j 1, stealing and no-stealing are all
-   bit-identical (the fleet determinism suite diffs the exports).
+   Work distribution and determinism. One Pool crew serves every
+   wave of a run. A wave's busy shards form one dynamic queue claimed
+   by atomic fetch-and-add: an idle domain takes the next whole-CMP
+   quantum in shard index order. Every simulated decision happens
+   inside exactly one shard and reads only that shard's state,
+   results are folded back in shard index order, and request
+   latencies are stamped by the caller after the wave barrier — so
+   -j N and -j 1 are bit-identical (the fleet determinism suite diffs
+   the exports).
 
    Latency. A request's latency is wave-end clock minus arrival time,
    in guest cycles: it includes admission queueing (open-loop sojourn
@@ -50,7 +49,6 @@ type config = {
   fl_seed : int;
   fl_fuel : int;  (* per-connection instruction budget *)
   fl_max_live : int;  (* admission cap per shard *)
-  fl_steal : bool;
   fl_migrate_every : int;  (* rebalance period in waves; 0 = off *)
 }
 
@@ -65,7 +63,6 @@ let default =
     fl_seed = 1;
     fl_fuel = Traffic.default_fuel;
     fl_max_live = 8;
-    fl_steal = true;
     fl_migrate_every = 0;
   }
 
@@ -162,30 +159,6 @@ let shard_wave cfg sh ~now =
       (Cmp.reap sh.sh_cmp)
   in
   (!delta, completions)
-
-(* Dynamic index-order queue (Pool's atomic counter: idle domains
-   steal the next shard by index) vs a static stride partition. Both
-   produce identical simulation results; the contrast is what the
-   stealing-determinism test pins down. *)
-let run_tasks ~jobs ~steal f items =
-  let n = List.length items in
-  if jobs <= 1 || n <= 1 then List.map f items
-  else if steal then Pool.mapi ~jobs (fun _ sh -> f sh) items
-  else begin
-    let arr = Array.of_list items in
-    let out = Array.make n None in
-    let doms =
-      List.init (min jobs n) (fun d ->
-          Domain.spawn (fun () ->
-              let i = ref d in
-              while !i < n do
-                out.(!i) <- Some (f arr.(!i));
-                i := !i + jobs
-              done))
-    in
-    List.iter Domain.join doms;
-    Array.to_list (Array.map Option.get out)
-  end
 
 let run ?(jobs = 1) ?(obs = Obs.disabled) ?timeline cfg conns =
   if cfg.fl_shards < 1 then invalid_arg "Fleet.run: shards must be positive";
@@ -299,82 +272,85 @@ let run ?(jobs = 1) ?(obs = Obs.disabled) ?timeline cfg conns =
   let live () =
     Array.exists (fun sh -> sh.sh_pending <> [] || Hashtbl.length sh.sh_live > 0) shards
   in
-  while live () do
-    let now = !clock in
-    match List.filter (shard_busy ~now) (Array.to_list shards) with
-    | [] ->
-      (* every shard drained its live set: jump to the next arrival *)
-      let next =
-        Array.fold_left
-          (fun acc sh ->
-            match sh.sh_pending with
-            | c :: _ -> Float.min acc c.Traffic.cn_arrival
-            | [] -> acc)
-          infinity shards
-      in
-      assert (next > now && next < infinity);
-      clock := next
-    | busy ->
-      incr waves;
-      let outs = run_tasks ~jobs ~steal:cfg.fl_steal (fun sh -> shard_wave cfg sh ~now) busy in
-      let wave_delta = List.fold_left (fun acc (d, _) -> Float.max acc d) 0. outs in
-      clock := now +. wave_delta;
-      (* stamp completions at the wave-end clock, in shard index order *)
-      List.iter2
-        (fun sh (_, completions) ->
+  (* One crew for the whole run, no wider than the shard count: a
+     wave runs at most one task per shard. *)
+  Pool.with_crew ~jobs:(min jobs cfg.fl_shards) (fun crew ->
+    while live () do
+      let now = !clock in
+      match List.filter (shard_busy ~now) (Array.to_list shards) with
+      | [] ->
+        (* every shard drained its live set: jump to the next arrival *)
+        let next =
+          Array.fold_left
+            (fun acc sh ->
+              match sh.sh_pending with
+              | c :: _ -> Float.min acc c.Traffic.cn_arrival
+              | [] -> acc)
+            infinity shards
+        in
+        assert (next > now && next < infinity);
+        clock := next
+      | busy ->
+        incr waves;
+        let outs = Pool.crew_mapi crew (fun _ sh -> shard_wave cfg sh ~now) busy in
+        let wave_delta = List.fold_left (fun acc (d, _) -> Float.max acc d) 0. outs in
+        clock := now +. wave_delta;
+        (* stamp completions at the wave-end clock, in shard index order *)
+        List.iter2
+          (fun sh (_, completions) ->
+            List.iter
+              (fun co ->
+                let finished_at = !clock in
+                let r =
+                  {
+                    rr_id = co.co_conn.Traffic.cn_id;
+                    rr_tenant = co.co_conn.Traffic.cn_tenant;
+                    rr_kind = co.co_conn.Traffic.cn_kind;
+                    rr_shard = sh.sh_id;
+                    rr_arrival = co.co_conn.Traffic.cn_arrival;
+                    rr_admitted = co.co_admitted;
+                    rr_finished = finished_at;
+                    rr_latency = finished_at -. co.co_conn.Traffic.cn_arrival;
+                    rr_service_cycles = co.co_service;
+                    rr_instructions = co.co_instructions;
+                    rr_outcome = co.co_outcome;
+                  }
+                in
+                records := r :: !records;
+                makespan := Float.max !makespan finished_at;
+                observe_completion r)
+              completions)
+          busy outs;
+        if cfg.fl_migrate_every > 0 && cfg.fl_shards > 1 && !waves mod cfg.fl_migrate_every = 0 then
+          rebalance ();
+        (* timeline sampling: after the wave barrier and the completion
+           stamps, at the wave-end clock, in a fixed order — the parent
+           (fleet.* histograms observed just above) first, then each
+           busy shard's child in shard index order. Shards that sat the
+           wave out have unchanged metrics, so skipping them changes
+           nothing. Deterministic by the same fold-after-barrier
+           argument as the end-of-run merge. *)
+        (match timeline with
+        | None -> ()
+        | Some tl ->
+          let cos = List.concat_map snd outs in
+          let n f = List.length (List.filter (fun co -> f co.co_outcome) cos) in
+          Obs.Timeline.record tl ~clock:!clock
+            ~counters:
+              [
+                ("fleet.completed", n (function System.Finished _ -> true | _ -> false));
+                ("fleet.killed", n (function System.Killed _ -> true | _ -> false));
+                ("fleet.shell", n (fun o -> o = System.Shell_spawned));
+                ("fleet.out_of_fuel", n (fun o -> o = System.Out_of_fuel));
+              ];
+          Obs.Timeline.sample tl ~key:"fleet" ~clock:!clock (Obs.snapshot obs);
           List.iter
-            (fun co ->
-              let finished_at = !clock in
-              let r =
-                {
-                  rr_id = co.co_conn.Traffic.cn_id;
-                  rr_tenant = co.co_conn.Traffic.cn_tenant;
-                  rr_kind = co.co_conn.Traffic.cn_kind;
-                  rr_shard = sh.sh_id;
-                  rr_arrival = co.co_conn.Traffic.cn_arrival;
-                  rr_admitted = co.co_admitted;
-                  rr_finished = finished_at;
-                  rr_latency = finished_at -. co.co_conn.Traffic.cn_arrival;
-                  rr_service_cycles = co.co_service;
-                  rr_instructions = co.co_instructions;
-                  rr_outcome = co.co_outcome;
-                }
-              in
-              records := r :: !records;
-              makespan := Float.max !makespan finished_at;
-              observe_completion r)
-            completions)
-        busy outs;
-      if cfg.fl_migrate_every > 0 && cfg.fl_shards > 1 && !waves mod cfg.fl_migrate_every = 0 then
-        rebalance ();
-      (* timeline sampling: after the wave barrier and the completion
-         stamps, at the wave-end clock, in a fixed order — the parent
-         (fleet.* histograms observed just above) first, then each
-         busy shard's child in shard index order. Shards that sat the
-         wave out have unchanged metrics, so skipping them changes
-         nothing. Deterministic by the same fold-after-barrier
-         argument as the end-of-run merge. *)
-      (match timeline with
-      | None -> ()
-      | Some tl ->
-        let cos = List.concat_map snd outs in
-        let n f = List.length (List.filter (fun co -> f co.co_outcome) cos) in
-        Obs.Timeline.record tl ~clock:!clock
-          ~counters:
-            [
-              ("fleet.completed", n (function System.Finished _ -> true | _ -> false));
-              ("fleet.killed", n (function System.Killed _ -> true | _ -> false));
-              ("fleet.shell", n (fun o -> o = System.Shell_spawned));
-              ("fleet.out_of_fuel", n (fun o -> o = System.Out_of_fuel));
-            ];
-        Obs.Timeline.sample tl ~key:"fleet" ~clock:!clock (Obs.snapshot obs);
-        List.iter
-          (fun sh ->
-            Obs.Timeline.sample tl
-              ~key:(Printf.sprintf "shard%d" sh.sh_id)
-              ~clock:!clock (Obs.snapshot sh.sh_obs))
-          busy)
-  done;
+            (fun sh ->
+              Obs.Timeline.sample tl
+                ~key:(Printf.sprintf "shard%d" sh.sh_id)
+                ~clock:!clock (Obs.snapshot sh.sh_obs))
+            busy)
+    done);
   (* fold the shard children back in index order (byte-identical
      exports whatever the domain layout was) *)
   Array.iter (fun sh -> Obs.merge ~into:obs sh.sh_obs) shards;

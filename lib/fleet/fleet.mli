@@ -11,15 +11,14 @@
     gang-scheduled epoch). Idle fleets jump straight to the next
     arrival.
 
-    {b Determinism contract.} Waves fan busy shards over
-    {!Hipstr_cmp.Pool} domains. With stealing on, the shard tasks
-    form one dynamic queue claimed by atomic fetch-and-add — an idle
-    domain steals the next whole-CMP quantum in shard index order;
-    with stealing off each domain walks a static stride partition.
-    Every simulated decision lives inside one shard, results fold
-    back in shard index order, and latencies are stamped after the
-    wave barrier — so [-j N], [-j 1], stealing and no-stealing are
-    bit-identical, exports included.
+    {b Determinism contract.} Each wave fans the busy shards over one
+    {!Hipstr_cmp.Pool.crew}, opened for the whole run: the shard
+    tasks form one dynamic queue claimed by atomic fetch-and-add, so
+    an idle domain takes the next whole-CMP quantum in shard index
+    order. Every simulated decision lives inside one shard, results
+    fold back in shard index order, and latencies are stamped after
+    the wave barrier — so [-j N] and [-j 1] are bit-identical,
+    exports included.
 
     {b Latency.} Request latency = wave-end clock − arrival, in guest
     cycles, admission queueing included (open-loop sojourn time);
@@ -35,7 +34,6 @@ type config = {
   fl_seed : int;
   fl_fuel : int;  (** per-connection instruction budget *)
   fl_max_live : int;  (** admission cap per shard *)
-  fl_steal : bool;
   fl_migrate_every : int;
       (** live-migration rebalance period, in waves; [0] disables it.
           Every period, one runnable process moves from the
@@ -49,8 +47,8 @@ type config = {
 
 val default : config
 (** 4 shards × the paper's core pair, round-robin, quantum 2000,
-    [Hipstr] mode, 8 live connections per shard, stealing on, live
-    migration off. *)
+    [Hipstr] mode, 8 live connections per shard, live migration
+    off. *)
 
 type req_record = {
   rr_id : int;
@@ -88,7 +86,10 @@ val run :
   config ->
   Traffic.conn list ->
   result
-(** Serve the whole trace to completion. When [obs] is enabled, each
+(** Serve the whole trace to completion on one crew of
+    [min jobs fl_shards] domains ([jobs] defaults to 1: serial, no
+    domain is spawned), joined before [run] returns. When [obs] is
+    enabled, each
     completion lands in [fleet.latency_cycles] /
     [fleet.service_cycles] / [fleet.kind.<kind>.latency_cycles] and
     the per-tenant [fleet.tenant.t<k>.*] namespaces (requests,
@@ -103,8 +104,8 @@ val run :
     [fleet.latency_cycles] percentiles fall out) and one of each busy
     shard's child in shard index order (per-window psr/machine/cache
     activity). Requires an enabled [obs] to carry the latency
-    histograms; deterministic across [-j]/stealing like the rest of
-    the run.
+    histograms; deterministic across [-j] like the rest of the
+    run.
 
     With [fl_migrate_every > 0] each live migration also records
     [fleet.live_migrations] plus the [fleet.migration.image_bytes]

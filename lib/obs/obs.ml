@@ -306,8 +306,8 @@ module Metrics = struct
 
   (* Fold a snapshot into a live registry: counters add, histograms
      combine exactly (count/sum/min/max/buckets are all mergeable).
-     Used by the parallel driver to fold per-domain contexts back into
-     the parent at join, in deterministic task order. *)
+     Folds per-task and per-shard contexts back into the parent after
+     a parallel call, in deterministic task order. *)
   let merge ~into:t snap =
     List.iter
       (fun (name, v) -> if v > 0 then incr ~by:v (counter t name))
@@ -864,9 +864,9 @@ let merge ~into src =
    the shard fan-out, Cmp.step's accounting stage), in a fixed source
    order, at clock stamps that are themselves deterministic — so the
    full timeline, and every export of it, is byte-identical across
-   -j 1 / -j N / stealing on or off. Attribution granularity is the
-   sampling interval: work of a wave that straddles a window boundary
-   lands in the window containing the wave-end stamp. *)
+   -j 1 / -j N. Attribution granularity is the sampling interval:
+   work of a wave that straddles a window boundary lands in the window
+   containing the wave-end stamp. *)
 module Timeline = struct
   type window = {
     tw_index : int;

@@ -434,8 +434,8 @@ val merge : into:t -> t -> unit
     source order at deterministic clock stamps — the same
     fold-after-barrier discipline {!merge} relies on — so the
     timeline and every export of it are byte-identical across
-    [-j 1] / [-j N] / stealing on or off. Attribution granularity is
-    the sampling interval: a wave straddling a window boundary lands
+    [-j 1] / [-j N]. Attribution granularity is the sampling
+    interval: a wave straddling a window boundary lands
     whole in the window containing its end stamp. *)
 module Timeline : sig
   type window = {

@@ -84,9 +84,9 @@ type patch_rec = { pt_src : int; pt_cache : int }
 (* Translation memo: a base-independent prepared unit, valid only
    while the reloc maps it was rewritten against are unchanged —
    guarded by the map generation and the unit's own map fingerprint.
-   Under the flush policy an entry must also prove the source bytes it
-   was read from unwritten ([source_unchanged]), since there a hit
-   stands in for a fresh translation. [me_saved] entries travel in
+   Under every policy an entry must also prove the source bytes it
+   was read from unwritten ([source_unchanged]): a hit stands in for a
+   translation of current memory. [me_saved] entries travel in
    snapshots and memo files; the ones the flush path keeps for itself
    are host state and never do. [me_laid] is the entry's last layout
    and the base it was laid out at: a flushed cache refills in the
@@ -116,6 +116,7 @@ type t = {
   mutable ever_translated : (int, unit) Hashtbl.t;
   memo : (int, memo_entry) Hashtbl.t;
   src_region : Mem.region;  (* this ISA's code section, watched for memo validity *)
+  loaded_gen : int;  (* [src_region]'s generation at creation, after the binary was loaded *)
   mutable map_gen : int;
   block_meta : (int, int list) Hashtbl.t;
       (* block base -> trap pcs registered at install, so eviction can
@@ -143,6 +144,10 @@ let create cfg ~seed which fatbin machine =
   assert (Translator.jmp_same_size desc);
   let obs = Machine.obs machine in
   let pr = make_probes obs which in
+  let src_region =
+    let lo = Layout.code_base which in
+    Mem.watch (Machine.mem machine) ~lo ~hi:(lo + Layout.code_region_size)
+  in
   {
     cfg;
     which;
@@ -175,9 +180,8 @@ let create cfg ~seed which fatbin machine =
     pr;
     ever_translated = Hashtbl.create 256;
     memo = Hashtbl.create 256;
-    src_region =
-      (let lo = Layout.code_base which in
-       Mem.watch (Machine.mem machine) ~lo ~hi:(lo + Layout.code_region_size));
+    src_region;
+    loaded_gen = Mem.generation src_region;
     map_gen = 0;
     block_meta = Hashtbl.create 256;
     patches = Hashtbl.create 256;
@@ -204,36 +208,32 @@ let rat t =
   | Some r -> r
   | None -> failwith "psr: machine must be created with a RAT"
 
-(* Most-used allocatable registers in the function's source code. *)
+(* No write has landed in the source bytes [\[lo, lo + len)], nor in
+   the decoder's look-ahead window after them, since generation
+   [since] of the code section. The region generation alone usually
+   settles it: a guest rarely writes its own code section. *)
+let span_unwritten t ~since (lo, len) =
+  let r = t.src_region in
+  let hi = lo + len + Hipstr_machine.Decode_cache.max_decode_window in
+  lo >= Mem.region_lo r
+  && hi <= Mem.region_hi r
+  && (Mem.generation r = since || Mem.span_clean r ~lo ~hi ~since)
+
+(* Most-used allocatable registers in the function's source code,
+   ranked from the binary's shared register-use counts while the
+   function's bytes are still the ones the binary loaded, and from a
+   decode of current memory once the guest has written them. *)
 let hot_regs t (fs : Fatbin.func_sym) =
   match Hashtbl.find_opt t.hot fs.fs_name with
   | Some l -> l
   | None ->
     let im = Fatbin.image fs t.which in
-    let counts = Array.make 16 0 in
-    let read = Mem.reader (mem t) in
-    let decode addr =
-      match t.which with
-      | Desc.Cisc -> Hipstr_cisc.Isa.decode ~read addr
-      | Desc.Risc -> Hipstr_risc.Isa.decode ~read addr
+    let counts =
+      if span_unwritten t ~since:t.loaded_gen (im.im_entry, im.im_size) then im.im_reg_uses
+      else
+        Fatbin.count_reg_uses t.which ~read:(Mem.reader (mem t)) ~lo:im.im_entry
+          ~hi:(im.im_entry + im.im_size)
     in
-    let pos = ref im.im_entry in
-    let stop = im.im_entry + im.im_size in
-    let continue_ = ref true in
-    while !continue_ && !pos < stop do
-      match decode !pos with
-      | None -> continue_ := false
-      | Some (i, len) ->
-        let bump r = if r >= 0 && r < 16 then counts.(r) <- counts.(r) + 1 in
-        List.iter
-          (fun (op : Minstr.operand) ->
-            match op with
-            | Reg r -> bump r
-            | Mem { base; _ } -> bump base
-            | Imm _ -> ())
-          (Minstr.operands i);
-        pos := !pos + len
-    done;
     let ranked =
       List.sort
         (fun a b -> compare counts.(b) counts.(a))
@@ -326,22 +326,12 @@ let invalidate_block t (b : Code_cache.block) =
       Hashtbl.replace t.stub_at pc (Sexit p.pt_src))
     (List.sort compare incoming)
 
-(* No write has landed in the source bytes [e]'s prepare read: each span
-   plus the decoder's look-ahead window lies in the watched code section
-   and is clean since [me_src_gen], which a clean answer re-stamps. The
-   region generation alone usually settles it: a guest rarely writes its
-   own code section. *)
+(* No write has landed in the source bytes [e]'s prepare read since
+   [me_src_gen], which a clean answer re-stamps. *)
 let source_unchanged t e =
-  let r = t.src_region in
-  let g = Mem.generation r in
-  let since = e.me_src_gen in
-  let clean (lo, len) =
-    let hi = lo + len + Hipstr_machine.Decode_cache.max_decode_window in
-    lo >= Mem.region_lo r && hi <= Mem.region_hi r && (g = since || Mem.span_clean r ~lo ~hi ~since)
-  in
-  List.for_all clean (Translator.prepared_spans e.me_prep)
+  List.for_all (span_unwritten t ~since:e.me_src_gen) (Translator.prepared_spans e.me_prep)
   && begin
-    e.me_src_gen <- g;
+    e.me_src_gen <- Mem.generation t.src_region;
     true
   end
 
@@ -378,9 +368,7 @@ let translate_unit t src =
     let old = Hashtbl.find_opt t.memo src in
     let hit =
       match old with
-      | Some e
-        when e.me_gen = t.map_gen && e.me_fp = fp && ((not flush_policy) || source_unchanged t e) ->
-        old
+      | Some e when e.me_gen = t.map_gen && e.me_fp = fp && source_unchanged t e -> old
       | _ -> None
     in
     let prep =

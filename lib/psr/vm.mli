@@ -24,12 +24,12 @@
     those blocks' stubs, RAT lines and incoming chained jumps. A
     translation memo keyed by (unit, reloc-map generation, map
     fingerprint) re-installs a previously translated unit without
-    re-running the translator; the memo dies with the maps
-    ({!renew_maps}). Under {!Code_cache.Flush} the memo also serves
-    re-translations after a flush, as host-only state: a hit is
-    charged, counted and traced exactly like the translation it
-    replaces, is only taken while the unit's source bytes are
-    unwritten, and never travels in a snapshot or memo file. Either
+    re-running the translator, but only while the unit's source bytes
+    are unwritten since the entry was built; the memo dies with the
+    maps ({!renew_maps}). Under {!Code_cache.Flush} the memo also
+    serves re-translations after a flush, as host-only state: a hit
+    is charged, counted and traced exactly like the translation it
+    replaces, and never travels in a snapshot or memo file. Either
     way, a source address is in the cache or it is not — the hit/miss
     outcome that classifies an indirect transfer as suspicious is
     policy-independent.
@@ -115,7 +115,11 @@ val config : t -> Config.t
 
 val hot_regs : t -> Hipstr_compiler.Fatbin.func_sym -> int list
 (** The function's most-used allocatable registers (drives the global
-    register cache at O2+). *)
+    register cache at O2+), ranked by operand uses. The counts come
+    from the binary's shared [im_reg_uses] while the function's bytes
+    (plus the decoder's look-ahead window) are unwritten since this VM
+    was created, else from a decode of current memory. The ranking is
+    computed once per function and VM. *)
 
 val pretranslate : t -> int -> bool
 (** Translate a source unit without transferring control and without

@@ -84,6 +84,43 @@ let test_pool_error_propagates () =
   | exception Failure m -> Alcotest.(check string) "the failing task's exception" "task-3" m
   | _ -> Alcotest.fail "exception swallowed by the pool"
 
+(* One crew, many calls: the helpers outlive each call and serve the
+   next one, and every call still equals its serial counterpart. *)
+let test_crew_serves_many_calls () =
+  Pool.with_crew ~jobs:3 (fun crew ->
+      for call = 1 to 200 do
+        let items = List.init (call mod 9) (fun i -> (call * 31) + i) in
+        let f i x = (i * 1000) + (x * x) in
+        Alcotest.(check (list int))
+          (Printf.sprintf "call %d = List.mapi" call)
+          (List.mapi f items) (Pool.crew_mapi crew f items)
+      done)
+
+(* A failing call re-raises its lowest-index exception and leaves the
+   crew idle and whole: the next call on it runs clean. *)
+let test_crew_reraises_then_serves () =
+  Pool.with_crew ~jobs:4 (fun crew ->
+      let boom i x = if i = 5 || i = 2 then failwith (Printf.sprintf "task-%d" i) else x in
+      (match Pool.crew_mapi crew boom (List.init 16 (fun i -> i)) with
+      | exception Failure m -> Alcotest.(check string) "lowest-index failure wins" "task-2" m
+      | _ -> Alcotest.fail "exception swallowed by the crew");
+      let items = List.init 16 (fun i -> i) in
+      Alcotest.(check (list int)) "the same crew then serves a clean call" items
+        (Pool.crew_mapi crew (fun _ x -> x) items))
+
+(* Leaving the scope by an exception still dismisses and joins every
+   helper: the test returns instead of hanging on a live domain. *)
+exception Body_failed
+
+let test_crew_joins_on_raise () =
+  match
+    Pool.with_crew ~jobs:3 (fun crew ->
+        ignore (Pool.crew_mapi crew (fun i x -> i + x) (List.init 8 (fun i -> i)));
+        raise Body_failed)
+  with
+  | exception Body_failed -> ()
+  | () -> Alcotest.fail "body exception swallowed"
+
 let test_obs_counter_domain_hammer () =
   (* 4 domains x 100k increments on one counter: the exact total must
      survive, which is precisely what a non-atomic int would lose. *)
@@ -278,6 +315,9 @@ let () =
             test_pool_mapi_seeded_deterministic;
           Alcotest.test_case "map_obs merges exactly" `Quick test_pool_map_obs_merges_exactly;
           Alcotest.test_case "errors propagate" `Quick test_pool_error_propagates;
+          Alcotest.test_case "crew serves 200 calls" `Quick test_crew_serves_many_calls;
+          Alcotest.test_case "crew re-raises, then serves" `Quick test_crew_reraises_then_serves;
+          Alcotest.test_case "crew joins when its body raises" `Quick test_crew_joins_on_raise;
           Alcotest.test_case "counter survives 4-domain hammer" `Quick
             test_obs_counter_domain_hammer;
         ] );

@@ -1,6 +1,6 @@
 (* The fleet serving subsystem: seeded traffic generation is
-   reproducible, parallel waves are bit-identical to sequential ones
-   (with and without work stealing), and the serving outcomes carry
+   reproducible, parallel waves are bit-identical to sequential ones,
+   and the serving outcomes carry
    the paper's security story — the overflow mix that kills a native
    fleet is neutralized under PSR/HIPStR. *)
 
@@ -127,19 +127,18 @@ let test_parser_rejections_actionable () =
 
 (* --- fleet determinism --------------------------------------------- *)
 
-let fleet_cfg ?(mode = System.Psr_only) ?(steal = true) () =
+let fleet_cfg ?(mode = System.Psr_only) () =
   {
     Fleet.default with
     fl_shards = 4;
     fl_mode = mode;
-    fl_steal = steal;
     fl_max_live = 4;
     fl_policy = Cmp.Round_robin;
   }
 
-let run_with_exports ?mode ?steal ~jobs () =
+let run_with_exports ?mode ~jobs () =
   let obs = Obs.create () in
-  let r = Fleet.run ~jobs ~obs (fleet_cfg ?mode ?steal ()) (gen ()) in
+  let r = Fleet.run ~jobs ~obs (fleet_cfg ?mode ()) (gen ()) in
   (r, Obs.Export.metrics_json obs, Obs.Export.audit_jsonl obs)
 
 let test_jobs_bit_identical () =
@@ -151,17 +150,17 @@ let test_jobs_bit_identical () =
   Alcotest.(check string) "metrics_json bytes identical" m1 m4;
   Alcotest.(check string) "audit_jsonl bytes identical" a1 a4
 
-let test_stealing_bit_identical () =
-  let _, m_steal, a_steal = run_with_exports ~steal:true ~jobs:3 () in
-  let _, m_static, a_static = run_with_exports ~steal:false ~jobs:3 () in
-  Alcotest.(check string) "stealing vs static metrics" m_steal m_static;
-  Alcotest.(check string) "stealing vs static audit" a_steal a_static
-
+(* Each Fleet.run opens and joins its own crew, so a second run in
+   the same process starts from fresh helpers: both must read exactly
+   like the serial run. *)
 let test_rerun_bit_identical () =
-  let _, m1, a1 = run_with_exports ~jobs:2 () in
-  let _, m2, a2 = run_with_exports ~jobs:2 () in
-  Alcotest.(check string) "replayed metrics identical" m1 m2;
-  Alcotest.(check string) "replayed audit identical" a1 a2
+  let _, m1, a1 = run_with_exports ~jobs:1 () in
+  List.iter
+    (fun label ->
+      let _, m2, a2 = run_with_exports ~jobs:2 () in
+      Alcotest.(check string) (label ^ " -j2 metrics = -j1") m1 m2;
+      Alcotest.(check string) (label ^ " -j2 audit = -j1") a1 a2)
+    [ "first"; "second" ]
 
 (* --- live migration ------------------------------------------------- *)
 
@@ -446,8 +445,6 @@ let () =
       ( "determinism",
         [
           Alcotest.test_case "-j4 bit-identical to -j1" `Quick test_jobs_bit_identical;
-          Alcotest.test_case "stealing bit-identical to static" `Quick
-            test_stealing_bit_identical;
           Alcotest.test_case "replay bit-identical" `Quick test_rerun_bit_identical;
         ] );
       ( "live migration",

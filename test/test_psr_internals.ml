@@ -300,52 +300,67 @@ let test_vm_counters () =
   Alcotest.(check bool) "compulsory misses counted" true (st.compulsory_misses > 0);
   Alcotest.(check bool) "patches happened (unit chaining)" true (st.patches > 0)
 
-(* Under the flush policy the translation memo serves re-translations,
-   so what it lays out must equal what the translator would produce
-   from the current source bytes — including after the guest rewrites
-   one of them. The decode cache is off so only the VM's own watch on
-   the code section can notice the rewrite. *)
-let test_flush_memo_matches_fresh () =
+(* The translation memo stands in for a translation of current
+   memory under every policy: under flush it serves re-translations
+   after a flush, under fifo/clock it re-installs units. What it lays
+   out must equal what the translator would produce from the current
+   source bytes — including after the guest rewrites one of them. The
+   decode cache is off so only the VM's own watch on the code section
+   can notice the rewrite. *)
+let test_memo_matches_fresh () =
   let fb = Lazy.force sample_fb in
-  let cfg = { Config.default with cc_policy = Code_cache.Flush } in
-  let sys =
-    System.of_fatbin ~cfg ~seed:11 ~start_isa:Desc.Cisc ~mode:System.Psr_only ~decode_cache:false fb
-  in
-  let vm = System.vm sys Desc.Cisc in
-  let mem = Machine.mem (System.machine sys) in
-  let entry name = (Fatbin.image (Fatbin.find_func fb name) Desc.Cisc).im_entry in
-  let a = entry "helper" and b = entry "main" in
-  let base = Layout.cisc_cache_base in
-  let fresh () =
-    Translator.translate cfg Hipstr_cisc.Isa.desc ~read:(Mem.reader mem) ~fatbin:fb
-      ~map_of:(Vm.map_of vm) ~src:a ~base
-  in
-  let check label =
-    let u = fresh () in
-    Alcotest.(check bool) label true (String.equal u.u_bytes (Mem.read_string mem base u.u_size))
-  in
-  let enter src =
-    Vm.flush vm;
-    Vm.enter vm src
-  in
-  let before = (Vm.stats vm).translations in
-  enter a;
-  enter b;
-  enter a;
-  check "first re-translation";
-  enter a;
-  check "memo-served unit";
-  let u0 = fresh () in
-  let lo, len = List.hd u0.u_src_spans in
-  let at = lo + len - 1 in
-  Mem.write8 mem at (Mem.read8 mem at lxor 0x01);
-  Alcotest.(check bool) "the rewrite changes the translation" false
-    (String.equal u0.u_bytes (fresh ()).u_bytes);
-  enter a;
-  check "after a source rewrite";
-  let st = Vm.stats vm in
-  Alcotest.(check int) "every entry charged as a translation" 5 (st.translations - before);
-  Alcotest.(check int) "no memo installs under flush" 0 st.memo_installs
+  List.iter
+    (fun policy ->
+      let name = Code_cache.policy_name policy in
+      let cfg = { Config.default with cc_policy = policy } in
+      let sys =
+        System.of_fatbin ~cfg ~seed:11 ~start_isa:Desc.Cisc ~mode:System.Psr_only
+          ~decode_cache:false fb
+      in
+      let vm = System.vm sys Desc.Cisc in
+      let mem = Machine.mem (System.machine sys) in
+      let entry name = (Fatbin.image (Fatbin.find_func fb name) Desc.Cisc).im_entry in
+      let a = entry "helper" and b = entry "main" in
+      let base = Layout.cisc_cache_base in
+      let fresh () =
+        Translator.translate cfg Hipstr_cisc.Isa.desc ~read:(Mem.reader mem) ~fatbin:fb
+          ~map_of:(Vm.map_of vm) ~src:a ~base
+      in
+      let check label =
+        let u = fresh () in
+        Alcotest.(check bool)
+          (name ^ ": " ^ label)
+          true
+          (String.equal u.u_bytes (Mem.read_string mem base u.u_size))
+      in
+      let enter src =
+        Vm.flush vm;
+        Vm.enter vm src
+      in
+      let before = Vm.stats vm in
+      let translations0 = before.translations and installs0 = before.memo_installs in
+      enter a;
+      enter b;
+      enter a;
+      check "first re-translation";
+      enter a;
+      check "memo-served unit";
+      let u0 = fresh () in
+      let lo, len = List.hd u0.u_src_spans in
+      let at = lo + len - 1 in
+      Mem.write8 mem at (Mem.read8 mem at lxor 0x01);
+      Alcotest.(check bool) (name ^ ": the rewrite changes the translation") false
+        (String.equal u0.u_bytes (fresh ()).u_bytes);
+      enter a;
+      check "after a source rewrite";
+      let st = Vm.stats vm in
+      (* flush charges every entry as a translation; fifo/clock
+         re-install the two unchanged re-entries and translate the
+         rewritten unit afresh *)
+      let translations, installs = if policy = Code_cache.Flush then (5, 0) else (3, 2) in
+      Alcotest.(check int) (name ^ ": translations") translations (st.translations - translations0);
+      Alcotest.(check int) (name ^ ": memo installs") installs (st.memo_installs - installs0))
+    [ Code_cache.Flush; Code_cache.Fifo; Code_cache.Clock ]
 
 let test_hot_regs () =
   let w = Workloads.find "bzip2" in
@@ -359,6 +374,75 @@ let test_hot_regs () =
       if not (List.mem r Hipstr_cisc.Isa.desc.allocatable) then
         Alcotest.failf "non-allocatable hot register %d" r)
     hot
+
+(* --- shared register-use counts --- *)
+
+let desc_of = function Desc.Cisc -> Hipstr_cisc.Isa.desc | Desc.Risc -> Hipstr_risc.Isa.desc
+
+(* The ranking [Vm.hot_regs] promises: allocatable registers with at
+   least one use, most-used first, ties in allocation order. *)
+let rank which counts =
+  List.stable_sort
+    (fun a b -> compare counts.(b) counts.(a))
+    (List.filter (fun r -> counts.(r) > 0) (desc_of which).allocatable)
+
+let memory_counts sys which (fs : Fatbin.func_sym) =
+  let im = Fatbin.image fs which in
+  Fatbin.count_reg_uses which
+    ~read:(Mem.reader (Machine.mem (System.machine sys)))
+    ~lo:im.im_entry ~hi:(im.im_entry + im.im_size)
+
+(* The counts decoded at link equal a decode of a freshly booted
+   system's memory, for every function of every workload on both ISAs,
+   and so does the ranking the VM hands out. *)
+let test_reg_uses_match_memory () =
+  List.iter
+    (fun (w : Workloads.t) ->
+      let fb = Workloads.fatbin w in
+      let sys = System.of_fatbin ~seed:3 ~mode:System.Hipstr fb in
+      Array.iter
+        (fun (fs : Fatbin.func_sym) ->
+          List.iter
+            (fun which ->
+              let label = Printf.sprintf "%s/%s %s" w.w_name fs.fs_name (desc_of which).name in
+              let decoded = memory_counts sys which fs in
+              Alcotest.(check (array int)) (label ^ " counts")
+                decoded (Fatbin.image fs which).im_reg_uses;
+              Alcotest.(check (list int)) (label ^ " ranking") (rank which decoded)
+                (Vm.hot_regs (System.vm sys which) fs))
+            [ Desc.Cisc; Desc.Risc ])
+        fb.Fatbin.fb_funcs)
+    (Workloads.all @ [ Workloads.httpd ])
+
+(* A function whose code the guest rewrote before the VM first ranked
+   it must be ranked from memory, not from the binary's counts: fill
+   it with moves of its least-used register, which then tops the
+   ranking. *)
+let test_hot_regs_after_rewrite () =
+  let fb = Lazy.force sample_fb in
+  let fs = Fatbin.find_func fb "helper" in
+  List.iter
+    (fun which ->
+      let sys = System.of_fatbin ~seed:5 ~start_isa:which ~mode:System.Hipstr fb in
+      let im = Fatbin.image fs which in
+      let shared = rank which im.im_reg_uses in
+      let r = List.hd (List.rev shared) in
+      let mov =
+        match which with
+        | Desc.Cisc -> Hipstr_cisc.Isa.encode ~at:im.im_entry (Minstr.Mov (Reg r, Reg r))
+        | Desc.Risc -> Hipstr_risc.Isa.encode ~at:im.im_entry (Minstr.Mov (Reg r, Reg r))
+      in
+      let n = im.im_size / String.length mov in
+      Mem.blit_string
+        (Machine.mem (System.machine sys))
+        im.im_entry
+        (String.concat "" (List.init n (fun _ -> mov)));
+      let expected = rank which (memory_counts sys which fs) in
+      let label = (desc_of which).name in
+      Alcotest.(check bool) (label ^ ": the rewrite changes the ranking") false (expected = shared);
+      Alcotest.(check (list int)) (label ^ ": ranked from the rewritten bytes") expected
+        (Vm.hot_regs (System.vm sys which) fs))
+    [ Desc.Cisc; Desc.Risc ]
 
 let () =
   Alcotest.run "psr-internals"
@@ -391,7 +475,10 @@ let () =
           Alcotest.test_case "clock second chance" `Quick test_code_cache_clock_second_chance;
           Alcotest.test_case "config validation" `Quick test_config_validation;
           Alcotest.test_case "vm counters" `Quick test_vm_counters;
-          Alcotest.test_case "flush memo matches fresh" `Quick test_flush_memo_matches_fresh;
+          Alcotest.test_case "flush memo matches fresh" `Quick test_memo_matches_fresh;
           Alcotest.test_case "hot regs" `Quick test_hot_regs;
+          Alcotest.test_case "shared register counts match memory" `Quick
+            test_reg_uses_match_memory;
+          Alcotest.test_case "hot regs after a code rewrite" `Quick test_hot_regs_after_rewrite;
         ] );
     ]
