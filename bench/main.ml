@@ -11,7 +11,7 @@
    `--micro-only` or `--tables-only` to run half of it, `--obs-only`
    to emit just the BENCH_obs.json phase breakdown, `--cache-only`
    for the BENCH_cache.json churn sweep, `--interp-only` for the
-   BENCH_interp.json interpreter-throughput sweep, `--fleet-only`
+   BENCH_interp.json interpreter guest numbers, `--fleet-only`
    (optionally with `--fleet-procs N`) for the BENCH_fleet.json fleet
    serving sweep, or `--migrate-only` for the BENCH_migrate.json
    migration-cost decomposition. *)
@@ -264,123 +264,33 @@ let run_cache_churn () =
   Printf.printf "[cache-churn policy sweep written to BENCH_cache.json]\n"
 
 (* ------------------------------------------------------------------ *)
-(* Part 1.7: interpreter host-throughput sweep.
+(* Part 1.7: the interpreter's guest numbers.
 
-   The acceptance experiment for the predecoded-block interpreter and
-   its chaining layer: wall-clock host MIPS (simulated instructions
-   per host second) for each workload x mode in three interpreter
-   variants — chained (the default: decode cache + block chaining +
-   indirect-branch inline caches), no-chain (decode cache only) and
-   no-decode-cache (per-instruction re-decode). Each point boots a
-   fresh system with observability disabled and takes the best of
-   [interp_repeats] runs to shave scheduler noise. All three variants
-   of a point must agree exactly — instructions, cycle floats,
-   output — so the sweep doubles as a differential check of both fast
-   paths. The result lands in BENCH_interp.json. *)
+   For each workload x mode, the default engine's instruction count
+   and cycle float over [interp_fuel] instructions, each checked equal
+   (instructions, cycles, output) to the same run on the
+   per-instruction decode oracle ([decode_cache:false]). Host
+   throughput is hostbench's calibrated [suite] [mips], so nothing in
+   BENCH_interp.json depends on the host: the file is deterministic. *)
 
 let interp_fuel = 2_000_000
-let interp_repeats = 5
 let interp_workloads = [ "gobmk"; "bzip2"; "mcf" ]
 
 let interp_modes =
   [ ("native", System.Native); ("psr", System.Psr_only); ("hipstr", System.Hipstr) ]
 
-(* (json key, decode_cache, chain, packed) — chained first so it is
-   the reference the others are diffed against. [no_packed] is the
-   Minstr.t-dispatch escape hatch with everything else equal, so
-   chained/no_packed is the packed-dispatch win in isolation. *)
-let interp_variants =
-  [
-    ("chained", true, true, true);
-    ("no_packed", true, true, false);
-    ("no_chain", true, false, true);
-    ("no_decode_cache", false, false, false);
-  ]
-
-let interp_point ~name ~mode ~decode_cache ~chain ~packed =
-  let w = Workloads.find name in
-  let fb = Workloads.fatbin w in
-  let best = ref infinity in
-  let last = ref None in
-  for _ = 1 to interp_repeats do
-    let sys =
-      System.of_fatbin ~obs:Obs.disabled ~seed:9 ~start_isa:Desc.Cisc ~decode_cache ~chain
-        ~packed ~mode fb
-    in
-    let t0 = Unix.gettimeofday () in
-    ignore (System.run sys ~fuel:interp_fuel);
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    last := Some sys
-  done;
-  let sys = Option.get !last in
-  (sys, !best, float_of_int (System.instructions sys) /. !best /. 1e6)
-
-(* One hostprof run per variant: host minor words per retired guest
-   instruction under that variant's dispatch configuration. Host
-   allocation depends on the OCaml runtime, so the block is flagged
-   non-deterministic in-band and bench_gate treats it as
-   lower-is-better with its own --max-rise slack. *)
-let interp_alloc ~name ~mode ~decode_cache ~chain ~packed =
-  let w = Workloads.find name in
-  let obs = Obs.create () in
-  let hp = Obs.Hostprof.create () in
-  Obs.set_hostprof obs hp;
+let interp_run ~name ~mode ~decode_cache =
   let sys =
-    System.of_fatbin ~obs ~seed:9 ~start_isa:Desc.Cisc ~decode_cache ~chain ~packed ~mode
-      (Workloads.fatbin w)
+    System.of_fatbin ~obs:Obs.disabled ~seed:9 ~start_isa:Desc.Cisc ~decode_cache ~mode
+      (Workloads.fatbin (Workloads.find name))
   in
-  Obs.Hostprof.start_run hp;
   ignore (System.run sys ~fuel:interp_fuel);
-  Obs.Hostprof.stop_run hp ~instructions:(System.instructions sys);
-  let wpi = Obs.Hostprof.minor_words_per_instr hp in
-  Json.Obj
-    [
-      ("deterministic", Json.Bool false);
-      ( "minor_words_per_instr",
-        match wpi with Some v -> Json.Num v | None -> Json.Null );
-    ]
-
-(* One extra instrumented run per workload: an enabled context with a
-   hostprof attached, so the sweep also reports host minor words per
-   retired guest instruction and the per-phase allocation table. Host
-   allocation depends on the OCaml runtime, so this section is
-   non-deterministic (flagged in-band) — bench_gate ignores it. *)
-let interp_hostprof ~name =
-  let w = Workloads.find name in
-  let obs = Obs.create () in
-  let hp = Obs.Hostprof.create () in
-  Obs.set_hostprof obs hp;
-  let sys =
-    System.of_fatbin ~obs ~seed:9 ~start_isa:Desc.Cisc ~mode:System.Psr_only
-      (Workloads.fatbin w)
-  in
-  (* baseline after boot so words/instr measures the run itself *)
-  Obs.Hostprof.start_run hp;
-  ignore (System.run sys ~fuel:interp_fuel);
-  Obs.Hostprof.stop_run hp ~instructions:(System.instructions sys);
-  let wpi = Obs.Hostprof.minor_words_per_instr hp in
-  Printf.printf "  %-8s hostprof: %s minor words/instr (non-deterministic)\n%!" name
-    (match wpi with Some v -> Printf.sprintf "%.3f" v | None -> "n/a");
-  Json.Obj
-    [
-      ("deterministic", Json.Bool false);
-      ( "minor_words_per_instr",
-        match wpi with Some v -> Json.Num v | None -> Json.Null );
-      ( "phases",
-        Json.Obj
-          (List.map
-             (fun (phase, spans, words) ->
-               ( phase,
-                 Json.Obj
-                   [ ("spans", Json.num_of_int spans); ("minor_words", Json.Num words) ] ))
-             (Obs.Hostprof.phases hp)) );
-    ]
+  sys
 
 let run_interp () =
   print_endline "";
   print_endline "=====================================================================";
-  print_endline " Interpreter host throughput (chained / no-chain / no-decode-cache)";
+  print_endline " Interpreter guest numbers (default engine, checked against the oracle)";
   print_endline "=====================================================================";
   let points =
     List.map
@@ -388,103 +298,45 @@ let run_interp () =
         let modes =
           List.map
             (fun (mode_name, mode) ->
-              let runs =
-                List.map
-                  (fun (vname, decode_cache, chain, packed) ->
-                    (vname, interp_point ~name ~mode ~decode_cache ~chain ~packed))
-                  interp_variants
-              in
-              let ref_name, (ref_sys, _, ref_mips) = List.hd runs in
-              (* the differential half of the sweep: neither the decode
-                 cache nor chaining may be visible to the simulation *)
-              List.iter
-                (fun (vname, (sys, _, _)) ->
-                  if
-                    System.instructions sys <> System.instructions ref_sys
-                    || System.cycles sys <> System.cycles ref_sys
-                    || System.output sys <> System.output ref_sys
-                  then
-                    failwith
-                      (Printf.sprintf
-                         "interp sweep: %s/%s diverged between %s and %s (instrs %d vs %d, \
-                          cycles %.17g vs %.17g)"
-                         name mode_name vname ref_name (System.instructions sys)
-                         (System.instructions ref_sys) (System.cycles sys)
-                         (System.cycles ref_sys)))
-                (List.tl runs);
-              let mips_of v =
-                let _, (_, _, m) = List.find (fun (n, _) -> n = v) runs in
-                m
-              in
-              let slow = mips_of "no_decode_cache" in
-              Printf.printf
-                "  %-8s %-7s %9d instrs  chained %7.2f  no-packed %7.2f  no-chain %7.2f  \
-                 no-dcache %7.2f MIPS  speedup %.2fx\n\
-                 %!"
-                name mode_name
-                (System.instructions ref_sys)
-                ref_mips (mips_of "no_packed") (mips_of "no_chain") slow
-                (if slow > 0. then ref_mips /. slow else 0.);
+              let sys = interp_run ~name ~mode ~decode_cache:true in
+              let oracle = interp_run ~name ~mode ~decode_cache:false in
+              if
+                System.instructions sys <> System.instructions oracle
+                || System.cycles sys <> System.cycles oracle
+                || System.output sys <> System.output oracle
+              then
+                failwith
+                  (Printf.sprintf
+                     "interp sweep: %s/%s diverged from the oracle (instrs %d vs %d, cycles \
+                      %.17g vs %.17g)"
+                     name mode_name (System.instructions sys) (System.instructions oracle)
+                     (System.cycles sys) (System.cycles oracle));
+              Printf.printf "  %-8s %-7s %9d instrs  %14.0f cycles\n%!" name mode_name
+                (System.instructions sys) (System.cycles sys);
               Json.Obj
                 [
                   ("mode", Json.Str mode_name);
-                  ("instructions", Json.num_of_int (System.instructions ref_sys));
-                  ("cycles", Json.Num (System.cycles ref_sys));
-                  ( "variants",
-                    Json.Obj
-                      (List.map
-                         (fun (vname, (_, dt, mips)) ->
-                           let _, decode_cache, chain, packed =
-                             List.find (fun (n, _, _, _) -> n = vname) interp_variants
-                           in
-                           ( vname,
-                             Json.Obj
-                               [
-                                 ("seconds", Json.Num dt);
-                                 ("mips", Json.Num mips);
-                                 ( "alloc",
-                                   interp_alloc ~name ~mode ~decode_cache ~chain ~packed );
-                               ] ))
-                         runs) );
-                  ( "speedup",
-                    Json.Obj
-                      [
-                        ( "packed_over_no_packed",
-                          Json.Num
-                            (let np = mips_of "no_packed" in
-                             if np > 0. then ref_mips /. np else 0.) );
-                        ( "chained_over_no_chain",
-                          Json.Num
-                            (let nc = mips_of "no_chain" in
-                             if nc > 0. then ref_mips /. nc else 0.) );
-                        ( "chained_over_no_decode_cache",
-                          Json.Num (if slow > 0. then ref_mips /. slow else 0.) );
-                      ] );
+                  ("instructions", Json.num_of_int (System.instructions sys));
+                  ("cycles", Json.Num (System.cycles sys));
                 ])
             interp_modes
         in
-        Json.Obj
-          [
-            ("name", Json.Str name);
-            ("modes", Json.List modes);
-            ("hostprof", interp_hostprof ~name);
-          ])
+        Json.Obj [ ("name", Json.Str name); ("modes", Json.List modes) ])
       interp_workloads
   in
   let doc =
     Json.Obj
       [
-        ("schema", Json.Str "hipstr-bench-interp/3");
+        ("schema", Json.Str "hipstr-bench-interp/4");
         ("seed", Json.num_of_int 9);
         ("fuel", Json.num_of_int interp_fuel);
-        ("repeats", Json.num_of_int interp_repeats);
         ("workloads", Json.List points);
       ]
   in
   Out_channel.with_open_bin "BENCH_interp.json" (fun oc ->
       Out_channel.output_string oc (Json.to_string_pretty doc);
       Out_channel.output_string oc "\n");
-  Printf.printf "[interpreter throughput sweep written to BENCH_interp.json]\n"
+  Printf.printf "[interpreter guest numbers written to BENCH_interp.json]\n"
 
 (* ------------------------------------------------------------------ *)
 (* Part 1.8: the fleet serving sweep.

@@ -194,8 +194,9 @@ let no_dcache_arg =
     value & flag
     & info [ "no-decode-cache" ]
         ~doc:
-          "Disable the host-side predecoded-basic-block cache and re-decode every instruction \
-           (escape hatch; simulation results are bit-identical either way, only slower).")
+          "Disable the host-side predecoded-basic-block cache and re-decode every instruction: \
+           the interpreter's oracle (simulation results are bit-identical either way, only \
+           slower).")
 
 let no_chain_arg =
   Arg.(
@@ -203,18 +204,8 @@ let no_chain_arg =
     & info [ "no-chain" ]
         ~doc:
           "Disable block-to-block chaining and the indirect-branch inline caches on top of the \
-           predecoded-block cache (escape hatch; simulation results are bit-identical either \
+           predecoded-block cache (an ablation; simulation results are bit-identical either \
            way, only slower). Implied by $(b,--no-decode-cache).")
-
-let no_packed_arg =
-  Arg.(
-    value & flag
-    & info [ "no-packed" ]
-        ~doc:
-          "Retire cached blocks from their boxed decoded-instruction arrays instead of the \
-           packed flat int-array form (escape hatch and differential oracle; simulation \
-           results are bit-identical either way, only slower and with more host allocation). \
-           Implied by $(b,--no-decode-cache).")
 
 let jobs_arg =
   Arg.(
@@ -587,7 +578,7 @@ let run_cmd =
   in
   let opt_arg = Arg.(value & opt opt_conv 3 & info [ "opt" ] ~doc:"PSR optimization level (0-3).") in
   let action (w : Workloads.t) mode isa seed opt_level migrate_prob cc_capacity cc_policy
-      no_dcache no_chain no_packed metrics trace hostprof assert_alloc checkpoint_every
+      no_dcache no_chain metrics trace hostprof assert_alloc checkpoint_every
       checkpoint_out memo_in memo_out state_out exports =
     let cfg =
       let base = { Config.default with opt_level } in
@@ -600,7 +591,7 @@ let run_cmd =
     let hp = start_hostprof ~obs hostprof in
     let sys =
       System.of_fatbin ~obs ~cfg ~seed ~start_isa:isa ~decode_cache:(not no_dcache)
-        ~chain:(not no_chain) ~packed:(not no_packed) ~mode (Workloads.fatbin w)
+        ~chain:(not no_chain) ~mode (Workloads.fatbin w)
     in
     (match memo_in with
     | None -> ()
@@ -667,7 +658,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run a workload on the simulated heterogeneous-ISA CMP.")
     Term.(
       const action $ workload_arg $ mode_arg $ isa_arg $ seed_arg $ opt_arg $ migrate_prob_arg
-      $ cc_capacity_arg $ cc_policy_arg $ no_dcache_arg $ no_chain_arg $ no_packed_arg
+      $ cc_capacity_arg $ cc_policy_arg $ no_dcache_arg $ no_chain_arg
       $ metrics_arg $ trace_arg $ hostprof_arg $ assert_alloc_arg $ checkpoint_every_arg
       $ checkpoint_out_arg "checkpoint"
       $ memo_in_arg $ memo_out_arg $ state_out_arg $ export_args)
@@ -747,7 +738,7 @@ let restore_cmd =
       value & flag
       & info [ "info" ] ~doc:"Print the image manifest and exit without running anything.")
   in
-  let action file fuel only_info metrics state_out exports =
+  let action file fuel only_info no_dcache no_chain metrics state_out exports =
     let image = read_binary file in
     let mf =
       try Snapshot.manifest_of image with e -> corrupt_exit ("image " ^ file) e
@@ -774,7 +765,9 @@ let restore_cmd =
       in
       let obs = make_obs ~trace:false in
       let sys, _ =
-        try Snapshot.restore ~obs ~fatbin:(Workloads.fatbin w) image
+        try
+          Snapshot.restore ~obs ~decode_cache:(not no_dcache) ~chain:(not no_chain)
+            ~fatbin:(Workloads.fatbin w) image
         with e -> corrupt_exit ("image " ^ file) e
       in
       let fuel = match fuel with Some f -> f | None -> 3 * w.w_fuel in
@@ -792,10 +785,12 @@ let restore_cmd =
     (Cmd.info "restore"
        ~doc:
          "Restore a snapshot image and run it to completion. Bit-identical to the checkpointing \
-          run continuing uninterrupted (compare --state-out dumps). Truncated, version-skewed or \
-          wrong-binary images are rejected loudly.")
+          run continuing uninterrupted (compare --state-out dumps). The image does not record \
+          the execution engine; --no-decode-cache and --no-chain pick it here as they do for \
+          $(b,run). Truncated, version-skewed or wrong-binary images are rejected loudly.")
     Term.(
-      const action $ file_arg $ fuel_arg $ info_arg $ metrics_arg $ state_out_arg $ export_args)
+      const action $ file_arg $ fuel_arg $ info_arg $ no_dcache_arg $ no_chain_arg $ metrics_arg
+      $ state_out_arg $ export_args)
 
 let gadgets_cmd =
   let action (w : Workloads.t) isa =
@@ -915,14 +910,14 @@ let run_file_cmd =
     Arg.(value & opt mode_conv System.Hipstr & info [ "mode" ] ~doc:"native, psr or hipstr.")
   in
   let fuel_arg = Arg.(value & opt fuel_conv 10_000_000 & info [ "fuel" ] ~doc:"Instruction budget.") in
-  let action file mode isa seed fuel cc_capacity cc_policy no_dcache no_chain no_packed metrics
-      trace exports =
+  let action file mode isa seed fuel cc_capacity cc_policy no_dcache no_chain metrics trace
+      exports =
     let src = In_channel.with_open_text file In_channel.input_all in
     let obs = make_obs ~trace in
     let cfg = apply_cc_args Config.default cc_capacity cc_policy in
     match
       System.create ~obs ~cfg ~seed ~start_isa:isa ~decode_cache:(not no_dcache)
-        ~chain:(not no_chain) ~packed:(not no_packed) ~mode ~src ()
+        ~chain:(not no_chain) ~mode ~src ()
     with
     | exception Hipstr_compiler.Compile.Error m ->
       Printf.eprintf "%s: %s\n" file m;
@@ -941,8 +936,7 @@ let run_file_cmd =
     (Cmd.info "run-file" ~doc:"Compile and run a MiniC source file.")
     Term.(
       const action $ file_arg $ mode_arg $ isa_arg $ seed_arg $ fuel_arg $ cc_capacity_arg
-      $ cc_policy_arg $ no_dcache_arg $ no_chain_arg $ no_packed_arg $ metrics_arg $ trace_arg
-      $ export_args)
+      $ cc_policy_arg $ no_dcache_arg $ no_chain_arg $ metrics_arg $ trace_arg $ export_args)
 
 (* ------------------------------------------------------------------ *)
 (* cmp-run: boot K workloads as processes and time-slice them across
@@ -1002,7 +996,7 @@ let cmp_run_cmd =
   in
   let isa_label = function Desc.Cisc -> "cisc" | Desc.Risc -> "risc" in
   let action ws mode policy cores quantum fuel seed migrate_prob cc_capacity cc_policy no_dcache
-      no_chain no_packed jobs metrics sched verify checkpoint_every checkpoint_out tl_args exports =
+      no_chain jobs metrics sched verify checkpoint_every checkpoint_out tl_args exports =
     let cfg =
       let base =
         match migrate_prob with
@@ -1019,7 +1013,7 @@ let cmp_run_cmd =
       List.mapi
         (fun i (w : Workloads.t) ->
           Process.create ~obs ~cfg ~seed:(seed + i) ~start_isa:(start_isa i)
-            ~decode_cache:(not no_dcache) ~chain:(not no_chain) ~packed:(not no_packed) ~mode
+            ~decode_cache:(not no_dcache) ~chain:(not no_chain) ~mode
             ~pid:i ~name:w.w_name
             ~fuel:(budget w) (Workloads.fatbin w))
         ws
@@ -1083,10 +1077,10 @@ let cmp_run_cmd =
       List.iteri
         (fun i (w : Workloads.t) ->
           let p = Cmp.proc cmp i in
-          (* deliberately created with the *default* decode-cache,
-             chaining and packing settings: under --no-decode-cache,
-             --no-chain or --no-packed this doubles as an end-to-end
-             differential check of the corresponding fast path *)
+          (* deliberately created with the *default* decode-cache and
+             chaining settings: under --no-decode-cache or --no-chain
+             this doubles as an end-to-end differential check of the
+             fast path against the oracle or the unchained loop *)
           let alone =
             System.of_fatbin ~obs:Obs.disabled ~cfg ~seed:(seed + i) ~start_isa:(start_isa i)
               ~mode (Workloads.fatbin w)
@@ -1128,7 +1122,7 @@ let cmp_run_cmd =
     Term.(
       const action $ workloads_arg $ mode_arg $ policy_arg $ cores_arg $ quantum_arg $ fuel_arg
       $ seed_arg $ migrate_prob_arg $ cc_capacity_arg $ cc_policy_arg $ no_dcache_arg
-      $ no_chain_arg $ no_packed_arg $ jobs_arg $ metrics_arg $ sched_arg $ verify_arg
+      $ no_chain_arg $ jobs_arg $ metrics_arg $ sched_arg $ verify_arg
       $ checkpoint_every_arg
       $ checkpoint_out_arg "cmp" $ timeline_args $ export_args)
 

@@ -22,13 +22,13 @@ type t = {
   mutable sched_migrations : int;
 }
 
-let create ?obs ?cfg ?(seed = 1) ?(start_isa = Desc.Cisc) ?decode_cache ?chain ?packed ~mode ~pid
+let create ?obs ?cfg ?(seed = 1) ?(start_isa = Desc.Cisc) ?decode_cache ?chain ~mode ~pid
     ~name ~fuel fb =
   if fuel < 1 then invalid_arg "Process.create: fuel must be positive";
   {
     pid;
     name;
-    sys = System.of_fatbin ?obs ?cfg ~seed ~start_isa ~pid ?decode_cache ?chain ?packed ~mode fb;
+    sys = System.of_fatbin ?obs ?cfg ~seed ~start_isa ~pid ?decode_cache ?chain ~mode fb;
     fuel_limit = fuel;
     state = Runnable;
     slices = 0;
@@ -40,8 +40,8 @@ let create ?obs ?cfg ?(seed = 1) ?(start_isa = Desc.Cisc) ?decode_cache ?chain ?
     sched_migrations = 0;
   }
 
-let of_source ?obs ?cfg ?seed ?start_isa ?decode_cache ?chain ?packed ~mode ~pid ~name ~fuel src =
-  create ?obs ?cfg ?seed ?start_isa ?decode_cache ?chain ?packed ~mode ~pid ~name ~fuel
+let of_source ?obs ?cfg ?seed ?start_isa ?decode_cache ?chain ~mode ~pid ~name ~fuel src =
+  create ?obs ?cfg ?seed ?start_isa ?decode_cache ?chain ~mode ~pid ~name ~fuel
     (Hipstr_compiler.Compile.to_fatbin src)
 
 let pid t = t.pid

@@ -19,7 +19,6 @@ val create :
   ?start_isa:Hipstr_isa.Desc.which ->
   ?decode_cache:bool ->
   ?chain:bool ->
-  ?packed:bool ->
   mode:Hipstr.System.mode ->
   pid:int ->
   name:string ->
@@ -40,7 +39,6 @@ val of_source :
   ?start_isa:Hipstr_isa.Desc.which ->
   ?decode_cache:bool ->
   ?chain:bool ->
-  ?packed:bool ->
   mode:Hipstr.System.mode ->
   pid:int ->
   name:string ->

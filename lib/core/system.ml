@@ -32,17 +32,14 @@ type t = {
   mutable last_migration : Transform.result option;
   sys_seed : int;
   sys_start_isa : Desc.which;
-  sys_decode_cache : bool;
-  sys_chain : bool;
-  sys_packed : bool;
 }
 
 let isa_label = function Desc.Cisc -> "cisc" | Desc.Risc -> "risc"
 
 let boot_system ?(obs = Obs.global) ?(cfg = Config.default) ?(seed = 1) ?(start_isa = Desc.Cisc)
-    ?(pid = 0) ?(decode_cache = true) ?(chain = true) ?(packed = true) ?(boot = true) ~mode fb =
+    ?(pid = 0) ?(decode_cache = true) ?(chain = true) ?(boot = true) ~mode fb =
   let rat_capacity = match mode with Native -> None | Psr_only | Hipstr -> Some cfg.rat_capacity in
-  let m = Machine.create ~obs ~rat_capacity ~decode_cache ~chain ~packed ~active:start_isa () in
+  let m = Machine.create ~obs ~rat_capacity ~decode_cache ~chain ~active:start_isa () in
   Machine.set_owner m pid;
   Fatbin.load fb (Machine.mem m);
   if boot then Machine.boot m ~entry:(Fatbin.entry fb start_isa);
@@ -73,16 +70,13 @@ let boot_system ?(obs = Obs.global) ?(cfg = Config.default) ?(seed = 1) ?(start_
     last_migration = None;
     sys_seed = seed;
     sys_start_isa = start_isa;
-    sys_decode_cache = decode_cache;
-    sys_chain = chain;
-    sys_packed = packed;
   }
 
-let of_fatbin ?obs ?cfg ?seed ?start_isa ?pid ?decode_cache ?chain ?packed ?boot ~mode fb =
-  boot_system ?obs ?cfg ?seed ?start_isa ?pid ?decode_cache ?chain ?packed ?boot ~mode fb
+let of_fatbin ?obs ?cfg ?seed ?start_isa ?pid ?decode_cache ?chain ?boot ~mode fb =
+  boot_system ?obs ?cfg ?seed ?start_isa ?pid ?decode_cache ?chain ?boot ~mode fb
 
-let create ?obs ?cfg ?seed ?start_isa ?pid ?decode_cache ?chain ?packed ?boot ~mode ~src () =
-  boot_system ?obs ?cfg ?seed ?start_isa ?pid ?decode_cache ?chain ?packed ?boot ~mode
+let create ?obs ?cfg ?seed ?start_isa ?pid ?decode_cache ?chain ?boot ~mode ~src () =
+  boot_system ?obs ?cfg ?seed ?start_isa ?pid ?decode_cache ?chain ?boot ~mode
     (Compile.to_fatbin src)
 
 let fatbin t = t.fb
@@ -91,9 +85,6 @@ let mode t = t.sys_mode
 let config t = t.cfg
 let seed t = t.sys_seed
 let start_isa t = t.sys_start_isa
-let decode_cache_enabled t = t.sys_decode_cache
-let chain_enabled t = t.sys_chain
-let packed_enabled t = t.sys_packed
 let obs t = t.observ
 let metrics t = Obs.Metrics.snapshot (Obs.metrics t.observ)
 

@@ -38,7 +38,6 @@ val create :
   ?pid:int ->
   ?decode_cache:bool ->
   ?chain:bool ->
-  ?packed:bool ->
   ?boot:bool ->
   mode:mode ->
   src:string ->
@@ -52,14 +51,13 @@ val create :
     zero-overhead path. [pid] (default 0) tags every span and audit
     entry this system emits, so a CMP timeline can attribute
     per-process work. [decode_cache] (default [true]) controls the
-    host-side predecoded-block cache — simulation results are
+    host-side predecoded-block cache; [false] runs the
+    per-instruction decode oracle, and simulation results are
     bit-identical either way. [chain] (default [true]) controls
     block-to-block chaining and the indirect-branch inline caches on
     top of that cache, with the same bit-identity guarantee (and no
-    effect at all when [decode_cache] is off). [packed] (default
-    [true]) retires cached blocks from their packed flat int-array
-    form; [false] is the [--no-packed] escape hatch taking the boxed
-    instruction path, again bit-identical. [boot] (default [true])
+    effect at all when [decode_cache] is off). These two host engine
+    switches are not part of a snapshot image. [boot] (default [true])
     writes the initial stack/pc; snapshot restore passes [false] and
     overwrites the whole machine state instead.
     @raise Hipstr_compiler.Compile.Error on bad source. *)
@@ -72,7 +70,6 @@ val of_fatbin :
   ?pid:int ->
   ?decode_cache:bool ->
   ?chain:bool ->
-  ?packed:bool ->
   ?boot:bool ->
   mode:mode ->
   Hipstr_compiler.Fatbin.t ->
@@ -91,11 +88,6 @@ val seed : t -> int
 (** The seed this system was created with. *)
 
 val start_isa : t -> Hipstr_isa.Desc.which
-val decode_cache_enabled : t -> bool
-val chain_enabled : t -> bool
-val packed_enabled : t -> bool
-(** The creation flags, recorded so a snapshot can reconstruct an
-    identically configured system. *)
 
 val vm : t -> Hipstr_isa.Desc.which -> Hipstr_psr.Vm.t
 (** The PSR VM of a core. @raise Invalid_argument in [Native] mode. *)

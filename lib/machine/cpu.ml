@@ -69,31 +69,3 @@ let create () =
     flags = { zf = false; sf = false; cf = false; vf = false };
     perf = fresh_perf ();
   }
-
-let reset_perf t =
-  let p = t.perf in
-  p.cycles_fc <- 0;
-  p.instructions <- 0;
-  p.loads <- 0;
-  p.stores <- 0;
-  p.branches <- 0;
-  p.calls <- 0;
-  p.returns <- 0;
-  p.indirects <- 0;
-  p.syscalls <- 0
-
-let snapshot_perf t =
-  let p = t.perf in
-  {
-    cycles_fc = p.cycles_fc;
-    instructions = p.instructions;
-    loads = p.loads;
-    stores = p.stores;
-    branches = p.branches;
-    calls = p.calls;
-    returns = p.returns;
-    indirects = p.indirects;
-    syscalls = p.syscalls;
-  }
-
-let copy_regs t = Array.copy t.regs

@@ -50,10 +50,3 @@ type t = {
 }
 
 val create : unit -> t
-
-val reset_perf : t -> unit
-
-val snapshot_perf : t -> perf
-(** A copy of the current counters. *)
-
-val copy_regs : t -> int array

@@ -8,13 +8,12 @@ module Obs = Hipstr_obs.Obs
    last instruction faults there, exactly as per-instruction decode
    would have.
 
-   Alongside the boxed [db_instrs] the block carries [db_code]: the
-   same instructions flattened into an unboxed int array, four words
-   per instruction — {!Packed} meta word, two payload words, and the
-   precomputed per-retirement femtocycle charge. The flat dispatcher
-   in [Exec.run_cached] retires from [db_code] without touching a
-   variant block; [db_instrs] remains the [--no-packed] escape hatch
-   and the differential oracle.
+   The instructions live in [db_code], flattened into an unboxed int
+   array, four words per instruction — {!Packed} meta word, two
+   payload words, and the precomputed per-retirement femtocycle
+   charge. The flat dispatcher in [Exec.run_cached] retires from it
+   without touching a variant block; the per-instruction decode loop
+   ([Exec.run_slow]) is its oracle.
 
    Validity invariant: every byte any cached decode depended on lies
    inside [db_region] between [db_start] and [db_end] plus
@@ -32,8 +31,6 @@ module Obs = Hipstr_obs.Obs
    decoded block of the code-cache region. *)
 type block = {
   db_start : int;
-  db_instrs : Minstr.t array;
-  db_lens : int array;
   db_code : int array;
       (** packed flat encoding: 4 ints per instruction
           (meta, payload1, payload2, femtocycle charge) *)
@@ -99,12 +96,16 @@ type t = {
           may look fresh *)
   (* Per-retirement femtocycle charges for this ISA's core, baked into
      [db_code] at decode time. Computed through {!Cpu.fc_quotient},
-     the same function [Machine.env_of] memoizes for the unpacked
-     path, so both paths charge identical integers. *)
+     the same function [Machine.env_of] memoizes for the oracle, so
+     both paths charge identical integers. *)
   q1 : int;
   q2 : int;
   qmul : int;
   qdiv : int;
+  scratch : int array;
+      (** [decode_block]'s staging buffer, [4 * max_block_instrs] ints:
+          a block is packed here and copied out once at its final
+          length *)
   st : stats;
   dep : stats;
       (** counter values already deposited into [ctrs]; [deposit]
@@ -174,6 +175,7 @@ let create ?(obs = Obs.global) ~isa ?(chain = true) which mem =
     q2 = Cpu.fc_quotient ~lat:2 ~throughput:core.throughput;
     qmul = Cpu.fc_quotient ~lat:core.mul_latency ~throughput:core.throughput;
     qdiv = Cpu.fc_quotient ~lat:core.div_latency ~throughput:core.throughput;
+    scratch = Array.make (4 * max_block_instrs) 0;
     st = zero_stats ();
     dep = zero_stats ();
     obs;
@@ -278,15 +280,17 @@ let charge_fc t (i : Minstr.t) =
 (* Decode a block starting at [start] inside [region]. Returns [None]
    when nothing cacheable could be formed (first instruction does not
    fit the region, or an uncacheable [None] verdict right at the
-   start) — the interpreter falls back to single-stepping. *)
+   start) — the interpreter falls back to single-stepping. Each
+   instruction is packed straight into [t.scratch]; the block's
+   [db_code] is one copy of the used prefix. *)
 let decode_block t region start =
   let hi = Mem.region_hi region in
   let gen = Mem.generation region in
-  let instrs = ref [] in
-  let lens = ref [] in
+  let code = t.scratch in
   let count = ref 0 in
   let pos = ref start in
   let bad = ref false in
+  let indirect = ref false in
   let stop = ref false in
   while not !stop do
     if !count >= max_block_instrs then stop := true
@@ -308,45 +312,34 @@ let decode_block t region start =
       | Some (i, len) ->
         if !pos + len > hi then stop := true (* encoding crosses the region edge *)
         else begin
-          instrs := i :: !instrs;
-          lens := len :: !lens;
+          let j = 4 * !count in
+          let m, v1, v2 = Packed.pack i len in
+          code.(j) <- m;
+          code.(j + 1) <- v1;
+          code.(j + 2) <- v2;
+          code.(j + 3) <- charge_fc t i;
           incr count;
           pos := !pos + len;
-          if is_terminator i then stop := true
+          if is_terminator i then begin
+            indirect := is_indirect_terminator i;
+            stop := true
+          end
         end
     end
   done;
   if !count = 0 && not !bad then None
-  else begin
-    let indirect =
-      match !instrs with last :: _ -> is_indirect_terminator last | [] -> false
-    in
-    let instrs = Array.of_list (List.rev !instrs) in
-    let lens = Array.of_list (List.rev !lens) in
-    let n = Array.length instrs in
-    let code = Array.make (4 * n) 0 in
-    for k = 0 to n - 1 do
-      let i = instrs.(k) in
-      let m, v1, v2 = Packed.pack i lens.(k) in
-      code.(4 * k) <- m;
-      code.((4 * k) + 1) <- v1;
-      code.((4 * k) + 2) <- v2;
-      code.((4 * k) + 3) <- charge_fc t i
-    done;
+  else
     Some
       {
         db_start = start;
-        db_instrs = instrs;
-        db_lens = lens;
-        db_code = code;
+        db_code = Array.sub code 0 (4 * !count);
         db_end = !pos;
         db_bad = !bad;
         db_region = region;
         db_gen = gen;
-        db_indirect = indirect;
+        db_indirect = !indirect;
         db_succs = [||];
       }
-  end
 
 (* Decode-and-install slow path of [find].
    @raise Not_found when the address is not cacheable. *)

@@ -3,9 +3,9 @@
     Every simulated instruction used to be re-decoded from raw bytes
     on every execution; hot loops decode the same handful of blocks
     millions of times. This cache decodes a basic block once — from
-    its start address up to the first control transfer — and lets the
-    interpreter re-dispatch the predecoded [Minstr.t] array on every
-    revisit.
+    its start address up to the first control transfer — into a
+    packed int array ({!Packed}) that the interpreter re-dispatches on
+    every revisit.
 
     Correctness under self-modifying code rests on {!Mem.watch}
     generations: a block records the generation of the watched region
@@ -38,13 +38,11 @@
 
 type block = {
   db_start : int;
-  db_instrs : Hipstr_isa.Minstr.t array;
-  db_lens : int array;
   db_code : int array;
       (** packed flat encoding, 4 ints per instruction: {!Packed}
           meta word, two payload words, and the precomputed
           femtocycle retirement charge — what the flat dispatcher
-          executes; [db_instrs] is the [--no-packed] oracle *)
+          executes *)
   db_end : int;  (** first address past the last decoded instruction *)
   db_bad : bool;
       (** decode fails at [db_end]: executing past the last

@@ -26,10 +26,6 @@ type env = {
   dcode : Decode_cache.t option;
   obs : Obs.t;
   ctrs : counters;
-  packed : bool;
-      (** retire from the packed [db_code] words; [false] is the
-          [--no-packed] escape hatch taking the boxed [Minstr.t]
-          path (the differential oracle) *)
   (* Memoized integer charges, in femtocycles ({!Cpu.fc_scale}):
      the [lat / throughput] quotients for the four latencies the
      decoder can produce, and the flat penalties. Each is converted
@@ -229,8 +225,8 @@ let do_call env ~ret_addr ~target =
   goto env target
 
 (* The per-run observability counters (instructions, syscalls) are
-   batched: retirement only bumps the plain [perf] ints, and [run] /
-   [step] deposit the deltas once at exit ([Obs.Metrics.add]), so
+   batched: retirement only bumps the plain [perf] ints, and [run]
+   deposits the deltas once at exit ([Obs.Metrics.add]), so
    [Obs.on] is consulted per run, not per instruction. *)
 let do_syscall env =
   env.cpu.perf.syscalls <- env.cpu.perf.syscalls + 1;
@@ -340,22 +336,21 @@ let exec env (i : Minstr.t) len =
 (* ------------------------------------------------------------------ *)
 (* The flat packed dispatcher, fused with its block loop: retire
    instructions from a block's [db_code] words until the fuel runs
-   out, the block goes stale, or its tail is reached. Per retired
+   out, the block goes stale, or its tail is reached. This is the one
+   fast retire path; [run_slow] -> [exec] is its oracle. Per retired
    instruction it performs *exactly* the model-visible work of the
-   unpacked loop — staleness check, icache probe, instruction
-   counter, then [exec]'s semantics on the equivalent [Minstr.t]:
-   same charge first, same operand-effect order (source reads before
-   destination writes, destination-first for binop reads), same
-   counters, same faults — switching on the packed tag instead of
-   matching variant blocks, with operands read straight from the int
-   array. Tag numbering is {!Packed}'s; the generic [*_g] arms
-   rebuild operands from the kind bits via the same helpers'
-   semantics. Fusing the match into the loop is the packed format's
-   host-level payoff: the boxed oracle pays a dispatch call per
-   instruction, the packed loop a direct self tail-call. Any change
-   to [exec] MUST be mirrored here (and in the
-   [exec_one]/[exec_block] retire paths); the packed-vs-unpacked
-   differential suite exists to catch drift. *)
+   oracle — icache probe, instruction counter, then [exec]'s
+   semantics on the equivalent [Minstr.t]: same charge first, same
+   operand-effect order (source reads before destination writes,
+   destination-first for binop reads), same counters, same faults —
+   switching on the packed tag instead of matching variant blocks,
+   with operands read straight from the int array. The staleness
+   check before every instruction stands in for the oracle's
+   per-instruction byte decode. Tag numbering is {!Packed}'s; the
+   generic arms rebuild operands from the kind bits via the same
+   helpers' semantics. Any change to [exec] MUST be mirrored here;
+   the decode-cache on/off differentials (test_interp, test_fuzz,
+   interp-smoke) exist to catch drift. *)
 
 let pk_rval env k r v =
   if k = 1 then Array.unsafe_get env.cpu.regs r
@@ -581,8 +576,8 @@ let stopped env t =
   Stopped t
 
 (* Retire one already-decoded instruction: counters, execution, trap
-   conversion. Shared verbatim by the single-step and cached-block
-   paths so both count and fault identically. (The observability
+   conversion — the oracle's retire step, also taken by the cached
+   dispatcher for an address no block forms at. (The observability
    instruction counter is batched — deposited from the perf delta at
    run exit — so retirement itself only bumps the plain int.) *)
 let exec_one env (i : Minstr.t) len =
@@ -601,8 +596,8 @@ let exec_one env (i : Minstr.t) len =
    inspecting pc — the quantum boundary is model-visible), then the
    exit sentinel, then execution at pc. The cached path additionally
    re-checks block staleness before every instruction; that check
-   lives in [run_cached]'s block loops, after this gate, standing in
-   for the byte re-decode the slow path does implicitly. *)
+   lives in [packed_loop], after this gate, standing in for the byte
+   re-decode the slow path does implicitly. *)
 type gate = Out_of_fuel | At_exit | Proceed
 
 let boundary_gate env n =
@@ -618,12 +613,6 @@ let step_here env =
   match decode_with ~read:env.reader env.desc.which pc with
   | None -> stopped env (Fault (Bad_fetch pc))
   | Some (i, len) -> exec_one env i len
-
-let step_gated env =
-  match boundary_gate env 1 with
-  | At_exit -> Stopped (Exit env.cpu.regs.(env.desc.ret_reg))
-  | Proceed -> step_here env
-  | Out_of_fuel -> assert false (* n = 1 *)
 
 let run_slow env ~fuel =
   let rec go n =
@@ -646,16 +635,11 @@ let run_slow env ~fuel =
    anything is charged, so self-modifying code sees exactly the
    semantics of per-instruction decode.
 
-   Two block loops share the dispatch skeleton: [exec_un] retires
-   from the boxed [db_instrs] (the [--no-packed] oracle), [exec_pk]
-   from the packed [db_code] words via the flat dispatcher. Both
-   inline [exec_one]'s retire sequence (instruction counter, execute,
-   Stop/Fault conversion) instruction for instruction — inlined
-   rather than called so the hottest loop in the simulator pays
-   neither the call nor a second fetch of the block arrays. Any
-   change to one retire path MUST be made to the others;
-   test/test_interp.ml's and test/test_packed.ml's differentials
-   exist to catch a mismatch.
+   Blocks retire through [packed_loop], which inlines [exec_one]'s
+   retire sequence (instruction counter, execute, then the Stop/Fault
+   conversion in [exec_block]) against [exec]'s semantics; [run_slow]
+   is the oracle it must match, and test/test_interp.ml's decode-cache
+   on/off differentials exist to catch a mismatch.
 
    Nothing on this path allocates: block probes are the exception- or
    index-style [find]/[follow_idx] (no options), the predecessor
@@ -702,7 +686,6 @@ let run_cached env dc ~fuel =
     match step_here env with
     | Running -> dispatch_first (n - 1)
     | Stopped t -> Some t
-  and exec_block b k n = if env.packed then exec_pk b k n else exec_un b k n
   and block_tail b n =
     if b.db_bad then begin
       (* decode fails at [db_end], where pc now points: replicate the
@@ -713,33 +696,13 @@ let run_cached env dc ~fuel =
       | Running -> assert false
     end
     else dispatch_pred b n
-  and exec_un b k n =
-    if n <= 0 then None
-    else if stale b then begin
-      drop dc b;
-      dispatch_first n
-    end
-    else if k >= Array.length b.db_instrs then block_tail b n
-    else begin
-      icache_probe env env.cpu.pc;
-      (* inlined [exec_one] — keep in lockstep with it *)
-      env.cpu.perf.instructions <- env.cpu.perf.instructions + 1;
-      match exec env (Array.unsafe_get b.db_instrs k) (Array.unsafe_get b.db_lens k) with
-      | () -> exec_un b (k + 1) (n - 1)
-      | exception Stop t -> (
-        match stopped env t with Stopped t -> Some t | Running -> assert false)
-      | exception Mem.Fault a -> (
-        match stopped env (Fault (Bad_access a)) with
-        | Stopped t -> Some t
-        | Running -> assert false)
-    end
-  and exec_pk b k n =
+  and exec_block b k n =
     (* the whole per-instruction loop, staleness and boundary checks
        included, lives in [packed_loop]; remaining fuel is the entry
        fuel minus the retired-instruction delta *)
     let p = env.cpu.perf in
     let i0 = p.instructions in
-    match packed_loop env b b.db_code (Array.length b.db_instrs) k n with
+    match packed_loop env b b.db_code (Array.length b.db_code lsr 2) k n with
     | st -> (
       let n = n - (p.instructions - i0) in
       match st with
@@ -759,9 +722,9 @@ let run_cached env dc ~fuel =
 
 (* Deposit the batched observability counts: the per-run deltas of
    the plain perf ints, plus the decode cache's batched stat deltas.
-   Runs (and single steps) are the only places retirement happens,
-   and exports only ever read the registry between runs, so exported
-   values are identical to per-instruction increments. *)
+   Runs are the only places retirement happens, and exports only ever
+   read the registry between runs, so exported values are identical
+   to per-instruction increments. *)
 let deposit_obs env ~instrs0 ~syscalls0 =
   if Obs.on env.obs then begin
     let p = env.cpu.perf in
@@ -769,13 +732,6 @@ let deposit_obs env ~instrs0 ~syscalls0 =
     Obs.Metrics.add env.ctrs.cn_syscalls (p.syscalls - syscalls0);
     match env.dcode with Some dc -> Decode_cache.deposit dc | None -> ()
   end
-
-let step env =
-  let p = env.cpu.perf in
-  let instrs0 = p.instructions and syscalls0 = p.syscalls in
-  let r = step_gated env in
-  deposit_obs env ~instrs0 ~syscalls0;
-  r
 
 let run env ~fuel =
   let p = env.cpu.perf in

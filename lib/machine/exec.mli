@@ -1,10 +1,14 @@
 (** The fetch-decode-execute engine.
 
-    One {!step} executes a single instruction of the active ISA
-    against the CPU, memory, timing structures and OS, and reports
-    whether control stays in simulated code or leaves it (trap). The
-    PSR virtual machine drives this function directly so it can
-    interpose on traps; native runs just loop it.
+    {!run} executes instructions of the active ISA against the CPU,
+    memory, timing structures and OS until fuel runs out or control
+    leaves simulated code (trap). The PSR virtual machine drives it
+    quantum by quantum so it can interpose on traps.
+
+    Two retire paths exist and nothing else: the packed block loop
+    over a decode cache's [db_code] words (the fast path, chained or
+    not) and the per-instruction decode loop (the oracle, taken when
+    [dcode = None]). They are bit-identical by contract.
 
     When a Return Address Table is present ([rat <> None]) the machine
     models the paper's modified return macro-op: *every* return —
@@ -47,15 +51,10 @@ type env = {
   rat : Rat.t option;
   os : Sys.t;
   dcode : Decode_cache.t option;
-      (** predecoded-block cache for this ISA; [None] forces the
-          per-instruction decode path (the [--no-decode-cache] escape
-          hatch) *)
+      (** predecoded-block cache for this ISA; [None] runs the
+          per-instruction decode oracle ([--no-decode-cache]) *)
   obs : Hipstr_obs.Obs.t;
   ctrs : counters;
-  packed : bool;
-      (** retire from the packed flat [db_code] words; [false] is the
-          [--no-packed] escape hatch taking the boxed [Minstr.t] path
-          (the differential oracle). Bit-identical either way. *)
   q1 : int;
   q2 : int;
   qmul : int;
@@ -64,23 +63,19 @@ type env = {
           latencies (1, 2, mul, div), in femtocycles
           ({!Cpu.fc_scale}): each retirement is one integer add, and
           the fold-back to float cycles is exact, so accounting is
-          bit-identical across slow, cached and packed paths *)
+          bit-identical across the oracle and the packed path *)
   p_mispredict : int;
   p_icache_miss : int;
   p_dcache_miss : int;
       (** flat penalties, pre-scaled to femtocycles *)
 }
 
-type outcome = Running | Stopped of trap
-
-val step : env -> outcome
-
 val run : env -> fuel:int -> trap option
-(** Step until something stops execution or [fuel] instructions have
+(** Run until something stops execution or [fuel] instructions have
     retired; [None] means fuel ran out. When [env.dcode] is present,
     execution dispatches whole predecoded basic blocks; results —
     architectural state, cycle floats, counters, faults — are
-    bit-identical to the single-step path (see DESIGN.md,
+    bit-identical to the per-instruction oracle (see DESIGN.md,
     "Interpreter architecture"). *)
 
 val string_of_trap : trap -> string

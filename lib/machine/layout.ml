@@ -11,7 +11,6 @@ let heap_base = 0x0040_0000
 let heap_limit = 0x00C0_0000
 
 let stack_top = 0x00FF_FFF0
-let stack_limit = 0x00C0_0000
 
 let cisc_cache_base = 0x0100_0000
 let risc_cache_base = 0x0180_0000

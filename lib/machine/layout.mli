@@ -20,9 +20,6 @@ val heap_limit : int
 val stack_top : int
 (** Initial stack pointer (stack grows down). *)
 
-val stack_limit : int
-(** Lowest valid stack address. *)
-
 val cisc_cache_base : int
 val risc_cache_base : int
 val cache_region_size : int

@@ -28,7 +28,6 @@ type t = {
   risc_env : Exec.env;
   observ : Obs.t;
   c_ctx_flush : Obs.Metrics.counter;
-  packed : bool;
   mutable active : Desc.which;
   mutable owner_pid : int;
   mutable migrations : int;
@@ -65,7 +64,7 @@ let make_ctx ~obs ~rat_capacity ~icache_kb ~dcache_kb ~decode_cache ~chain ~memo
       };
   }
 
-let make_env ~cpu ~memory ~mem_reader ~os_state ~observ ~packed (c : core_ctx) =
+let make_env ~cpu ~memory ~mem_reader ~os_state ~observ (c : core_ctx) =
   {
     Exec.cpu;
     mem = memory;
@@ -80,7 +79,6 @@ let make_env ~cpu ~memory ~mem_reader ~os_state ~observ ~packed (c : core_ctx) =
     dcode = c.dcode;
     obs = observ;
     ctrs = c.ctrs;
-    packed;
     (* the same quotient function the decode cache bakes block charges
        with, so cached and slow-path accounting agree to the bit *)
     q1 = Cpu.fc_quotient ~lat:1 ~throughput:c.core.throughput;
@@ -93,7 +91,7 @@ let make_env ~cpu ~memory ~mem_reader ~os_state ~observ ~packed (c : core_ctx) =
   }
 
 let create ?(obs = Obs.global) ?(rat_capacity = None) ?(icache_kb = 32) ?(dcache_kb = 32)
-    ?(decode_cache = true) ?(chain = true) ?(packed = true) ~active () =
+    ?(decode_cache = true) ?(chain = true) ~active () =
   let memory = Mem.create Layout.mem_size in
   let cpu = Cpu.create () in
   let mem_reader = Mem.reader memory in
@@ -111,11 +109,10 @@ let create ?(obs = Obs.global) ?(rat_capacity = None) ?(icache_kb = 32) ?(dcache
     os_state;
     cisc_ctx;
     risc_ctx;
-    cisc_env = make_env ~cpu ~memory ~mem_reader ~os_state ~observ:obs ~packed cisc_ctx;
-    risc_env = make_env ~cpu ~memory ~mem_reader ~os_state ~observ:obs ~packed risc_ctx;
+    cisc_env = make_env ~cpu ~memory ~mem_reader ~os_state ~observ:obs cisc_ctx;
+    risc_env = make_env ~cpu ~memory ~mem_reader ~os_state ~observ:obs risc_ctx;
     observ = obs;
     c_ctx_flush = Obs.Metrics.counter (Obs.metrics obs) "machine.context_switch_flushes";
-    packed;
     active;
     owner_pid = 0;
     migrations = 0;
@@ -131,7 +128,6 @@ let active t = t.active
 let obs t = t.observ
 let owner t = t.owner_pid
 let set_owner t pid = t.owner_pid <- pid
-let packed t = t.packed
 
 let isa_name t = match t.active with Desc.Cisc -> "cisc" | Desc.Risc -> "risc"
 
@@ -227,8 +223,6 @@ let boot t ~entry =
      | Some lr -> t.cpu.regs.(lr) <- Layout.exit_sentinel
      | None -> assert false);
   t.cpu.pc <- entry
-
-let step t = Exec.step (env t)
 
 let run t ~fuel =
   let r = Exec.run (env t) ~fuel in

@@ -20,7 +20,6 @@ val create :
   ?dcache_kb:int ->
   ?decode_cache:bool ->
   ?chain:bool ->
-  ?packed:bool ->
   active:Hipstr_isa.Desc.which ->
   unit ->
   t
@@ -30,13 +29,10 @@ val create :
     per-core instruction/fault/syscall counters and is inherited by
     every component holding this machine (PSR VMs, the migration
     engine). [decode_cache] (default [true]) gives each core a
-    predecoded-basic-block cache; [false] is the [--no-decode-cache]
-    escape hatch forcing per-instruction decode. [chain] (default
+    predecoded-basic-block cache; [false] ([--no-decode-cache]) runs
+    the per-instruction decode oracle instead. [chain] (default
     [true]) lets those caches chain blocks and inline-cache indirect
-    targets; [false] is the [--no-chain] escape hatch. [packed]
-    (default [true]) retires cached blocks from their packed flat
-    int-array form; [false] is the [--no-packed] escape hatch taking
-    the boxed [Minstr.t] path (the differential oracle). Results are
+    targets; [false] is the [--no-chain] ablation. Results are
     bit-identical in all combinations. *)
 
 val mem : t -> Mem.t
@@ -66,9 +62,6 @@ val isa_name : t -> string
 val env_of : t -> Hipstr_isa.Desc.which -> Exec.env
 (** Memoized: built once per core at {!create}, so calling this per
     quantum neither allocates nor recomputes charge quotients. *)
-
-val packed : t -> bool
-(** Whether cached blocks retire from their packed form. *)
 
 val invalidate_decoded : t -> Hipstr_isa.Desc.which -> unit
 (** Drop every predecoded block of one core's decode cache. The PSR
@@ -100,8 +93,6 @@ val context_switch_flush : t -> unit
 val boot : t -> entry:int -> unit
 (** Initialize SP to the stack top, arrange for a return from the
     entry function to reach the exit sentinel, and set the PC. *)
-
-val step : t -> Exec.outcome
 
 val run : t -> fuel:int -> Exec.trap option
 

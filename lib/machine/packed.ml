@@ -35,8 +35,9 @@ open Hipstr_isa
 
    The interpreter's flat dispatcher matches on literal tag values;
    the numbering here is the single source of truth and must not be
-   renumbered without updating [Exec]. The packed-vs-unpacked
-   differential suite catches any drift. *)
+   renumbered without updating [Exec]. The decode-cache on/off
+   differentials (packed loop against the per-instruction oracle)
+   catch any drift. *)
 
 (* tag values *)
 let t_nop = 0

@@ -6,11 +6,14 @@
      | system state | obs metrics baseline | end
 
    The manifest pins everything needed to rebuild an identically
-   configured System (mode, seed, pid, creation flags, the full PSR
-   config) plus a fingerprint of the fat binary, so a restore against
-   the wrong program or a version-skewed image fails loudly instead of
-   resuming garbage. The parser is strict end to end: every length is
-   checked, trailing bytes are an error, and truncation surfaces as
+   configured System (mode, seed, pid, start ISA, the full PSR config)
+   plus a fingerprint of the fat binary, so a restore against the
+   wrong program or a version-skewed image fails loudly instead of
+   resuming garbage. Host engine switches (decode cache, chaining)
+   are not guest state and stay out of the image: [restore] takes
+   them from its caller, exactly as [System.of_fatbin] does. The
+   parser is strict end to end: every length is checked, trailing
+   bytes are an error, and truncation surfaces as
    [Hipstr_util.Wire.Corrupt].
 
    Guest memory travels as a page-granular delta against the pristine
@@ -43,7 +46,12 @@ module Wire = Hipstr_util.Wire
 
 let magic = "HIPSNAP"
 let memo_magic = "HIPMEMO"
-let version = 2
+
+(* Memo artifacts carry their own format version: version 3 of the
+   image format (no engine flags in the manifest) left them as they
+   were. *)
+let version = 3
+let memo_version = 2
 
 let page_bytes = 4096
 
@@ -152,9 +160,6 @@ type manifest = {
   mf_seed : int;
   mf_pid : int;
   mf_start_isa : Desc.which;
-  mf_decode_cache : bool;
-  mf_chain : bool;
-  mf_packed : bool;
   mf_cfg : Config.t;
   mf_fingerprint : int;
   mf_instructions : int;
@@ -172,9 +177,6 @@ let read_header r =
   let mf_seed = Wire.r_int r in
   let mf_pid = Wire.r_int r in
   let mf_start_isa = isa_of_tag (Wire.r_u8 r) in
-  let mf_decode_cache = Wire.r_bool r in
-  let mf_chain = Wire.r_bool r in
-  let mf_packed = Wire.r_bool r in
   let mf_cfg = load_config r in
   let mf_fingerprint = Wire.r_int r in
   let mf_instructions = Wire.r_int r in
@@ -186,9 +188,6 @@ let read_header r =
     mf_seed;
     mf_pid;
     mf_start_isa;
-    mf_decode_cache;
-    mf_chain;
-    mf_packed;
     mf_cfg;
     mf_fingerprint;
     mf_instructions;
@@ -298,9 +297,6 @@ let write_image w ?(workload = "custom") sys =
   Wire.int w (System.seed sys);
   Wire.int w (Machine.owner m);
   Wire.u8 w (isa_tag (System.start_isa sys));
-  Wire.bool w (System.decode_cache_enabled sys);
-  Wire.bool w (System.chain_enabled sys);
-  Wire.bool w (System.packed_enabled sys);
   save_config w (System.config sys);
   Wire.int w (fingerprint fb);
   Wire.int w (System.instructions sys);
@@ -314,7 +310,7 @@ let checkpoint ?workload sys =
   write_image w ?workload sys;
   Wire.contents w
 
-let read_image r ?obs ?(merge_obs = true) ~fatbin () =
+let read_image r ?obs ?(merge_obs = true) ?decode_cache ?chain ~fatbin () =
   let mf = read_header r in
   let fp = fingerprint fatbin in
   if fp <> mf.mf_fingerprint then
@@ -322,8 +318,7 @@ let read_image r ?obs ?(merge_obs = true) ~fatbin () =
       mf.mf_fingerprint;
   let sys =
     System.of_fatbin ?obs ~cfg:mf.mf_cfg ~seed:mf.mf_seed ~start_isa:mf.mf_start_isa
-      ~pid:mf.mf_pid ~decode_cache:mf.mf_decode_cache ~chain:mf.mf_chain ~packed:mf.mf_packed
-      ~boot:false ~mode:mf.mf_mode fatbin
+      ~pid:mf.mf_pid ?decode_cache ?chain ~boot:false ~mode:mf.mf_mode fatbin
   in
   load_delta r (Machine.mem (System.machine sys));
   System.restore_state sys r;
@@ -331,9 +326,9 @@ let read_image r ?obs ?(merge_obs = true) ~fatbin () =
   if merge_obs then Obs.Metrics.merge ~into:(Obs.metrics (System.obs sys)) snap;
   (sys, mf)
 
-let restore ?obs ?merge_obs ~fatbin image =
+let restore ?obs ?merge_obs ?decode_cache ?chain ~fatbin image =
   let r = Wire.reader image in
-  let sys, mf = read_image r ?obs ?merge_obs ~fatbin () in
+  let sys, mf = read_image r ?obs ?merge_obs ?decode_cache ?chain ~fatbin () in
   Wire.expect_end r;
   (sys, mf)
 
@@ -360,7 +355,7 @@ let restore_process ?obs ?merge_obs ~fatbin image =
 let save_memo sys =
   let w = Wire.writer () in
   Wire.str w memo_magic;
-  Wire.int w version;
+  Wire.int w memo_version;
   Wire.int w (fingerprint (System.fatbin sys));
   Wire.u8 w (mode_tag (System.mode sys));
   save_config w (System.config sys);
@@ -372,7 +367,8 @@ let load_memo sys image =
   let m = Wire.r_str r in
   if m <> memo_magic then Wire.corrupt "bad magic %S (not a memo artifact)" m;
   let v = Wire.r_int r in
-  if v <> version then Wire.corrupt "memo version %d, this build reads version %d" v version;
+  if v <> memo_version then
+    Wire.corrupt "memo version %d, this build reads version %d" v memo_version;
   let fp = Wire.r_int r in
   let own = fingerprint (System.fatbin sys) in
   if fp <> own then

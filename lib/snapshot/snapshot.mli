@@ -1,8 +1,8 @@
 (** Versioned, deterministic checkpoint/restore of full process
     images, and the cross-pool migration cost model on top of them.
 
-    An image carries: a manifest (mode, seed, pid, creation flags,
-    PSR config, fat-binary fingerprint), guest memory as a page
+    An image carries: a manifest (mode, seed, pid, start ISA, PSR
+    config, fat-binary fingerprint), guest memory as a page
     delta against the pristine post-load image, the machine state
     (registers, flags, caches, predictors, RAT), the PSR VM state
     (relocation maps, memo keys, code-cache directory — translated
@@ -25,9 +25,6 @@ type manifest = {
   mf_seed : int;
   mf_pid : int;
   mf_start_isa : Hipstr_isa.Desc.which;
-  mf_decode_cache : bool;
-  mf_chain : bool;
-  mf_packed : bool;
   mf_cfg : Hipstr_psr.Config.t;
   mf_fingerprint : int;
   mf_instructions : int;  (** at checkpoint time *)
@@ -46,6 +43,8 @@ val checkpoint : ?workload:string -> Hipstr.System.t -> string
 val restore :
   ?obs:Hipstr_obs.Obs.t ->
   ?merge_obs:bool ->
+  ?decode_cache:bool ->
+  ?chain:bool ->
   fatbin:Hipstr_compiler.Fatbin.t ->
   string ->
   Hipstr.System.t * manifest
@@ -54,6 +53,10 @@ val restore :
     (re-materializing translated code), and — unless [merge_obs] is
     [false] — fold the image's metrics baseline into the new system's
     obs registry so continued metrics match the uninterrupted run.
+    [decode_cache] and [chain] pick the restored system's execution
+    engine, as for {!Hipstr.System.of_fatbin} (both default on); the
+    image does not record the engine it was taken on, and guest
+    results are bit-identical on every engine.
     @raise Hipstr_util.Wire.Corrupt on any malformed, truncated,
     version-skewed or wrong-binary image. *)
 

@@ -1,8 +1,9 @@
 (* The predecoded-block interpreter must be invisible: every
    simulation — each registered workload, the fuzzer's generated
    programs, eviction-churn configs — must produce bit-identical
-   results with the decode cache on and off (outputs, cycle floats,
-   instruction counts, suspicious events, migrations). Plus unit
+   results with the decode cache on (the packed block loop) and off
+   (the per-instruction decode oracle): outputs, cycle floats,
+   instruction counts, suspicious events, migrations. Plus unit
    tests for the machinery itself: Mem write generations, staleness
    under self-modifying code, wholesale invalidation on context
    switch and code-cache flush, and the Mem fast-path/cstring
@@ -12,6 +13,7 @@ module Mem = Hipstr_machine.Mem
 module Layout = Hipstr_machine.Layout
 module Machine = Hipstr_machine.Machine
 module Decode_cache = Hipstr_machine.Decode_cache
+module Packed = Hipstr_machine.Packed
 module Exec = Hipstr_machine.Exec
 module Desc = Hipstr_isa.Desc
 module Minstr = Hipstr_isa.Minstr
@@ -54,34 +56,40 @@ let test_workload_differential () =
    rewrite register state across ISAs mid-run, and tiny caches churn
    the code-cache region (installs, chain patches, trap-byte
    restores) — the decode-cache invalidation paths with the most
-   traffic. *)
-let test_churn_differential () =
-  let fuel = 400_000 in
+   traffic. Split in two cases: forced migration and a tiny FIFO
+   cache apart, then the other tiny-cache policies and migration
+   under eviction together. *)
+let churn_fuel = 400_000
+let always = { Config.default with migrate_prob = 1.0 }
+let tiny policy = { Config.default with cache_bytes = 4096; cc_policy = policy }
+
+let test_churn_configs_differential () =
   let fb = Workloads.fatbin (Workloads.find "gobmk") in
-  let always = { Config.default with migrate_prob = 1.0 } in
-  let tiny_fifo =
-    { Config.default with cache_bytes = 4096; cc_policy = Hipstr_psr.Code_cache.Fifo }
-  in
-  let tiny_clock =
-    { Config.default with cache_bytes = 4096; cc_policy = Hipstr_psr.Code_cache.Clock }
-  in
-  let tiny_flush = { Config.default with cache_bytes = 4096 } in
-  differential_fatbin "gobmk/hipstr-always" ~cfg:always ~mode:System.Hipstr ~seed:5 ~fuel fb;
-  differential_fatbin "gobmk/psr-tiny-fifo" ~cfg:tiny_fifo ~mode:System.Psr_only ~seed:5 ~fuel fb;
-  differential_fatbin "gobmk/psr-tiny-clock" ~cfg:tiny_clock ~mode:System.Psr_only ~seed:5 ~fuel
+  let tiny_fifo = tiny Hipstr_psr.Code_cache.Fifo in
+  differential_fatbin "gobmk/hipstr-always" ~cfg:always ~mode:System.Hipstr ~seed:5 ~fuel:churn_fuel
     fb;
-  differential_fatbin "gobmk/psr-tiny-flush" ~cfg:tiny_flush ~mode:System.Psr_only ~seed:5 ~fuel
-    fb;
+  differential_fatbin "gobmk/psr-tiny-fifo" ~cfg:tiny_fifo ~mode:System.Psr_only ~seed:5
+    ~fuel:churn_fuel fb;
   (* make sure the fifo config actually evicted — a no-churn run
      would vacuously pass *)
   let sys =
     System.of_fatbin ~obs:Obs.disabled ~cfg:tiny_fifo ~seed:5 ~start_isa:Desc.Cisc
       ~mode:System.Psr_only fb
   in
-  ignore (System.run sys ~fuel);
+  ignore (System.run sys ~fuel:churn_fuel);
   Alcotest.(check bool)
     "tiny fifo config churns" true
     (System.cache_evictions sys > 0)
+
+let test_churn_differential () =
+  let fb = Workloads.fatbin (Workloads.find "gobmk") in
+  let tiny_always = { (tiny Hipstr_psr.Code_cache.Fifo) with migrate_prob = 1.0 } in
+  differential_fatbin "gobmk/psr-tiny-clock" ~cfg:(tiny Hipstr_psr.Code_cache.Clock)
+    ~mode:System.Psr_only ~seed:5 ~fuel:churn_fuel fb;
+  differential_fatbin "gobmk/psr-tiny-flush" ~cfg:(tiny Hipstr_psr.Code_cache.Flush)
+    ~mode:System.Psr_only ~seed:5 ~fuel:churn_fuel fb;
+  differential_fatbin "gobmk/hipstr-always-tiny-fifo" ~cfg:tiny_always ~mode:System.Hipstr ~seed:5
+    ~fuel:churn_fuel fb
 
 (* The fuzzer's generated programs, cache on vs off, across the same
    config shapes the fuzz suite uses. *)
@@ -368,7 +376,7 @@ let test_decode_cache_blocks () =
   (match Decode_cache.lookup dc base with
   | None -> Alcotest.fail "block not cacheable"
   | Some b ->
-    Alcotest.(check int) "two instructions" 2 (Array.length b.Decode_cache.db_instrs);
+    Alcotest.(check int) "two instructions" 2 (Array.length b.Decode_cache.db_code / 4);
     Alcotest.(check bool) "ends at terminator, not bad" false b.Decode_cache.db_bad;
     Alcotest.(check bool) "fresh block not stale" false (Decode_cache.stale b));
   let st = Decode_cache.stats dc in
@@ -396,9 +404,10 @@ let test_decode_cache_self_modify () =
   (match Decode_cache.lookup dc base with
   | Some b' -> (
     Alcotest.(check bool) "re-decoded block fresh" false (Decode_cache.stale b');
-    match b'.Decode_cache.db_instrs.(0) with
-    | Minstr.Mov (_, Imm 9) -> ()
-    | i ->
+    let code = b'.Decode_cache.db_code in
+    match Packed.unpack code.(0) code.(1) code.(2) with
+    | Minstr.Mov (_, Imm 9), _ -> ()
+    | i, _ ->
       Alcotest.failf "stale decode survived: %s"
         (Minstr.to_string ~reg_name:(Desc.reg_name Cisc.desc) i))
   | None -> Alcotest.fail "uncacheable after rewrite");
@@ -495,6 +504,7 @@ let () =
       ( "differential",
         [
           Alcotest.test_case "all workloads, all modes" `Quick test_workload_differential;
+          Alcotest.test_case "churn configs" `Quick test_churn_configs_differential;
           Alcotest.test_case "migration/eviction churn" `Quick test_churn_differential;
           Alcotest.test_case "progen programs" `Quick test_progen_differential;
         ] );

@@ -1,15 +1,13 @@
-(* The packed flat-dispatch representation must be invisible twice
-   over. Representation level: packing any decodable instruction into
-   the three meta/payload words and unpacking must give back exactly
-   the instruction and length (the encoding is total and lossless) —
-   checked exhaustively over every constructor × operand-kind
-   combination, by QCheck over random operand values, and over every
-   instruction decodable from the real workloads' fat binaries at
-   every byte offset (including gadget-style misaligned decodes).
-   System level: running every workload in every mode with packed
-   dispatch on and off must be bit-identical on the full Diff_harness
-   fingerprint — outcome, output, instruction count, exact cycle
-   float, suspicious events, migrations. *)
+(* The packed flat-dispatch representation must be lossless: packing
+   any decodable instruction into the three meta/payload words and
+   unpacking must give back exactly the instruction and length (the
+   encoding is total) — checked exhaustively over every constructor ×
+   operand-kind combination, by QCheck over random operand values,
+   and over every instruction decodable from the real workloads' fat
+   binaries at every byte offset (including gadget-style misaligned
+   decodes). Whether the packed dispatcher then *executes* those words
+   exactly like the per-instruction decode oracle is test_interp's
+   decode-cache on/off differential. *)
 
 module Minstr = Hipstr_isa.Minstr
 module Desc = Hipstr_isa.Desc
@@ -19,9 +17,6 @@ module Layout = Hipstr_machine.Layout
 module Exec = Hipstr_machine.Exec
 module Fatbin = Hipstr_compiler.Fatbin
 module Workloads = Hipstr_workloads.Workloads
-module System = Hipstr.System
-module Config = Hipstr_psr.Config
-module Obs = Hipstr_obs.Obs
 
 let show_instr (i : Minstr.t) =
   let op : Minstr.operand -> string = function
@@ -208,45 +203,6 @@ let test_roundtrip_corpus () =
   Printf.printf "round-tripped %d decoded corpus instructions\n" !total;
   Alcotest.(check bool) "corpus non-empty" true (!total > 10_000)
 
-(* ------------------------------------------------------------------ *)
-(* System-level differential: packed vs --no-packed, every workload,
-   every mode, on the full bit-identity fingerprint. *)
-
-let run_fatbin ~packed ?cfg ~mode ~seed ~fuel fb =
-  let sys =
-    System.of_fatbin ~obs:Obs.disabled ?cfg ~seed ~start_isa:Desc.Cisc ~packed ~mode fb
-  in
-  Diff_harness.run_sys sys ~fuel
-
-let differential_fatbin label ?cfg ~mode ~seed ~fuel fb =
-  let on = run_fatbin ~packed:true ?cfg ~mode ~seed ~fuel fb in
-  let off = run_fatbin ~packed:false ?cfg ~mode ~seed ~fuel fb in
-  Diff_harness.check label on off
-
-let test_workload_differential () =
-  let fuel = 200_000 in
-  List.iter
-    (fun name ->
-      let fb = Workloads.fatbin (Workloads.find name) in
-      List.iter
-        (fun (mlabel, mode) ->
-          differential_fatbin (name ^ "/" ^ mlabel) ~mode ~seed:3 ~fuel fb)
-        [ ("native", System.Native); ("psr", System.Psr_only); ("hipstr", System.Hipstr) ])
-    Workloads.names
-
-(* Churn configs: forced migration and a tiny FIFO code cache keep
-   invalidating and re-packing blocks, so the packed arrays are
-   rebuilt under pressure rather than packed once and reused. *)
-let test_churn_differential () =
-  let fuel = 400_000 in
-  let fb = Workloads.fatbin (Workloads.find "gobmk") in
-  let always = { Config.default with migrate_prob = 1.0 } in
-  let tiny_fifo =
-    { Config.default with cache_bytes = 4096; cc_policy = Hipstr_psr.Code_cache.Fifo }
-  in
-  differential_fatbin "gobmk/hipstr-always" ~cfg:always ~mode:System.Hipstr ~seed:5 ~fuel fb;
-  differential_fatbin "gobmk/psr-tiny-fifo" ~cfg:tiny_fifo ~mode:System.Psr_only ~seed:5 ~fuel fb
-
 let () =
   Alcotest.run "packed"
     [
@@ -255,10 +211,5 @@ let () =
           Alcotest.test_case "exhaustive forms" `Quick test_roundtrip_exhaustive;
           QCheck_alcotest.to_alcotest roundtrip_prop;
           Alcotest.test_case "decoded corpus" `Quick test_roundtrip_corpus;
-        ] );
-      ( "differential",
-        [
-          Alcotest.test_case "all workloads, all modes" `Quick test_workload_differential;
-          Alcotest.test_case "churn configs" `Quick test_churn_differential;
         ] );
     ]

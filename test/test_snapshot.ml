@@ -2,7 +2,8 @@
    bit-identical — outcome, output, instruction count, cycle floats,
    metrics counters and histograms — to the checkpointing run
    continuing uninterrupted, across every workload and protection
-   mode, including mid-quantum checkpoints and cross-ISA resume; and
+   mode, including mid-quantum checkpoints and cross-ISA resume; an
+   image must not depend on the execution engine it was taken on; and
    the image parser must reject truncated, trailing, version-skewed
    and wrong-binary images, and forged code-cache state, loudly. *)
 
@@ -162,6 +163,46 @@ let test_round_trip_clock_policy () =
   let o2 = System.run resumed ~fuel in
   check_fp "clock policy" (fingerprint_of interrupted o1) (fingerprint_of resumed o2)
 
+(* --- engine independence -------------------------------------------- *)
+
+(* The execution engine is a host choice, not guest state. With
+   observability off (so no host decode counters ride in the metrics
+   baseline), images taken on the default engine, on the decode
+   oracle and unchained are byte-identical, and the image restores
+   onto either retire path to the live run's result. *)
+let test_image_engine_independent () =
+  let w = Workloads.find "gobmk" in
+  let fb = Workloads.fatbin w in
+  let fuel = 3 * w.Workloads.w_fuel in
+  let checkpointed ?decode_cache ?chain () =
+    let sys =
+      System.of_fatbin ~obs:Obs.disabled ~seed:3 ~start_isa:Desc.Cisc ?decode_cache ?chain
+        ~mode:System.Hipstr fb
+    in
+    (match System.run sys ~fuel:150_000 with
+    | System.Out_of_fuel -> ()
+    | o -> Alcotest.failf "finished before the checkpoint (%s)" (outcome_string o));
+    (sys, Snapshot.checkpoint ~workload:w.Workloads.w_name sys)
+  in
+  let live, image = checkpointed () in
+  let same_image label other =
+    if not (String.equal image other) then begin
+      let n = min (String.length image) (String.length other) in
+      let rec first i = if i < n && image.[i] = other.[i] then first (i + 1) else i in
+      Alcotest.failf "%s image (%d bytes) differs from the default engine's (%d bytes) at byte %d"
+        label (String.length other) (String.length image) (first 0)
+    end
+  in
+  same_image "decode_cache:false" (snd (checkpointed ~decode_cache:false ()));
+  same_image "chain:false" (snd (checkpointed ~chain:false ()));
+  let o = System.run live ~fuel in
+  List.iter
+    (fun (label, decode_cache) ->
+      let resumed, _ = Snapshot.restore ~obs:Obs.disabled ~decode_cache ~fatbin:fb image in
+      let o' = System.run resumed ~fuel in
+      check_fp label (fingerprint_of live o) (fingerprint_of resumed o'))
+    [ ("restored on the default engine", true); ("restored on the oracle", false) ]
+
 (* --- strict parser ------------------------------------------------- *)
 
 let expect_corrupt label f =
@@ -304,6 +345,8 @@ let () =
           Alcotest.test_case "checkpoints compose" `Quick test_recheckpoint;
           Alcotest.test_case "cross-ISA resume" `Quick test_cross_isa_restore;
           Alcotest.test_case "clock eviction policy" `Quick test_round_trip_clock_policy;
+          Alcotest.test_case "image independent of the engine" `Quick
+            test_image_engine_independent;
         ] );
       ( "strict parser",
         [

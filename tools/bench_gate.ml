@@ -1,14 +1,11 @@
 (* Benchmark regression gate: diff two BENCH_*.json files of the same
-   schema and fail when a performance metric regressed past a
-   threshold. The CI bench step and `make timeline-smoke` run the
-   self-compare (old = new must always pass) and the --selftest mode
-   (a synthetic 10% degradation must always be caught), so the gate
-   itself is regression-tested by the same target that uses it.
+   schema and fail when a metric regressed past a threshold. The
+   cache, fleet and migrate smoke targets run the --selftest mode (a
+   synthetic 10% degradation must always be caught) on the file they
+   then gate, so the gate itself is regression-tested by the same
+   target that uses it.
 
    Schemas and the metrics extracted from them:
-     hipstr-bench-interp/2  per workload x mode x variant: mips (higher is better)
-     hipstr-bench-interp/3  as /2 plus the packed-dispatch variant and
-                            per-variant host alloc words/instr (lower)
      hipstr-bench-fleet/1   per point: throughput_per_mcycle (higher),
                             latency p99 (lower)
      hipstr-bench-cache/1   per workload x capacity x policy:
@@ -52,58 +49,6 @@ let list name j =
 (* ------------------------------------------------------------------ *)
 (* Per-schema metric extraction. Keys are stable content-derived
    paths, so reordered points still pair up old-to-new. *)
-
-let interp_variant_names = function
-  | 2 -> [ "chained"; "no_chain"; "no_decode_cache" ]
-  | _ -> [ "chained"; "no_packed"; "no_chain"; "no_decode_cache" ]
-
-(* v3 adds the packed-dispatch variant and a per-variant [alloc]
-   block; host minor words per retired instruction is gated as a
-   lower-is-better metric so allocation creep in the hot loop fails
-   the same --max-rise check cycle metrics do. *)
-let interp_metrics ~version doc =
-  List.concat_map
-    (fun w ->
-      let name = str "name" w in
-      List.concat_map
-        (fun m ->
-          let mode = str "mode" m in
-          let variants = mem "variants" m in
-          List.concat_map
-            (fun v ->
-              match Json.member v variants with
-              | Some var ->
-                let mips =
-                  {
-                    m_key = Printf.sprintf "interp.%s.%s.%s.mips" name mode v;
-                    m_value = num "mips" var;
-                    m_dir = Higher_better;
-                  }
-                in
-                let alloc =
-                  if version < 3 then []
-                  else
-                    match Json.member "alloc" var with
-                    | Some a -> (
-                      match Json.member "minor_words_per_instr" a with
-                      | Some (Json.Num wpi) ->
-                        [
-                          {
-                            m_key =
-                              Printf.sprintf "interp.%s.%s.%s.alloc_words_per_instr" name
-                                mode v;
-                            m_value = wpi;
-                            m_dir = Lower_better;
-                          };
-                        ]
-                      | _ -> [])
-                    | None -> []
-                in
-                mips :: alloc
-              | None -> [])
-            (interp_variant_names version))
-        (list "modes" w))
-    (list "workloads" doc)
 
 let fleet_metrics doc =
   List.concat_map
@@ -169,15 +114,13 @@ let migrate_metrics doc =
 
 let extract path doc =
   match str "schema" doc with
-  | "hipstr-bench-interp/2" -> interp_metrics ~version:2 doc
-  | "hipstr-bench-interp/3" -> interp_metrics ~version:3 doc
   | "hipstr-bench-fleet/1" -> fleet_metrics doc
   | "hipstr-bench-cache/1" -> cache_metrics doc
   | "hipstr-bench-migrate/1" -> migrate_metrics doc
   | s ->
     fail
-      "%s: unsupported schema '%s' (expected hipstr-bench-interp/2 or /3, \
-       hipstr-bench-fleet/1, hipstr-bench-cache/1 or hipstr-bench-migrate/1)"
+      "%s: unsupported schema '%s' (expected hipstr-bench-fleet/1, hipstr-bench-cache/1 or \
+       hipstr-bench-migrate/1)"
       path s
 
 let load path =
