@@ -393,6 +393,12 @@ let mode_tag = function Native -> 0 | Psr_only -> 1 | Hipstr -> 2
 
 let isa_tag = function Desc.Cisc -> 0 | Desc.Risc -> 1
 
+(* Drop the host state a run restored from an image cannot have: both
+   cores' decode caches and every VM's kept blocks. *)
+let quiesce t =
+  Machine.quiesce t.m;
+  List.iter (fun (_, v) -> Vm.quiesce v) t.vms
+
 let save_state w t =
   Wire.tag w "SYSTEM";
   Wire.u8 w (mode_tag t.sys_mode);

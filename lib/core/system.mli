@@ -159,6 +159,15 @@ val metrics : t -> Hipstr_obs.Obs.Metrics.snapshot
     context (the default, {!Hipstr_obs.Obs.global}), the counters
     aggregate across them. *)
 
+val quiesce : t -> unit
+(** The checkpoint quiesce: drop both cores' host decode caches
+    ({!Hipstr_machine.Machine.quiesce}) and every VM's kept blocks
+    ({!Hipstr_psr.Vm.quiesce}). Model-invisible; it makes the run that
+    takes a checkpoint continue with the same host decode-counter
+    trajectory as a run restored from the image, so their metrics
+    exports stay byte-identical. Called by the snapshot layer before
+    serializing. *)
+
 val save_state : Hipstr_util.Wire.w -> t -> unit
 (** Serialize the system-level slice: flags, migration counters, the
     decision rng, the machine ({!Hipstr_machine.Machine.save}) and

@@ -168,7 +168,7 @@ let create ?(obs = Obs.global) ~isa ?(chain = true) which mem =
     mem;
     read = Mem.reader mem;
     read_unsafe = (fun a -> Mem.unsafe_read8 mem a);
-    blocks = Hashtbl.create 1024;
+    blocks = Hashtbl.create 16;
     chained = chain;
     epoch = 0;
     q1 = Cpu.fc_quotient ~lat:1 ~throughput:core.throughput;
@@ -341,6 +341,15 @@ let decode_block t region start =
         db_succs = [||];
       }
 
+let install t (b : block) =
+  if Hashtbl.length t.blocks >= max_entries then begin
+    Hashtbl.reset t.blocks;
+    (* the reset unroots every block, so kill chain links into
+       them too instead of letting them pin the old table alive *)
+    t.epoch <- t.epoch + 1
+  end;
+  Hashtbl.replace t.blocks b.db_start b
+
 (* Decode-and-install slow path of [find].
    @raise Not_found when the address is not cacheable. *)
 let decode_install t addr =
@@ -350,13 +359,7 @@ let decode_install t addr =
     match decode_block t region addr with
     | None -> raise Not_found
     | Some b ->
-      if Hashtbl.length t.blocks >= max_entries then begin
-        Hashtbl.reset t.blocks;
-        (* the reset unroots every block, so kill chain links into
-           them too instead of letting them pin the old table alive *)
-        t.epoch <- t.epoch + 1
-      end;
-      Hashtbl.replace t.blocks addr b;
+      install t b;
       t.st.misses <- t.st.misses + 1;
       b)
 
@@ -393,10 +396,13 @@ let drop t (b : block) =
 
 (* Wholesale invalidation: context-switch flushes, relocation-map
    renewal and code-cache flushes all call this. Generations already
-   make every write safe; dropping the table additionally models the
-   cold-start and frees memory eagerly. Callers outside a run (the
-   machine's flush paths) follow up with [deposit] so the batched
-   invalidation counts are visible to the next export. *)
+   make every write safe; dropping the table frees the blocks eagerly
+   and kills their chain links (the epoch bump below). It changes host
+   time only: the decode cache charges no guest cycles. The table
+   starts at 16 buckets and grows on demand, so the reset costs what
+   the table held rather than a fixed 1024-bucket fill. Callers outside
+   a run (the machine's flush paths) follow up with [deposit] so the
+   batched invalidation counts are visible to the next export. *)
 let invalidate_all t =
   let n = Hashtbl.length t.blocks in
   if n > 0 then begin
@@ -410,6 +416,43 @@ let invalidate_all t =
   t.st.flushes <- t.st.flushes + 1
 
 let entries t = Hashtbl.length t.blocks
+
+let by_start a b = compare a.db_start b.db_start
+let blocks t = List.sort by_start (Hashtbl.fold (fun _ b acc -> b :: acc) t.blocks [])
+
+(* ------------------------------------------------------------------ *)
+(* Kept blocks: decoded blocks that outlive a wholesale invalidation.
+
+   The PSR VM re-installs a memo-served unit after a code-cache flush
+   by blitting exactly the bytes it blitted before, at the same base.
+   A block decoded from those bytes is then still a valid decode, so
+   the VM takes it out of the table before the flush ([keepable]) and
+   puts it back after the re-install ([adopt]) instead of decoding
+   again.
+
+   A block qualifies only if its decode read nothing outside
+   [db_start, db_end): it is not [db_bad] (that verdict read the
+   headroom past [db_end]), it did not stop at the region edge (an
+   encoding crossing the edge, or a near-edge [None], stops a block
+   without marking it bad), and every instruction in it is a [Some]
+   verdict, which reads only its own bytes (the decoders' locality,
+   pinned in test_isa). [db_gen >= since] proves the block was decoded
+   (or re-proven clean) after the blit at generation [since], and one
+   [Mem.span_clean] proves no write has landed on its bytes since —
+   a chain patch, an eviction's restored Trap, or a guest store. *)
+let keepable b ~since =
+  (not b.db_bad) && b.db_gen >= since
+  && b.db_end + max_decode_window <= Mem.region_hi b.db_region
+  && Mem.span_clean b.db_region ~lo:b.db_start ~hi:b.db_end ~since
+
+(* Re-install a kept block after its bytes were blitted back: fresh
+   under the current generation, with no chain links (every link it
+   held died with the flush's epoch bump). Counted as neither a hit
+   nor a miss; the dispatcher's next probe of it is a hit. *)
+let adopt t (b : block) =
+  b.db_gen <- Mem.generation b.db_region;
+  b.db_succs <- [||];
+  install t b
 
 (* ------------------------------------------------------------------ *)
 (* Block chaining and indirect-branch inline caches.

@@ -123,6 +123,21 @@ val invalidate_all : t -> unit
     renewal and code-cache flushes. Also bumps the epoch, killing
     every chain link installed before the call. *)
 
+val keepable : block -> since:int -> bool
+(** The block was decoded from its own bytes [\[db_start, db_end)]
+    alone (not [db_bad], not stopped at the region edge), and no write
+    has touched those bytes since region generation [since] — a block
+    decoded before that generation never qualifies. The PSR VM keeps
+    such blocks across a code-cache flush for a unit it will blit back
+    byte for byte at the same base. *)
+
+val adopt : t -> block -> unit
+(** Re-install a {!keepable} block after its bytes were written back
+    unchanged: re-stamps [db_gen] to the region's current generation,
+    drops its chain links and inserts it exactly as a decode miss
+    would, without counting a miss. The caller vouches that the bytes
+    are the ones the block was decoded from. *)
+
 val follow : t -> block -> int -> block option
 (** [follow t pred pc] probes [pred]'s links for the block at [pc].
     Dead links (old epoch, or stale target) are severed and counted
@@ -156,3 +171,6 @@ val epoch : t -> int
 (** Current link epoch (test introspection). *)
 
 val entries : t -> int
+
+val blocks : t -> block list
+(** Every block in the table, ascending by start. *)

@@ -182,6 +182,8 @@ let invalidate_decoded t which =
   | None -> ());
   deposit_decoded t
 
+let decode_cache t which = (ctx_of t which).dcode
+
 let decode_cache_stats t which =
   match (ctx_of t which).dcode with
   | Some dc -> Some (Decode_cache.stats dc)

@@ -71,6 +71,10 @@ val invalidate_decoded : t -> Hipstr_isa.Desc.which -> unit
     host state and charges no guest cycles. No-op without a decode
     cache. *)
 
+val decode_cache : t -> Hipstr_isa.Desc.which -> Decode_cache.t option
+(** One core's decode cache ([None] when running with
+    [--no-decode-cache]). *)
+
 val decode_cache_stats : t -> Hipstr_isa.Desc.which -> Decode_cache.stats option
 (** Hit/miss/invalidation/flush plus chain/IC counts of one core's
     decode cache ([None] when running with [--no-decode-cache]). *)
@@ -112,8 +116,8 @@ val quiesce : t -> unit
     counters are unchanged), but it aligns the host decode-counter
     trajectory of the run that *took* a checkpoint with a run
     *restored* from it: both continue decode-cold, so their metrics
-    exports stay byte-identical. Called by the snapshot layer before
-    serializing. *)
+    exports stay byte-identical. Called through [System.quiesce],
+    which the snapshot layer calls before serializing. *)
 
 val save : Hipstr_util.Wire.w -> t -> unit
 (** Serialize the architectural state (pc, registers, flags, perf

@@ -13,7 +13,10 @@ type t = {
   mutable misses : int;
 }
 
-let create ~capacity = { capacity; table = Hashtbl.create 64; clock = 0; hits = 0; misses = 0 }
+(* The table starts small and grows on demand: a code-cache flush
+   resets it ([clear]), and [Hashtbl.reset] costs the initial bucket
+   count every time. *)
+let create ~capacity = { capacity; table = Hashtbl.create 16; clock = 0; hits = 0; misses = 0 }
 
 let capacity t = t.capacity
 

@@ -47,9 +47,11 @@ let create ?(obs = Obs.disabled) ?(isa = "any") ?(policy = Flush) ~base ~capacit
     cc_capacity = capacity;
     cc_policy = policy;
     cursor = base;
-    by_src = Hashtbl.create 256;
+    (* both reset on every flush, and [Hashtbl.reset] costs the
+       initial bucket count: start small and grow on demand *)
+    by_src = Hashtbl.create 16;
     by_addr = Addr_map.empty;
-    referenced = Hashtbl.create 64;
+    referenced = Hashtbl.create 16;
     nflushes = 0;
     nevictions = 0;
     cc_isa = isa;
@@ -83,11 +85,6 @@ let overlapping t ~lo ~hi =
   match Addr_map.find_last_opt (fun a -> a < lo) t.by_addr with
   | Some (_, b) when b.cb_cache + b.cb_size > lo -> b :: tail
   | _ -> tail
-
-let block_containing t addr =
-  match Addr_map.find_last_opt (fun a -> a <= addr) t.by_addr with
-  | Some (_, b) when addr < b.cb_cache + b.cb_size -> Some b
-  | _ -> None
 
 let evict_block t b =
   t.by_addr <- Addr_map.remove b.cb_cache t.by_addr;
@@ -175,14 +172,10 @@ let flush t =
   t.nflushes <- t.nflushes + 1
 
 let blocks t = Addr_map.fold (fun _ b acc -> b :: acc) t.by_addr [] |> List.rev
-let live_blocks t = Addr_map.cardinal t.by_addr
-let live_bytes t = Addr_map.fold (fun _ b acc -> acc + b.cb_size) t.by_addr 0
 let used_bytes t = t.cursor - t.cc_base
-let capacity t = t.cc_capacity
 let flushes t = t.nflushes
 let evictions t = t.nevictions
 let policy t = t.cc_policy
-let base t = t.cc_base
 
 (* --- snapshot ------------------------------------------------------ *)
 (* The allocator state travels exactly — cursor, live blocks, Clock

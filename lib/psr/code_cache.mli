@@ -84,24 +84,16 @@ val flush : t -> unit
 (** Drop all translations. Counts a flush; the VM must also clear its
     RAT and stub tables and re-randomize. *)
 
-val block_containing : t -> int -> block option
-(** The live block whose cache range contains the given address. *)
-
 val blocks : t -> block list
 (** Live blocks, ascending by cache address. *)
-
-val live_blocks : t -> int
-val live_bytes : t -> int
 
 val used_bytes : t -> int
 (** Write-pointer offset from base — the high-water mark under
     {!Flush}; under {!Fifo}/{!Clock} it wraps with the pointer. *)
 
-val capacity : t -> int
 val flushes : t -> int
 val evictions : t -> int
 val policy : t -> policy
-val base : t -> int
 
 val save : Hipstr_util.Wire.w -> t -> unit
 (** Serialize the allocator state — cursor, live-block directory,

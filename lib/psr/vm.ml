@@ -6,6 +6,7 @@ module Exec = Hipstr_machine.Exec
 module Cpu = Hipstr_machine.Cpu
 module Rat = Hipstr_machine.Rat
 module Layout = Hipstr_machine.Layout
+module Decode_cache = Hipstr_machine.Decode_cache
 module Rng = Hipstr_util.Rng
 module Obs = Hipstr_obs.Obs
 
@@ -89,15 +90,34 @@ type patch_rec = { pt_src : int; pt_cache : int }
    translation of current memory. [me_saved] entries travel in
    snapshots and memo files; the ones the flush path keeps for itself
    are host state and never do. [me_laid] is the entry's last layout
-   and the base it was laid out at: a flushed cache refills in the
-   same order, so a unit usually lands where it was before. *)
+   (see [laid]): a flushed cache refills in the same order, so a unit
+   usually lands where it was before. *)
+
+(* A layout of a memo entry at [la_base], plus its kept blocks: the
+   decoded blocks of its bytes that a flush took out of the decode
+   cache ([harvest]) for the next install at [la_base], which blits
+   the same bytes, to adopt instead of decoding them again; the install
+   empties the list, so a harvest always starts from none. [la_gen] is
+   the cache-region generation right after the layout's last blit, the
+   guard the harvest checks blocks against; [no_harvest] once the
+   checkpoint quiesce forgot it. Host state only: kept blocks charge
+   and change nothing the guest can see. *)
+type laid = {
+  la_base : int;
+  la_unit : Translator.unit_code;
+  mutable la_gen : int;
+  mutable la_blocks : Decode_cache.block list;
+}
+
+let no_harvest = -1
+
 type memo_entry = {
   me_gen : int;
   me_fp : int;
   me_prep : Translator.prepared;
   me_saved : bool;
   mutable me_src_gen : int;  (* source-region generation the spans are known clean under *)
-  mutable me_laid : (int * Translator.unit_code) option;
+  mutable me_laid : laid option;
 }
 
 type t = {
@@ -116,6 +136,7 @@ type t = {
   mutable ever_translated : (int, unit) Hashtbl.t;
   memo : (int, memo_entry) Hashtbl.t;
   src_region : Mem.region;  (* this ISA's code section, watched for memo validity *)
+  cache_region : Mem.region;  (* this ISA's code-cache region, watched for kept blocks *)
   loaded_gen : int;  (* [src_region]'s generation at creation, after the binary was loaded *)
   mutable map_gen : int;
   block_meta : (int, int list) Hashtbl.t;
@@ -148,6 +169,10 @@ let create cfg ~seed which fatbin machine =
     let lo = Layout.code_base which in
     Mem.watch (Machine.mem machine) ~lo ~hi:(lo + Layout.code_region_size)
   in
+  let cache_region =
+    let lo = Layout.cache_base which in
+    Mem.watch (Machine.mem machine) ~lo ~hi:(lo + Layout.cache_region_size)
+  in
   {
     cfg;
     which;
@@ -159,7 +184,10 @@ let create cfg ~seed which fatbin machine =
         ~capacity:cfg.cache_bytes ();
     maps = Hashtbl.create 64;
     hot = Hashtbl.create 64;
-    stub_at = Hashtbl.create 256;
+    (* [stub_at], [block_meta] and [patches] are reset on every flush,
+       and [Hashtbl.reset] costs the initial bucket count: start small
+       and grow on demand *)
+    stub_at = Hashtbl.create 16;
     rng = Rng.create (seed lxor (match which with Desc.Cisc -> 0x11111 | Risc -> 0x22222));
     st =
       {
@@ -181,10 +209,11 @@ let create cfg ~seed which fatbin machine =
     ever_translated = Hashtbl.create 256;
     memo = Hashtbl.create 256;
     src_region;
+    cache_region;
     loaded_gen = Mem.generation src_region;
     map_gen = 0;
-    block_meta = Hashtbl.create 256;
-    patches = Hashtbl.create 256;
+    block_meta = Hashtbl.create 16;
+    patches = Hashtbl.create 16;
     new_units = [];
     span_quiet = false;
   }
@@ -250,12 +279,46 @@ let map_of t (fs : Fatbin.func_sym) =
     Hashtbl.replace t.maps fs.fs_name m;
     m
 
+(* Before a flush drops the live units, each one installed from a memo
+   entry's layout hands that layout the decoded blocks inside its bytes
+   that no write has touched since its blit ([Decode_cache.keepable]).
+   A block dirtied by a chain patch stays behind and is decoded again
+   after the next install, as is every block of a unit installed
+   without a memo entry. Units and blocks are both walked in address
+   order, so the harvest is one pass over each however many units are
+   live. *)
+let harvest t dc =
+  let rec units (us : Code_cache.block list) (bs : Decode_cache.block list) =
+    match us with
+    | [] -> ()
+    | u :: us ->
+      let lo = u.cb_cache and hi = u.cb_cache + u.cb_size in
+      let laid =
+        match Hashtbl.find_opt t.memo u.cb_src with
+        | Some { me_laid = Some l as laid; _ } when l.la_base = lo && l.la_gen <> no_harvest ->
+          laid
+        | _ -> None
+      in
+      units us (blocks laid ~lo ~hi bs)
+  and blocks laid ~lo ~hi = function
+    | (b : Decode_cache.block) :: bs when b.db_start < hi ->
+      (match laid with
+      | Some l when b.db_start >= lo && b.db_end <= hi && Decode_cache.keepable b ~since:l.la_gen
+        ->
+        l.la_blocks <- b :: l.la_blocks
+      | _ -> ());
+      blocks laid ~lo ~hi bs
+    | bs -> bs
+  in
+  units (Code_cache.blocks t.cache) (Decode_cache.blocks dc)
+
 let flush t =
   if Obs.on t.pr.obs then begin
     Obs.Metrics.incr t.pr.c_flushes;
     Obs.emit t.pr.obs
       (Obs.Trace.Cache_flush { isa = t.pr.isa; used_bytes = Code_cache.used_bytes t.cache })
   end;
+  (match Machine.decode_cache t.machine t.which with Some dc -> harvest t dc | None -> ());
   Code_cache.flush t.cache;
   (* every predecoded block of the cache region is now garbage; the
      write generations would catch them lazily, but a flush rewrites
@@ -418,16 +481,37 @@ let translate_unit t src =
       let n = List.length evicted in
       t.st.evictions <- t.st.evictions + n;
       charge t (evict_cost *. float_of_int n));
-    let unit =
+    let laid =
       match entry with
-      | Some { me_laid = Some (at, u); _ } when at = base -> u
+      | Some { me_laid = Some l as laid; _ } when l.la_base = base -> laid
       | Some e ->
-        let u = Translator.layout prep ~base in
-        e.me_laid <- Some (base, u);
-        u
-      | None -> Translator.layout prep ~base
+        let laid =
+          Some
+            {
+              la_base = base;
+              la_unit = Translator.layout prep ~base;
+              la_gen = no_harvest;
+              la_blocks = [];
+            }
+        in
+        e.me_laid <- laid;
+        laid
+      | None -> None
+    in
+    let unit =
+      match laid with Some l -> l.la_unit | None -> Translator.layout prep ~base
     in
     Mem.blit_string (mem t) base unit.u_bytes;
+    (match laid with
+    | Some l ->
+      (* the same bytes at the same base: the blocks the last flush
+         kept from this layout are valid decodes again *)
+      l.la_gen <- Mem.generation t.cache_region;
+      (match Machine.decode_cache t.machine t.which with
+      | Some dc -> List.iter (Decode_cache.adopt dc) l.la_blocks
+      | None -> ());
+      l.la_blocks <- []
+    | None -> ());
     let trap_pcs = ref [] in
     List.iter
       (fun (s : Translator.exit_stub) ->
@@ -500,12 +584,6 @@ let patch_stub t ~stub_pc ~target_src ~target_cache =
   charge t patch_cost
 
 let has_translation t src = Code_cache.lookup t.cache src <> None
-
-let translated_call_targets t =
-  Hashtbl.fold
-    (fun _pc info acc -> match info with Sexit s -> s :: acc | Sicall _ -> acc)
-    t.stub_at
-    (List.map (fun (b : Code_cache.block) -> b.cb_src) (Code_cache.blocks t.cache))
 
 (* Indirect-call/jump handling: validate the runtime target, apply the
    callee's randomized calling convention, maintain the RAT. *)
@@ -692,6 +770,21 @@ let drain_new_units t =
   let units = List.rev t.new_units in
   t.new_units <- [];
   units
+
+(* Checkpoint quiesce: a restored VM rebuilds no flush-path memo entry
+   and re-materializes its live units without a layout, so it holds no
+   kept blocks and can harvest none of its live units. The checkpointed
+   run drops both too, and the two continue with the same decode-cache
+   trajectory. *)
+let quiesce t =
+  Hashtbl.iter
+    (fun _ e ->
+      match e.me_laid with
+      | Some l ->
+        l.la_gen <- no_harvest;
+        l.la_blocks <- []
+      | None -> ())
+    t.memo
 
 (* --- snapshot ------------------------------------------------------ *)
 (* What travels: the rng word, the map generation, the relocation maps

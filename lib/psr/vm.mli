@@ -100,15 +100,6 @@ val renew_maps : t -> unit
     cache with them. Only sound at quiescent points where no live
     frame holds state at map-specified offsets (e.g. re-spawn). *)
 
-val has_translation : t -> int -> bool
-(** Whether a source address has a current translation (the JIT-ROP
-    analysis and the migration policy consult this). *)
-
-val translated_call_targets : t -> int list
-(** Source addresses with RAT-reachable or stub-reachable
-    translations — the indirect-transfer targets an attacker could
-    use without causing a code-cache miss. *)
-
 val cache : t -> Code_cache.t
 val stats : t -> stats
 val config : t -> Config.t
@@ -139,7 +130,19 @@ val drain_new_units : t -> int list
 val flush : t -> unit
 (** Flush the code cache wholesale: drop every translation, stub
     registration and chain patch, clear the RAT, and charge the flush
-    cost. Relocation maps and the translation memo survive. *)
+    cost. Relocation maps and the translation memo survive. First,
+    every live unit installed from a memo entry's layout keeps the
+    decoded blocks of its bytes that no write has touched since its
+    blit; the next install of that layout at the same base blits the
+    same bytes and adopts them instead of decoding again. Host state
+    only: guest results do not depend on it. *)
+
+val quiesce : t -> unit
+(** Drop every kept block and forget which live units may be harvested
+    at the next flush — the checkpoint quiesce, called through
+    [System.quiesce]. A run restored from an image has neither,
+    so the run that took the image must not either for their
+    decode-cache counters to stay identical. *)
 
 val save_state : Hipstr_util.Wire.w -> t -> unit
 (** Serialize the VM: rng word, map generation, relocation maps, memo

@@ -25,12 +25,12 @@
    migrated translations are stale on the other end anyway.
 
    Determinism contract: [checkpoint] first quiesces the machine's
-   host-side decode caches (model-invisible), so the checkpointed run
-   and any run restored from the image continue decode-cold in
-   lockstep — outputs, instruction counts, cycle floats and the
-   metrics layer (counters + histograms) all come out bit-identical to
-   an uninterrupted run. Span rollups and audit history are not part
-   of an image. *)
+   host-side decode caches and the PSR VMs' kept blocks
+   (model-invisible), so the checkpointed run and any run restored
+   from the image continue decode-cold in lockstep — outputs,
+   instruction counts, cycle floats and the metrics layer (counters +
+   histograms) all come out bit-identical to an uninterrupted run.
+   Span rollups and audit history are not part of an image. *)
 
 module Desc = Hipstr_isa.Desc
 module Fatbin = Hipstr_compiler.Fatbin
@@ -282,10 +282,11 @@ let load_metrics r : Obs.Metrics.snapshot =
 let write_image w ?(workload = "custom") sys =
   let m = System.machine sys in
   (* Model-invisible but trajectory-critical: dropping the host decode
-     caches here means the checkpointed run *continues* exactly like a
-     restored run will start — decode-cold — so their host-counter and
-     metric trajectories stay identical. *)
-  Machine.quiesce m;
+     caches and the VMs' kept blocks here means the checkpointed run
+     *continues* exactly like a restored run will start — decode-cold,
+     nothing kept — so their host-counter and metric trajectories stay
+     identical. *)
+  System.quiesce sys;
   let fb = System.fatbin sys in
   let baseline = Mem.create Layout.mem_size in
   Fatbin.load fb baseline;

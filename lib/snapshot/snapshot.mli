@@ -15,8 +15,9 @@
     bit-identical — outputs, instruction counts, cycle floats,
     metrics counters and histograms — to the checkpointing run
     continuing uninterrupted ({!checkpoint} quiesces host decode
-    caches so both sides proceed decode-cold). Span rollups and
-    audit/trace history are not checkpointed. *)
+    caches and the PSR VMs' kept blocks so both sides proceed
+    decode-cold). Span rollups and audit/trace history are not
+    checkpointed. *)
 
 type manifest = {
   mf_version : int;

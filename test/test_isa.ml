@@ -160,6 +160,91 @@ let test_minstr_helpers () =
           (fun c -> negate_cond (negate_cond c) <> c)
           (Array.to_list all_conds)))
 
+(* Decoder locality: a successful decode reads only the bytes of the
+   instruction it returns, offsets [0 .. len-1] from its start. The
+   PSR VM keeps decoded blocks across a code-cache flush on the
+   strength of this (Decode_cache.keepable): a block of successful decodes
+   then depends on its own bytes alone, even where the 16-byte decode
+   window runs past its unit's last byte into whatever lies beyond.
+   Checked at every offset of a fixed-seed random buffer and on every
+   form the encoder emits, both times with foreign bytes on either
+   side of the decode point. *)
+let check_local name decode buf at =
+  let lo = ref max_int and hi = ref min_int in
+  let read i =
+    if i < !lo then lo := i;
+    if i > !hi then hi := i;
+    if i < 0 || i >= Bytes.length buf then -1 else Char.code (Bytes.get buf i)
+  in
+  match decode ~read at with
+  | None -> None
+  | Some (ins, len) ->
+    if !lo < at || !hi > at + len - 1 then
+      Alcotest.failf "%s: decoding %s (%d bytes) at offset %d read offsets %d..%d" name
+        (to_string ~reg_name:string_of_int ins)
+        len at (!lo - at) (!hi - at);
+    Some len
+
+let random_bytes n =
+  let st = Random.State.make [| 0x5eed |] in
+  Bytes.init n (fun _ -> Char.chr (Random.State.int st 256))
+
+(* Every instruction shape over a few registers, and immediates and
+   displacements on each side of the narrow/wide boundaries; the
+   caller keeps what its encoder accepts. *)
+let encoder_forms ~regs ~bases =
+  let imms =
+    List.map (fun k -> Imm k) [ 0; 1; -1; 127; -128; 32767; -32768; 32768; 123456; -40000 ]
+  in
+  let mems =
+    List.concat_map
+      (fun base -> List.map (fun disp -> Mem { base; disp }) [ 0; 4; -4; 0x80C; 70000; -70000 ])
+      bases
+  in
+  let ops = List.map (fun r -> Reg r) regs @ imms @ mems in
+  let pairs f = List.concat_map (fun d -> List.map (fun s -> f d s) ops) ops in
+  let targets = [ 0; 0x2000; 0x120010; 0x1800000 ] in
+  pairs (fun d s -> Mov (d, s))
+  @ List.concat_map (fun b -> pairs (fun d s -> Binop (b, d, s))) (Array.to_list all_binops)
+  @ pairs (fun a b -> Cmp (a, b))
+  @ List.concat_map (fun x -> [ Push x; Pop x; Jmpr x; Callr x; Retrat x ]) ops
+  @ List.concat_map
+      (fun r ->
+        List.concat_map (fun b -> List.map (fun k -> Lea (r, b, k)) [ 0; -4; 1024; 100000 ]) bases)
+      regs
+  @ List.concat_map
+      (fun t ->
+        Jmp t :: Call t :: Trap t :: List.map (fun c -> Jcc (c, t)) (Array.to_list all_conds))
+      targets
+  @ List.map (fun r -> Retr r) regs
+  @ [ Ret; Syscall; Nop; Callrat { target = 0x800000; src_ret = 0x10040 } ]
+
+let test_decoder_locality name decode encode forms () =
+  let buf = random_bytes 4096 in
+  let decoded = ref 0 in
+  for at = 0 to Bytes.length buf - 1 do
+    if check_local name decode buf at <> None then incr decoded
+  done;
+  if !decoded = 0 then Alcotest.failf "%s: no offset of the random buffer decoded" name;
+  let at = 0x800 in
+  let emitted = ref 0 in
+  List.iter
+    (fun ins ->
+      match encode ~at ins with
+      | exception Invalid_argument _ -> ()
+      | bytes ->
+        incr emitted;
+        let buf = random_bytes 4096 in
+        Bytes.blit_string bytes 0 buf at (String.length bytes);
+        match check_local name decode buf at with
+        | Some len when len = String.length bytes -> ()
+        | _ ->
+          Alcotest.failf "%s: %s does not decode back at its %d-byte length" name
+            (to_string ~reg_name:string_of_int ins)
+            (String.length bytes))
+    forms;
+  if !emitted < 500 then Alcotest.failf "%s: only %d encoder forms exercised" name !emitted
+
 let prop_cisc_decode_total =
   (* Decoding arbitrary bytes never crashes and either fails or
      consumes a positive length. *)
@@ -199,6 +284,12 @@ let () =
           Alcotest.test_case "risc word lengths" `Quick test_risc_all_lengths_word_multiple;
           Alcotest.test_case "unintentional gadget" `Quick test_unintentional_gadget_exists;
           Alcotest.test_case "minstr helpers" `Quick test_minstr_helpers;
+          Alcotest.test_case "cisc decoder locality" `Quick
+            (test_decoder_locality "cisc" Cisc.decode Cisc.encode
+               (encoder_forms ~regs:[ 0; 3; 7 ] ~bases:[ 7; 2 ]));
+          Alcotest.test_case "risc decoder locality" `Quick
+            (test_decoder_locality "risc" Risc.decode Risc.encode
+               (encoder_forms ~regs:[ 0; 12; 15 ] ~bases:[ 13; 1 ]));
           QCheck_alcotest.to_alcotest prop_cisc_decode_total;
           QCheck_alcotest.to_alcotest prop_risc_decode_total;
         ] );

@@ -444,6 +444,143 @@ let test_hot_regs_after_rewrite () =
         (Vm.hot_regs (System.vm sys which) fs))
     [ Desc.Cisc; Desc.Risc ]
 
+(* --- kept blocks --- *)
+
+(* The harvest guard. Under a 4 KiB flush-policy cache nearly every
+   translation flushes, and a memo-served unit's next install adopts
+   the decoded blocks the flush kept. The run goes in slices; a block
+   still in the decode table after a flush emptied it was kept and
+   adopted. Once the live unit shows an adopted block, one byte of it
+   is rewritten in place — the same value, so the guest behaves as
+   before, but a write lands on the block's bytes — and the run steps
+   one instruction at a time up to the next flush, collecting every
+   block that covers the byte. Then:
+   - none of those dirtied blocks is ever adopted again;
+   - every adopted block still fresh equals a new decode of current
+     memory at its address ([db_code], [db_end], [db_indirect]);
+   - the run matches the per-instruction decode oracle, which got the
+     same write at the same instruction, bit for bit. *)
+let test_kept_blocks_guard () =
+  let module Decode_cache = Hipstr_machine.Decode_cache in
+  let module Obs = Hipstr_obs.Obs in
+  let w = Workloads.find "gobmk" in
+  let fb = Workloads.fatbin w in
+  let cfg = { Config.default with cache_bytes = 4096; cc_policy = Code_cache.Flush } in
+  let boot decode_cache =
+    System.of_fatbin ~obs:Obs.disabled ~cfg ~seed:5 ~start_isa:Desc.Cisc ~mode:System.Psr_only
+      ~decode_cache fb
+  in
+  let fast = boot true and oracle = boot false in
+  let mem = Machine.mem (System.machine fast) in
+  let dc = Option.get (Machine.decode_cache (System.machine fast) Desc.Cisc) in
+  let cache = Vm.cache (System.vm fast Desc.Cisc) in
+  let fresh = Decode_cache.create ~obs:Obs.disabled ~isa:"fresh" Desc.Cisc mem in
+  let decodes_fresh (b : Decode_cache.block) =
+    Decode_cache.invalidate_all fresh;
+    match Decode_cache.lookup fresh b.db_start with
+    | Some f -> f.db_code = b.db_code && f.db_end = b.db_end && f.db_indirect = b.db_indirect
+    | None -> false
+  in
+  (* first sighting of each block object, with the flush count then *)
+  let seen = Hashtbl.create 1024 in
+  let first_seen (b : Decode_cache.block) =
+    List.find_map
+      (fun (b', fl) -> if b' == b then Some fl else None)
+      (Hashtbl.find_all seen b.db_start)
+  in
+  let dirtied = ref [] and adopted = ref 0 in
+  (* Check the resident blocks; return the adopted ones. *)
+  let observe () =
+    let fl = Code_cache.flushes cache in
+    List.filter
+      (fun (b : Decode_cache.block) ->
+        if List.memq b !dirtied then
+          Alcotest.failf "a block dirtied at 0x%x was adopted again" b.db_start;
+        match first_seen b with
+        | None ->
+          Hashtbl.add seen b.db_start (b, fl);
+          false
+        | Some fl' when fl' < fl ->
+          incr adopted;
+          if (not (Decode_cache.stale b)) && not (decodes_fresh b) then
+            Alcotest.failf "adopted block at 0x%x differs from a fresh decode" b.db_start;
+          true
+        | Some _ -> false)
+      (Decode_cache.blocks dc)
+  in
+  let live_unit () =
+    match Code_cache.blocks cache with
+    | [ u ] -> u
+    | us -> Alcotest.failf "%d live units in a 4 KiB flush cache" (List.length us)
+  in
+  let fast_end = ref System.Out_of_fuel in
+  let run sys fuel =
+    let o = System.run sys ~fuel in
+    if sys == fast then fast_end := o;
+    o = System.Out_of_fuel
+  in
+  (* warm up, then slice until the live unit holds an adopted block *)
+  ignore (run fast 40_000);
+  ignore (observe ());
+  let rec find_target () =
+    if not (run fast 200) then Alcotest.fail "finished before a memo-served unit showed up";
+    let u = live_unit () in
+    match
+      List.find_opt
+        (fun (b : Decode_cache.block) ->
+          b.db_start >= u.cb_cache && b.db_end <= u.cb_cache + u.cb_size)
+        (observe ())
+    with
+    | Some b -> (u, b.db_start)
+    | None -> find_target ()
+  in
+  let target, at = find_target () in
+  ignore (run oracle (System.instructions fast));
+  Alcotest.(check int) "oracle at the same instruction" (System.instructions fast)
+    (System.instructions oracle);
+  List.iter
+    (fun sys ->
+      let m = Machine.mem (System.machine sys) in
+      Mem.write8 m at (Mem.read8 m at))
+    [ fast; oracle ];
+  let covering () =
+    List.filter
+      (fun (b : Decode_cache.block) -> b.db_start <= at && at < b.db_end)
+      (Decode_cache.blocks dc)
+  in
+  let flushes0 = Code_cache.flushes cache in
+  dirtied := covering ();
+  while run fast 1 && Code_cache.flushes cache = flushes0 do
+    dirtied := List.filter (fun b -> not (List.memq b !dirtied)) (covering ()) @ !dirtied
+  done;
+  if !dirtied = [] then Alcotest.fail "no decoded block covered the rewritten byte";
+  let adopted_before = !adopted and reinstalled = ref 0 in
+  while System.instructions fast < 3 * w.w_fuel && run fast 100 do
+    ignore (observe ());
+    if
+      List.exists
+        (fun (u : Code_cache.block) -> u.cb_src = target.cb_src)
+        (Code_cache.blocks cache)
+    then incr reinstalled
+  done;
+  ignore (observe ());
+  if !reinstalled = 0 then Alcotest.fail "the rewritten unit never came back";
+  if !adopted = adopted_before then Alcotest.fail "no block was adopted after the rewrite";
+  let outcome = function
+    | System.Finished c -> Printf.sprintf "finished(%d)" c
+    | System.Out_of_fuel -> "out_of_fuel"
+    | System.Killed m -> "killed(" ^ m ^ ")"
+    | System.Shell_spawned -> "shell"
+  in
+  Alcotest.(check string) "outcome"
+    (outcome (System.run oracle ~fuel:(3 * w.w_fuel)))
+    (outcome !fast_end);
+  Alcotest.(check (list int)) "output" (System.output oracle) (System.output fast);
+  Alcotest.(check int) "instructions" (System.instructions oracle) (System.instructions fast);
+  Alcotest.(check int64) "cycle bits"
+    (Int64.bits_of_float (System.cycles oracle))
+    (Int64.bits_of_float (System.cycles fast))
+
 let () =
   Alcotest.run "psr-internals"
     [
@@ -480,5 +617,6 @@ let () =
           Alcotest.test_case "shared register counts match memory" `Quick
             test_reg_uses_match_memory;
           Alcotest.test_case "hot regs after a code rewrite" `Quick test_hot_regs_after_rewrite;
+          Alcotest.test_case "kept blocks: harvest guard" `Quick test_kept_blocks_guard;
         ] );
     ]

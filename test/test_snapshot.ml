@@ -163,6 +163,49 @@ let test_round_trip_clock_policy () =
   let o2 = System.run resumed ~fuel in
   check_fp "clock policy" (fingerprint_of interrupted o1) (fingerprint_of resumed o2)
 
+(* Kept blocks under churn: with a 4 KiB flush-policy cache every
+   translation flushes, and the PSR VM keeps the decoded blocks of each
+   memo-served unit across the flush to re-adopt them at its next
+   install. A restored run starts with none kept, and can harvest none
+   of the units it re-materialized, so the checkpoint must drop both
+   from the live run too: the whole metrics snapshot — the host
+   [machine.cisc.decode_cache.*] counters included — must agree. At
+   100k the kept blocks alone tell the runs apart; at 150k the unit
+   live at the checkpoint does (a quiesce that dropped the blocks but
+   let that unit be harvested fails there only). *)
+let test_round_trip_kept_blocks () =
+  let w = Workloads.find "gobmk" in
+  let fb = Workloads.fatbin w in
+  let cfg = { Config.default with Config.cc_policy = Code_cache.Flush; cache_bytes = 4096 } in
+  let fuel = 3 * w.Workloads.w_fuel in
+  List.iter
+    (fun at ->
+      let label = Printf.sprintf "checkpoint at %d" at in
+      let live =
+        System.of_fatbin ~obs:(Obs.create ()) ~cfg ~seed ~start_isa:Desc.Cisc ~mode:System.Psr_only
+          fb
+      in
+      (match System.run live ~fuel:at with
+      | System.Out_of_fuel -> ()
+      | o -> Alcotest.failf "%s: finished before it (%s)" label (outcome_string o));
+      let image = Snapshot.checkpoint live in
+      let o1 = System.run live ~fuel in
+      let resumed, _ = Snapshot.restore ~obs:(Obs.create ()) ~fatbin:fb image in
+      let o2 = System.run resumed ~fuel in
+      let a = fingerprint_of live o1 and b = fingerprint_of resumed o2 in
+      let counter fp name = Option.value ~default:0 (List.assoc_opt name fp.fp_counters) in
+      let hits = "machine.cisc.decode_cache.hits" in
+      if counter a hits <= counter a "machine.cisc.decode_cache.misses" then
+        Alcotest.failf "%s: the decode cache barely hit (%d hits), so nothing was kept" label
+          (counter a hits);
+      List.iter
+        (fun (name, v) ->
+          let v' = counter b name in
+          if v <> v' then Alcotest.failf "%s: counter %s is %d live, %d restored" label name v v')
+        a.fp_counters;
+      check_fp label a b)
+    [ 100_000; 150_000 ]
+
 (* --- engine independence -------------------------------------------- *)
 
 (* The execution engine is a host choice, not guest state. With
@@ -345,6 +388,7 @@ let () =
           Alcotest.test_case "checkpoints compose" `Quick test_recheckpoint;
           Alcotest.test_case "cross-ISA resume" `Quick test_cross_isa_restore;
           Alcotest.test_case "clock eviction policy" `Quick test_round_trip_clock_policy;
+          Alcotest.test_case "kept blocks under flush churn" `Quick test_round_trip_kept_blocks;
           Alcotest.test_case "image independent of the engine" `Quick
             test_image_engine_independent;
         ] );
