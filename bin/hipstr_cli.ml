@@ -1371,19 +1371,27 @@ let () =
     Cmd.info "hipstr"
       ~doc:"HIPStR: heterogeneous-ISA program state relocation (ASPLOS 2016 reproduction)"
   in
+  let cmd =
+    Cmd.group info
+      [
+        run_cmd;
+        run_file_cmd;
+        checkpoint_cmd;
+        restore_cmd;
+        cmp_run_cmd;
+        fleet_run_cmd;
+        gadgets_cmd;
+        attack_cmd;
+        experiment_cmd;
+        disasm_cmd;
+        list_cmd;
+      ]
+  in
+  (* A file named on the command line that cannot be opened (a missing
+     --memo-in, an --*-out into a missing directory) is the user's
+     error: one line and exit 1, like a rejected image. *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            run_cmd;
-            run_file_cmd;
-            checkpoint_cmd;
-            restore_cmd;
-            cmp_run_cmd;
-            fleet_run_cmd;
-            gadgets_cmd;
-            attack_cmd;
-            experiment_cmd;
-            disasm_cmd;
-            list_cmd;
-          ]))
+    (try Cmd.eval ~catch:false cmd with
+    | Sys_error m ->
+      prerr_endline ("hipstr: " ^ m);
+      1)

@@ -16,8 +16,6 @@
 type curve = { label : string; values : (int * float) list  (** chain length -> entropy *) }
 
 val isomeron : max_chain:int -> curve
-val het_isa : max_chain:int -> curve
-val psr_isomeron : cfg:Hipstr_psr.Config.t -> max_chain:int -> curve
 val hipstr : cfg:Hipstr_psr.Config.t -> max_chain:int -> curve
 
 val cap : float

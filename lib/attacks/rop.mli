@@ -32,12 +32,6 @@ type chain = {
   c_ret_index : int;  (** payload word index that lands on the saved return address *)
 }
 
-val target_values : (int * int) list
-(** register -> value for the execve(11) call: ax=11, bx=path pointer,
-    cx and dx argument markers. *)
-
-val find_syscall_addresses : Hipstr_machine.Mem.t -> Hipstr_compiler.Fatbin.t -> Hipstr_isa.Desc.which -> int list
-
 val build_chain :
   Hipstr_machine.Mem.t ->
   Hipstr_compiler.Fatbin.t ->

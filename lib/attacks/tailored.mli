@@ -24,9 +24,6 @@ type point = { p_prob : float; p_surface : float }
 
 type curve = { t_label : string; t_points : point list }
 
-val invariant_same_isa : Hipstr_galileo.Galileo.effect -> float
-val invariant_cross_isa : Hipstr_galileo.Galileo.effect -> float
-
 val surface :
   technique ->
   base_gadgets:Hipstr_galileo.Galileo.effect list ->

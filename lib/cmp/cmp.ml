@@ -183,8 +183,6 @@ let reap t =
 
 let core_cycles t = Array.map (fun c -> c.co_cycles) t.cores
 
-let live_count t = Array.length t.procs
-
 let runnable_count t =
   Array.fold_left (fun n p -> if Process.runnable p then n + 1 else n) 0 t.procs
 

@@ -86,9 +86,6 @@ val core_cycles : t -> float array
 (** Accumulated cycles per core, by core id — the shard clock the
     fleet harness advances global time with. *)
 
-val live_count : t -> int
-(** Processes currently owned (runnable or retired-but-unreaped). *)
-
 val runnable_count : t -> int
 
 val step : ?crew:Pool.crew -> ?timeline:Hipstr_obs.Obs.Timeline.t -> t -> int

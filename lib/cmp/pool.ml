@@ -19,8 +19,6 @@
 module Rng = Hipstr_util.Rng
 module Obs = Hipstr_obs.Obs
 
-let recommended_jobs () = Domain.recommended_domain_count ()
-
 (* One call's tasks. [work] never raises: {!crew_mapi} captures every
    task's exception into its result slot. *)
 type job = { n : int; work : int -> unit; next : int Atomic.t; finished : int Atomic.t }

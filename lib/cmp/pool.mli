@@ -23,9 +23,6 @@
     wave, a scheduling round) opens one crew for the whole run instead
     of spawning domains on every call. *)
 
-val recommended_jobs : unit -> int
-(** [Domain.recommended_domain_count ()]. *)
-
 type crew
 (** [jobs - 1] helper domains that, together with the domain that
     opened the crew, claim task indices from one atomic counter per

@@ -40,10 +40,6 @@ let create ?obs ?cfg ?(seed = 1) ?(start_isa = Desc.Cisc) ?decode_cache ?chain ~
     sched_migrations = 0;
   }
 
-let of_source ?obs ?cfg ?seed ?start_isa ?decode_cache ?chain ~mode ~pid ~name ~fuel src =
-  create ?obs ?cfg ?seed ?start_isa ?decode_cache ?chain ~mode ~pid ~name ~fuel
-    (Hipstr_compiler.Compile.to_fatbin src)
-
 let pid t = t.pid
 let name t = t.name
 let sys t = t.sys

@@ -32,22 +32,6 @@ val create :
     single-process [System] run: same binary + same seed ⇒ same
     output and syscall trace, however the scheduler slices it. *)
 
-val of_source :
-  ?obs:Hipstr_obs.Obs.t ->
-  ?cfg:Hipstr_psr.Config.t ->
-  ?seed:int ->
-  ?start_isa:Hipstr_isa.Desc.which ->
-  ?decode_cache:bool ->
-  ?chain:bool ->
-  mode:Hipstr.System.mode ->
-  pid:int ->
-  name:string ->
-  fuel:int ->
-  string ->
-  t
-(** Compile MiniC source and boot.
-    @raise Hipstr_compiler.Compile.Error on bad source. *)
-
 val pid : t -> int
 val name : t -> string
 val sys : t -> Hipstr.System.t
@@ -72,7 +56,6 @@ val slices : t -> int
 val instructions : t -> int
 val cycles : t -> float
 val ipc : t -> float
-val fuel_left : t -> int
 val sched_migrations : t -> int
 
 val last_core : t -> int option

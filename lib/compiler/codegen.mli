@@ -32,18 +32,6 @@ type t = {
 
 val gen : Hipstr_isa.Desc.t -> Ir.func -> Frame.t -> Regalloc.result -> Liveness.t -> t
 
-val resolve_item :
-  base:int ->
-  at:int ->
-  block_addr:(Ir.label -> int) ->
-  func_entry:(string -> int) ->
-  global_addr:(string -> int) ->
-  item ->
-  Hipstr_isa.Minstr.t
-(** Substitute the final address into an item's instruction. [at] is
-    unused for the substitution itself but documents the call site;
-    [base] resolves [Toffset]. *)
-
 val encode_all :
   Hipstr_isa.Desc.t ->
   base:int ->

@@ -38,7 +38,3 @@ val layout : Ir.func -> needs_slot:bool array -> t
 (** [needs_slot] is the union of both ISAs' slot requirements. *)
 
 val incoming_arg_off : t -> int -> int
-
-val max_outgoing : Ir.func -> int
-(** Words of outgoing-argument space the function's call sites and
-    syscalls require. *)

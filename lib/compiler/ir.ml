@@ -63,53 +63,6 @@ let instr_has_call = function
   | Def _ | Bin _ | Cmpset _ | Load _ | Store _ | Addr_local _ | Addr_global _ | Addr_func _ ->
     false
 
-let pp_rv ppf = function
-  | V v -> Format.fprintf ppf "v%d" v
-  | C k -> Format.fprintf ppf "%d" k
-
-let pp_instr ppf i =
-  let p fmt = Format.fprintf ppf fmt in
-  match i with
-  | Def (d, s) -> p "v%d := %a" d pp_rv s
-  | Bin (op, d, a, b) -> p "v%d := %a %s %a" d pp_rv a (Minstr.string_of_binop op) pp_rv b
-  | Cmpset (c, d, a, b) -> p "v%d := %a %s %a" d pp_rv a (Minstr.string_of_cond c) pp_rv b
-  | Load (d, a, k) -> p "v%d := mem[%a + %d]" d pp_rv a k
-  | Store (a, k, s) -> p "mem[%a + %d] := %a" pp_rv a k pp_rv s
-  | Addr_local (d, off) -> p "v%d := &local[%d]" d off
-  | Addr_global (d, g) -> p "v%d := &%s" d g
-  | Addr_func (d, f) -> p "v%d := &&%s" d f
-  | Call { dst; callee; args; site } ->
-    (match dst with Some d -> p "v%d := " d | None -> ());
-    p "call %s(%a) #%d" callee (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f ", ") pp_rv) args site
-  | Calli { dst; fp; args; site } ->
-    (match dst with Some d -> p "v%d := " d | None -> ());
-    p "calli %a(%a) #%d" pp_rv fp (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f ", ") pp_rv) args site
-  | Syscall { dst; number; args } ->
-    (match dst with Some d -> p "v%d := " d | None -> ());
-    p "syscall %a(%a)" pp_rv number (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f ", ") pp_rv) args
-
-let pp_term ppf = function
-  | Ret None -> Format.fprintf ppf "ret"
-  | Ret (Some v) -> Format.fprintf ppf "ret %a" pp_rv v
-  | Jmp l -> Format.fprintf ppf "jmp L%d" l
-  | Br (c, a, b, l1, l2) ->
-    Format.fprintf ppf "br %a %s %a ? L%d : L%d" pp_rv a (Minstr.string_of_cond c) pp_rv b l1 l2
-
-let pp_func ppf f =
-  Format.fprintf ppf "func %s(%s) vals=%d locals=%dB@." f.fn_name
-    (String.concat ", " (List.map (Printf.sprintf "v%d") f.fn_params))
-    f.fn_nvals f.fn_locals_bytes;
-  Array.iter
-    (fun b ->
-      Format.fprintf ppf "L%d:@." b.b_label;
-      Array.iter (fun i -> Format.fprintf ppf "  %a@." pp_instr i) b.b_instrs;
-      Format.fprintf ppf "  %a@." pp_term b.b_term)
-    f.fn_blocks
-
-let pp_program ppf p =
-  List.iter (fun (g, words, _) -> Format.fprintf ppf "global %s[%d]@." g words) p.pr_globals;
-  List.iter (pp_func ppf) p.pr_funcs
-
 let validate p =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
   let check_func f =

@@ -67,9 +67,6 @@ val instr_has_call : instr -> bool
 (** Direct call, indirect call, or syscall: clobbers caller-saved
     registers. *)
 
-val pp_func : Format.formatter -> func -> unit
-val pp_program : Format.formatter -> program -> unit
-
 val validate : program -> (unit, string) result
 (** Structural sanity: labels in range, values within [fn_nvals],
     every site id unique and below [fn_nsites], entry exists, a [main]

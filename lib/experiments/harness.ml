@@ -114,5 +114,3 @@ let spec_workloads = Workloads.all
 let with_httpd = Workloads.all @ [ Workloads.httpd ]
 
 let pct = Stats.percent
-let big = Stats.human_big
-let f2 v = Printf.sprintf "%.2f" v

@@ -8,15 +8,6 @@ type perf = {
   pf_seconds : float;
 }
 
-val run_workload :
-  ?cfg:Hipstr_psr.Config.t ->
-  ?seed:int ->
-  ?isa:Hipstr_isa.Desc.which ->
-  mode:Hipstr.System.mode ->
-  Hipstr_workloads.Workloads.t ->
-  Hipstr.System.t * perf
-(** Run to completion (fails loudly otherwise) and collect counters. *)
-
 val run_steady :
   ?cfg:Hipstr_psr.Config.t ->
   ?seed:int ->
@@ -46,5 +37,3 @@ val spec_workloads : Hipstr_workloads.Workloads.t list
 val with_httpd : Hipstr_workloads.Workloads.t list
 
 val pct : float -> string
-val big : float -> string
-val f2 : float -> string

@@ -107,16 +107,14 @@ let all =
 
 let find id = List.find_opt (fun e -> e.ex_id = id) all
 
-(* The exact bytes run_and_print emits, as a string — so a parallel
-   sweep can buffer per-experiment output and print it in registry
-   order, byte-identical to the serial path. *)
+(* One experiment's printed form, as a string, so a parallel sweep
+   can buffer each output and print them in registry order,
+   byte-identical to the serial path. *)
 let output_of e =
   let table = e.ex_run () in
   Printf.sprintf "\n%s\n%s\n%s(paper: %s)\n" e.ex_title
     (String.make (String.length e.ex_title) '=')
     (Hipstr_util.Table.render table)
     e.ex_paper
-
-let run_and_print e = print_string (output_of e)
 
 let run_many ?jobs es = Hipstr_cmp.Pool.map ?jobs output_of es

@@ -1,6 +1,6 @@
 (** The experiment registry: every table and figure of the paper's
     evaluation, addressable by id (used by the CLI and the bench
-    harness). *)
+    harness, whose [tables] golden holds every cell). *)
 
 type experiment = {
   ex_id : string;  (** e.g. "fig9" *)
@@ -13,14 +13,8 @@ val all : experiment list
 
 val find : string -> experiment option
 
-val run_and_print : experiment -> unit
-
-val output_of : experiment -> string
-(** Exactly the bytes {!run_and_print} writes (title, rule, table,
-    paper line). *)
-
 val run_many : ?jobs:int -> experiment list -> string list
 (** Regenerate several experiments, fanned across up to [jobs]
-    domains ({!Hipstr_cmp.Pool}); the returned outputs are in input
-    order and byte-identical to running serially ([jobs] defaults
-    to 1). *)
+    domains ({!Hipstr_cmp.Pool}), each rendered as title, rule, table
+    and paper line; the returned outputs are in input order and
+    byte-identical to running serially ([jobs] defaults to 1). *)

@@ -75,10 +75,6 @@ type result = {
   r_live_migrations : int;  (** cross-shard checkpoint/restore moves *)
 }
 
-val outcome_label : Hipstr.System.outcome -> string
-(** ["completed"], ["shell"], ["killed"] or ["out_of_fuel"] — the
-    per-tenant counter suffixes. *)
-
 val run :
   ?jobs:int ->
   ?obs:Hipstr_obs.Obs.t ->

@@ -42,8 +42,6 @@ type mix = { mx_valid : int; mx_oversized : int; mx_malformed : int; mx_attack :
 val default_mix : mix
 (** 90% valid, 4% oversized, 3% malformed, 3% attack. *)
 
-val mix_weight : mix -> kind -> int
-val mix_total : mix -> int
 val mix_name : mix -> string
 
 val mix_of_string : string -> (mix, string) result

@@ -116,28 +116,3 @@ let operands = function
   | Retr r -> [ Reg r ]
   | Jmp _ | Jcc _ | Call _ | Ret | Syscall | Nop | Trap _ | Callrat _ -> []
 
-let regs_of_operand = function
-  | Reg r -> [ r ]
-  | Imm _ -> []
-  | Mem { base; _ } -> [ base ]
-
-let writes_reg = function
-  | Mov (Reg d, _) | Lea (d, _, _) | Binop (_, Reg d, _) | Pop (Reg d) -> [ d ]
-  | Mov _ | Binop _ | Pop _ | Cmp _ | Push _ | Jmp _ | Jcc _ | Jmpr _ | Call _ | Callr _ | Ret
-  | Retr _ | Syscall | Nop | Trap _ | Callrat _ | Retrat _ ->
-    []
-
-let reads_reg ~sp = function
-  | Mov (d, s) ->
-    (match d with Mem { base; _ } -> [ base ] | Reg _ | Imm _ -> []) @ regs_of_operand s
-  | Lea (_, b, _) -> [ b ]
-  | Binop (_, d, s) -> regs_of_operand d @ regs_of_operand s
-  | Cmp (a, b) -> regs_of_operand a @ regs_of_operand b
-  | Push s -> sp :: regs_of_operand s
-  | Pop d -> (sp :: (match d with Mem { base; _ } -> [ base ] | Reg _ | Imm _ -> []))
-  | Jmpr s | Callr s | Retrat s -> regs_of_operand s
-  | Retr r -> [ r ]
-  | Ret -> [ sp ]
-  | Call _ -> [ sp ]
-  | Callrat _ -> [ sp ]
-  | Jmp _ | Jcc _ | Syscall | Nop | Trap _ -> []

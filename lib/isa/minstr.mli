@@ -64,11 +64,9 @@ val negate_cond : cond -> cond
 val string_of_cond : cond -> string
 val string_of_binop : binop -> string
 
-val pp : reg_name:(reg -> string) -> Format.formatter -> t -> unit
+val to_string : reg_name:(reg -> string) -> t -> string
 (** Disassembler-style rendering, parameterized by the ISA's register
     names. *)
-
-val to_string : reg_name:(reg -> string) -> t -> string
 
 val is_control : t -> bool
 (** True for instructions that end a basic block (all jumps, calls,
@@ -80,11 +78,3 @@ val is_return : t -> bool
 
 val operands : t -> operand list
 (** Source-level operands of the instruction, for analyses. *)
-
-val writes_reg : t -> reg list
-(** Registers architecturally written (excluding SP adjustments by
-    push/pop and the PC). *)
-
-val reads_reg : sp:reg -> t -> reg list
-(** Registers read, including memory-operand bases and the stack
-    pointer for push/pop/ret. *)

@@ -27,13 +27,6 @@ val create : diversification_prob:float -> t
 
 val diversification_prob : t -> float
 
-val shepherd_cycles_per_event : float
-(** Dispatcher lookup + twin-table access per call/return. *)
-
-val mispredict_cycles : float
-(** The return-address-stack benefit lost on every diversified
-    return. *)
-
 val overhead_cycles :
   t -> calls:int -> returns:int -> float
 (** Extra cycles Isomeron adds to an execution with these dynamic

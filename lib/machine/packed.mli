@@ -23,7 +23,3 @@ val unpack : int -> int -> int -> Hipstr_isa.Minstr.t * int
 val tag : int -> int
 val len : int -> int
 val sub : int -> int
-val kind1 : int -> int
-val kind2 : int -> int
-val reg1 : int -> int
-val reg2 : int -> int

@@ -34,11 +34,6 @@ val handle : t -> number:int -> args:int * int * int -> int * outcome
     for the result register and what the machine should do next.
     Unknown syscall numbers return [-1] and continue (as ENOSYS). *)
 
-val sys_exit : int
-val sys_brk : int
-val sys_print_int : int
-val sys_execve : int
-
 val save : Hipstr_util.Wire.w -> t -> unit
 (** Serialize the OS surface: break, output trace, shell/exit state
     (snapshots). *)

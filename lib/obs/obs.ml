@@ -3,10 +3,8 @@
 
    Every instrumented site in the simulator guards its work with
    [if Obs.on obs then ...], so the disabled path costs exactly one
-   load-and-branch (verified by the obs-disabled-overhead
-   micro-benchmark in bench/main.ml). Counter and histogram handles
-   are resolved by name once, at component-creation time — never on a
-   hot path.
+   load-and-branch. Counter and histogram handles are resolved by name
+   once, at component-creation time — never on a hot path.
 
    Domain safety: one context may be shared by simulations running on
    several OCaml 5 domains (the Cmp.Pool parallel driver). Counters
@@ -101,7 +99,6 @@ module Metrics = struct
     if n > 0 then ignore (Atomic.fetch_and_add c.c_cell n)
 
   let value c = Atomic.get c.c_cell
-  let counter_name c = c.c_name
 
   (* bucket 0: v < 1; bucket i >= 1: 2^(i-1) <= v < 2^i (last is open) *)
   let bucket_of v =
@@ -634,7 +631,6 @@ module Sink = struct
       (fun r ->
         Printf.eprintf "[obs %6d] %s\n%!" r.Trace.seq (Trace.event_to_string r.Trace.event))
 
-  let of_fn f = Fn f
   let memory () = Memory { m_mu = Mutex.create (); m_recs = [] }
 
   let contents = function
@@ -740,12 +736,12 @@ module Hostprof = struct
 end
 
 type t = {
-  mutable enabled : bool;
+  enabled : bool;
   metrics : Metrics.t;
   trace : Trace.t;
   spans : Span.t;
   audit : Audit.t;
-  mutable sink : Sink.t;
+  sink : Sink.t;
   mutable hostprof : Hostprof.t option;
 }
 
@@ -764,13 +760,11 @@ let disabled = create ~on:false ()
 let global = create ()
 
 let on t = t.enabled
-let set_on t b = t.enabled <- b
 let metrics t = t.metrics
 let trace t = t.trace
 let spans t = t.spans
 let audit t = t.audit
 let sink t = t.sink
-let set_sink t s = t.sink <- s
 
 let emit t event = Sink.deliver t.sink (Trace.store t.trace event)
 

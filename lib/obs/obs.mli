@@ -52,7 +52,6 @@ module Metrics : sig
       @raise Invalid_argument if [n] is negative. *)
 
   val value : counter -> int
-  val counter_name : counter -> string
 
   val observe : histogram -> float -> unit
 
@@ -285,7 +284,6 @@ module Sink : sig
   val null : t
   val stderr : t
 
-  val of_fn : (Trace.record -> unit) -> t
   val memory : unit -> t
 
   val contents : t -> Trace.record list
@@ -366,13 +364,11 @@ val global : t
     context is supplied. *)
 
 val on : t -> bool
-val set_on : t -> bool -> unit
 val metrics : t -> Metrics.t
 val trace : t -> Trace.t
 val spans : t -> Span.t
 val audit : t -> Audit.t
 val sink : t -> Sink.t
-val set_sink : t -> Sink.t -> unit
 
 val emit : t -> Trace.event -> unit
 (** Store in the ring and forward to the sink. Call only under an

@@ -24,7 +24,6 @@ type t = {
   rm_nregs_in_regs : int;
 }
 
-let func_name t = t.rm_fname
 let padded_frame t = t.rm_frame'
 let pad t = t.rm_pad
 let ret_off t = t.rm_ret_off

@@ -38,8 +38,6 @@ val generate :
     at O2+; O3 additionally guarantees at least 3 register-resident
     registers). *)
 
-val func_name : t -> string
-
 val padded_frame : t -> int
 (** Original frame plus randomization pad. *)
 

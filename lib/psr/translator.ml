@@ -724,7 +724,6 @@ let prepare (cfg : Config.t) desc ~read ~fatbin ~map_of ~src =
 
 let prepared_size p = p.p_total
 let prepared_spans p = p.p_spans
-let prepared_src p = p.p_src
 
 (* Encode a prepared unit at a concrete cache address. *)
 let layout p ~base =

@@ -80,7 +80,6 @@ val prepared_size : prepared -> int
     cache can reserve precisely this much. *)
 
 val prepared_spans : prepared -> (int * int) list
-val prepared_src : prepared -> int
 
 val translate :
   Config.t ->

@@ -385,7 +385,7 @@ let load_memo sys image =
 
 (* --- migration cost model ------------------------------------------ *)
 (* Simulated cycle costs of moving an image between pools, charged by
-   the fleet harness and decomposed by the migration microbenchmark.
+   the fleet harness and decomposed in BENCH_migrate.json.
    Serialization is dominated by the page scan (per-byte) on top of a
    fixed quiesce/drain overhead; the interconnect transfer is a
    per-byte wire cost on the image actually shipped. *)

@@ -99,6 +99,3 @@ val checkpoint_cycles : bytes:int -> float
 
 val transfer_cycles : bytes:int -> float
 (** Simulated interconnect cost of shipping an image of this size. *)
-
-val page_bytes : int
-(** Delta granularity (4 KiB). *)

@@ -28,10 +28,6 @@ let bool g = Int64.logand (next_int64 g) 1L = 1L
 
 let float g = Int64.to_float (Int64.shift_right_logical (next_int64 g) 11) *. 0x1.p-53
 
-let choose g a =
-  if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
-  a.(int g (Array.length a))
-
 let shuffle g a =
   for i = Array.length a - 1 downto 1 do
     let j = int g (i + 1) in
@@ -61,7 +57,5 @@ let sample_distinct g k n =
 (* Snapshot support: the whole generator is one 64-bit word, so
    save/restore is exact by construction. *)
 let state g = g.state
-
-let of_state s = { state = s }
 
 let set_state g s = g.state <- s

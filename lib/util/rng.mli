@@ -27,9 +27,6 @@ val bool : t -> bool
 val float : t -> float
 (** Uniform in [0, 1). *)
 
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 
@@ -43,10 +40,6 @@ val sample_distinct : t -> int -> int -> int list
 val state : t -> int64
 (** The full generator state — SplitMix64 is a single 64-bit word,
     so this captures the stream position exactly (snapshots). *)
-
-val of_state : int64 -> t
-(** Rebuild a generator from {!state}; the two then produce
-    identical streams. *)
 
 val set_state : t -> int64 -> unit
 (** Overwrite a generator's state in place (snapshot restore). *)

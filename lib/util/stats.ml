@@ -8,13 +8,6 @@ let geomean = function
     let s = List.fold_left (fun acc x -> acc +. log x) 0. xs in
     exp (s /. float_of_int (List.length xs))
 
-let stddev = function
-  | [] | [ _ ] -> 0.
-  | xs ->
-    let m = mean xs in
-    let v = mean (List.map (fun x -> (x -. m) ** 2.) xs) in
-    sqrt v
-
 let median xs =
   match List.sort compare xs with
   | [] -> 0.

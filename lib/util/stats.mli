@@ -6,9 +6,6 @@ val mean : float list -> float
 val geomean : float list -> float
 (** Geometric mean; 0 on the empty list. Requires positive inputs. *)
 
-val stddev : float list -> float
-(** Population standard deviation; 0 on lists shorter than 2. *)
-
 val median : float list -> float
 
 val percentile : float list -> float -> float

@@ -33,11 +33,15 @@ let render t =
   List.iter emit rows;
   Buffer.contents buf
 
-let print ?title t =
-  (match title with
-  | Some s ->
-    print_newline ();
-    print_endline s;
-    print_endline (String.make (String.length s) '=')
-  | None -> ());
-  print_string (render t)
+let cells ~id t =
+  let buf = Buffer.create 1024 in
+  List.iter
+    (fun row ->
+      match pad_to (List.length t.headers) row with
+      | [] -> ()
+      | key :: rest ->
+        List.iteri
+          (fun i header -> Printf.bprintf buf "%s\t%s\t%s\t%s\n" id key header (List.nth rest i))
+          (List.tl t.headers))
+    (List.rev t.rows);
+  Buffer.contents buf

@@ -1,8 +1,8 @@
 (** Plain-text table rendering for experiment output.
 
     Every experiment prints its paper table/figure as an aligned text
-    table so the bench harness output can be diffed against the
-    paper's reported rows. *)
+    table; {!cells} flattens the same table into the one-cell-per-line
+    form the committed golden [BENCH_tables.tsv] is made of. *)
 
 type t
 
@@ -15,6 +15,8 @@ val add_row : t -> string list -> unit
 val render : t -> string
 (** Render with a header rule and right-padded columns. *)
 
-val print : ?title:string -> t -> unit
-(** [print ~title t] writes the optional title then the table to
-    stdout. *)
+val cells : id:string -> t -> string
+(** One line per cell past the first column, rows in order:
+    [id<TAB>first cell of the row<TAB>column header<TAB>cell]. A diff
+    of two such dumps names the table, the row and the column of every
+    changed number. Cells beyond the header are dropped. *)

@@ -113,6 +113,14 @@ let test_table_render () =
     (let i1 = String.index s '1' and i3 = String.index s '3' in
      i1 < i3)
 
+let test_table_cells () =
+  let t = Table.create [ "benchmark"; "x"; "y" ] in
+  Table.add_row t [ "gobmk"; "1"; "2" ];
+  Table.add_row t [ "average"; "3" ];
+  Alcotest.(check string) "one line per cell, keyed by row and column"
+    "fig0\tgobmk\tx\t1\nfig0\tgobmk\ty\t2\nfig0\taverage\tx\t3\nfig0\taverage\ty\t\n"
+    (Table.cells ~id:"fig0" t)
+
 module Json = Hipstr_util.Json
 
 let test_json_render () =
@@ -193,6 +201,7 @@ let () =
           Alcotest.test_case "stats" `Quick test_stats;
           Alcotest.test_case "percentile" `Quick test_percentile;
           Alcotest.test_case "table" `Quick test_table_render;
+          Alcotest.test_case "table cells" `Quick test_table_cells;
         ] );
       ( "json",
         [
