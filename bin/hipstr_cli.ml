@@ -306,6 +306,26 @@ let read_binary path = In_channel.with_open_bin path In_channel.input_all
 let write_binary path data =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
 
+(* Every command probes its output paths before it simulates
+   anything, so an unwritable path costs a second rather than the
+   whole run. A file is opened for appending, and removed again if the
+   probe created it; a checkpoint prefix's directory gets a throwaway
+   file. A failure is a [Sys_error], which the entry point reports in
+   one line with exit 1. *)
+let probe_out path =
+  let existed = Sys.file_exists path in
+  Out_channel.with_open_gen [ Open_wronly; Open_creat; Open_append; Open_binary ] 0o644 path ignore;
+  if not existed then Sys.remove path
+
+let probe_dir dir =
+  if not (Sys.file_exists dir && Sys.is_directory dir) then
+    raise (Sys_error (dir ^ ": No such directory"));
+  Sys.remove (Filename.temp_file ~temp_dir:dir "hipstr" ".probe")
+
+let probe_outputs ?checkpoint_prefix paths =
+  List.iter (Option.iter probe_out) paths;
+  Option.iter (fun prefix -> probe_dir (Filename.dirname prefix)) checkpoint_prefix
+
 (* Canonical end-state dump: everything the determinism contract
    covers, in a stable text form — two runs are equivalent iff their
    dumps are byte-identical (cycle floats and histogram moments go in
@@ -424,6 +444,9 @@ let export_args =
   Term.(
     const (fun a b c d -> (a, b, c, d)) $ trace_out $ profile_out $ metrics_out $ audit_out)
 
+let export_paths (trace_out, profile_out, metrics_out, audit_out) =
+  [ trace_out; profile_out; metrics_out; audit_out ]
+
 let write_exports ?timeline ~obs (trace_out, profile_out, metrics_out, audit_out) =
   let write path what render =
     match path with
@@ -471,6 +494,8 @@ let timeline_args =
           ~doc:"Timeline window width in guest cycles (default 50000).")
   in
   Term.(const (fun a b c -> (a, b, c)) $ out $ csv $ window)
+
+let timeline_paths (out, csv, _window) = [ out; csv ]
 
 let make_timeline ?(force = false) (out, csv, window) =
   if force || out <> None || csv <> None then
@@ -580,6 +605,9 @@ let run_cmd =
   let action (w : Workloads.t) mode isa seed opt_level migrate_prob cc_capacity cc_policy
       no_dcache no_chain metrics trace hostprof assert_alloc checkpoint_every
       checkpoint_out memo_in memo_out state_out exports =
+    probe_outputs
+      ?checkpoint_prefix:(Option.map (fun _ -> checkpoint_out) checkpoint_every)
+      ([ memo_out; state_out ] @ export_paths exports);
     let cfg =
       let base = { Config.default with opt_level } in
       let base =
@@ -690,6 +718,7 @@ let checkpoint_cmd =
       & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Where to write the image.")
   in
   let action (w : Workloads.t) mode isa seed opt_level migrate_prob cc_capacity cc_policy at out =
+    probe_outputs [ Some out ];
     let cfg =
       let base = { Config.default with opt_level } in
       let base =
@@ -739,6 +768,7 @@ let restore_cmd =
       & info [ "info" ] ~doc:"Print the image manifest and exit without running anything.")
   in
   let action file fuel only_info no_dcache no_chain metrics state_out exports =
+    probe_outputs (state_out :: export_paths exports);
     let image = read_binary file in
     let mf =
       try Snapshot.manifest_of image with e -> corrupt_exit ("image " ^ file) e
@@ -864,6 +894,7 @@ let experiment_cmd =
       & info [] ~docv:"IDS" ~doc:"Experiment id, comma list of ids, or 'all'.")
   in
   let action es jobs exports =
+    probe_outputs (export_paths exports);
     List.iter print_string (Registry.run_many ~jobs es);
     (* experiments report into the ambient global context *)
     write_exports ~obs:Obs.global exports
@@ -912,6 +943,7 @@ let run_file_cmd =
   let fuel_arg = Arg.(value & opt fuel_conv 10_000_000 & info [ "fuel" ] ~doc:"Instruction budget.") in
   let action file mode isa seed fuel cc_capacity cc_policy no_dcache no_chain metrics trace
       exports =
+    probe_outputs (export_paths exports);
     let src = In_channel.with_open_text file In_channel.input_all in
     let obs = make_obs ~trace in
     let cfg = apply_cc_args Config.default cc_capacity cc_policy in
@@ -997,6 +1029,9 @@ let cmp_run_cmd =
   let isa_label = function Desc.Cisc -> "cisc" | Desc.Risc -> "risc" in
   let action ws mode policy cores quantum fuel seed migrate_prob cc_capacity cc_policy no_dcache
       no_chain jobs metrics sched verify checkpoint_every checkpoint_out tl_args exports =
+    probe_outputs
+      ?checkpoint_prefix:(Option.map (fun _ -> checkpoint_out) checkpoint_every)
+      (timeline_paths tl_args @ export_paths exports);
     let cfg =
       let base =
         match migrate_prob with
@@ -1255,6 +1290,7 @@ let fleet_run_cmd =
   let action procs arrival mix policy shards cores quantum mode fuel max_live tenants
       migrate_every seed migrate_prob jobs metrics trace hostprof assert_alloc tl_args slo_target
       slo_budget exports =
+    probe_outputs (timeline_paths tl_args @ export_paths exports);
     let cfg =
       match (mode, migrate_prob) with
       | System.Hipstr, Some p -> Some { Config.default with migrate_prob = p }

@@ -19,6 +19,7 @@ val create :
   ?start_isa:Hipstr_isa.Desc.which ->
   ?decode_cache:bool ->
   ?chain:bool ->
+  ?spare:Hipstr_machine.Machine.t ->
   mode:Hipstr.System.mode ->
   pid:int ->
   name:string ->
@@ -30,7 +31,9 @@ val create :
     [Done Out_of_fuel], which is what guarantees {!Cmp.run}
     terminates. [seed] plays exactly the role it does for a
     single-process [System] run: same binary + same seed ⇒ same
-    output and syscall trace, however the scheduler slices it. *)
+    output and syscall trace, however the scheduler slices it.
+    [spare] reboots a retired process's machine, as for
+    {!Hipstr.System.of_fatbin}. *)
 
 val pid : t -> int
 val name : t -> string

@@ -29,6 +29,7 @@ type t = {
   fb_globals : (string * int) list;
   fb_inits : (int * int list) list;
   fb_data_size : int;
+  fb_fingerprint : int;
 }
 
 let image fs = function Desc.Cisc -> fs.fs_cisc | Desc.Risc -> fs.fs_risc
@@ -72,6 +73,43 @@ type prelinked = {
   pl_alloc_cisc : Regalloc.result;
   pl_alloc_risc : Regalloc.result;
 }
+
+(* FNV-1a 64 over each ISA's [main] entry, then every function's
+   entry, size and code bytes, truncated to OCaml's 63-bit int for Wire
+   transport. Functions are laid out disjoint and [load] writes exactly
+   [im_code] at [im_entry], so this hashes the code as loaded. Each
+   loop keeps its accumulator in a local [ref], which ocamlopt holds
+   unboxed. *)
+let fnv_prime = 0x100000001b3L
+
+let fnv_int h v =
+  let h = ref h in
+  for i = 0 to 7 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int ((v lsr (8 * i)) land 0xFF))) fnv_prime
+  done;
+  !h
+
+let fnv_string h s =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)))) fnv_prime
+  done;
+  !h
+
+let fingerprint funcs =
+  (* [link] validated the IR, so [main] exists *)
+  let main = Option.get (Array.find_opt (fun fs -> fs.fs_name = "main") funcs) in
+  let h = ref 0xcbf29ce484222325L in
+  List.iter
+    (fun which ->
+      h := fnv_int !h (image main which).im_entry;
+      Array.iter
+        (fun fs ->
+          let im = image fs which in
+          h := fnv_string (fnv_int (fnv_int !h im.im_entry) im.im_size) im.im_code)
+        funcs)
+    [ Desc.Cisc; Desc.Risc ];
+  Int64.to_int (Int64.shift_right_logical !h 1)
 
 let link (p : Ir.program) =
   (match Ir.validate p with Ok () -> () | Error e -> failwith ("fatbin: invalid IR: " ^ e));
@@ -186,11 +224,13 @@ let link (p : Ir.program) =
   let inits =
     List.map (fun (name, _words, init) -> (List.assoc name globals, init)) p.pr_globals
   in
+  let funcs = Array.of_list funcs in
   {
-    fb_funcs = Array.of_list funcs;
+    fb_funcs = funcs;
     fb_globals = globals;
     fb_inits = inits;
     fb_data_size = !gcur - Layout.data_base;
+    fb_fingerprint = fingerprint funcs;
   }
 
 let load t mem =

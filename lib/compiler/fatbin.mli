@@ -38,6 +38,10 @@ type t = {
   fb_globals : (string * int) list;  (** name -> data address *)
   fb_inits : (int * int list) list;  (** data address -> initial words *)
   fb_data_size : int;
+  fb_fingerprint : int;
+      (** FNV-1a over both ISAs' [main] entries and every function's
+          entry, size and code bytes, computed once at {!link}: the
+          identity snapshot images and memo artifacts are pinned to *)
 }
 
 val link : Ir.program -> t

@@ -37,9 +37,9 @@ type t = {
 let isa_label = function Desc.Cisc -> "cisc" | Desc.Risc -> "risc"
 
 let boot_system ?(obs = Obs.global) ?(cfg = Config.default) ?(seed = 1) ?(start_isa = Desc.Cisc)
-    ?(pid = 0) ?(decode_cache = true) ?(chain = true) ?(boot = true) ~mode fb =
+    ?(pid = 0) ?(decode_cache = true) ?(chain = true) ?(boot = true) ?spare ~mode fb =
   let rat_capacity = match mode with Native -> None | Psr_only | Hipstr -> Some cfg.rat_capacity in
-  let m = Machine.create ~obs ~rat_capacity ~decode_cache ~chain ~active:start_isa () in
+  let m = Machine.create ~obs ~rat_capacity ~decode_cache ~chain ?spare ~active:start_isa () in
   Machine.set_owner m pid;
   Fatbin.load fb (Machine.mem m);
   if boot then Machine.boot m ~entry:(Fatbin.entry fb start_isa);
@@ -72,8 +72,8 @@ let boot_system ?(obs = Obs.global) ?(cfg = Config.default) ?(seed = 1) ?(start_
     sys_start_isa = start_isa;
   }
 
-let of_fatbin ?obs ?cfg ?seed ?start_isa ?pid ?decode_cache ?chain ?boot ~mode fb =
-  boot_system ?obs ?cfg ?seed ?start_isa ?pid ?decode_cache ?chain ?boot ~mode fb
+let of_fatbin ?obs ?cfg ?seed ?start_isa ?pid ?decode_cache ?chain ?boot ?spare ~mode fb =
+  boot_system ?obs ?cfg ?seed ?start_isa ?pid ?decode_cache ?chain ?boot ?spare ~mode fb
 
 let create ?obs ?cfg ?seed ?start_isa ?pid ?decode_cache ?chain ?boot ~mode ~src () =
   boot_system ?obs ?cfg ?seed ?start_isa ?pid ?decode_cache ?chain ?boot ~mode

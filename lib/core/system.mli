@@ -71,13 +71,19 @@ val of_fatbin :
   ?decode_cache:bool ->
   ?chain:bool ->
   ?boot:bool ->
+  ?spare:Hipstr_machine.Machine.t ->
   mode:mode ->
   Hipstr_compiler.Fatbin.t ->
   t
 (** Boot an already-linked binary — used by the attack harness to
     re-spawn a victim with fresh randomization without recompiling
     (the paper's crash/re-spawn model: PSR re-randomizes, a load-time
-    scheme would not). *)
+    scheme would not). [spare] is the machine of a system that has
+    retired: it is reset ({!Hipstr_machine.Machine.reset}) and reused
+    instead of allocating one, with results identical to a new
+    machine. The retired system must not be used again.
+    @raise Invalid_argument when [spare] was built for another mode,
+    configuration, engine or [obs]. *)
 
 val fatbin : t -> Hipstr_compiler.Fatbin.t
 val machine : t -> Hipstr_machine.Machine.t

@@ -38,6 +38,7 @@ module Process = Hipstr_cmp.Process
 module Cmp = Hipstr_cmp.Cmp
 module Pool = Hipstr_cmp.Pool
 module Snapshot = Hipstr_snapshot.Snapshot
+module Machine = Hipstr_machine.Machine
 
 type config = {
   fl_shards : int;
@@ -106,7 +107,20 @@ type shard = {
   mutable sh_pending : Traffic.conn list;  (* future arrivals, in order *)
   mutable sh_prev_cycles : float array;
   sh_live : (int, Traffic.conn * float) Hashtbl.t;  (* pid -> conn, admitted stamp *)
+  mutable sh_spares : Machine.t list;
+      (* machines of connections this shard reaped or migrated away,
+         rebooted by its next admissions; at most [fl_max_live] *)
 }
+
+(* A connection left the shard for good (reaped, or checkpointed for a
+   live migration): keep its machine for the next admission. Booting
+   on a reset machine is indistinguishable from booting on a new one
+   ([Machine.reset]) and skips the ~28k words a new machine allocates.
+   A spare holds the shard's obs counters, so it never leaves the
+   shard. *)
+let retire cfg sh p =
+  if List.length sh.sh_spares < cfg.fl_max_live then
+    sh.sh_spares <- System.machine (Process.sys p) :: sh.sh_spares
 
 (* A completed connection as reported by a shard task, before the
    caller stamps it with the wave-end clock. *)
@@ -127,9 +141,16 @@ let shard_wave cfg sh ~now =
       (* start ISA tiles the shard's core list so a pinned-mode fleet
          spreads over both ISAs deterministically *)
       let start_isa = List.nth cfg.fl_cores (c.Traffic.cn_id mod ncores) in
+      let spare =
+        match sh.sh_spares with
+        | m :: rest ->
+          sh.sh_spares <- rest;
+          Some m
+        | [] -> None
+      in
       let p =
         Traffic.spawn ~obs:sh.sh_obs ?cfg:cfg.fl_cfg ~seed:cfg.fl_seed ~start_isa
-          ~fuel:cfg.fl_fuel ~mode:cfg.fl_mode c
+          ~fuel:cfg.fl_fuel ?spare ~mode:cfg.fl_mode c
       in
       Cmp.inject sh.sh_cmp p;
       Hashtbl.replace sh.sh_live (Process.pid p) (c, now);
@@ -148,14 +169,18 @@ let shard_wave cfg sh ~now =
         let pid = Process.pid p in
         let conn, admitted = Hashtbl.find sh.sh_live pid in
         Hashtbl.remove sh.sh_live pid;
-        {
-          co_conn = conn;
-          co_admitted = admitted;
-          co_outcome =
-            (match Process.outcome p with Some o -> o | None -> assert false);
-          co_service = Process.cycles p;
-          co_instructions = Process.instructions p;
-        })
+        let co =
+          {
+            co_conn = conn;
+            co_admitted = admitted;
+            co_outcome =
+              (match Process.outcome p with Some o -> o | None -> assert false);
+            co_service = Process.cycles p;
+            co_instructions = Process.instructions p;
+          }
+        in
+        retire cfg sh p;
+        co)
       (Cmp.reap sh.sh_cmp)
   in
   (!delta, completions)
@@ -177,6 +202,7 @@ let run ?(jobs = 1) ?(obs = Obs.disabled) ?timeline cfg conns =
           sh_pending = List.filter (fun c -> c.Traffic.cn_id mod cfg.fl_shards = s) conns;
           sh_prev_cycles = Array.make (List.length cfg.fl_cores) 0.;
           sh_live = Hashtbl.create 16;
+          sh_spares = [];
         })
   in
   let observing = Obs.on obs in
@@ -240,6 +266,7 @@ let run ?(jobs = 1) ?(obs = Obs.disabled) ?timeline cfg conns =
         let pid = Process.pid p in
         let p = Cmp.extract src.sh_cmp pid in
         let image = Snapshot.checkpoint_process p in
+        retire cfg src p;
         let p', _ =
           Snapshot.restore_process ~obs:tgt.sh_obs ~merge_obs:false ~fatbin:(Lazy.force fb) image
         in

@@ -279,11 +279,11 @@ let stage conn sys =
 
 let default_fuel = 200_000
 
-let spawn ?obs ?cfg ?(seed = 1) ?start_isa ?(fuel = default_fuel) ~mode conn =
+let spawn ?obs ?cfg ?(seed = 1) ?start_isa ?(fuel = default_fuel) ?spare ~mode conn =
   let p =
     Process.create ?obs ?cfg
       ~seed:(Pool.task_seed ~seed conn.cn_id)
-      ?start_isa ~mode ~pid:conn.cn_id
+      ?start_isa ?spare ~mode ~pid:conn.cn_id
       ~name:(Printf.sprintf "httpd.%s.%d" (kind_name conn.cn_kind) conn.cn_id)
       ~fuel (fatbin ())
   in

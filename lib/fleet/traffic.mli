@@ -94,9 +94,12 @@ val spawn :
   ?seed:int ->
   ?start_isa:Hipstr_isa.Desc.which ->
   ?fuel:int ->
+  ?spare:Hipstr_machine.Machine.t ->
   mode:Hipstr.System.mode ->
   conn ->
   Hipstr_cmp.Process.t
 (** Materialize the connection: boot an httpd {!Hipstr_cmp.Process}
     with pid [cn_id] and a per-connection seed derived as
-    [Pool.task_seed ~seed cn_id], then {!stage} its request line. *)
+    [Pool.task_seed ~seed cn_id], then {!stage} its request line.
+    [spare] reboots the machine of a retired connection instead of
+    allocating one ({!Hipstr.System.of_fatbin}). *)

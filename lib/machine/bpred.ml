@@ -11,15 +11,31 @@ type t = {
   mutable lookups : int;
 }
 
+let flush t =
+  Array.fill t.counters 0 table_size 1;
+  Array.fill t.btb 0 btb_size (-1);
+  Array.fill t.ras 0 ras_depth (-1);
+  t.ras_top <- 0
+
+(* [create] allocates and then resets: untrained tables, counts 0. *)
+let reset t =
+  flush t;
+  t.mispredicts <- 0;
+  t.lookups <- 0
+
 let create () =
-  {
-    counters = Array.make table_size 1;
-    btb = Array.make btb_size (-1);
-    ras = Array.make ras_depth (-1);
-    ras_top = 0;
-    mispredicts = 0;
-    lookups = 0;
-  }
+  let t =
+    {
+      counters = Array.make table_size 0;
+      btb = Array.make btb_size 0;
+      ras = Array.make ras_depth 0;
+      ras_top = 0;
+      mispredicts = 0;
+      lookups = 0;
+    }
+  in
+  reset t;
+  t
 
 let note t correct =
   t.lookups <- t.lookups + 1;
@@ -52,16 +68,6 @@ let predict_return t ~target =
 
 let mispredicts t = t.mispredicts
 let lookups t = t.lookups
-
-let flush t =
-  Array.fill t.counters 0 table_size 1;
-  Array.fill t.btb 0 btb_size (-1);
-  Array.fill t.ras 0 ras_depth (-1);
-  t.ras_top <- 0
-
-let reset_stats t =
-  t.mispredicts <- 0;
-  t.lookups <- 0
 
 (* --- snapshot ------------------------------------------------------ *)
 (* Predictions are cycle-visible (mispredict penalties), so the whole

@@ -28,7 +28,10 @@ val predict_return : t -> target:int -> bool
 
 val mispredicts : t -> int
 val lookups : t -> int
-val reset_stats : t -> unit
+
+val reset : t -> unit
+(** Back to the state {!create} returns: {!flush} plus zeroed
+    accuracy statistics. *)
 
 val flush : t -> unit
 (** Forget all learned state (bimodal counters, BTB, RAS) but keep

@@ -25,23 +25,38 @@ let log2i n =
   let rec go k v = if v >= n then k else go (k + 1) (v * 2) in
   go 0 1
 
+(* Cold and unused, in place: every line invalid, LRU clock and
+   counters at 0. [create] allocates and then resets. *)
+let reset t =
+  Array.fill t.tags 0 (Array.length t.tags) (-1);
+  Array.fill t.stamps 0 (Array.length t.stamps) 0;
+  t.clock <- 0;
+  t.hits <- 0;
+  t.misses <- 0;
+  t.last_line <- -1;
+  t.last_idx <- 0
+
 let create ?(line = 64) ~size_kb ~assoc ~miss_penalty () =
   let nlines = max assoc (size_kb * 1024 / line) in
   let nsets = max 1 (nlines / assoc) in
-  {
-    line_bits = log2i line;
-    nsets;
-    set_mask = (if nsets land (nsets - 1) = 0 then nsets - 1 else -1);
-    assoc;
-    tags = Array.make (nsets * assoc) (-1);
-    stamps = Array.make (nsets * assoc) 0;
-    miss_penalty;
-    clock = 0;
-    hits = 0;
-    misses = 0;
-    last_line = -1;
-    last_idx = 0;
-  }
+  let t =
+    {
+      line_bits = log2i line;
+      nsets;
+      set_mask = (if nsets land (nsets - 1) = 0 then nsets - 1 else -1);
+      assoc;
+      tags = Array.make (nsets * assoc) (-1);
+      stamps = Array.make (nsets * assoc) 0;
+      miss_penalty;
+      clock = 0;
+      hits = 0;
+      misses = 0;
+      last_line = -1;
+      last_idx = 0;
+    }
+  in
+  reset t;
+  t
 
 (* One probe per retired instruction (icache) plus one per memory
    operand (dcache) makes this the hottest host function after the

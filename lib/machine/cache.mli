@@ -15,6 +15,10 @@ val access : t -> int -> bool
 val miss_penalty : t -> int
 val hits : t -> int
 val misses : t -> int
+val reset : t -> unit
+(** Back to the state {!create} returns: every line invalid, the LRU
+    clock and the hit/miss counts at 0. *)
+
 val reset_stats : t -> unit
 val flush : t -> unit
 (** Invalidate all lines (used when the PSR code cache is flushed). *)

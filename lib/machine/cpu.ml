@@ -49,23 +49,45 @@ type t = { mutable pc : int; regs : int array; flags : flags; perf : perf }
 
 let cycles p = cycles_of_fc p.cycles_fc
 
-let fresh_perf () =
-  {
-    cycles_fc = 0;
-    instructions = 0;
-    loads = 0;
-    stores = 0;
-    branches = 0;
-    calls = 0;
-    returns = 0;
-    indirects = 0;
-    syscalls = 0;
-  }
+(* The power-on state, in place: [create] allocates and then resets,
+   so a recycled machine and a new one start from the same definition. *)
+let reset t =
+  t.pc <- 0;
+  Array.fill t.regs 0 (Array.length t.regs) 0;
+  t.flags.zf <- false;
+  t.flags.sf <- false;
+  t.flags.cf <- false;
+  t.flags.vf <- false;
+  let p = t.perf in
+  p.cycles_fc <- 0;
+  p.instructions <- 0;
+  p.loads <- 0;
+  p.stores <- 0;
+  p.branches <- 0;
+  p.calls <- 0;
+  p.returns <- 0;
+  p.indirects <- 0;
+  p.syscalls <- 0
 
 let create () =
-  {
-    pc = 0;
-    regs = Array.make 16 0;
-    flags = { zf = false; sf = false; cf = false; vf = false };
-    perf = fresh_perf ();
-  }
+  let t =
+    {
+      pc = 0;
+      regs = Array.make 16 0;
+      flags = { zf = false; sf = false; cf = false; vf = false };
+      perf =
+        {
+          cycles_fc = 0;
+          instructions = 0;
+          loads = 0;
+          stores = 0;
+          branches = 0;
+          calls = 0;
+          returns = 0;
+          indirects = 0;
+          syscalls = 0;
+        };
+    }
+  in
+  reset t;
+  t

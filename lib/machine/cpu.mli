@@ -50,3 +50,7 @@ type t = {
 }
 
 val create : unit -> t
+
+val reset : t -> unit
+(** Back to the state {!create} returns: pc and registers 0, flags
+    clear, every counter 0. *)

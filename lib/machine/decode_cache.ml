@@ -146,6 +146,28 @@ let zero_stats () =
     ic_misses = 0;
   }
 
+let zero (s : stats) =
+  s.hits <- 0;
+  s.misses <- 0;
+  s.invalidations <- 0;
+  s.flushes <- 0;
+  s.chain_follows <- 0;
+  s.chain_breaks <- 0;
+  s.chain_patches <- 0;
+  s.ic_mono_hits <- 0;
+  s.ic_poly_hits <- 0;
+  s.ic_misses <- 0
+
+(* Empty, at epoch 0, with every count at 0 — including the deposited
+   marks, so counts a previous owner never deposited are dropped, as
+   they would be with the cache itself. [create] allocates and then
+   resets. *)
+let reset t =
+  Hashtbl.reset t.blocks;
+  t.epoch <- 0;
+  zero t.st;
+  zero t.dep
+
 let create ?(obs = Obs.global) ~isa ?(chain = true) which mem =
   (* The four standard code-bearing regions; [Mem.watch] dedupes, so
      the CISC and RISC caches of one machine share region handles. *)
@@ -163,35 +185,39 @@ let create ?(obs = Obs.global) ~isa ?(chain = true) which mem =
        ~hi:(Layout.risc_cache_base + Layout.cache_region_size));
   let counter ns n = Obs.Metrics.counter (Obs.metrics obs) ("machine." ^ isa ^ "." ^ ns ^ "." ^ n) in
   let core = Core_desc.for_isa which in
-  {
-    which;
-    mem;
-    read = Mem.reader mem;
-    read_unsafe = (fun a -> Mem.unsafe_read8 mem a);
-    blocks = Hashtbl.create 16;
-    chained = chain;
-    epoch = 0;
-    q1 = Cpu.fc_quotient ~lat:1 ~throughput:core.throughput;
-    q2 = Cpu.fc_quotient ~lat:2 ~throughput:core.throughput;
-    qmul = Cpu.fc_quotient ~lat:core.mul_latency ~throughput:core.throughput;
-    qdiv = Cpu.fc_quotient ~lat:core.div_latency ~throughput:core.throughput;
-    scratch = Array.make (4 * max_block_instrs) 0;
-    st = zero_stats ();
-    dep = zero_stats ();
-    obs;
-    ctrs =
-      {
-        cn_hits = counter "decode_cache" "hits";
-        cn_misses = counter "decode_cache" "misses";
-        cn_invalidations = counter "decode_cache" "invalidations";
-        cn_chain_follows = counter "chain" "follows";
-        cn_chain_breaks = counter "chain" "breaks";
-        cn_chain_patches = counter "chain" "patches";
-        cn_ic_mono = counter "ic" "mono_hits";
-        cn_ic_poly = counter "ic" "poly_hits";
-        cn_ic_misses = counter "ic" "misses";
-      };
-  }
+  let t =
+    {
+      which;
+      mem;
+      read = Mem.reader mem;
+      read_unsafe = (fun a -> Mem.unsafe_read8 mem a);
+      blocks = Hashtbl.create 16;
+      chained = chain;
+      epoch = 0;
+      q1 = Cpu.fc_quotient ~lat:1 ~throughput:core.throughput;
+      q2 = Cpu.fc_quotient ~lat:2 ~throughput:core.throughput;
+      qmul = Cpu.fc_quotient ~lat:core.mul_latency ~throughput:core.throughput;
+      qdiv = Cpu.fc_quotient ~lat:core.div_latency ~throughput:core.throughput;
+      scratch = Array.make (4 * max_block_instrs) 0;
+      st = zero_stats ();
+      dep = zero_stats ();
+      obs;
+      ctrs =
+        {
+          cn_hits = counter "decode_cache" "hits";
+          cn_misses = counter "decode_cache" "misses";
+          cn_invalidations = counter "decode_cache" "invalidations";
+          cn_chain_follows = counter "chain" "follows";
+          cn_chain_breaks = counter "chain" "breaks";
+          cn_chain_patches = counter "chain" "patches";
+          cn_ic_mono = counter "ic" "mono_hits";
+          cn_ic_poly = counter "ic" "poly_hits";
+          cn_ic_misses = counter "ic" "misses";
+        };
+    }
+  in
+  reset t;
+  t
 
 let stats t = t.st
 let chained t = t.chained

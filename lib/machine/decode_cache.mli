@@ -94,6 +94,11 @@ val create :
     misses and {!patch} is a no-op, leaving dispatch exactly as it
     was before chaining existed. *)
 
+val reset : t -> unit
+(** Back to the state {!create} returns: no blocks, epoch 0, every
+    statistic 0. Counts not yet {!deposit}ed are dropped, as they
+    would be with a discarded cache. *)
+
 val lookup : t -> int -> block option
 (** The block starting at an address: a generation-valid cached entry
     (hit), or a freshly decoded and installed one (miss). [None] if

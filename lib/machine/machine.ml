@@ -12,7 +12,17 @@ type core_ctx = {
   ctrs : Exec.counters;
 }
 
+(* The creation parameters a recycled machine must match. *)
+type shape = {
+  sh_rat : int option;
+  sh_icache_kb : int;
+  sh_dcache_kb : int;
+  sh_decode_cache : bool;
+  sh_chain : bool;
+}
+
 type t = {
+  shape : shape;
   cpu : Cpu.t;
   memory : Mem.t;
   mem_reader : int -> int;
@@ -39,7 +49,7 @@ type t = {
   mutable fc_mark : int;
 }
 
-let make_ctx ~obs ~rat_capacity ~icache_kb ~dcache_kb ~decode_cache ~chain ~memory which =
+let make_ctx ~obs shape ~memory which =
   let desc = match which with Desc.Cisc -> Hipstr_cisc.Isa.desc | Risc -> Hipstr_risc.Isa.desc in
   let core = Core_desc.for_isa which in
   let isa = match which with Desc.Cisc -> "cisc" | Desc.Risc -> "risc" in
@@ -48,14 +58,17 @@ let make_ctx ~obs ~rat_capacity ~icache_kb ~dcache_kb ~decode_cache ~chain ~memo
     desc;
     core;
     icache =
-      Cache.create ~size_kb:icache_kb ~assoc:core.cache_assoc
+      Cache.create ~size_kb:shape.sh_icache_kb ~assoc:core.cache_assoc
         ~miss_penalty:core.icache_miss_penalty ();
     dcache =
-      Cache.create ~size_kb:dcache_kb ~assoc:core.cache_assoc
+      Cache.create ~size_kb:shape.sh_dcache_kb ~assoc:core.cache_assoc
         ~miss_penalty:core.dcache_miss_penalty ();
     bpred = Bpred.create ();
-    rat = (match rat_capacity with None -> None | Some n -> Some (Rat.create ~capacity:n));
-    dcode = (if decode_cache then Some (Decode_cache.create ~obs ~isa ~chain which memory) else None);
+    rat = Option.map (fun n -> Rat.create ~capacity:n) shape.sh_rat;
+    dcode =
+      (if shape.sh_decode_cache then
+         Some (Decode_cache.create ~obs ~isa ~chain:shape.sh_chain which memory)
+       else None);
     ctrs =
       {
         Exec.cn_instrs = counter "instructions";
@@ -90,19 +103,15 @@ let make_env ~cpu ~memory ~mem_reader ~os_state ~observ (c : core_ctx) =
     p_dcache_miss = Cache.miss_penalty c.dcache * Cpu.fc_scale;
   }
 
-let create ?(obs = Obs.global) ?(rat_capacity = None) ?(icache_kb = 32) ?(dcache_kb = 32)
-    ?(decode_cache = true) ?(chain = true) ~active () =
+let allocate ~obs shape =
   let memory = Mem.create Layout.mem_size in
   let cpu = Cpu.create () in
   let mem_reader = Mem.reader memory in
   let os_state = Sys.create () in
-  let cisc_ctx =
-    make_ctx ~obs ~rat_capacity ~icache_kb ~dcache_kb ~decode_cache ~chain ~memory Desc.Cisc
-  in
-  let risc_ctx =
-    make_ctx ~obs ~rat_capacity ~icache_kb ~dcache_kb ~decode_cache ~chain ~memory Desc.Risc
-  in
+  let cisc_ctx = make_ctx ~obs shape ~memory Desc.Cisc in
+  let risc_ctx = make_ctx ~obs shape ~memory Desc.Risc in
   {
+    shape;
     cpu;
     memory;
     mem_reader;
@@ -113,13 +122,60 @@ let create ?(obs = Obs.global) ?(rat_capacity = None) ?(icache_kb = 32) ?(dcache
     risc_env = make_env ~cpu ~memory ~mem_reader ~os_state ~observ:obs risc_ctx;
     observ = obs;
     c_ctx_flush = Obs.Metrics.counter (Obs.metrics obs) "machine.context_switch_flushes";
-    active;
+    active = Desc.Cisc;
     owner_pid = 0;
     migrations = 0;
     cisc_fc = 0;
     risc_fc = 0;
     fc_mark = 0;
   }
+
+(* The pristine state, defined once for a new machine and a recycled
+   one alike: each component resets in place, and [Mem.reset] costs
+   what the previous owner wrote. Only the structures are reset; the
+   obs counter handles and the execution environments are fixed at
+   allocation. *)
+let reset_ctx (c : core_ctx) =
+  Cache.reset c.icache;
+  Cache.reset c.dcache;
+  Bpred.reset c.bpred;
+  Option.iter Rat.reset c.rat;
+  Option.iter Decode_cache.reset c.dcode
+
+let reset t ~active =
+  Mem.reset t.memory;
+  Cpu.reset t.cpu;
+  Sys.reset t.os_state;
+  reset_ctx t.cisc_ctx;
+  reset_ctx t.risc_ctx;
+  t.active <- active;
+  t.owner_pid <- 0;
+  t.migrations <- 0;
+  t.cisc_fc <- 0;
+  t.risc_fc <- 0;
+  t.fc_mark <- 0
+
+let create ?(obs = Obs.global) ?(rat_capacity = None) ?(icache_kb = 32) ?(dcache_kb = 32)
+    ?(decode_cache = true) ?(chain = true) ?spare ~active () =
+  let shape =
+    {
+      sh_rat = rat_capacity;
+      sh_icache_kb = icache_kb;
+      sh_dcache_kb = dcache_kb;
+      sh_decode_cache = decode_cache;
+      sh_chain = chain;
+    }
+  in
+  let t =
+    match spare with
+    | None -> allocate ~obs shape
+    | Some t ->
+      if t.shape <> shape || t.observ != obs then
+        invalid_arg "Machine.create: spare built with a different configuration or obs";
+      t
+  in
+  reset t ~active;
+  t
 
 let mem t = t.memory
 let cpu t = t.cpu

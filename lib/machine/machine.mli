@@ -20,6 +20,7 @@ val create :
   ?dcache_kb:int ->
   ?decode_cache:bool ->
   ?chain:bool ->
+  ?spare:t ->
   active:Hipstr_isa.Desc.which ->
   unit ->
   t
@@ -33,7 +34,22 @@ val create :
     the per-instruction decode oracle instead. [chain] (default
     [true]) lets those caches chain blocks and inline-cache indirect
     targets; [false] is the [--no-chain] ablation. Results are
-    bit-identical in all combinations. *)
+    bit-identical in all combinations.
+
+    [spare] is a retired machine to {!reset} and return instead of
+    allocating a new one. Nothing may use it afterwards through the
+    system that ran on it.
+    @raise Invalid_argument when [spare] was created with other
+    parameters or another [obs]. *)
+
+val reset : t -> active:Hipstr_isa.Desc.which -> unit
+(** Return a used machine to exactly the state {!create} builds with
+    the same parameters: the two are indistinguishable to a run, its
+    {!save} image and its memory. A new machine is allocated and then
+    reset, so each component's pristine state is defined once. The
+    cost is proportional to what the previous owner wrote
+    ({!Mem.reset}) plus a refill of the caches and predictors, not to
+    the address space. *)
 
 val mem : t -> Mem.t
 val cpu : t -> Cpu.t

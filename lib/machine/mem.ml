@@ -51,13 +51,27 @@ type region = {
   r_stamps : int array array;
       (* last-write generation per 64-byte stamp page, in chunks of
          [1 lsl chunk_bits]; [zero_stamps] until first written *)
+  mutable r_owned : int list;  (* chunks given a private array since the last {!reset} *)
+  mutable r_free : int array list;  (* chunk arrays a reset took back, for reuse *)
 }
 
-type t = { pages : Bytes.t array; size : int; mutable regions : region array }
+type t = {
+  pages : Bytes.t array;
+  size : int;
+  mutable regions : region array;
+  mutable owned : int list;  (* page slots given a private buffer since the last {!reset} *)
+  mutable free_pages : Bytes.t list;  (* page buffers a reset took back, for reuse *)
+}
 
 let create size =
   if size < 0 then invalid_arg "Mem.create: negative size";
-  { pages = Array.make ((size + page_mask) lsr page_bits) zero_page; size; regions = [||] }
+  {
+    pages = Array.make ((size + page_mask) lsr page_bits) zero_page;
+    size;
+    regions = [||];
+    owned = [];
+    free_pages = [];
+  }
 
 let size t = t.size
 
@@ -70,7 +84,16 @@ let watch t ~lo ~hi =
       invalid_arg "Mem.watch: overlapping region";
     let nstamps = ((hi - 1) lsr stamp_bits) - (lo lsr stamp_bits) + 1 in
     let nchunks = (nstamps + chunk_mask) lsr chunk_bits in
-    let r = { r_lo = lo; r_hi = hi; r_gen = 0; r_stamps = Array.make nchunks zero_stamps } in
+    let r =
+      {
+        r_lo = lo;
+        r_hi = hi;
+        r_gen = 0;
+        r_stamps = Array.make nchunks zero_stamps;
+        r_owned = [];
+        r_free = [];
+      }
+    in
     let rs = Array.append t.regions [| r |] in
     Array.sort (fun a b -> compare a.r_lo b.r_lo) rs;
     t.regions <- rs;
@@ -90,8 +113,16 @@ let[@inline] stamp r k =
   Array.unsafe_get (Array.unsafe_get r.r_stamps (k lsr chunk_bits)) (k land chunk_mask)
 
 let own_stamps r c =
-  let s = Array.make (1 lsl chunk_bits) 0 in
+  let s =
+    match r.r_free with
+    | s :: rest ->
+      r.r_free <- rest;
+      Array.fill s 0 (1 lsl chunk_bits) 0;
+      s
+    | [] -> Array.make (1 lsl chunk_bits) 0
+  in
   Array.unsafe_set r.r_stamps c s;
+  r.r_owned <- c :: r.r_owned;
   s
 
 let set_stamp r k =
@@ -180,11 +211,44 @@ let check t a = if a < 0 || a >= t.size then raise (Fault a)
    shared zero page. *)
 let[@inline] page t a = Array.unsafe_get t.pages (a lsr page_bits)
 
-(* First write to a page: give its slot a private zeroed buffer. *)
+(* First write to a page: give its slot a private zeroed buffer, one
+   a {!reset} took back if there is one. *)
 let own t i =
-  let p = Bytes.make page_size '\000' in
+  let p =
+    match t.free_pages with
+    | p :: rest ->
+      t.free_pages <- rest;
+      Bytes.fill p 0 page_size '\000';
+      p
+    | [] -> Bytes.make page_size '\000'
+  in
   Array.unsafe_set t.pages i p;
+  t.owned <- i :: t.owned;
   p
+
+(* Back to the state {!create} built, at the cost of what was written
+   since: every owned page slot and stamp chunk returns to the shared
+   zero buffer, and its buffer is kept for this memory's next first
+   write rather than left to the collector. Regions stay registered,
+   at generation 0 with no write recorded, as {!watch} leaves a new
+   one. *)
+let reset t =
+  List.iter
+    (fun i ->
+      t.free_pages <- Array.unsafe_get t.pages i :: t.free_pages;
+      Array.unsafe_set t.pages i zero_page)
+    t.owned;
+  t.owned <- [];
+  Array.iter
+    (fun r ->
+      List.iter
+        (fun c ->
+          r.r_free <- Array.unsafe_get r.r_stamps c :: r.r_free;
+          Array.unsafe_set r.r_stamps c zero_stamps)
+        r.r_owned;
+      r.r_owned <- [];
+      r.r_gen <- 0)
+    t.regions
 
 (* The page holding in-bounds address [a], for writing: never the
    zero page. *)

@@ -52,6 +52,14 @@ val create : int -> t
 
 val size : t -> int
 
+val reset : t -> unit
+(** Return the memory to the zero-filled state {!create} builds, at a
+    cost proportional to the pages and stamp chunks written since
+    creation or the last reset: each such slot goes back to the shared
+    zero buffer, and its buffer is kept for this memory's next first
+    write. Watched regions stay registered, at generation 0 and with no
+    write recorded, exactly as {!watch} returns a new one. *)
+
 val watch : t -> lo:int -> hi:int -> region
 (** Register [\[lo, hi)] as a watched region and return its handle;
     registering the same bounds again returns the existing handle

@@ -13,10 +13,20 @@ type t = {
   mutable misses : int;
 }
 
+(* [create] allocates and then resets: no entries, counts 0. *)
+let reset t =
+  Hashtbl.reset t.table;
+  t.clock <- 0;
+  t.hits <- 0;
+  t.misses <- 0
+
 (* The table starts small and grows on demand: a code-cache flush
    resets it ([clear]), and [Hashtbl.reset] costs the initial bucket
    count every time. *)
-let create ~capacity = { capacity; table = Hashtbl.create 16; clock = 0; hits = 0; misses = 0 }
+let create ~capacity =
+  let t = { capacity; table = Hashtbl.create 16; clock = 0; hits = 0; misses = 0 } in
+  reset t;
+  t
 
 let capacity t = t.capacity
 
@@ -70,10 +80,6 @@ let find_translated t src =
 
 let hits t = t.hits
 let misses t = t.misses
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0
 
 let clear t = Hashtbl.reset t.table
 

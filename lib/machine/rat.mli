@@ -26,7 +26,11 @@ val find_translated : t -> int -> int
 
 val hits : t -> int
 val misses : t -> int
-val reset_stats : t -> unit
+
+val reset : t -> unit
+(** Back to the state {!create} returns: no entries, LRU clock and
+    hit/miss counts at 0. *)
+
 val clear : t -> unit
 
 val remove_in_range : t -> lo:int -> hi:int -> unit

@@ -12,7 +12,16 @@ let sys_brk = 3
 let sys_print_int = 4
 let sys_execve = 11
 
-let create () = { brk = Layout.heap_base; output = []; shell = None; exit_code = None }
+let reset t =
+  t.brk <- Layout.heap_base;
+  t.output <- [];
+  t.shell <- None;
+  t.exit_code <- None
+
+let create () =
+  let t = { brk = 0; output = []; shell = None; exit_code = None } in
+  reset t;
+  t
 
 let output t = List.rev t.output
 

@@ -26,6 +26,10 @@ type t = {
 
 val create : unit -> t
 
+val reset : t -> unit
+(** Back to the state {!create} returns: break at the heap base, no
+    output, no shell, no exit code. *)
+
 val output : t -> int list
 (** The print trace in program order. *)
 

@@ -74,40 +74,9 @@ let isa_of_tag = function
   | 1 -> Desc.Risc
   | n -> Wire.corrupt "unknown ISA tag %d" n
 
-(* --- fat-binary fingerprint (FNV-1a 64) --------------------------- *)
-
-let fnv_prime = 0x100000001b3L
-let fnv_offset = 0xcbf29ce484222325L
-
-let fnv_byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xFF))) fnv_prime
-
-let fnv_int h v =
-  let h = ref h in
-  for i = 0 to 7 do
-    h := fnv_byte !h ((v lsr (8 * i)) land 0xFF)
-  done;
-  !h
-
-(* Hash both ISAs' entry points, code ranges and code bytes as loaded
-   into a pristine memory — the identity of the program an image
-   belongs to. Truncated to OCaml's 63-bit int for Wire transport. *)
-let fingerprint fb =
-  let m = Mem.create Layout.mem_size in
-  Fatbin.load fb m;
-  let h = ref fnv_offset in
-  List.iter
-    (fun which ->
-      h := fnv_int !h (Fatbin.entry fb which);
-      List.iter
-        (fun (start, size) ->
-          h := fnv_int !h start;
-          h := fnv_int !h size;
-          for a = start to start + size - 1 do
-            h := fnv_byte !h (Mem.read8 m a)
-          done)
-        (Fatbin.code_bytes fb which))
-    [ Desc.Cisc; Desc.Risc ];
-  Int64.to_int (Int64.shift_right_logical !h 1)
+(* The identity of the program an image belongs to, hashed once at
+   link. *)
+let fingerprint (fb : Fatbin.t) = fb.fb_fingerprint
 
 (* --- config ------------------------------------------------------- *)
 

@@ -34,7 +34,8 @@ type manifest = {
 
 val fingerprint : Hipstr_compiler.Fatbin.t -> int
 (** FNV-1a over both ISAs' entry points and loaded code bytes — the
-    identity restore checks an image against. *)
+    identity restore checks an image against. Computed once, at link
+    ({!Hipstr_compiler.Fatbin.fb_fingerprint}). *)
 
 val checkpoint : ?workload:string -> Hipstr.System.t -> string
 (** Serialize the full process image. Quiesces the machine's host

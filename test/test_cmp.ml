@@ -269,6 +269,35 @@ let test_pinned_processes_never_migrate () =
       Alcotest.(check bool) "core saw slices" true (cm.cm_slices > 0))
     m.Cmp.m_cores
 
+(* One migratable process on the paper's core pair tells the three
+   policies apart. Round-robin hands the head of the queue to core 0
+   every round, so it never moves. Load balance hands it to the core
+   with fewer accumulated cycles, which alternates, so it crosses ISAs
+   for load and never for security. Security first moves it
+   cross-ISA after the slices that flagged it. *)
+let test_policies_told_apart () =
+  let trace policy =
+    let cmp =
+      Cmp.create ~obs:Obs.disabled ~policy ~quantum:2_000
+        [ mk_proc ~mode:System.Hipstr ~fuel:100_000 ~seed:1 ~start_isa:Desc.Cisc ~pid:0 "gobmk" ]
+    in
+    Cmp.run cmp;
+    Cmp.schedule cmp
+  in
+  let count f evs = List.length (List.filter f evs) in
+  let on_core1 (e : Cmp.sched_event) = e.se_core = 1 in
+  let load_move (e : Cmp.sched_event) = e.se_migrated && not e.se_security in
+  let security_move (e : Cmp.sched_event) = e.se_migrated && e.se_security in
+  let rr = trace Cmp.Round_robin in
+  Alcotest.(check int) "round-robin: never on core 1" 0 (count on_core1 rr);
+  Alcotest.(check int) "round-robin: never migrated" 0 (count (fun e -> e.Cmp.se_migrated) rr);
+  let lb = trace Cmp.Load_balance in
+  Alcotest.(check bool) "load balance: runs on core 1 too" true (count on_core1 lb > 0);
+  Alcotest.(check bool) "load balance: migrates for load" true (count load_move lb > 0);
+  Alcotest.(check int) "load balance: never for security" 0 (count security_move lb);
+  let sf = trace Cmp.Security_first in
+  Alcotest.(check bool) "security first: migrates for security" true (count security_move sf > 0)
+
 let test_create_validation () =
   let p () = mk_proc ~mode:System.Psr_only ~fuel:1_000 ~seed:1 ~start_isa:Desc.Cisc ~pid:0 "mcf" in
   (* an empty process list is legal: a serving CMP starts idle and
@@ -333,6 +362,8 @@ let () =
           Alcotest.test_case "security policy migrates flagged" `Quick
             test_security_policy_migrates_flagged;
           Alcotest.test_case "pinned never migrate" `Quick test_pinned_processes_never_migrate;
+          Alcotest.test_case "one process tells the policies apart" `Quick
+            test_policies_told_apart;
         ] );
       ( "sweeps",
         [

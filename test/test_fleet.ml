@@ -431,6 +431,165 @@ let test_policies_all_serve () =
       Alcotest.(check int) "no shells" 0 r.Fleet.r_shell)
     [ Cmp.Round_robin; Cmp.Load_balance; Cmp.Security_first ]
 
+(* --- machine reuse --------------------------------------------------- *)
+
+module Machine = Hipstr_machine.Machine
+module Mem = Hipstr_machine.Mem
+module Decode_cache = Hipstr_machine.Decode_cache
+module Process = Hipstr_cmp.Process
+module Snapshot = Hipstr_snapshot.Snapshot
+module Wire = Hipstr_util.Wire
+
+let image save x =
+  let w = Wire.writer () in
+  save w x;
+  Wire.contents w
+
+let outcome_label = function
+  | System.Finished c -> Printf.sprintf "finished(%d)" c
+  | System.Shell_spawned -> "shell"
+  | System.Killed m -> "killed(" ^ m ^ ")"
+  | System.Out_of_fuel -> "out_of_fuel"
+
+let decode_stats m which =
+  Option.map
+    (fun (s : Decode_cache.stats) ->
+      [
+        s.hits; s.misses; s.invalidations; s.flushes; s.chain_follows; s.chain_breaks;
+        s.chain_patches; s.ic_mono_hits; s.ic_poly_hits; s.ic_misses;
+      ])
+    (Machine.decode_cache_stats m which)
+
+let run_out p = System.run (Process.sys p) ~fuel:Traffic.default_fuel
+
+(* Host-side state no image carries: each core's decode-cache epoch,
+   and the write generation of each standard code-bearing region. *)
+let host_marks m =
+  List.map
+    (fun which -> Option.fold ~none:(-1) ~some:Decode_cache.epoch (Machine.decode_cache m which))
+    [ Desc.Cisc; Desc.Risc ]
+  @ List.map
+      (fun a -> Option.fold ~none:(-1) ~some:Mem.generation (Mem.region_of (Machine.mem m) a))
+      Hipstr_machine.Layout.
+        [ cisc_code_base; risc_code_base; cisc_cache_base; risc_cache_base ]
+
+(* The first connection of an attack-heavy trace whose standalone run
+   under [mode] ends as [want] says. Relocation rarely turns an exploit
+   into a kill: `fleet-run --procs 100 --mix 0,50,0,50 --seed 7` in
+   hipstr mode kills 2 of its 100 connections. *)
+let hostile =
+  Traffic.generate ~seed:7 ~procs:200 ~arrival:(Traffic.Poisson 50.)
+    ~mix:{ Traffic.mx_valid = 1; mx_oversized = 1; mx_malformed = 0; mx_attack = 2 }
+    ()
+
+let conn_where ~mode want =
+  match
+    List.find_opt (fun c -> want (run_out (Traffic.spawn ~obs:Obs.disabled ~mode c))) hostile
+  with
+  | Some c -> c
+  | None -> Alcotest.fail "no connection in the trace ends as required"
+
+let finished = function System.Finished _ -> true | _ -> false
+let killed = function System.Killed _ -> true | _ -> false
+
+(* Connection B booted on the machine connection A left behind must be
+   indistinguishable from B booted on a new machine: the same machine
+   image, system image and memory right after boot, and the same
+   outcome, output, instruction count, cycle bits, decode-cache
+   statistics, machine image and memory after the run. *)
+let check_reset_is_fresh ~label ~mode ~retire a b =
+  let obs = Obs.create () in
+  let pa = Traffic.spawn ~obs ~mode ~start_isa:Desc.Cisc a in
+  retire pa;
+  let spare = System.machine (Process.sys pa) in
+  let boot ?spare () = Traffic.spawn ~obs ~mode ~start_isa:Desc.Risc ?spare b in
+  let reused = boot ~spare () and fresh = boot () in
+  let sr = Process.sys reused and sf = Process.sys fresh in
+  let mr = System.machine sr and mf = System.machine sf in
+  Alcotest.(check bool) (label ^ ": booted on the spare") true (mr == spare);
+  let same_state when_ =
+    Alcotest.(check string)
+      (Printf.sprintf "%s: machine image %s" label when_)
+      (image Machine.save mf) (image Machine.save mr);
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: memory %s" label when_)
+      true
+      (Mem.equal_span (Machine.mem mf) (Machine.mem mr) 0 (Mem.size (Machine.mem mf)));
+    Alcotest.(check (list int))
+      (Printf.sprintf "%s: decode epochs and region generations %s" label when_)
+      (host_marks mf) (host_marks mr)
+  in
+  same_state "after boot";
+  Alcotest.(check string) (label ^ ": system image after boot") (image System.save_state sf)
+    (image System.save_state sr);
+  let of_ = run_out fresh and or_ = run_out reused in
+  Alcotest.(check string) (label ^ ": outcome") (outcome_label of_) (outcome_label or_);
+  Alcotest.(check (list int)) (label ^ ": output") (System.output sf) (System.output sr);
+  Alcotest.(check int) (label ^ ": instructions") (System.instructions sf) (System.instructions sr);
+  Alcotest.(check int64) (label ^ ": cycle bits")
+    (Int64.bits_of_float (System.cycles sf))
+    (Int64.bits_of_float (System.cycles sr));
+  List.iter
+    (fun which ->
+      Alcotest.(check (option (list int)))
+        (label ^ ": decode-cache stats")
+        (decode_stats mf which) (decode_stats mr which))
+    [ Desc.Cisc; Desc.Risc ];
+  same_state "after the run"
+
+let test_reset_is_fresh () =
+  let valid = conn_where ~mode:System.Hipstr finished in
+  let b =
+    List.find
+      (fun c -> c.Traffic.cn_id <> valid.Traffic.cn_id && c.Traffic.cn_kind = Traffic.Valid)
+      hostile
+  in
+  let finish want p =
+    let o = run_out p in
+    Alcotest.(check bool) ("A ends as required: " ^ outcome_label o) true (want o)
+  in
+  (* A crosses ISAs, so the migration count and per-core cycle split
+     it leaves are not zero *)
+  let finish_migrated p =
+    System.request_migration (Process.sys p);
+    finish finished p;
+    Alcotest.(check bool) "A migrated across ISAs" true
+      (Machine.migrations (System.machine (Process.sys p)) > 0)
+  in
+  let migrate p =
+    (match System.run (Process.sys p) ~fuel:300 with
+    | System.Out_of_fuel -> ()
+    | o -> Alcotest.failf "A ended before its checkpoint (%s)" (outcome_label o));
+    ignore (Snapshot.checkpoint_process p)
+  in
+  check_reset_is_fresh ~label:"hipstr completed" ~mode:System.Hipstr ~retire:finish_migrated
+    valid b;
+  check_reset_is_fresh ~label:"hipstr killed" ~mode:System.Hipstr ~retire:(finish killed)
+    (conn_where ~mode:System.Hipstr killed)
+    b;
+  check_reset_is_fresh ~label:"hipstr migrated" ~mode:System.Hipstr ~retire:migrate valid b;
+  check_reset_is_fresh ~label:"psr" ~mode:System.Psr_only ~retire:(finish finished)
+    (conn_where ~mode:System.Psr_only finished)
+    b;
+  check_reset_is_fresh ~label:"native" ~mode:System.Native ~retire:(finish killed)
+    (conn_where ~mode:System.Native killed)
+    b
+
+let test_spare_of_another_shape_refused () =
+  let c = List.hd (gen ~procs:1 ()) in
+  let obs = Obs.create () in
+  let spare = System.machine (Process.sys (Traffic.spawn ~obs ~mode:System.Hipstr c)) in
+  let refused label f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: spare accepted" label
+  in
+  refused "a hipstr machine for a native connection" (fun () ->
+      Traffic.spawn ~obs ~mode:System.Native ~spare c);
+  refused "another obs" (fun () -> Traffic.spawn ~obs:(Obs.create ()) ~mode:System.Hipstr ~spare c);
+  refused "another engine" (fun () ->
+      System.of_fatbin ~obs ~decode_cache:false ~spare ~mode:System.Hipstr (Traffic.fatbin ()))
+
 let () =
   Alcotest.run "fleet"
     [
@@ -463,6 +622,12 @@ let () =
           Alcotest.test_case "admission cap respected" `Quick test_admission_cap_respected;
           Alcotest.test_case "latency percentiles exact" `Quick test_latency_percentile_exact;
           Alcotest.test_case "all policies serve" `Quick test_policies_all_serve;
+        ] );
+      ( "machine reuse",
+        [
+          Alcotest.test_case "reset machine boots like a new one" `Quick test_reset_is_fresh;
+          Alcotest.test_case "spare of another shape refused" `Quick
+            test_spare_of_another_shape_refused;
         ] );
       ( "timeline",
         [

@@ -251,7 +251,10 @@ let test_mem_watch_across_page_edge () =
    all-zero until written). [span_clean] must agree with a flat model
    of one stamp per 64 bytes over random stores, on a region whose
    bounds sit off every page and stamp edge, and a write to one
-   memory's region must leave another memory's region clean. *)
+   memory's region must leave another memory's region clean. A
+   [Mem.reset] in between must leave the memory as [create] and
+   [watch] left it: all zero, at generation 0, with no write stamped,
+   so a second round of stores matches a fresh model. *)
 let test_mem_stamps_match_flat_model () =
   let g = Hipstr_util.Rng.create 57 in
   let lo = page + 100 and hi = (5 * page) + 37 in
@@ -259,52 +262,62 @@ let test_mem_stamps_match_flat_model () =
   let r = Mem.watch m ~lo ~hi in
   let other = Mem.create (6 * page) in
   let r' = Mem.watch other ~lo ~hi in
-  let model = Array.make (6 * page / 64) 0 in
-  let gen = ref 0 in
-  let wrote a b =
-    (* [a, b] inclusive; a write overlapping the region bumps it once
-       and stamps the 64-byte pages it covers inside the region *)
-    if a < hi && b >= lo then begin
-      incr gen;
-      for k = max a lo / 64 to min b (hi - 1) / 64 do
-        model.(k) <- !gen
-      done
-    end
-  in
-  for _ = 1 to 400 do
-    let a = Hipstr_util.Rng.int g ((6 * page) - 300) in
-    match Hipstr_util.Rng.int g 3 with
-    | 0 ->
-      Mem.write8 m a 1;
-      wrote a a
-    | 1 ->
-      Mem.write32 m a 1;
-      wrote a (a + 3)
-    | _ ->
-      let n = 1 + Hipstr_util.Rng.int g 299 in
-      Mem.blit_string m a (String.make n 'x');
-      wrote a (a + n - 1)
-  done;
-  Alcotest.(check int) "one bump per overlapping write" !gen (Mem.generation r);
-  for _ = 1 to 2000 do
-    let a = Hipstr_util.Rng.int g (6 * page) in
-    let b = a + 1 + Hipstr_util.Rng.int g 600 in
-    let since = Hipstr_util.Rng.int g (!gen + 1) in
-    let a' = max a lo and b' = min b hi in
-    let expect =
-      a' >= b'
-      ||
-      let ok = ref true in
-      for k = a' / 64 to (b' - 1) / 64 do
-        if model.(k) > since then ok := false
-      done;
-      !ok
+  let round () =
+    let model = Array.make (6 * page / 64) 0 in
+    let gen = ref 0 in
+    let wrote a b =
+      (* [a, b] inclusive; a write overlapping the region bumps it once
+         and stamps the 64-byte pages it covers inside the region *)
+      if a < hi && b >= lo then begin
+        incr gen;
+        for k = max a lo / 64 to min b (hi - 1) / 64 do
+          model.(k) <- !gen
+        done
+      end
     in
-    Alcotest.(check bool)
-      (Printf.sprintf "span [%d, %d) since %d" a b since)
-      expect
-      (Mem.span_clean r ~lo:a ~hi:b ~since)
-  done;
+    for _ = 1 to 400 do
+      let a = Hipstr_util.Rng.int g ((6 * page) - 300) in
+      match Hipstr_util.Rng.int g 3 with
+      | 0 ->
+        Mem.write8 m a 1;
+        wrote a a
+      | 1 ->
+        Mem.write32 m a 1;
+        wrote a (a + 3)
+      | _ ->
+        let n = 1 + Hipstr_util.Rng.int g 299 in
+        Mem.blit_string m a (String.make n 'x');
+        wrote a (a + n - 1)
+    done;
+    Alcotest.(check int) "one bump per overlapping write" !gen (Mem.generation r);
+    for _ = 1 to 2000 do
+      let a = Hipstr_util.Rng.int g (6 * page) in
+      let b = a + 1 + Hipstr_util.Rng.int g 600 in
+      let since = Hipstr_util.Rng.int g (!gen + 1) in
+      let a' = max a lo and b' = min b hi in
+      let expect =
+        a' >= b'
+        ||
+        let ok = ref true in
+        for k = a' / 64 to (b' - 1) / 64 do
+          if model.(k) > since then ok := false
+        done;
+        !ok
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "span [%d, %d) since %d" a b since)
+        expect
+        (Mem.span_clean r ~lo:a ~hi:b ~since)
+    done
+  in
+  round ();
+  Mem.reset m;
+  Alcotest.(check bool) "reset: all zero again" true (Mem.equal_span m other 0 (6 * page));
+  Alcotest.(check int) "reset: generation 0" 0 (Mem.generation r);
+  Alcotest.(check bool) "reset: no write stamped" true (Mem.span_clean r ~lo ~hi ~since:0);
+  Alcotest.(check bool) "reset: the region is still registered" true
+    (Mem.watch m ~lo ~hi == r);
+  round ();
   Alcotest.(check int) "the other memory's region never moved" 0 (Mem.generation r');
   Alcotest.(check bool) "and reads clean everywhere" true
     (Mem.span_clean r' ~lo ~hi ~since:0)

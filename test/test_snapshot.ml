@@ -347,6 +347,52 @@ let test_rejects_forged_code_cache () =
   expect_corrupt "block past the flush cursor" (fun () ->
       restore_ccache (ccache_record ~cursor:(cc_base + 50) [ (0x100, cc_base, 100) ]))
 
+(* The fingerprint is hashed once at link from the binary's own code
+   strings. It must equal its definition: FNV-1a 64 over each ISA's
+   main entry, then every function's entry, size and bytes as
+   [Fatbin.load] leaves them in a pristine memory. *)
+let fingerprint_of_loaded_memory fb =
+  let module Fatbin = Hipstr_compiler.Fatbin in
+  let module Mem = Hipstr_machine.Mem in
+  let m = Mem.create Hipstr_machine.Layout.mem_size in
+  Fatbin.load fb m;
+  let byte h b = Int64.mul (Int64.logxor h (Int64.of_int (b land 0xFF))) 0x100000001b3L in
+  let word h v =
+    let h = ref h in
+    for i = 0 to 7 do
+      h := byte !h ((v lsr (8 * i)) land 0xFF)
+    done;
+    !h
+  in
+  let h = ref 0xcbf29ce484222325L in
+  List.iter
+    (fun which ->
+      h := word !h (Fatbin.entry fb which);
+      List.iter
+        (fun (start, size) ->
+          h := word !h start;
+          h := word !h size;
+          for a = start to start + size - 1 do
+            h := byte !h (Mem.read8 m a)
+          done)
+        (Fatbin.code_bytes fb which))
+    [ Desc.Cisc; Desc.Risc ];
+  Int64.to_int (Int64.shift_right_logical !h 1)
+
+let test_fingerprint_matches_loaded_code () =
+  List.iter
+    (fun name ->
+      let fb = Workloads.fatbin (Workloads.find name) in
+      Alcotest.(check int) name (fingerprint_of_loaded_memory fb) (Snapshot.fingerprint fb))
+    Workloads.names;
+  List.iter
+    (fun seed ->
+      let fb = Hipstr_compiler.Compile.to_fatbin (Progen.generate seed) in
+      Alcotest.(check int)
+        (Printf.sprintf "progen %d" seed)
+        (fingerprint_of_loaded_memory fb) (Snapshot.fingerprint fb))
+    [ 1; 2; 3; 4; 5 ]
+
 (* --- warm-start memo ----------------------------------------------- *)
 
 let test_memo_warm_start () =
@@ -400,6 +446,8 @@ let () =
           Alcotest.test_case "wrong binary" `Quick test_rejects_wrong_binary;
           Alcotest.test_case "bad magic" `Quick test_rejects_bad_magic;
           Alcotest.test_case "forged code-cache state" `Quick test_rejects_forged_code_cache;
+          Alcotest.test_case "fingerprint hashes the loaded code" `Quick
+            test_fingerprint_matches_loaded_code;
         ] );
       ("warm start", [ Alcotest.test_case "memo round-trip" `Quick test_memo_warm_start ]);
     ]
