@@ -3,7 +3,7 @@
 
 FUZZ_SEEDS ?= 1-25
 
-.PHONY: all build test goldens fuzz cmp-smoke profile-smoke cache-smoke interp-smoke chain-smoke alloc-smoke fleet-smoke timeline-smoke migrate-smoke check clean
+.PHONY: all build test goldens fuzz cmp-smoke profile-smoke cache-smoke interp-smoke alloc-smoke fleet-smoke timeline-smoke migrate-smoke check clean
 
 all: build
 
@@ -94,30 +94,6 @@ interp-smoke:
 	cmp /tmp/hipstr-interp-j1.json /tmp/hipstr-interp-j4.json
 	dune exec tools/json_check.exe -- /tmp/hipstr-interp-j1.json
 
-# Block chaining + indirect-branch ICs end-to-end (the chaining unit
-# and differential suite runs in `dune runtest`): CMP runs with
-# chaining disabled whose --verify re-runs every process standalone
-# with chaining *on* — an end-to-end chained/unchained differential —
-# at -j 1 and -j 4 with metrics exports demanded byte-identical, plus
-# one fuzz batch with chaining flipped off for the whole config
-# matrix. Last, an unchained gobmk run checkpointing mid-flight,
-# restored with --no-chain: an image does not record the engine, so
-# the restore names it, and its full state dump must be
-# byte-identical to the live run's.
-chain-smoke:
-	dune exec bin/hipstr_cli.exe -- cmp-run gobmk bzip2 mcf --no-chain \
-	  --quantum 2000 --verify -j 1 --metrics-out /tmp/hipstr-chain-j1.json
-	dune exec bin/hipstr_cli.exe -- cmp-run gobmk bzip2 mcf --no-chain \
-	  --quantum 2000 --verify -j 4 --metrics-out /tmp/hipstr-chain-j4.json
-	cmp /tmp/hipstr-chain-j1.json /tmp/hipstr-chain-j4.json
-	HIPSTR_FUZZ_CHAIN=off HIPSTR_FUZZ_SEEDS=1-10 dune exec test/test_fuzz.exe
-	dune exec bin/hipstr_cli.exe -- run gobmk --mode hipstr --no-chain \
-	  --checkpoint-every 200000 --checkpoint-out /tmp/hipstr-chain \
-	  --state-out /tmp/hipstr-chain-straight.dump
-	dune exec bin/hipstr_cli.exe -- restore /tmp/hipstr-chain.200000.snap --no-chain \
-	  --state-out /tmp/hipstr-chain-resumed.dump
-	cmp /tmp/hipstr-chain-straight.dump /tmp/hipstr-chain-resumed.dump
-
 # The fleet serving subsystem end-to-end: one seeded open-loop trace
 # served at -j 1 and -j 4 with metrics and audit exports demanded
 # byte-identical (the fleet determinism contract). The fleet
@@ -183,7 +159,7 @@ migrate-smoke:
 # host allocation profiling on, then a 200-connection hipstr fleet at
 # -j 1, each asserting minor GC words per retired instruction stays
 # within its budget. Both counts repeat exactly in a dev build (0.845
-# and 63.085; the hot loop itself is allocation-free, the residue is
+# and 63.079; the hot loop itself is allocation-free, the residue is
 # boot, block decode, translation, migration edges and the
 # profiler's own bookkeeping), and each budget is its measured value
 # plus under 5%, so a few percent of allocation creep fails.
@@ -193,7 +169,7 @@ alloc-smoke:
 	dune exec bin/hipstr_cli.exe -- fleet-run --procs 200 --arrival poisson:100 \
 	  --mode hipstr --shards 4 -j 1 --hostprof --assert-alloc 64.5
 
-check: build test fuzz cmp-smoke profile-smoke cache-smoke interp-smoke chain-smoke alloc-smoke fleet-smoke timeline-smoke migrate-smoke
+check: build test fuzz cmp-smoke profile-smoke cache-smoke interp-smoke alloc-smoke fleet-smoke timeline-smoke migrate-smoke
 
 clean:
 	dune clean

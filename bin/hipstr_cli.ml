@@ -23,7 +23,6 @@ module Config = Hipstr_psr.Config
 module Workloads = Hipstr_workloads.Workloads
 module Galileo = Hipstr_galileo.Galileo
 module Fatbin = Hipstr_compiler.Fatbin
-module Mem = Hipstr_machine.Mem
 module Machine = Hipstr_machine.Machine
 module Registry = Hipstr_experiments.Registry
 module Rop = Hipstr_attacks.Rop
@@ -197,15 +196,6 @@ let no_dcache_arg =
           "Disable the host-side predecoded-basic-block cache and re-decode every instruction: \
            the interpreter's oracle (simulation results are bit-identical either way, only \
            slower).")
-
-let no_chain_arg =
-  Arg.(
-    value & flag
-    & info [ "no-chain" ]
-        ~doc:
-          "Disable block-to-block chaining and the indirect-branch inline caches on top of the \
-           predecoded-block cache (an ablation; simulation results are bit-identical either \
-           way, only slower). Implied by $(b,--no-decode-cache).")
 
 let jobs_arg =
   Arg.(
@@ -603,7 +593,7 @@ let run_cmd =
   in
   let opt_arg = Arg.(value & opt opt_conv 3 & info [ "opt" ] ~doc:"PSR optimization level (0-3).") in
   let action (w : Workloads.t) mode isa seed opt_level migrate_prob cc_capacity cc_policy
-      no_dcache no_chain metrics trace hostprof assert_alloc checkpoint_every
+      no_dcache metrics trace hostprof assert_alloc checkpoint_every
       checkpoint_out memo_in memo_out state_out exports =
     probe_outputs
       ?checkpoint_prefix:(Option.map (fun _ -> checkpoint_out) checkpoint_every)
@@ -618,8 +608,8 @@ let run_cmd =
     let obs = make_obs ~trace in
     let hp = start_hostprof ~obs hostprof in
     let sys =
-      System.of_fatbin ~obs ~cfg ~seed ~start_isa:isa ~decode_cache:(not no_dcache)
-        ~chain:(not no_chain) ~mode (Workloads.fatbin w)
+      System.of_fatbin ~obs ~cfg ~seed ~start_isa:isa ~decode_cache:(not no_dcache) ~mode
+        (Workloads.fatbin w)
     in
     (match memo_in with
     | None -> ()
@@ -686,7 +676,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run a workload on the simulated heterogeneous-ISA CMP.")
     Term.(
       const action $ workload_arg $ mode_arg $ isa_arg $ seed_arg $ opt_arg $ migrate_prob_arg
-      $ cc_capacity_arg $ cc_policy_arg $ no_dcache_arg $ no_chain_arg
+      $ cc_capacity_arg $ cc_policy_arg $ no_dcache_arg
       $ metrics_arg $ trace_arg $ hostprof_arg $ assert_alloc_arg $ checkpoint_every_arg
       $ checkpoint_out_arg "checkpoint"
       $ memo_in_arg $ memo_out_arg $ state_out_arg $ export_args)
@@ -767,7 +757,7 @@ let restore_cmd =
       value & flag
       & info [ "info" ] ~doc:"Print the image manifest and exit without running anything.")
   in
-  let action file fuel only_info no_dcache no_chain metrics state_out exports =
+  let action file fuel only_info no_dcache metrics state_out exports =
     probe_outputs (state_out :: export_paths exports);
     let image = read_binary file in
     let mf =
@@ -796,8 +786,7 @@ let restore_cmd =
       let obs = make_obs ~trace:false in
       let sys, _ =
         try
-          Snapshot.restore ~obs ~decode_cache:(not no_dcache) ~chain:(not no_chain)
-            ~fatbin:(Workloads.fatbin w) image
+          Snapshot.restore ~obs ~decode_cache:(not no_dcache) ~fatbin:(Workloads.fatbin w) image
         with e -> corrupt_exit ("image " ^ file) e
       in
       let fuel = match fuel with Some f -> f | None -> 3 * w.w_fuel in
@@ -816,18 +805,16 @@ let restore_cmd =
        ~doc:
          "Restore a snapshot image and run it to completion. Bit-identical to the checkpointing \
           run continuing uninterrupted (compare --state-out dumps). The image does not record \
-          the execution engine; --no-decode-cache and --no-chain pick it here as they do for \
-          $(b,run). Truncated, version-skewed or wrong-binary images are rejected loudly.")
+          the execution engine; --no-decode-cache picks it here as it does for $(b,run). \
+          Truncated, version-skewed or wrong-binary images are rejected loudly.")
     Term.(
-      const action $ file_arg $ fuel_arg $ info_arg $ no_dcache_arg $ no_chain_arg $ metrics_arg
-      $ state_out_arg $ export_args)
+      const action $ file_arg $ fuel_arg $ info_arg $ no_dcache_arg $ metrics_arg $ state_out_arg
+      $ export_args)
 
 let gadgets_cmd =
   let action (w : Workloads.t) isa =
       let fb = Workloads.fatbin w in
-      let mem = Mem.create Hipstr_machine.Layout.mem_size in
-      Fatbin.load fb mem;
-      let gadgets = Galileo.mine_program mem fb isa in
+      let gadgets = Galileo.mine_program (Fatbin.baseline fb) fb isa in
       let rets = List.filter (fun g -> g.Galileo.g_kind = Galileo.Ret_gadget) gadgets in
       let sp = (match isa with Desc.Cisc -> Hipstr_cisc.Isa.desc | Desc.Risc -> Hipstr_risc.Isa.desc).sp in
       let viable = List.filter (fun g -> Galileo.is_viable (Galileo.classify ~sp g)) rets in
@@ -861,9 +848,7 @@ let attack_cmd =
   in
   let action mode seed =
     let fb = Workloads.fatbin Workloads.httpd in
-    let mem = Mem.create Hipstr_machine.Layout.mem_size in
-    Fatbin.load fb mem;
-    match Rop.build_chain mem fb Desc.Cisc ~victim_func:"handle_request" with
+    match Rop.build_chain (Fatbin.baseline fb) fb Desc.Cisc ~victim_func:"handle_request" with
     | None ->
       Printf.eprintf "could not construct an execve chain\n";
       exit 1
@@ -917,8 +902,7 @@ let disasm_cmd =
         exit 1
       | fs ->
         let im = Fatbin.image fs isa in
-        let mem = Mem.create Hipstr_machine.Layout.mem_size in
-        Fatbin.load fb mem;
+        let mem = Fatbin.baseline fb in
         let desc = match isa with Desc.Cisc -> Hipstr_cisc.Isa.desc | Desc.Risc -> Hipstr_risc.Isa.desc in
         let pos = ref im.im_entry in
         let stop = im.im_entry + im.im_size in
@@ -941,15 +925,13 @@ let run_file_cmd =
     Arg.(value & opt mode_conv System.Hipstr & info [ "mode" ] ~doc:"native, psr or hipstr.")
   in
   let fuel_arg = Arg.(value & opt fuel_conv 10_000_000 & info [ "fuel" ] ~doc:"Instruction budget.") in
-  let action file mode isa seed fuel cc_capacity cc_policy no_dcache no_chain metrics trace
-      exports =
+  let action file mode isa seed fuel cc_capacity cc_policy no_dcache metrics trace exports =
     probe_outputs (export_paths exports);
     let src = In_channel.with_open_text file In_channel.input_all in
     let obs = make_obs ~trace in
     let cfg = apply_cc_args Config.default cc_capacity cc_policy in
     match
-      System.create ~obs ~cfg ~seed ~start_isa:isa ~decode_cache:(not no_dcache)
-        ~chain:(not no_chain) ~mode ~src ()
+      System.create ~obs ~cfg ~seed ~start_isa:isa ~decode_cache:(not no_dcache) ~mode ~src ()
     with
     | exception Hipstr_compiler.Compile.Error m ->
       Printf.eprintf "%s: %s\n" file m;
@@ -968,7 +950,7 @@ let run_file_cmd =
     (Cmd.info "run-file" ~doc:"Compile and run a MiniC source file.")
     Term.(
       const action $ file_arg $ mode_arg $ isa_arg $ seed_arg $ fuel_arg $ cc_capacity_arg
-      $ cc_policy_arg $ no_dcache_arg $ no_chain_arg $ metrics_arg $ trace_arg $ export_args)
+      $ cc_policy_arg $ no_dcache_arg $ metrics_arg $ trace_arg $ export_args)
 
 (* ------------------------------------------------------------------ *)
 (* cmp-run: boot K workloads as processes and time-slice them across
@@ -1028,7 +1010,7 @@ let cmp_run_cmd =
   in
   let isa_label = function Desc.Cisc -> "cisc" | Desc.Risc -> "risc" in
   let action ws mode policy cores quantum fuel seed migrate_prob cc_capacity cc_policy no_dcache
-      no_chain jobs metrics sched verify checkpoint_every checkpoint_out tl_args exports =
+      jobs metrics sched verify checkpoint_every checkpoint_out tl_args exports =
     probe_outputs
       ?checkpoint_prefix:(Option.map (fun _ -> checkpoint_out) checkpoint_every)
       (timeline_paths tl_args @ export_paths exports);
@@ -1048,7 +1030,7 @@ let cmp_run_cmd =
       List.mapi
         (fun i (w : Workloads.t) ->
           Process.create ~obs ~cfg ~seed:(seed + i) ~start_isa:(start_isa i)
-            ~decode_cache:(not no_dcache) ~chain:(not no_chain) ~mode
+            ~decode_cache:(not no_dcache) ~mode
             ~pid:i ~name:w.w_name
             ~fuel:(budget w) (Workloads.fatbin w))
         ws
@@ -1112,10 +1094,9 @@ let cmp_run_cmd =
       List.iteri
         (fun i (w : Workloads.t) ->
           let p = Cmp.proc cmp i in
-          (* deliberately created with the *default* decode-cache and
-             chaining settings: under --no-decode-cache or --no-chain
-             this doubles as an end-to-end differential check of the
-             fast path against the oracle or the unchained loop *)
+          (* deliberately created on the *default* engine: under
+             --no-decode-cache this doubles as an end-to-end
+             differential check of the fast path against the oracle *)
           let alone =
             System.of_fatbin ~obs:Obs.disabled ~cfg ~seed:(seed + i) ~start_isa:(start_isa i)
               ~mode (Workloads.fatbin w)
@@ -1157,7 +1138,7 @@ let cmp_run_cmd =
     Term.(
       const action $ workloads_arg $ mode_arg $ policy_arg $ cores_arg $ quantum_arg $ fuel_arg
       $ seed_arg $ migrate_prob_arg $ cc_capacity_arg $ cc_policy_arg $ no_dcache_arg
-      $ no_chain_arg $ jobs_arg $ metrics_arg $ sched_arg $ verify_arg
+      $ jobs_arg $ metrics_arg $ sched_arg $ verify_arg
       $ checkpoint_every_arg
       $ checkpoint_out_arg "cmp" $ timeline_args $ export_args)
 

@@ -1,7 +1,5 @@
 module Galileo = Hipstr_galileo.Galileo
 module Fatbin = Hipstr_compiler.Fatbin
-module Mem = Hipstr_machine.Mem
-module Layout = Hipstr_machine.Layout
 module Config = Hipstr_psr.Config
 module Reloc_map = Hipstr_psr.Reloc_map
 module Rng = Hipstr_util.Rng
@@ -50,10 +48,11 @@ let survives_map (map : Reloc_map.t) (eff : Galileo.effect) pad =
        out of the pad *)
     (4. /. float_of_int pad) ** float_of_int (List.length eff.e_stack_slots)
 
-let analyze ?(samples = 12) ?(cfg = Config.default) ~seed ~name fb which =
-  let mem = Mem.create Layout.mem_size in
-  Fatbin.load fb mem;
-  let gadgets = Galileo.mine_program mem fb which in
+(* Relocation-map draws per function. *)
+let samples = 12
+
+let analyze ?(cfg = Config.default) ~seed ~name fb which =
+  let gadgets = Galileo.mine_program (Fatbin.baseline fb) fb which in
   let desc = desc_of which in
   let sp = desc.sp in
   (* Sampled relocation maps per function. *)

@@ -34,15 +34,15 @@ type report = {
 }
 
 val analyze :
-  ?samples:int ->
   ?cfg:Hipstr_psr.Config.t ->
   seed:int ->
   name:string ->
   Hipstr_compiler.Fatbin.t ->
   Hipstr_isa.Desc.which ->
   report
-(** Loads the binary into a scratch memory, mines, classifies.
-    [samples] relocation-map draws per function (default 12). *)
+(** Mines the binary's post-load image
+    ({!Hipstr_compiler.Fatbin.baseline}) and classifies, over 12
+    relocation-map draws per function. *)
 
 val obfuscated_fraction : report -> float
 val viable_fraction : report -> float

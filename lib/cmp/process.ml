@@ -22,13 +22,13 @@ type t = {
   mutable sched_migrations : int;
 }
 
-let create ?obs ?cfg ?(seed = 1) ?(start_isa = Desc.Cisc) ?decode_cache ?chain ?spare ~mode
+let create ?obs ?cfg ?(seed = 1) ?(start_isa = Desc.Cisc) ?decode_cache ?spare ~mode
     ~pid ~name ~fuel fb =
   if fuel < 1 then invalid_arg "Process.create: fuel must be positive";
   {
     pid;
     name;
-    sys = System.of_fatbin ?obs ?cfg ~seed ~start_isa ~pid ?decode_cache ?chain ?spare ~mode fb;
+    sys = System.of_fatbin ?obs ?cfg ~seed ~start_isa ~pid ?decode_cache ?spare ~mode fb;
     fuel_limit = fuel;
     state = Runnable;
     slices = 0;

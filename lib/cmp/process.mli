@@ -18,7 +18,6 @@ val create :
   ?seed:int ->
   ?start_isa:Hipstr_isa.Desc.which ->
   ?decode_cache:bool ->
-  ?chain:bool ->
   ?spare:Hipstr_machine.Machine.t ->
   mode:Hipstr.System.mode ->
   pid:int ->

@@ -30,6 +30,7 @@ type t = {
   fb_inits : (int * int list) list;
   fb_data_size : int;
   fb_fingerprint : int;
+  fb_baseline : Mem.t option Atomic.t;
 }
 
 let image fs = function Desc.Cisc -> fs.fs_cisc | Desc.Risc -> fs.fs_risc
@@ -231,6 +232,7 @@ let link (p : Ir.program) =
     fb_inits = inits;
     fb_data_size = !gcur - Layout.data_base;
     fb_fingerprint = fingerprint funcs;
+    fb_baseline = Atomic.make None;
   }
 
 let load t mem =
@@ -242,6 +244,19 @@ let load t mem =
   List.iter
     (fun (addr, init) -> List.iteri (fun i v -> Mem.write32 mem (addr + (4 * i)) v) init)
     t.fb_inits
+
+(* Built on first use, not at link: most binaries are never
+   checkpointed, and each image is a 32 MiB address space's page
+   table. Not a [Lazy.t], which raises when two domains force it at
+   once: racing domains each build one and the first to publish wins. *)
+let baseline t =
+  match Atomic.get t.fb_baseline with
+  | Some m -> m
+  | None ->
+    let m = Mem.create Layout.mem_size in
+    load t m;
+    if Atomic.compare_and_set t.fb_baseline None (Some m) then m
+    else Option.get (Atomic.get t.fb_baseline)
 
 let find_func t name =
   let n = Array.length t.fb_funcs in

@@ -42,6 +42,7 @@ type t = {
       (** FNV-1a over both ISAs' [main] entries and every function's
           entry, size and code bytes, computed once at {!link}: the
           identity snapshot images and memo artifacts are pinned to *)
+  fb_baseline : Hipstr_machine.Mem.t option Atomic.t;  (** read it through {!baseline} *)
 }
 
 val link : Ir.program -> t
@@ -59,6 +60,14 @@ val count_reg_uses :
 val load : t -> Hipstr_machine.Mem.t -> unit
 (** Write both code sections and the initialized data section into
     simulated memory. *)
+
+val baseline : t -> Hipstr_machine.Mem.t
+(** A fresh address space after {!load}, built once per binary on
+    first use: the pristine image a checkpoint diffs guest memory
+    against, and the memory static analyses (gadget mining,
+    disassembly) read. Shared by every caller and domain that uses
+    this binary, so it must never be written. Safe to call from
+    several domains at once. *)
 
 val image : func_sym -> Hipstr_isa.Desc.which -> image
 

@@ -37,9 +37,9 @@ type t = {
 let isa_label = function Desc.Cisc -> "cisc" | Desc.Risc -> "risc"
 
 let boot_system ?(obs = Obs.global) ?(cfg = Config.default) ?(seed = 1) ?(start_isa = Desc.Cisc)
-    ?(pid = 0) ?(decode_cache = true) ?(chain = true) ?(boot = true) ?spare ~mode fb =
+    ?(pid = 0) ?(decode_cache = true) ?(boot = true) ?spare ~mode fb =
   let rat_capacity = match mode with Native -> None | Psr_only | Hipstr -> Some cfg.rat_capacity in
-  let m = Machine.create ~obs ~rat_capacity ~decode_cache ~chain ?spare ~active:start_isa () in
+  let m = Machine.create ~obs ~rat_capacity ~decode_cache ?spare ~active:start_isa () in
   Machine.set_owner m pid;
   Fatbin.load fb (Machine.mem m);
   if boot then Machine.boot m ~entry:(Fatbin.entry fb start_isa);
@@ -72,11 +72,11 @@ let boot_system ?(obs = Obs.global) ?(cfg = Config.default) ?(seed = 1) ?(start_
     sys_start_isa = start_isa;
   }
 
-let of_fatbin ?obs ?cfg ?seed ?start_isa ?pid ?decode_cache ?chain ?boot ?spare ~mode fb =
-  boot_system ?obs ?cfg ?seed ?start_isa ?pid ?decode_cache ?chain ?boot ?spare ~mode fb
+let of_fatbin ?obs ?cfg ?seed ?start_isa ?pid ?decode_cache ?boot ?spare ~mode fb =
+  boot_system ?obs ?cfg ?seed ?start_isa ?pid ?decode_cache ?boot ?spare ~mode fb
 
-let create ?obs ?cfg ?seed ?start_isa ?pid ?decode_cache ?chain ?boot ~mode ~src () =
-  boot_system ?obs ?cfg ?seed ?start_isa ?pid ?decode_cache ?chain ?boot ~mode
+let create ?obs ?cfg ?seed ?start_isa ?pid ?decode_cache ?boot ~mode ~src () =
+  boot_system ?obs ?cfg ?seed ?start_isa ?pid ?decode_cache ?boot ~mode
     (Compile.to_fatbin src)
 
 let fatbin t = t.fb
@@ -391,13 +391,47 @@ module Wire = Hipstr_util.Wire
 
 let mode_tag = function Native -> 0 | Psr_only -> 1 | Hipstr -> 2
 
+let mode_of_tag = function
+  | 0 -> Native
+  | 1 -> Psr_only
+  | 2 -> Hipstr
+  | n -> Wire.corrupt "unknown mode tag %d" n
+
 let isa_tag = function Desc.Cisc -> 0 | Desc.Risc -> 1
+
+let isa_of_tag = function
+  | 0 -> Desc.Cisc
+  | 1 -> Desc.Risc
+  | n -> Wire.corrupt "unknown ISA tag %d" n
 
 (* Drop the host state a run restored from an image cannot have: both
    cores' decode caches and every VM's kept blocks. *)
 let quiesce t =
   Machine.quiesce t.m;
   List.iter (fun (_, v) -> Vm.quiesce v) t.vms
+
+(* One record per VM, each tagged with its ISA. Reading walks this
+   system's VMs in the same order and demands exactly as many records
+   as it has VMs; [what] names the image in the errors. *)
+let save_vms w t save =
+  Wire.list w
+    (fun w (which, v) ->
+      Wire.u8 w (isa_tag which);
+      save w v)
+    t.vms
+
+let load_vms t r ~what load =
+  let nvms = ref t.vms in
+  Wire.r_list r (fun r ->
+      let tag = Wire.r_u8 r in
+      match !nvms with
+      | (which, v) :: rest ->
+        if tag <> isa_tag which then Wire.corrupt "%s for the wrong ISA (tag %d)" what tag;
+        load v r;
+        nvms := rest
+      | [] -> Wire.corrupt "%s carries more VMs than this system has" what)
+  |> ignore;
+  match !nvms with [] -> () | _ -> Wire.corrupt "%s carries fewer VMs than this system has" what
 
 let save_state w t =
   Wire.tag w "SYSTEM";
@@ -408,11 +442,7 @@ let save_state w t =
   Wire.bool w t.migration_requested;
   Wire.i64 w (Rng.state t.rng);
   Machine.save w t.m;
-  Wire.list w
-    (fun w (which, v) ->
-      Wire.u8 w (isa_tag which);
-      Vm.save_state w v)
-    t.vms
+  save_vms w t Vm.save_state
 
 let restore_state t r =
   Wire.expect_tag r "SYSTEM";
@@ -425,45 +455,15 @@ let restore_state t r =
   t.migration_requested <- Wire.r_bool r;
   Rng.set_state t.rng (Wire.r_i64 r);
   Machine.restore t.m r;
-  let nvms = ref t.vms in
-  Wire.r_list r (fun r ->
-      let tag = Wire.r_u8 r in
-      match !nvms with
-      | (which, v) :: rest ->
-        if tag <> isa_tag which then Wire.corrupt "VM image for the wrong ISA (tag %d)" tag;
-        Vm.restore_state v r;
-        nvms := rest;
-        ()
-      | [] -> Wire.corrupt "image carries more VMs than this system has")
-  |> ignore;
-  (match !nvms with
-  | [] -> ()
-  | _ -> Wire.corrupt "image carries fewer VMs than this system has");
+  load_vms t r ~what:"VM image" Vm.restore_state;
   t.last_migration <- None
 
 let save_memo w t =
   Wire.tag w "MEMO";
-  Wire.list w
-    (fun w (which, v) ->
-      Wire.u8 w (isa_tag which);
-      Vm.save_meta w v)
-    t.vms
+  save_vms w t Vm.save_meta
 
 let load_memo t r =
   Wire.expect_tag r "MEMO";
-  let nvms = ref t.vms in
-  Wire.r_list r (fun r ->
-      let tag = Wire.r_u8 r in
-      match !nvms with
-      | (which, v) :: rest ->
-        if tag <> isa_tag which then Wire.corrupt "memo image for the wrong ISA (tag %d)" tag;
-        Vm.load_meta v r;
-        nvms := rest;
-        ()
-      | [] -> Wire.corrupt "memo image carries more VMs than this system has")
-  |> ignore;
-  match !nvms with
-  | [] -> ()
-  | _ -> Wire.corrupt "memo image carries fewer VMs than this system has"
+  load_vms t r ~what:"memo image" Vm.load_meta
 
 let forget_memo t = List.iter (fun (_, v) -> Vm.forget_memo v) t.vms

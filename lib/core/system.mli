@@ -37,7 +37,6 @@ val create :
   ?start_isa:Hipstr_isa.Desc.which ->
   ?pid:int ->
   ?decode_cache:bool ->
-  ?chain:bool ->
   ?boot:bool ->
   mode:mode ->
   src:string ->
@@ -51,13 +50,11 @@ val create :
     zero-overhead path. [pid] (default 0) tags every span and audit
     entry this system emits, so a CMP timeline can attribute
     per-process work. [decode_cache] (default [true]) controls the
-    host-side predecoded-block cache; [false] runs the
+    host-side predecoded-block cache (chained blocks and
+    indirect-branch inline caches, the fast path); [false] runs the
     per-instruction decode oracle, and simulation results are
-    bit-identical either way. [chain] (default [true]) controls
-    block-to-block chaining and the indirect-branch inline caches on
-    top of that cache, with the same bit-identity guarantee (and no
-    effect at all when [decode_cache] is off). These two host engine
-    switches are not part of a snapshot image. [boot] (default [true])
+    bit-identical either way. The engine is not part of a snapshot
+    image. [boot] (default [true])
     writes the initial stack/pc; snapshot restore passes [false] and
     overwrites the whole machine state instead.
     @raise Hipstr_compiler.Compile.Error on bad source. *)
@@ -69,7 +66,6 @@ val of_fatbin :
   ?start_isa:Hipstr_isa.Desc.which ->
   ?pid:int ->
   ?decode_cache:bool ->
-  ?chain:bool ->
   ?boot:bool ->
   ?spare:Hipstr_machine.Machine.t ->
   mode:mode ->
@@ -164,6 +160,18 @@ val metrics : t -> Hipstr_obs.Obs.Metrics.snapshot
     [system.migrations.*]. Note that when several systems share one
     context (the default, {!Hipstr_obs.Obs.global}), the counters
     aggregate across them. *)
+
+val mode_tag : mode -> int
+(** The byte a mode travels as in snapshot images and memo artifacts. *)
+
+val mode_of_tag : int -> mode
+(** @raise Hipstr_util.Wire.Corrupt on an unknown tag. *)
+
+val isa_tag : Hipstr_isa.Desc.which -> int
+(** The byte an ISA travels as in snapshot images and memo artifacts. *)
+
+val isa_of_tag : int -> Hipstr_isa.Desc.which
+(** @raise Hipstr_util.Wire.Corrupt on an unknown tag. *)
 
 val quiesce : t -> unit
 (** The checkpoint quiesce: drop both cores' host decode caches

@@ -188,9 +188,7 @@ let httpd_case_study () =
   let r = Harness.surface_of w in
   let bf = Brute_force.simulate ~name:"httpd" r in
   let jr = Jitrop.analyze ~name:"httpd" w ~seed:9 in
-  let mem = Mem.create Hipstr_machine.Layout.mem_size in
-  Fatbin.load fb mem;
-  let chain = Rop.build_chain mem fb Desc.Cisc ~victim_func:"handle_request" in
+  let chain = Rop.build_chain (Fatbin.baseline fb) fb Desc.Cisc ~victim_func:"handle_request" in
   let live outcome_of =
     match chain with
     | None -> "no chain"

@@ -122,6 +122,14 @@ let retire cfg sh p =
   if List.length sh.sh_spares < cfg.fl_max_live then
     sh.sh_spares <- System.machine (Process.sys p) :: sh.sh_spares
 
+(* The next machine an arrival on this shard boots or restores onto. *)
+let take_spare sh =
+  match sh.sh_spares with
+  | m :: rest ->
+    sh.sh_spares <- rest;
+    Some m
+  | [] -> None
+
 (* A completed connection as reported by a shard task, before the
    caller stamps it with the wave-end clock. *)
 type completion = {
@@ -141,16 +149,9 @@ let shard_wave cfg sh ~now =
       (* start ISA tiles the shard's core list so a pinned-mode fleet
          spreads over both ISAs deterministically *)
       let start_isa = List.nth cfg.fl_cores (c.Traffic.cn_id mod ncores) in
-      let spare =
-        match sh.sh_spares with
-        | m :: rest ->
-          sh.sh_spares <- rest;
-          Some m
-        | [] -> None
-      in
       let p =
         Traffic.spawn ~obs:sh.sh_obs ?cfg:cfg.fl_cfg ~seed:cfg.fl_seed ~start_isa
-          ~fuel:cfg.fl_fuel ?spare ~mode:cfg.fl_mode c
+          ~fuel:cfg.fl_fuel ?spare:(take_spare sh) ~mode:cfg.fl_mode c
       in
       Cmp.inject sh.sh_cmp p;
       Hashtbl.replace sh.sh_live (Process.pid p) (c, now);
@@ -268,7 +269,8 @@ let run ?(jobs = 1) ?(obs = Obs.disabled) ?timeline cfg conns =
         let image = Snapshot.checkpoint_process p in
         retire cfg src p;
         let p', _ =
-          Snapshot.restore_process ~obs:tgt.sh_obs ~merge_obs:false ~fatbin:(Lazy.force fb) image
+          Snapshot.restore_process ~obs:tgt.sh_obs ~merge_obs:false ?spare:(take_spare tgt)
+            ~fatbin:(Lazy.force fb) image
         in
         Cmp.inject tgt.sh_cmp p';
         (match Hashtbl.find_opt src.sh_live pid with

@@ -25,11 +25,16 @@ let terminator_kind (i : Minstr.t) =
   | Trap _ | Callrat _ ->
     None
 
+(* The suffix search reaches [max_back] bytes before a terminator, and
+   a gadget is at most [max_instrs] instructions long. *)
+let max_back = 24
+let max_instrs = 6
+
 (* Decode a straight-line chain from [start] whose final instruction
    is the terminator at exactly [stop_at]; interior control flow
    disqualifies the chain (it would not fall through to the
    terminator). *)
-let chain which ~read ~max_instrs start stop_at =
+let chain which ~read start stop_at =
   let rec go addr n acc =
     if addr = stop_at then
       match decode_for which ~read addr with
@@ -63,8 +68,7 @@ let terminator_positions which ~read start size =
   done;
   List.rev !positions
 
-let mine ?(max_back = 24) ?(max_instrs = 6) ~read ~which ~ranges ?(aligned_starts = fun _ -> false)
-    () =
+let mine ~read ~which ~ranges ?(aligned_starts = fun _ -> false) () =
   let seen = Hashtbl.create 1024 in
   let gadgets = ref [] in
   let step = match which with Desc.Cisc -> 1 | Desc.Risc -> 4 in
@@ -79,7 +83,7 @@ let mine ?(max_back = 24) ?(max_instrs = 6) ~read ~which ~ranges ?(aligned_start
           let back = ref term_pos in
           while !back >= lo do
             let s = !back in
-            (match chain which ~read ~max_instrs s term_pos with
+            (match chain which ~read s term_pos with
             | Some (instrs, bytes, k) ->
               if not (Hashtbl.mem seen (s, k)) then begin
                 Hashtbl.add seen (s, k) ();

@@ -22,8 +22,6 @@ type gadget = {
 }
 
 val mine :
-  ?max_back:int ->
-  ?max_instrs:int ->
   read:(int -> int) ->
   which:Hipstr_isa.Desc.which ->
   ranges:(int * int) list ->
@@ -31,11 +29,11 @@ val mine :
   unit ->
   gadget list
 (** [mine ~read ~which ~ranges ()] finds all gadgets in the byte
-    ranges [(start, size)]. [max_back] bounds the suffix search (24
-    bytes by default), [max_instrs] the gadget length in instructions
-    (6). [aligned_starts] marks intended instruction boundaries for
-    the [g_aligned] flag (defaults to all unaligned). Gadgets are
-    deduplicated by start address per kind. *)
+    ranges [(start, size)]: suffixes starting up to 24 bytes before a
+    terminator, at most 6 instructions long. [aligned_starts] marks
+    intended instruction boundaries for the [g_aligned] flag
+    (defaults to all unaligned). Gadgets are deduplicated by start
+    address per kind. *)
 
 val mine_program : Hipstr_machine.Mem.t -> Hipstr_compiler.Fatbin.t -> Hipstr_isa.Desc.which -> gadget list
 (** Mine a loaded fat binary's code section for one ISA, with

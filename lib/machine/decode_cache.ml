@@ -89,7 +89,6 @@ type t = {
           handed to the decoder when the whole decode window provably
           lies inside a watched region (see [decode_block]) *)
   blocks : (int, block) Hashtbl.t;
-  chained : bool;  (** follow/patch successor links at block boundaries *)
   mutable epoch : int;
       (** bumped by every wholesale invalidation; links recorded under
           an older epoch are dead even though their target block object
@@ -168,7 +167,7 @@ let reset t =
   zero t.st;
   zero t.dep
 
-let create ?(obs = Obs.global) ~isa ?(chain = true) which mem =
+let create ?(obs = Obs.global) ~isa which mem =
   (* The four standard code-bearing regions; [Mem.watch] dedupes, so
      the CISC and RISC caches of one machine share region handles. *)
   ignore
@@ -192,7 +191,6 @@ let create ?(obs = Obs.global) ~isa ?(chain = true) which mem =
       read = Mem.reader mem;
       read_unsafe = (fun a -> Mem.unsafe_read8 mem a);
       blocks = Hashtbl.create 16;
-      chained = chain;
       epoch = 0;
       q1 = Cpu.fc_quotient ~lat:1 ~throughput:core.throughput;
       q2 = Cpu.fc_quotient ~lat:2 ~throughput:core.throughput;
@@ -220,7 +218,6 @@ let create ?(obs = Obs.global) ~isa ?(chain = true) which mem =
   t
 
 let stats t = t.st
-let chained t = t.chained
 let epoch t = t.epoch
 
 (* Deposit the counter deltas accumulated (in plain mutable ints)
@@ -539,10 +536,8 @@ let rec follow_scan t (b : block) succs n pc i =
    dropped block, and the caller falls back to [find] (which
    re-decodes and then [patch]es the new block back in). *)
 let follow_idx t (b : block) pc =
-  if not t.chained then -1
-  else
-    let succs = b.db_succs in
-    follow_scan t b succs (Array.length succs) pc 0
+  let succs = b.db_succs in
+  follow_scan t b succs (Array.length succs) pc 0
 
 let follow t (b : block) pc =
   let i = follow_idx t b pc in
@@ -555,7 +550,7 @@ let follow t (b : block) pc =
    and stops patching. A stale [pred] is never patched — it is about
    to be dropped, and patching it would only delay collection. *)
 let patch t (pred : block) ~pc (b : block) =
-  if t.chained && not (stale pred) then begin
+  if not (stale pred) then begin
     let epoch = t.epoch in
     let live =
       Array.to_list pred.db_succs

@@ -83,16 +83,12 @@ val max_decode_window : int
     its start address, on either ISA. Anything that caches a decode
     result must treat this many bytes as read. *)
 
-val create :
-  ?obs:Hipstr_obs.Obs.t -> isa:string -> ?chain:bool -> Hipstr_isa.Desc.which -> Mem.t -> t
+val create : ?obs:Hipstr_obs.Obs.t -> isa:string -> Hipstr_isa.Desc.which -> Mem.t -> t
 (** Create a cache for one ISA over one memory, watching the four
     standard code-bearing regions (both code sections and both
     code-cache regions; {!Mem.watch} dedupes across ISAs). Counters
     are registered as [machine.<isa>.decode_cache.*],
-    [machine.<isa>.chain.*] and [machine.<isa>.ic.*]. [chain]
-    (default on) enables successor links; when off, {!follow} always
-    misses and {!patch} is a no-op, leaving dispatch exactly as it
-    was before chaining existed. *)
+    [machine.<isa>.chain.*] and [machine.<isa>.ic.*]. *)
 
 val reset : t -> unit
 (** Back to the state {!create} returns: no blocks, epoch 0, every
@@ -147,7 +143,7 @@ val follow : t -> block -> int -> block option
 (** [follow t pred pc] probes [pred]'s links for the block at [pc].
     Dead links (old epoch, or stale target) are severed and counted
     as breaks; an indirect probe that finds no valid entry counts an
-    IC miss. Always [None] when chaining is off. *)
+    IC miss. *)
 
 val follow_idx : t -> block -> int -> int
 (** {!follow} in index form — the allocation-free probe the
@@ -156,8 +152,8 @@ val follow_idx : t -> block -> int -> int
 
 val patch : t -> block -> pc:int -> block -> unit
 (** [patch t pred ~pc b] installs [pred] --[pc]--> [b] after a follow
-    miss. No-op when chaining is off or [pred] is stale; a full
-    (megamorphic) IC refuses new entries. *)
+    miss. No-op when [pred] is stale; a full (megamorphic) IC refuses
+    new entries. *)
 
 val stats : t -> stats
 
@@ -169,8 +165,6 @@ val deposit : t -> unit
     run exit and after out-of-run invalidations, i.e. before any
     point an export can observe the registry, so exported values are
     unchanged by the batching. *)
-
-val chained : t -> bool
 
 val epoch : t -> int
 (** Current link epoch (test introspection). *)

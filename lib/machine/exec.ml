@@ -651,9 +651,10 @@ let run_slow env ~fuel =
    successor links ([Decode_cache.follow_idx]) and only falls back to
    the hashtable probe ([find], then [patch]ing the link in) on a
    miss. Neither probe nor link maintenance does any model-visible
-   work, so chained and unchained execution are bit-identical by
-   construction; the gate runs before the link probe, so chaining
-   cannot reorder the fuel/sentinel checks either. *)
+   work, and the gate runs before the link probe, so chaining cannot
+   reorder the fuel/sentinel checks; the oracle differentials in
+   test/test_interp.ml check both, and that the links were really
+   patched and broken. *)
 let run_cached env dc ~fuel =
   let open Decode_cache in
   let rec dispatch_first n =

@@ -5,9 +5,9 @@
     leaves simulated code (trap). The PSR virtual machine drives it
     quantum by quantum so it can interpose on traps.
 
-    Two retire paths exist and nothing else: the packed block loop
-    over a decode cache's [db_code] words (the fast path, chained or
-    not) and the per-instruction decode loop (the oracle, taken when
+    Two retire paths exist and nothing else: the chained packed block
+    loop over a decode cache's [db_code] words (the fast path) and the
+    per-instruction decode loop (the oracle, taken when
     [dcode = None]). They are bit-identical by contract.
 
     When a Return Address Table is present ([rat <> None]) the machine

@@ -13,13 +13,7 @@ type core_ctx = {
 }
 
 (* The creation parameters a recycled machine must match. *)
-type shape = {
-  sh_rat : int option;
-  sh_icache_kb : int;
-  sh_dcache_kb : int;
-  sh_decode_cache : bool;
-  sh_chain : bool;
-}
+type shape = { sh_rat : int option; sh_decode_cache : bool }
 
 type t = {
   shape : shape;
@@ -58,16 +52,16 @@ let make_ctx ~obs shape ~memory which =
     desc;
     core;
     icache =
-      Cache.create ~size_kb:shape.sh_icache_kb ~assoc:core.cache_assoc
+      Cache.create ~size_kb:core.icache_size_kb ~assoc:core.cache_assoc
         ~miss_penalty:core.icache_miss_penalty ();
     dcache =
-      Cache.create ~size_kb:shape.sh_dcache_kb ~assoc:core.cache_assoc
+      Cache.create ~size_kb:core.dcache_size_kb ~assoc:core.cache_assoc
         ~miss_penalty:core.dcache_miss_penalty ();
     bpred = Bpred.create ();
     rat = Option.map (fun n -> Rat.create ~capacity:n) shape.sh_rat;
     dcode =
       (if shape.sh_decode_cache then
-         Some (Decode_cache.create ~obs ~isa ~chain:shape.sh_chain which memory)
+         Some (Decode_cache.create ~obs ~isa which memory)
        else None);
     ctrs =
       {
@@ -155,17 +149,8 @@ let reset t ~active =
   t.risc_fc <- 0;
   t.fc_mark <- 0
 
-let create ?(obs = Obs.global) ?(rat_capacity = None) ?(icache_kb = 32) ?(dcache_kb = 32)
-    ?(decode_cache = true) ?(chain = true) ?spare ~active () =
-  let shape =
-    {
-      sh_rat = rat_capacity;
-      sh_icache_kb = icache_kb;
-      sh_dcache_kb = dcache_kb;
-      sh_decode_cache = decode_cache;
-      sh_chain = chain;
-    }
-  in
+let create ?(obs = Obs.global) ?(rat_capacity = None) ?(decode_cache = true) ?spare ~active () =
+  let shape = { sh_rat = rat_capacity; sh_decode_cache = decode_cache } in
   let t =
     match spare with
     | None -> allocate ~obs shape

@@ -16,10 +16,7 @@ type t
 val create :
   ?obs:Hipstr_obs.Obs.t ->
   ?rat_capacity:int option ->
-  ?icache_kb:int ->
-  ?dcache_kb:int ->
   ?decode_cache:bool ->
-  ?chain:bool ->
   ?spare:t ->
   active:Hipstr_isa.Desc.which ->
   unit ->
@@ -29,12 +26,12 @@ val create :
     cores. [obs] (default {!Hipstr_obs.Obs.global}) receives
     per-core instruction/fault/syscall counters and is inherited by
     every component holding this machine (PSR VMs, the migration
-    engine). [decode_cache] (default [true]) gives each core a
-    predecoded-basic-block cache; [false] ([--no-decode-cache]) runs
-    the per-instruction decode oracle instead. [chain] (default
-    [true]) lets those caches chain blocks and inline-cache indirect
-    targets; [false] is the [--no-chain] ablation. Results are
-    bit-identical in all combinations.
+    engine). Each core's i- and d-cache has its {!Core_desc} size.
+    [decode_cache] (default [true]) gives each core a
+    predecoded-basic-block cache, which chains blocks and
+    inline-caches indirect targets: the fast path. [false]
+    ([--no-decode-cache]) runs the per-instruction decode oracle
+    instead. Results are bit-identical either way.
 
     [spare] is a retired machine to {!reset} and return instead of
     allocating a new one. Nothing may use it afterwards through the
@@ -144,6 +141,6 @@ val save : Hipstr_util.Wire.w -> t -> unit
 
 val restore : t -> Hipstr_util.Wire.r -> unit
 (** Overwrite this machine's state from a {!save} image. The machine
-    must have been created with the same shape (RAT presence, cache
-    geometry) as the saved one.
+    must have been created with the same RAT presence as the saved
+    one.
     @raise Hipstr_util.Wire.Corrupt on any mismatch. *)

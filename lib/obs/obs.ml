@@ -745,11 +745,11 @@ type t = {
   mutable hostprof : Hostprof.t option;
 }
 
-let create ?(on = true) ?(sink = Sink.null) ?(trace_capacity = 1024) () =
+let create ?(on = true) ?(sink = Sink.null) () =
   {
     enabled = on;
     metrics = Metrics.create ();
-    trace = Trace.create ~capacity:trace_capacity ();
+    trace = Trace.create ();
     spans = Span.create ();
     audit = Audit.create ();
     sink;
@@ -828,7 +828,7 @@ let audit_emit t ~cycle ~isa ~pid kind =
   if t.enabled then ignore (Audit.record t.audit ~cycle ~isa ~pid kind)
 
 let child t =
-  let c = create ~on:t.enabled ~sink:Sink.null ~trace_capacity:(Trace.capacity t.trace) () in
+  let c = create ~on:t.enabled ~sink:Sink.null () in
   (* the hostprof (if any) is shared, not copied: per-phase host
      allocation from every shard/task folds into one table *)
   c.hostprof <- t.hostprof;

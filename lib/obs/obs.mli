@@ -349,9 +349,9 @@ end
 
 type t
 
-val create : ?on:bool -> ?sink:Sink.t -> ?trace_capacity:int -> unit -> t
+val create : ?on:bool -> ?sink:Sink.t -> unit -> t
 (** A fresh observability context: its own metrics registry, event
-    ring ([trace_capacity], default 1024) and sink (default
+    ring (of {!Trace.create}'s default capacity) and sink (default
     {!Sink.null}). [on] defaults to true. *)
 
 val disabled : t

@@ -398,6 +398,26 @@ let source_unchanged t e =
     true
   end
 
+(* Write a laid-out unit at [base] and register its exit stubs and
+   indirect-call sites, recording their pcs so eviction can drop
+   exactly this unit's entries. Only the blit touches guest memory. *)
+let install t ~base (unit : Translator.unit_code) =
+  Mem.blit_string (mem t) base unit.u_bytes;
+  let trap_pcs = ref [] in
+  List.iter
+    (fun (s : Translator.exit_stub) ->
+      let pc = base + s.es_off in
+      Hashtbl.replace t.stub_at pc (Sexit s.es_target_src);
+      trap_pcs := pc :: !trap_pcs)
+    unit.u_stubs;
+  List.iter
+    (fun (ic : Translator.icall_site) ->
+      let pc = base + ic.is_off in
+      Hashtbl.replace t.stub_at pc (Sicall ic);
+      trap_pcs := pc :: !trap_pcs)
+    unit.u_icalls;
+  Hashtbl.replace t.block_meta base !trap_pcs
+
 let translate_unit t src =
   match Code_cache.lookup t.cache src with
   | Some cache_addr ->
@@ -501,7 +521,7 @@ let translate_unit t src =
     let unit =
       match laid with Some l -> l.la_unit | None -> Translator.layout prep ~base
     in
-    Mem.blit_string (mem t) base unit.u_bytes;
+    install t ~base unit;
     (match laid with
     | Some l ->
       (* the same bytes at the same base: the blocks the last flush
@@ -512,20 +532,6 @@ let translate_unit t src =
       | None -> ());
       l.la_blocks <- []
     | None -> ());
-    let trap_pcs = ref [] in
-    List.iter
-      (fun (s : Translator.exit_stub) ->
-        let pc = base + s.es_off in
-        Hashtbl.replace t.stub_at pc (Sexit s.es_target_src);
-        trap_pcs := pc :: !trap_pcs)
-      unit.u_stubs;
-    List.iter
-      (fun (ic : Translator.icall_site) ->
-        let pc = base + ic.is_off in
-        Hashtbl.replace t.stub_at pc (Sicall ic);
-        trap_pcs := pc :: !trap_pcs)
-      unit.u_icalls;
-    Hashtbl.replace t.block_meta base !trap_pcs;
     t.new_units <- src :: t.new_units;
     (* Under flush a memo hit is host-side reuse of a translation the
        model still performs: it is charged, counted and traced as one. *)
@@ -883,31 +889,39 @@ let rematerialize t =
       if Translator.prepared_size prep <> b.cb_size then
         Wire.corrupt "re-materialized unit for 0x%x measures %d bytes, image says %d" b.cb_src
           (Translator.prepared_size prep) b.cb_size;
-      let unit = Translator.layout prep ~base:b.cb_cache in
-      Mem.blit_string (mem t) b.cb_cache unit.u_bytes;
-      let trap_pcs = ref [] in
-      List.iter
-        (fun (s : Translator.exit_stub) ->
-          let pc = b.cb_cache + s.es_off in
-          Hashtbl.replace t.stub_at pc (Sexit s.es_target_src);
-          trap_pcs := pc :: !trap_pcs)
-        unit.u_stubs;
-      List.iter
-        (fun (ic : Translator.icall_site) ->
-          let pc = b.cb_cache + ic.is_off in
-          Hashtbl.replace t.stub_at pc (Sicall ic);
-          trap_pcs := pc :: !trap_pcs)
-        unit.u_icalls;
-      Hashtbl.replace t.block_meta b.cb_cache !trap_pcs)
+      install t ~base:b.cb_cache (Translator.layout prep ~base:b.cb_cache))
     (Code_cache.blocks t.cache)
 
-let save_state w t =
-  Wire.tag w "PSRVM";
+(* The map/memo/history slice, shared by a full VM image and a
+   warm-start memo artifact: the rng, the map generation, the maps,
+   the memo keys and the translation history. Loading it rebuilds the
+   memo against the loaded maps. *)
+let write_meta w t =
   Wire.i64 w (Rng.state t.rng);
   Wire.int w t.map_gen;
   save_maps w t;
   save_memo_keys w t;
-  Wire.list w Wire.int (sorted_keys t.ever_translated);
+  Wire.list w Wire.int (sorted_keys t.ever_translated)
+
+let read_meta t r =
+  Rng.set_state t.rng (Wire.r_i64 r);
+  t.map_gen <- Wire.r_int r;
+  load_maps t r;
+  let memo_keys =
+    Wire.r_list r (fun r ->
+        let src = Wire.r_int r in
+        let fp = Wire.r_int r in
+        (src, fp))
+  in
+  let ever = Wire.r_list r Wire.r_int in
+  Hashtbl.reset t.ever_translated;
+  List.iter (fun src -> Hashtbl.replace t.ever_translated src ()) ever;
+  Hashtbl.reset t.hot;
+  rebuild_memo t memo_keys
+
+let save_state w t =
+  Wire.tag w "PSRVM";
+  write_meta w t;
   Code_cache.save w t.cache;
   Wire.list w
     (fun w (pc, (p : patch_rec)) ->
@@ -933,16 +947,7 @@ let save_state w t =
 
 let restore_state t r =
   Wire.expect_tag r "PSRVM";
-  Rng.set_state t.rng (Wire.r_i64 r);
-  t.map_gen <- Wire.r_int r;
-  load_maps t r;
-  let memo_keys =
-    Wire.r_list r (fun r ->
-        let src = Wire.r_int r in
-        let fp = Wire.r_int r in
-        (src, fp))
-  in
-  let ever = Wire.r_list r Wire.r_int in
+  read_meta t r;
   Code_cache.restore t.cache r;
   let patch_list =
     Wire.r_list r (fun r ->
@@ -966,10 +971,6 @@ let restore_state t r =
   s.evictions <- Wire.r_int r;
   s.memo_installs <- Wire.r_int r;
   s.retranslate_cycles <- Wire.r_float r;
-  Hashtbl.reset t.ever_translated;
-  List.iter (fun src -> Hashtbl.replace t.ever_translated src ()) ever;
-  Hashtbl.reset t.hot;
-  rebuild_memo t memo_keys;
   rematerialize t;
   Hashtbl.reset t.patches;
   List.iter
@@ -991,28 +992,11 @@ let restore_state t r =
    [translate_per_instr]. *)
 let save_meta w t =
   Wire.tag w "PSRMETA";
-  Wire.i64 w (Rng.state t.rng);
-  Wire.int w t.map_gen;
-  save_maps w t;
-  save_memo_keys w t;
-  Wire.list w Wire.int (sorted_keys t.ever_translated)
+  write_meta w t
 
 let load_meta t r =
   Wire.expect_tag r "PSRMETA";
-  Rng.set_state t.rng (Wire.r_i64 r);
-  t.map_gen <- Wire.r_int r;
-  load_maps t r;
-  let memo_keys =
-    Wire.r_list r (fun r ->
-        let src = Wire.r_int r in
-        let fp = Wire.r_int r in
-        (src, fp))
-  in
-  let ever = Wire.r_list r Wire.r_int in
-  Hashtbl.reset t.ever_translated;
-  List.iter (fun src -> Hashtbl.replace t.ever_translated src ()) ever;
-  Hashtbl.reset t.hot;
-  rebuild_memo t memo_keys
+  read_meta t r
 
 (* Cold-start control: drop the memo but keep the translation history,
    so both arms of a warm/cold comparison classify their misses

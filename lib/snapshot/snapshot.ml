@@ -9,16 +9,17 @@
    configured System (mode, seed, pid, start ISA, the full PSR config)
    plus a fingerprint of the fat binary, so a restore against the
    wrong program or a version-skewed image fails loudly instead of
-   resuming garbage. Host engine switches (decode cache, chaining)
-   are not guest state and stay out of the image: [restore] takes
-   them from its caller, exactly as [System.of_fatbin] does. The
+   resuming garbage. The host engine (fast path or decode oracle) is
+   not guest state and stays out of the image: [restore] takes it
+   from its caller, exactly as [System.of_fatbin] does. The
    parser is strict end to end: every length is checked, trailing
    bytes are an error, and truncation surfaces as
    [Hipstr_util.Wire.Corrupt].
 
    Guest memory travels as a page-granular delta against the pristine
-   post-load image (fresh memory + [Fatbin.load], before [boot] — the
-   boot writes are program state and land in the delta). The code-cache
+   post-load image ([Fatbin.baseline]: fresh memory + [Fatbin.load],
+   built once per binary, before any [boot] — the boot writes are
+   program state and land in the delta). The code-cache
    regions are excluded wholesale: translated code is never shipped,
    it re-materializes deterministically from the relocation maps
    ([Vm.restore_state]), which is both smaller and the honest model —
@@ -58,21 +59,6 @@ let page_bytes = 4096
 (* Pages below the cache regions are delta candidates; everything at
    or above [Layout.cisc_cache_base] is re-materialized code. *)
 let delta_limit = Layout.cisc_cache_base
-
-let mode_tag = function System.Native -> 0 | System.Psr_only -> 1 | System.Hipstr -> 2
-
-let mode_of_tag = function
-  | 0 -> System.Native
-  | 1 -> System.Psr_only
-  | 2 -> System.Hipstr
-  | n -> Wire.corrupt "unknown mode tag %d" n
-
-let isa_tag = function Desc.Cisc -> 0 | Desc.Risc -> 1
-
-let isa_of_tag = function
-  | 0 -> Desc.Cisc
-  | 1 -> Desc.Risc
-  | n -> Wire.corrupt "unknown ISA tag %d" n
 
 (* The identity of the program an image belongs to, hashed once at
    link. *)
@@ -142,10 +128,10 @@ let read_header r =
   if v <> version then Wire.corrupt "snapshot version %d, this build reads version %d" v version;
   Wire.expect_tag r "MANIFEST";
   let mf_workload = Wire.r_str r in
-  let mf_mode = mode_of_tag (Wire.r_u8 r) in
+  let mf_mode = System.mode_of_tag (Wire.r_u8 r) in
   let mf_seed = Wire.r_int r in
   let mf_pid = Wire.r_int r in
-  let mf_start_isa = isa_of_tag (Wire.r_u8 r) in
+  let mf_start_isa = System.isa_of_tag (Wire.r_u8 r) in
   let mf_cfg = load_config r in
   let mf_fingerprint = Wire.r_int r in
   let mf_instructions = Wire.r_int r in
@@ -257,21 +243,19 @@ let write_image w ?(workload = "custom") sys =
      identical. *)
   System.quiesce sys;
   let fb = System.fatbin sys in
-  let baseline = Mem.create Layout.mem_size in
-  Fatbin.load fb baseline;
   Wire.str w magic;
   Wire.int w version;
   Wire.tag w "MANIFEST";
   Wire.str w workload;
-  Wire.u8 w (mode_tag (System.mode sys));
+  Wire.u8 w (System.mode_tag (System.mode sys));
   Wire.int w (System.seed sys);
   Wire.int w (Machine.owner m);
-  Wire.u8 w (isa_tag (System.start_isa sys));
+  Wire.u8 w (System.isa_tag (System.start_isa sys));
   save_config w (System.config sys);
   Wire.int w (fingerprint fb);
   Wire.int w (System.instructions sys);
   Wire.float w (System.cycles sys);
-  save_delta w ~baseline (Machine.mem m);
+  save_delta w ~baseline:(Fatbin.baseline fb) (Machine.mem m);
   System.save_state w sys;
   save_metrics w (Obs.Metrics.snapshot (Obs.metrics (System.obs sys)))
 
@@ -280,7 +264,7 @@ let checkpoint ?workload sys =
   write_image w ?workload sys;
   Wire.contents w
 
-let read_image r ?obs ?(merge_obs = true) ?decode_cache ?chain ~fatbin () =
+let read_image r ?obs ?(merge_obs = true) ?decode_cache ?spare ~fatbin () =
   let mf = read_header r in
   let fp = fingerprint fatbin in
   if fp <> mf.mf_fingerprint then
@@ -288,7 +272,7 @@ let read_image r ?obs ?(merge_obs = true) ?decode_cache ?chain ~fatbin () =
       mf.mf_fingerprint;
   let sys =
     System.of_fatbin ?obs ~cfg:mf.mf_cfg ~seed:mf.mf_seed ~start_isa:mf.mf_start_isa
-      ~pid:mf.mf_pid ?decode_cache ?chain ~boot:false ~mode:mf.mf_mode fatbin
+      ~pid:mf.mf_pid ?decode_cache ~boot:false ?spare ~mode:mf.mf_mode fatbin
   in
   load_delta r (Machine.mem (System.machine sys));
   System.restore_state sys r;
@@ -296,9 +280,9 @@ let read_image r ?obs ?(merge_obs = true) ?decode_cache ?chain ~fatbin () =
   if merge_obs then Obs.Metrics.merge ~into:(Obs.metrics (System.obs sys)) snap;
   (sys, mf)
 
-let restore ?obs ?merge_obs ?decode_cache ?chain ~fatbin image =
+let restore ?obs ?merge_obs ?decode_cache ~fatbin image =
   let r = Wire.reader image in
-  let sys, mf = read_image r ?obs ?merge_obs ?decode_cache ?chain ~fatbin () in
+  let sys, mf = read_image r ?obs ?merge_obs ?decode_cache ~fatbin () in
   Wire.expect_end r;
   (sys, mf)
 
@@ -311,11 +295,11 @@ let checkpoint_process ?workload p =
   Process.save w p;
   Wire.contents w
 
-let restore_process ?obs ?merge_obs ~fatbin image =
+let restore_process ?obs ?merge_obs ?spare ~fatbin image =
   let r = Wire.reader image in
   let m = Wire.r_str r in
   if m <> "HIPSPROC" then Wire.corrupt "bad magic %S (not a process snapshot)" m;
-  let sys, mf = read_image r ?obs ?merge_obs ~fatbin () in
+  let sys, mf = read_image r ?obs ?merge_obs ?spare ~fatbin () in
   let p = Process.reconstitute ~sys r in
   Wire.expect_end r;
   (p, mf)
@@ -327,7 +311,7 @@ let save_memo sys =
   Wire.str w memo_magic;
   Wire.int w memo_version;
   Wire.int w (fingerprint (System.fatbin sys));
-  Wire.u8 w (mode_tag (System.mode sys));
+  Wire.u8 w (System.mode_tag (System.mode sys));
   save_config w (System.config sys);
   System.save_memo w sys;
   Wire.contents w
@@ -344,9 +328,9 @@ let load_memo sys image =
   if fp <> own then
     Wire.corrupt "binary fingerprint 0x%x does not match the memo's 0x%x" own fp;
   let mt = Wire.r_u8 r in
-  if mt <> mode_tag (System.mode sys) then
+  if mt <> System.mode_tag (System.mode sys) then
     Wire.corrupt "memo was taken in mode %d, this system is mode %d" mt
-      (mode_tag (System.mode sys));
+      (System.mode_tag (System.mode sys));
   let cfg = load_config r in
   if cfg <> System.config sys then Wire.corrupt "memo config differs from this system's config";
   System.load_memo sys r;

@@ -46,7 +46,6 @@ val restore :
   ?obs:Hipstr_obs.Obs.t ->
   ?merge_obs:bool ->
   ?decode_cache:bool ->
-  ?chain:bool ->
   fatbin:Hipstr_compiler.Fatbin.t ->
   string ->
   Hipstr.System.t * manifest
@@ -55,10 +54,10 @@ val restore :
     (re-materializing translated code), and — unless [merge_obs] is
     [false] — fold the image's metrics baseline into the new system's
     obs registry so continued metrics match the uninterrupted run.
-    [decode_cache] and [chain] pick the restored system's execution
-    engine, as for {!Hipstr.System.of_fatbin} (both default on); the
+    [decode_cache] picks the restored system's execution engine, as
+    for {!Hipstr.System.of_fatbin} (default on, the fast path); the
     image does not record the engine it was taken on, and guest
-    results are bit-identical on every engine.
+    results are bit-identical on both.
     @raise Hipstr_util.Wire.Corrupt on any malformed, truncated,
     version-skewed or wrong-binary image. *)
 
@@ -74,13 +73,18 @@ val checkpoint_process : ?workload:string -> Hipstr_cmp.Process.t -> string
 val restore_process :
   ?obs:Hipstr_obs.Obs.t ->
   ?merge_obs:bool ->
+  ?spare:Hipstr_machine.Machine.t ->
   fatbin:Hipstr_compiler.Fatbin.t ->
   string ->
   Hipstr_cmp.Process.t * manifest
 (** Rebuild a {!Hipstr_cmp.Process.t} from {!checkpoint_process}
     output; core-affinity warmth is dropped (first slice on the new
-    pool is a cold switch).
-    @raise Hipstr_util.Wire.Corrupt as {!restore}. *)
+    pool is a cold switch). [spare] is a retired machine to reset and
+    restore onto instead of allocating one, as for
+    {!Hipstr.System.of_fatbin}; the result is identical.
+    @raise Hipstr_util.Wire.Corrupt as {!restore}.
+    @raise Invalid_argument when [spare] was built for another mode,
+    configuration or [obs]. *)
 
 val save_memo : Hipstr.System.t -> string
 (** Warm-start artifact: every VM's relocation maps, translation-memo

@@ -20,7 +20,7 @@ let contents (w : w) = Buffer.contents w
 
 type r = { src : string; mutable pos : int }
 
-let reader ?(pos = 0) src = { src; pos }
+let reader src = { src; pos = 0 }
 let remaining r = String.length r.src - r.pos
 
 let need r n what =

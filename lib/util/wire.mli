@@ -18,7 +18,7 @@ val contents : w -> string
 
 type r
 
-val reader : ?pos:int -> string -> r
+val reader : string -> r
 val remaining : r -> int
 
 val u8 : w -> int -> unit

@@ -1,14 +1,14 @@
 (* Reusable differential-equality harness.
 
-   Every host-side fast path in this codebase (predecoded blocks,
-   block chaining, inline caches, code-cache eviction policies) rides
-   on the same acceptance invariant: two runs that differ only in a
-   host optimization must be *bit-identical* in everything the
+   Every host-side fast path in this codebase (predecoded blocks with
+   their chaining and inline caches, code-cache eviction policies)
+   rides on the same acceptance invariant: two runs that differ only
+   in a host optimization must be *bit-identical* in everything the
    simulation defines — outcome, program output, instruction count,
    the exact cycle float (no reordering or re-association of a single
    charge), suspicious-transfer count, migration count. This module
-   is the one place that invariant is written down; test_interp,
-   test_psr and test_chain all check through it.
+   is the one place that invariant is written down; test_interp and
+   test_psr check through it.
 
    Some differentials deliberately compare less: the eviction-policy
    differential (flush vs fifo vs clock) changes *simulated* behavior
@@ -17,7 +17,6 @@
    [mask] record says which fields a given differential promises. *)
 
 module System = Hipstr.System
-module Obs = Hipstr_obs.Obs
 
 type fingerprint = {
   fp_outcome : string;
@@ -37,8 +36,8 @@ type mask = {
   m_migrations : bool;
 }
 
-(* Full bit-identity: host-only optimizations (decode cache, chaining,
-   inline caches) must match on every field. *)
+(* Full bit-identity: the fast path (decode cache, chaining, inline
+   caches) must match the oracle on every field. *)
 let bit_identical =
   {
     m_outcome = true;
@@ -89,27 +88,3 @@ let check ?(mask = bit_identical) label a b =
 let run_sys sys ~fuel =
   let outcome = System.run sys ~fuel in
   fingerprint sys outcome
-
-(* ------------------------------------------------------------------ *)
-(* Obs-counter deltas.
-
-   For differentials that also want to assert *why* the runs agree
-   ("the chained run actually followed links", "the unchained run
-   never patched"), fingerprints are not enough: read named counters
-   out of each run's isolated obs context and compare or bound
-   them. *)
-
-let counter_value obs name =
-  Obs.Metrics.counter_value (Obs.Metrics.snapshot (Obs.metrics obs)) name
-
-let counter_values obs names = List.map (fun n -> (n, counter_value obs n)) names
-
-(* Counters that must be equal between two runs (e.g. the simulated
-   instruction counters of a chained and an unchained run). *)
-let check_counters_equal label names obs_a obs_b =
-  List.iter
-    (fun n ->
-      Alcotest.(check int)
-        (Printf.sprintf "%s: counter %s" label n)
-        (counter_value obs_a n) (counter_value obs_b n))
-    names

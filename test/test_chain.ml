@@ -3,15 +3,15 @@
    Chaining is a host-only optimization layered on the predecoded
    block cache: direct-branch terminators get generation-checked
    successor links, indirect terminators get a mono->poly inline
-   cache keyed by target pc. Nothing here may be visible to the
-   simulation — the suite closes with an all-workload x all-mode
-   chained/unchained bit-identity sweep through the shared
-   differential harness — and the link-maintenance machinery itself
+   cache keyed by target pc. The link-maintenance machinery
    (back-patching, severing on staleness, epoch invalidation, IC
-   promotion and megamorphic refusal) gets unit coverage against the
-   churn sources that must break chains: self-modifying code,
-   code-cache eviction and relocation-map renewal, and context-switch
-   flushes. *)
+   promotion and megamorphic refusal) gets unit coverage here, and
+   two machine-level runs check it against the churn sources that
+   must break chains (self-modifying code, context-switch flushes)
+   by comparing with the per-instruction decode oracle. The
+   workload-wide fast-path/oracle differentials, which also check
+   that links were really patched and broken under eviction churn,
+   live in test_interp. *)
 
 module Mem = Hipstr_machine.Mem
 module Layout = Hipstr_machine.Layout
@@ -20,10 +20,6 @@ module Decode_cache = Hipstr_machine.Decode_cache
 module Desc = Hipstr_isa.Desc
 module Minstr = Hipstr_isa.Minstr
 module Cisc = Hipstr_cisc.Isa
-module System = Hipstr.System
-module Config = Hipstr_psr.Config
-module Code_cache = Hipstr_psr.Code_cache
-module Workloads = Hipstr_workloads.Workloads
 module Obs = Hipstr_obs.Obs
 
 let assemble mem at instrs =
@@ -90,23 +86,6 @@ let test_epoch_invalidation () =
   Alcotest.(check bool) "old-epoch link dead" true (Decode_cache.follow dc a b_at = None);
   Alcotest.(check int) "break counted" 1 (Decode_cache.stats dc).Decode_cache.chain_breaks
 
-let test_unchained_mode_inert () =
-  let mem = Mem.create Layout.mem_size in
-  let dc = Decode_cache.create ~obs:Obs.disabled ~isa:"cisc" ~chain:false Desc.Cisc mem in
-  Alcotest.(check bool) "reports unchained" false (Decode_cache.chained dc);
-  let base = Layout.cisc_code_base in
-  let b_at = base + 64 in
-  ignore (assemble mem base [ Minstr.Jmp b_at ]);
-  ignore (assemble mem b_at [ Minstr.Jmp base ]);
-  let a = lookup_exn dc base in
-  let b = lookup_exn dc b_at in
-  Decode_cache.patch dc a ~pc:b_at b;
-  Alcotest.(check int) "patch refused" 0 (Array.length a.Decode_cache.db_succs);
-  Alcotest.(check bool) "follow inert" true (Decode_cache.follow dc a b_at = None);
-  let st = Decode_cache.stats dc in
-  Alcotest.(check int) "no patches" 0 st.Decode_cache.chain_patches;
-  Alcotest.(check int) "no ic misses either" 0 st.Decode_cache.ic_misses
-
 (* ------------------------------------------------------------------ *)
 (* Unit: indirect inline caches — mono -> poly -> megamorphic *)
 
@@ -168,8 +147,8 @@ let test_self_modify_breaks_chain () =
     Machine.boot m ~entry:a_at;
     (mem, b_at)
   in
-  let run ~chain =
-    let m = Machine.create ~obs:Obs.disabled ~chain ~active:Desc.Cisc () in
+  let run ~decode_cache =
+    let m = Machine.create ~obs:Obs.disabled ~decode_cache ~active:Desc.Cisc () in
     let mem, b_at = setup m in
     ignore (Machine.run m ~fuel:100);
     (* the A->B link is hot; now rewrite B's body in place *)
@@ -179,12 +158,12 @@ let test_self_modify_breaks_chain () =
     (cpu.regs.(0), cpu.regs.(1), Machine.instructions m, Machine.cycles m,
      Machine.decode_cache_stats m Desc.Cisc)
   in
-  let r0_c, r1_c, i_c, cy_c, st_c = run ~chain:true in
-  let r0_u, r1_u, i_u, cy_u, _ = run ~chain:false in
-  Alcotest.(check int) "r0 identical" r0_u r0_c;
-  Alcotest.(check int) "r1 identical" r1_u r1_c;
-  Alcotest.(check int) "instructions identical" i_u i_c;
-  Alcotest.(check bool) "cycles identical" true (cy_c = cy_u);
+  let r0_c, r1_c, i_c, cy_c, st_c = run ~decode_cache:true in
+  let r0_o, r1_o, i_o, cy_o, _ = run ~decode_cache:false in
+  Alcotest.(check int) "r0 identical" r0_o r0_c;
+  Alcotest.(check int) "r1 identical" r1_o r1_c;
+  Alcotest.(check int) "instructions identical" i_o i_c;
+  Alcotest.(check bool) "cycles identical" true (cy_c = cy_o);
   (* 100 fuel of the 4-instruction loop, then 100 more with B at +16 *)
   Alcotest.(check int) "r1 reflects the rewrite" (25 + (25 * 16)) r1_c;
   match st_c with
@@ -197,8 +176,8 @@ let test_self_modify_breaks_chain () =
    with run slices must stay invisible, and the chained run must
    re-patch after every flush. *)
 let test_context_switch_churn () =
-  let run ~chain =
-    let m = Machine.create ~obs:Obs.disabled ~chain ~active:Desc.Cisc () in
+  let run ~decode_cache =
+    let m = Machine.create ~obs:Obs.disabled ~decode_cache ~active:Desc.Cisc () in
     let mem = Machine.mem m in
     let base = Layout.cisc_code_base in
     let b_at = base + 64 in
@@ -213,84 +192,16 @@ let test_context_switch_churn () =
     let cpu = Machine.cpu m in
     (cpu.regs.(0), Machine.instructions m, Machine.cycles m, Machine.decode_cache_stats m Desc.Cisc)
   in
-  let r0_c, i_c, cy_c, st_c = run ~chain:true in
-  let r0_u, i_u, cy_u, _ = run ~chain:false in
-  Alcotest.(check int) "r0 identical" r0_u r0_c;
-  Alcotest.(check int) "instructions identical" i_u i_c;
-  Alcotest.(check bool) "cycles identical" true (cy_c = cy_u);
+  let r0_c, i_c, cy_c, st_c = run ~decode_cache:true in
+  let r0_o, i_o, cy_o, _ = run ~decode_cache:false in
+  Alcotest.(check int) "r0 identical" r0_o r0_c;
+  Alcotest.(check int) "instructions identical" i_o i_c;
+  Alcotest.(check bool) "cycles identical" true (cy_c = cy_o);
   match st_c with
   | None -> Alcotest.fail "expected a decode cache"
   | Some st ->
     Alcotest.(check bool) "re-patched after each flush" true
       (st.Decode_cache.chain_patches >= 8)
-
-(* ------------------------------------------------------------------ *)
-(* System: eviction / renew_maps churn, chained vs unchained *)
-
-let churn_fuel = 400_000
-
-let run_system ~chain ?cfg ~mode ~seed fb =
-  let obs = Obs.create () in
-  let sys = System.of_fatbin ~obs ?cfg ~seed ~start_isa:Desc.Cisc ~chain ~mode fb in
-  let fp = Diff_harness.run_sys sys ~fuel:churn_fuel in
-  (fp, obs)
-
-let chain_counters =
-  [ "machine.cisc.chain.patches"; "machine.cisc.chain.breaks"; "machine.cisc.chain.follows" ]
-
-let test_eviction_churn_differential () =
-  let fb = Workloads.fatbin (Workloads.find "gobmk") in
-  let tiny policy = { Config.default with cache_bytes = 4096; cc_policy = policy } in
-  List.iter
-    (fun (label, cfg, mode) ->
-      let on, obs_on = run_system ~chain:true ?cfg ~mode ~seed:5 fb in
-      let off, obs_off = run_system ~chain:false ?cfg ~mode ~seed:5 fb in
-      Diff_harness.check label on off;
-      (* chaining must be live on one side and inert on the other *)
-      Alcotest.(check bool) (label ^ ": chained run patches") true
-        (Diff_harness.counter_value obs_on "machine.cisc.chain.patches" > 0);
-      List.iter
-        (fun c ->
-          Alcotest.(check int) (label ^ ": unchained " ^ c) 0
-            (Diff_harness.counter_value obs_off c))
-        chain_counters;
-      (* the simulated instruction streams agree counter-for-counter *)
-      Diff_harness.check_counters_equal label
-        [ "machine.cisc.instructions"; "machine.risc.instructions" ]
-        obs_on obs_off)
-    [
-      ("gobmk/psr-tiny-fifo", Some (tiny Code_cache.Fifo), System.Psr_only);
-      ("gobmk/psr-tiny-clock", Some (tiny Code_cache.Clock), System.Psr_only);
-      ("gobmk/psr-tiny-flush", Some (tiny Code_cache.Flush), System.Psr_only);
-      ( "gobmk/hipstr-always",
-        Some { Config.default with migrate_prob = 1.0 },
-        System.Hipstr );
-    ];
-  (* guard against a vacuous pass: the tiny-fifo config must really
-     churn the code-cache region (every eviction unpatches trap bytes,
-     bumping the region generation chained blocks validate against) *)
-  let sys =
-    System.of_fatbin ~obs:Obs.disabled ~cfg:(tiny Code_cache.Fifo) ~seed:5 ~start_isa:Desc.Cisc
-      ~mode:System.Psr_only fb
-  in
-  ignore (System.run sys ~fuel:churn_fuel);
-  Alcotest.(check bool) "tiny fifo config churns" true (System.cache_evictions sys > 0)
-
-(* ------------------------------------------------------------------ *)
-(* The tentpole acceptance sweep: every workload, every mode,
-   chained vs unchained, full bit-identity through the harness. *)
-
-let test_workload_chain_differential () =
-  List.iter
-    (fun name ->
-      let fb = Workloads.fatbin (Workloads.find name) in
-      List.iter
-        (fun (mlabel, mode) ->
-          let on, _ = run_system ~chain:true ~mode ~seed:3 fb in
-          let off, _ = run_system ~chain:false ~mode ~seed:3 fb in
-          Diff_harness.check (name ^ "/" ^ mlabel) on off)
-        [ ("native", System.Native); ("psr", System.Psr_only); ("hipstr", System.Hipstr) ])
-    Workloads.names
 
 let () =
   Alcotest.run "chain"
@@ -299,17 +210,11 @@ let () =
         [
           Alcotest.test_case "direct patch/follow/sever" `Quick test_direct_patch_follow;
           Alcotest.test_case "epoch invalidation" `Quick test_epoch_invalidation;
-          Alcotest.test_case "unchained mode inert" `Quick test_unchained_mode_inert;
           Alcotest.test_case "ic mono->poly->megamorphic" `Quick test_ic_promotion;
         ] );
       ( "machine",
         [
           Alcotest.test_case "self-modify breaks chain" `Quick test_self_modify_breaks_chain;
           Alcotest.test_case "context-switch churn" `Quick test_context_switch_churn;
-        ] );
-      ( "system",
-        [
-          Alcotest.test_case "eviction/renew churn" `Quick test_eviction_churn_differential;
-          Alcotest.test_case "all workloads, all modes" `Quick test_workload_chain_differential;
         ] );
     ]

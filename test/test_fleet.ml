@@ -575,6 +575,50 @@ let test_reset_is_fresh () =
     (conn_where ~mode:System.Native killed)
     b
 
+(* A live migration restores onto a spare of the target shard: the
+   process must continue exactly as it does restored onto a new
+   machine — the same machine image and memory after the restore, and
+   the same outcome, output, instruction count, cycle bits, machine
+   image and memory after the run. *)
+let test_restore_onto_spare () =
+  let obs = Obs.create () in
+  let b = conn_where ~mode:System.Hipstr finished in
+  let pb = Traffic.spawn ~obs ~mode:System.Hipstr ~start_isa:Desc.Cisc b in
+  System.request_migration (Process.sys pb);
+  (match System.run (Process.sys pb) ~fuel:300 with
+  | System.Out_of_fuel -> ()
+  | o -> Alcotest.failf "B ended before its checkpoint (%s)" (outcome_label o));
+  let image_b = Snapshot.checkpoint_process pb in
+  let a = List.find (fun c -> c.Traffic.cn_id <> b.Traffic.cn_id) hostile in
+  let pa = Traffic.spawn ~obs ~mode:System.Hipstr ~start_isa:Desc.Risc a in
+  ignore (run_out pa);
+  let spare = System.machine (Process.sys pa) in
+  let restore ?spare () =
+    fst
+      (Snapshot.restore_process ~obs ~merge_obs:false ?spare ~fatbin:(Traffic.fatbin ()) image_b)
+  in
+  let reused = restore ~spare () and fresh = restore () in
+  let sr = Process.sys reused and sf = Process.sys fresh in
+  let mr = System.machine sr and mf = System.machine sf in
+  Alcotest.(check bool) "restored onto the spare" true (mr == spare);
+  let same_state when_ =
+    Alcotest.(check string) ("machine image " ^ when_) (image Machine.save mf)
+      (image Machine.save mr);
+    Alcotest.(check bool) ("memory " ^ when_) true
+      (Mem.equal_span (Machine.mem mf) (Machine.mem mr) 0 (Mem.size (Machine.mem mf)))
+  in
+  same_state "after the restore";
+  let of_ = run_out fresh and or_ = run_out reused in
+  Alcotest.(check bool) ("B finishes: " ^ outcome_label of_) true (finished of_);
+  Alcotest.(check bool) "B migrated across ISAs after the restore" true (Machine.migrations mf > 0);
+  Alcotest.(check string) "outcome" (outcome_label of_) (outcome_label or_);
+  Alcotest.(check (list int)) "output" (System.output sf) (System.output sr);
+  Alcotest.(check int) "instructions" (System.instructions sf) (System.instructions sr);
+  Alcotest.(check int64) "cycle bits"
+    (Int64.bits_of_float (System.cycles sf))
+    (Int64.bits_of_float (System.cycles sr));
+  same_state "after the run"
+
 let test_spare_of_another_shape_refused () =
   let c = List.hd (gen ~procs:1 ()) in
   let obs = Obs.create () in
@@ -628,6 +672,8 @@ let () =
           Alcotest.test_case "reset machine boots like a new one" `Quick test_reset_is_fresh;
           Alcotest.test_case "spare of another shape refused" `Quick
             test_spare_of_another_shape_refused;
+          Alcotest.test_case "restore onto a spare matches a new machine" `Quick
+            test_restore_onto_spare;
         ] );
       ( "timeline",
         [

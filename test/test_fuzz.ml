@@ -12,8 +12,8 @@ module Config = Hipstr_psr.Config
 
 let fuel = 4_000_000
 
-let run_config ?cfg ?chain ?decode_cache src ~mode ~isa ~seed =
-  match System.create ?cfg ?chain ?decode_cache ~seed ~start_isa:isa ~mode ~src () with
+let run_config ?cfg ?decode_cache src ~mode ~isa ~seed =
+  match System.create ?cfg ?decode_cache ~seed ~start_isa:isa ~mode ~src () with
   | exception Hipstr_compiler.Compile.Error m -> Error ("compile: " ^ m)
   | sys -> (
     match System.run sys ~fuel with
@@ -21,18 +21,6 @@ let run_config ?cfg ?chain ?decode_cache src ~mode ~isa ~seed =
     | System.Killed m -> Error ("killed: " ^ m)
     | System.Shell_spawned -> Error "shell"
     | System.Out_of_fuel -> Error "fuel")
-
-(* HIPSTR_FUZZ_CHAIN flips the *default* chaining setting of every
-   config below (the explicit chained/unchained contrast pair and the
-   oracle config keep their settings regardless): "0"/"off" fuzzes the
-   whole matrix with block chaining disabled, anything else (or unset)
-   with it on. Running the suite once per value covers both dispatch
-   paths with the full config matrix. *)
-let fuzz_chain () =
-  match Sys.getenv_opt "HIPSTR_FUZZ_CHAIN" with
-  | None | Some "" | Some "1" | Some "on" -> true
-  | Some "0" | Some "off" -> false
-  | Some s -> failwith ("bad HIPSTR_FUZZ_CHAIN: " ^ s)
 
 let always_migrate = { Config.default with migrate_prob = 1.0 }
 let sometimes_migrate = { Config.default with migrate_prob = 0.5 }
@@ -63,40 +51,32 @@ let tiny_flush = { Config.default with cache_bytes = fuzz_cc_capacity () }
 
 let check_program seed =
   let src = Progen.generate seed in
-  let dflt = fuzz_chain () in
   let configs =
     [
-      ("native-cisc", System.Native, Desc.Cisc, 1, None, dflt, true);
-      ("native-risc", System.Native, Desc.Risc, 1, None, dflt, true);
-      ("psr-cisc-a", System.Psr_only, Desc.Cisc, 1 + (seed * 7), None, dflt, true);
-      ("psr-cisc-b", System.Psr_only, Desc.Cisc, 2 + (seed * 13), None, dflt, true);
-      ("psr-risc", System.Psr_only, Desc.Risc, 3 + seed, None, dflt, true);
-      ("hipstr", System.Hipstr, Desc.Cisc, 4 + seed, Some always_migrate, dflt, true);
-      ("hipstr-risc", System.Hipstr, Desc.Risc, 5 + (seed * 3), Some always_migrate, dflt, true);
-      ("hipstr-mid", System.Hipstr, Desc.Cisc, 6 + (seed * 11), Some sometimes_migrate, dflt, true);
-      ("psr-tiny-flush", System.Psr_only, Desc.Cisc, 7 + (seed * 5), Some tiny_flush, dflt, true);
-      ("psr-tiny-fifo", System.Psr_only, Desc.Cisc, 7 + (seed * 5), Some tiny_fifo, dflt, true);
-      ("psr-tiny-clock", System.Psr_only, Desc.Risc, 8 + (seed * 9), Some tiny_clock, dflt, true);
+      ("native-cisc", System.Native, Desc.Cisc, 1, None, true);
+      ("native-risc", System.Native, Desc.Risc, 1, None, true);
+      ("psr-cisc-a", System.Psr_only, Desc.Cisc, 1 + (seed * 7), None, true);
+      ("psr-cisc-b", System.Psr_only, Desc.Cisc, 2 + (seed * 13), None, true);
+      ("psr-risc", System.Psr_only, Desc.Risc, 3 + seed, None, true);
+      ("hipstr", System.Hipstr, Desc.Cisc, 4 + seed, Some always_migrate, true);
+      ("hipstr-risc", System.Hipstr, Desc.Risc, 5 + (seed * 3), Some always_migrate, true);
+      ("hipstr-mid", System.Hipstr, Desc.Cisc, 6 + (seed * 11), Some sometimes_migrate, true);
+      ("psr-tiny-flush", System.Psr_only, Desc.Cisc, 7 + (seed * 5), Some tiny_flush, true);
+      ("psr-tiny-fifo", System.Psr_only, Desc.Cisc, 7 + (seed * 5), Some tiny_fifo, true);
+      ("psr-tiny-clock", System.Psr_only, Desc.Risc, 8 + (seed * 9), Some tiny_clock, true);
       ("hipstr-tiny-fifo", System.Hipstr, Desc.Cisc, 9 + (seed * 17),
-       Some { tiny_fifo with migrate_prob = 1.0 }, dflt, true);
-      (* explicit chained/unchained contrast on the churniest config:
-         same seed, same tiny eviction cache, only the host dispatch
-         differs — a per-program chaining differential *)
-      ("psr-tiny-fifo-chain", System.Psr_only, Desc.Cisc, 7 + (seed * 5), Some tiny_fifo, true,
-       true);
-      ("psr-tiny-fifo-nochain", System.Psr_only, Desc.Cisc, 7 + (seed * 5), Some tiny_fifo,
-       false, true);
-      (* and the per-instruction decode oracle on the same churny
-         config: the packed block loop against the path it must
-         match, per program *)
-      ("psr-tiny-fifo-oracle", System.Psr_only, Desc.Cisc, 7 + (seed * 5), Some tiny_fifo,
-       false, false);
+       Some { tiny_fifo with migrate_prob = 1.0 }, true);
+      (* the per-instruction decode oracle on the churniest config:
+         same seed, same tiny eviction cache as psr-tiny-fifo, only
+         the engine differs — the chained packed loop against the
+         path it must match, per program *)
+      ("psr-tiny-fifo-oracle", System.Psr_only, Desc.Cisc, 7 + (seed * 5), Some tiny_fifo, false);
     ]
   in
   let results =
     List.map
-      (fun (label, mode, isa, s, cfg, chain, decode_cache) ->
-        (label, run_config ?cfg ~chain ~decode_cache src ~mode ~isa ~seed:s))
+      (fun (label, mode, isa, s, cfg, decode_cache) ->
+        (label, run_config ?cfg ~decode_cache src ~mode ~isa ~seed:s))
       configs
   in
   match results with

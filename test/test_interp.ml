@@ -30,12 +30,40 @@ let run_fatbin ~decode_cache ?cfg ~mode ~seed ~fuel fb =
   let sys =
     System.of_fatbin ~obs:Obs.disabled ?cfg ~seed ~start_isa:Desc.Cisc ~decode_cache ~mode fb
   in
-  Diff_harness.run_sys sys ~fuel
+  (Diff_harness.run_sys sys ~fuel, sys)
 
+(* Chain links the cached run patched and broke, over both cores. *)
+type chaining = { patches : int; breaks : int }
+
+let chaining sys =
+  List.fold_left
+    (fun c isa ->
+      match Machine.decode_cache_stats (System.machine sys) isa with
+      | Some st ->
+        {
+          patches = c.patches + st.Decode_cache.chain_patches;
+          breaks = c.breaks + st.Decode_cache.chain_breaks;
+        }
+      | None -> c)
+    { patches = 0; breaks = 0 } [ Desc.Cisc; Desc.Risc ]
+
+(* The fast path against the oracle; returns the fast path's chaining
+   counts, so a caller can show the links it relies on were really
+   exercised. *)
 let differential_fatbin label ?cfg ~mode ~seed ~fuel fb =
-  let on = run_fatbin ~decode_cache:true ?cfg ~mode ~seed ~fuel fb in
-  let off = run_fatbin ~decode_cache:false ?cfg ~mode ~seed ~fuel fb in
-  Diff_harness.check label on off
+  let on, sys = run_fatbin ~decode_cache:true ?cfg ~mode ~seed ~fuel fb in
+  let off, _ = run_fatbin ~decode_cache:false ?cfg ~mode ~seed ~fuel fb in
+  Diff_harness.check label on off;
+  chaining sys
+
+(* A churn differential that never patched a link, or whose eviction
+   churn never broke one, would pass without testing chaining. *)
+let check_patched label c =
+  Alcotest.(check bool) (label ^ ": the fast path patched links") true (c.patches > 0)
+
+let check_broken label c =
+  check_patched label c;
+  Alcotest.(check bool) (label ^ ": eviction churn broke links") true (c.breaks > 0)
 
 (* Every registered workload (including httpd), every mode. Fuel is
    bounded well below the workloads' nominal budgets to keep the
@@ -48,7 +76,7 @@ let test_workload_differential () =
       let fb = Workloads.fatbin (Workloads.find name) in
       List.iter
         (fun (mlabel, mode) ->
-          differential_fatbin (name ^ "/" ^ mlabel) ~mode ~seed:3 ~fuel fb)
+          ignore (differential_fatbin (name ^ "/" ^ mlabel) ~mode ~seed:3 ~fuel fb))
         [ ("native", System.Native); ("psr", System.Psr_only); ("hipstr", System.Hipstr) ])
     Workloads.names
 
@@ -66,10 +94,12 @@ let tiny policy = { Config.default with cache_bytes = 4096; cc_policy = policy }
 let test_churn_configs_differential () =
   let fb = Workloads.fatbin (Workloads.find "gobmk") in
   let tiny_fifo = tiny Hipstr_psr.Code_cache.Fifo in
-  differential_fatbin "gobmk/hipstr-always" ~cfg:always ~mode:System.Hipstr ~seed:5 ~fuel:churn_fuel
-    fb;
-  differential_fatbin "gobmk/psr-tiny-fifo" ~cfg:tiny_fifo ~mode:System.Psr_only ~seed:5
-    ~fuel:churn_fuel fb;
+  check_patched "gobmk/hipstr-always"
+    (differential_fatbin "gobmk/hipstr-always" ~cfg:always ~mode:System.Hipstr ~seed:5
+       ~fuel:churn_fuel fb);
+  check_broken "gobmk/psr-tiny-fifo"
+    (differential_fatbin "gobmk/psr-tiny-fifo" ~cfg:tiny_fifo ~mode:System.Psr_only ~seed:5
+       ~fuel:churn_fuel fb);
   (* make sure the fifo config actually evicted — a no-churn run
      would vacuously pass *)
   let sys =
@@ -84,12 +114,15 @@ let test_churn_configs_differential () =
 let test_churn_differential () =
   let fb = Workloads.fatbin (Workloads.find "gobmk") in
   let tiny_always = { (tiny Hipstr_psr.Code_cache.Fifo) with migrate_prob = 1.0 } in
-  differential_fatbin "gobmk/psr-tiny-clock" ~cfg:(tiny Hipstr_psr.Code_cache.Clock)
-    ~mode:System.Psr_only ~seed:5 ~fuel:churn_fuel fb;
-  differential_fatbin "gobmk/psr-tiny-flush" ~cfg:(tiny Hipstr_psr.Code_cache.Flush)
-    ~mode:System.Psr_only ~seed:5 ~fuel:churn_fuel fb;
-  differential_fatbin "gobmk/hipstr-always-tiny-fifo" ~cfg:tiny_always ~mode:System.Hipstr ~seed:5
-    ~fuel:churn_fuel fb
+  check_patched "gobmk/psr-tiny-clock"
+    (differential_fatbin "gobmk/psr-tiny-clock" ~cfg:(tiny Hipstr_psr.Code_cache.Clock)
+       ~mode:System.Psr_only ~seed:5 ~fuel:churn_fuel fb);
+  check_patched "gobmk/psr-tiny-flush"
+    (differential_fatbin "gobmk/psr-tiny-flush" ~cfg:(tiny Hipstr_psr.Code_cache.Flush)
+       ~mode:System.Psr_only ~seed:5 ~fuel:churn_fuel fb);
+  check_broken "gobmk/hipstr-always-tiny-fifo"
+    (differential_fatbin "gobmk/hipstr-always-tiny-fifo" ~cfg:tiny_always ~mode:System.Hipstr
+       ~seed:5 ~fuel:churn_fuel fb)
 
 (* The fuzzer's generated programs, cache on vs off, across the same
    config shapes the fuzz suite uses. *)

@@ -210,16 +210,16 @@ let test_round_trip_kept_blocks () =
 
 (* The execution engine is a host choice, not guest state. With
    observability off (so no host decode counters ride in the metrics
-   baseline), images taken on the default engine, on the decode
-   oracle and unchained are byte-identical, and the image restores
-   onto either retire path to the live run's result. *)
+   baseline), images taken on the default engine and on the decode
+   oracle are byte-identical, and the image restores onto either
+   retire path to the live run's result. *)
 let test_image_engine_independent () =
   let w = Workloads.find "gobmk" in
   let fb = Workloads.fatbin w in
   let fuel = 3 * w.Workloads.w_fuel in
-  let checkpointed ?decode_cache ?chain () =
+  let checkpointed ?decode_cache () =
     let sys =
-      System.of_fatbin ~obs:Obs.disabled ~seed:3 ~start_isa:Desc.Cisc ?decode_cache ?chain
+      System.of_fatbin ~obs:Obs.disabled ~seed:3 ~start_isa:Desc.Cisc ?decode_cache
         ~mode:System.Hipstr fb
     in
     (match System.run sys ~fuel:150_000 with
@@ -237,7 +237,6 @@ let test_image_engine_independent () =
     end
   in
   same_image "decode_cache:false" (snd (checkpointed ~decode_cache:false ()));
-  same_image "chain:false" (snd (checkpointed ~chain:false ()));
   let o = System.run live ~fuel in
   List.iter
     (fun (label, decode_cache) ->
