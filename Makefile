@@ -155,15 +155,34 @@ migrate-smoke:
 	cmp /tmp/hipstr-migrate-j1.jsonl /tmp/hipstr-migrate-j4.jsonl
 	dune exec tools/json_check.exe -- /tmp/hipstr-migrate-j1.json
 
-# The allocation-free hot loop end-to-end: a gobmk/hipstr run with
-# host allocation profiling on, then a 200-connection hipstr fleet at
-# -j 1, each asserting minor GC words per retired instruction stays
-# within its budget. Both counts repeat exactly in a dev build (0.845
-# and 63.079; the hot loop itself is allocation-free, the residue is
-# boot, block decode, translation, migration edges and the
-# profiler's own bookkeeping), and each budget is its measured value
-# plus under 5%, so a few percent of allocation creep fails.
+# The allocation-free hot loop end-to-end. First an object-code gate:
+# no function in lib/machine (dispatch, cache probes, branch
+# predictor, RAT) may reference a C generic compare or Stdlib's
+# polymorphic min/max, each of which costs a C call per use; the gate
+# names every function that does and fails, with no allowlist. Then a
+# gobmk/hipstr run with host allocation profiling on, and a
+# 200-connection hipstr fleet at -j 1, each asserting minor GC words
+# per retired instruction stays within its budget. Both counts repeat
+# exactly in a dev build (0.845 and 63.079; the hot loop itself is
+# allocation-free, the residue is boot, block decode, translation,
+# migration edges and the profiler's own bookkeeping), and each
+# budget is its measured value plus under 5%, so a few percent of
+# allocation creep fails.
+MACHINE_OBJS = _build/default/lib/machine/.hipstr_machine.objs/native
+POLY_COMPARE = ^(caml_(equal|notequal|compare|lessequal|lessthan|greaterequal|greaterthan)|camlStdlib[.](min|max)_[0-9]+)$$
+
 alloc-smoke:
+	dune build @lib/machine/all
+	@objs=$$(ls $(MACHINE_OBJS)/*.o 2>/dev/null); \
+	if [ -z "$$objs" ]; then echo "alloc-smoke: no objects in $(MACHINE_OBJS)"; exit 1; fi; \
+	bad=$$(objdump -dr $$objs | awk -v re='$(POLY_COMPARE)' ' \
+	  /^[0-9a-f]+ <.*>:$$/ { fn = $$2; sub(/^<camlHipstr_machine__/, "", fn); \
+	    sub(/>:$$/, "", fn); sub(/_[0-9]+$$/, "", fn); next } \
+	  /R_X86_64_/ { s = $$NF; sub(/[-+]0x[0-9a-f]+$$/, "", s); \
+	    if (s ~ re && !seen[fn " " s]++) print "  " fn " references " s }'); \
+	if [ -n "$$bad" ]; then \
+	  echo "alloc-smoke: lib/machine calls a polymorphic compare:"; echo "$$bad"; exit 1; fi; \
+	echo "alloc-smoke: no polymorphic compare in $$(echo $$objs | wc -w) lib/machine objects"
 	dune exec bin/hipstr_cli.exe -- run gobmk --mode hipstr \
 	  --hostprof --assert-alloc 0.88
 	dune exec bin/hipstr_cli.exe -- fleet-run --procs 200 --arrival poisson:100 \

@@ -312,8 +312,11 @@ let block_starting_at t which addr =
 
 (* Indexed scans, not [Array.iter] closures: this runs on migration
    resolution and translation-unit entry, where a pair of closures per
-   function searched was a measurable allocation source. *)
-let rec callsite_scan fs sites n addr j =
+   function searched was a measurable allocation source. The [int]
+   annotations make each [=] an integer compare; unannotated, the
+   element type is inferred polymorphic and [=] calls the C
+   [caml_equal]. *)
+let rec callsite_scan fs (sites : (int * int) array) n (addr : int) j =
   if j >= n then None
   else
     let site, ret = Array.unsafe_get sites j in
@@ -332,7 +335,7 @@ let callsite_of_ret t which addr =
   in
   go 0
 
-let rec site_scan sites n site j =
+let rec site_scan (sites : (int * int) array) n (site : int) j =
   if j >= n then None
   else
     let s, ret = Array.unsafe_get sites j in

@@ -42,11 +42,14 @@ let note t correct =
   if not correct then t.mispredicts <- t.mispredicts + 1;
   correct
 
+(* The saturating update is written as integer branches: Stdlib's
+   [min]/[max] are polymorphic, and each call would reach the C
+   [caml_lessequal]/[caml_greaterequal] on every conditional branch. *)
 let predict_cond t ~pc ~taken =
   let i = pc land (table_size - 1) in
-  let predicted = t.counters.(i) >= 2 in
   let c = t.counters.(i) in
-  t.counters.(i) <- (if taken then min 3 (c + 1) else max 0 (c - 1));
+  let predicted = c >= 2 in
+  t.counters.(i) <- (if taken then (if c < 3 then c + 1 else 3) else if c > 0 then c - 1 else 0);
   note t (predicted = taken)
 
 let predict_indirect t ~pc ~target =
@@ -88,15 +91,19 @@ let save w t =
 let restore t r =
   Wire.expect_tag r "BPRED";
   for i = 0 to table_size - 1 do
-    t.counters.(i) <- Wire.r_u8 r
+    let c = Wire.r_u8 r in
+    if c > 3 then Wire.corrupt "branch predictor counter %d is %d, not a 2-bit value" i c;
+    t.counters.(i) <- c
   done;
   let btb = Wire.r_int_array r in
   let ras = Wire.r_int_array r in
   if Array.length btb <> btb_size || Array.length ras <> ras_depth then
     Wire.corrupt "branch predictor geometry mismatch (btb %d, ras %d)" (Array.length btb)
       (Array.length ras);
+  let ras_top = Wire.r_int r in
+  if ras_top < 0 then Wire.corrupt "negative return-address stack top %d" ras_top;
   Array.blit btb 0 t.btb 0 btb_size;
   Array.blit ras 0 t.ras 0 ras_depth;
-  t.ras_top <- Wire.r_int r;
+  t.ras_top <- ras_top;
   t.mispredicts <- Wire.r_int r;
   t.lookups <- Wire.r_int r

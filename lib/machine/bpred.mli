@@ -43,4 +43,5 @@ val save : Hipstr_util.Wire.w -> t -> unit
 
 val restore : t -> Hipstr_util.Wire.r -> unit
 (** Overwrite this predictor from a {!save} image.
-    @raise Hipstr_util.Wire.Corrupt on a malformed image. *)
+    @raise Hipstr_util.Wire.Corrupt on a counter outside [0..3], a
+    negative return-address stack top, or a malformed image. *)

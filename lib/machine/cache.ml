@@ -37,8 +37,8 @@ let reset t =
   t.last_idx <- 0
 
 let create ?(line = 64) ~size_kb ~assoc ~miss_penalty () =
-  let nlines = max assoc (size_kb * 1024 / line) in
-  let nsets = max 1 (nlines / assoc) in
+  let nlines = Int.max assoc (size_kb * 1024 / line) in
+  let nsets = Int.max 1 (nlines / assoc) in
   let t =
     {
       line_bits = log2i line;
@@ -65,8 +65,11 @@ let create ?(line = 64) ~size_kb ~assoc ~miss_penalty () =
    right shift) and the way scan is bounds-check-free ([set < nsets]
    and [i < assoc] keep every index inside [nsets * assoc]). *)
 (* Top-level way scan (not a local [let rec], which would close over
-   [tags]/[base] and allocate on every non-memoized probe). *)
-let rec find_way tags base assoc line i =
+   [tags]/[base] and allocate on every non-memoized probe). The
+   [int] annotations are load-bearing: unannotated, [tags] and [line]
+   are inferred as ['a array] and ['a], and the [=] below becomes a
+   call to the C [caml_equal] for every way scanned. *)
+let rec find_way (tags : int array) base assoc (line : int) i =
   if i >= assoc then -1
   else if Array.unsafe_get tags (base + i) = line then i
   else find_way tags base assoc line (i + 1)
@@ -156,10 +159,20 @@ let restore t r =
   if Array.length tags <> Array.length t.tags || Array.length stamps <> Array.length t.stamps
   then Wire.corrupt "cache geometry mismatch: image has %d tags, this cache has %d"
       (Array.length tags) (Array.length t.tags);
+  let clock = Wire.r_int r in
+  let hits = Wire.r_int r in
+  let misses = Wire.r_int r in
+  let last_line = Wire.r_int r in
+  let last_idx = Wire.r_int r in
+  (* The memo path stamps [last_idx] without a bounds check, so a
+     memo that does not point at its own line is refused here. *)
+  if last_line <> -1
+     && not (last_idx >= 0 && last_idx < Array.length tags && tags.(last_idx) = last_line)
+  then Wire.corrupt "cache memo points at index %d, which does not hold line %d" last_idx last_line;
   Array.blit tags 0 t.tags 0 (Array.length tags);
   Array.blit stamps 0 t.stamps 0 (Array.length stamps);
-  t.clock <- Wire.r_int r;
-  t.hits <- Wire.r_int r;
-  t.misses <- Wire.r_int r;
-  t.last_line <- Wire.r_int r;
-  t.last_idx <- Wire.r_int r
+  t.clock <- clock;
+  t.hits <- hits;
+  t.misses <- misses;
+  t.last_line <- last_line;
+  t.last_idx <- last_idx

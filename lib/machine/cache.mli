@@ -28,5 +28,6 @@ val save : Hipstr_util.Wire.w -> t -> unit
 
 val restore : t -> Hipstr_util.Wire.r -> unit
 (** Overwrite this cache's state from a {!save} image.
-    @raise Hipstr_util.Wire.Corrupt on a geometry mismatch or a
-    malformed image. *)
+    @raise Hipstr_util.Wire.Corrupt on a geometry mismatch, a
+    last-access memo that does not point at its line, or a malformed
+    image. *)

@@ -107,9 +107,14 @@ let set_zs env v =
   env.cpu.flags.sf <- v < 0
 
 (* Flag comparisons use [==]/[!=]: on [bool] (an immediate type)
-   physical equality coincides with structural equality and compiles
-   to one compare, where [=] would call the generic [caml_equal] on
-   every conditional branch. *)
+   physical equality coincides with structural equality. [=] at a
+   type the compiler knows to be [bool] or [int] compiles to the same
+   single compare, so either spelling is free here. Generic compares,
+   which call C, come from elsewhere: [=]/[compare] on a type
+   variable (an unannotated helper such as the old [Cache.find_way]),
+   a tuple, a record or an option; and Stdlib's [min]/[max], which
+   are ordinary polymorphic functions and call C at any type, [int]
+   included. *)
 let eval_cond env (c : Minstr.cond) =
   let f = env.cpu.flags in
   match c with

@@ -15,6 +15,11 @@ type core_ctx = {
 (* The creation parameters a recycled machine must match. *)
 type shape = { sh_rat : int option; sh_decode_cache : bool }
 
+(* Field by field: [<>] on the record would call the C
+   [caml_notequal]. *)
+let same_shape a b =
+  Option.equal Int.equal a.sh_rat b.sh_rat && a.sh_decode_cache = b.sh_decode_cache
+
 type t = {
   shape : shape;
   cpu : Cpu.t;
@@ -155,7 +160,7 @@ let create ?(obs = Obs.global) ?(rat_capacity = None) ?(decode_cache = true) ?sp
     match spare with
     | None -> allocate ~obs shape
     | Some t ->
-      if t.shape <> shape || t.observ != obs then
+      if (not (same_shape t.shape shape)) || t.observ != obs then
         invalid_arg "Machine.create: spare built with a different configuration or obs";
       t
   in

@@ -96,15 +96,16 @@ let remove_in_range t ~lo ~hi =
    their LRU stamps are carried exactly. Stamps are unique (the clock
    is monotone), so [evict_lru]'s iteration-order-independent victim
    choice is preserved whatever the hashtable's internal layout after
-   the rebuild. Entries are written sorted by source address to keep
-   the image bytes deterministic. *)
+   the rebuild. Entries are written sorted by source address, which
+   is unique per entry, to keep the image bytes deterministic. *)
 
 module Wire = Hipstr_util.Wire
 
 let save w t =
   Wire.tag w "RAT";
   let entries =
-    List.sort compare
+    List.sort
+      (fun (a, _, _) (b, _, _) -> Int.compare a b)
       (Hashtbl.fold (fun src e acc -> (src, e.e_tr, e.e_stamp) :: acc) t.table [])
   in
   Wire.list w

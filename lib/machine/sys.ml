@@ -32,7 +32,7 @@ let handle t ~number ~args:(a1, a2, a3) =
   end
   else if number = sys_brk then begin
     let old = t.brk in
-    let requested = max 0 a1 in
+    let requested = if a1 < 0 then 0 else a1 in
     if old + requested > Layout.heap_limit then (-1, Continue)
     else begin
       t.brk <- old + requested;

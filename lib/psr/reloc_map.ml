@@ -69,7 +69,7 @@ let generate (cfg : Config.t) rng (desc : Desc.t) (fs : Fatbin.func_sym) ~hot_re
      address at [frame' - 4] before the prologue relocates it. *)
   let limit = frame' - 16 in
   let used = Hashtbl.create 64 in
-  let outgoing_bytes = max 4 (4 * frame.outgoing_words) in
+  let outgoing_bytes = Int.max 4 (4 * frame.outgoing_words) in
   let out_off = place rng ~limit ~used outgoing_bytes in
   let locals_off =
     if frame.locals_bytes > 0 then place rng ~limit ~used frame.locals_bytes else 0
@@ -98,7 +98,7 @@ let generate (cfg : Config.t) rng (desc : Desc.t) (fs : Fatbin.func_sym) ~hot_re
     let order = Array.copy allocatable in
     Rng.shuffle rng order;
     let i = ref 0 in
-    while Hashtbl.length keep < min 3 n && !i < n do
+    while Hashtbl.length keep < Int.min 3 n && !i < n do
       Hashtbl.replace keep order.(!i) ();
       incr i
     done
@@ -137,7 +137,7 @@ let hash_off t k =
   let h = (k * 0x9E3779B1) lxor t.rm_hash_key in
   let h = (h lxor (h lsr 16)) * 0x85EBCA6B in
   let h = (h lxor (h lsr 13)) land max_int in
-  4 * (h mod (max 1 ((t.rm_frame' - 16) / 4)))
+  4 * (h mod Int.max 1 ((t.rm_frame' - 16) / 4))
 
 let map_slot t k =
   let f = t.rm_frame in
@@ -229,7 +229,9 @@ let save w t =
     (fun w (k, v) ->
       Wire.int w k;
       Wire.int w v)
-    (List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.rm_slot_off []));
+    (List.sort
+       (fun (a, _) (b, _) -> Int.compare a b)
+       (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.rm_slot_off []));
   Wire.int_array w t.rm_arg_off;
   Wire.int w (Array.length t.rm_reg_map);
   Array.iter (save_loc w) t.rm_reg_map;
@@ -252,7 +254,7 @@ let load r =
       let v = Wire.r_int r in
       (k, v))
   in
-  let rm_slot_off = Hashtbl.create (max 8 (List.length slots)) in
+  let rm_slot_off = Hashtbl.create (Int.max 8 (List.length slots)) in
   List.iter (fun (k, v) -> Hashtbl.replace rm_slot_off k v) slots;
   let rm_arg_off = Wire.r_int_array r in
   let nregs = Wire.r_int r in

@@ -26,9 +26,8 @@ let borrow_sub a b = unsigned a < unsigned b
 
 (* Overflow flags use physical equality on the sign booleans: [bool]
    is an immediate type, so [==]/[!=] coincide with structural
-   equality while compiling to a single compare — the generic [=]
-   would call [caml_equal] on the interpreter's hottest arithmetic
-   path. *)
+   equality. Both compile to a single compare here; [=] at a known
+   [bool] type does not call [caml_equal] either. *)
 let overflow_add a b =
   let r = wrap (a + b) in
   (a < 0) == (b < 0) && (r < 0) != (a < 0)

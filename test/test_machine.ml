@@ -94,6 +94,100 @@ let test_bpred_ras () =
   Alcotest.(check bool) "outer return predicted" true (Bpred.predict_return b ~target:0x111);
   Alcotest.(check bool) "empty RAS mispredicts" false (Bpred.predict_return b ~target:0x111)
 
+(* Reference models for the two timing structures every retired
+   instruction touches. The cache model keeps each set as a list of
+   lines, most recent first, at most [assoc] long; the real cache's
+   resident lines are read back through [Cache.save] after every
+   access, so a wrong victim shows on the miss that picks it. Streams
+   repeat the previous line a quarter of the time, so the last-access
+   memo path runs, and an occasional flush clears the memo. *)
+module Rng = Hipstr_util.Rng
+module Wire = Hipstr_util.Wire
+
+let cache_tags c =
+  let w = Wire.writer () in
+  Cache.save w c;
+  let r = Wire.reader (Wire.contents w) in
+  Wire.expect_tag r "CACHE";
+  Wire.r_int_array r
+
+let check_cache_against_model ~line ~size_kb ~assoc ~seed =
+  let label = Printf.sprintf "%d KiB, %d-way, %d-byte lines" size_kb assoc line in
+  let c = Cache.create ~line ~size_kb ~assoc ~miss_penalty:10 () in
+  let nsets = Array.length (cache_tags c) / assoc in
+  let sets = Array.make nsets [] in
+  let hits = ref 0 and misses = ref 0 in
+  let model_access l =
+    let s = l mod nsets in
+    if List.mem l sets.(s) then begin
+      sets.(s) <- l :: List.filter (fun x -> x <> l) sets.(s);
+      incr hits;
+      true
+    end
+    else begin
+      sets.(s) <- l :: List.filteri (fun i _ -> i < assoc - 1) sets.(s);
+      incr misses;
+      false
+    end
+  in
+  let g = Rng.create seed in
+  let pool = 3 * nsets * assoc and last = ref 0 in
+  for step = 1 to 3000 do
+    if Rng.int g 500 = 0 then begin
+      Cache.flush c;
+      Array.fill sets 0 nsets []
+    end;
+    let l = if Rng.int g 4 = 0 then !last else Rng.int g pool in
+    last := l;
+    let got = Cache.access c ((l * line) + Rng.int g line) in
+    let want = model_access l in
+    if got <> want then
+      Alcotest.failf "%s: step %d, line %d: cache says hit=%b, model says %b" label step l got want;
+    let s = l mod nsets in
+    let resident =
+      Array.sub (cache_tags c) (s * assoc) assoc |> Array.to_list |> List.filter (fun x -> x >= 0)
+    in
+    if List.sort compare resident <> List.sort compare sets.(s) then
+      Alcotest.failf "%s: step %d, set %d holds [%s], model holds [%s]" label step s
+        (String.concat " " (List.map string_of_int resident))
+        (String.concat " " (List.map string_of_int sets.(s)))
+  done;
+  Alcotest.(check int) (label ^ ": hits") !hits (Cache.hits c);
+  Alcotest.(check int) (label ^ ": misses") !misses (Cache.misses c)
+
+let test_cache_matches_lru_model () =
+  check_cache_against_model ~line:64 ~size_kb:1 ~assoc:1 ~seed:11;
+  check_cache_against_model ~line:64 ~size_kb:1 ~assoc:2 ~seed:12;
+  check_cache_against_model ~line:32 ~size_kb:1 ~assoc:4 ~seed:13;
+  (* 48 lines in 24 and 12 sets: the set index takes [line mod nsets] *)
+  check_cache_against_model ~line:64 ~size_kb:3 ~assoc:2 ~seed:14;
+  check_cache_against_model ~line:64 ~size_kb:3 ~assoc:4 ~seed:15
+
+(* One 2-bit saturating counter per table entry, starting weakly
+   not-taken. 0x1400 shares 0x400's entry in the 4096-entry table.
+   Each pc has its own bias, so counters sit at both saturation
+   points and move through the middle. *)
+let test_bpred_matches_counter_model () =
+  let b = Bpred.create () in
+  let g = Rng.create 29 in
+  let pcs = [| 0x400; 0x404; 0x1400; 0x7ffc |] and bias = [| 90; 50; 15; 75 |] in
+  let counters = Hashtbl.create 4 and mispredicts = ref 0 in
+  for step = 1 to 4000 do
+    let k = Rng.int g (Array.length pcs) in
+    let pc = pcs.(k) and taken = Rng.int g 100 < bias.(k) in
+    let i = pc land 4095 in
+    let c = Option.value (Hashtbl.find_opt counters i) ~default:1 in
+    let want = (c >= 2) = taken in
+    Hashtbl.replace counters i (if taken then min 3 (c + 1) else max 0 (c - 1));
+    if not want then incr mispredicts;
+    let got = Bpred.predict_cond b ~pc ~taken in
+    if got <> want then
+      Alcotest.failf "step %d, pc 0x%x, taken=%b: predictor says correct=%b, model says %b" step pc
+        taken got want
+  done;
+  Alcotest.(check int) "mispredicts" !mispredicts (Bpred.mispredicts b);
+  Alcotest.(check int) "lookups" 4000 (Bpred.lookups b)
+
 let test_rat_lru () =
   let r = Rat.create ~capacity:2 in
   Rat.insert r ~src:1 ~translated:101;
@@ -304,7 +398,9 @@ let () =
       ( "timing-structures",
         [
           Alcotest.test_case "cache" `Quick test_cache_behavior;
+          Alcotest.test_case "cache vs LRU model" `Quick test_cache_matches_lru_model;
           Alcotest.test_case "bpred loop" `Quick test_bpred_learns_loop;
+          Alcotest.test_case "bpred vs counter model" `Quick test_bpred_matches_counter_model;
           Alcotest.test_case "bpred ras" `Quick test_bpred_ras;
           Alcotest.test_case "rat lru" `Quick test_rat_lru;
           Alcotest.test_case "core descs" `Quick test_core_descs_match_table1;

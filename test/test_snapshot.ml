@@ -5,7 +5,8 @@
    mode, including mid-quantum checkpoints and cross-ISA resume; an
    image must not depend on the execution engine it was taken on; and
    the image parser must reject truncated, trailing, version-skewed
-   and wrong-binary images, and forged code-cache state, loudly. *)
+   and wrong-binary images, and forged code-cache, cache-model and
+   branch-predictor state, loudly. *)
 
 module Desc = Hipstr_isa.Desc
 module System = Hipstr.System
@@ -346,6 +347,68 @@ let test_rejects_forged_code_cache () =
   expect_corrupt "block past the flush cursor" (fun () ->
       restore_ccache (ccache_record ~cursor:(cc_base + 50) [ (0x100, cc_base, 100) ]))
 
+(* Forged cache-model and branch-predictor state. The cache's memo
+   index is used without a bounds check on the next access to its
+   line, and the predictor indexes its return-address stack with
+   [ras_top mod depth], so each lie must be refused by the restore
+   itself. The records are written field by field, as [Cache.save]
+   and [Bpred.save] lay them out: a 1 KiB 2-way cache with 64-byte
+   lines has 8 sets and 16 ways, and line 5 lives in set 5, at tag
+   index 10 or 11. *)
+let cache_record ~last_line ~last_idx =
+  let tags = Array.make 16 (-1) in
+  tags.(10) <- 5;
+  let w = Wire.writer () in
+  Wire.tag w "CACHE";
+  Wire.int_array w tags;
+  Wire.int_array w (Array.init 16 (fun i -> if i = 10 then 3 else 0));
+  List.iter (Wire.int w) [ 3; 2; 1; last_line; last_idx ];
+  Wire.contents w
+
+let restore_cache record =
+  let c = Hipstr_machine.Cache.create ~size_kb:1 ~assoc:2 ~miss_penalty:10 () in
+  Hipstr_machine.Cache.restore c (Wire.reader record);
+  c
+
+let bpred_record ?(bad_counter = (0, 1)) ~ras_top () =
+  let w = Wire.writer () in
+  Wire.tag w "BPRED";
+  for i = 0 to 4095 do
+    Wire.u8 w (if i = fst bad_counter then snd bad_counter else i mod 4)
+  done;
+  Wire.int_array w (Array.make 1024 (-1));
+  Wire.int_array w (Array.init 32 (fun i -> 0x100 + i));
+  List.iter (Wire.int w) [ ras_top; 0; 0 ];
+  Wire.contents w
+
+let restore_bpred record =
+  let b = Hipstr_machine.Bpred.create () in
+  Hipstr_machine.Bpred.restore b (Wire.reader record);
+  b
+
+let test_rejects_forged_cache_and_predictor () =
+  let c = restore_cache (cache_record ~last_line:5 ~last_idx:10) in
+  Alcotest.(check bool) "well-formed cache record restores; its memo hits" true
+    (Hipstr_machine.Cache.access c (5 * 64));
+  ignore (restore_cache (cache_record ~last_line:(-1) ~last_idx:50_000_000));
+  expect_corrupt "memo index far past the tag array" (fun () ->
+      restore_cache (cache_record ~last_line:5 ~last_idx:50_000_000));
+  expect_corrupt "memo index one past the tag array" (fun () ->
+      restore_cache (cache_record ~last_line:5 ~last_idx:16));
+  expect_corrupt "negative memo index" (fun () ->
+      restore_cache (cache_record ~last_line:5 ~last_idx:(-1)));
+  expect_corrupt "memo index at another line's way" (fun () ->
+      restore_cache (cache_record ~last_line:5 ~last_idx:11));
+  let b = restore_bpred (bpred_record ~ras_top:2 ()) in
+  Alcotest.(check bool) "well-formed predictor record restores; its RAS predicts" true
+    (Hipstr_machine.Bpred.predict_return b ~target:0x101);
+  expect_corrupt "negative return-address stack top" (fun () ->
+      restore_bpred (bpred_record ~ras_top:(-1) ()));
+  expect_corrupt "2-bit counter at 4" (fun () ->
+      restore_bpred (bpred_record ~bad_counter:(7, 4) ~ras_top:0 ()));
+  expect_corrupt "2-bit counter at 255" (fun () ->
+      restore_bpred (bpred_record ~bad_counter:(4095, 255) ~ras_top:0 ()))
+
 (* The fingerprint is hashed once at link from the binary's own code
    strings. It must equal its definition: FNV-1a 64 over each ISA's
    main entry, then every function's entry, size and bytes as
@@ -445,6 +508,8 @@ let () =
           Alcotest.test_case "wrong binary" `Quick test_rejects_wrong_binary;
           Alcotest.test_case "bad magic" `Quick test_rejects_bad_magic;
           Alcotest.test_case "forged code-cache state" `Quick test_rejects_forged_code_cache;
+          Alcotest.test_case "forged cache and predictor state" `Quick
+            test_rejects_forged_cache_and_predictor;
           Alcotest.test_case "fingerprint hashes the loaded code" `Quick
             test_fingerprint_matches_loaded_code;
         ] );
