@@ -220,8 +220,7 @@ let cache_churn () =
 let interp_fuel = 2_000_000
 let interp_workloads = [ "gobmk"; "bzip2"; "mcf" ]
 
-let interp_modes =
-  [ ("native", System.Native); ("psr", System.Psr_only); ("hipstr", System.Hipstr) ]
+let interp_modes = [ System.Native; System.Psr_only; System.Hipstr ]
 
 let interp_run ~name ~mode ~decode_cache =
   let sys =
@@ -237,7 +236,8 @@ let interp () =
       (fun name ->
         let modes =
           List.map
-            (fun (mode_name, mode) ->
+            (fun mode ->
+              let mode_name = System.mode_name mode in
               let sys = interp_run ~name ~mode ~decode_cache:true in
               let oracle = interp_run ~name ~mode ~decode_cache:false in
               if

@@ -17,6 +17,7 @@
 
 open Cmdliner
 module Desc = Hipstr_isa.Desc
+module Isa = Hipstr_isa.Isa
 module Minstr = Hipstr_isa.Minstr
 module System = Hipstr.System
 module Config = Hipstr_psr.Config
@@ -38,23 +39,18 @@ module Wire = Hipstr_util.Wire
 let isa_conv =
   Arg.conv
     ( (fun s ->
-        match String.lowercase_ascii s with
-        | "cisc" | "x86" -> Ok Desc.Cisc
-        | "risc" | "arm" -> Ok Desc.Risc
-        | _ -> Error (`Msg "isa must be cisc/x86 or risc/arm")),
-      fun ppf w -> Format.pp_print_string ppf (match w with Desc.Cisc -> "cisc" | Desc.Risc -> "risc") )
+        match Isa.of_name s with
+        | Some w -> Ok w
+        | None -> Error (`Msg "isa must be cisc/x86 or risc/arm")),
+      fun ppf w -> Format.pp_print_string ppf (Isa.name w) )
 
 let mode_conv =
   Arg.conv
     ( (fun s ->
-        match String.lowercase_ascii s with
-        | "native" -> Ok System.Native
-        | "psr" -> Ok System.Psr_only
-        | "hipstr" -> Ok System.Hipstr
-        | _ -> Error (`Msg "mode must be native, psr or hipstr")),
-      fun ppf m ->
-        Format.pp_print_string ppf
-          (match m with System.Native -> "native" | System.Psr_only -> "psr" | System.Hipstr -> "hipstr") )
+        match System.mode_of_name s with
+        | Some m -> Ok m
+        | None -> Error (`Msg "mode must be native, psr or hipstr")),
+      fun ppf m -> Format.pp_print_string ppf (System.mode_name m) )
 
 (* ------------------------------------------------------------------ *)
 (* Validated converters: a bad workload name, seed, probability or
@@ -133,20 +129,20 @@ let cores_conv =
       let rec go acc = function
         | [] -> Ok (List.rev acc)
         | p :: rest -> (
-          match String.lowercase_ascii (String.trim p) with
-          | "cisc" | "x86" -> go (Desc.Cisc :: acc) rest
-          | "risc" | "arm" -> go (Desc.Risc :: acc) rest
-          | other ->
+          match Isa.of_name (String.trim p) with
+          | Some w -> go (w :: acc) rest
+          | None ->
             Error
               (`Msg
                  (Printf.sprintf
-                    "bad core '%s': expected a core count or a comma list of cisc/risc" other)))
+                    "bad core '%s': expected a core count or a comma list of cisc/risc"
+                    (String.lowercase_ascii (String.trim p)))))
       in
       go [] (String.split_on_char ',' s)
   in
   let print ppf cores =
     Format.pp_print_string ppf
-      (String.concat "," (List.map (function Desc.Cisc -> "cisc" | Desc.Risc -> "risc") cores))
+      (String.concat "," (List.map Isa.name cores))
   in
   Arg.conv (parse, print)
 
@@ -185,6 +181,11 @@ let workload_arg =
   Arg.(required & pos 0 (some workload_conv) None & info [] ~docv:"WORKLOAD" ~doc)
 
 let isa_arg = Arg.(value & opt isa_conv Desc.Cisc & info [ "isa" ] ~doc:"ISA/core to start on.")
+
+let mode_arg ?(default = System.Hipstr) ~doc () =
+  Arg.(value & opt mode_conv default & info [ "mode" ] ~doc)
+
+let opt_arg = Arg.(value & opt opt_conv 3 & info [ "opt" ] ~doc:"PSR optimization level (0-3).")
 
 let seed_arg = Arg.(value & opt seed_conv 1 & info [ "seed" ] ~doc:"Randomization seed (>= 0).")
 
@@ -230,17 +231,28 @@ let cc_policy_arg =
           "Code-cache capacity policy: $(b,flush) (wholesale flush on shortfall), $(b,fifo) or \
            $(b,clock) (block-granular eviction with translation memo).")
 
-let apply_cc_args cfg cc_capacity cc_policy =
-  let cfg =
-    match cc_capacity with None -> cfg | Some b -> { cfg with Config.cache_bytes = b }
-  in
-  match cc_policy with None -> cfg | Some p -> { cfg with Config.cc_policy = p }
+(* The PSR config of run, checkpoint, run-file and cmp-run: the
+   default, with whichever of the shared flags the command takes. *)
+let make_config ?opt_level ?migrate_prob cc_capacity cc_policy =
+  let set v f cfg = match v with None -> cfg | Some v -> f cfg v in
+  Config.default
+  |> set opt_level (fun c opt_level -> { c with Config.opt_level })
+  |> set migrate_prob (fun c p -> { c with Config.migrate_prob = p })
+  |> set cc_capacity (fun c b -> { c with Config.cache_bytes = b })
+  |> set cc_policy (fun c p -> { c with Config.cc_policy = p })
 
 let outcome_string = function
   | System.Finished c -> Printf.sprintf "finished (exit %d)" c
   | System.Shell_spawned -> "SHELL SPAWNED (attack succeeded)"
   | System.Killed m -> "killed: " ^ m
   | System.Out_of_fuel -> "out of fuel"
+
+(* The result block of run, restore and run-file. *)
+let print_summary label sys outcome =
+  Printf.printf "%s: %s\n" label (outcome_string outcome);
+  Printf.printf "output: %s\n" (String.concat " " (List.map string_of_int (System.output sys)));
+  Printf.printf "instructions: %d  cycles: %.0f  simulated time: %.3f ms\n"
+    (System.instructions sys) (System.cycles sys) (1000. *. System.seconds sys)
 
 (* --metrics / --trace are shared by `run' and `run-file'. *)
 let metrics_arg =
@@ -390,6 +402,16 @@ let corrupt_exit what = function
     Printf.eprintf "%s: rejected: %s\n" what m;
     exit 1
   | e -> raise e
+
+(* A checkpoint the snapshot layer refuses (live code the program has
+   rewritten, see Snapshot.checkpoint) ends the command: one line,
+   exit 1. *)
+let checkpoint_or_exit take =
+  match take () with
+  | image -> image
+  | exception Invalid_argument m ->
+    prerr_endline ("hipstr: " ^ m);
+    exit 1
 
 (* Host-side decode-cache statistics for the starting core, including
    the chaining and inline-cache counters. Silent when the cache is
@@ -588,23 +610,13 @@ let check_alloc hp limit =
         else Printf.printf "alloc gate: %.3f minor words/instr <= %.3f budget\n" w limit))
 
 let run_cmd =
-  let mode_arg =
-    Arg.(value & opt mode_conv System.Hipstr & info [ "mode" ] ~doc:"native, psr or hipstr.")
-  in
-  let opt_arg = Arg.(value & opt opt_conv 3 & info [ "opt" ] ~doc:"PSR optimization level (0-3).") in
   let action (w : Workloads.t) mode isa seed opt_level migrate_prob cc_capacity cc_policy
       no_dcache metrics trace hostprof assert_alloc checkpoint_every
       checkpoint_out memo_in memo_out state_out exports =
     probe_outputs
       ?checkpoint_prefix:(Option.map (fun _ -> checkpoint_out) checkpoint_every)
       ([ memo_out; state_out ] @ export_paths exports);
-    let cfg =
-      let base = { Config.default with opt_level } in
-      let base =
-        match migrate_prob with None -> base | Some p -> { base with migrate_prob = p }
-      in
-      apply_cc_args base cc_capacity cc_policy
-    in
+    let cfg = make_config ~opt_level ?migrate_prob cc_capacity cc_policy in
     let obs = make_obs ~trace in
     let hp = start_hostprof ~obs hostprof in
     let sys =
@@ -631,7 +643,9 @@ let run_cmd =
         let rec go target =
           match System.run sys ~fuel:(min target fuel) with
           | System.Out_of_fuel when target < fuel ->
-            let image = Snapshot.checkpoint ~workload:w.w_name sys in
+            let image =
+              checkpoint_or_exit (fun () -> Snapshot.checkpoint ~workload:w.w_name sys)
+            in
             let path = Printf.sprintf "%s.%d.snap" checkpoint_out (System.instructions sys) in
             write_binary path image;
             Printf.printf "checkpoint: %s (%d bytes at %d instructions)\n" path
@@ -642,10 +656,7 @@ let run_cmd =
         go n
     in
     Option.iter (fun hp -> Obs.Hostprof.stop_run hp ~instructions:(System.instructions sys)) hp;
-    Printf.printf "%s [%s]: %s\n" w.w_name w.w_description (outcome_string outcome);
-    Printf.printf "output: %s\n" (String.concat " " (List.map string_of_int (System.output sys)));
-    Printf.printf "instructions: %d  cycles: %.0f  simulated time: %.3f ms\n"
-      (System.instructions sys) (System.cycles sys) (1000. *. System.seconds sys);
+    print_summary (Printf.sprintf "%s [%s]" w.w_name w.w_description) sys outcome;
     print_decode_cache_stats sys isa;
     if mode <> System.Native then begin
       let vm = System.vm sys isa in
@@ -675,8 +686,8 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run a workload on the simulated heterogeneous-ISA CMP.")
     Term.(
-      const action $ workload_arg $ mode_arg $ isa_arg $ seed_arg $ opt_arg $ migrate_prob_arg
-      $ cc_capacity_arg $ cc_policy_arg $ no_dcache_arg
+      const action $ workload_arg $ mode_arg ~doc:"native, psr or hipstr." () $ isa_arg
+      $ seed_arg $ opt_arg $ migrate_prob_arg $ cc_capacity_arg $ cc_policy_arg $ no_dcache_arg
       $ metrics_arg $ trace_arg $ hostprof_arg $ assert_alloc_arg $ checkpoint_every_arg
       $ checkpoint_out_arg "checkpoint"
       $ memo_in_arg $ memo_out_arg $ state_out_arg $ export_args)
@@ -691,10 +702,6 @@ let run_cmd =
    from both sides. *)
 
 let checkpoint_cmd =
-  let mode_arg =
-    Arg.(value & opt mode_conv System.Hipstr & info [ "mode" ] ~doc:"native, psr or hipstr.")
-  in
-  let opt_arg = Arg.(value & opt opt_conv 3 & info [ "opt" ] ~doc:"PSR optimization level (0-3).") in
   let at_arg =
     Arg.(
       required
@@ -709,23 +716,16 @@ let checkpoint_cmd =
   in
   let action (w : Workloads.t) mode isa seed opt_level migrate_prob cc_capacity cc_policy at out =
     probe_outputs [ Some out ];
-    let cfg =
-      let base = { Config.default with opt_level } in
-      let base =
-        match migrate_prob with None -> base | Some p -> { base with migrate_prob = p }
-      in
-      apply_cc_args base cc_capacity cc_policy
-    in
+    let cfg = make_config ~opt_level ?migrate_prob cc_capacity cc_policy in
     let obs = make_obs ~trace:false in
     let sys = System.of_fatbin ~obs ~cfg ~seed ~start_isa:isa ~mode (Workloads.fatbin w) in
     match System.run sys ~fuel:at with
     | System.Out_of_fuel ->
-      let image = Snapshot.checkpoint ~workload:w.w_name sys in
+      let image = checkpoint_or_exit (fun () -> Snapshot.checkpoint ~workload:w.w_name sys) in
       write_binary out image;
       Printf.printf "checkpoint: %s (%d bytes)\n" out (String.length image);
       Printf.printf "  workload=%s mode=%s seed=%d at %d instructions, %.0f cycles\n" w.w_name
-        (match mode with System.Native -> "native" | System.Psr_only -> "psr" | System.Hipstr -> "hipstr")
-        seed (System.instructions sys) (System.cycles sys)
+        (System.mode_name mode) seed (System.instructions sys) (System.cycles sys)
     | o ->
       Printf.eprintf "%s finished before --at %d (%s); nothing to checkpoint\n" w.w_name at
         (outcome_string o);
@@ -738,8 +738,8 @@ let checkpoint_cmd =
           image carries the memory delta, machine and PSR VM state; translated code \
           re-materializes on restore.")
     Term.(
-      const action $ workload_arg $ mode_arg $ isa_arg $ seed_arg $ opt_arg $ migrate_prob_arg
-      $ cc_capacity_arg $ cc_policy_arg $ at_arg $ out_arg)
+      const action $ workload_arg $ mode_arg ~doc:"native, psr or hipstr." () $ isa_arg
+      $ seed_arg $ opt_arg $ migrate_prob_arg $ cc_capacity_arg $ cc_policy_arg $ at_arg $ out_arg)
 
 let restore_cmd =
   let file_arg =
@@ -763,15 +763,9 @@ let restore_cmd =
     let mf =
       try Snapshot.manifest_of image with e -> corrupt_exit ("image " ^ file) e
     in
-    let mode_label =
-      match mf.Snapshot.mf_mode with
-      | System.Native -> "native"
-      | System.Psr_only -> "psr"
-      | System.Hipstr -> "hipstr"
-    in
     Printf.printf "%s: workload=%s mode=%s seed=%d pid=%d at %d instructions, %.0f cycles\n" file
-      mf.Snapshot.mf_workload mode_label mf.Snapshot.mf_seed mf.Snapshot.mf_pid
-      mf.Snapshot.mf_instructions mf.Snapshot.mf_cycles;
+      mf.Snapshot.mf_workload (System.mode_name mf.Snapshot.mf_mode) mf.Snapshot.mf_seed
+      mf.Snapshot.mf_pid mf.Snapshot.mf_instructions mf.Snapshot.mf_cycles;
     if not only_info then begin
       let w =
         match Workloads.find mf.Snapshot.mf_workload with
@@ -791,10 +785,7 @@ let restore_cmd =
       in
       let fuel = match fuel with Some f -> f | None -> 3 * w.w_fuel in
       let outcome = System.run sys ~fuel in
-      Printf.printf "%s [resumed]: %s\n" w.w_name (outcome_string outcome);
-      Printf.printf "output: %s\n" (String.concat " " (List.map string_of_int (System.output sys)));
-      Printf.printf "instructions: %d  cycles: %.0f  simulated time: %.3f ms\n"
-        (System.instructions sys) (System.cycles sys) (1000. *. System.seconds sys);
+      print_summary (w.w_name ^ " [resumed]") sys outcome;
       if metrics then print_metrics sys;
       Option.iter (fun path -> write_state_dump path sys outcome) state_out;
       write_exports ~obs exports
@@ -816,11 +807,10 @@ let gadgets_cmd =
       let fb = Workloads.fatbin w in
       let gadgets = Galileo.mine_program (Fatbin.baseline fb) fb isa in
       let rets = List.filter (fun g -> g.Galileo.g_kind = Galileo.Ret_gadget) gadgets in
-      let sp = (match isa with Desc.Cisc -> Hipstr_cisc.Isa.desc | Desc.Risc -> Hipstr_risc.Isa.desc).sp in
-      let viable = List.filter (fun g -> Galileo.is_viable (Galileo.classify ~sp g)) rets in
+      let desc = Isa.desc isa in
+      let viable = List.filter (fun g -> Galileo.is_viable (Galileo.classify ~sp:desc.sp g)) rets in
       Printf.printf "%s (%s): %d return gadgets, %d JOP gadgets, %d viable, %d unintentional\n"
-        w.w_name
-        (match isa with Desc.Cisc -> "cisc" | Desc.Risc -> "risc")
+        w.w_name (Isa.name isa)
         (List.length rets)
         (Galileo.count gadgets Galileo.Jop_gadget)
         (List.length viable)
@@ -831,10 +821,7 @@ let gadgets_cmd =
             Printf.printf "  0x%x: %s\n" g.Galileo.g_addr
               (String.concat " ; "
                  (List.map
-                    (Minstr.to_string
-                       ~reg_name:
-                         (Desc.reg_name
-                            (match isa with Desc.Cisc -> Hipstr_cisc.Isa.desc | _ -> Hipstr_risc.Isa.desc)))
+                    (Minstr.to_string ~reg_name:(Desc.reg_name desc))
                     g.Galileo.g_instrs)))
         viable
   in
@@ -843,9 +830,6 @@ let gadgets_cmd =
     Term.(const action $ workload_arg $ isa_arg)
 
 let attack_cmd =
-  let mode_arg =
-    Arg.(value & opt mode_conv System.Native & info [ "mode" ] ~doc:"Defense to attack.")
-  in
   let action mode seed =
     let fb = Workloads.fatbin Workloads.httpd in
     match Rop.build_chain (Fatbin.baseline fb) fb Desc.Cisc ~victim_func:"handle_request" with
@@ -869,7 +853,7 @@ let attack_cmd =
   in
   Cmd.v
     (Cmd.info "attack" ~doc:"Deliver the ROP exploit against httpd.")
-    Term.(const action $ mode_arg $ seed_arg)
+    Term.(const action $ mode_arg ~default:System.Native ~doc:"Defense to attack." () $ seed_arg)
 
 let experiment_cmd =
   let ids_arg =
@@ -903,12 +887,13 @@ let disasm_cmd =
       | fs ->
         let im = Fatbin.image fs isa in
         let mem = Fatbin.baseline fb in
-        let desc = match isa with Desc.Cisc -> Hipstr_cisc.Isa.desc | Desc.Risc -> Hipstr_risc.Isa.desc in
+        let desc = Isa.desc isa in
+        let read = Hipstr_machine.Mem.reader mem in
         let pos = ref im.im_entry in
         let stop = im.im_entry + im.im_size in
         let continue_ = ref true in
         while !continue_ && !pos < stop do
-          match Hipstr_machine.Exec.decode isa mem !pos with
+          match Isa.decode isa ~read !pos with
           | None -> continue_ := false
           | Some (i, len) ->
             Printf.printf "0x%x: %s\n" !pos (Minstr.to_string ~reg_name:(Desc.reg_name desc) i);
@@ -921,15 +906,12 @@ let disasm_cmd =
 
 let run_file_cmd =
   let file_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"MiniC source file.") in
-  let mode_arg =
-    Arg.(value & opt mode_conv System.Hipstr & info [ "mode" ] ~doc:"native, psr or hipstr.")
-  in
   let fuel_arg = Arg.(value & opt fuel_conv 10_000_000 & info [ "fuel" ] ~doc:"Instruction budget.") in
   let action file mode isa seed fuel cc_capacity cc_policy no_dcache metrics trace exports =
     probe_outputs (export_paths exports);
     let src = In_channel.with_open_text file In_channel.input_all in
     let obs = make_obs ~trace in
-    let cfg = apply_cc_args Config.default cc_capacity cc_policy in
+    let cfg = make_config cc_capacity cc_policy in
     match
       System.create ~obs ~cfg ~seed ~start_isa:isa ~decode_cache:(not no_dcache) ~mode ~src ()
     with
@@ -938,10 +920,7 @@ let run_file_cmd =
       exit 1
     | sys ->
       let outcome = System.run sys ~fuel in
-      Printf.printf "%s: %s\n" file (outcome_string outcome);
-      Printf.printf "output: %s\n" (String.concat " " (List.map string_of_int (System.output sys)));
-      Printf.printf "instructions: %d  cycles: %.0f  simulated time: %.3f ms\n"
-        (System.instructions sys) (System.cycles sys) (1000. *. System.seconds sys);
+      print_summary file sys outcome;
       print_decode_cache_stats sys isa;
       if metrics then print_metrics sys;
       write_exports ~obs exports
@@ -949,8 +928,9 @@ let run_file_cmd =
   Cmd.v
     (Cmd.info "run-file" ~doc:"Compile and run a MiniC source file.")
     Term.(
-      const action $ file_arg $ mode_arg $ isa_arg $ seed_arg $ fuel_arg $ cc_capacity_arg
-      $ cc_policy_arg $ no_dcache_arg $ metrics_arg $ trace_arg $ export_args)
+      const action $ file_arg $ mode_arg ~doc:"native, psr or hipstr." () $ isa_arg $ seed_arg
+      $ fuel_arg $ cc_capacity_arg $ cc_policy_arg $ no_dcache_arg $ metrics_arg $ trace_arg
+      $ export_args)
 
 (* ------------------------------------------------------------------ *)
 (* cmp-run: boot K workloads as processes and time-slice them across
@@ -966,13 +946,6 @@ let cmp_run_cmd =
       non_empty & pos_all workload_conv []
       & info [] ~docv:"WORKLOAD"
           ~doc:"Workloads to boot as processes (repeat a name to run several copies).")
-  in
-  let mode_arg =
-    Arg.(
-      value
-      & opt mode_conv System.Hipstr
-      & info [ "mode" ]
-          ~doc:"Process mode: native, psr or hipstr (only hipstr processes migrate across ISAs).")
   in
   let policy_arg =
     Arg.(
@@ -1008,20 +981,12 @@ let cmp_run_cmd =
   let sched_arg =
     Arg.(value & flag & info [ "trace-schedule" ] ~doc:"Print every scheduling slice.")
   in
-  let isa_label = function Desc.Cisc -> "cisc" | Desc.Risc -> "risc" in
   let action ws mode policy cores quantum fuel seed migrate_prob cc_capacity cc_policy no_dcache
       jobs metrics sched verify checkpoint_every checkpoint_out tl_args exports =
     probe_outputs
       ?checkpoint_prefix:(Option.map (fun _ -> checkpoint_out) checkpoint_every)
       (timeline_paths tl_args @ export_paths exports);
-    let cfg =
-      let base =
-        match migrate_prob with
-        | None -> Config.default
-        | Some p -> { Config.default with migrate_prob = p }
-      in
-      apply_cc_args base cc_capacity cc_policy
-    in
+    let cfg = make_config ?migrate_prob cc_capacity cc_policy in
     let core_arr = Array.of_list cores in
     let start_isa i = core_arr.(i mod Array.length core_arr) in
     let budget (w : Workloads.t) = match fuel with Some f -> f | None -> 3 * w.w_fuel in
@@ -1048,7 +1013,10 @@ let cmp_run_cmd =
             List.iter
               (fun p ->
                 if Process.runnable p then begin
-                  let image = Snapshot.checkpoint_process ~workload:(Process.name p) p in
+                  let image =
+                    checkpoint_or_exit (fun () ->
+                        Snapshot.checkpoint_process ~workload:(Process.name p) p)
+                  in
                   let path = Printf.sprintf "%s.pid%d.snap" checkpoint_out (Process.pid p) in
                   write_binary path image;
                   Printf.printf "checkpoint: %s (%d bytes, round %d, %d instructions)\n" path
@@ -1061,7 +1029,7 @@ let cmp_run_cmd =
     let m = Cmp.metrics cmp in
     Printf.printf "cmp-run: %d processes on %d cores [%s], policy %s, quantum %d\n"
       (List.length ws) (Array.length core_arr)
-      (String.concat "," (List.map isa_label cores))
+      (String.concat "," (List.map Isa.name cores))
       (Cmp.policy_name policy) quantum;
     List.iter
       (fun (pm : Cmp.proc_metrics) ->
@@ -1080,7 +1048,7 @@ let cmp_run_cmd =
     List.iter
       (fun (cm : Cmp.core_metrics) ->
         Printf.printf "  core %d (%s): instrs=%-9d cycles=%-11.0f slices=%-4d cold-switches=%d\n"
-          cm.cm_id (isa_label cm.cm_isa) cm.cm_instructions cm.cm_cycles cm.cm_slices
+          cm.cm_id (Isa.name cm.cm_isa) cm.cm_instructions cm.cm_cycles cm.cm_slices
           cm.cm_switches)
       m.m_cores;
     Printf.printf
@@ -1136,7 +1104,11 @@ let cmp_run_cmd =
     (Cmd.info "cmp-run"
        ~doc:"Time-slice several workloads across a simulated mixed-ISA chip multiprocessor.")
     Term.(
-      const action $ workloads_arg $ mode_arg $ policy_arg $ cores_arg $ quantum_arg $ fuel_arg
+      const action $ workloads_arg
+      $ mode_arg
+          ~doc:"Process mode: native, psr or hipstr (only hipstr processes migrate across ISAs)."
+          ()
+      $ policy_arg $ cores_arg $ quantum_arg $ fuel_arg
       $ seed_arg $ migrate_prob_arg $ cc_capacity_arg $ cc_policy_arg $ no_dcache_arg
       $ jobs_arg $ metrics_arg $ sched_arg $ verify_arg
       $ checkpoint_every_arg
@@ -1206,12 +1178,6 @@ let fleet_run_cmd =
       value
       & opt quantum_conv Fleet.default.Fleet.fl_quantum
       & info [ "quantum" ] ~doc:"Slice length in instructions.")
-  in
-  let mode_arg =
-    Arg.(
-      value
-      & opt mode_conv System.Hipstr
-      & info [ "mode" ] ~doc:"Server mode: native, psr or hipstr.")
   in
   let fuel_arg =
     Arg.(
@@ -1303,8 +1269,7 @@ let fleet_run_cmd =
             (List.fold_left (fun acc rr -> acc + rr.Fleet.rr_instructions) 0 r.Fleet.r_records))
       hp;
     Printf.printf "fleet-run: %d conns on %d shards x %d cores, policy %s, mode %s\n" procs shards
-      (List.length cores) (Cmp.policy_name policy)
-      (match mode with System.Native -> "native" | System.Psr_only -> "psr" | System.Hipstr -> "hipstr");
+      (List.length cores) (Cmp.policy_name policy) (System.mode_name mode);
     Printf.printf "traffic: %s, mix %s, seed %d\n" (Traffic.arrival_name arrival)
       (Traffic.mix_name mix) seed;
     Printf.printf
@@ -1366,7 +1331,9 @@ let fleet_run_cmd =
           -j 1.")
     Term.(
       const action $ procs_arg $ arrival_arg $ mix_arg $ policy_arg $ shards_arg $ cores_arg
-      $ quantum_arg $ mode_arg $ fuel_arg $ max_live_arg $ tenants_arg $ migrate_every_arg
+      $ quantum_arg
+      $ mode_arg ~doc:"Server mode: native, psr or hipstr." ()
+      $ fuel_arg $ max_live_arg $ tenants_arg $ migrate_every_arg
       $ seed_arg $ migrate_prob_arg $ jobs_arg $ metrics_arg $ trace_arg $ hostprof_arg
       $ assert_alloc_arg $ timeline_args $ slo_target_arg $ slo_budget_arg $ export_args)
 

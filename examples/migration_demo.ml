@@ -9,11 +9,12 @@ module Desc = Hipstr_isa.Desc
 module System = Hipstr.System
 module Config = Hipstr_psr.Config
 module Machine = Hipstr_machine.Machine
+module Core_desc = Hipstr_machine.Core_desc
 module Transform = Hipstr_migration.Transform
 module Safety = Hipstr_migration.Safety
 module Workloads = Hipstr_workloads.Workloads
 
-let isa_name = function Desc.Cisc -> "x86 (CISC)" | Desc.Risc -> "ARM (RISC)"
+let isa_name which = (Core_desc.for_isa which).name
 
 let () =
   let w = Workloads.find "hmmer" in

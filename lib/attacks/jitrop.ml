@@ -75,7 +75,7 @@ let analyze ~name (w : Workloads.t) ~seed =
   in
   (* Can the residue still express the four-register execve chain? *)
   let feasible =
-    let desc = Hipstr_cisc.Isa.desc in
+    let desc = Isa.desc Desc.Cisc in
     let poppable =
       List.fold_left
         (fun acc g ->

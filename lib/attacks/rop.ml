@@ -12,22 +12,15 @@ type chain = { c_steps : step list; c_syscall_addr : int; c_payload : int list; 
 
 let target_values = [ (0, 11); (1, 0x1234); (2, 0x2345); (3, 0x3456) ]
 
-let desc_of = function Desc.Cisc -> Hipstr_cisc.Isa.desc | Desc.Risc -> Hipstr_risc.Isa.desc
-
 let find_syscall_addresses mem fb which =
   let read = Mem.reader mem in
-  let decode a =
-    match which with
-    | Desc.Cisc -> Hipstr_cisc.Isa.decode ~read a
-    | Desc.Risc -> Hipstr_risc.Isa.decode ~read a
-  in
   let found = ref [] in
   List.iter
     (fun (start, size) ->
       let pos = ref start in
       let continue_ = ref true in
       while !continue_ && !pos < start + size do
-        match decode !pos with
+        match Isa.decode which ~read !pos with
         | Some (Minstr.Syscall, len) ->
           found := !pos :: !found;
           pos := !pos + len
@@ -203,7 +196,7 @@ let select_gadgets infos ~start_cursor =
   dfs [] [] 0 IntMap.empty start_cursor
 
 let build_chain mem fb which ~victim_func =
-  let desc = desc_of which in
+  let desc = Isa.desc which in
   let gadgets = Galileo.mine_program mem fb which in
   let infos =
     List.filter_map

@@ -23,8 +23,6 @@ type report = {
   r_infos : gadget_info list;
 }
 
-let desc_of = function Desc.Cisc -> Hipstr_cisc.Isa.desc | Desc.Risc -> Hipstr_risc.Isa.desc
-
 (* Probability that one sampled map leaves the gadget's effect
    intact. Inert gadgets (no register, stack or memory effect — bare
    rets, sp adjustments) are not counted as surviving: they perform no
@@ -53,7 +51,7 @@ let samples = 12
 
 let analyze ?(cfg = Config.default) ~seed ~name fb which =
   let gadgets = Galileo.mine_program (Fatbin.baseline fb) fb which in
-  let desc = desc_of which in
+  let desc = Isa.desc which in
   let sp = desc.sp in
   (* Sampled relocation maps per function. *)
   let maps_of : (string, Reloc_map.t list) Hashtbl.t = Hashtbl.create 32 in

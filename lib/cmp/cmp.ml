@@ -34,6 +34,7 @@
 module System = Hipstr.System
 module Machine = Hipstr_machine.Machine
 module Desc = Hipstr_isa.Desc
+module Isa = Hipstr_isa.Isa
 module Obs = Hipstr_obs.Obs
 
 type policy = Round_robin | Load_balance | Security_first
@@ -90,8 +91,6 @@ type t = {
 
 let default_cores = [ Desc.Cisc; Desc.Risc ]
 
-let isa_label = function Desc.Cisc -> "cisc" | Desc.Risc -> "risc"
-
 let create ?(obs = Obs.global) ?(policy = Round_robin) ?(quantum = 20_000)
     ?(cores = default_cores) procs =
   if quantum < 1 then invalid_arg "Cmp.create: quantum must be positive";
@@ -103,7 +102,7 @@ let create ?(obs = Obs.global) ?(policy = Round_robin) ?(quantum = 20_000)
         invalid_arg
           (Printf.sprintf "Cmp.create: process %s is pinned to %s but no such core exists"
              (Process.name p)
-             (isa_label (Process.active_isa p))))
+             (Isa.name (Process.active_isa p))))
     procs;
   let pids = List.map Process.pid procs in
   if List.length (List.sort_uniq compare pids) <> List.length pids then
@@ -155,7 +154,7 @@ let inject t p =
     invalid_arg
       (Printf.sprintf "Cmp.inject: process %s is pinned to %s but no such core exists"
          (Process.name p)
-         (isa_label (Process.active_isa p)));
+         (Isa.name (Process.active_isa p)));
   t.procs <- Array.append t.procs [| p |];
   t.queue <- t.queue @ [ Process.pid p ]
 
@@ -344,7 +343,7 @@ let step ?crew ?timeline t =
             Process.request_migration p;
             if observing then begin
               Obs.Metrics.incr (if security then t.c_mig_sec else t.c_mig_load);
-              Obs.audit_emit t.obs ~cycle:core.co_cycles ~isa:(isa_label core.co_isa) ~pid
+              Obs.audit_emit t.obs ~cycle:core.co_cycles ~isa:(Isa.name core.co_isa) ~pid
                 (Obs.Audit.Sched_migrate { core = core.co_id; security })
             end;
             true
@@ -361,10 +360,10 @@ let step ?crew ?timeline t =
         ~attrs:
           [
             ("core", string_of_int core.co_id);
-            ("isa", isa_label core.co_isa);
+            ("isa", Isa.name core.co_isa);
             ("pid", string_of_int pid);
             ("proc", Process.name p);
-            ("proc_isa", isa_label isa0);
+            ("proc_isa", Isa.name isa0);
             ("round", string_of_int t.round);
           ]
         ~cycle:begin_cycle ()
@@ -545,8 +544,8 @@ let rounds t = t.round
 
 let event_to_string t e =
   Printf.sprintf "round %4d core %d(%s) pid %d [%s] instrs=%-6d%s%s%s" e.se_round e.se_core
-    (isa_label t.cores.(e.se_core).co_isa)
-    e.se_pid (isa_label e.se_isa) e.se_instructions
+    (Isa.name t.cores.(e.se_core).co_isa)
+    e.se_pid (Isa.name e.se_isa) e.se_instructions
     (if e.se_switched then " switch" else "")
     (if e.se_migrated then if e.se_security then " migrate(security)" else " migrate(load)" else "")
     (if e.se_done then " done" else "")

@@ -26,10 +26,7 @@ type gst = {
   mutable callsites : (int * int) list;
 }
 
-let ilen st ins =
-  match st.desc.which with
-  | Desc.Cisc -> Hipstr_cisc.Isa.length ins
-  | Desc.Risc -> Hipstr_risc.Isa.length ins
+let ilen st ins = Isa.length st.desc.which ins
 
 let emit ?target st ins =
   st.rev_items <- { it_ins = ins; it_target = target } :: st.rev_items;
@@ -341,17 +338,10 @@ let resolve_item ~base ~at:_ ~block_addr ~func_entry ~global_addr item =
 
 let encode_all desc ~base ~block_addr ~func_entry ~global_addr t =
   let buf = Buffer.create 1024 in
-  let off = ref 0 in
   Array.iter
     (fun item ->
-      let at = base + !off in
+      let at = base + Buffer.length buf in
       let ins = resolve_item ~base ~at ~block_addr ~func_entry ~global_addr item in
-      let bytes =
-        match desc.Desc.which with
-        | Desc.Cisc -> Hipstr_cisc.Isa.encode ~at ins
-        | Desc.Risc -> Hipstr_risc.Isa.encode ~at ins
-      in
-      Buffer.add_string buf bytes;
-      off := !off + String.length bytes)
+      Isa.encode_into desc.Desc.which buf ~at ins)
     t.cg_items;
   Buffer.contents buf

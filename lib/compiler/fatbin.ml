@@ -46,14 +46,9 @@ let align a n = (n + a - 1) / a * a
 let count_reg_uses which ~read ~lo ~hi =
   let counts = Array.make 16 0 in
   let bump r = if r >= 0 && r < 16 then counts.(r) <- counts.(r) + 1 in
-  let decode addr =
-    match which with
-    | Desc.Cisc -> Hipstr_cisc.Isa.decode ~read addr
-    | Desc.Risc -> Hipstr_risc.Isa.decode ~read addr
-  in
   let rec go pos =
     if pos < hi then
-      match decode pos with
+      match Isa.decode which ~read pos with
       | None -> ()
       | Some (i, len) ->
         List.iter
@@ -114,8 +109,8 @@ let fingerprint funcs =
 
 let link (p : Ir.program) =
   (match Ir.validate p with Ok () -> () | Error e -> failwith ("fatbin: invalid IR: " ^ e));
-  let cisc_desc = Hipstr_cisc.Isa.desc in
-  let risc_desc = Hipstr_risc.Isa.desc in
+  let cisc_desc = Isa.desc Desc.Cisc in
+  let risc_desc = Isa.desc Desc.Risc in
   (* Per-function: liveness, both allocations, the common frame, and
      both code streams. *)
   let prelinked =

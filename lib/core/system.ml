@@ -34,8 +34,6 @@ type t = {
   sys_start_isa : Desc.which;
 }
 
-let isa_label = function Desc.Cisc -> "cisc" | Desc.Risc -> "risc"
-
 let boot_system ?(obs = Obs.global) ?(cfg = Config.default) ?(seed = 1) ?(start_isa = Desc.Cisc)
     ?(pid = 0) ?(decode_cache = true) ?(boot = true) ?spare ~mode fb =
   let rat_capacity = match mode with Native -> None | Psr_only | Hipstr -> Some cfg.rat_capacity in
@@ -93,9 +91,9 @@ let metrics t = Obs.Metrics.snapshot (Obs.metrics t.observ)
 let killed t msg =
   if Obs.on t.observ then begin
     Obs.emit t.observ
-      (Obs.Trace.Fault { isa = isa_label (Machine.active t.m); reason = msg });
+      (Obs.Trace.Fault { isa = Isa.name (Machine.active t.m); reason = msg });
     Obs.audit_emit t.observ ~cycle:(Machine.cycles t.m)
-      ~isa:(isa_label (Machine.active t.m))
+      ~isa:(Isa.name (Machine.active t.m))
       ~pid:(Machine.owner t.m)
       (Obs.Audit.Fault { reason = msg })
   end;
@@ -193,8 +191,8 @@ let migrate_inner t ~forced kind target_src =
     Obs.emit t.observ
       (Obs.Trace.Migrate
          {
-           from_isa = isa_label from_isa;
-           to_isa = isa_label (Machine.active t.m);
+           from_isa = Isa.name from_isa;
+           to_isa = Isa.name (Machine.active t.m);
            frames = result.Transform.r_frames;
            words = result.Transform.r_words;
            cycles = result.Transform.r_cycles;
@@ -233,7 +231,7 @@ let migrate_inner t ~forced kind target_src =
    re-entry translations, and call completion. The audit records the
    decision's outcome. *)
 let migrate t ~forced kind target_src =
-  let from_isa = isa_label (Machine.active t.m) in
+  let from_isa = Isa.name (Machine.active t.m) in
   let sp =
     Obs.enter_span t.observ ~name:"migration"
       ~attrs:
@@ -254,11 +252,11 @@ let migrate t ~forced kind target_src =
        | None -> (0, 0, 0.)
      in
      Obs.audit_emit t.observ ~cycle:(Machine.cycles t.m)
-       ~isa:(isa_label (Machine.active t.m))
+       ~isa:(Isa.name (Machine.active t.m))
        ~pid:(Machine.owner t.m)
        (Obs.Audit.Migration
           {
-            to_isa = isa_label (Machine.active t.m);
+            to_isa = Isa.name (Machine.active t.m);
             forced;
             frames;
             words;
@@ -311,7 +309,7 @@ let run_protected t ~fuel =
         t.migration_requested <- false;
         t.forced_migrations <- t.forced_migrations + 1;
         Obs.audit_emit t.observ ~cycle:(Machine.cycles t.m)
-          ~isa:(isa_label (Machine.active t.m))
+          ~isa:(Isa.name (Machine.active t.m))
           ~pid:(Machine.owner t.m)
           (Obs.Audit.Decision { target_src = src; migrate = true; forced = true });
         match migrate t ~forced:true Vm.Kreturn src with
@@ -328,7 +326,7 @@ let run_protected t ~fuel =
         in
         let will_migrate = t.sys_mode = Hipstr && (forced || probabilistic) in
         Obs.audit_emit t.observ ~cycle:(Machine.cycles t.m)
-          ~isa:(isa_label (Machine.active t.m))
+          ~isa:(Isa.name (Machine.active t.m))
           ~pid:(Machine.owner t.m)
           (Obs.Audit.Decision { target_src; migrate = will_migrate; forced });
         if will_migrate then begin
@@ -352,7 +350,7 @@ let run t ~fuel =
     Obs.enter_span t.observ ~name:"exec"
       ~attrs:
         [
-          ("isa", isa_label (Machine.active t.m));
+          ("isa", Isa.name (Machine.active t.m));
           ("pid", string_of_int (Machine.owner t.m));
         ]
       ~cycle:(Machine.cycles t.m) ()
@@ -390,6 +388,14 @@ let run_slice t ~fuel =
 module Wire = Hipstr_util.Wire
 
 let mode_tag = function Native -> 0 | Psr_only -> 1 | Hipstr -> 2
+let mode_name = function Native -> "native" | Psr_only -> "psr" | Hipstr -> "hipstr"
+
+let mode_of_name s =
+  match String.lowercase_ascii s with
+  | "native" -> Some Native
+  | "psr" -> Some Psr_only
+  | "hipstr" -> Some Hipstr
+  | _ -> None
 
 let mode_of_tag = function
   | 0 -> Native
@@ -397,12 +403,10 @@ let mode_of_tag = function
   | 2 -> Hipstr
   | n -> Wire.corrupt "unknown mode tag %d" n
 
-let isa_tag = function Desc.Cisc -> 0 | Desc.Risc -> 1
-
-let isa_of_tag = function
-  | 0 -> Desc.Cisc
-  | 1 -> Desc.Risc
-  | n -> Wire.corrupt "unknown ISA tag %d" n
+let rewritten_unit t =
+  List.find_map
+    (fun (which, v) -> Option.map (fun src -> (which, src)) (Vm.rewritten_unit v))
+    t.vms
 
 (* Drop the host state a run restored from an image cannot have: both
    cores' decode caches and every VM's kept blocks. *)
@@ -416,7 +420,7 @@ let quiesce t =
 let save_vms w t save =
   Wire.list w
     (fun w (which, v) ->
-      Wire.u8 w (isa_tag which);
+      Wire.u8 w (Isa.tag which);
       save w v)
     t.vms
 
@@ -426,7 +430,7 @@ let load_vms t r ~what load =
       let tag = Wire.r_u8 r in
       match !nvms with
       | (which, v) :: rest ->
-        if tag <> isa_tag which then Wire.corrupt "%s for the wrong ISA (tag %d)" what tag;
+        if tag <> Isa.tag which then Wire.corrupt "%s for the wrong ISA (tag %d)" what tag;
         load v r;
         nvms := rest
       | [] -> Wire.corrupt "%s carries more VMs than this system has" what)

@@ -164,14 +164,21 @@ val metrics : t -> Hipstr_obs.Obs.Metrics.snapshot
 val mode_tag : mode -> int
 (** The byte a mode travels as in snapshot images and memo artifacts. *)
 
+val mode_name : mode -> string
+(** ["native"], ["psr"] or ["hipstr"]: the CLI's spelling, also used in
+    benchmark output. *)
+
+val mode_of_name : string -> mode option
+(** Inverse of {!mode_name}, case-insensitive. *)
+
 val mode_of_tag : int -> mode
 (** @raise Hipstr_util.Wire.Corrupt on an unknown tag. *)
 
-val isa_tag : Hipstr_isa.Desc.which -> int
-(** The byte an ISA travels as in snapshot images and memo artifacts. *)
-
-val isa_of_tag : int -> Hipstr_isa.Desc.which
-(** @raise Hipstr_util.Wire.Corrupt on an unknown tag. *)
+val rewritten_unit : t -> (Hipstr_isa.Desc.which * int) option
+(** A live translated unit, on either ISA, whose source bytes the
+    program has written since the binary was loaded
+    ({!Hipstr_psr.Vm.rewritten_unit}): the snapshot layer refuses to
+    checkpoint while one exists. *)
 
 val quiesce : t -> unit
 (** The checkpoint quiesce: drop both cores' host decode caches

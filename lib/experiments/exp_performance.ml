@@ -130,11 +130,7 @@ let one_migration (w : Workloads.t) ~from_isa ~checkpoint_fuel ~seed =
     ignore (System.run sys ~fuel:w.w_fuel);
     match System.last_migration sys with
     | Some r ->
-      let freq =
-        match Desc.other from_isa with
-        | Desc.Cisc -> Core_desc.x86.freq_ghz
-        | Desc.Risc -> Core_desc.arm.freq_ghz
-      in
+      let freq = (Core_desc.for_isa (Desc.other from_isa)).freq_ghz in
       Some (r.Transform.r_cycles /. (freq *. 1000.)) (* microseconds *)
     | None -> None)
   | _ -> None

@@ -11,11 +11,6 @@ type gadget = {
   g_aligned : bool;
 }
 
-let decode_for which ~read addr =
-  match which with
-  | Desc.Cisc -> Hipstr_cisc.Isa.decode ~read addr
-  | Desc.Risc -> Hipstr_risc.Isa.decode ~read addr
-
 let terminator_kind (i : Minstr.t) =
   match i with
   | Ret | Retr _ -> Some Ret_gadget
@@ -37,7 +32,7 @@ let max_instrs = 6
 let chain which ~read start stop_at =
   let rec go addr n acc =
     if addr = stop_at then
-      match decode_for which ~read addr with
+      match Isa.decode which ~read addr with
       | None -> None
       | Some (i, len) -> (
         match terminator_kind i with
@@ -45,7 +40,7 @@ let chain which ~read start stop_at =
         | None -> None)
     else if addr > stop_at || n >= max_instrs then None
     else
-      match decode_for which ~read addr with
+      match Isa.decode which ~read addr with
       | Some (i, len) when not (Minstr.is_control i) -> go (addr + len) (n + 1) (i :: acc)
       | Some _ | None -> None
   in
@@ -55,10 +50,10 @@ let chain which ~read start stop_at =
    byte that decodes as a terminator; for RISC, aligned words only. *)
 let terminator_positions which ~read start size =
   let positions = ref [] in
-  let step = match which with Desc.Cisc -> 1 | Desc.Risc -> 4 in
+  let step = (Isa.desc which).align in
   let pos = ref start in
   while !pos < start + size do
-    (match decode_for which ~read !pos with
+    (match Isa.decode which ~read !pos with
     | Some (i, len) -> (
       match terminator_kind i with
       | Some _ -> positions := (!pos, len) :: !positions
@@ -71,7 +66,7 @@ let terminator_positions which ~read start size =
 let mine ~read ~which ~ranges ?(aligned_starts = fun _ -> false) () =
   let seen = Hashtbl.create 1024 in
   let gadgets = ref [] in
-  let step = match which with Desc.Cisc -> 1 | Desc.Risc -> 4 in
+  let step = (Isa.desc which).align in
   List.iter
     (fun (start, size) ->
       List.iter
@@ -115,7 +110,7 @@ let mine_program mem fb which =
       let pos = ref start in
       let continue_ = ref true in
       while !continue_ && !pos < start + size do
-        match decode_for which ~read !pos with
+        match Isa.decode which ~read !pos with
         | Some (_, len) ->
           Hashtbl.replace aligned !pos ();
           pos := !pos + len

@@ -2,7 +2,6 @@ type which = Cisc | Risc
 
 type t = {
   which : which;
-  name : string;
   nregs : int;
   sp : Minstr.reg;
   lr : Minstr.reg option;
@@ -15,7 +14,6 @@ type t = {
   caller_saved : Minstr.reg list;
   allocatable : Minstr.reg list;
   align : int;
-  freq_ghz : float;
 }
 
 let cisc_names = [| "ax"; "bx"; "cx"; "dx"; "si"; "di"; "bp"; "sp" |]

@@ -3,14 +3,13 @@
     A descriptor captures everything the interpreter, the compiler and
     the PSR virtual machine need to know about an ISA besides its byte
     encoding: register-file shape, stack/link registers, calling
-    convention, and alignment. The two concrete instances live in
-    [Hipstr_cisc.Isa.desc] and [Hipstr_risc.Isa.desc]. *)
+    convention, and alignment. {!Isa.desc} returns the two concrete
+    instances. *)
 
 type which = Cisc | Risc
 
 type t = {
   which : which;
-  name : string;
   nregs : int;
   sp : Minstr.reg;  (** stack pointer register *)
   lr : Minstr.reg option;  (** link register, if calls write one *)
@@ -33,7 +32,6 @@ type t = {
   allocatable : Minstr.reg list;
       (** registers the register allocator may assign to values *)
   align : int;  (** instruction alignment: 1 for CISC, 4 for RISC *)
-  freq_ghz : float;  (** clock frequency, from Table 1 *)
 }
 
 val reg_name : t -> Minstr.reg -> string

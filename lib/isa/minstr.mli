@@ -5,8 +5,7 @@
     interpreter executes it with only a small per-ISA descriptor
     ({!Desc.t}) to vary call/return conventions. What actually differs
     between the ISAs, and what the security evaluation observes, is the
-    byte-level *encoding* implemented in [Hipstr_cisc] and
-    [Hipstr_risc].
+    byte-level *encoding*, reached through {!Isa}.
 
     Control-transfer targets are stored as absolute addresses in the
     decoded form; encoders turn them into PC-relative displacements.

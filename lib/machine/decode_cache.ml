@@ -167,7 +167,7 @@ let reset t =
   zero t.st;
   zero t.dep
 
-let create ?(obs = Obs.global) ~isa which mem =
+let create ?(obs = Obs.global) which mem =
   (* The four standard code-bearing regions; [Mem.watch] dedupes, so
      the CISC and RISC caches of one machine share region handles. *)
   ignore
@@ -182,7 +182,9 @@ let create ?(obs = Obs.global) ~isa which mem =
   ignore
     (Mem.watch mem ~lo:Layout.risc_cache_base
        ~hi:(Layout.risc_cache_base + Layout.cache_region_size));
-  let counter ns n = Obs.Metrics.counter (Obs.metrics obs) ("machine." ^ isa ^ "." ^ ns ^ "." ^ n) in
+  let counter ns n =
+    Obs.Metrics.counter (Obs.metrics obs) ("machine." ^ Isa.name which ^ "." ^ ns ^ "." ^ n)
+  in
   let core = Core_desc.for_isa which in
   let t =
     {
@@ -283,11 +285,6 @@ let is_indirect_terminator (i : Minstr.t) =
   | Jmp _ | Jcc _ | Call _ | Callrat _ | Trap _ -> false
   | Nop | Mov _ | Lea _ | Binop _ | Cmp _ | Push _ | Pop _ | Syscall -> false
 
-let decode_with t ~read addr =
-  match t.which with
-  | Desc.Cisc -> Hipstr_cisc.Isa.decode ~read addr
-  | Desc.Risc -> Hipstr_risc.Isa.decode ~read addr
-
 (* The per-retirement charge the execution engine levies for [i],
    in femtocycles — must mirror [Exec]'s charge selection exactly
    (Syscall and Trap charge nothing at retirement: the syscall fee
@@ -326,7 +323,7 @@ let decode_block t region start =
          to the checked reader, whose out-of-range contract ([-1],
          i.e. 0xFF bytes) the decoders rely on. *)
       let read = if !pos + max_decode_window <= hi then t.read_unsafe else t.read in
-      match decode_with t ~read !pos with
+      match Isa.decode t.which ~read !pos with
       | None ->
         (* cache the bad verdict only when every byte the decoder may
            have looked at is inside the region *)
@@ -417,15 +414,15 @@ let drop t (b : block) =
     t.st.invalidations <- t.st.invalidations + 1
   end
 
-(* Wholesale invalidation: context-switch flushes, relocation-map
-   renewal and code-cache flushes all call this. Generations already
-   make every write safe; dropping the table frees the blocks eagerly
-   and kills their chain links (the epoch bump below). It changes host
-   time only: the decode cache charges no guest cycles. The table
-   starts at 16 buckets and grows on demand, so the reset costs what
-   the table held rather than a fixed 1024-bucket fill. Callers outside
-   a run (the machine's flush paths) follow up with [deposit] so the
-   batched invalidation counts are visible to the next export. *)
+(* Wholesale invalidation: context-switch flushes and code-cache
+   flushes call this. Generations already make every write safe;
+   dropping the table frees the blocks eagerly and kills their chain
+   links (the epoch bump below). It changes host time only: the decode
+   cache charges no guest cycles. The table starts at 16 buckets and
+   grows on demand, so the reset costs what the table held rather than
+   a fixed 1024-bucket fill. Callers outside a run (the machine's flush
+   paths) follow up with [deposit] so the batched invalidation counts
+   are visible to the next export. *)
 let invalidate_all t =
   let n = Hashtbl.length t.blocks in
   if n > 0 then begin

@@ -83,7 +83,7 @@ val max_decode_window : int
     its start address, on either ISA. Anything that caches a decode
     result must treat this many bytes as read. *)
 
-val create : ?obs:Hipstr_obs.Obs.t -> isa:string -> Hipstr_isa.Desc.which -> Mem.t -> t
+val create : ?obs:Hipstr_obs.Obs.t -> Hipstr_isa.Desc.which -> Mem.t -> t
 (** Create a cache for one ISA over one memory, watching the four
     standard code-bearing regions (both code sections and both
     code-cache regions; {!Mem.watch} dedupes across ISAs). Counters
@@ -120,8 +120,8 @@ val drop : t -> block -> unit
 (** Remove one (stale) block. *)
 
 val invalidate_all : t -> unit
-(** Drop everything: wired into context-switch flushes, relocation-map
-    renewal and code-cache flushes. Also bumps the epoch, killing
+(** Drop everything: wired into context-switch flushes and code-cache
+    flushes. Also bumps the epoch, killing
     every chain link installed before the call. *)
 
 val keepable : block -> since:int -> bool

@@ -53,13 +53,6 @@ let string_of_trap = function
   | Fault (Bad_access a) -> Printf.sprintf "fault: bad access at 0x%x" a
   | Fault (Cache_jump a) -> Printf.sprintf "fault: indirect jump into code cache 0x%x" a
 
-let decode_with ~read which addr =
-  match which with
-  | Desc.Cisc -> Hipstr_cisc.Isa.decode ~read addr
-  | Desc.Risc -> Hipstr_risc.Isa.decode ~read addr
-
-let decode which mem addr = decode_with ~read:(Mem.reader mem) which addr
-
 exception Stop of trap
 
 (* The syscall service fee and the RAT-lookup cycle are whole cycles,
@@ -568,14 +561,13 @@ let rec packed_loop env (b : Decode_cache.block) code len k n =
     packed_loop env b code len (k + 1) (n - 1)
   end
 
-let isa_label env = match env.desc.which with Desc.Cisc -> "cisc" | Desc.Risc -> "risc"
-
 let stopped env t =
   (match t with
   | Fault _ ->
     if Obs.on env.obs then begin
       Obs.Metrics.incr env.ctrs.cn_faults;
-      Obs.emit env.obs (Obs.Trace.Fault { isa = isa_label env; reason = string_of_trap t })
+      Obs.emit env.obs
+        (Obs.Trace.Fault { isa = Isa.name env.desc.which; reason = string_of_trap t })
     end
   | Trap_stub _ | Rat_miss _ | Exit _ | Shell -> ());
   Stopped t
@@ -615,7 +607,7 @@ let boundary_gate env n =
 let step_here env =
   let pc = env.cpu.pc in
   icache_probe env pc;
-  match decode_with ~read:env.reader env.desc.which pc with
+  match Isa.decode env.desc.which ~read:env.reader pc with
   | None -> stopped env (Fault (Bad_fetch pc))
   | Some (i, len) -> exec_one env i len
 

@@ -80,5 +80,3 @@ val run : env -> fuel:int -> trap option
 
 val string_of_trap : trap -> string
 
-val decode : Hipstr_isa.Desc.which -> Mem.t -> int -> (Hipstr_isa.Minstr.t * int) option
-(** Decode one instruction of the given ISA from simulated memory. *)

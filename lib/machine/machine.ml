@@ -49,12 +49,11 @@ type t = {
 }
 
 let make_ctx ~obs shape ~memory which =
-  let desc = match which with Desc.Cisc -> Hipstr_cisc.Isa.desc | Risc -> Hipstr_risc.Isa.desc in
   let core = Core_desc.for_isa which in
-  let isa = match which with Desc.Cisc -> "cisc" | Desc.Risc -> "risc" in
+  let isa = Isa.name which in
   let counter n = Obs.Metrics.counter (Obs.metrics obs) ("machine." ^ isa ^ "." ^ n) in
   {
-    desc;
+    desc = Isa.desc which;
     core;
     icache =
       Cache.create ~size_kb:core.icache_size_kb ~assoc:core.cache_assoc
@@ -66,7 +65,7 @@ let make_ctx ~obs shape ~memory which =
     rat = Option.map (fun n -> Rat.create ~capacity:n) shape.sh_rat;
     dcode =
       (if shape.sh_decode_cache then
-         Some (Decode_cache.create ~obs ~isa which memory)
+         Some (Decode_cache.create ~obs which memory)
        else None);
     ctrs =
       {
@@ -175,8 +174,6 @@ let obs t = t.observ
 let owner t = t.owner_pid
 let set_owner t pid = t.owner_pid <- pid
 
-let isa_name t = match t.active with Desc.Cisc -> "cisc" | Desc.Risc -> "risc"
-
 let ctx t = match t.active with Desc.Cisc -> t.cisc_ctx | Risc -> t.risc_ctx
 
 let desc t = (ctx t).desc
@@ -217,8 +214,8 @@ let deposit_decoded t =
   end
 
 (* Drop every predecoded block of one core's cache — the PSR VM calls
-   this when it rewrites its code-cache region wholesale (flush,
-   relocation-map renewal). Generations already keep stale blocks from
+   this when it rewrites its code-cache region wholesale (a flush).
+   Generations already keep stale blocks from
    executing; this frees the table at once instead of leaving each dead
    block to fail its staleness check. The decode cache is host state
    and charges no guest cycles, so this changes host time only. *)
@@ -253,7 +250,7 @@ let context_switch_flush t =
     let cycle = Cpu.cycles t.cpu.perf in
     let sp =
       Obs.enter_span t.observ ~name:"context_switch_flush"
-        ~attrs:[ ("isa", isa_name t); ("pid", string_of_int t.owner_pid) ]
+        ~attrs:[ ("isa", Isa.name t.active); ("pid", string_of_int t.owner_pid) ]
         ~cycle ()
     in
     Obs.exit_span t.observ sp ~cycle
@@ -348,7 +345,7 @@ let save w t =
   Sys.save w t.os_state;
   save_ctx w t.cisc_ctx;
   save_ctx w t.risc_ctx;
-  Wire.u8 w (match t.active with Desc.Cisc -> 0 | Desc.Risc -> 1);
+  Wire.u8 w (Isa.tag t.active);
   Wire.int w t.migrations;
   Wire.int w t.cisc_fc;
   Wire.int w t.risc_fc;
@@ -377,11 +374,7 @@ let restore t r =
   Sys.restore t.os_state r;
   restore_ctx t.cisc_ctx r;
   restore_ctx t.risc_ctx r;
-  (t.active <-
-     (match Wire.r_u8 r with
-     | 0 -> Desc.Cisc
-     | 1 -> Desc.Risc
-     | v -> Wire.corrupt "bad active-ISA tag %d" v));
+  t.active <- Isa.of_tag (Wire.r_u8 r);
   t.migrations <- Wire.r_int r;
   t.cisc_fc <- Wire.r_int r;
   t.risc_fc <- Wire.r_int r;

@@ -69,17 +69,13 @@ val owner : t -> int
 
 val set_owner : t -> int -> unit
 
-val isa_name : t -> string
-(** ["cisc"] or ["risc"], for the active core. *)
-
 val env_of : t -> Hipstr_isa.Desc.which -> Exec.env
 (** Memoized: built once per core at {!create}, so calling this per
     quantum neither allocates nor recomputes charge quotients. *)
 
 val invalidate_decoded : t -> Hipstr_isa.Desc.which -> unit
 (** Drop every predecoded block of one core's decode cache. The PSR
-    VM calls this on code-cache flush and relocation-map renewal;
-    region write generations already guarantee stale blocks never
+    VM calls this on code-cache flush; region write generations already guarantee stale blocks never
     execute, so this only frees the table eagerly. The decode cache is
     host state and charges no guest cycles. No-op without a decode
     cache. *)

@@ -5,7 +5,7 @@ open Hipstr_isa
 type verdict = { v_baseline : bool; v_ondemand : bool }
 
 let caller_class which =
-  let desc = match which with Desc.Cisc -> Hipstr_cisc.Isa.desc | Risc -> Hipstr_risc.Isa.desc in
+  let desc = Isa.desc which in
   (* The result register is part of the call-boundary contract, so the
      runtime always knows where it is; only the remaining volatile
      registers are opaque at arbitrary points. *)

@@ -176,17 +176,14 @@ let charge_destination machine cycles =
   p.Hipstr_machine.Cpu.cycles_fc <-
     p.Hipstr_machine.Cpu.cycles_fc + Hipstr_machine.Cpu.fc_of_cycles cycles
 
-let desc_of which =
-  match which with Desc.Cisc -> Hipstr_cisc.Isa.desc | Desc.Risc -> Hipstr_risc.Isa.desc
-
 let finish machine ~to_isa ~frames ~words ~resume ~complete =
   (* Architectural state transfer: the stack pointer lives in a
      different register on each ISA; the result register is index 0 on
      both. Everything else live is in frame slots by the equivalence-
      point discipline. *)
   let cpu = Machine.cpu machine in
-  let from_sp = (desc_of (Machine.active machine)).sp in
-  let to_sp = (desc_of to_isa).sp in
+  let from_sp = (Isa.desc (Machine.active machine)).sp in
+  let to_sp = (Isa.desc to_isa).sp in
   let sp_value = cpu.regs.(from_sp) in
   let cycle_before = Hipstr_machine.Cpu.cycles cpu.Hipstr_machine.Cpu.perf in
   Machine.switch_core machine to_isa;
@@ -207,7 +204,7 @@ let finish machine ~to_isa ~frames ~words ~resume ~complete =
       Obs.enter_span obs ~name:"stack_transform"
         ~attrs:
           [
-            ("isa", Machine.isa_name machine);
+            ("isa", Isa.name (Machine.active machine));
             ("pid", string_of_int (Machine.owner machine));
             ("frames", string_of_int frames);
             ("words", string_of_int words);

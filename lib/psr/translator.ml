@@ -25,13 +25,7 @@ type unit_code = {
   u_emitted : int;
 }
 
-let jmp_same_size (desc : Desc.t) =
-  let len i =
-    match desc.which with
-    | Desc.Cisc -> Hipstr_cisc.Isa.length i
-    | Desc.Risc -> Hipstr_risc.Isa.length i
-  in
-  len (Jmp 0) = len (Trap 0)
+let jmp_same_size (desc : Desc.t) = Isa.length desc.which (Jmp 0) = Isa.length desc.which (Trap 0)
 
 (* ------------------------------------------------------------------ *)
 (* Emission state: items carry an optional symbolic reference to an
@@ -59,10 +53,7 @@ type st = {
    whose target could coincide. Addresses stay below it. *)
 let icall_flag = 0x4000_0000
 
-let ilen st i =
-  match st.desc.which with
-  | Desc.Cisc -> Hipstr_cisc.Isa.length i
-  | Desc.Risc -> Hipstr_risc.Isa.length i
+let ilen st i = Isa.length st.desc.which i
 
 let emit st ?(rf = no_ref) i =
   let n = st.emitted in
@@ -156,17 +147,7 @@ let release_temps st temps =
 (* ------------------------------------------------------------------ *)
 (* Operand rewriting. *)
 
-let legal st i =
-  match st.desc.which with
-  | Desc.Risc -> Hipstr_risc.Isa.encodable i
-  | Desc.Cisc -> (
-    match i with
-    | Mov ((Imm _ | Mem _), Mem _) -> false
-    | Binop (_, Imm _, _) | Binop (_, Mem _, Mem _) -> false
-    | Cmp (Imm _, _) | Cmp (Mem _, Mem _) -> false
-    | Pop (Imm _) | Jmpr (Imm _) | Callr (Imm _) | Retrat (Imm _) -> false
-    | Retr _ -> false
-    | _ -> true)
+let legal st i = Isa.encodable st.desc.which i
 
 (* Rewrite one operand; may emit base-load instructions using temps.
    [phys] suppresses register relocation (syscall windows).
@@ -340,11 +321,6 @@ let rewrite_instr st (map : Reloc_map.t) mark (i : Minstr.t) =
 (* ------------------------------------------------------------------ *)
 (* Segment scanning. *)
 
-let decode_for which ~read addr =
-  match which with
-  | Desc.Cisc -> Hipstr_cisc.Isa.decode ~read addr
-  | Desc.Risc -> Hipstr_risc.Isa.decode ~read addr
-
 (* Decode a straight-line segment (terminator inclusive). Returns the
    body in *reverse* with its length — the caller fills an array
    backwards, which skips the [List.rev] copy the old interface
@@ -353,7 +329,7 @@ let scan_segment st ~read pc ~max_instrs =
   let rec go addr n acc =
     if n >= max_instrs then (acc, n, None, addr)
     else
-      match decode_for st.desc.which ~read addr with
+      match Isa.decode st.desc.which ~read addr with
       | None -> (acc, n, None, addr)
       | Some (i, len) ->
         if Minstr.is_control i then (acc, n, Some (addr, i, len), addr + len)
@@ -731,15 +707,10 @@ let layout p ~base =
   let items = p.p_items in
   let offsets = p.p_offsets in
   let stub_offs = p.p_stub_offs in
-  let buf = Buffer.create 256 in
   (* One buffer for the whole unit — [encode_into] appends in place,
      where a per-instruction [encode] cost a buffer and a string
      each. *)
-  let encode ~at ins =
-    match st.desc.which with
-    | Desc.Cisc -> Hipstr_cisc.Isa.encode_into buf ~at ins
-    | Desc.Risc -> Hipstr_risc.Isa.encode_into buf ~at ins
-  in
+  let buf = Buffer.create 256 in
   let stubs = ref [] in
   let icall_out = ref [] in
   let pending_icalls = ref p.p_icalls in
@@ -766,13 +737,13 @@ let layout p ~base =
         | [] -> assert false)
       | Trap target -> stubs := { es_off = offsets.(i); es_target_src = target } :: !stubs
       | _ -> ());
-      encode ~at ins')
+      Isa.encode_into st.desc.which buf ~at ins')
     items;
   Array.iteri
     (fun s target ->
       let at = base + stub_offs.(s) in
       stubs := { es_off = stub_offs.(s); es_target_src = target } :: !stubs;
-      encode ~at (Trap target))
+      Isa.encode_into st.desc.which buf ~at (Trap target))
     p.p_stub_targets;
   let bytes = Buffer.contents buf in
   assert (String.length bytes = p.p_total);

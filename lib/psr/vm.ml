@@ -57,7 +57,7 @@ type probes = {
 }
 
 let make_probes obs which =
-  let isa = match which with Desc.Cisc -> "cisc" | Desc.Risc -> "risc" in
+  let isa = Isa.name which in
   let m = Obs.metrics obs in
   let c n = Obs.Metrics.counter m ("psr." ^ isa ^ "." ^ n) in
   {
@@ -84,7 +84,8 @@ type patch_rec = { pt_src : int; pt_cache : int }
 
 (* Translation memo: a base-independent prepared unit, valid only
    while the reloc maps it was rewritten against are unchanged —
-   guarded by the map generation and the unit's own map fingerprint.
+   guarded by the unit's own map fingerprint (maps are drawn once per
+   VM and never renewed).
    Under every policy an entry must also prove the source bytes it
    was read from unwritten ([source_unchanged]): a hit stands in for a
    translation of current memory. [me_saved] entries travel in
@@ -112,7 +113,6 @@ type laid = {
 let no_harvest = -1
 
 type memo_entry = {
-  me_gen : int;
   me_fp : int;
   me_prep : Translator.prepared;
   me_saved : bool;
@@ -138,7 +138,6 @@ type t = {
   src_region : Mem.region;  (* this ISA's code section, watched for memo validity *)
   cache_region : Mem.region;  (* this ISA's code-cache region, watched for kept blocks *)
   loaded_gen : int;  (* [src_region]'s generation at creation, after the binary was loaded *)
-  mutable map_gen : int;
   block_meta : (int, int list) Hashtbl.t;
       (* block base -> trap pcs registered at install, so eviction can
          drop exactly that block's stub_at/patch entries *)
@@ -161,7 +160,7 @@ type event =
   | Suspicious of { target_src : int; kind : suspicious_kind; resolve : unit -> resolution }
 
 let create cfg ~seed which fatbin machine =
-  let desc = match which with Desc.Cisc -> Hipstr_cisc.Isa.desc | Risc -> Hipstr_risc.Isa.desc in
+  let desc = Isa.desc which in
   assert (Translator.jmp_same_size desc);
   let obs = Machine.obs machine in
   let pr = make_probes obs which in
@@ -211,7 +210,6 @@ let create cfg ~seed which fatbin machine =
     src_region;
     cache_region;
     loaded_gen = Mem.generation src_region;
-    map_gen = 0;
     block_meta = Hashtbl.create 16;
     patches = Hashtbl.create 16;
     new_units = [];
@@ -335,26 +333,11 @@ let flush t =
      map-specified offsets. *)
   charge t flush_cost
 
-(* Re-draw every relocation map. Only sound at quiescent points (no
-   live frame holds state at map-specified offsets — e.g. a re-spawn);
-   drops the translation memo, since memoized code embeds the old
-   maps' offsets, and flushes the cache for the same reason. *)
-let renew_maps t =
-  Hashtbl.reset t.maps;
-  Hashtbl.reset t.memo;
-  t.map_gen <- t.map_gen + 1;
-  flush t
-
 (* Maximum unit footprint; flushing below this headroom keeps
    translation single-pass. *)
 let unit_headroom = 4096
 
 exception Wild_target = Translator.Wild
-
-let encode_at t ~at ins =
-  match t.which with
-  | Desc.Cisc -> Hipstr_cisc.Isa.encode ~at ins
-  | Desc.Risc -> Hipstr_risc.Isa.encode ~at ins
 
 (* An evicted block must leave no way back into its bytes:
    - its own trap registrations (stub_at) and outgoing patch records go;
@@ -385,7 +368,7 @@ let invalidate_block t (b : Code_cache.block) =
   List.iter
     (fun (pc, (p : patch_rec)) ->
       Hashtbl.remove t.patches pc;
-      Mem.blit_string (mem t) pc (encode_at t ~at:pc (Minstr.Trap p.pt_src));
+      Mem.blit_string (mem t) pc (Isa.encode t.which ~at:pc (Minstr.Trap p.pt_src));
       Hashtbl.replace t.stub_at pc (Sexit p.pt_src))
     (List.sort compare incoming)
 
@@ -451,7 +434,7 @@ let translate_unit t src =
     let old = Hashtbl.find_opt t.memo src in
     let hit =
       match old with
-      | Some e when e.me_gen = t.map_gen && e.me_fp = fp && source_unchanged t e -> old
+      | Some e when e.me_fp = fp && source_unchanged t e -> old
       | _ -> None
     in
     let prep =
@@ -476,7 +459,6 @@ let translate_unit t src =
         if saved || not compulsory then begin
           let e =
             {
-              me_gen = t.map_gen;
               me_fp = fp;
               me_prep = prep;
               me_saved = saved;
@@ -581,7 +563,7 @@ let translate_unit t src =
 let enter t src = (cpu t).pc <- translate_unit t src
 
 let patch_stub t ~stub_pc ~target_src ~target_cache =
-  let bytes = encode_at t ~at:stub_pc (Minstr.Jmp target_cache) in
+  let bytes = Isa.encode t.which ~at:stub_pc (Minstr.Jmp target_cache) in
   Mem.blit_string (mem t) stub_pc bytes;
   Hashtbl.remove t.stub_at stub_pc;
   Hashtbl.replace t.patches stub_pc { pt_src = target_src; pt_cache = target_cache };
@@ -793,7 +775,7 @@ let quiesce t =
     t.memo
 
 (* --- snapshot ------------------------------------------------------ *)
-(* What travels: the rng word, the map generation, the relocation maps
+(* What travels: the rng word, a reserved 0 word, the relocation maps
    (live frames hold state at their offsets — these are the one thing
    that MUST be exact), the memo key set, the translation history, the
    code-cache allocator state, the chain-patch records, the un-drained
@@ -833,8 +815,20 @@ let save_memo_keys w t =
     (List.sort compare
        (Hashtbl.fold
           (fun src e acc ->
-            if e.me_saved && e.me_gen = t.map_gen then (src, e.me_fp) :: acc else acc)
+            if e.me_saved then (src, e.me_fp) :: acc else acc)
           t.memo []))
+
+(* The first live unit translated from source bytes the program has
+   written since the binary was loaded. An image names each live unit
+   by its source address, and [rematerialize] re-prepares it from the
+   restored source bytes, which are no longer the bytes its running
+   translation was made from. *)
+let rewritten_unit t =
+  List.find_map
+    (fun (b : Code_cache.block) ->
+      if List.for_all (span_unwritten t ~since:t.loaded_gen) b.cb_src_spans then None
+      else Some b.cb_src)
+    (Code_cache.blocks t.cache)
 
 (* Rebuild memo entries by re-running the (pure) translator scan
    against the restored maps; the saved fingerprint cross-checks that
@@ -858,7 +852,6 @@ let rebuild_memo t keys =
         in
         Hashtbl.replace t.memo src
           {
-            me_gen = t.map_gen;
             me_fp = fp;
             me_prep = prep;
             me_saved = true;
@@ -880,7 +873,7 @@ let rematerialize t =
     (fun (b : Code_cache.block) ->
       let prep =
         match Hashtbl.find_opt t.memo b.cb_src with
-        | Some e when e.me_gen = t.map_gen -> e.me_prep
+        | Some e -> e.me_prep
         | _ ->
           Translator.prepare t.cfg t.desc ~read ~fatbin:t.fatbin
             ~map_of:(fun fs -> map_of t fs)
@@ -893,19 +886,21 @@ let rematerialize t =
     (Code_cache.blocks t.cache)
 
 (* The map/memo/history slice, shared by a full VM image and a
-   warm-start memo artifact: the rng, the map generation, the maps,
-   the memo keys and the translation history. Loading it rebuilds the
-   memo against the loaded maps. *)
+   warm-start memo artifact: the rng, a reserved word, the maps, the
+   memo keys and the translation history. Loading it rebuilds the memo
+   against the loaded maps. The reserved word is always 0: it is the
+   slot of a map generation, which a VM that draws each map once does
+   not need, kept so the image layout does not change. *)
 let write_meta w t =
   Wire.i64 w (Rng.state t.rng);
-  Wire.int w t.map_gen;
+  Wire.int w 0;
   save_maps w t;
   save_memo_keys w t;
   Wire.list w Wire.int (sorted_keys t.ever_translated)
 
 let read_meta t r =
   Rng.set_state t.rng (Wire.r_i64 r);
-  t.map_gen <- Wire.r_int r;
+  (match Wire.r_int r with 0 -> () | v -> Wire.corrupt "reserved VM meta word is %d, not 0" v);
   load_maps t r;
   let memo_keys =
     Wire.r_list r (fun r ->
@@ -978,7 +973,7 @@ let restore_state t r =
       (match Hashtbl.find_opt t.stub_at pc with
       | Some (Sexit s) when s = p.pt_src -> ()
       | _ -> Wire.corrupt "chain patch at 0x%x does not cover an exit stub for 0x%x" pc p.pt_src);
-      Mem.blit_string (mem t) pc (encode_at t ~at:pc (Minstr.Jmp p.pt_cache));
+      Mem.blit_string (mem t) pc (Isa.encode t.which ~at:pc (Minstr.Jmp p.pt_cache));
       Hashtbl.remove t.stub_at pc;
       Hashtbl.replace t.patches pc p)
     patch_list;

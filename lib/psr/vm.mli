@@ -22,11 +22,10 @@
     {!Code_cache.Fifo}/{!Code_cache.Clock} the allocator evicts only
     the blocks a new unit overlaps, and the VM invalidates exactly
     those blocks' stubs, RAT lines and incoming chained jumps. A
-    translation memo keyed by (unit, reloc-map generation, map
-    fingerprint) re-installs a previously translated unit without
-    re-running the translator, but only while the unit's source bytes
-    are unwritten since the entry was built; the memo dies with the
-    maps ({!renew_maps}). Under {!Code_cache.Flush} the memo also
+    translation memo keyed by (unit, map fingerprint) re-installs a
+    previously translated unit without re-running the translator, but
+    only while the unit's source bytes are unwritten since the entry
+    was built. Under {!Code_cache.Flush} the memo also
     serves re-translations after a flush, as host-only state: a hit
     is charged, counted and traced exactly like the translation it
     replaces, and never travels in a snapshot or memo file. Either
@@ -92,13 +91,8 @@ val on_trap : t -> Hipstr_machine.Exec.trap -> event
     resolutions directly; [Trap_stub]/[Rat_miss] run the VM logic. *)
 
 val map_of : t -> Hipstr_compiler.Fatbin.func_sym -> Reloc_map.t
-(** The function's relocation map this epoch (created on first use —
-    "if it is being entered for the first time"). *)
-
-val renew_maps : t -> unit
-(** Re-draw every relocation map and drop the translation memo and
-    cache with them. Only sound at quiescent points where no live
-    frame holds state at map-specified offsets (e.g. re-spawn). *)
+(** The function's relocation map, drawn on first use ("if it is
+    being entered for the first time") and kept for the VM's life. *)
 
 val cache : t -> Code_cache.t
 val stats : t -> stats
@@ -144,8 +138,15 @@ val quiesce : t -> unit
     so the run that took the image must not either for their
     decode-cache counters to stay identical. *)
 
+val rewritten_unit : t -> int option
+(** The source address of the first live unit whose source bytes the
+    program has written since the binary was loaded, if any. No image
+    of this VM can be restored while one is live: {!restore_state}
+    re-encodes every live unit from the restored source bytes, which
+    are not the bytes its running translation was made from. *)
+
 val save_state : Hipstr_util.Wire.w -> t -> unit
-(** Serialize the VM: rng word, map generation, relocation maps, memo
+(** Serialize the VM: rng word, a reserved 0 word, relocation maps, memo
     key set (without the entries the flush path keeps for itself),
     translation history, code-cache allocator state, chain
     patches, un-drained units, counters. Translated code bytes do NOT
@@ -160,11 +161,11 @@ val restore_state : t -> Hipstr_util.Wire.r -> unit
     already accounted when it first happened. Requires the guest
     memory image (source code bytes) to be restored first.
     @raise Hipstr_util.Wire.Corrupt on malformed or inconsistent
-    images (memo/map fingerprint mismatch, block size mismatch,
-    patch targeting a non-stub). *)
+    images (a non-zero reserved word, memo/map fingerprint mismatch,
+    block size mismatch, patch targeting a non-stub). *)
 
 val save_meta : Hipstr_util.Wire.w -> t -> unit
-(** Serialize only the warm-start slice — rng word, map generation,
+(** Serialize only the warm-start slice — rng word, the reserved word,
     relocation maps, memo keys (as in {!save_state}), translation
     history — with no machine coupling, for persisting the translation
     memo across runs. *)
@@ -174,7 +175,8 @@ val load_meta : t -> Hipstr_util.Wire.r -> unit
     binary is in memory): subsequent translations of memoized units
     are served as memo installs (under {!Code_cache.Flush}, from the
     memo but charged as translations).
-    @raise Hipstr_util.Wire.Corrupt on malformed images. *)
+    @raise Hipstr_util.Wire.Corrupt on malformed images, a non-zero
+    reserved word among them. *)
 
 val forget_memo : t -> unit
 (** Drop the translation memo, keeping the translation history — the

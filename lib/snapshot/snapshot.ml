@@ -34,6 +34,7 @@
    Span rollups and audit history are not part of an image. *)
 
 module Desc = Hipstr_isa.Desc
+module Isa = Hipstr_isa.Isa
 module Fatbin = Hipstr_compiler.Fatbin
 module Mem = Hipstr_machine.Mem
 module Machine = Hipstr_machine.Machine
@@ -131,7 +132,7 @@ let read_header r =
   let mf_mode = System.mode_of_tag (Wire.r_u8 r) in
   let mf_seed = Wire.r_int r in
   let mf_pid = Wire.r_int r in
-  let mf_start_isa = System.isa_of_tag (Wire.r_u8 r) in
+  let mf_start_isa = Isa.of_tag (Wire.r_u8 r) in
   let mf_cfg = load_config r in
   let mf_fingerprint = Wire.r_int r in
   let mf_instructions = Wire.r_int r in
@@ -235,6 +236,16 @@ let load_metrics r : Obs.Metrics.snapshot =
 (* --- checkpoint / restore ------------------------------------------ *)
 
 let write_image w ?(workload = "custom") sys =
+  (* Refused before the quiesce, so a refused checkpoint leaves the run
+     as it was. *)
+  (match System.rewritten_unit sys with
+  | Some (which, src) ->
+    invalid_arg
+      (Printf.sprintf
+         "Snapshot.checkpoint: live %s unit 0x%x was translated from code the program has \
+          since rewritten; restore would rebuild it from the new bytes"
+         (Isa.name which) src)
+  | None -> ());
   let m = System.machine sys in
   (* Model-invisible but trajectory-critical: dropping the host decode
      caches and the VMs' kept blocks here means the checkpointed run
@@ -250,7 +261,7 @@ let write_image w ?(workload = "custom") sys =
   Wire.u8 w (System.mode_tag (System.mode sys));
   Wire.int w (System.seed sys);
   Wire.int w (Machine.owner m);
-  Wire.u8 w (System.isa_tag (System.start_isa sys));
+  Wire.u8 w (Isa.tag (System.start_isa sys));
   save_config w (System.config sys);
   Wire.int w (fingerprint fb);
   Wire.int w (System.instructions sys);

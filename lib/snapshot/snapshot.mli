@@ -17,7 +17,15 @@
     continuing uninterrupted ({!checkpoint} quiesces host decode
     caches and the PSR VMs' kept blocks so both sides proceed
     decode-cold). Span rollups and audit/trace history are not
-    checkpointed. *)
+    checkpointed.
+
+    Refusal rule: an image names each live translated unit by its
+    source address, and restore re-encodes it from the source bytes in
+    the restored memory. Once the program has written a live unit's
+    source bytes since the binary was loaded, those are no longer the
+    bytes its running translation was made from, so {!checkpoint} and
+    {!checkpoint_process} refuse rather than write an image that would
+    restore different code (or be refused as corrupt). *)
 
 type manifest = {
   mf_version : int;
@@ -40,7 +48,11 @@ val fingerprint : Hipstr_compiler.Fatbin.t -> int
 val checkpoint : ?workload:string -> Hipstr.System.t -> string
 (** Serialize the full process image. Quiesces the machine's host
     decode caches first (model-invisible) so the live system's
-    subsequent trajectory matches a restored one. *)
+    subsequent trajectory matches a restored one.
+    @raise Invalid_argument, naming the unit, when a live unit's source
+    bytes were written since the binary was loaded (the refusal rule
+    above). The check runs before the quiesce, so a refused checkpoint
+    leaves the system untouched. *)
 
 val restore :
   ?obs:Hipstr_obs.Obs.t ->
@@ -68,7 +80,8 @@ val manifest_of : string -> manifest
 
 val checkpoint_process : ?workload:string -> Hipstr_cmp.Process.t -> string
 (** A process image: the full system image plus the scheduler-visible
-    runtime slice (fuel accounting, flags). *)
+    runtime slice (fuel accounting, flags).
+    @raise Invalid_argument as {!checkpoint}. *)
 
 val restore_process :
   ?obs:Hipstr_obs.Obs.t ->

@@ -19,13 +19,13 @@ module Machine = Hipstr_machine.Machine
 module Decode_cache = Hipstr_machine.Decode_cache
 module Desc = Hipstr_isa.Desc
 module Minstr = Hipstr_isa.Minstr
-module Cisc = Hipstr_cisc.Isa
+module Isa = Hipstr_isa.Isa
 module Obs = Hipstr_obs.Obs
 
 let assemble mem at instrs =
   List.fold_left
     (fun pos i ->
-      let s = Cisc.encode ~at:pos i in
+      let s = Isa.encode Desc.Cisc ~at:pos i in
       Mem.blit_string mem pos s;
       pos + String.length s)
     at instrs
@@ -40,7 +40,7 @@ let lookup_exn dc pc =
 
 let test_direct_patch_follow () =
   let mem = Mem.create Layout.mem_size in
-  let dc = Decode_cache.create ~obs:Obs.disabled ~isa:"cisc" Desc.Cisc mem in
+  let dc = Decode_cache.create ~obs:Obs.disabled Desc.Cisc mem in
   let base = Layout.cisc_code_base in
   let b_at = base + 64 in
   ignore (assemble mem base [ Minstr.Mov (Reg 0, Imm 1); Minstr.Jmp b_at ]);
@@ -69,7 +69,7 @@ let test_direct_patch_follow () =
 
 let test_epoch_invalidation () =
   let mem = Mem.create Layout.mem_size in
-  let dc = Decode_cache.create ~obs:Obs.disabled ~isa:"cisc" Desc.Cisc mem in
+  let dc = Decode_cache.create ~obs:Obs.disabled Desc.Cisc mem in
   let base = Layout.cisc_code_base in
   let b_at = base + 64 in
   ignore (assemble mem base [ Minstr.Jmp b_at ]);
@@ -91,7 +91,7 @@ let test_epoch_invalidation () =
 
 let test_ic_promotion () =
   let mem = Mem.create Layout.mem_size in
-  let dc = Decode_cache.create ~obs:Obs.disabled ~isa:"cisc" Desc.Cisc mem in
+  let dc = Decode_cache.create ~obs:Obs.disabled Desc.Cisc mem in
   let base = Layout.cisc_code_base in
   (* pred ends in an indirect jump through r1 *)
   ignore (assemble mem base [ Minstr.Mov (Reg 0, Imm 7); Minstr.Jmpr (Reg 1) ]);

@@ -10,6 +10,7 @@ module Compile = Hipstr_compiler.Compile
 module Fatbin = Hipstr_compiler.Fatbin
 module Parser = Hipstr_minic.Parser
 module Desc = Hipstr_isa.Desc
+module Isa = Hipstr_isa.Isa
 
 let ir_of src = Lower.program (Parser.parse src)
 
@@ -120,7 +121,7 @@ let test_regalloc_no_interference_violation () =
           if List.length (List.sort_uniq compare regs) <> List.length regs then
             Alcotest.failf "register shared among simultaneously-live values (block %d)" b.b_label)
         f.fn_blocks)
-    [ Hipstr_cisc.Isa.desc; Hipstr_risc.Isa.desc ]
+    [ Isa.desc Desc.Cisc; Isa.desc Desc.Risc ]
 
 let test_regalloc_syscall_restriction () =
   let ir =
@@ -135,7 +136,7 @@ let test_regalloc_syscall_restriction () =
   let f = func_named ir "main" in
   let lv = Liveness.analyze f in
   let across = Liveness.live_across_syscall lv in
-  let alloc = Regalloc.allocate Hipstr_cisc.Isa.desc f lv in
+  let alloc = Regalloc.allocate (Isa.desc Desc.Cisc) f lv in
   List.iter
     (fun v ->
       match alloc.homes.(v) with
@@ -157,7 +158,7 @@ let test_frame_layout_structure () =
   in
   let f = func_named ir "f" in
   let lv = Liveness.analyze f in
-  let a = Regalloc.allocate Hipstr_cisc.Isa.desc f lv in
+  let a = Regalloc.allocate (Isa.desc Desc.Cisc) f lv in
   let frame = Frame.layout f ~needs_slot:a.needs_slot in
   Alcotest.(check int) "outgoing words for 3 args" 3 frame.outgoing_words;
   Alcotest.(check int) "locals 40 bytes" 40 frame.locals_bytes;

@@ -5,7 +5,7 @@
 module Galileo = Hipstr_galileo.Galileo
 module Minstr = Hipstr_isa.Minstr
 module Desc = Hipstr_isa.Desc
-module Cisc = Hipstr_cisc.Isa
+module Isa = Hipstr_isa.Isa
 module Mem = Hipstr_machine.Mem
 module Layout = Hipstr_machine.Layout
 module Workloads = Hipstr_workloads.Workloads
@@ -16,7 +16,7 @@ let reader_of_string s i = if i < 0 || i >= String.length s then -1 else Char.co
 
 let assemble instrs =
   let buf = Buffer.create 64 in
-  List.iter (fun i -> Buffer.add_string buf (Cisc.encode ~at:(Buffer.length buf) i)) instrs;
+  List.iter (fun i -> Buffer.add_string buf (Isa.encode Desc.Cisc ~at:(Buffer.length buf) i)) instrs;
   Buffer.contents buf
 
 let mine_string s =
@@ -125,7 +125,7 @@ let test_gadgets_decode_back () =
   let gadgets = Galileo.mine_program mem fb Desc.Cisc in
   List.iter
     (fun g ->
-      match Cisc.decode ~read g.Galileo.g_addr with
+      match Isa.decode Desc.Cisc ~read g.Galileo.g_addr with
       | Some (i, _) ->
         if i <> List.hd g.Galileo.g_instrs then Alcotest.failf "mismatch at 0x%x" g.Galileo.g_addr
       | None -> Alcotest.failf "gadget at 0x%x does not decode" g.Galileo.g_addr)

@@ -17,7 +17,7 @@ module Packed = Hipstr_machine.Packed
 module Exec = Hipstr_machine.Exec
 module Desc = Hipstr_isa.Desc
 module Minstr = Hipstr_isa.Minstr
-module Cisc = Hipstr_cisc.Isa
+module Isa = Hipstr_isa.Isa
 module System = Hipstr.System
 module Config = Hipstr_psr.Config
 module Workloads = Hipstr_workloads.Workloads
@@ -409,14 +409,14 @@ let test_mem_cstring_unterminated () =
 let assemble mem at instrs =
   List.fold_left
     (fun pos i ->
-      let s = Cisc.encode ~at:pos i in
+      let s = Isa.encode Desc.Cisc ~at:pos i in
       Mem.blit_string mem pos s;
       pos + String.length s)
     at instrs
 
 let test_decode_cache_blocks () =
   let mem = Mem.create Layout.mem_size in
-  let dc = Decode_cache.create ~obs:Obs.disabled ~isa:"cisc" Desc.Cisc mem in
+  let dc = Decode_cache.create ~obs:Obs.disabled Desc.Cisc mem in
   let base = Layout.cisc_code_base in
   let _end = assemble mem base [ Minstr.Mov (Reg 0, Imm 5); Minstr.Jmp base ] in
   (match Decode_cache.lookup dc base with
@@ -435,7 +435,7 @@ let test_decode_cache_blocks () =
 
 let test_decode_cache_self_modify () =
   let mem = Mem.create Layout.mem_size in
-  let dc = Decode_cache.create ~obs:Obs.disabled ~isa:"cisc" Desc.Cisc mem in
+  let dc = Decode_cache.create ~obs:Obs.disabled Desc.Cisc mem in
   let base = Layout.cisc_code_base in
   ignore (assemble mem base [ Minstr.Mov (Reg 0, Imm 5); Minstr.Jmp base ]);
   let b =
@@ -455,7 +455,7 @@ let test_decode_cache_self_modify () =
     | Minstr.Mov (_, Imm 9), _ -> ()
     | i, _ ->
       Alcotest.failf "stale decode survived: %s"
-        (Minstr.to_string ~reg_name:(Desc.reg_name Cisc.desc) i))
+        (Minstr.to_string ~reg_name:(Desc.reg_name (Isa.desc Desc.Cisc)) i))
   | None -> Alcotest.fail "uncacheable after rewrite");
   let st = Decode_cache.stats dc in
   Alcotest.(check int) "drop counted" 1 st.Decode_cache.invalidations;

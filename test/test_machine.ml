@@ -11,8 +11,7 @@ module Exec = Hipstr_machine.Exec
 module Core_desc = Hipstr_machine.Core_desc
 module Minstr = Hipstr_isa.Minstr
 module Desc = Hipstr_isa.Desc
-module Cisc = Hipstr_cisc.Isa
-module Risc = Hipstr_risc.Isa
+module Isa = Hipstr_isa.Isa
 open Minstr
 
 let test_mem_rw () =
@@ -202,13 +201,10 @@ let test_rat_lru () =
 
 (* Hand-assemble a tiny program into memory and run it natively. *)
 let assemble which base instrs mem =
-  let encode ~at i =
-    match which with Desc.Cisc -> Cisc.encode ~at i | Desc.Risc -> Risc.encode ~at i
-  in
   let at = ref base in
   List.iter
     (fun i ->
-      let bytes = encode ~at:!at i in
+      let bytes = Isa.encode which ~at:!at i in
       Mem.blit_string mem !at bytes;
       at := !at + String.length bytes)
     instrs;
@@ -338,7 +334,7 @@ let test_callrat_inserts_mapping () =
   (* the "translated callee": pop the source ret into bp and retrat *)
   ignore (assemble Desc.Cisc target [ Pop (Reg 6); Retrat (Reg 6) ] (Machine.mem m));
   (* continuation after callrat: exit 5 *)
-  let cont = base + Cisc.length (Callrat { target; src_ret = 0x7777 }) in
+  let cont = base + Isa.length Desc.Cisc (Callrat { target; src_ret = 0x7777 }) in
   ignore (assemble Desc.Cisc cont [ Mov (Reg 0, Imm 1); Mov (Reg 1, Imm 5); Syscall ] (Machine.mem m));
   Machine.boot m ~entry:base;
   match Machine.run m ~fuel:20 with

@@ -15,6 +15,7 @@ module Packed = Hipstr_machine.Packed
 module Mem = Hipstr_machine.Mem
 module Layout = Hipstr_machine.Layout
 module Exec = Hipstr_machine.Exec
+module Isa = Hipstr_isa.Isa
 module Fatbin = Hipstr_compiler.Fatbin
 module Workloads = Hipstr_workloads.Workloads
 
@@ -192,7 +193,7 @@ let test_roundtrip_corpus () =
           let lo = List.fold_left (fun a (addr, _) -> min a addr) max_int bytes in
           let hi = List.fold_left (fun a (addr, _) -> max a addr) 0 bytes in
           for addr = lo to hi do
-            match Exec.decode which mem addr with
+            match Isa.decode which ~read:(Mem.reader mem) addr with
             | None -> ()
             | Some (i, len) ->
               incr total;

@@ -10,6 +10,7 @@ module Vm = Hipstr_psr.Vm
 module Rng = Hipstr_util.Rng
 module Desc = Hipstr_isa.Desc
 module Minstr = Hipstr_isa.Minstr
+module Isa = Hipstr_isa.Isa
 module Compile = Hipstr_compiler.Compile
 module Fatbin = Hipstr_compiler.Fatbin
 module Mem = Hipstr_machine.Mem
@@ -38,7 +39,7 @@ let sample_fb =
 let gen_map ?(cfg = Config.default) ~seed which fname =
   let fb = Lazy.force sample_fb in
   let fs = Fatbin.find_func fb fname in
-  let desc = match which with Desc.Cisc -> Hipstr_cisc.Isa.desc | Desc.Risc -> Hipstr_risc.Isa.desc in
+  let desc = Isa.desc which in
   (Reloc_map.generate cfg (Rng.create seed) desc fs ~hot_regs:[], fs)
 
 (* --- relocation-map properties --- *)
@@ -59,7 +60,7 @@ let prop_reg_map_injective =
     QCheck.(int_range 1 100000)
     (fun seed ->
       let map, _ = gen_map ~seed Desc.Cisc "helper" in
-      let desc = Hipstr_cisc.Isa.desc in
+      let desc = Isa.desc Desc.Cisc in
       let targets =
         List.filter_map
           (fun r ->
@@ -121,7 +122,7 @@ let translate_entry ~seed which fname =
   let mem = Mem.create Layout.mem_size in
   Fatbin.load fb mem;
   let read a = try Mem.read8 mem a with Mem.Fault _ -> -1 in
-  let desc = match which with Desc.Cisc -> Hipstr_cisc.Isa.desc | Desc.Risc -> Hipstr_risc.Isa.desc in
+  let desc = Isa.desc which in
   let map = ref None in
   let map_of fs' =
     match !map with
@@ -145,15 +146,10 @@ let test_translated_unit_decodes () =
         if i - Layout.cache_base which < 0 || i - Layout.cache_base which >= u.u_size then -1
         else Char.code u.u_bytes.[i - Layout.cache_base which]
       in
-      let decode a =
-        match which with
-        | Desc.Cisc -> Hipstr_cisc.Isa.decode ~read a
-        | Desc.Risc -> Hipstr_risc.Isa.decode ~read a
-      in
       let pos = ref (Layout.cache_base which) in
       let stop = Layout.cache_base which + u.u_size in
       while !pos < stop do
-        match decode !pos with
+        match Isa.decode which ~read !pos with
         | Some (_, len) -> pos := !pos + len
         | None -> Alcotest.failf "undecodable translated byte at +%d" (!pos - Layout.cache_base which)
       done)
@@ -169,8 +165,8 @@ let test_translated_unit_has_exits () =
     (u.u_emitted >= u.u_instrs && u.u_emitted < 12 * u.u_instrs)
 
 let test_trap_patchability () =
-  Alcotest.(check bool) "cisc jmp/trap same size" true (Translator.jmp_same_size Hipstr_cisc.Isa.desc);
-  Alcotest.(check bool) "risc jmp/trap same size" true (Translator.jmp_same_size Hipstr_risc.Isa.desc)
+  Alcotest.(check bool) "cisc jmp/trap same size" true (Translator.jmp_same_size (Isa.desc Desc.Cisc));
+  Alcotest.(check bool) "risc jmp/trap same size" true (Translator.jmp_same_size (Isa.desc Desc.Risc))
 
 let test_wild_address_raises () =
   let fb = Lazy.force sample_fb in
@@ -178,7 +174,7 @@ let test_wild_address_raises () =
   Fatbin.load fb mem;
   let read a = try Mem.read8 mem a with Mem.Fault _ -> -1 in
   match
-    Translator.translate Config.default Hipstr_cisc.Isa.desc ~read ~fatbin:fb
+    Translator.translate Config.default (Isa.desc Desc.Cisc) ~read ~fatbin:fb
       ~map_of:(fun _ -> assert false)
       ~src:0x5000 ~base:Layout.cisc_cache_base
   with
@@ -323,7 +319,7 @@ let test_memo_matches_fresh () =
       let a = entry "helper" and b = entry "main" in
       let base = Layout.cisc_cache_base in
       let fresh () =
-        Translator.translate cfg Hipstr_cisc.Isa.desc ~read:(Mem.reader mem) ~fatbin:fb
+        Translator.translate cfg (Isa.desc Desc.Cisc) ~read:(Mem.reader mem) ~fatbin:fb
           ~map_of:(Vm.map_of vm) ~src:a ~base
       in
       let check label =
@@ -371,20 +367,18 @@ let test_hot_regs () =
   Alcotest.(check bool) "some hot registers found" true (List.length hot >= 1);
   List.iter
     (fun r ->
-      if not (List.mem r Hipstr_cisc.Isa.desc.allocatable) then
+      if not (List.mem r (Isa.desc Desc.Cisc).allocatable) then
         Alcotest.failf "non-allocatable hot register %d" r)
     hot
 
 (* --- shared register-use counts --- *)
-
-let desc_of = function Desc.Cisc -> Hipstr_cisc.Isa.desc | Desc.Risc -> Hipstr_risc.Isa.desc
 
 (* The ranking [Vm.hot_regs] promises: allocatable registers with at
    least one use, most-used first, ties in allocation order. *)
 let rank which counts =
   List.stable_sort
     (fun a b -> compare counts.(b) counts.(a))
-    (List.filter (fun r -> counts.(r) > 0) (desc_of which).allocatable)
+    (List.filter (fun r -> counts.(r) > 0) (Isa.desc which).allocatable)
 
 let memory_counts sys which (fs : Fatbin.func_sym) =
   let im = Fatbin.image fs which in
@@ -404,7 +398,7 @@ let test_reg_uses_match_memory () =
         (fun (fs : Fatbin.func_sym) ->
           List.iter
             (fun which ->
-              let label = Printf.sprintf "%s/%s %s" w.w_name fs.fs_name (desc_of which).name in
+              let label = Printf.sprintf "%s/%s %s" w.w_name fs.fs_name (Isa.name which) in
               let decoded = memory_counts sys which fs in
               Alcotest.(check (array int)) (label ^ " counts")
                 decoded (Fatbin.image fs which).im_reg_uses;
@@ -427,18 +421,14 @@ let test_hot_regs_after_rewrite () =
       let im = Fatbin.image fs which in
       let shared = rank which im.im_reg_uses in
       let r = List.hd (List.rev shared) in
-      let mov =
-        match which with
-        | Desc.Cisc -> Hipstr_cisc.Isa.encode ~at:im.im_entry (Minstr.Mov (Reg r, Reg r))
-        | Desc.Risc -> Hipstr_risc.Isa.encode ~at:im.im_entry (Minstr.Mov (Reg r, Reg r))
-      in
+      let mov = Isa.encode which ~at:im.im_entry (Minstr.Mov (Reg r, Reg r)) in
       let n = im.im_size / String.length mov in
       Mem.blit_string
         (Machine.mem (System.machine sys))
         im.im_entry
         (String.concat "" (List.init n (fun _ -> mov)));
       let expected = rank which (memory_counts sys which fs) in
-      let label = (desc_of which).name in
+      let label = Isa.name which in
       Alcotest.(check bool) (label ^ ": the rewrite changes the ranking") false (expected = shared);
       Alcotest.(check (list int)) (label ^ ": ranked from the rewritten bytes") expected
         (Vm.hot_regs (System.vm sys which) fs))
@@ -474,7 +464,7 @@ let test_kept_blocks_guard () =
   let mem = Machine.mem (System.machine fast) in
   let dc = Option.get (Machine.decode_cache (System.machine fast) Desc.Cisc) in
   let cache = Vm.cache (System.vm fast Desc.Cisc) in
-  let fresh = Decode_cache.create ~obs:Obs.disabled ~isa:"fresh" Desc.Cisc mem in
+  let fresh = Decode_cache.create ~obs:Obs.disabled Desc.Cisc mem in
   let decodes_fresh (b : Decode_cache.block) =
     Decode_cache.invalidate_all fresh;
     match Decode_cache.lookup fresh b.db_start with

@@ -10,17 +10,14 @@ module Machine = Hipstr_machine.Machine
 module Mem = Hipstr_machine.Mem
 module Layout = Hipstr_machine.Layout
 module Exec = Hipstr_machine.Exec
+module Isa = Hipstr_isa.Isa
 open Minstr
 
 let assemble which base instrs mem =
   let at = ref base in
   List.iter
     (fun i ->
-      let bytes =
-        match which with
-        | Desc.Cisc -> Hipstr_cisc.Isa.encode ~at:!at i
-        | Desc.Risc -> Hipstr_risc.Isa.encode ~at:!at i
-      in
+      let bytes = Isa.encode which ~at:!at i in
       Mem.blit_string mem !at bytes;
       at := !at + String.length bytes)
     instrs
@@ -92,9 +89,7 @@ let run_cond which c a b =
     @ skip
   in
   (* layout: cmp; jcc taken; [not-taken block]; taken: [taken block] *)
-  let ilen i =
-    match which with Desc.Cisc -> Hipstr_cisc.Isa.length i | Desc.Risc -> Hipstr_risc.Isa.length i
-  in
+  let ilen i = Isa.length which i in
   let head = [ Mov (Reg 1, Imm a); Mov (Reg 2, Imm b); Cmp (Reg 1, Reg 2) ] in
   let nottaken = print_and_exit 0 [] in
   let head_len = List.fold_left (fun acc i -> acc + ilen i) 0 head in

@@ -3,12 +3,19 @@
    metrics counters and histograms — to the checkpointing run
    continuing uninterrupted, across every workload and protection
    mode, including mid-quantum checkpoints and cross-ISA resume; an
-   image must not depend on the execution engine it was taken on; and
-   the image parser must reject truncated, trailing, version-skewed
-   and wrong-binary images, and forged code-cache, cache-model and
-   branch-predictor state, loudly. *)
+   image must not depend on the execution engine it was taken on; the
+   restored system must run the very translated bytes the live one was
+   running, and a checkpoint of code the program has rewritten is
+   refused; and the image parser must reject truncated, trailing,
+   version-skewed and wrong-binary images, and forged code-cache,
+   cache-model and branch-predictor state, loudly. *)
 
 module Desc = Hipstr_isa.Desc
+module Isa = Hipstr_isa.Isa
+module Minstr = Hipstr_isa.Minstr
+module Mem = Hipstr_machine.Mem
+module Machine = Hipstr_machine.Machine
+module Vm = Hipstr_psr.Vm
 module System = Hipstr.System
 module Config = Hipstr_psr.Config
 module Code_cache = Hipstr_psr.Code_cache
@@ -59,6 +66,31 @@ let check_fp label a b =
   Alcotest.(check bool) (label ^ ": counters") true (a.fp_counters = b.fp_counters);
   Alcotest.(check bool) (label ^ ": histograms") true (a.fp_histograms = b.fp_histograms)
 
+(* Every live unit of every VM, with its translated bytes as they
+   stand in guest memory. Restore re-materializes these from the image;
+   they must come out as the bytes the live run is executing. *)
+let live_units sys =
+  let mem = Machine.mem (System.machine sys) in
+  List.concat_map
+    (fun which ->
+      match System.vm sys which with
+      | exception Invalid_argument _ -> []
+      | vm ->
+        List.map
+          (fun (b : Code_cache.block) ->
+            (Isa.name which, b.cb_src, b.cb_cache, Mem.read_string mem b.cb_cache b.cb_size))
+          (Code_cache.blocks (Vm.cache vm)))
+    [ Desc.Cisc; Desc.Risc ]
+
+let check_units label live restored =
+  let show (isa, src, cache, bytes) =
+    Printf.sprintf "%s unit 0x%x at 0x%x (%d bytes)" isa src cache (String.length bytes)
+  in
+  Alcotest.(check int) (label ^ ": live units") (List.length live) (List.length restored);
+  List.iter2
+    (fun a b -> if a <> b then Alcotest.failf "%s: live %s, restored %s" label (show a) (show b))
+    live restored
+
 let seed = 7
 
 let boot ~mode fb =
@@ -88,16 +120,17 @@ let round_trip ~mode w =
         (mode_label mode) (outcome_string o)
   in
   let interrupted, partial = interrupted_at (w.Workloads.w_fuel / 5) in
+  let label = Printf.sprintf "%s/%s" w.Workloads.w_name (mode_label mode) in
   let image = Snapshot.checkpoint ~workload:w.Workloads.w_name interrupted in
+  let units = live_units interrupted in
   let o1 = System.run interrupted ~fuel in
   let obs2 = Obs.create () in
   let resumed, mf = Snapshot.restore ~obs:obs2 ~fatbin:fb image in
   Alcotest.(check string) "manifest workload" w.Workloads.w_name mf.Snapshot.mf_workload;
   Alcotest.(check int) "manifest instructions" partial mf.Snapshot.mf_instructions;
+  check_units label units (live_units resumed);
   let o2 = System.run resumed ~fuel in
-  check_fp
-    (Printf.sprintf "%s/%s" w.Workloads.w_name (mode_label mode))
-    (fingerprint_of interrupted o1) (fingerprint_of resumed o2)
+  check_fp label (fingerprint_of interrupted o1) (fingerprint_of resumed o2)
 
 let test_round_trip_all () =
   List.iter
@@ -112,8 +145,10 @@ let test_recheckpoint () =
   let sys = boot ~mode:System.Hipstr fb in
   ignore (System.run sys ~fuel:(w.Workloads.w_fuel / 6));
   let sys2, _ = Snapshot.restore ~obs:(Obs.create ()) ~fatbin:fb (Snapshot.checkpoint sys) in
+  check_units "first restore" (live_units sys) (live_units sys2);
   ignore (System.run sys2 ~fuel:(w.Workloads.w_fuel / 6));
   let sys3, _ = Snapshot.restore ~obs:(Obs.create ()) ~fatbin:fb (Snapshot.checkpoint sys2) in
+  check_units "second restore" (live_units sys2) (live_units sys3);
   let o2 = System.run sys2 ~fuel:(3 * w.Workloads.w_fuel) in
   let o3 = System.run sys3 ~fuel:(3 * w.Workloads.w_fuel) in
   check_fp "recheckpoint" (fingerprint_of sys2 o2) (fingerprint_of sys3 o3)
@@ -159,8 +194,10 @@ let test_round_trip_clock_policy () =
   in
   ignore (System.run interrupted ~fuel:(w.Workloads.w_fuel / 4));
   let image = Snapshot.checkpoint interrupted in
+  let units = live_units interrupted in
   let o1 = System.run interrupted ~fuel in
   let resumed, _ = Snapshot.restore ~obs:(Obs.create ()) ~fatbin:fb image in
+  check_units "clock policy" units (live_units resumed);
   let o2 = System.run resumed ~fuel in
   check_fp "clock policy" (fingerprint_of interrupted o1) (fingerprint_of resumed o2)
 
@@ -190,8 +227,10 @@ let test_round_trip_kept_blocks () =
       | System.Out_of_fuel -> ()
       | o -> Alcotest.failf "%s: finished before it (%s)" label (outcome_string o));
       let image = Snapshot.checkpoint live in
+      let units = live_units live in
       let o1 = System.run live ~fuel in
       let resumed, _ = Snapshot.restore ~obs:(Obs.create ()) ~fatbin:fb image in
+      check_units label units (live_units resumed);
       let o2 = System.run resumed ~fuel in
       let a = fingerprint_of live o1 and b = fingerprint_of resumed o2 in
       let counter fp name = Option.value ~default:0 (List.assoc_opt name fp.fp_counters) in
@@ -238,13 +277,70 @@ let test_image_engine_independent () =
     end
   in
   same_image "decode_cache:false" (snd (checkpointed ~decode_cache:false ()));
+  let units = live_units live in
   let o = System.run live ~fuel in
   List.iter
     (fun (label, decode_cache) ->
       let resumed, _ = Snapshot.restore ~obs:Obs.disabled ~decode_cache ~fatbin:fb image in
+      check_units label units (live_units resumed);
       let o' = System.run resumed ~fuel in
       check_fp label (fingerprint_of live o) (fingerprint_of resumed o'))
     [ ("restored on the default engine", true); ("restored on the oracle", false) ]
+
+(* --- rewritten code ------------------------------------------------- *)
+
+(* An image names each live unit by its source address, and restore
+   re-prepares the unit from the source bytes in the restored memory.
+   Once the program has rewritten those bytes, they are no longer the
+   bytes the running translation was made from. A rewrite that changed
+   the unit's size made restore refuse a valid image ("measures 115
+   bytes, image says 127"), and one that kept the size made the
+   restored run resume different code. So the checkpoint itself
+   refuses, naming the unit, and leaves the run untouched: the refused
+   run finishes exactly like a twin that never tried. Both rewrites
+   bump the immediate of a 6-byte [reg, imm] instruction of the live
+   CISC unit at 0x11510: its first instruction, and the one after. *)
+let test_refuses_rewritten_code () =
+  let w = Workloads.find "gobmk" in
+  let fb = Workloads.fatbin w in
+  let unit_src = 0x11510 in
+  let rewritten at =
+    let sys =
+      System.of_fatbin ~obs:(Obs.create ()) ~seed:3 ~start_isa:Desc.Cisc ~mode:System.Psr_only fb
+    in
+    (match System.run sys ~fuel:50_000 with
+    | System.Out_of_fuel -> ()
+    | o -> Alcotest.failf "finished before the rewrite (%s)" (outcome_string o));
+    if not (List.exists (fun (_, src, _, _) -> src = unit_src) (live_units sys)) then
+      Alcotest.failf "unit 0x%x is not live" unit_src;
+    let mem = Machine.mem (System.machine sys) in
+    let bumped : Minstr.t =
+      match Isa.decode Desc.Cisc ~read:(Mem.reader mem) at with
+      | Some (Mov (d, Imm k), 6) -> Mov (d, Imm (k + 1))
+      | Some (Binop (op, (Reg _ as d), Imm k), 6) -> Binop (op, d, Imm (k + 1))
+      | Some (Cmp ((Reg _ as d), Imm k), 6) -> Cmp (d, Imm (k + 1))
+      | _ -> Alcotest.failf "no 6-byte reg, imm instruction at 0x%x" at
+    in
+    Mem.blit_string mem at (Isa.encode Desc.Cisc ~at bumped);
+    sys
+  in
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun at ->
+      let sys = rewritten at and twin = rewritten at in
+      (match Snapshot.checkpoint sys with
+      | exception Invalid_argument m ->
+        if not (contains m (Printf.sprintf "0x%x" unit_src)) then
+          Alcotest.failf "the refusal does not name unit 0x%x: %s" unit_src m
+      | _ -> Alcotest.failf "a checkpoint after the rewrite at 0x%x was taken" at);
+      let fuel = 3 * w.Workloads.w_fuel in
+      let o = System.run sys ~fuel and o' = System.run twin ~fuel in
+      check_fp (Printf.sprintf "refused at 0x%x" at) (fingerprint_of twin o') (fingerprint_of sys o))
+    [ unit_src; unit_src + 6 ]
 
 (* --- strict parser ------------------------------------------------- *)
 
@@ -485,7 +581,18 @@ let test_memo_warm_start () =
     System.of_fatbin ~obs:(Obs.create ()) ~cfg ~seed ~mode:System.Psr_only
       (Workloads.fatbin (Workloads.find "milc"))
   in
-  expect_corrupt "memo pinned to its binary" (fun () -> Snapshot.load_memo other memo)
+  expect_corrupt "memo pinned to its binary" (fun () -> Snapshot.load_memo other memo);
+  (* the VM meta record's reserved word, right after its tag and rng
+     word, must be 0 *)
+  let rec find i = if String.sub memo i 7 = "PSRMETA" then i else find (i + 1) in
+  let forged = Bytes.of_string memo in
+  Bytes.set forged (find 0 + 7 + 8) '\001';
+  let fresh =
+    System.of_fatbin ~obs:(Obs.create ()) ~cfg ~seed ~start_isa:Desc.Cisc ~mode:System.Psr_only fb
+  in
+  Snapshot.load_memo fresh memo;
+  expect_corrupt "non-zero reserved VM meta word" (fun () ->
+      Snapshot.load_memo fresh (Bytes.to_string forged))
 
 let () =
   Alcotest.run "snapshot"
@@ -499,6 +606,7 @@ let () =
           Alcotest.test_case "kept blocks under flush churn" `Quick test_round_trip_kept_blocks;
           Alcotest.test_case "image independent of the engine" `Quick
             test_image_engine_independent;
+          Alcotest.test_case "refuses rewritten code" `Quick test_refuses_rewritten_code;
         ] );
       ( "strict parser",
         [
