@@ -254,19 +254,10 @@ let print_summary label sys outcome =
   Printf.printf "instructions: %d  cycles: %.0f  simulated time: %.3f ms\n"
     (System.instructions sys) (System.cycles sys) (1000. *. System.seconds sys)
 
-(* --metrics / --trace are shared by `run' and `run-file'. *)
 let metrics_arg =
   Arg.(
     value & flag
     & info [ "metrics" ] ~doc:"Print the observability counter/histogram snapshot after the run.")
-
-let trace_arg =
-  Arg.(
-    value & flag
-    & info [ "trace" ] ~doc:"Stream structured observability events to stderr as they happen.")
-
-let make_obs ~trace =
-  Obs.create ~sink:(if trace then Obs.Sink.stderr else Obs.Sink.null) ()
 
 let print_obs obs =
   let snap = Obs.snapshot obs in
@@ -293,10 +284,7 @@ let print_obs obs =
     Printf.printf "  %-44s %d (suspicious=%d decisions=%d migrations=%d faults=%d sched=%d)\n"
       "audit.entries" (Obs.Audit.length au) (label_count "suspicious") (label_count "decision")
       (label_count "migration") (label_count "fault") (label_count "sched-migrate")
-  end;
-  let tr = Obs.trace obs in
-  Printf.printf "  %-44s %d (ring keeps last %d, dropped %d)\n" "trace.events"
-    (Obs.Trace.emitted tr) (Obs.Trace.capacity tr) (Obs.Trace.dropped tr)
+  end
 
 let print_metrics sys = print_obs (System.obs sys)
 
@@ -611,13 +599,13 @@ let check_alloc hp limit =
 
 let run_cmd =
   let action (w : Workloads.t) mode isa seed opt_level migrate_prob cc_capacity cc_policy
-      no_dcache metrics trace hostprof assert_alloc checkpoint_every
+      no_dcache metrics hostprof assert_alloc checkpoint_every
       checkpoint_out memo_in memo_out state_out exports =
     probe_outputs
       ?checkpoint_prefix:(Option.map (fun _ -> checkpoint_out) checkpoint_every)
       ([ memo_out; state_out ] @ export_paths exports);
     let cfg = make_config ~opt_level ?migrate_prob cc_capacity cc_policy in
-    let obs = make_obs ~trace in
+    let obs = Obs.create () in
     let hp = start_hostprof ~obs hostprof in
     let sys =
       System.of_fatbin ~obs ~cfg ~seed ~start_isa:isa ~decode_cache:(not no_dcache) ~mode
@@ -639,10 +627,13 @@ let run_cmd =
       | Some n ->
         (* run in checkpoint-sized instruction steps; each image lands
            in its own PREFIX.<instrs>.snap so a crashed run can resume
-           from the latest one *)
-        let rec go target =
-          match System.run sys ~fuel:(min target fuel) with
-          | System.Out_of_fuel when target < fuel ->
+           from the latest one. [System.run]'s fuel is a per-call
+           budget: image k lands at k*n, and the steps hand out [fuel]
+           in total. *)
+        let rec go given =
+          let step = min n (fuel - given) in
+          match System.run sys ~fuel:step with
+          | System.Out_of_fuel when given + step < fuel ->
             let image =
               checkpoint_or_exit (fun () -> Snapshot.checkpoint ~workload:w.w_name sys)
             in
@@ -650,10 +641,10 @@ let run_cmd =
             write_binary path image;
             Printf.printf "checkpoint: %s (%d bytes at %d instructions)\n" path
               (String.length image) (System.instructions sys);
-            go (target + n)
+            go (given + step)
           | o -> o
         in
-        go n
+        go 0
     in
     Option.iter (fun hp -> Obs.Hostprof.stop_run hp ~instructions:(System.instructions sys)) hp;
     print_summary (Printf.sprintf "%s [%s]" w.w_name w.w_description) sys outcome;
@@ -688,7 +679,7 @@ let run_cmd =
     Term.(
       const action $ workload_arg $ mode_arg ~doc:"native, psr or hipstr." () $ isa_arg
       $ seed_arg $ opt_arg $ migrate_prob_arg $ cc_capacity_arg $ cc_policy_arg $ no_dcache_arg
-      $ metrics_arg $ trace_arg $ hostprof_arg $ assert_alloc_arg $ checkpoint_every_arg
+      $ metrics_arg $ hostprof_arg $ assert_alloc_arg $ checkpoint_every_arg
       $ checkpoint_out_arg "checkpoint"
       $ memo_in_arg $ memo_out_arg $ state_out_arg $ export_args)
 
@@ -717,7 +708,7 @@ let checkpoint_cmd =
   let action (w : Workloads.t) mode isa seed opt_level migrate_prob cc_capacity cc_policy at out =
     probe_outputs [ Some out ];
     let cfg = make_config ~opt_level ?migrate_prob cc_capacity cc_policy in
-    let obs = make_obs ~trace:false in
+    let obs = Obs.create () in
     let sys = System.of_fatbin ~obs ~cfg ~seed ~start_isa:isa ~mode (Workloads.fatbin w) in
     match System.run sys ~fuel:at with
     | System.Out_of_fuel ->
@@ -777,7 +768,7 @@ let restore_cmd =
             mf.Snapshot.mf_workload;
           exit 1
       in
-      let obs = make_obs ~trace:false in
+      let obs = Obs.create () in
       let sys, _ =
         try
           Snapshot.restore ~obs ~decode_cache:(not no_dcache) ~fatbin:(Workloads.fatbin w) image
@@ -907,10 +898,10 @@ let disasm_cmd =
 let run_file_cmd =
   let file_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"MiniC source file.") in
   let fuel_arg = Arg.(value & opt fuel_conv 10_000_000 & info [ "fuel" ] ~doc:"Instruction budget.") in
-  let action file mode isa seed fuel cc_capacity cc_policy no_dcache metrics trace exports =
+  let action file mode isa seed fuel cc_capacity cc_policy no_dcache metrics exports =
     probe_outputs (export_paths exports);
     let src = In_channel.with_open_text file In_channel.input_all in
-    let obs = make_obs ~trace in
+    let obs = Obs.create () in
     let cfg = make_config cc_capacity cc_policy in
     match
       System.create ~obs ~cfg ~seed ~start_isa:isa ~decode_cache:(not no_dcache) ~mode ~src ()
@@ -929,8 +920,7 @@ let run_file_cmd =
     (Cmd.info "run-file" ~doc:"Compile and run a MiniC source file.")
     Term.(
       const action $ file_arg $ mode_arg ~doc:"native, psr or hipstr." () $ isa_arg $ seed_arg
-      $ fuel_arg $ cc_capacity_arg $ cc_policy_arg $ no_dcache_arg $ metrics_arg $ trace_arg
-      $ export_args)
+      $ fuel_arg $ cc_capacity_arg $ cc_policy_arg $ no_dcache_arg $ metrics_arg $ export_args)
 
 (* ------------------------------------------------------------------ *)
 (* cmp-run: boot K workloads as processes and time-slice them across
@@ -1235,7 +1225,7 @@ let fleet_run_cmd =
           ~doc:"Error budget: fraction of requests allowed over the SLO target (default 0.1).")
   in
   let action procs arrival mix policy shards cores quantum mode fuel max_live tenants
-      migrate_every seed migrate_prob jobs metrics trace hostprof assert_alloc tl_args slo_target
+      migrate_every seed migrate_prob jobs metrics hostprof assert_alloc tl_args slo_target
       slo_budget exports =
     probe_outputs (timeline_paths tl_args @ export_paths exports);
     let cfg =
@@ -1258,7 +1248,7 @@ let fleet_run_cmd =
       }
     in
     let conns = Traffic.generate ~tenants ~seed ~procs ~arrival ~mix () in
-    let obs = make_obs ~trace in
+    let obs = Obs.create () in
     let timeline = make_timeline ~force:(slo_target <> None) tl_args in
     let hp = start_hostprof ~obs hostprof in
     let r = Fleet.run ~jobs ~obs ?timeline fleet_cfg conns in
@@ -1334,7 +1324,7 @@ let fleet_run_cmd =
       $ quantum_arg
       $ mode_arg ~doc:"Server mode: native, psr or hipstr." ()
       $ fuel_arg $ max_live_arg $ tenants_arg $ migrate_every_arg
-      $ seed_arg $ migrate_prob_arg $ jobs_arg $ metrics_arg $ trace_arg $ hostprof_arg
+      $ seed_arg $ migrate_prob_arg $ jobs_arg $ metrics_arg $ hostprof_arg
       $ assert_alloc_arg $ timeline_args $ slo_target_arg $ slo_budget_arg $ export_args)
 
 let list_cmd =

@@ -87,16 +87,13 @@ let obs t = t.observ
 let metrics t = Obs.Metrics.snapshot (Obs.metrics t.observ)
 
 (* A process kill is an observable event: the defense destroying an
-   exploit is exactly what the paper's security tables count. *)
+   exploit is exactly what the paper's security tables count. Every
+   kill goes through here, so each leaves one audit entry. *)
 let killed t msg =
-  if Obs.on t.observ then begin
-    Obs.emit t.observ
-      (Obs.Trace.Fault { isa = Isa.name (Machine.active t.m); reason = msg });
-    Obs.audit_emit t.observ ~cycle:(Machine.cycles t.m)
-      ~isa:(Isa.name (Machine.active t.m))
-      ~pid:(Machine.owner t.m)
-      (Obs.Audit.Fault { reason = msg })
-  end;
+  Obs.audit_emit t.observ ~cycle:(Machine.cycles t.m)
+    ~isa:(Isa.name (Machine.active t.m))
+    ~pid:(Machine.owner t.m)
+    (Obs.Audit.Fault { reason = msg });
   Killed msg
 
 let vm t which =
@@ -178,7 +175,6 @@ let psr_mode t =
    outcome if the process dies, None to continue. *)
 let migrate_inner t ~forced kind target_src =
   let mode_ = psr_mode t in
-  let from_isa = Machine.active t.m in
   let result =
     match kind with
     | Vm.Kreturn -> Transform.at_return t.m t.fb mode_ ~target_src
@@ -186,19 +182,7 @@ let migrate_inner t ~forced kind target_src =
       Transform.at_call t.m t.fb mode_ ~call_src ~target_src ~nargs
   in
   t.last_migration <- Some result;
-  if Obs.on t.observ then begin
-    Obs.Metrics.incr (if forced then t.c_forced_mig else t.c_sec_mig);
-    Obs.emit t.observ
-      (Obs.Trace.Migrate
-         {
-           from_isa = Isa.name from_isa;
-           to_isa = Isa.name (Machine.active t.m);
-           frames = result.Transform.r_frames;
-           words = result.Transform.r_words;
-           cycles = result.Transform.r_cycles;
-           forced;
-         })
-  end;
+  if Obs.on t.observ then Obs.Metrics.incr (if forced then t.c_forced_mig else t.c_sec_mig);
   match result.Transform.r_resume_src with
   | None -> Some (killed t "migration: unmappable control-flow target (exploit destroyed)")
   | Some resume -> (
@@ -270,10 +254,8 @@ let run_native t ~fuel =
   | None -> Out_of_fuel
   | Some (Exec.Exit c) -> Finished c
   | Some Exec.Shell -> Shell_spawned
-  | Some (Exec.Fault _ as trap) -> Killed (Exec.string_of_trap trap)
+  | Some (Exec.Fault _ as trap) -> killed t (Exec.string_of_trap trap)
   | Some (Exec.Trap_stub _ | Exec.Rat_miss _) -> killed t "unexpected trap in native mode"
-
-
 
 let run_protected t ~fuel =
   if not t.started then begin
@@ -291,7 +273,7 @@ let run_protected t ~fuel =
     | None -> result := Some Out_of_fuel
     | Some (Exec.Exit c) -> result := Some (Finished c)
     | Some Exec.Shell -> result := Some Shell_spawned
-    | Some (Exec.Fault _ as trap) -> result := Some (Killed (Exec.string_of_trap trap))
+    | Some (Exec.Fault _ as trap) -> result := Some (killed t (Exec.string_of_trap trap))
     | Some ((Exec.Trap_stub _ | Exec.Rat_miss _) as trap) -> (
       let v = active_vm t in
       let finish_resolution = function
@@ -407,12 +389,6 @@ let rewritten_unit t =
   List.find_map
     (fun (which, v) -> Option.map (fun src -> (which, src)) (Vm.rewritten_unit v))
     t.vms
-
-(* Drop the host state a run restored from an image cannot have: both
-   cores' decode caches and every VM's kept blocks. *)
-let quiesce t =
-  Machine.quiesce t.m;
-  List.iter (fun (_, v) -> Vm.quiesce v) t.vms
 
 (* One record per VM, each tagged with its ISA. Reading walks this
    system's VMs in the same order and demands exactly as many records

@@ -95,7 +95,10 @@ val vm : t -> Hipstr_isa.Desc.which -> Hipstr_psr.Vm.t
 (** The PSR VM of a core. @raise Invalid_argument in [Native] mode. *)
 
 val run : t -> fuel:int -> outcome
-(** Execute up to [fuel] instructions (cumulative across calls). *)
+(** Execute up to [fuel] more instructions. The budget is per call:
+    [run ~fuel:a] then [run ~fuel:b] retires at most [a + b] in
+    total, exactly as many when both return [Out_of_fuel]. Splitting
+    a budget across calls never changes the outputs. *)
 
 type slice = {
   sl_outcome : outcome;
@@ -106,8 +109,8 @@ type slice = {
 val run_slice : t -> fuel:int -> slice
 (** One scheduler quantum: {!run} plus the delta of work done, so a
     CMP scheduler ({!Hipstr_cmp.Cmp}) can attribute it to the core
-    the process occupied. Slicing a run never changes its outputs —
-    fuel is cumulative. *)
+    the process occupied. Like {!run}'s, [fuel] is a per-call budget,
+    and slicing a run never changes its outputs. *)
 
 val active_isa : t -> Hipstr_isa.Desc.which
 (** The ISA/core this process is currently executing on. *)
@@ -179,15 +182,6 @@ val rewritten_unit : t -> (Hipstr_isa.Desc.which * int) option
     program has written since the binary was loaded
     ({!Hipstr_psr.Vm.rewritten_unit}): the snapshot layer refuses to
     checkpoint while one exists. *)
-
-val quiesce : t -> unit
-(** The checkpoint quiesce: drop both cores' host decode caches
-    ({!Hipstr_machine.Machine.quiesce}) and every VM's kept blocks
-    ({!Hipstr_psr.Vm.quiesce}). Model-invisible; it makes the run that
-    takes a checkpoint continue with the same host decode-counter
-    trajectory as a run restored from the image, so their metrics
-    exports stay byte-identical. Called by the snapshot layer before
-    serializing. *)
 
 val save_state : Hipstr_util.Wire.w -> t -> unit
 (** Serialize the system-level slice: flags, migration counters, the

@@ -1,5 +1,4 @@
 open Hipstr_isa
-module Obs = Hipstr_obs.Obs
 
 (* A predecoded basic block: the instructions starting at [db_start],
    decoded under generation [db_gen] of the watched region containing
@@ -68,18 +67,6 @@ type stats = {
   mutable ic_misses : int;
 }
 
-type counters = {
-  cn_hits : Obs.Metrics.counter;
-  cn_misses : Obs.Metrics.counter;
-  cn_invalidations : Obs.Metrics.counter;
-  cn_chain_follows : Obs.Metrics.counter;
-  cn_chain_breaks : Obs.Metrics.counter;
-  cn_chain_patches : Obs.Metrics.counter;
-  cn_ic_mono : Obs.Metrics.counter;
-  cn_ic_poly : Obs.Metrics.counter;
-  cn_ic_misses : Obs.Metrics.counter;
-}
-
 type t = {
   which : Desc.which;
   mem : Mem.t;
@@ -106,12 +93,8 @@ type t = {
           a block is packed here and copied out once at its final
           length *)
   st : stats;
-  dep : stats;
-      (** counter values already deposited into [ctrs]; [deposit]
-          adds the [st] - [dep] deltas and catches [dep] up, so the
-          hot paths above never touch an atomic *)
-  obs : Obs.t;
-  ctrs : counters;
+      (** host statistics, in plain ints: they are the cache's own and
+          never reach an observability registry *)
 }
 
 (* Block-size cap: a longer straight-line run simply splits into
@@ -157,17 +140,14 @@ let zero (s : stats) =
   s.ic_poly_hits <- 0;
   s.ic_misses <- 0
 
-(* Empty, at epoch 0, with every count at 0 — including the deposited
-   marks, so counts a previous owner never deposited are dropped, as
-   they would be with the cache itself. [create] allocates and then
-   resets. *)
+(* Empty, at epoch 0, with every count at 0. [create] allocates and
+   then resets. *)
 let reset t =
   Hashtbl.reset t.blocks;
   t.epoch <- 0;
-  zero t.st;
-  zero t.dep
+  zero t.st
 
-let create ?(obs = Obs.global) which mem =
+let create which mem =
   (* The four standard code-bearing regions; [Mem.watch] dedupes, so
      the CISC and RISC caches of one machine share region handles. *)
   ignore
@@ -182,9 +162,6 @@ let create ?(obs = Obs.global) which mem =
   ignore
     (Mem.watch mem ~lo:Layout.risc_cache_base
        ~hi:(Layout.risc_cache_base + Layout.cache_region_size));
-  let counter ns n =
-    Obs.Metrics.counter (Obs.metrics obs) ("machine." ^ Isa.name which ^ "." ^ ns ^ "." ^ n)
-  in
   let core = Core_desc.for_isa which in
   let t =
     {
@@ -200,20 +177,6 @@ let create ?(obs = Obs.global) which mem =
       qdiv = Cpu.fc_quotient ~lat:core.div_latency ~throughput:core.throughput;
       scratch = Array.make (4 * max_block_instrs) 0;
       st = zero_stats ();
-      dep = zero_stats ();
-      obs;
-      ctrs =
-        {
-          cn_hits = counter "decode_cache" "hits";
-          cn_misses = counter "decode_cache" "misses";
-          cn_invalidations = counter "decode_cache" "invalidations";
-          cn_chain_follows = counter "chain" "follows";
-          cn_chain_breaks = counter "chain" "breaks";
-          cn_chain_patches = counter "chain" "patches";
-          cn_ic_mono = counter "ic" "mono_hits";
-          cn_ic_poly = counter "ic" "poly_hits";
-          cn_ic_misses = counter "ic" "misses";
-        };
     }
   in
   reset t;
@@ -221,33 +184,6 @@ let create ?(obs = Obs.global) which mem =
 
 let stats t = t.st
 let epoch t = t.epoch
-
-(* Deposit the counter deltas accumulated (in plain mutable ints)
-   since the last deposit. Called at run exit and after wholesale
-   invalidations — i.e. before any point where the metrics registry
-   can be exported — so exported values are identical to what
-   per-event increments would have produced, without the hot paths
-   ever touching an atomic. *)
-let deposit t =
-  let st = t.st and d = t.dep and c = t.ctrs in
-  Obs.Metrics.add c.cn_hits (st.hits - d.hits);
-  d.hits <- st.hits;
-  Obs.Metrics.add c.cn_misses (st.misses - d.misses);
-  d.misses <- st.misses;
-  Obs.Metrics.add c.cn_invalidations (st.invalidations - d.invalidations);
-  d.invalidations <- st.invalidations;
-  Obs.Metrics.add c.cn_chain_follows (st.chain_follows - d.chain_follows);
-  d.chain_follows <- st.chain_follows;
-  Obs.Metrics.add c.cn_chain_breaks (st.chain_breaks - d.chain_breaks);
-  d.chain_breaks <- st.chain_breaks;
-  Obs.Metrics.add c.cn_chain_patches (st.chain_patches - d.chain_patches);
-  d.chain_patches <- st.chain_patches;
-  Obs.Metrics.add c.cn_ic_mono (st.ic_mono_hits - d.ic_mono_hits);
-  d.ic_mono_hits <- st.ic_mono_hits;
-  Obs.Metrics.add c.cn_ic_poly (st.ic_poly_hits - d.ic_poly_hits);
-  d.ic_poly_hits <- st.ic_poly_hits;
-  Obs.Metrics.add c.cn_ic_misses (st.ic_misses - d.ic_misses);
-  d.ic_misses <- st.ic_misses
 
 (* Slow path, reached only on a generation mismatch: survive if the
    block's own bytes (decode span plus trailing headroom) are
@@ -420,9 +356,7 @@ let drop t (b : block) =
    links (the epoch bump below). It changes host time only: the decode
    cache charges no guest cycles. The table starts at 16 buckets and
    grows on demand, so the reset costs what the table held rather than
-   a fixed 1024-bucket fill. Callers outside a run (the machine's flush
-   paths) follow up with [deposit] so the batched invalidation counts
-   are visible to the next export. *)
+   a fixed 1024-bucket fill. *)
 let invalidate_all t =
   let n = Hashtbl.length t.blocks in
   if n > 0 then begin

@@ -83,17 +83,14 @@ val max_decode_window : int
     its start address, on either ISA. Anything that caches a decode
     result must treat this many bytes as read. *)
 
-val create : ?obs:Hipstr_obs.Obs.t -> Hipstr_isa.Desc.which -> Mem.t -> t
+val create : Hipstr_isa.Desc.which -> Mem.t -> t
 (** Create a cache for one ISA over one memory, watching the four
     standard code-bearing regions (both code sections and both
-    code-cache regions; {!Mem.watch} dedupes across ISAs). Counters
-    are registered as [machine.<isa>.decode_cache.*],
-    [machine.<isa>.chain.*] and [machine.<isa>.ic.*]. *)
+    code-cache regions; {!Mem.watch} dedupes across ISAs). *)
 
 val reset : t -> unit
 (** Back to the state {!create} returns: no blocks, epoch 0, every
-    statistic 0. Counts not yet {!deposit}ed are dropped, as they
-    would be with a discarded cache. *)
+    statistic 0. *)
 
 val lookup : t -> int -> block option
 (** The block starting at an address: a generation-valid cached entry
@@ -156,15 +153,11 @@ val patch : t -> block -> pc:int -> block -> unit
     new entries. *)
 
 val stats : t -> stats
-
-val deposit : t -> unit
-(** Deposit the counter deltas accumulated since the last deposit
-    into the observability registry. Hit/miss/chain/IC events are
-    counted in plain mutable ints on the hot paths ({!stats}) and
-    only reach the atomic [Obs.Metrics] counters here — called at
-    run exit and after out-of-run invalidations, i.e. before any
-    point an export can observe the registry, so exported values are
-    unchanged by the batching. *)
+(** The cache's hit, miss, invalidation, flush, chain and inline-cache
+    counts — their only home. They are host statistics: no
+    observability registry carries them, so snapshot images, state
+    dumps and metrics exports are the same on the fast path and on
+    the decode oracle. *)
 
 val epoch : t -> int
 (** Current link epoch (test introspection). *)

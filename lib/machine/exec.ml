@@ -563,12 +563,7 @@ let rec packed_loop env (b : Decode_cache.block) code len k n =
 
 let stopped env t =
   (match t with
-  | Fault _ ->
-    if Obs.on env.obs then begin
-      Obs.Metrics.incr env.ctrs.cn_faults;
-      Obs.emit env.obs
-        (Obs.Trace.Fault { isa = Isa.name env.desc.which; reason = string_of_trap t })
-    end
+  | Fault _ -> if Obs.on env.obs then Obs.Metrics.incr env.ctrs.cn_faults
   | Trap_stub _ | Rat_miss _ | Exit _ | Shell -> ());
   Stopped t
 
@@ -719,16 +714,14 @@ let run_cached env dc ~fuel =
   dispatch_first fuel
 
 (* Deposit the batched observability counts: the per-run deltas of
-   the plain perf ints, plus the decode cache's batched stat deltas.
-   Runs are the only places retirement happens, and exports only ever
-   read the registry between runs, so exported values are identical
-   to per-instruction increments. *)
+   the plain perf ints. Runs are the only places retirement happens,
+   and exports only ever read the registry between runs, so exported
+   values are identical to per-instruction increments. *)
 let deposit_obs env ~instrs0 ~syscalls0 =
   if Obs.on env.obs then begin
     let p = env.cpu.perf in
     Obs.Metrics.add env.ctrs.cn_instrs (p.instructions - instrs0);
-    Obs.Metrics.add env.ctrs.cn_syscalls (p.syscalls - syscalls0);
-    match env.dcode with Some dc -> Decode_cache.deposit dc | None -> ()
+    Obs.Metrics.add env.ctrs.cn_syscalls (p.syscalls - syscalls0)
   end
 
 let run env ~fuel =

@@ -63,10 +63,7 @@ let make_ctx ~obs shape ~memory which =
         ~miss_penalty:core.dcache_miss_penalty ();
     bpred = Bpred.create ();
     rat = Option.map (fun n -> Rat.create ~capacity:n) shape.sh_rat;
-    dcode =
-      (if shape.sh_decode_cache then
-         Some (Decode_cache.create ~obs which memory)
-       else None);
+    dcode = (if shape.sh_decode_cache then Some (Decode_cache.create which memory) else None);
     ctrs =
       {
         Exec.cn_instrs = counter "instructions";
@@ -203,16 +200,6 @@ let migrations t = t.migrations
 
 let ctx_of t which = match which with Desc.Cisc -> t.cisc_ctx | Desc.Risc -> t.risc_ctx
 
-(* Decode-cache stat counters are batched (plain ints, deposited into
-   the metrics registry in bulk); any entry point that mutates cache
-   state outside [Exec.run] must deposit before the registry can be
-   read. *)
-let deposit_decoded t =
-  if Obs.on t.observ then begin
-    (match t.cisc_ctx.dcode with Some dc -> Decode_cache.deposit dc | None -> ());
-    match t.risc_ctx.dcode with Some dc -> Decode_cache.deposit dc | None -> ()
-  end
-
 (* Drop every predecoded block of one core's cache — the PSR VM calls
    this when it rewrites its code-cache region wholesale (a flush).
    Generations already keep stale blocks from
@@ -220,10 +207,7 @@ let deposit_decoded t =
    block to fail its staleness check. The decode cache is host state
    and charges no guest cycles, so this changes host time only. *)
 let invalidate_decoded t which =
-  (match (ctx_of t which).dcode with
-  | Some dc -> Decode_cache.invalidate_all dc
-  | None -> ());
-  deposit_decoded t
+  match (ctx_of t which).dcode with Some dc -> Decode_cache.invalidate_all dc | None -> ()
 
 let decode_cache t which = (ctx_of t which).dcode
 
@@ -242,7 +226,6 @@ let context_switch_flush t =
   cold t.cisc_ctx;
   cold t.risc_ctx;
   if Obs.on t.observ then begin
-    deposit_decoded t;
     Obs.Metrics.incr t.c_ctx_flush;
     (* zero-duration span: the flush itself is free in the cycle model
        (the cost is the refill), but the profile should show when and
@@ -286,19 +269,6 @@ let seconds t =
 (* --- snapshot ------------------------------------------------------ *)
 
 module Wire = Hipstr_util.Wire
-
-(* Drop host-side decoded state on both cores. Taking a checkpoint
-   quiesces the machine: the decode caches are host structures whose
-   contents cannot travel in an image (and are model-invisible
-   anyway), so BOTH the saved run and a run restored from the image
-   must continue from an equally cold decode cache — that is what
-   makes their host-counter trajectories, and therefore their metrics
-   exports, byte-identical. The cycle-visible microarchitecture
-   (i/d-caches, predictors, RAT) is untouched; it serializes
-   exactly. *)
-let quiesce t =
-  invalidate_decoded t Desc.Cisc;
-  invalidate_decoded t Desc.Risc
 
 let save_ctx w (c : core_ctx) =
   Cache.save w c.icache;

@@ -86,7 +86,9 @@ val decode_cache : t -> Hipstr_isa.Desc.which -> Decode_cache.t option
 
 val decode_cache_stats : t -> Hipstr_isa.Desc.which -> Decode_cache.stats option
 (** Hit/miss/invalidation/flush plus chain/IC counts of one core's
-    decode cache ([None] when running with [--no-decode-cache]). *)
+    decode cache ([None] when running with [--no-decode-cache]): the
+    one place to read them, since no observability registry carries
+    host statistics. *)
 
 val switch_core : t -> Hipstr_isa.Desc.which -> unit
 (** Make the other core active. Counts a migration; register/flag
@@ -118,15 +120,6 @@ val seconds : t -> float
 (** Wall-clock seconds of simulated execution, respecting each core's
     clock frequency: cycles are converted at the frequency of the core
     they were accumulated on. *)
-
-val quiesce : t -> unit
-(** Drop the host-side decode caches of both cores — the checkpoint
-    quiesce. Model-invisible (outputs, cycle floats and guest
-    counters are unchanged), but it aligns the host decode-counter
-    trajectory of the run that *took* a checkpoint with a run
-    *restored* from it: both continue decode-cold, so their metrics
-    exports stay byte-identical. Called through [System.quiesce],
-    which the snapshot layer calls before serializing. *)
 
 val save : Hipstr_util.Wire.w -> t -> unit
 (** Serialize the architectural state (pc, registers, flags, perf

@@ -197,7 +197,6 @@ let finish machine ~to_isa ~frames ~words ~resume ~complete =
     Obs.Metrics.observe (Obs.Metrics.histogram m "migration.frames") (float_of_int frames);
     Obs.Metrics.observe (Obs.Metrics.histogram m "migration.words") (float_of_int words);
     Obs.Metrics.observe (Obs.Metrics.histogram m "migration.cycles") cycles;
-    Obs.emit obs (Obs.Trace.Stack_transform { frames; words; complete });
     (* the span covers exactly the cycles the transform charged: the
        fixed pipeline drain plus the per-word copy cost *)
     let sp =

@@ -1,5 +1,7 @@
 (* Zero-dependency observability: monotonic counters, log2-bucketed
-   histograms, a bounded structured-event ring, and pluggable sinks.
+   histograms, phase spans and the audit log. Each model fact is
+   recorded once, in one of the four; host state (the decode cache's
+   statistics, say) stays with the component that owns it.
 
    Every instrumented site in the simulator guards its work with
    [if Obs.on obs then ...], so the disabled path costs exactly one
@@ -8,8 +10,8 @@
 
    Domain safety: one context may be shared by simulations running on
    several OCaml 5 domains (the Cmp.Pool parallel driver). Counters
-   are lock-free atomics; histograms, the name registry, the trace
-   ring and the memory sink are mutex-guarded. The hot path (counter
+   are lock-free atomics; histograms, the name registry, spans and the
+   audit log are mutex-guarded. The hot path (counter
    increment) therefore stays a single fetch-and-add; everything else
    is cold enough that a lock is invisible. *)
 
@@ -331,91 +333,6 @@ module Metrics = struct
       snap.snap_histograms
 end
 
-module Trace = struct
-  type event =
-    | Translate of { isa : string; src : int; instrs : int; emitted : int }
-    | Cache_hit of { isa : string; src : int }
-    | Cache_miss of { isa : string; src : int; compulsory : bool }
-    | Cache_flush of { isa : string; used_bytes : int }
-    | Cache_evict of { isa : string; src : int; bytes : int }
-    | Memo_install of { isa : string; src : int; instrs : int }
-    | Migrate of {
-        from_isa : string;
-        to_isa : string;
-        frames : int;
-        words : int;
-        cycles : float;
-        forced : bool;
-      }
-    | Stack_transform of { frames : int; words : int; complete : bool }
-    | Suspicious of { isa : string; target_src : int }
-    | Fault of { isa : string; reason : string }
-    | Span_end of { name : string; begin_cycle : float; end_cycle : float }
-
-  type record = { seq : int; event : event }
-
-  type t = { mu : Mutex.t; cap : int; slots : record option array; mutable next_seq : int }
-
-  let create ?(capacity = 1024) () =
-    if capacity < 1 then invalid_arg "Obs.Trace.create: capacity must be positive";
-    { mu = Mutex.create (); cap = capacity; slots = Array.make capacity None; next_seq = 0 }
-
-  let store t event =
-    Mutex.lock t.mu;
-    let r = { seq = t.next_seq; event } in
-    t.slots.(t.next_seq mod t.cap) <- Some r;
-    t.next_seq <- t.next_seq + 1;
-    Mutex.unlock t.mu;
-    r
-
-  let capacity t = t.cap
-
-  let emitted t =
-    Mutex.lock t.mu;
-    let n = t.next_seq in
-    Mutex.unlock t.mu;
-    n
-
-  let dropped t =
-    let n = emitted t in
-    if n > t.cap then n - t.cap else 0
-
-  let to_list t =
-    Mutex.lock t.mu;
-    let next = t.next_seq in
-    let first = if next > t.cap then next - t.cap else 0 in
-    let l =
-      List.init (next - first) (fun i ->
-          match t.slots.((first + i) mod t.cap) with Some r -> r | None -> assert false)
-    in
-    Mutex.unlock t.mu;
-    l
-
-  let event_to_string = function
-    | Translate { isa; src; instrs; emitted } ->
-      Printf.sprintf "translate %s src=0x%x instrs=%d emitted=%d" isa src instrs emitted
-    | Cache_hit { isa; src } -> Printf.sprintf "cache-hit %s src=0x%x" isa src
-    | Cache_miss { isa; src; compulsory } ->
-      Printf.sprintf "cache-miss %s src=0x%x (%s)" isa src
-        (if compulsory then "compulsory" else "capacity")
-    | Cache_flush { isa; used_bytes } -> Printf.sprintf "cache-flush %s used=%d" isa used_bytes
-    | Cache_evict { isa; src; bytes } ->
-      Printf.sprintf "cache-evict %s src=0x%x bytes=%d" isa src bytes
-    | Memo_install { isa; src; instrs } ->
-      Printf.sprintf "memo-install %s src=0x%x instrs=%d" isa src instrs
-    | Migrate { from_isa; to_isa; frames; words; cycles; forced } ->
-      Printf.sprintf "migrate %s->%s frames=%d words=%d cycles=%.0f (%s)" from_isa to_isa frames
-        words cycles
-        (if forced then "forced" else "security")
-    | Stack_transform { frames; words; complete } ->
-      Printf.sprintf "stack-transform frames=%d words=%d complete=%b" frames words complete
-    | Suspicious { isa; target_src } -> Printf.sprintf "suspicious %s target=0x%x" isa target_src
-    | Fault { isa; reason } -> Printf.sprintf "fault %s: %s" isa reason
-    | Span_end { name; begin_cycle; end_cycle } ->
-      Printf.sprintf "span %s cycles=[%.0f, %.0f] dur=%.0f" name begin_cycle end_cycle
-        (end_cycle -. begin_cycle)
-end
-
 (* Nestable, cycle-stamped phase spans. A span attributes a stretch of
    *simulated* cycles (the deterministic clock of the machine/core it
    ran on, not wall time) to a named phase: translate, exec,
@@ -556,8 +473,8 @@ end
 
 (* The forensic record the security story needs: every suspicious
    control transfer, every migration decision and its outcome, every
-   process kill — unbounded (unlike the trace ring, which forgets),
-   cycle-stamped, and queryable from tests. *)
+   process kill — unbounded, cycle-stamped, and queryable from
+   tests. *)
 module Audit = struct
   type kind =
     | Suspicious of { target_src : int }
@@ -617,38 +534,6 @@ module Audit = struct
         into.next_seq <- into.next_seq + 1)
       es;
     Mutex.unlock into.mu
-end
-
-module Sink = struct
-  type mem = { m_mu : Mutex.t; mutable m_recs : Trace.record list }
-
-  type t = Null | Fn of (Trace.record -> unit) | Memory of mem
-
-  let null = Null
-
-  let stderr =
-    Fn
-      (fun r ->
-        Printf.eprintf "[obs %6d] %s\n%!" r.Trace.seq (Trace.event_to_string r.Trace.event))
-
-  let memory () = Memory { m_mu = Mutex.create (); m_recs = [] }
-
-  let contents = function
-    | Memory m ->
-      Mutex.lock m.m_mu;
-      let l = List.rev m.m_recs in
-      Mutex.unlock m.m_mu;
-      l
-    | Null | Fn _ -> []
-
-  let deliver t r =
-    match t with
-    | Null -> ()
-    | Fn f -> f r
-    | Memory m ->
-      Mutex.lock m.m_mu;
-      m.m_recs <- r :: m.m_recs;
-      Mutex.unlock m.m_mu
 end
 
 (* Host-side GC/allocation profiling: Gc counters sampled at span
@@ -738,21 +623,17 @@ end
 type t = {
   enabled : bool;
   metrics : Metrics.t;
-  trace : Trace.t;
   spans : Span.t;
   audit : Audit.t;
-  sink : Sink.t;
   mutable hostprof : Hostprof.t option;
 }
 
-let create ?(on = true) ?(sink = Sink.null) () =
+let create ?(on = true) () =
   {
     enabled = on;
     metrics = Metrics.create ();
-    trace = Trace.create ();
     spans = Span.create ();
     audit = Audit.create ();
-    sink;
     hostprof = None;
   }
 
@@ -761,14 +642,8 @@ let global = create ()
 
 let on t = t.enabled
 let metrics t = t.metrics
-let trace t = t.trace
 let spans t = t.spans
 let audit t = t.audit
-let sink t = t.sink
-
-let emit t event = Sink.deliver t.sink (Trace.store t.trace event)
-
-let events t = Trace.to_list t.trace
 
 let snapshot t = Metrics.snapshot t.metrics
 
@@ -818,17 +693,13 @@ let exit_span t handle ~cycle =
     | Some _ -> (
       match top_open_span t with
       | Some parent -> parent.Span.sp_mark <- Gc.minor_words ()
-      | None -> ()));
-    if t.enabled then
-      emit t
-        (Trace.Span_end
-           { name = Span.name sp; begin_cycle = Span.begin_cycle sp; end_cycle = Span.end_cycle sp })
+      | None -> ()))
 
 let audit_emit t ~cycle ~isa ~pid kind =
   if t.enabled then ignore (Audit.record t.audit ~cycle ~isa ~pid kind)
 
 let child t =
-  let c = create ~on:t.enabled ~sink:Sink.null () in
+  let c = create ~on:t.enabled () in
   (* the hostprof (if any) is shared, not copied: per-phase host
      allocation from every shard/task folds into one table *)
   c.hostprof <- t.hostprof;
@@ -837,9 +708,7 @@ let child t =
 let merge ~into src =
   Metrics.merge ~into:into.metrics (Metrics.snapshot src.metrics);
   Span.merge ~into:into.spans src.spans;
-  Audit.merge ~into:into.audit src.audit;
-  if into.enabled then
-    List.iter (fun (r : Trace.record) -> emit into r.Trace.event) (Trace.to_list src.trace)
+  Audit.merge ~into:into.audit src.audit
 
 (* ------------------------------------------------------------------ *)
 (* Time-resolved telemetry: windowed delta snapshots keyed to the
@@ -1384,14 +1253,6 @@ module Export = struct
           ("sched_migrations", Json.num_of_int (count "sched-migrate"));
         ]
     in
-    let ring =
-      Json.Obj
-        [
-          ("emitted", Json.num_of_int (Trace.emitted t.trace));
-          ("capacity", Json.num_of_int (Trace.capacity t.trace));
-          ("dropped", Json.num_of_int (Trace.dropped t.trace));
-        ]
-    in
     Json.to_string_pretty
       (Json.Obj
          [
@@ -1399,7 +1260,6 @@ module Export = struct
            ("histograms", histograms);
            ("spans", spans);
            ("audit", audit_counts);
-           ("trace_ring", ring);
          ])
     ^ "\n"
 

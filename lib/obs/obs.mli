@@ -7,10 +7,17 @@
 
     - {!Metrics}: named monotonic counters and log2-bucketed
       histograms, snapshottable at any time;
-    - {!Trace}: a bounded ring of structured events (oldest entries
-      are overwritten once the capacity is exceeded);
-    - {!Sink}: a pluggable consumer each emitted event is also
-      forwarded to — null (default), stderr, or in-memory for tests.
+    - {!Span}: cycle-stamped phase spans;
+    - {!Audit}: the forensic log of suspicious transfers, migration
+      decisions and outcomes, and process kills.
+
+    A context holds model facts only, each recorded once: an event
+    is a counter or histogram, a span, or an audit entry, never two
+    of them for the same purpose. Host state stays out: the decode
+    cache's hit, miss, chain and inline-cache counts live in
+    [Decode_cache.stats] alone, so a metrics snapshot (and the
+    snapshot images and exports built from it) is the same whichever
+    execution engine produced it.
 
     Discipline: an instrumented site guards all observability work
     with [if Obs.on obs then ...] so the disabled path costs a single
@@ -20,8 +27,8 @@
     Domain safety: a context may be shared by simulations running on
     several OCaml 5 domains (the {!Hipstr_cmp.Pool} parallel driver).
     Counter increments are lock-free atomics; histogram observation,
-    handle registration, the trace ring and the memory sink are
-    mutex-guarded, so concurrent use never loses an update. For
+    handle registration, spans and the audit log are mutex-guarded,
+    so concurrent use never loses an update. For
     deterministic aggregation prefer one {!child} context per task,
     folded back with {!merge} in task order. *)
 
@@ -124,61 +131,6 @@ module Metrics : sig
       mergeable). Names absent from [into] are created. *)
 end
 
-module Trace : sig
-  type event =
-    | Translate of { isa : string; src : int; instrs : int; emitted : int }
-        (** the PSR VM translated one unit *)
-    | Cache_hit of { isa : string; src : int }
-        (** a control transfer found its target already translated *)
-    | Cache_miss of { isa : string; src : int; compulsory : bool }
-        (** [compulsory]: first-ever translation of this unit, as
-            opposed to a re-translation after a capacity flush *)
-    | Cache_flush of { isa : string; used_bytes : int }
-    | Cache_evict of { isa : string; src : int; bytes : int }
-        (** block-granular eviction: one victim displaced by an
-            overlapping allocation (fifo/clock policies only) *)
-    | Memo_install of { isa : string; src : int; instrs : int }
-        (** a re-entered unit was re-installed from the translation
-            memo without re-running the translator *)
-    | Migrate of {
-        from_isa : string;
-        to_isa : string;
-        frames : int;
-        words : int;
-        cycles : float;
-        forced : bool;  (** requested checkpoint vs security-triggered *)
-      }
-    | Stack_transform of { frames : int; words : int; complete : bool }
-    | Suspicious of { isa : string; target_src : int }
-        (** an indirect control transfer missed the code cache — the
-            paper's migration trigger *)
-    | Fault of { isa : string; reason : string }
-    | Span_end of { name : string; begin_cycle : float; end_cycle : float }
-        (** a phase span closed (see {!Span}) — lets [--trace] stream
-            phase timings live alongside the structural events *)
-
-  type record = { seq : int  (** total-order emission index *); event : event }
-
-  type t
-
-  val create : ?capacity:int -> unit -> t
-  (** Default capacity 1024. @raise Invalid_argument if < 1. *)
-
-  val store : t -> event -> record
-  val capacity : t -> int
-
-  val emitted : t -> int
-  (** Total events ever stored (>= length of {!to_list}). *)
-
-  val dropped : t -> int
-  (** Events overwritten because the ring was full. *)
-
-  val to_list : t -> record list
-  (** Retained records, oldest first. *)
-
-  val event_to_string : event -> string
-end
-
 (** Nestable, cycle-stamped phase spans.
 
     A span attributes a stretch of {e simulated} cycles — the
@@ -244,8 +196,8 @@ end
 
 (** The forensic record the security story needs: every suspicious
     control transfer, every migration decision and its outcome, every
-    process kill — unbounded (unlike the trace ring, which forgets),
-    cycle-stamped, and queryable from tests. *)
+    process kill — unbounded, cycle-stamped, and queryable from
+    tests. *)
 module Audit : sig
   type kind =
     | Suspicious of { target_src : int }
@@ -276,21 +228,6 @@ module Audit : sig
   val count : t -> (entry -> bool) -> int
   val kind_label : kind -> string
   val merge : into:t -> t -> unit
-end
-
-module Sink : sig
-  type t
-
-  val null : t
-  val stderr : t
-
-  val memory : unit -> t
-
-  val contents : t -> Trace.record list
-  (** Records delivered to a {!memory} sink, oldest first; [[]] for
-      any other sink. *)
-
-  val deliver : t -> Trace.record -> unit
 end
 
 (** Host-side GC/allocation profiling — the substrate for ROADMAP
@@ -349,10 +286,9 @@ end
 
 type t
 
-val create : ?on:bool -> ?sink:Sink.t -> unit -> t
-(** A fresh observability context: its own metrics registry, event
-    ring (of {!Trace.create}'s default capacity) and sink (default
-    {!Sink.null}). [on] defaults to true. *)
+val create : ?on:bool -> unit -> t
+(** A fresh observability context: its own metrics registry, span
+    store and audit log. [on] defaults to true. *)
 
 val disabled : t
 (** A shared always-off context — the zero-overhead default for
@@ -365,26 +301,16 @@ val global : t
 
 val on : t -> bool
 val metrics : t -> Metrics.t
-val trace : t -> Trace.t
 val spans : t -> Span.t
 val audit : t -> Audit.t
-val sink : t -> Sink.t
-
-val emit : t -> Trace.event -> unit
-(** Store in the ring and forward to the sink. Call only under an
-    [if on obs] guard. *)
-
-val events : t -> Trace.record list
 val snapshot : t -> Metrics.snapshot
 
 val enter_span : t -> name:string -> ?attrs:(string * string) list -> cycle:float -> unit -> Span.span option
-(** [None] when the context is disabled — unlike {!emit}, span
-    helpers carry their own guard, so instrumented sites need no
-    [if on obs] wrapper. *)
+(** [None] when the context is disabled — span helpers carry their
+    own guard, so instrumented sites need no [if on obs] wrapper. *)
 
 val exit_span : t -> Span.span option -> cycle:float -> unit
-(** No-op on [None]. On a live handle, closes the span and emits a
-    {!Trace.Span_end} event to the ring/sink. *)
+(** No-op on [None]. On a live handle, closes the span. *)
 
 val audit_emit : t -> cycle:float -> isa:string -> pid:int -> Audit.kind -> unit
 (** Append to the audit log when the context is enabled (self-guarded
@@ -398,19 +324,17 @@ val set_hostprof : t -> Hostprof.t -> unit
 val hostprof : t -> Hostprof.t option
 
 val child : t -> t
-(** A fresh context inheriting [on], the trace capacity and the
-    hostprof (shared, not copied) of [t], with a null sink: the
-    per-task context the parallel driver hands each unit of work so
-    results are independent of domain scheduling. *)
+(** A fresh context inheriting [on] and the hostprof (shared, not
+    copied) of [t]: the per-task context {!Hipstr_cmp.Pool} hands
+    each unit of work so results are independent of domain
+    scheduling. *)
 
 val merge : into:t -> t -> unit
 (** [merge ~into src] folds [src]'s counters and histograms into
-    [into] (exactly — see {!Metrics.merge}), appends [src]'s spans
-    (ids re-based) and audit entries, and, when [into] is on,
-    re-emits [src]'s retained trace records into [into]'s ring and
-    sink in their original order (re-sequenced). Merging the per-task
-    contexts of a parallel run in task order yields byte-identical
-    totals to the serial run. *)
+    [into] (exactly — see {!Metrics.merge}) and appends [src]'s spans
+    (ids re-based) and audit entries. Merging the per-task contexts
+    of a parallel run in task order yields byte-identical totals to
+    the serial run. *)
 
 (** Time-resolved telemetry: windowed delta snapshots keyed to the
     deterministic guest/fleet clock.
@@ -536,9 +460,10 @@ end
     - {!folded}: folded-stack lines ([phase;subphase;leaf cycles],
       self time only), ready for flamegraph.pl / speedscope; translate
       spans grow a leaf frame named after the translated function.
-    - {!metrics_json} / {!metrics_prom}: full metrics dump (counters,
-      histograms, span roll-up, audit counts) as pretty JSON or
-      Prometheus text exposition.
+    - {!metrics_json} / {!metrics_prom}: full metrics dump as pretty
+      JSON (four sections: [counters], [histograms], the [spans]
+      roll-up and the [audit] counts by kind) or Prometheus text
+      exposition.
     - {!audit_jsonl}: one canonically-ordered JSON object per audit
       entry. *)
 module Export : sig

@@ -31,7 +31,6 @@ type t = {
   referenced : (int, unit) Hashtbl.t;
   mutable nflushes : int;
   mutable nevictions : int;
-  cc_isa : string;
   cc_obs : Obs.t;
   cc_allocs : Obs.Metrics.counter;
   cc_flushes : Obs.Metrics.counter;
@@ -54,7 +53,6 @@ let create ?(obs = Obs.disabled) ?(isa = "any") ?(policy = Flush) ~base ~capacit
     referenced = Hashtbl.create 16;
     nflushes = 0;
     nevictions = 0;
-    cc_isa = isa;
     cc_obs = obs;
     cc_allocs = Obs.Metrics.counter m (name "allocs");
     cc_flushes = Obs.Metrics.counter m (name "flushes");
@@ -91,11 +89,7 @@ let evict_block t b =
   Hashtbl.remove t.by_src b.cb_src;
   Hashtbl.remove t.referenced b.cb_cache;
   t.nevictions <- t.nevictions + 1;
-  if Obs.on t.cc_obs then begin
-    Obs.Metrics.incr t.cc_evictions;
-    Obs.emit t.cc_obs
-      (Obs.Trace.Cache_evict { isa = t.cc_isa; src = b.cb_src; bytes = b.cb_size })
-  end
+  if Obs.on t.cc_obs then Obs.Metrics.incr t.cc_evictions
 
 let alloc t ?(align = 1) ~src ~func ~size ~src_spans () =
   if size < 0 then invalid_arg "code_cache: negative size";

@@ -100,17 +100,15 @@ type patch_rec = { pt_src : int; pt_cache : int }
    the same bytes, to adopt instead of decoding them again; the install
    empties the list, so a harvest always starts from none. [la_gen] is
    the cache-region generation right after the layout's last blit, the
-   guard the harvest checks blocks against; [no_harvest] once the
-   checkpoint quiesce forgot it. Host state only: kept blocks charge
-   and change nothing the guest can see. *)
+   guard the harvest checks blocks against. Host state only: kept
+   blocks charge and change nothing the guest can see, and a run
+   restored from an image starts with none. *)
 type laid = {
   la_base : int;
   la_unit : Translator.unit_code;
   mutable la_gen : int;
   mutable la_blocks : Decode_cache.block list;
 }
-
-let no_harvest = -1
 
 type memo_entry = {
   me_fp : int;
@@ -293,8 +291,7 @@ let harvest t dc =
       let lo = u.cb_cache and hi = u.cb_cache + u.cb_size in
       let laid =
         match Hashtbl.find_opt t.memo u.cb_src with
-        | Some { me_laid = Some l as laid; _ } when l.la_base = lo && l.la_gen <> no_harvest ->
-          laid
+        | Some { me_laid = Some l as laid; _ } when l.la_base = lo -> laid
         | _ -> None
       in
       units us (blocks laid ~lo ~hi bs)
@@ -311,11 +308,7 @@ let harvest t dc =
   units (Code_cache.blocks t.cache) (Decode_cache.blocks dc)
 
 let flush t =
-  if Obs.on t.pr.obs then begin
-    Obs.Metrics.incr t.pr.c_flushes;
-    Obs.emit t.pr.obs
-      (Obs.Trace.Cache_flush { isa = t.pr.isa; used_bytes = Code_cache.used_bytes t.cache })
-  end;
+  if Obs.on t.pr.obs then Obs.Metrics.incr t.pr.c_flushes;
   (match Machine.decode_cache t.machine t.which with Some dc -> harvest t dc | None -> ());
   Code_cache.flush t.cache;
   (* every predecoded block of the cache region is now garbage; the
@@ -404,10 +397,7 @@ let install t ~base (unit : Translator.unit_code) =
 let translate_unit t src =
   match Code_cache.lookup t.cache src with
   | Some cache_addr ->
-    if Obs.on t.pr.obs then begin
-      Obs.Metrics.incr t.pr.c_cache_hits;
-      Obs.emit t.pr.obs (Obs.Trace.Cache_hit { isa = t.pr.isa; src })
-    end;
+    if Obs.on t.pr.obs then Obs.Metrics.incr t.pr.c_cache_hits;
     cache_addr
   | None ->
     let fc_before = (cpu t).perf.Cpu.cycles_fc in
@@ -419,10 +409,8 @@ let translate_unit t src =
     let compulsory = not (Hashtbl.mem t.ever_translated src) in
     if compulsory then t.st.compulsory_misses <- t.st.compulsory_misses + 1
     else t.st.capacity_misses <- t.st.capacity_misses + 1;
-    if Obs.on t.pr.obs then begin
+    if Obs.on t.pr.obs then
       Obs.Metrics.incr (if compulsory then t.pr.c_miss_compulsory else t.pr.c_miss_capacity);
-      Obs.emit t.pr.obs (Obs.Trace.Cache_miss { isa = t.pr.isa; src; compulsory })
-    end;
     Hashtbl.replace t.ever_translated src ();
     let fs =
       match Fatbin.func_at t.fatbin t.which src with
@@ -492,7 +480,9 @@ let translate_unit t src =
             {
               la_base = base;
               la_unit = Translator.layout prep ~base;
-              la_gen = no_harvest;
+              (* no block is keepable until the stamp after the
+                 install below *)
+              la_gen = max_int;
               la_blocks = [];
             }
         in
@@ -519,11 +509,7 @@ let translate_unit t src =
        model still performs: it is charged, counted and traced as one. *)
     if Option.is_some hit && not flush_policy then begin
       t.st.memo_installs <- t.st.memo_installs + 1;
-      if Obs.on t.pr.obs then begin
-        Obs.Metrics.incr t.pr.c_memo_installs;
-        Obs.emit t.pr.obs
-          (Obs.Trace.Memo_install { isa = t.pr.isa; src; instrs = unit.u_instrs })
-      end;
+      if Obs.on t.pr.obs then Obs.Metrics.incr t.pr.c_memo_installs;
       charge t (memo_install_per_instr *. float_of_int unit.u_instrs)
     end
     else begin
@@ -532,10 +518,7 @@ let translate_unit t src =
       t.st.emitted_instrs <- t.st.emitted_instrs + unit.u_emitted;
       if Obs.on t.pr.obs then begin
         Obs.Metrics.incr t.pr.c_translations;
-        Obs.Metrics.observe t.pr.h_unit_instrs (float_of_int unit.u_instrs);
-        Obs.emit t.pr.obs
-          (Obs.Trace.Translate
-             { isa = t.pr.isa; src; instrs = unit.u_instrs; emitted = unit.u_emitted })
+        Obs.Metrics.observe t.pr.h_unit_instrs (float_of_int unit.u_instrs)
       end;
       charge t (translate_per_instr *. float_of_int unit.u_instrs)
     end;
@@ -641,10 +624,7 @@ let resolve_icall t (ic : Translator.icall_site) () =
 let resolve_return t src () =
   match Code_cache.lookup t.cache src with
   | Some cache_addr ->
-    if Obs.on t.pr.obs then begin
-      Obs.Metrics.incr t.pr.c_cache_hits;
-      Obs.emit t.pr.obs (Obs.Trace.Cache_hit { isa = t.pr.isa; src })
-    end;
+    if Obs.on t.pr.obs then Obs.Metrics.incr t.pr.c_cache_hits;
     Rat.insert (rat t) ~src ~translated:cache_addr;
     (cpu t).pc <- cache_addr;
     Continue
@@ -661,7 +641,6 @@ let suspicious_probe t target_src =
   t.st.suspicious <- t.st.suspicious + 1;
   if Obs.on t.pr.obs then begin
     Obs.Metrics.incr t.pr.c_suspicious;
-    Obs.emit t.pr.obs (Obs.Trace.Suspicious { isa = t.pr.isa; target_src });
     Obs.audit_emit t.pr.obs ~cycle:(Cpu.cycles (cpu t).perf) ~isa:t.pr.isa
       ~pid:(Machine.owner t.machine)
       (Obs.Audit.Suspicious { target_src })
@@ -758,21 +737,6 @@ let drain_new_units t =
   let units = List.rev t.new_units in
   t.new_units <- [];
   units
-
-(* Checkpoint quiesce: a restored VM rebuilds no flush-path memo entry
-   and re-materializes its live units without a layout, so it holds no
-   kept blocks and can harvest none of its live units. The checkpointed
-   run drops both too, and the two continue with the same decode-cache
-   trajectory. *)
-let quiesce t =
-  Hashtbl.iter
-    (fun _ e ->
-      match e.me_laid with
-      | Some l ->
-        l.la_gen <- no_harvest;
-        l.la_blocks <- []
-      | None -> ())
-    t.memo
 
 (* --- snapshot ------------------------------------------------------ *)
 (* What travels: the rng word, a reserved 0 word, the relocation maps

@@ -131,13 +131,6 @@ val flush : t -> unit
     same bytes and adopts them instead of decoding again. Host state
     only: guest results do not depend on it. *)
 
-val quiesce : t -> unit
-(** Drop every kept block and forget which live units may be harvested
-    at the next flush — the checkpoint quiesce, called through
-    [System.quiesce]. A run restored from an image has neither,
-    so the run that took the image must not either for their
-    decode-cache counters to stay identical. *)
-
 val rewritten_unit : t -> int option
 (** The source address of the first live unit whose source bytes the
     program has written since the binary was loaded, if any. No image

@@ -25,13 +25,18 @@
    ([Vm.restore_state]), which is both smaller and the honest model —
    migrated translations are stale on the other end anyway.
 
-   Determinism contract: [checkpoint] first quiesces the machine's
-   host-side decode caches and the PSR VMs' kept blocks
-   (model-invisible), so the checkpointed run and any run restored
-   from the image continue decode-cold in lockstep — outputs,
-   instruction counts, cycle floats and the metrics layer (counters +
-   histograms) all come out bit-identical to an uninterrupted run.
-   Span rollups and audit history are not part of an image. *)
+   Determinism contract: a checkpoint is a pure read of the system.
+   The run that took it continues exactly as if it had not, decode
+   caches and kept blocks included. A run restored from the image
+   starts decode-cold, which only host statistics can tell
+   ([Machine.decode_cache_stats]); none of them is in the metrics
+   registry. So outputs, instruction counts, cycle floats and the
+   metrics layer (counters + histograms) of the restored run come out
+   bit-identical to the uninterrupted run's. Under a disabled
+   observability context the metrics section is empty: the image
+   depends on the system alone, not on what else shared
+   [Obs.disabled]. Span rollups and audit history are not part of an
+   image. *)
 
 module Desc = Hipstr_isa.Desc
 module Isa = Hipstr_isa.Isa
@@ -86,6 +91,8 @@ let save_config w (c : Config.t) =
   Wire.int w c.superblock_budget;
   Wire.u8 w (policy_tag c.cc_policy)
 
+(* A config no [System] could have been created with is refused here,
+   before a system is built from it. *)
 let load_config r : Config.t =
   Wire.expect_tag r "CFG";
   let opt_level = Wire.r_int r in
@@ -96,16 +103,19 @@ let load_config r : Config.t =
   let seed = Wire.r_int r in
   let superblock_budget = Wire.r_int r in
   let cc_policy = policy_of_tag (Wire.r_u8 r) in
-  {
-    opt_level;
-    pad_bytes;
-    rat_capacity;
-    cache_bytes;
-    migrate_prob;
-    seed;
-    superblock_budget;
-    cc_policy;
-  }
+  let cfg : Config.t =
+    {
+      opt_level;
+      pad_bytes;
+      rat_capacity;
+      cache_bytes;
+      migrate_prob;
+      seed;
+      superblock_budget;
+      cc_policy;
+    }
+  in
+  match Config.validate cfg with Ok () -> cfg | Error m -> Wire.corrupt "config: %s" m
 
 (* --- manifest ------------------------------------------------------ *)
 
@@ -236,8 +246,6 @@ let load_metrics r : Obs.Metrics.snapshot =
 (* --- checkpoint / restore ------------------------------------------ *)
 
 let write_image w ?(workload = "custom") sys =
-  (* Refused before the quiesce, so a refused checkpoint leaves the run
-     as it was. *)
   (match System.rewritten_unit sys with
   | Some (which, src) ->
     invalid_arg
@@ -247,12 +255,6 @@ let write_image w ?(workload = "custom") sys =
          (Isa.name which) src)
   | None -> ());
   let m = System.machine sys in
-  (* Model-invisible but trajectory-critical: dropping the host decode
-     caches and the VMs' kept blocks here means the checkpointed run
-     *continues* exactly like a restored run will start — decode-cold,
-     nothing kept — so their host-counter and metric trajectories stay
-     identical. *)
-  System.quiesce sys;
   let fb = System.fatbin sys in
   Wire.str w magic;
   Wire.int w version;
@@ -268,7 +270,9 @@ let write_image w ?(workload = "custom") sys =
   Wire.float w (System.cycles sys);
   save_delta w ~baseline:(Fatbin.baseline fb) (Machine.mem m);
   System.save_state w sys;
-  save_metrics w (Obs.Metrics.snapshot (Obs.metrics (System.obs sys)))
+  let obs = System.obs sys in
+  save_metrics w
+    (if Obs.on obs then Obs.snapshot obs else { snap_counters = []; snap_histograms = [] })
 
 let checkpoint ?workload sys =
   let w = Wire.writer () in
@@ -288,7 +292,8 @@ let read_image r ?obs ?(merge_obs = true) ?decode_cache ?spare ~fatbin () =
   load_delta r (Machine.mem (System.machine sys));
   System.restore_state sys r;
   let snap = load_metrics r in
-  if merge_obs then Obs.Metrics.merge ~into:(Obs.metrics (System.obs sys)) snap;
+  let obs = System.obs sys in
+  if merge_obs && Obs.on obs then Obs.Metrics.merge ~into:(Obs.metrics obs) snap;
   (sys, mf)
 
 let restore ?obs ?merge_obs ?decode_cache ~fatbin image =
@@ -351,7 +356,7 @@ let load_memo sys image =
 (* Simulated cycle costs of moving an image between pools, charged by
    the fleet harness and decomposed in BENCH_migrate.json.
    Serialization is dominated by the page scan (per-byte) on top of a
-   fixed quiesce/drain overhead; the interconnect transfer is a
+   fixed stop-and-drain overhead; the interconnect transfer is a
    per-byte wire cost on the image actually shipped. *)
 
 let checkpoint_fixed_cycles = 100_000.

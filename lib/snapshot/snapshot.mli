@@ -7,16 +7,20 @@
     (registers, flags, caches, predictors, RAT), the PSR VM state
     (relocation maps, memo keys, code-cache directory — translated
     bytes re-materialize on restore), the OS state and the metrics
-    baseline. The parser is strict: truncated, trailing,
-    version-skewed or wrong-binary images raise
-    {!Hipstr_util.Wire.Corrupt}.
+    baseline (empty when the system's observability context is off).
+    The parser is strict: truncated, trailing, version-skewed or
+    wrong-binary images, and a config {!Hipstr_psr.Config.validate}
+    refuses, raise {!Hipstr_util.Wire.Corrupt}.
 
-    Determinism contract: a run restored from a checkpoint is
-    bit-identical — outputs, instruction counts, cycle floats,
-    metrics counters and histograms — to the checkpointing run
-    continuing uninterrupted ({!checkpoint} quiesces host decode
-    caches and the PSR VMs' kept blocks so both sides proceed
-    decode-cold). Span rollups and audit/trace history are not
+    Determinism contract: a checkpoint is a pure read — the system
+    that took it runs on exactly as if it had not, its decode caches
+    included. A run restored from the image is bit-identical —
+    outputs, instruction counts, cycle floats, metrics counters and
+    histograms — to the checkpointing run continuing uninterrupted.
+    It starts decode-cold, which only the host statistics of
+    {!Hipstr_machine.Machine.decode_cache_stats} show; no metrics
+    registry carries those. The image does not depend on the
+    execution engine either. Span rollups and audit history are not
     checkpointed.
 
     Refusal rule: an image names each live translated unit by its
@@ -46,13 +50,10 @@ val fingerprint : Hipstr_compiler.Fatbin.t -> int
     ({!Hipstr_compiler.Fatbin.fb_fingerprint}). *)
 
 val checkpoint : ?workload:string -> Hipstr.System.t -> string
-(** Serialize the full process image. Quiesces the machine's host
-    decode caches first (model-invisible) so the live system's
-    subsequent trajectory matches a restored one.
+(** Serialize the full process image, changing nothing in the system.
     @raise Invalid_argument, naming the unit, when a live unit's source
     bytes were written since the binary was loaded (the refusal rule
-    above). The check runs before the quiesce, so a refused checkpoint
-    leaves the system untouched. *)
+    above). *)
 
 val restore :
   ?obs:Hipstr_obs.Obs.t ->
@@ -64,8 +65,9 @@ val restore :
 (** Rebuild a system from an image: create it un-booted against
     [fatbin], replay the memory delta, restore machine/VM/OS state
     (re-materializing translated code), and — unless [merge_obs] is
-    [false] — fold the image's metrics baseline into the new system's
-    obs registry so continued metrics match the uninterrupted run.
+    [false] or [obs] is off — fold the image's metrics baseline into
+    the new system's obs registry so continued metrics match the
+    uninterrupted run.
     [decode_cache] picks the restored system's execution engine, as
     for {!Hipstr.System.of_fatbin} (default on, the fast path); the
     image does not record the engine it was taken on, and guest
@@ -113,7 +115,7 @@ val load_memo : Hipstr.System.t -> string -> unit
 
 val checkpoint_cycles : bytes:int -> float
 (** Simulated cost of serializing an image of this size (fixed
-    quiesce/drain overhead + per-byte scan). *)
+    stop-and-drain overhead + per-byte scan). *)
 
 val transfer_cycles : bytes:int -> float
 (** Simulated interconnect cost of shipping an image of this size. *)

@@ -98,9 +98,13 @@ let int_array (w : w) a =
   int w (Array.length a);
   Array.iter (int w) a
 
+(* The length is checked against the bytes left before anything is
+   allocated: a forged length must not size an allocation. *)
 let r_int_array r =
   let n = r_int r in
   if n < 0 then corrupt "negative array length %d at offset %d" n r.pos;
+  if n > remaining r / 8 then
+    corrupt "truncated image: array of %d ints at offset %d (have %d bytes)" n r.pos (remaining r);
   Array.init n (fun _ -> r_int r)
 
 (* ---- section framing ---- *)

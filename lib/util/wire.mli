@@ -49,6 +49,8 @@ val r_option : r -> (r -> 'a) -> 'a option
 
 val int_array : w -> int array -> unit
 val r_int_array : r -> int array
+(** @raise Corrupt before allocating when the length field is
+    negative or exceeds the ints the remaining bytes can hold. *)
 
 val tag : w -> string -> unit
 (** Short (< 256 byte) section marker. *)

@@ -40,7 +40,7 @@ let lookup_exn dc pc =
 
 let test_direct_patch_follow () =
   let mem = Mem.create Layout.mem_size in
-  let dc = Decode_cache.create ~obs:Obs.disabled Desc.Cisc mem in
+  let dc = Decode_cache.create Desc.Cisc mem in
   let base = Layout.cisc_code_base in
   let b_at = base + 64 in
   ignore (assemble mem base [ Minstr.Mov (Reg 0, Imm 1); Minstr.Jmp b_at ]);
@@ -69,7 +69,7 @@ let test_direct_patch_follow () =
 
 let test_epoch_invalidation () =
   let mem = Mem.create Layout.mem_size in
-  let dc = Decode_cache.create ~obs:Obs.disabled Desc.Cisc mem in
+  let dc = Decode_cache.create Desc.Cisc mem in
   let base = Layout.cisc_code_base in
   let b_at = base + 64 in
   ignore (assemble mem base [ Minstr.Jmp b_at ]);
@@ -91,7 +91,7 @@ let test_epoch_invalidation () =
 
 let test_ic_promotion () =
   let mem = Mem.create Layout.mem_size in
-  let dc = Decode_cache.create ~obs:Obs.disabled Desc.Cisc mem in
+  let dc = Decode_cache.create Desc.Cisc mem in
   let base = Layout.cisc_code_base in
   (* pred ends in an indirect jump through r1 *)
   ignore (assemble mem base [ Minstr.Mov (Reg 0, Imm 7); Minstr.Jmpr (Reg 1) ]);

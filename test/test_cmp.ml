@@ -71,9 +71,9 @@ let test_pool_map_obs_merges_exactly () =
   in
   let items = List.init 32 (fun i -> i + 1) in
   let expected = List.fold_left ( + ) 0 items in
-  let serial_obs = Obs.create ~sink:Obs.Sink.null () in
+  let serial_obs = Obs.create () in
   ignore (Pool.map_obs ~jobs:1 ~obs:serial_obs work items);
-  let par_obs = Obs.create ~sink:Obs.Sink.null () in
+  let par_obs = Obs.create () in
   ignore (Pool.map_obs ~jobs:4 ~obs:par_obs work items);
   Alcotest.(check int) "serial total" expected (count serial_obs);
   Alcotest.(check int) "parallel total identical" expected (count par_obs)
@@ -124,7 +124,7 @@ let test_crew_joins_on_raise () =
 let test_obs_counter_domain_hammer () =
   (* 4 domains x 100k increments on one counter: the exact total must
      survive, which is precisely what a non-atomic int would lose. *)
-  let obs = Obs.create ~sink:Obs.Sink.null () in
+  let obs = Obs.create () in
   let c = Obs.Metrics.counter (Obs.metrics obs) "hammer" in
   let per_domain = 100_000 in
   let hit () =

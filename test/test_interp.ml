@@ -416,7 +416,7 @@ let assemble mem at instrs =
 
 let test_decode_cache_blocks () =
   let mem = Mem.create Layout.mem_size in
-  let dc = Decode_cache.create ~obs:Obs.disabled Desc.Cisc mem in
+  let dc = Decode_cache.create Desc.Cisc mem in
   let base = Layout.cisc_code_base in
   let _end = assemble mem base [ Minstr.Mov (Reg 0, Imm 5); Minstr.Jmp base ] in
   (match Decode_cache.lookup dc base with
@@ -435,7 +435,7 @@ let test_decode_cache_blocks () =
 
 let test_decode_cache_self_modify () =
   let mem = Mem.create Layout.mem_size in
-  let dc = Decode_cache.create ~obs:Obs.disabled Desc.Cisc mem in
+  let dc = Decode_cache.create Desc.Cisc mem in
   let base = Layout.cisc_code_base in
   ignore (assemble mem base [ Minstr.Mov (Reg 0, Imm 5); Minstr.Jmp base ]);
   let b =

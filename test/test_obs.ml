@@ -1,6 +1,6 @@
-(* The observability layer: counter monotonicity, ring-buffer bounds
-   under overflow, snapshot stability across System.run re-entry, the
-   event stream of a real PSR run, and the metric invariants that tie
+(* The observability layer: counter monotonicity, snapshot stability
+   across System.run re-entry, the counters of a real PSR run, and the
+   metric invariants that tie
    the migration counters to the paper's trigger rule (a migration
    happens only on a suspicious code-cache miss, and with
    migrate_prob = 1 on *every* one). *)
@@ -81,8 +81,6 @@ let test_histogram_quantiles () =
   match Obs.Metrics.quantile u 1.5 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "q outside [0, 1] accepted"
-
-(* --- Trace ring --- *)
 
 let test_quantile_edge_cases () =
   (* empty histogram: every quantile is 0, not NaN and not a crash *)
@@ -277,56 +275,6 @@ let test_hostprof_shared_by_children () =
   Alcotest.(check bool) "child span folded into the shared table" true
     (List.exists (fun (n, _, _) -> n = "child_phase") (Obs.Hostprof.phases hp))
 
-let test_ring_bounds () =
-  let tr = Obs.Trace.create ~capacity:4 () in
-  for i = 0 to 9 do
-    ignore (Obs.Trace.store tr (Obs.Trace.Cache_hit { isa = "cisc"; src = i }))
-  done;
-  Alcotest.(check int) "emitted counts everything" 10 (Obs.Trace.emitted tr);
-  Alcotest.(check int) "dropped = emitted - capacity" 6 (Obs.Trace.dropped tr);
-  let kept = Obs.Trace.to_list tr in
-  Alcotest.(check int) "bounded" 4 (List.length kept);
-  Alcotest.(check (list int)) "keeps the newest, oldest first" [ 6; 7; 8; 9 ]
-    (List.map (fun r -> r.Obs.Trace.seq) kept);
-  match Obs.Trace.create ~capacity:0 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "zero-capacity ring accepted"
-
-(* --- event rendering: every constructor must produce a line --- *)
-
-let test_event_to_string_coverage () =
-  (* one value per constructor of Trace.event; extending the type
-     without extending this list is a compile error via the count
-     check below being updated, and without extending event_to_string
-     is a compile error in obs.ml itself *)
-  let samples =
-    [
-      Obs.Trace.Translate { isa = "cisc"; src = 0x40; instrs = 7; emitted = 9 };
-      Obs.Trace.Cache_hit { isa = "risc"; src = 0x44 };
-      Obs.Trace.Cache_miss { isa = "cisc"; src = 0x48; compulsory = true };
-      Obs.Trace.Cache_flush { isa = "risc"; used_bytes = 4096 };
-      Obs.Trace.Cache_evict { isa = "cisc"; src = 0x50; bytes = 192 };
-      Obs.Trace.Memo_install { isa = "risc"; src = 0x54; instrs = 11 };
-      Obs.Trace.Migrate
-        { from_isa = "cisc"; to_isa = "risc"; frames = 3; words = 17; cycles = 250.; forced = false };
-      Obs.Trace.Stack_transform { frames = 3; words = 17; complete = true };
-      Obs.Trace.Suspicious { isa = "cisc"; target_src = 0x4c };
-      Obs.Trace.Fault { isa = "risc"; reason = "wild jump" };
-      Obs.Trace.Span_end { name = "exec"; begin_cycle = 10.; end_cycle = 42. };
-    ]
-  in
-  Alcotest.(check int) "all eleven constructors sampled" 11 (List.length samples);
-  let rendered = List.map Obs.Trace.event_to_string samples in
-  List.iter
-    (fun s -> Alcotest.(check bool) "renders non-empty" true (String.length s > 0))
-    rendered;
-  let distinct = List.sort_uniq compare rendered in
-  Alcotest.(check int) "renderings are distinct" (List.length samples) (List.length distinct);
-  (* spot-check the span line carries its cycles *)
-  let span_line = Obs.Trace.event_to_string (List.nth samples 10) in
-  Alcotest.(check bool) "span line names the phase" true
-    (String.length span_line >= 4 && String.sub span_line 0 4 = "span")
-
 (* --- spans --- *)
 
 let test_span_nesting_and_parents () =
@@ -406,17 +354,11 @@ let test_span_helpers_guard_disabled () =
   Obs.audit_emit Obs.disabled ~cycle:0. ~isa:"cisc" ~pid:0
     (Obs.Audit.Fault { reason = "nope" });
   Alcotest.(check int) "disabled audit stays empty" 0 (Obs.Audit.length (Obs.audit Obs.disabled));
-  (* enabled: exit_span emits a Span_end into the ring *)
-  let sink = Obs.Sink.memory () in
-  let obs = Obs.create ~sink () in
+  (* enabled: the span lands in the store *)
+  let obs = Obs.create () in
   let sp = Obs.enter_span obs ~name:"exec" ~cycle:3. () in
   Obs.exit_span obs sp ~cycle:8.;
-  let span_ends =
-    List.filter
-      (fun r -> match r.Obs.Trace.event with Obs.Trace.Span_end _ -> true | _ -> false)
-      (Obs.Sink.contents sink)
-  in
-  Alcotest.(check int) "span close reached the sink" 1 (List.length span_ends)
+  Alcotest.(check int) "span closed into the store" 1 (Obs.Span.count (Obs.spans obs))
 
 (* --- audit log --- *)
 
@@ -445,6 +387,34 @@ let test_audit_log () =
   let seqs = List.map (fun e -> e.Obs.Audit.au_seq) (Obs.Audit.entries a) in
   Alcotest.(check int) "seqs unique after merge" 4 (List.length (List.sort_uniq compare seqs))
 
+(* Every process kill leaves exactly one audit entry, a native machine
+   fault included: an oversized request line smashes the native httpd
+   server's frame, and its return faults. *)
+let test_native_kill_audited () =
+  let module Fatbin = Hipstr_compiler.Fatbin in
+  let module Machine = Hipstr_machine.Machine in
+  let module Mem = Hipstr_machine.Mem in
+  let obs = Obs.create () in
+  let sys =
+    System.of_fatbin ~obs ~start_isa:Desc.Cisc ~mode:System.Native
+      (Workloads.fatbin Workloads.httpd)
+  in
+  let fb = System.fatbin sys and mem = Machine.mem (System.machine sys) in
+  let input = Fatbin.global_addr fb "net_input" in
+  List.iteri (fun i w -> Mem.write32 mem (input + (4 * i)) w)
+    (List.init 64 (fun i -> 0x0BAD0000 lor (i * 4)));
+  Mem.write32 mem (Fatbin.global_addr fb "net_len") 64;
+  Mem.write32 mem (Fatbin.global_addr fb "requests") 3;
+  match System.run sys ~fuel:200_000 with
+  | System.Killed m -> (
+    match Obs.Audit.entries (Obs.audit obs) with
+    | [ { Obs.Audit.au_kind = Obs.Audit.Fault { reason }; _ } ] ->
+      Alcotest.(check string) "the entry gives the kill's reason" m reason
+    | es ->
+      Alcotest.failf "%d audit entries (%s), wanted one fault" (List.length es)
+        (String.concat ", " (List.map (fun e -> Obs.Audit.kind_label e.Obs.Audit.au_kind) es)))
+  | _ -> Alcotest.fail "the oversized request line must kill the native server"
+
 (* --- a real PSR run --- *)
 
 let run_to_finish sys ~fuel =
@@ -458,27 +428,20 @@ let run_to_finish sys ~fuel =
       | System.Shell_spawned -> "shell"
       | System.Finished _ -> assert false)
 
+(* The PSR VM's events are counters: they agree with the VM's own
+   statistics. *)
 let test_psr_run_events () =
-  let sink = Obs.Sink.memory () in
-  let obs = Obs.create ~sink () in
+  let obs = Obs.create () in
   let w = Workloads.find "mcf" in
   let sys = System.of_fatbin ~obs ~seed:1 ~start_isa:Desc.Cisc ~mode:System.Psr_only (Workloads.fatbin w) in
   run_to_finish sys ~fuel:(3 * w.w_fuel);
-  let events = List.map (fun r -> r.Obs.Trace.event) (Obs.Sink.contents sink) in
-  let count p = List.length (List.filter p events) in
-  let translates = count (function Obs.Trace.Translate _ -> true | _ -> false) in
-  let hits = count (function Obs.Trace.Cache_hit _ -> true | _ -> false) in
-  Alcotest.(check bool) "at least one Translate" true (translates >= 1);
-  Alcotest.(check bool) "at least one Cache_hit" true (hits >= 1);
-  (* events agree with the counters they ride along with *)
   let snap = System.metrics sys in
-  Alcotest.(check int) "translate events = translation counter" translates
-    (Obs.Metrics.counter_value snap "psr.cisc.translations");
-  Alcotest.(check int) "hit events = hit counter" hits
-    (Obs.Metrics.counter_value snap "psr.cisc.cache_hits");
-  (* the sink saw every event the ring did *)
-  Alcotest.(check int) "sink saw everything" (Obs.Trace.emitted (Obs.trace obs))
-    (List.length events)
+  let translates = Obs.Metrics.counter_value snap "psr.cisc.translations" in
+  let hits = Obs.Metrics.counter_value snap "psr.cisc.cache_hits" in
+  Alcotest.(check bool) "at least one translation" true (translates >= 1);
+  Alcotest.(check bool) "at least one cache hit" true (hits >= 1);
+  Alcotest.(check int) "translation counter = VM translations" translates
+    (Hipstr_psr.Vm.stats (System.vm sys Desc.Cisc)).Hipstr_psr.Vm.translations
 
 let test_snapshot_stable_across_reentry () =
   let obs = Obs.create () in
@@ -600,12 +563,6 @@ let () =
           Alcotest.test_case "per-phase words and run delta" `Quick test_hostprof_phases;
           Alcotest.test_case "shared by child contexts" `Quick test_hostprof_shared_by_children;
         ] );
-      ( "trace",
-        [
-          Alcotest.test_case "ring bounds under overflow" `Quick test_ring_bounds;
-          Alcotest.test_case "event_to_string covers every constructor" `Quick
-            test_event_to_string_coverage;
-        ] );
       ( "spans",
         [
           Alcotest.test_case "nesting and parent links" `Quick test_span_nesting_and_parents;
@@ -616,7 +573,10 @@ let () =
             test_span_helpers_guard_disabled;
         ] );
       ( "audit",
-        [ Alcotest.test_case "record, count, label, merge" `Quick test_audit_log ] );
+        [
+          Alcotest.test_case "record, count, label, merge" `Quick test_audit_log;
+          Alcotest.test_case "native kill is audited" `Quick test_native_kill_audited;
+        ] );
       ( "system",
         [
           Alcotest.test_case "psr run emits events" `Quick test_psr_run_events;

@@ -464,7 +464,7 @@ let test_kept_blocks_guard () =
   let mem = Machine.mem (System.machine fast) in
   let dc = Option.get (Machine.decode_cache (System.machine fast) Desc.Cisc) in
   let cache = Vm.cache (System.vm fast Desc.Cisc) in
-  let fresh = Decode_cache.create ~obs:Obs.disabled Desc.Cisc mem in
+  let fresh = Decode_cache.create Desc.Cisc mem in
   let decodes_fresh (b : Decode_cache.block) =
     Decode_cache.invalidate_all fresh;
     match Decode_cache.lookup fresh b.db_start with

@@ -2,13 +2,16 @@
    bit-identical — outcome, output, instruction count, cycle floats,
    metrics counters and histograms — to the checkpointing run
    continuing uninterrupted, across every workload and protection
-   mode, including mid-quantum checkpoints and cross-ISA resume; an
-   image must not depend on the execution engine it was taken on; the
-   restored system must run the very translated bytes the live one was
-   running, and a checkpoint of code the program has rewritten is
-   refused; and the image parser must reject truncated, trailing,
-   version-skewed and wrong-binary images, and forged code-cache,
-   cache-model and branch-predictor state, loudly. *)
+   mode, including mid-quantum checkpoints and cross-ISA resume; a
+   checkpoint must be a pure read of the system, decode caches
+   included; an image must depend neither on the execution engine it
+   was taken on nor, with observability off, on what else the process
+   ran; the restored system must run the very translated bytes the
+   live one was running, and a checkpoint of code the program has
+   rewritten is refused; and the image parser must reject truncated,
+   trailing, version-skewed and wrong-binary images, forged lengths
+   and configs, and forged code-cache, cache-model and
+   branch-predictor state, loudly. *)
 
 module Desc = Hipstr_isa.Desc
 module Isa = Hipstr_isa.Isa
@@ -100,8 +103,7 @@ let boot ~mode fb =
 (* One workload × mode trio:
    - [interrupted]: run a partial quantum, checkpoint mid-flight, keep
      running to the end — the reference trajectory (the checkpoint
-     itself must not perturb it beyond the documented quiesce, which
-     the restored run shares);
+     itself does not perturb it);
    - [resumed]: restore the image into a fresh system and run to the
      end. Both must agree bit-for-bit on the whole fingerprint. *)
 let round_trip ~mode w =
@@ -204,13 +206,11 @@ let test_round_trip_clock_policy () =
 (* Kept blocks under churn: with a 4 KiB flush-policy cache every
    translation flushes, and the PSR VM keeps the decoded blocks of each
    memo-served unit across the flush to re-adopt them at its next
-   install. A restored run starts with none kept, and can harvest none
-   of the units it re-materialized, so the checkpoint must drop both
-   from the live run too: the whole metrics snapshot — the host
-   [machine.cisc.decode_cache.*] counters included — must agree. At
-   100k the kept blocks alone tell the runs apart; at 150k the unit
-   live at the checkpoint does (a quiesce that dropped the blocks but
-   let that unit be harvested fails there only). *)
+   install. A restored run starts decode-cold, with none kept, and can
+   harvest none of the units it re-materialized, while the live run
+   keeps all of that: kept blocks are host state, so every registry
+   counter and the guest fingerprint must still agree. (The host
+   decode counts differ, and no registry carries them.) *)
 let test_round_trip_kept_blocks () =
   let w = Workloads.find "gobmk" in
   let fb = Workloads.fatbin w in
@@ -234,10 +234,12 @@ let test_round_trip_kept_blocks () =
       let o2 = System.run resumed ~fuel in
       let a = fingerprint_of live o1 and b = fingerprint_of resumed o2 in
       let counter fp name = Option.value ~default:0 (List.assoc_opt name fp.fp_counters) in
-      let hits = "machine.cisc.decode_cache.hits" in
-      if counter a hits <= counter a "machine.cisc.decode_cache.misses" then
+      (match Machine.decode_cache_stats (System.machine live) Desc.Cisc with
+      | Some s when s.hits > s.misses -> ()
+      | Some s ->
         Alcotest.failf "%s: the decode cache barely hit (%d hits), so nothing was kept" label
-          (counter a hits);
+          s.hits
+      | None -> Alcotest.failf "%s: no decode cache" label);
       List.iter
         (fun (name, v) ->
           let v' = counter b name in
@@ -246,20 +248,64 @@ let test_round_trip_kept_blocks () =
       check_fp label a b)
     [ 100_000; 150_000 ]
 
+(* --- a checkpoint is a pure read ----------------------------------- *)
+
+(* One run cut into 20k-instruction slices with a checkpoint after
+   every slice, and its twin cut the same way with none: the guest
+   fingerprints, and the host statistics of both decode caches, must
+   be equal. Two configurations: the default cache, and a 4 KiB flush
+   cache under which the PSR VM keeps decoded blocks across flushes. *)
+let test_checkpoint_pure_read () =
+  let w = Workloads.find "gobmk" in
+  let fb = Workloads.fatbin w in
+  let churn = { Config.default with Config.cc_policy = Code_cache.Flush; cache_bytes = 4096 } in
+  List.iter
+    (fun (label, cfg, mode) ->
+      let sliced ~checkpoints =
+        let sys = System.of_fatbin ~obs:(Obs.create ()) ~cfg ~seed:3 ~start_isa:Desc.Cisc ~mode fb in
+        let rec go left =
+          match System.run sys ~fuel:20_000 with
+          | System.Out_of_fuel when left > 0 ->
+            if checkpoints then ignore (Snapshot.checkpoint sys);
+            go (left - 1)
+          | o -> o
+        in
+        let o = go (3 * w.Workloads.w_fuel / 20_000) in
+        (sys, o)
+      in
+      let a, oa = sliced ~checkpoints:true and b, ob = sliced ~checkpoints:false in
+      check_fp label (fingerprint_of b ob) (fingerprint_of a oa);
+      List.iter
+        (fun which ->
+          let stats sys =
+            match Machine.decode_cache_stats (System.machine sys) which with
+            | Some (s : Hipstr_machine.Decode_cache.stats) ->
+              [
+                s.hits; s.misses; s.invalidations; s.flushes; s.chain_follows; s.chain_breaks;
+                s.chain_patches; s.ic_mono_hits; s.ic_poly_hits; s.ic_misses;
+              ]
+            | None -> Alcotest.failf "%s: no decode cache" label
+          in
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s: %s decode-cache stats" label (Isa.name which))
+            (stats b) (stats a))
+        [ Desc.Cisc; Desc.Risc ])
+    [ ("hipstr", Config.default, System.Hipstr); ("psr, 4 KiB flush", churn, System.Psr_only) ]
+
 (* --- engine independence -------------------------------------------- *)
 
 (* The execution engine is a host choice, not guest state. With
-   observability off (so no host decode counters ride in the metrics
-   baseline), images taken on the default engine and on the decode
-   oracle are byte-identical, and the image restores onto either
-   retire path to the live run's result. *)
+   observability on (no host counter rides in the metrics baseline),
+   images taken on the default engine and on the decode oracle are
+   byte-identical, and the image restores onto either retire path to
+   the live run's result, metrics included. *)
 let test_image_engine_independent () =
   let w = Workloads.find "gobmk" in
   let fb = Workloads.fatbin w in
   let fuel = 3 * w.Workloads.w_fuel in
   let checkpointed ?decode_cache () =
     let sys =
-      System.of_fatbin ~obs:Obs.disabled ~seed:3 ~start_isa:Desc.Cisc ?decode_cache
+      System.of_fatbin ~obs:(Obs.create ()) ~seed:3 ~start_isa:Desc.Cisc ?decode_cache
         ~mode:System.Hipstr fb
     in
     (match System.run sys ~fuel:150_000 with
@@ -281,11 +327,39 @@ let test_image_engine_independent () =
   let o = System.run live ~fuel in
   List.iter
     (fun (label, decode_cache) ->
-      let resumed, _ = Snapshot.restore ~obs:Obs.disabled ~decode_cache ~fatbin:fb image in
+      let resumed, _ = Snapshot.restore ~obs:(Obs.create ()) ~decode_cache ~fatbin:fb image in
       check_units label units (live_units resumed);
       let o' = System.run resumed ~fuel in
       check_fp label (fingerprint_of live o) (fingerprint_of resumed o'))
     [ ("restored on the default engine", true); ("restored on the oracle", false) ]
+
+(* With observability off, an image carries an empty metrics section,
+   so it depends on the system alone: booting other systems under the
+   shared [Obs.disabled] between two checkpoints of one state changes
+   nothing. *)
+let test_disabled_image_stands_alone () =
+  let w = Workloads.find "mcf" in
+  let sys =
+    System.of_fatbin ~obs:Obs.disabled ~seed ~start_isa:Desc.Cisc ~mode:System.Psr_only
+      (Workloads.fatbin w)
+  in
+  (match System.run sys ~fuel:20_000 with
+  | System.Out_of_fuel -> ()
+  | o -> Alcotest.failf "finished before the checkpoint (%s)" (outcome_string o));
+  let first = Snapshot.checkpoint sys in
+  List.iter
+    (fun seed ->
+      ignore
+        (System.of_fatbin ~obs:Obs.disabled ~seed ~start_isa:Desc.Risc ~mode:System.Hipstr
+           (Workloads.fatbin (Workloads.find "gobmk"))))
+    [ 1; 2 ];
+  let second = Snapshot.checkpoint sys in
+  Alcotest.(check int) "same size" (String.length first) (String.length second);
+  Alcotest.(check bool) "byte-identical" true (String.equal first second);
+  let empty_metrics = "\007METRICS" ^ String.make 16 '\000' in
+  let n = String.length empty_metrics in
+  Alcotest.(check bool) "empty metrics section" true
+    (String.sub first (String.length first - n) n = empty_metrics)
 
 (* --- rewritten code ------------------------------------------------- *)
 
@@ -396,6 +470,49 @@ let test_rejects_bad_magic () =
   let fb, image = make_image () in
   expect_corrupt "bad magic" (fun () ->
       Snapshot.restore ~obs:(Obs.create ()) ~fatbin:fb ("XIPSNAP" ^ image))
+
+(* Forged length fields. An int array's length is checked against the
+   bytes left before anything is allocated, so 2^50 ints followed by
+   one is a corrupt image, not an allocation failure. *)
+let test_rejects_forged_lengths () =
+  let w = Wire.writer () in
+  Wire.int w (1 lsl 50);
+  Wire.int w 7;
+  expect_corrupt "int array of 2^50" (fun () -> Wire.r_int_array (Wire.reader (Wire.contents w)));
+  let w = Wire.writer () in
+  Wire.int w 2;
+  Wire.int w 7;
+  expect_corrupt "int array one int short" (fun () ->
+      Wire.r_int_array (Wire.reader (Wire.contents w)));
+  let w = Wire.writer () in
+  Wire.int_array w [| 1; 2 |];
+  Alcotest.(check (array int)) "a well-formed array reads back" [| 1; 2 |]
+    (Wire.r_int_array (Wire.reader (Wire.contents w)))
+
+(* Forged manifest configs: each field [Config.validate] refuses is
+   refused when the image is read, before any system is built from it.
+   The CFG record follows its 1-byte length and 3-byte tag:
+   [opt_level], [pad_bytes], then [rat_capacity], 8 bytes each. *)
+let test_rejects_forged_config () =
+  let fb, image = make_image () in
+  let cfg_at =
+    let tag = "\003CFG" in
+    let rec find i = if String.sub image i 4 = tag then i + 4 else find (i + 1) in
+    find 0
+  in
+  let forged field v =
+    let b = Bytes.of_string image in
+    Bytes.set_int64_le b (cfg_at + (8 * field)) (Int64.of_int v);
+    Bytes.to_string b
+  in
+  Alcotest.(check (list int)) "the image's opt_level, pad_bytes, rat_capacity"
+    [ Config.default.opt_level; Config.default.pad_bytes; Config.default.rat_capacity ]
+    (List.map (fun f -> Int64.to_int (String.get_int64_le image (cfg_at + (8 * f)))) [ 0; 1; 2 ]);
+  List.iter
+    (fun (label, field, v) ->
+      expect_corrupt label (fun () ->
+          Snapshot.restore ~obs:(Obs.create ()) ~fatbin:fb (forged field v)))
+    [ ("opt_level 9", 0, 9); ("pad_bytes 3", 1, 3); ("rat_capacity 0", 2, 0) ]
 
 (* Forged code-cache allocator state. [ccache_record] writes a CCACHE
    section field by field, as [Code_cache.save] lays it out; the
@@ -604,8 +721,11 @@ let () =
           Alcotest.test_case "cross-ISA resume" `Quick test_cross_isa_restore;
           Alcotest.test_case "clock eviction policy" `Quick test_round_trip_clock_policy;
           Alcotest.test_case "kept blocks under flush churn" `Quick test_round_trip_kept_blocks;
+          Alcotest.test_case "checkpoint is a pure read" `Quick test_checkpoint_pure_read;
           Alcotest.test_case "image independent of the engine" `Quick
             test_image_engine_independent;
+          Alcotest.test_case "disabled image stands alone" `Quick
+            test_disabled_image_stands_alone;
           Alcotest.test_case "refuses rewritten code" `Quick test_refuses_rewritten_code;
         ] );
       ( "strict parser",
@@ -615,6 +735,8 @@ let () =
           Alcotest.test_case "version skew" `Quick test_rejects_version_skew;
           Alcotest.test_case "wrong binary" `Quick test_rejects_wrong_binary;
           Alcotest.test_case "bad magic" `Quick test_rejects_bad_magic;
+          Alcotest.test_case "forged lengths" `Quick test_rejects_forged_lengths;
+          Alcotest.test_case "forged config" `Quick test_rejects_forged_config;
           Alcotest.test_case "forged code-cache state" `Quick test_rejects_forged_code_cache;
           Alcotest.test_case "forged cache and predictor state" `Quick
             test_rejects_forged_cache_and_predictor;
