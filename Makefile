@@ -3,7 +3,7 @@
 
 FUZZ_SEEDS ?= 1-25
 
-.PHONY: all build test goldens fuzz cmp-smoke profile-smoke cache-smoke interp-smoke alloc-smoke fleet-smoke timeline-smoke migrate-smoke check clean
+.PHONY: all build test goldens fuzz wire-gate cmp-smoke profile-smoke cache-smoke interp-smoke alloc-smoke fleet-smoke timeline-smoke migrate-smoke check clean
 
 all: build
 
@@ -30,6 +30,19 @@ goldens:
 
 fuzz:
 	HIPSTR_FUZZ_SEEDS=$(FUZZ_SEEDS) dune exec test/test_fuzz.exe
+
+# Each image record is declared once, through Wire's codecs, which
+# write and read it from one declaration: no program code outside
+# lib/util/wire.ml calls a reader primitive. Tests may, to forge
+# records by hand.
+WIRE_READERS = Wire[.](r_[a-z0-9_]*|expect_tag|expect_end)
+
+wire-gate:
+	@bad=$$(grep -rnE --include='*.ml' --include='*.mli' '$(WIRE_READERS)' \
+	  lib bin bench tools examples | grep -v '^lib/util/wire[.]ml:'); \
+	if [ -n "$$bad" ]; then \
+	  echo "wire-gate: reader primitives outside lib/util/wire.ml:"; echo "$$bad"; exit 1; fi; \
+	echo "wire-gate: no reader primitive outside lib/util/wire.ml"
 
 # The CMP scheduler end-to-end: two workloads with suspicious
 # code-cache activity time-sliced across the mixed-ISA pair under the
@@ -204,7 +217,7 @@ alloc-smoke:
 	dune exec bin/hipstr_cli.exe -- fleet-run --procs 200 --arrival poisson:100 \
 	  --mode hipstr --shards 4 -j 1 --hostprof --assert-alloc 64.5
 
-check: build test fuzz cmp-smoke profile-smoke cache-smoke interp-smoke alloc-smoke fleet-smoke timeline-smoke migrate-smoke
+check: build test fuzz wire-gate cmp-smoke profile-smoke cache-smoke interp-smoke alloc-smoke fleet-smoke timeline-smoke migrate-smoke
 
 clean:
 	dune clean

@@ -289,7 +289,7 @@ let print_obs obs =
 let print_metrics sys = print_obs (System.obs sys)
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot plumbing shared by run, cmp-run, checkpoint and restore. *)
+(* Snapshot plumbing shared by run, checkpoint and restore. *)
 
 let read_binary path = In_channel.with_open_bin path In_channel.input_all
 
@@ -356,14 +356,13 @@ let checkpoint_every_arg =
     & opt (some (bounded_int_conv ~what:"checkpoint-every" ~lo:1 ())) None
     & info [ "checkpoint-every" ] ~docv:"N"
         ~doc:
-          "Checkpoint periodically (for $(b,run): every $(docv) instructions; for \
-           $(b,cmp-run): every $(docv) scheduling rounds) into files named from \
-           $(b,--checkpoint-out). The run continues after each checkpoint.")
+          "Checkpoint every $(docv) instructions into files named from $(b,--checkpoint-out). \
+           The run continues after each checkpoint.")
 
-let checkpoint_out_arg default =
+let checkpoint_out_arg =
   Arg.(
     value
-    & opt string default
+    & opt string "checkpoint"
     & info [ "checkpoint-out" ] ~docv:"PREFIX"
         ~doc:"Filename prefix for $(b,--checkpoint-every) images.")
 
@@ -680,7 +679,7 @@ let run_cmd =
       const action $ workload_arg $ mode_arg ~doc:"native, psr or hipstr." () $ isa_arg
       $ seed_arg $ opt_arg $ migrate_prob_arg $ cc_capacity_arg $ cc_policy_arg $ no_dcache_arg
       $ metrics_arg $ hostprof_arg $ assert_alloc_arg $ checkpoint_every_arg
-      $ checkpoint_out_arg "checkpoint"
+      $ checkpoint_out_arg
       $ memo_in_arg $ memo_out_arg $ state_out_arg $ export_args)
 
 (* ------------------------------------------------------------------ *)
@@ -972,10 +971,8 @@ let cmp_run_cmd =
     Arg.(value & flag & info [ "trace-schedule" ] ~doc:"Print every scheduling slice.")
   in
   let action ws mode policy cores quantum fuel seed migrate_prob cc_capacity cc_policy no_dcache
-      jobs metrics sched verify checkpoint_every checkpoint_out tl_args exports =
-    probe_outputs
-      ?checkpoint_prefix:(Option.map (fun _ -> checkpoint_out) checkpoint_every)
-      (timeline_paths tl_args @ export_paths exports);
+      jobs metrics sched verify tl_args exports =
+    probe_outputs (timeline_paths tl_args @ export_paths exports);
     let cfg = make_config ?migrate_prob cc_capacity cc_policy in
     let core_arr = Array.of_list cores in
     let start_isa i = core_arr.(i mod Array.length core_arr) in
@@ -992,30 +989,7 @@ let cmp_run_cmd =
     in
     let cmp = Cmp.create ~obs ~policy ~quantum ~cores procs in
     let timeline = make_timeline tl_args in
-    (* every n rounds write the latest process image per live pid
-       (PREFIX.pidK.snap), the files a cross-pool restore re-injects
-       from *)
-    let after_round =
-      Option.map
-        (fun n () ->
-          let round = Cmp.rounds cmp in
-          if round mod n = 0 then
-            List.iter
-              (fun p ->
-                if Process.runnable p then begin
-                  let image =
-                    checkpoint_or_exit (fun () ->
-                        Snapshot.checkpoint_process ~workload:(Process.name p) p)
-                  in
-                  let path = Printf.sprintf "%s.pid%d.snap" checkpoint_out (Process.pid p) in
-                  write_binary path image;
-                  Printf.printf "checkpoint: %s (%d bytes, round %d, %d instructions)\n" path
-                    (String.length image) round (Process.instructions p)
-                end)
-              (Cmp.processes cmp))
-        checkpoint_every
-    in
-    Cmp.run ~jobs ?timeline ?after_round cmp;
+    Cmp.run ~jobs ?timeline cmp;
     let m = Cmp.metrics cmp in
     Printf.printf "cmp-run: %d processes on %d cores [%s], policy %s, quantum %d\n"
       (List.length ws) (Array.length core_arr)
@@ -1100,9 +1074,7 @@ let cmp_run_cmd =
           ()
       $ policy_arg $ cores_arg $ quantum_arg $ fuel_arg
       $ seed_arg $ migrate_prob_arg $ cc_capacity_arg $ cc_policy_arg $ no_dcache_arg
-      $ jobs_arg $ metrics_arg $ sched_arg $ verify_arg
-      $ checkpoint_every_arg
-      $ checkpoint_out_arg "cmp" $ timeline_args $ export_args)
+      $ jobs_arg $ metrics_arg $ sched_arg $ verify_arg $ timeline_args $ export_args)
 
 (* ------------------------------------------------------------------ *)
 (* fleet-run: serve an open-loop trace of staged httpd connections

@@ -420,7 +420,7 @@ let step ?crew ?timeline t =
 (* One crew for the whole run, no wider than the core count: a round
    runs at most one slice per core, and a helper with nothing to claim
    would only slow every minor collection. *)
-let run ?(jobs = 1) ?timeline ?(after_round = ignore) t =
+let run ?(jobs = 1) ?timeline t =
   Pool.with_crew ~jobs:(min jobs (Array.length t.cores)) (fun crew ->
       (* Termination: every slice burns quantum from some process's
          finite fuel budget, and a round with runnable processes always
@@ -431,8 +431,7 @@ let run ?(jobs = 1) ?timeline ?(after_round = ignore) t =
         if scheduled = 0 then
           (* defensive: cannot happen given the create-time check, but an
              infinite idle loop would be worse than a crash *)
-          failwith "Cmp.run: no process schedulable";
-        after_round ()
+          failwith "Cmp.run: no process schedulable"
       done)
 
 (* --- results --- *)
@@ -540,7 +539,6 @@ let schedule t = List.rev t.trace_rev
 let processes t = Array.to_list t.procs
 let policy t = t.policy
 let quantum t = t.quantum
-let rounds t = t.round
 
 let event_to_string t e =
   Printf.sprintf "round %4d core %d(%s) pid %d [%s] instrs=%-6d%s%s%s" e.se_round e.se_core

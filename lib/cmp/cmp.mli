@@ -109,10 +109,8 @@ val step : ?crew:Pool.crew -> ?timeline:Hipstr_obs.Obs.Timeline.t -> t -> int
     translation/cache/migration series stay bit-identical for any
     crew too. *)
 
-val run :
-  ?jobs:int -> ?timeline:Hipstr_obs.Obs.Timeline.t -> ?after_round:(unit -> unit) -> t -> unit
-(** {!step} until every process is done, calling [after_round] after
-    each round. The whole run shares one {!Pool.crew} of
+val run : ?jobs:int -> ?timeline:Hipstr_obs.Obs.Timeline.t -> t -> unit
+(** {!step} until every process is done. The whole run shares one {!Pool.crew} of
     [min jobs cores] domains ([jobs] defaults to 1: serial, no domain
     is spawned). Terminates: each process carries a finite fuel budget
     and exhausting it retires the process as [Out_of_fuel]. *)
@@ -123,7 +121,6 @@ val proc : t -> int -> Process.t
 
 val policy : t -> policy
 val quantum : t -> int
-val rounds : t -> int
 
 (** {2 Schedule trace} *)
 

@@ -22,13 +22,11 @@ type t = {
   mutable sched_migrations : int;
 }
 
-let create ?obs ?cfg ?(seed = 1) ?(start_isa = Desc.Cisc) ?decode_cache ?spare ~mode
-    ~pid ~name ~fuel fb =
-  if fuel < 1 then invalid_arg "Process.create: fuel must be positive";
+let fresh ~pid ~name ~fuel sys =
   {
     pid;
     name;
-    sys = System.of_fatbin ?obs ?cfg ~seed ~start_isa ~pid ?decode_cache ?spare ~mode fb;
+    sys;
     fuel_limit = fuel;
     state = Runnable;
     slices = 0;
@@ -39,6 +37,12 @@ let create ?obs ?cfg ?(seed = 1) ?(start_isa = Desc.Cisc) ?decode_cache ?spare ~
     last_core = None;
     sched_migrations = 0;
   }
+
+let create ?obs ?cfg ?(seed = 1) ?(start_isa = Desc.Cisc) ?decode_cache ?spare ~mode
+    ~pid ~name ~fuel fb =
+  if fuel < 1 then invalid_arg "Process.create: fuel must be positive";
+  fresh ~pid ~name ~fuel
+    (System.of_fatbin ?obs ?cfg ~seed ~start_isa ~pid ?decode_cache ?spare ~mode fb)
 
 let pid t = t.pid
 let name t = t.name
@@ -92,69 +96,49 @@ let run_slice t ~fuel =
 (* --- snapshot ------------------------------------------------------ *)
 (* The scheduler-visible runtime slice only; the System underneath is
    serialized separately (Hipstr_snapshot owns that framing) and is
-   paired back up by [reconstitute]. *)
+   paired back up through [sync io (blank sys)]. *)
 
 module Wire = Hipstr_util.Wire
+module C = Wire.C
 
-let save_outcome w (o : System.outcome) =
-  match o with
-  | System.Finished c ->
-    Wire.u8 w 0;
-    Wire.int w c
-  | System.Shell_spawned -> Wire.u8 w 1
-  | System.Killed msg ->
-    Wire.u8 w 2;
-    Wire.str w msg
-  | System.Out_of_fuel -> Wire.u8 w 3
+let outcome_codec =
+  C.sum
+    (function System.Finished _ -> 0 | Shell_spawned -> 1 | Killed _ -> 2 | Out_of_fuel -> 3)
+    [|
+      C.conv (fun c -> System.Finished c) (function System.Finished c -> c | _ -> 0) C.int;
+      C.const System.Shell_spawned;
+      C.conv (fun m -> System.Killed m) (function System.Killed m -> m | _ -> "") C.str;
+      C.const System.Out_of_fuel;
+    |]
 
-let load_outcome r =
-  match Wire.r_u8 r with
-  | 0 -> System.Finished (Wire.r_int r)
-  | 1 -> System.Shell_spawned
-  | 2 -> System.Killed (Wire.r_str r)
-  | 3 -> System.Out_of_fuel
-  | n -> Wire.corrupt "unknown outcome tag %d" n
+let state_codec =
+  C.sum
+    (function Runnable -> 0 | Done _ -> 1)
+    [|
+      C.const Runnable;
+      C.conv (fun o -> Done o) (function Done o -> o | Runnable -> Out_of_fuel) outcome_codec;
+    |]
 
-let save w t =
-  Wire.tag w "PROC";
-  Wire.int w t.pid;
-  Wire.str w t.name;
-  Wire.int w t.fuel_limit;
-  (match t.state with
-  | Runnable -> Wire.u8 w 0
-  | Done o ->
-    Wire.u8 w 1;
-    save_outcome w o);
-  Wire.int w t.slices;
-  Wire.int w t.instructions;
-  Wire.float w t.cycles;
-  Wire.int w t.seen_suspicious;
-  Wire.bool w t.flagged;
-  Wire.option w Wire.int t.last_core;
-  Wire.int w t.sched_migrations
-
-let reconstitute ~sys r =
-  Wire.expect_tag r "PROC";
-  let pid = Wire.r_int r in
-  let name = Wire.r_str r in
-  let fuel_limit = Wire.r_int r in
-  let state =
-    match Wire.r_u8 r with
-    | 0 -> Runnable
-    | 1 -> Done (load_outcome r)
-    | n -> Wire.corrupt "unknown process-state tag %d" n
-  in
-  let slices = Wire.r_int r in
-  let instructions = Wire.r_int r in
-  let cycles = Wire.r_float r in
-  let seen_suspicious = Wire.r_int r in
-  let flagged = Wire.r_bool r in
-  let (_ : int option) = Wire.r_option r Wire.r_int in
-  let sched_migrations = Wire.r_int r in
+let sync io p =
+  let io = Wire.section io "PROC" in
+  let pid = Wire.field io "pid" C.int p.pid in
+  let name = Wire.field io "name" C.str p.name in
+  let fuel_limit = Wire.field io "fuel_limit" C.int p.fuel_limit in
+  let state = Wire.field io "state" state_codec p.state in
+  let slices = Wire.field io "slices" C.int p.slices in
+  let instructions = Wire.field io "instructions" C.int p.instructions in
+  let cycles = Wire.field io "cycles" C.float p.cycles in
+  let seen_suspicious = Wire.field io "seen_suspicious" C.int p.seen_suspicious in
+  let flagged = Wire.field io "flagged" C.bool p.flagged in
+  (* core warmth never survives a pool change: the process lands on
+     fresh silicon, so its first slice there is a cold switch; the
+     field is read and dropped *)
+  ignore (Wire.field io "last_core" (C.option C.int) p.last_core);
+  let sched_migrations = Wire.field io "sched_migrations" C.int p.sched_migrations in
   {
     pid;
     name;
-    sys;
+    sys = p.sys;
     fuel_limit;
     state;
     slices;
@@ -162,8 +146,8 @@ let reconstitute ~sys r =
     cycles;
     seen_suspicious;
     flagged;
-    (* core warmth never survives a pool change: the process lands on
-       fresh silicon, so its first slice there is a cold switch *)
     last_core = None;
     sched_migrations;
   }
+
+let blank sys = fresh ~pid:0 ~name:"" ~fuel:0 sys

@@ -75,13 +75,16 @@ val run_slice : t -> fuel:int -> Hipstr.System.slice
 (** Run one quantum (clamped to the remaining budget) and update the
     bookkeeping. @raise Invalid_argument if the process is done. *)
 
-val save : Hipstr_util.Wire.w -> t -> unit
-(** Serialize the scheduler-visible runtime slice (pid, name, fuel
-    accounting, state, flags). The {!Hipstr.System} underneath is NOT
-    included — snapshot framing serializes it separately. *)
-
-val reconstitute : sys:Hipstr.System.t -> Hipstr_util.Wire.r -> t
-(** Rebuild a process from a {!save} image around an already restored
-    system. Core-affinity warmth is deliberately dropped: the first
-    slice after a cross-pool move is a cold context switch.
+val sync : Hipstr_util.Wire.io -> t -> t
+(** The scheduler-visible runtime slice (pid, name, fuel accounting,
+    state, flags) of a process: writes it and returns the process, or
+    reads it into a process around the system of the one given (see
+    {!blank}). The {!Hipstr.System} underneath is NOT included —
+    snapshot framing serializes it separately. Core-affinity warmth is
+    deliberately dropped: the first slice after a cross-pool move is a
+    cold context switch.
     @raise Hipstr_util.Wire.Corrupt on malformed images. *)
+
+val blank : Hipstr.System.t -> t
+(** A process around an already restored system, for {!sync} to read
+    into. *)

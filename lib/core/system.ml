@@ -365,11 +365,13 @@ let run_slice t ~fuel =
    migration-decision rng, the machine, and each VM. Guest memory and
    the manifest framing around all of this belong to [Hipstr_snapshot];
    [last_migration] is a transient measurement of the most recent
-   transform and deliberately resets to [None] on restore. *)
+   transform and does not travel: a restored system starts without
+   one. *)
 
 module Wire = Hipstr_util.Wire
+module C = Wire.C
 
-let mode_tag = function Native -> 0 | Psr_only -> 1 | Hipstr -> 2
+let mode_codec = C.enum [| Native; Psr_only; Hipstr |]
 let mode_name = function Native -> "native" | Psr_only -> "psr" | Hipstr -> "hipstr"
 
 let mode_of_name s =
@@ -379,12 +381,6 @@ let mode_of_name s =
   | "hipstr" -> Some Hipstr
   | _ -> None
 
-let mode_of_tag = function
-  | 0 -> Native
-  | 1 -> Psr_only
-  | 2 -> Hipstr
-  | n -> Wire.corrupt "unknown mode tag %d" n
-
 let rewritten_unit t =
   List.find_map
     (fun (which, v) -> Option.map (fun src -> (which, src)) (Vm.rewritten_unit v))
@@ -392,58 +388,33 @@ let rewritten_unit t =
 
 (* One record per VM, each tagged with its ISA. Reading walks this
    system's VMs in the same order and demands exactly as many records
-   as it has VMs; [what] names the image in the errors. *)
-let save_vms w t save =
-  Wire.list w
-    (fun w (which, v) ->
-      Wire.u8 w (Isa.tag which);
-      save w v)
+   as it has VMs. *)
+let sync_vms io t sync =
+  let n = List.length t.vms in
+  ignore (Wire.field io "vms" (C.int_in ~lo:n ~hi:n) n);
+  List.iter
+    (fun (which, v) ->
+      let isa = Wire.field io "isa" Isa.codec which in
+      if isa <> which then
+        Wire.corrupt "%s VM record where this system has %s" (Isa.name isa) (Isa.name which);
+      sync io v)
     t.vms
 
-let load_vms t r ~what load =
-  let nvms = ref t.vms in
-  Wire.r_list r (fun r ->
-      let tag = Wire.r_u8 r in
-      match !nvms with
-      | (which, v) :: rest ->
-        if tag <> Isa.tag which then Wire.corrupt "%s for the wrong ISA (tag %d)" what tag;
-        load v r;
-        nvms := rest
-      | [] -> Wire.corrupt "%s carries more VMs than this system has" what)
-  |> ignore;
-  match !nvms with [] -> () | _ -> Wire.corrupt "%s carries fewer VMs than this system has" what
+let sync_state io t =
+  let io = Wire.section io "SYSTEM" in
+  let mode = Wire.field io "mode" mode_codec t.sys_mode in
+  if mode <> t.sys_mode then
+    Wire.corrupt "image was taken in mode %s, this system is mode %s" (mode_name mode)
+      (mode_name t.sys_mode);
+  t.started <- Wire.field io "started" C.bool t.started;
+  t.security_migrations <- Wire.field io "security_migrations" C.int t.security_migrations;
+  t.forced_migrations <- Wire.field io "forced_migrations" C.int t.forced_migrations;
+  t.migration_requested <- Wire.field io "migration_requested" C.bool t.migration_requested;
+  Rng.set_state t.rng (Wire.field io "rng" C.i64 (Rng.state t.rng));
+  Machine.sync io t.m;
+  sync_vms io t Vm.sync_state
 
-let save_state w t =
-  Wire.tag w "SYSTEM";
-  Wire.u8 w (mode_tag t.sys_mode);
-  Wire.bool w t.started;
-  Wire.int w t.security_migrations;
-  Wire.int w t.forced_migrations;
-  Wire.bool w t.migration_requested;
-  Wire.i64 w (Rng.state t.rng);
-  Machine.save w t.m;
-  save_vms w t Vm.save_state
-
-let restore_state t r =
-  Wire.expect_tag r "SYSTEM";
-  let mt = Wire.r_u8 r in
-  if mt <> mode_tag t.sys_mode then
-    Wire.corrupt "image was taken in mode %d, this system is mode %d" mt (mode_tag t.sys_mode);
-  t.started <- Wire.r_bool r;
-  t.security_migrations <- Wire.r_int r;
-  t.forced_migrations <- Wire.r_int r;
-  t.migration_requested <- Wire.r_bool r;
-  Rng.set_state t.rng (Wire.r_i64 r);
-  Machine.restore t.m r;
-  load_vms t r ~what:"VM image" Vm.restore_state;
-  t.last_migration <- None
-
-let save_memo w t =
-  Wire.tag w "MEMO";
-  save_vms w t Vm.save_meta
-
-let load_memo t r =
-  Wire.expect_tag r "MEMO";
-  load_vms t r ~what:"memo image" Vm.load_meta
+let save_state w t = sync_state (Wire.writing w) t
+let sync_memo io t = sync_vms (Wire.section io "MEMO") t Vm.sync_meta
 
 let forget_memo t = List.iter (fun (_, v) -> Vm.forget_memo v) t.vms

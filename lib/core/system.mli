@@ -164,8 +164,9 @@ val metrics : t -> Hipstr_obs.Obs.Metrics.snapshot
     context (the default, {!Hipstr_obs.Obs.global}), the counters
     aggregate across them. *)
 
-val mode_tag : mode -> int
-(** The byte a mode travels as in snapshot images and memo artifacts. *)
+val mode_codec : mode Hipstr_util.Wire.codec
+(** A mode field of snapshot images and memo artifacts: one byte, 0
+    native, 1 psr, 2 hipstr. *)
 
 val mode_name : mode -> string
 (** ["native"], ["psr"] or ["hipstr"]: the CLI's spelling, also used in
@@ -174,38 +175,32 @@ val mode_name : mode -> string
 val mode_of_name : string -> mode option
 (** Inverse of {!mode_name}, case-insensitive. *)
 
-val mode_of_tag : int -> mode
-(** @raise Hipstr_util.Wire.Corrupt on an unknown tag. *)
-
 val rewritten_unit : t -> (Hipstr_isa.Desc.which * int) option
-(** A live translated unit, on either ISA, whose source bytes the
-    program has written since the binary was loaded
-    ({!Hipstr_psr.Vm.rewritten_unit}): the snapshot layer refuses to
-    checkpoint while one exists. *)
+(** A translated unit, live or saved in the memo, on either ISA,
+    whose source bytes the program has written since its translation
+    was made ({!Hipstr_psr.Vm.rewritten_unit}): the snapshot layer
+    refuses to checkpoint while one exists. *)
 
-val save_state : Hipstr_util.Wire.w -> t -> unit
-(** Serialize the system-level slice: flags, migration counters, the
-    decision rng, the machine ({!Hipstr_machine.Machine.save}) and
-    every PSR VM. Guest memory, configuration and manifest framing
-    live in [Hipstr_snapshot.Snapshot]; [last_migration] does not
-    travel. *)
-
-val restore_state : t -> Hipstr_util.Wire.r -> unit
-(** Overwrite a freshly created, un-booted system (same mode, config
-    and creation flags) from a {!save_state} image. Guest memory must
-    be restored before this call — VM restore re-materializes the
-    code caches against it.
+val sync_state : Hipstr_util.Wire.io -> t -> unit
+(** Write, or overwrite from an image, the system-level slice: flags,
+    migration counters, the decision rng, the machine
+    ({!Hipstr_machine.Machine.sync}) and every PSR VM. Guest memory,
+    configuration and manifest framing live in
+    [Hipstr_snapshot.Snapshot]; [last_migration] does not travel.
+    Reading targets a freshly created, un-booted system (same mode,
+    config and creation flags), after its guest memory was restored —
+    VM restore re-materializes the code caches against it.
     @raise Hipstr_util.Wire.Corrupt on mode/ISA/shape mismatch or a
     malformed image. *)
 
-val save_memo : Hipstr_util.Wire.w -> t -> unit
-(** Serialize every VM's warm-start slice (relocation maps +
-    translation memo keys + history) — the artifact that lets a later
-    run of the same binary/config re-install translations at memo
-    cost instead of re-translating. *)
+val save_state : Hipstr_util.Wire.w -> t -> unit
+(** {!sync_state} on a raw writer. *)
 
-val load_memo : t -> Hipstr_util.Wire.r -> unit
-(** Load a {!save_memo} image into a freshly created system of the
+val sync_memo : Hipstr_util.Wire.io -> t -> unit
+(** Every VM's warm-start slice (relocation maps + translation memo
+    keys + history) — the artifact that lets a later run of the same
+    binary/config re-install translations at memo cost instead of
+    re-translating. Reading targets a freshly created system of the
     same mode/config (before it runs).
     @raise Hipstr_util.Wire.Corrupt on shape mismatch. *)
 

@@ -14,6 +14,8 @@ let of_tag = function
   | 1 -> Desc.Risc
   | n -> Hipstr_util.Wire.corrupt "unknown ISA tag %d" n
 
+let codec = Hipstr_util.Wire.C.enum [| of_tag 0; of_tag 1 |]
+
 let length w i = match w with Desc.Cisc -> Cisc.length i | Desc.Risc -> Risc.length i
 let encodable w i = match w with Desc.Cisc -> Cisc.encodable i | Desc.Risc -> Risc.encodable i
 

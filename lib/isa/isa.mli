@@ -22,6 +22,9 @@ val tag : Desc.which -> int
 val of_tag : int -> Desc.which
 (** @raise Hipstr_util.Wire.Corrupt on an unknown tag. *)
 
+val codec : Desc.which Hipstr_util.Wire.codec
+(** An ISA field of an image: its {!tag} byte. *)
+
 val length : Desc.which -> Minstr.t -> int
 (** Encoded length in bytes. It depends only on the instruction's
     shape and immediate widths, never on its address, so layout can be

@@ -75,35 +75,19 @@ let lookups t = t.lookups
 (* --- snapshot ------------------------------------------------------ *)
 (* Predictions are cycle-visible (mispredict penalties), so the whole
    structure is carried exactly: counters, BTB, RAS and the counters.
-   The 2-bit counters travel as single bytes. *)
+   The 2-bit counters travel as single bytes. [ras_top] indexes the
+   return-address stack modulo its depth, so it must not be negative. *)
 
 module Wire = Hipstr_util.Wire
+module C = Wire.C
 
-let save w t =
-  Wire.tag w "BPRED";
-  Array.iter (fun c -> Wire.u8 w c) t.counters;
-  Wire.int_array w t.btb;
-  Wire.int_array w t.ras;
-  Wire.int w t.ras_top;
-  Wire.int w t.mispredicts;
-  Wire.int w t.lookups
+let sync io t =
+  let io = Wire.section io "BPRED" in
+  Wire.bytes_into io "counters" ~hi:3 t.counters;
+  Wire.into io "btb" t.btb;
+  Wire.into io "ras" t.ras;
+  t.ras_top <- Wire.field io "ras_top" C.nat t.ras_top;
+  t.mispredicts <- Wire.field io "mispredicts" C.int t.mispredicts;
+  t.lookups <- Wire.field io "lookups" C.int t.lookups
 
-let restore t r =
-  Wire.expect_tag r "BPRED";
-  for i = 0 to table_size - 1 do
-    let c = Wire.r_u8 r in
-    if c > 3 then Wire.corrupt "branch predictor counter %d is %d, not a 2-bit value" i c;
-    t.counters.(i) <- c
-  done;
-  let btb = Wire.r_int_array r in
-  let ras = Wire.r_int_array r in
-  if Array.length btb <> btb_size || Array.length ras <> ras_depth then
-    Wire.corrupt "branch predictor geometry mismatch (btb %d, ras %d)" (Array.length btb)
-      (Array.length ras);
-  let ras_top = Wire.r_int r in
-  if ras_top < 0 then Wire.corrupt "negative return-address stack top %d" ras_top;
-  Array.blit btb 0 t.btb 0 btb_size;
-  Array.blit ras 0 t.ras 0 ras_depth;
-  t.ras_top <- ras_top;
-  t.mispredicts <- Wire.r_int r;
-  t.lookups <- Wire.r_int r
+let restore t r = sync (Wire.reading r) t

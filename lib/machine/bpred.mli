@@ -38,10 +38,11 @@ val flush : t -> unit
     the accuracy statistics — the predictor a process finds after
     another process used the core. *)
 
-val save : Hipstr_util.Wire.w -> t -> unit
-(** Serialize the exact predictor state (snapshots). *)
-
-val restore : t -> Hipstr_util.Wire.r -> unit
-(** Overwrite this predictor from a {!save} image.
+val sync : Hipstr_util.Wire.io -> t -> unit
+(** Write, or overwrite from an image, the exact predictor state
+    (snapshots).
     @raise Hipstr_util.Wire.Corrupt on a counter outside [0..3], a
     negative return-address stack top, or a malformed image. *)
+
+val restore : t -> Hipstr_util.Wire.r -> unit
+(** {!sync} on a raw reader. *)

@@ -141,38 +141,22 @@ let flush t =
    so a snapshot from a differently-shaped cache is rejected. *)
 
 module Wire = Hipstr_util.Wire
+module C = Wire.C
 
-let save w t =
-  Wire.tag w "CACHE";
-  Wire.int_array w t.tags;
-  Wire.int_array w t.stamps;
-  Wire.int w t.clock;
-  Wire.int w t.hits;
-  Wire.int w t.misses;
-  Wire.int w t.last_line;
-  Wire.int w t.last_idx
-
-let restore t r =
-  Wire.expect_tag r "CACHE";
-  let tags = Wire.r_int_array r in
-  let stamps = Wire.r_int_array r in
-  if Array.length tags <> Array.length t.tags || Array.length stamps <> Array.length t.stamps
-  then Wire.corrupt "cache geometry mismatch: image has %d tags, this cache has %d"
-      (Array.length tags) (Array.length t.tags);
-  let clock = Wire.r_int r in
-  let hits = Wire.r_int r in
-  let misses = Wire.r_int r in
-  let last_line = Wire.r_int r in
-  let last_idx = Wire.r_int r in
+let sync io t =
+  let io = Wire.section io "CACHE" in
+  Wire.into io "tags" t.tags;
+  Wire.into io "stamps" t.stamps;
+  t.clock <- Wire.field io "clock" C.int t.clock;
+  t.hits <- Wire.field io "hits" C.int t.hits;
+  t.misses <- Wire.field io "misses" C.int t.misses;
+  t.last_line <- Wire.field io "last_line" C.int t.last_line;
+  t.last_idx <- Wire.field io "last_idx" C.int t.last_idx;
   (* The memo path stamps [last_idx] without a bounds check, so a
      memo that does not point at its own line is refused here. *)
-  if last_line <> -1
-     && not (last_idx >= 0 && last_idx < Array.length tags && tags.(last_idx) = last_line)
-  then Wire.corrupt "cache memo points at index %d, which does not hold line %d" last_idx last_line;
-  Array.blit tags 0 t.tags 0 (Array.length tags);
-  Array.blit stamps 0 t.stamps 0 (Array.length stamps);
-  t.clock <- clock;
-  t.hits <- hits;
-  t.misses <- misses;
-  t.last_line <- last_line;
-  t.last_idx <- last_idx
+  let line = t.last_line and idx = t.last_idx in
+  if line <> -1 && not (idx >= 0 && idx < Array.length t.tags && t.tags.(idx) = line) then
+    Wire.corrupt "cache memo points at index %d, which does not hold line %d" idx line
+
+let save w t = sync (Wire.writing w) t
+let restore t r = sync (Wire.reading r) t

@@ -23,11 +23,13 @@ val reset_stats : t -> unit
 val flush : t -> unit
 (** Invalidate all lines (used when the PSR code cache is flushed). *)
 
-val save : Hipstr_util.Wire.w -> t -> unit
-(** Serialize the exact tag/stamp/counter state (snapshots). *)
-
-val restore : t -> Hipstr_util.Wire.r -> unit
-(** Overwrite this cache's state from a {!save} image.
+val sync : Hipstr_util.Wire.io -> t -> unit
+(** Write, or overwrite from an image, the exact tag/stamp/counter
+    state (snapshots).
     @raise Hipstr_util.Wire.Corrupt on a geometry mismatch, a
     last-access memo that does not point at its line, or a malformed
     image. *)
+
+val save : Hipstr_util.Wire.w -> t -> unit
+val restore : t -> Hipstr_util.Wire.r -> unit
+(** {!sync} on a raw writer or reader. *)

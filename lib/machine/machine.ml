@@ -269,83 +269,50 @@ let seconds t =
 (* --- snapshot ------------------------------------------------------ *)
 
 module Wire = Hipstr_util.Wire
+module C = Wire.C
 
-let save_ctx w (c : core_ctx) =
-  Cache.save w c.icache;
-  Cache.save w c.dcache;
-  Bpred.save w c.bpred;
-  match c.rat with
-  | None -> Wire.bool w false
-  | Some rat ->
-    Wire.bool w true;
-    Rat.save w rat
-
-let restore_ctx (c : core_ctx) r =
-  Cache.restore c.icache r;
-  Cache.restore c.dcache r;
-  Bpred.restore c.bpred r;
-  match (Wire.r_bool r, c.rat) with
+let sync_ctx io (c : core_ctx) =
+  Cache.sync io c.icache;
+  Cache.sync io c.dcache;
+  Bpred.sync io c.bpred;
+  match (Wire.field io "has_rat" C.bool (Option.is_some c.rat), c.rat) with
   | false, None -> ()
-  | true, Some rat -> Rat.restore rat r
+  | true, Some rat -> Rat.sync io rat
   | has, _ ->
     Wire.corrupt "RAT presence mismatch: image %s one, this machine %s"
       (if has then "carries" else "lacks")
-      (if c.rat = None then "lacks" else "carries")
+      (if has then "lacks" else "carries")
 
-let save w t =
-  Wire.tag w "MACH";
+let sync io t =
+  let io = Wire.section io "MACH" in
   (* architectural CPU state *)
-  Wire.int w t.cpu.Cpu.pc;
-  Wire.int_array w t.cpu.Cpu.regs;
-  Wire.bool w t.cpu.Cpu.flags.Cpu.zf;
-  Wire.bool w t.cpu.Cpu.flags.Cpu.sf;
-  Wire.bool w t.cpu.Cpu.flags.Cpu.cf;
-  Wire.bool w t.cpu.Cpu.flags.Cpu.vf;
+  let cpu = t.cpu in
+  cpu.pc <- Wire.field io "pc" C.int cpu.pc;
+  Wire.into io "regs" cpu.regs;
+  let f = cpu.flags in
+  f.zf <- Wire.field io "zf" C.bool f.zf;
+  f.sf <- Wire.field io "sf" C.bool f.sf;
+  f.cf <- Wire.field io "cf" C.bool f.cf;
+  f.vf <- Wire.field io "vf" C.bool f.vf;
   (* performance counters; the femtocycle accumulator is an int and
      travels bit-exact by construction *)
-  Wire.int w t.cpu.Cpu.perf.Cpu.cycles_fc;
-  Wire.int w t.cpu.Cpu.perf.Cpu.instructions;
-  Wire.int w t.cpu.Cpu.perf.Cpu.loads;
-  Wire.int w t.cpu.Cpu.perf.Cpu.stores;
-  Wire.int w t.cpu.Cpu.perf.Cpu.branches;
-  Wire.int w t.cpu.Cpu.perf.Cpu.calls;
-  Wire.int w t.cpu.Cpu.perf.Cpu.returns;
-  Wire.int w t.cpu.Cpu.perf.Cpu.indirects;
-  Wire.int w t.cpu.Cpu.perf.Cpu.syscalls;
-  Sys.save w t.os_state;
-  save_ctx w t.cisc_ctx;
-  save_ctx w t.risc_ctx;
-  Wire.u8 w (Isa.tag t.active);
-  Wire.int w t.migrations;
-  Wire.int w t.cisc_fc;
-  Wire.int w t.risc_fc;
-  Wire.int w t.fc_mark
+  let p = cpu.perf in
+  p.cycles_fc <- Wire.field io "cycles_fc" C.int p.cycles_fc;
+  p.instructions <- Wire.field io "instructions" C.int p.instructions;
+  p.loads <- Wire.field io "loads" C.int p.loads;
+  p.stores <- Wire.field io "stores" C.int p.stores;
+  p.branches <- Wire.field io "branches" C.int p.branches;
+  p.calls <- Wire.field io "calls" C.int p.calls;
+  p.returns <- Wire.field io "returns" C.int p.returns;
+  p.indirects <- Wire.field io "indirects" C.int p.indirects;
+  p.syscalls <- Wire.field io "syscalls" C.int p.syscalls;
+  Sys.sync io t.os_state;
+  sync_ctx io t.cisc_ctx;
+  sync_ctx io t.risc_ctx;
+  t.active <- Wire.field io "active" Isa.codec t.active;
+  t.migrations <- Wire.field io "migrations" C.int t.migrations;
+  t.cisc_fc <- Wire.field io "cisc_fc" C.int t.cisc_fc;
+  t.risc_fc <- Wire.field io "risc_fc" C.int t.risc_fc;
+  t.fc_mark <- Wire.field io "fc_mark" C.int t.fc_mark
 
-let restore t r =
-  Wire.expect_tag r "MACH";
-  t.cpu.Cpu.pc <- Wire.r_int r;
-  let regs = Wire.r_int_array r in
-  if Array.length regs <> Array.length t.cpu.Cpu.regs then
-    Wire.corrupt "register file size mismatch (%d)" (Array.length regs);
-  Array.blit regs 0 t.cpu.Cpu.regs 0 (Array.length regs);
-  t.cpu.Cpu.flags.Cpu.zf <- Wire.r_bool r;
-  t.cpu.Cpu.flags.Cpu.sf <- Wire.r_bool r;
-  t.cpu.Cpu.flags.Cpu.cf <- Wire.r_bool r;
-  t.cpu.Cpu.flags.Cpu.vf <- Wire.r_bool r;
-  t.cpu.Cpu.perf.Cpu.cycles_fc <- Wire.r_int r;
-  t.cpu.Cpu.perf.Cpu.instructions <- Wire.r_int r;
-  t.cpu.Cpu.perf.Cpu.loads <- Wire.r_int r;
-  t.cpu.Cpu.perf.Cpu.stores <- Wire.r_int r;
-  t.cpu.Cpu.perf.Cpu.branches <- Wire.r_int r;
-  t.cpu.Cpu.perf.Cpu.calls <- Wire.r_int r;
-  t.cpu.Cpu.perf.Cpu.returns <- Wire.r_int r;
-  t.cpu.Cpu.perf.Cpu.indirects <- Wire.r_int r;
-  t.cpu.Cpu.perf.Cpu.syscalls <- Wire.r_int r;
-  Sys.restore t.os_state r;
-  restore_ctx t.cisc_ctx r;
-  restore_ctx t.risc_ctx r;
-  t.active <- Isa.of_tag (Wire.r_u8 r);
-  t.migrations <- Wire.r_int r;
-  t.cisc_fc <- Wire.r_int r;
-  t.risc_fc <- Wire.r_int r;
-  t.fc_mark <- Wire.r_int r
+let save w t = sync (Wire.writing w) t

@@ -121,15 +121,15 @@ val seconds : t -> float
     clock frequency: cycles are converted at the frequency of the core
     they were accumulated on. *)
 
-val save : Hipstr_util.Wire.w -> t -> unit
-(** Serialize the architectural state (pc, registers, flags, perf
-    counters), the OS surface, both cores' cycle-visible
-    microarchitecture (i/d-caches, branch predictors, RATs) and the
-    per-core cycle attribution. Guest memory is NOT included — the
-    snapshot layer delta-compresses it against the fat binary. *)
-
-val restore : t -> Hipstr_util.Wire.r -> unit
-(** Overwrite this machine's state from a {!save} image. The machine
-    must have been created with the same RAT presence as the saved
-    one.
+val sync : Hipstr_util.Wire.io -> t -> unit
+(** Write, or overwrite from an image, the architectural state (pc,
+    registers, flags, perf counters), the OS surface, both cores'
+    cycle-visible microarchitecture (i/d-caches, branch predictors,
+    RATs) and the per-core cycle attribution. Guest memory is NOT
+    included — the snapshot layer delta-compresses it against the fat
+    binary. Reading demands the RAT presence this machine was created
+    with.
     @raise Hipstr_util.Wire.Corrupt on any mismatch. *)
+
+val save : Hipstr_util.Wire.w -> t -> unit
+(** {!sync} on a raw writer. *)

@@ -100,39 +100,24 @@ let remove_in_range t ~lo ~hi =
    is unique per entry, to keep the image bytes deterministic. *)
 
 module Wire = Hipstr_util.Wire
+module C = Wire.C
 
-let save w t =
-  Wire.tag w "RAT";
-  let entries =
-    List.sort
-      (fun (a, _, _) (b, _, _) -> Int.compare a b)
-      (Hashtbl.fold (fun src e acc -> (src, e.e_tr, e.e_stamp) :: acc) t.table [])
-  in
-  Wire.list w
-    (fun w (src, tr, stamp) ->
-      Wire.int w src;
-      Wire.int w tr;
-      Wire.int w stamp)
-    entries;
-  Wire.int w t.clock;
-  Wire.int w t.hits;
-  Wire.int w t.misses
+let entries = C.list (C.triple C.int C.int C.int)
 
-let restore t r =
-  Wire.expect_tag r "RAT";
-  let entries =
-    Wire.r_list r (fun r ->
-        let src = Wire.r_int r in
-        let tr = Wire.r_int r in
-        let stamp = Wire.r_int r in
-        (src, tr, stamp))
-  in
-  if List.length entries > t.capacity then
-    Wire.corrupt "RAT image holds %d entries but capacity is %d" (List.length entries) t.capacity;
-  Hashtbl.reset t.table;
-  List.iter
-    (fun (src, tr, stamp) -> Hashtbl.replace t.table src { e_tr = tr; e_stamp = stamp })
-    entries;
-  t.clock <- Wire.r_int r;
-  t.hits <- Wire.r_int r;
-  t.misses <- Wire.r_int r
+let sync io t =
+  let io = Wire.section io "RAT" in
+  Wire.derived io "entries" entries
+    (fun () ->
+      List.sort
+        (fun (a, _, _) (b, _, _) -> Int.compare a b)
+        (Hashtbl.fold (fun src e acc -> (src, e.e_tr, e.e_stamp) :: acc) t.table []))
+    (fun es ->
+      if List.length es > t.capacity then
+        Wire.corrupt "RAT image holds %d entries but capacity is %d" (List.length es) t.capacity;
+      Hashtbl.reset t.table;
+      List.iter
+        (fun (src, tr, stamp) -> Hashtbl.replace t.table src { e_tr = tr; e_stamp = stamp })
+        es);
+  t.clock <- Wire.field io "clock" C.int t.clock;
+  t.hits <- Wire.field io "hits" C.int t.hits;
+  t.misses <- Wire.field io "misses" C.int t.misses

@@ -41,10 +41,8 @@ val remove_in_range : t -> lo:int -> hi:int -> unit
     which a source-keyed removal would miss. Does not touch hit/miss
     statistics. *)
 
-val save : Hipstr_util.Wire.w -> t -> unit
-(** Serialize entries (with LRU stamps) and counters (snapshots). *)
-
-val restore : t -> Hipstr_util.Wire.r -> unit
-(** Overwrite this RAT from a {!save} image.
+val sync : Hipstr_util.Wire.io -> t -> unit
+(** Write, or overwrite from an image, the entries (with LRU stamps)
+    and counters (snapshots).
     @raise Hipstr_util.Wire.Corrupt when the image holds more entries
     than this RAT's capacity or is malformed. *)

@@ -52,27 +52,15 @@ let handle t ~number ~args:(a1, a2, a3) =
 (* --- snapshot ------------------------------------------------------ *)
 
 module Wire = Hipstr_util.Wire
+module C = Wire.C
 
-let save w t =
-  Wire.tag w "OS";
-  Wire.int w t.brk;
-  Wire.list w Wire.int t.output;
-  Wire.option w
-    (fun w (a, b, c) ->
-      Wire.int w a;
-      Wire.int w b;
-      Wire.int w c)
-    t.shell;
-  Wire.option w Wire.int t.exit_code
+let ints = C.list C.int
+let shell = C.option (C.triple C.int C.int C.int)
+let exit_code = C.option C.int
 
-let restore t r =
-  Wire.expect_tag r "OS";
-  t.brk <- Wire.r_int r;
-  t.output <- Wire.r_list r Wire.r_int;
-  t.shell <-
-    Wire.r_option r (fun r ->
-        let a = Wire.r_int r in
-        let b = Wire.r_int r in
-        let c = Wire.r_int r in
-        (a, b, c));
-  t.exit_code <- Wire.r_option r Wire.r_int
+let sync io t =
+  let io = Wire.section io "OS" in
+  t.brk <- Wire.field io "brk" C.int t.brk;
+  t.output <- Wire.field io "output" ints t.output;
+  t.shell <- Wire.field io "shell" shell t.shell;
+  t.exit_code <- Wire.field io "exit_code" exit_code t.exit_code

@@ -38,10 +38,7 @@ val handle : t -> number:int -> args:int * int * int -> int * outcome
     for the result register and what the machine should do next.
     Unknown syscall numbers return [-1] and continue (as ENOSYS). *)
 
-val save : Hipstr_util.Wire.w -> t -> unit
-(** Serialize the OS surface: break, output trace, shell/exit state
-    (snapshots). *)
-
-val restore : t -> Hipstr_util.Wire.r -> unit
-(** Overwrite this OS state from a {!save} image.
+val sync : Hipstr_util.Wire.io -> t -> unit
+(** Write, or overwrite from an image, the OS surface: break, output
+    trace, shell/exit state (snapshots).
     @raise Hipstr_util.Wire.Corrupt on a malformed image. *)

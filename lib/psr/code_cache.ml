@@ -181,26 +181,19 @@ let policy t = t.cc_policy
    order), keeping image bytes deterministic. *)
 
 module Wire = Hipstr_util.Wire
+module C = Wire.C
 
-let save w t =
-  Wire.tag w "CCACHE";
-  Wire.int w t.cursor;
-  Wire.list w
-    (fun w b ->
-      Wire.int w b.cb_src;
-      Wire.int w b.cb_cache;
-      Wire.int w b.cb_size;
-      Wire.str w b.cb_func;
-      Wire.list w
-        (fun w (lo, hi) ->
-          Wire.int w lo;
-          Wire.int w hi)
-        b.cb_src_spans)
-    (blocks t);
-  Wire.list w Wire.int
-    (List.sort compare (Hashtbl.fold (fun a () acc -> a :: acc) t.referenced []));
-  Wire.int w t.nflushes;
-  Wire.int w t.nevictions
+let policy_codec = C.enum [| Flush; Fifo; Clock |]
+
+let blocks_codec =
+  C.list
+    (C.conv
+       (fun ((cb_src, cb_cache, cb_size), (cb_func, cb_src_spans)) ->
+         { cb_src; cb_cache; cb_size; cb_func; cb_src_spans })
+       (fun b -> ((b.cb_src, b.cb_cache, b.cb_size), (b.cb_func, b.cb_src_spans)))
+       (C.pair (C.triple C.int C.int C.nat) (C.pair C.str (C.list (C.pair C.int C.int)))))
+
+let ints = C.list C.int
 
 let rec each_adjacent f = function
   | a :: (b :: _ as rest) ->
@@ -208,62 +201,49 @@ let rec each_adjacent f = function
       each_adjacent f rest
   | _ -> ()
 
-let restore t r =
-  Wire.expect_tag r "CCACHE";
-  let cursor = Wire.r_int r in
-  let bs =
-    Wire.r_list r (fun r ->
-        let cb_src = Wire.r_int r in
-        let cb_cache = Wire.r_int r in
-        let cb_size = Wire.r_int r in
-        let cb_func = Wire.r_str r in
-        let cb_src_spans =
-          Wire.r_list r (fun r ->
-              let lo = Wire.r_int r in
-              let hi = Wire.r_int r in
-              (lo, hi))
-        in
-        { cb_src; cb_cache; cb_size; cb_func; cb_src_spans })
-  in
-  let referenced = Wire.r_list r Wire.r_int in
-  let nflushes = Wire.r_int r in
-  let nevictions = Wire.r_int r in
+(* The next [alloc] trusts the cursor and [by_addr] blindly: a cursor
+   outside the region would place a unit over other guest memory, and
+   overlapping or same-source blocks would leave two live translations
+   claiming one range or one source. Bump allocation (Flush) also
+   never leaves a block past the cursor. *)
+let sync io t =
+  let io = Wire.section io "CCACHE" in
   let limit = t.cc_base + t.cc_capacity in
-  (* The next [alloc] trusts the cursor and [by_addr] blindly: a cursor
-     outside the region would place a unit over other guest memory, and
-     overlapping or same-source blocks would leave two live
-     translations claiming one range or one source. Bump allocation
-     (Flush) also never leaves a block past the cursor. *)
-  if cursor < t.cc_base || cursor > limit then
-    Wire.corrupt "code-cache cursor 0x%x outside this cache's region [0x%x, 0x%x]" cursor
-      t.cc_base limit;
-  List.iter
-    (fun b ->
-      if b.cb_size < 0 || b.cb_cache < t.cc_base || b.cb_cache + b.cb_size > limit then
-        Wire.corrupt "code-cache block [0x%x, +%d) outside this cache's region" b.cb_cache
-          b.cb_size;
-      if t.cc_policy = Flush && b.cb_cache + b.cb_size > cursor then
-        Wire.corrupt "code-cache block [0x%x, +%d) lies past the cursor 0x%x" b.cb_cache b.cb_size
-          cursor)
-    bs;
-  each_adjacent
-    (fun a b ->
-      if b.cb_cache = a.cb_cache || b.cb_cache < a.cb_cache + a.cb_size then
-        Wire.corrupt "code-cache blocks [0x%x, +%d) and [0x%x, +%d) overlap" a.cb_cache a.cb_size
-          b.cb_cache b.cb_size)
-    (List.sort (fun a b -> compare a.cb_cache b.cb_cache) bs);
-  each_adjacent
-    (fun a b -> if a = b then Wire.corrupt "two code-cache blocks translate source 0x%x" a)
-    (List.sort compare (List.map (fun b -> b.cb_src) bs));
-  t.cursor <- cursor;
-  Hashtbl.reset t.by_src;
-  Hashtbl.reset t.referenced;
-  t.by_addr <- Addr_map.empty;
-  List.iter
-    (fun b ->
-      Hashtbl.replace t.by_src b.cb_src b.cb_cache;
-      t.by_addr <- Addr_map.add b.cb_cache b t.by_addr)
-    bs;
-  List.iter (fun a -> Hashtbl.replace t.referenced a ()) referenced;
-  t.nflushes <- nflushes;
-  t.nevictions <- nevictions
+  t.cursor <- Wire.field io "cursor" (C.int_in ~lo:t.cc_base ~hi:limit) t.cursor;
+  Wire.derived io "blocks" blocks_codec
+    (fun () -> blocks t)
+    (fun bs ->
+      List.iter
+        (fun b ->
+          if b.cb_cache < t.cc_base || b.cb_cache + b.cb_size > limit then
+            Wire.corrupt "code-cache block [0x%x, +%d) outside this cache's region" b.cb_cache
+              b.cb_size;
+          if t.cc_policy = Flush && b.cb_cache + b.cb_size > t.cursor then
+            Wire.corrupt "code-cache block [0x%x, +%d) lies past the cursor 0x%x" b.cb_cache
+              b.cb_size t.cursor)
+        bs;
+      each_adjacent
+        (fun a b ->
+          if b.cb_cache = a.cb_cache || b.cb_cache < a.cb_cache + a.cb_size then
+            Wire.corrupt "code-cache blocks [0x%x, +%d) and [0x%x, +%d) overlap" a.cb_cache
+              a.cb_size b.cb_cache b.cb_size)
+        (List.sort (fun a b -> compare a.cb_cache b.cb_cache) bs);
+      each_adjacent
+        (fun a b -> if a = b then Wire.corrupt "two code-cache blocks translate source 0x%x" a)
+        (List.sort compare (List.map (fun b -> b.cb_src) bs));
+      Hashtbl.reset t.by_src;
+      t.by_addr <- Addr_map.empty;
+      List.iter
+        (fun b ->
+          Hashtbl.replace t.by_src b.cb_src b.cb_cache;
+          t.by_addr <- Addr_map.add b.cb_cache b t.by_addr)
+        bs);
+  Wire.derived io "referenced" ints
+    (fun () -> List.sort compare (Hashtbl.fold (fun a () acc -> a :: acc) t.referenced []))
+    (fun refs ->
+      Hashtbl.reset t.referenced;
+      List.iter (fun a -> Hashtbl.replace t.referenced a ()) refs);
+  t.nflushes <- Wire.field io "nflushes" C.int t.nflushes;
+  t.nevictions <- Wire.field io "nevictions" C.int t.nevictions
+
+let restore t r = sync (Wire.reading r) t

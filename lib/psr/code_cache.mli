@@ -95,14 +95,18 @@ val flushes : t -> int
 val evictions : t -> int
 val policy : t -> policy
 
-val save : Hipstr_util.Wire.w -> t -> unit
-(** Serialize the allocator state — cursor, live-block directory,
-    Clock reference bits, flush/eviction counts. Translated bytes do
-    NOT travel; the VM re-materializes them on restore. *)
+val policy_codec : policy Hipstr_util.Wire.codec
+(** A policy field of an image: one byte, 0 flush, 1 fifo, 2 clock. *)
 
-val restore : t -> Hipstr_util.Wire.r -> unit
-(** Overwrite this cache's allocator state from a {!save} image.
+val sync : Hipstr_util.Wire.io -> t -> unit
+(** Write, or overwrite from an image, the allocator state — cursor,
+    live-block directory, Clock reference bits, flush/eviction
+    counts. Translated bytes do NOT travel; the VM re-materializes
+    them on restore.
     @raise Hipstr_util.Wire.Corrupt when the cursor or a block falls
     outside this cache's region, two blocks overlap or translate the
     same source, a {!Flush} block lies past the cursor, or the image
     is malformed. *)
+
+val restore : t -> Hipstr_util.Wire.r -> unit
+(** {!sync} on a raw reader. *)

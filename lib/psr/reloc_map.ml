@@ -177,91 +177,69 @@ let fingerprint t = t.rm_hash_key
    [Frame.t], so loading needs no fat binary lookup) plus the rng
    state separately at the VM level, so maps generated *after* a
    restore continue the donor's stream exactly. Hashtable contents
-   are written sorted to keep image bytes deterministic. *)
+   are written sorted to keep image bytes deterministic. The ranges
+   are what [generate] guarantees: the padded frame is the frame plus
+   the pad, every placed object lies in [\[0, frame' - 16)], size
+   included, and every kept register maps to a register. A restored
+   run addresses its frames through these offsets. *)
 
 module Wire = Hipstr_util.Wire
+module C = Wire.C
 
-let save_frame w (f : Frame.t) =
-  Wire.int w f.Frame.outgoing_words;
-  Wire.int w f.Frame.locals_off;
-  Wire.int w f.Frame.locals_bytes;
-  Wire.int_array w f.Frame.slot_off;
-  Wire.int w f.Frame.scratch_off;
-  Wire.int w f.Frame.ret_off;
-  Wire.int w f.Frame.frame_bytes
-
-let load_frame r : Frame.t =
-  let outgoing_words = Wire.r_int r in
-  let locals_off = Wire.r_int r in
-  let locals_bytes = Wire.r_int r in
-  let slot_off = Wire.r_int_array r in
-  let scratch_off = Wire.r_int r in
-  let ret_off = Wire.r_int r in
-  let frame_bytes = Wire.r_int r in
+let frame io (f : Frame.t) : Frame.t =
+  let outgoing_words = Wire.field io "frame.outgoing_words" C.nat f.outgoing_words in
+  let locals_off = Wire.field io "frame.locals_off" C.int f.locals_off in
+  let locals_bytes = Wire.field io "frame.locals_bytes" C.nat f.locals_bytes in
+  let slot_off = Wire.field io "frame.slot_off" C.int_array f.slot_off in
+  let scratch_off = Wire.field io "frame.scratch_off" C.int f.scratch_off in
+  let ret_off = Wire.field io "frame.ret_off" C.int f.ret_off in
+  let frame_bytes = Wire.field io "frame.frame_bytes" C.nat f.frame_bytes in
   { Frame.outgoing_words; locals_off; locals_bytes; slot_off; scratch_off; ret_off; frame_bytes }
 
-let save_loc w = function
-  | Lreg n ->
-    Wire.u8 w 0;
-    Wire.int w n
-  | Lpad n ->
-    Wire.u8 w 1;
-    Wire.int w n
+let table c =
+  C.conv
+    (fun kvs ->
+      let h = Hashtbl.create (Int.max 8 (List.length kvs)) in
+      List.iter (fun (k, v) -> Hashtbl.replace h k v) kvs;
+      h)
+    (fun h ->
+      List.sort (fun (a, _) (b, _) -> Int.compare a b) (Hashtbl.fold (fun k v acc -> (k, v) :: acc) h []))
+    (C.list (C.pair C.int c))
 
-let load_loc r =
-  match Wire.r_u8 r with
-  | 0 -> Lreg (Wire.r_int r)
-  | 1 -> Lpad (Wire.r_int r)
-  | v -> Wire.corrupt "bad reloc-map location tag %d" v
+let reg = C.int_in ~lo:0 ~hi:15
 
-let save w t =
-  Wire.tag w "RMAP";
-  Wire.str w t.rm_fname;
-  save_frame w t.rm_frame;
-  Wire.int w t.rm_pad;
-  Wire.int w t.rm_frame';
-  Wire.int w t.rm_ret_off;
-  Wire.int w t.rm_out_off;
-  Wire.int w t.rm_locals_off;
-  Wire.int w t.rm_scratch_off;
-  Wire.int w t.rm_vm_temp;
-  Wire.list w
-    (fun w (k, v) ->
-      Wire.int w k;
-      Wire.int w v)
-    (List.sort
-       (fun (a, _) (b, _) -> Int.compare a b)
-       (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.rm_slot_off []));
-  Wire.int_array w t.rm_arg_off;
-  Wire.int w (Array.length t.rm_reg_map);
-  Array.iter (save_loc w) t.rm_reg_map;
-  Wire.int w t.rm_hash_key;
-  Wire.int w t.rm_nregs_in_regs
+let regs word =
+  C.where "16 locations"
+    (fun a -> Array.length a = 16)
+    (C.array
+       (C.sum
+          (function Lreg _ -> 0 | Lpad _ -> 1)
+          [|
+            C.conv (fun n -> Lreg n) (function Lreg n -> n | Lpad _ -> 0) reg;
+            C.conv (fun n -> Lpad n) (function Lpad n -> n | Lreg _ -> 0) word;
+          |]))
 
-let load r =
-  Wire.expect_tag r "RMAP";
-  let rm_fname = Wire.r_str r in
-  let rm_frame = load_frame r in
-  let rm_pad = Wire.r_int r in
-  let rm_frame' = Wire.r_int r in
-  let rm_ret_off = Wire.r_int r in
-  let rm_out_off = Wire.r_int r in
-  let rm_locals_off = Wire.r_int r in
-  let rm_scratch_off = Wire.r_int r in
-  let rm_vm_temp = Wire.r_int r in
-  let slots = Wire.r_list r (fun r ->
-      let k = Wire.r_int r in
-      let v = Wire.r_int r in
-      (k, v))
+let map io t =
+  let io = Wire.section io "RMAP" in
+  let rm_fname = Wire.field io "fname" C.str t.rm_fname in
+  let rm_frame = frame io t.rm_frame in
+  let rm_pad = Wire.field io "pad" C.nat t.rm_pad in
+  let padded = rm_frame.frame_bytes + rm_pad in
+  let rm_frame' = Wire.field io "frame'" (C.int_in ~lo:padded ~hi:padded) t.rm_frame' in
+  let placed size = C.int_in ~lo:0 ~hi:(rm_frame' - 16 - size) in
+  let word = placed 4 in
+  let rm_ret_off = Wire.field io "ret_off" word t.rm_ret_off in
+  let rm_out_off =
+    Wire.field io "out_off" (placed (Int.max 4 (4 * rm_frame.outgoing_words))) t.rm_out_off
   in
-  let rm_slot_off = Hashtbl.create (Int.max 8 (List.length slots)) in
-  List.iter (fun (k, v) -> Hashtbl.replace rm_slot_off k v) slots;
-  let rm_arg_off = Wire.r_int_array r in
-  let nregs = Wire.r_int r in
-  if nregs <> 16 then Wire.corrupt "bad reloc-map register count %d" nregs;
-  let rm_reg_map = Array.init nregs (fun _ -> load_loc r) in
-  let rm_hash_key = Wire.r_int r in
-  let rm_nregs_in_regs = Wire.r_int r in
+  let rm_locals_off = Wire.field io "locals_off" (placed rm_frame.locals_bytes) t.rm_locals_off in
+  let rm_scratch_off = Wire.field io "scratch_off" (placed 8) t.rm_scratch_off in
+  let rm_vm_temp = Wire.field io "vm_temp" (placed 32) t.rm_vm_temp in
+  let rm_slot_off = Wire.field io "slot_off" (table word) t.rm_slot_off in
+  let rm_arg_off = Wire.field io "arg_off" (C.array word) t.rm_arg_off in
+  let rm_reg_map = Wire.field io "reg_map" (regs word) t.rm_reg_map in
+  let rm_hash_key = Wire.field io "hash_key" C.int t.rm_hash_key in
+  let rm_nregs_in_regs = Wire.field io "nregs_in_regs" (C.int_in ~lo:0 ~hi:16) t.rm_nregs_in_regs in
   {
     rm_fname;
     rm_frame;
@@ -278,3 +256,15 @@ let load r =
     rm_hash_key;
     rm_nregs_in_regs;
   }
+
+let codec =
+  let frame =
+    { Frame.outgoing_words = 0; locals_off = 0; locals_bytes = 0; slot_off = [||]; scratch_off = 0;
+      ret_off = 0; frame_bytes = 0 }
+  in
+  C.record "RMAP"
+    ~blank:
+      { rm_fname = ""; rm_frame = frame; rm_pad = 0; rm_frame' = 0; rm_ret_off = 0; rm_out_off = 0;
+        rm_locals_off = 0; rm_scratch_off = 0; rm_vm_temp = 0; rm_slot_off = Hashtbl.create 1;
+        rm_arg_off = [||]; rm_reg_map = [||]; rm_hash_key = 0; rm_nregs_in_regs = 0 }
+    map

@@ -79,10 +79,10 @@ val entropy_bits_per_param : Config.t -> float
 (** log2 of the number of positions one relocated parameter can take
     (word-granular within the pad). *)
 
-val save : Hipstr_util.Wire.w -> t -> unit
-(** Serialize the complete map, embedded frame layout included
-    (snapshots; deterministic byte layout). *)
-
-val load : Hipstr_util.Wire.r -> t
-(** Rebuild a map from a {!save} image.
-    @raise Hipstr_util.Wire.Corrupt on a malformed image. *)
+val codec : t Hipstr_util.Wire.codec
+(** The complete map, embedded frame layout included (snapshots;
+    deterministic byte layout). Reading refuses a padded frame other
+    than the frame plus the pad, an object placed outside
+    [\[0, frame' - 16)], a register mapped outside 0..15 and a count
+    of kept registers outside 0..16, so a restored run never addresses
+    a frame slot outside its frame. *)

@@ -751,56 +751,54 @@ let drain_new_units t =
    the restored run must not re-count it. *)
 
 module Wire = Hipstr_util.Wire
+module C = Wire.C
 
 let sorted_keys tbl = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
 
-let save_maps w t =
-  Wire.list w
-    (fun w name ->
-      Wire.str w name;
-      Reloc_map.save w (Hashtbl.find t.maps name))
-    (sorted_keys t.maps)
-
-let load_maps t r =
-  let ms =
-    Wire.r_list r (fun r ->
-        let name = Wire.r_str r in
-        let m = Reloc_map.load r in
-        (name, m))
-  in
-  Hashtbl.reset t.maps;
-  List.iter (fun (n, m) -> Hashtbl.replace t.maps n m) ms
-
-let save_memo_keys w t =
-  Wire.list w
-    (fun w (src, fp) ->
-      Wire.int w src;
-      Wire.int w fp)
-    (List.sort compare
-       (Hashtbl.fold
-          (fun src e acc ->
-            if e.me_saved then (src, e.me_fp) :: acc else acc)
-          t.memo []))
-
-(* The first live unit translated from source bytes the program has
-   written since the binary was loaded. An image names each live unit
-   by its source address, and [rematerialize] re-prepares it from the
-   restored source bytes, which are no longer the bytes its running
-   translation was made from. *)
+(* The first unit whose source bytes the program has written since its
+   translation was made: a live unit written since the binary was
+   loaded, or a saved memo entry written since the entry was last
+   known clean. An image names each by its source address;
+   [rematerialize] re-prepares a live unit, and [rebuild_memo] a saved
+   entry, from the restored source bytes, which are no longer the
+   bytes the translation was made from. The memo case asks
+   [span_unwritten] directly: [source_unchanged] would re-stamp the
+   entry, and a checkpoint is a pure read. *)
 let rewritten_unit t =
-  List.find_map
-    (fun (b : Code_cache.block) ->
-      if List.for_all (span_unwritten t ~since:t.loaded_gen) b.cb_src_spans then None
-      else Some b.cb_src)
-    (Code_cache.blocks t.cache)
+  let written since spans = not (List.for_all (span_unwritten t ~since) spans) in
+  match
+    List.find_opt
+      (fun (b : Code_cache.block) -> written t.loaded_gen b.cb_src_spans)
+      (Code_cache.blocks t.cache)
+  with
+  | Some b -> Some b.cb_src
+  | None ->
+    Hashtbl.fold
+      (fun src e acc ->
+        match acc with
+        | Some a when a < src -> acc
+        | _ ->
+          if e.me_saved && written e.me_src_gen (Translator.prepared_spans e.me_prep) then Some src
+          else acc)
+      t.memo None
 
-(* Rebuild memo entries by re-running the (pure) translator scan
-   against the restored maps; the saved fingerprint cross-checks that
-   the maps in the image really are the maps the memo was built
-   against. *)
+(* Re-run the (pure) translator scan of a unit an image names; a unit
+   that leads out of this binary's code comes from a forged image. *)
+let reprepare t src =
+  match
+    Translator.prepare t.cfg t.desc ~read:(Mem.reader (mem t)) ~fatbin:t.fatbin
+      ~map_of:(fun fs -> map_of t fs)
+      ~src
+  with
+  | prep -> prep
+  | exception Translator.Wild a ->
+    Wire.corrupt "unit 0x%x leads to 0x%x, outside this binary's code" src a
+
+(* Rebuild memo entries against the restored maps; the saved
+   fingerprint cross-checks that the maps in the image really are the
+   maps the memo was built against. *)
 let rebuild_memo t keys =
   Hashtbl.reset t.memo;
-  let read = Mem.reader (mem t) in
   let src_gen = Mem.generation t.src_region in
   List.iter
     (fun (src, fp) ->
@@ -809,15 +807,10 @@ let rebuild_memo t keys =
       | Some fs ->
         if Reloc_map.fingerprint (map_of t fs) <> fp then
           Wire.corrupt "memo entry 0x%x disagrees with its relocation map" src;
-        let prep =
-          Translator.prepare t.cfg t.desc ~read ~fatbin:t.fatbin
-            ~map_of:(fun fs -> map_of t fs)
-            ~src
-        in
         Hashtbl.replace t.memo src
           {
             me_fp = fp;
-            me_prep = prep;
+            me_prep = reprepare t src;
             me_saved = true;
             me_src_gen = src_gen;
             me_laid = None;
@@ -832,16 +825,12 @@ let rebuild_memo t keys =
 let rematerialize t =
   Hashtbl.reset t.stub_at;
   Hashtbl.reset t.block_meta;
-  let read = Mem.reader (mem t) in
   List.iter
     (fun (b : Code_cache.block) ->
       let prep =
         match Hashtbl.find_opt t.memo b.cb_src with
         | Some e -> e.me_prep
-        | _ ->
-          Translator.prepare t.cfg t.desc ~read ~fatbin:t.fatbin
-            ~map_of:(fun fs -> map_of t fs)
-            ~src:b.cb_src
+        | _ -> reprepare t b.cb_src
       in
       if Translator.prepared_size prep <> b.cb_size then
         Wire.corrupt "re-materialized unit for 0x%x measures %d bytes, image says %d" b.cb_src
@@ -849,113 +838,89 @@ let rematerialize t =
       install t ~base:b.cb_cache (Translator.layout prep ~base:b.cb_cache))
     (Code_cache.blocks t.cache)
 
+let maps_codec = C.list (C.pair C.str Reloc_map.codec)
+let memo_keys = C.list (C.pair C.int C.int)
+let ints = C.list C.int
+
+(* The slot of a map generation, which a VM that draws each map once
+   does not need; kept, always 0, so the image layout does not change. *)
+let reserved = C.int_in ~lo:0 ~hi:0
+
+let patches_codec =
+  C.list
+    (C.pair C.int
+       (C.conv
+          (fun (pt_src, pt_cache) -> { pt_src; pt_cache })
+          (fun p -> (p.pt_src, p.pt_cache))
+          (C.pair C.int C.int)))
+
 (* The map/memo/history slice, shared by a full VM image and a
-   warm-start memo artifact: the rng, a reserved word, the maps, the
-   memo keys and the translation history. Loading it rebuilds the memo
-   against the loaded maps. The reserved word is always 0: it is the
-   slot of a map generation, which a VM that draws each map once does
-   not need, kept so the image layout does not change. *)
-let write_meta w t =
-  Wire.i64 w (Rng.state t.rng);
-  Wire.int w 0;
-  save_maps w t;
-  save_memo_keys w t;
-  Wire.list w Wire.int (sorted_keys t.ever_translated)
+   warm-start memo artifact: the rng, the reserved word, the maps, the
+   memo keys and the translation history. Reading it rebuilds the memo
+   against the loaded maps. *)
+let meta io t =
+  Rng.set_state t.rng (Wire.field io "rng" C.i64 (Rng.state t.rng));
+  ignore (Wire.field io "reserved" reserved 0);
+  Wire.derived io "maps" maps_codec
+    (fun () -> List.map (fun name -> (name, Hashtbl.find t.maps name)) (sorted_keys t.maps))
+    (fun ms ->
+      Hashtbl.reset t.maps;
+      Hashtbl.reset t.hot;
+      List.iter (fun (n, m) -> Hashtbl.replace t.maps n m) ms);
+  Wire.derived io "memo_keys" memo_keys
+    (fun () ->
+      List.sort compare
+        (Hashtbl.fold
+           (fun src e acc -> if e.me_saved then (src, e.me_fp) :: acc else acc)
+           t.memo []))
+    (rebuild_memo t);
+  Wire.derived io "translated" ints
+    (fun () -> sorted_keys t.ever_translated)
+    (fun srcs ->
+      Hashtbl.reset t.ever_translated;
+      List.iter (fun src -> Hashtbl.replace t.ever_translated src ()) srcs)
 
-let read_meta t r =
-  Rng.set_state t.rng (Wire.r_i64 r);
-  (match Wire.r_int r with 0 -> () | v -> Wire.corrupt "reserved VM meta word is %d, not 0" v);
-  load_maps t r;
-  let memo_keys =
-    Wire.r_list r (fun r ->
-        let src = Wire.r_int r in
-        let fp = Wire.r_int r in
-        (src, fp))
-  in
-  let ever = Wire.r_list r Wire.r_int in
-  Hashtbl.reset t.ever_translated;
-  List.iter (fun src -> Hashtbl.replace t.ever_translated src ()) ever;
-  Hashtbl.reset t.hot;
-  rebuild_memo t memo_keys
-
-let save_state w t =
-  Wire.tag w "PSRVM";
-  write_meta w t;
-  Code_cache.save w t.cache;
-  Wire.list w
-    (fun w (pc, (p : patch_rec)) ->
-      Wire.int w pc;
-      Wire.int w p.pt_src;
-      Wire.int w p.pt_cache)
-    (List.sort compare (Hashtbl.fold (fun pc p acc -> (pc, p) :: acc) t.patches []));
-  Wire.list w Wire.int t.new_units;
+let sync_state io t =
+  let io = Wire.section io "PSRVM" in
+  meta io t;
+  Code_cache.sync io t.cache;
+  if Wire.is_reading io then rematerialize t;
+  Wire.derived io "patches" patches_codec
+    (fun () -> List.sort compare (Hashtbl.fold (fun pc p acc -> (pc, p) :: acc) t.patches []))
+    (fun ps ->
+      Hashtbl.reset t.patches;
+      List.iter
+        (fun (pc, (p : patch_rec)) ->
+          (match Hashtbl.find_opt t.stub_at pc with
+          | Some (Sexit s) when s = p.pt_src -> ()
+          | _ ->
+            Wire.corrupt "chain patch at 0x%x does not cover an exit stub for 0x%x" pc p.pt_src);
+          Mem.blit_string (mem t) pc (Isa.encode t.which ~at:pc (Minstr.Jmp p.pt_cache));
+          Hashtbl.remove t.stub_at pc;
+          Hashtbl.replace t.patches pc p)
+        ps);
+  t.new_units <- Wire.field io "new_units" ints t.new_units;
   let s = t.st in
-  Wire.int w s.translations;
-  Wire.int w s.source_instrs;
-  Wire.int w s.emitted_instrs;
-  Wire.int w s.traps;
-  Wire.int w s.patches;
-  Wire.int w s.rat_miss_translated;
-  Wire.int w s.icalls;
-  Wire.int w s.suspicious;
-  Wire.int w s.compulsory_misses;
-  Wire.int w s.capacity_misses;
-  Wire.int w s.evictions;
-  Wire.int w s.memo_installs;
-  Wire.float w s.retranslate_cycles
-
-let restore_state t r =
-  Wire.expect_tag r "PSRVM";
-  read_meta t r;
-  Code_cache.restore t.cache r;
-  let patch_list =
-    Wire.r_list r (fun r ->
-        let pc = Wire.r_int r in
-        let pt_src = Wire.r_int r in
-        let pt_cache = Wire.r_int r in
-        (pc, { pt_src; pt_cache }))
-  in
-  let new_units = Wire.r_list r Wire.r_int in
-  let s = t.st in
-  s.translations <- Wire.r_int r;
-  s.source_instrs <- Wire.r_int r;
-  s.emitted_instrs <- Wire.r_int r;
-  s.traps <- Wire.r_int r;
-  s.patches <- Wire.r_int r;
-  s.rat_miss_translated <- Wire.r_int r;
-  s.icalls <- Wire.r_int r;
-  s.suspicious <- Wire.r_int r;
-  s.compulsory_misses <- Wire.r_int r;
-  s.capacity_misses <- Wire.r_int r;
-  s.evictions <- Wire.r_int r;
-  s.memo_installs <- Wire.r_int r;
-  s.retranslate_cycles <- Wire.r_float r;
-  rematerialize t;
-  Hashtbl.reset t.patches;
-  List.iter
-    (fun (pc, (p : patch_rec)) ->
-      (match Hashtbl.find_opt t.stub_at pc with
-      | Some (Sexit s) when s = p.pt_src -> ()
-      | _ -> Wire.corrupt "chain patch at 0x%x does not cover an exit stub for 0x%x" pc p.pt_src);
-      Mem.blit_string (mem t) pc (Isa.encode t.which ~at:pc (Minstr.Jmp p.pt_cache));
-      Hashtbl.remove t.stub_at pc;
-      Hashtbl.replace t.patches pc p)
-    patch_list;
-  t.new_units <- new_units;
-  t.span_quiet <- false
+  s.translations <- Wire.field io "translations" C.int s.translations;
+  s.source_instrs <- Wire.field io "source_instrs" C.int s.source_instrs;
+  s.emitted_instrs <- Wire.field io "emitted_instrs" C.int s.emitted_instrs;
+  s.traps <- Wire.field io "traps" C.int s.traps;
+  s.patches <- Wire.field io "patches" C.int s.patches;
+  s.rat_miss_translated <- Wire.field io "rat_miss_translated" C.int s.rat_miss_translated;
+  s.icalls <- Wire.field io "icalls" C.int s.icalls;
+  s.suspicious <- Wire.field io "suspicious" C.int s.suspicious;
+  s.compulsory_misses <- Wire.field io "compulsory_misses" C.int s.compulsory_misses;
+  s.capacity_misses <- Wire.field io "capacity_misses" C.int s.capacity_misses;
+  s.evictions <- Wire.field io "evictions" C.int s.evictions;
+  s.memo_installs <- Wire.field io "memo_installs" C.int s.memo_installs;
+  s.retranslate_cycles <- Wire.field io "retranslate_cycles" C.float s.retranslate_cycles
 
 (* Warm-start metadata: the map/memo/history slice of the state,
    without any machine coupling — loadable into a *fresh* VM so a new
    run re-installs previously translated units from the memo at
    [memo_install_per_instr] instead of re-translating at
    [translate_per_instr]. *)
-let save_meta w t =
-  Wire.tag w "PSRMETA";
-  write_meta w t
-
-let load_meta t r =
-  Wire.expect_tag r "PSRMETA";
-  read_meta t r
+let sync_meta io t = meta (Wire.section io "PSRMETA") t
 
 (* Cold-start control: drop the memo but keep the translation history,
    so both arms of a warm/cold comparison classify their misses

@@ -132,42 +132,39 @@ val flush : t -> unit
     only: guest results do not depend on it. *)
 
 val rewritten_unit : t -> int option
-(** The source address of the first live unit whose source bytes the
-    program has written since the binary was loaded, if any. No image
-    of this VM can be restored while one is live: {!restore_state}
-    re-encodes every live unit from the restored source bytes, which
-    are not the bytes its running translation was made from. *)
+(** The source address of a unit whose source bytes the program has
+    written since its translation was made, if any: a live unit written
+    since the binary was loaded, or (the lowest such address) a memo
+    entry that travels in images, written since the entry was last
+    known clean. No image of this VM can be restored faithfully while
+    one exists: {!sync_state} re-encodes every live unit, and rebuilds
+    every saved memo entry, from the restored source bytes, which are
+    not the bytes the translation was made from. A pure read. *)
 
-val save_state : Hipstr_util.Wire.w -> t -> unit
-(** Serialize the VM: rng word, a reserved 0 word, relocation maps, memo
-    key set (without the entries the flush path keeps for itself),
-    translation history, code-cache allocator state, chain
-    patches, un-drained units, counters. Translated code bytes do NOT
-    travel — {!restore_state} re-materializes them. *)
-
-val restore_state : t -> Hipstr_util.Wire.r -> unit
-(** Overwrite this VM from a {!save_state} image taken on a VM with
-    the same config/ISA, re-encoding every live cache block at its
-    recorded address (and re-applying chain patches) so the cache
-    bytes in guest memory come out identical to checkpoint time.
-    Charges no cycles and records no observations — the work was
-    already accounted when it first happened. Requires the guest
-    memory image (source code bytes) to be restored first.
+val sync_state : Hipstr_util.Wire.io -> t -> unit
+(** Write, or overwrite from an image, the VM: rng word, a reserved 0
+    word, relocation maps, memo key set (without the entries the flush
+    path keeps for itself), translation history, code-cache allocator
+    state, chain patches, un-drained units, counters. Translated code
+    bytes do NOT travel. Reading targets a VM with the same config/ISA,
+    re-encodes every live cache block at its recorded address (and
+    re-applies chain patches) so the cache bytes in guest memory come
+    out identical to checkpoint time. It charges no cycles and records
+    no observations — the work was already accounted when it first
+    happened — and requires the guest memory image (source code bytes)
+    to be restored first.
     @raise Hipstr_util.Wire.Corrupt on malformed or inconsistent
     images (a non-zero reserved word, memo/map fingerprint mismatch,
     block size mismatch, patch targeting a non-stub). *)
 
-val save_meta : Hipstr_util.Wire.w -> t -> unit
-(** Serialize only the warm-start slice — rng word, the reserved word,
-    relocation maps, memo keys (as in {!save_state}), translation
+val sync_meta : Hipstr_util.Wire.io -> t -> unit
+(** Only the warm-start slice — rng word, the reserved word,
+    relocation maps, memo keys (as in {!sync_state}), translation
     history — with no machine coupling, for persisting the translation
-    memo across runs. *)
-
-val load_meta : t -> Hipstr_util.Wire.r -> unit
-(** Load {!save_meta} output into a freshly created VM (after the fat
-    binary is in memory): subsequent translations of memoized units
-    are served as memo installs (under {!Code_cache.Flush}, from the
-    memo but charged as translations).
+    memo across runs. Read into a freshly created VM (after the fat
+    binary is in memory), it makes later translations of memoized
+    units memo installs (under {!Code_cache.Flush}, from the memo but
+    charged as translations).
     @raise Hipstr_util.Wire.Corrupt on malformed images, a non-zero
     reserved word among them. *)
 

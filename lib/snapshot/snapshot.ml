@@ -11,10 +11,13 @@
    wrong program or a version-skewed image fails loudly instead of
    resuming garbage. The host engine (fast path or decode oracle) is
    not guest state and stays out of the image: [restore] takes it
-   from its caller, exactly as [System.of_fatbin] does. The
-   parser is strict end to end: every length is checked, trailing
-   bytes are an error, and truncation surfaces as
-   [Hipstr_util.Wire.Corrupt].
+   from its caller, exactly as [System.of_fatbin] does. Each record,
+   the framing included, is one [Wire] declaration that writes and
+   reads it, with its field ranges. The parser is strict end to end:
+   every range and length is checked, trailing bytes are an error,
+   and truncation surfaces as [Hipstr_util.Wire.Corrupt]. A restore
+   builds a fresh system and drops it on a refusal, which may come
+   after part of the image was read into it.
 
    Guest memory travels as a page-granular delta against the pristine
    post-load image ([Fatbin.baseline]: fresh memory + [Fatbin.load],
@@ -22,7 +25,7 @@
    program state and land in the delta). The code-cache
    regions are excluded wholesale: translated code is never shipped,
    it re-materializes deterministically from the relocation maps
-   ([Vm.restore_state]), which is both smaller and the honest model —
+   ([Vm.sync_state]), which is both smaller and the honest model —
    migrated translations are stale on the other end anyway.
 
    Determinism contract: a checkpoint is a pure read of the system.
@@ -50,9 +53,7 @@ module Obs = Hipstr_obs.Obs
 module System = Hipstr.System
 module Process = Hipstr_cmp.Process
 module Wire = Hipstr_util.Wire
-
-let magic = "HIPSNAP"
-let memo_magic = "HIPMEMO"
+module C = Wire.C
 
 (* Memo artifacts carry their own format version: version 3 of the
    image format (no engine flags in the manifest) left them as they
@@ -72,40 +73,21 @@ let fingerprint (fb : Fatbin.t) = fb.fb_fingerprint
 
 (* --- config ------------------------------------------------------- *)
 
-let policy_tag = function Code_cache.Flush -> 0 | Code_cache.Fifo -> 1 | Code_cache.Clock -> 2
-
-let policy_of_tag = function
-  | 0 -> Code_cache.Flush
-  | 1 -> Code_cache.Fifo
-  | 2 -> Code_cache.Clock
-  | n -> Wire.corrupt "unknown cache-policy tag %d" n
-
-let save_config w (c : Config.t) =
-  Wire.tag w "CFG";
-  Wire.int w c.opt_level;
-  Wire.int w c.pad_bytes;
-  Wire.int w c.rat_capacity;
-  Wire.int w c.cache_bytes;
-  Wire.float w c.migrate_prob;
-  Wire.int w c.seed;
-  Wire.int w c.superblock_budget;
-  Wire.u8 w (policy_tag c.cc_policy)
-
 (* A config no [System] could have been created with is refused here,
    before a system is built from it. *)
-let load_config r : Config.t =
-  Wire.expect_tag r "CFG";
-  let opt_level = Wire.r_int r in
-  let pad_bytes = Wire.r_int r in
-  let rat_capacity = Wire.r_int r in
-  let cache_bytes = Wire.r_int r in
-  let migrate_prob = Wire.r_float r in
-  let seed = Wire.r_int r in
-  let superblock_budget = Wire.r_int r in
-  let cc_policy = policy_of_tag (Wire.r_u8 r) in
-  let cfg : Config.t =
+let config io (c : Config.t) : Config.t =
+  let io = Wire.section io "CFG" in
+  let opt_level = Wire.field io "opt_level" C.int c.opt_level in
+  let pad_bytes = Wire.field io "pad_bytes" C.int c.pad_bytes in
+  let rat_capacity = Wire.field io "rat_capacity" C.int c.rat_capacity in
+  let cache_bytes = Wire.field io "cache_bytes" C.int c.cache_bytes in
+  let migrate_prob = Wire.field io "migrate_prob" C.float c.migrate_prob in
+  let seed = Wire.field io "seed" C.int c.seed in
+  let superblock_budget = Wire.field io "superblock_budget" C.int c.superblock_budget in
+  let cc_policy = Wire.field io "cc_policy" Code_cache.policy_codec c.cc_policy in
+  let cfg =
     {
-      opt_level;
+      Config.opt_level;
       pad_bytes;
       rat_capacity;
       cache_bytes;
@@ -132,23 +114,23 @@ type manifest = {
   mf_cycles : float;
 }
 
-let read_header r =
-  let m = Wire.r_str r in
-  if m <> magic then Wire.corrupt "bad magic %S (not a HIPStR snapshot)" m;
-  let v = Wire.r_int r in
-  if v <> version then Wire.corrupt "snapshot version %d, this build reads version %d" v version;
-  Wire.expect_tag r "MANIFEST";
-  let mf_workload = Wire.r_str r in
-  let mf_mode = System.mode_of_tag (Wire.r_u8 r) in
-  let mf_seed = Wire.r_int r in
-  let mf_pid = Wire.r_int r in
-  let mf_start_isa = Isa.of_tag (Wire.r_u8 r) in
-  let mf_cfg = load_config r in
-  let mf_fingerprint = Wire.r_int r in
-  let mf_instructions = Wire.r_int r in
-  let mf_cycles = Wire.r_float r in
+let image_version = C.int_in ~lo:version ~hi:version
+
+let header io mf =
+  Wire.field io "magic" (C.literal "HIPSNAP") ();
+  let mf_version = Wire.field io "version" image_version mf.mf_version in
+  let io = Wire.section io "MANIFEST" in
+  let mf_workload = Wire.field io "workload" C.str mf.mf_workload in
+  let mf_mode = Wire.field io "mode" System.mode_codec mf.mf_mode in
+  let mf_seed = Wire.field io "seed" C.int mf.mf_seed in
+  let mf_pid = Wire.field io "pid" C.int mf.mf_pid in
+  let mf_start_isa = Wire.field io "start_isa" Isa.codec mf.mf_start_isa in
+  let mf_cfg = config io mf.mf_cfg in
+  let mf_fingerprint = Wire.field io "fingerprint" C.int mf.mf_fingerprint in
+  let mf_instructions = Wire.field io "instructions" C.int mf.mf_instructions in
+  let mf_cycles = Wire.field io "cycles" C.float mf.mf_cycles in
   {
-    mf_version = v;
+    mf_version;
     mf_workload;
     mf_mode;
     mf_seed;
@@ -160,197 +142,180 @@ let read_header r =
     mf_cycles;
   }
 
-let manifest_of image = read_header (Wire.reader image)
+let unread =
+  {
+    mf_version = 0;
+    mf_workload = "";
+    mf_mode = System.Native;
+    mf_seed = 0;
+    mf_pid = 0;
+    mf_start_isa = Desc.Cisc;
+    mf_cfg = Config.default;
+    mf_fingerprint = 0;
+    mf_instructions = 0;
+    mf_cycles = 0.;
+  }
+
+let manifest_of data = header (Wire.reading (Wire.reader data)) unread
 
 (* --- memory delta -------------------------------------------------- *)
+
+let pages =
+  C.list
+    (C.pair
+       (C.int_in ~lo:0 ~hi:((delta_limit / page_bytes) - 1))
+       (C.where "a whole page" (fun s -> String.length s = page_bytes) C.str))
 
 (* Pages are compared in place; only a differing page is copied out.
    [page_bytes] matches [Mem]'s own page size, so a page neither side
    has written compares by pointer. *)
-let save_delta w ~baseline mem =
-  Wire.tag w "MEMDELTA";
-  let npages = delta_limit / page_bytes in
-  let dirty = ref [] in
-  for page = npages - 1 downto 0 do
-    let a = page * page_bytes in
-    if not (Mem.equal_span mem baseline a page_bytes) then
-      dirty := (page, Mem.read_string mem a page_bytes) :: !dirty
-  done;
-  Wire.list w
-    (fun w (page, bytes) ->
-      Wire.int w page;
-      Wire.str w bytes)
-    !dirty
-
-let load_delta r mem =
-  Wire.expect_tag r "MEMDELTA";
-  Wire.r_list r (fun r ->
-      let page = Wire.r_int r in
-      let bytes = Wire.r_str r in
-      if page < 0 || (page + 1) * page_bytes > delta_limit then
-        Wire.corrupt "delta page %d outside the checkpointable region" page;
-      if String.length bytes <> page_bytes then
-        Wire.corrupt "delta page %d carries %d bytes, expected %d" page (String.length bytes)
-          page_bytes;
-      Mem.write_string mem (page * page_bytes) bytes)
-  |> ignore
+let delta io ~baseline mem =
+  Wire.derived (Wire.section io "MEMDELTA") "pages" pages
+    (fun () ->
+      let dirty = ref [] in
+      for page = (delta_limit / page_bytes) - 1 downto 0 do
+        let a = page * page_bytes in
+        if not (Mem.equal_span mem baseline a page_bytes) then
+          dirty := (page, Mem.read_string mem a page_bytes) :: !dirty
+      done;
+      !dirty)
+    (List.iter (fun (page, bytes) -> Mem.write_string mem (page * page_bytes) bytes))
 
 (* --- obs metrics baseline ------------------------------------------ *)
 
-let save_summary w (h : Obs.Metrics.histogram_summary) =
-  Wire.int w h.hs_count;
-  Wire.float w h.hs_sum;
-  Wire.float w h.hs_min;
-  Wire.float w h.hs_max;
-  Wire.float w h.hs_mean;
-  Wire.int_array w h.hs_buckets
-
-let load_summary r : Obs.Metrics.histogram_summary =
-  let hs_count = Wire.r_int r in
-  let hs_sum = Wire.r_float r in
-  let hs_min = Wire.r_float r in
-  let hs_max = Wire.r_float r in
-  let hs_mean = Wire.r_float r in
-  let hs_buckets = Wire.r_int_array r in
+let summary io (h : Obs.Metrics.histogram_summary) : Obs.Metrics.histogram_summary =
+  let hs_count = Wire.field io "count" C.int h.hs_count in
+  let hs_sum = Wire.field io "sum" C.float h.hs_sum in
+  let hs_min = Wire.field io "min" C.float h.hs_min in
+  let hs_max = Wire.field io "max" C.float h.hs_max in
+  let hs_mean = Wire.field io "mean" C.float h.hs_mean in
+  let hs_buckets = Wire.field io "buckets" C.int_array h.hs_buckets in
   { hs_count; hs_sum; hs_min; hs_max; hs_mean; hs_buckets }
 
-let save_metrics w (s : Obs.Metrics.snapshot) =
-  Wire.tag w "METRICS";
-  Wire.list w
-    (fun w (name, v) ->
-      Wire.str w name;
-      Wire.int w v)
-    s.snap_counters;
-  Wire.list w
-    (fun w (name, h) ->
-      Wire.str w name;
-      save_summary w h)
-    s.snap_histograms
+let counters = C.list (C.pair C.str C.int)
 
-let load_metrics r : Obs.Metrics.snapshot =
-  Wire.expect_tag r "METRICS";
-  let snap_counters =
-    Wire.r_list r (fun r ->
-        let name = Wire.r_str r in
-        let v = Wire.r_int r in
-        (name, v))
-  in
-  let snap_histograms =
-    Wire.r_list r (fun r ->
-        let name = Wire.r_str r in
-        let h = load_summary r in
-        (name, h))
-  in
+let histograms =
+  C.list
+    (C.pair C.str
+       (C.record "histogram"
+          ~blank:
+            { Obs.Metrics.hs_count = 0; hs_sum = 0.; hs_min = 0.; hs_max = 0.; hs_mean = 0.;
+              hs_buckets = [||] }
+          summary))
+
+let metrics io (s : Obs.Metrics.snapshot) : Obs.Metrics.snapshot =
+  let io = Wire.section io "METRICS" in
+  let snap_counters = Wire.field io "counters" counters s.snap_counters in
+  let snap_histograms = Wire.field io "histograms" histograms s.snap_histograms in
   { snap_counters; snap_histograms }
 
 (* --- checkpoint / restore ------------------------------------------ *)
 
-let write_image w ?(workload = "custom") sys =
+(* An image: the header, guest memory as a delta, the system state and
+   the metrics baseline. Writing passes the manifest of the system
+   [build] returns; reading passes [unread] and [build] makes a fresh
+   system from the manifest read, restores into it and, when
+   [merge_obs], folds the baseline into its context. *)
+let image io mf ~build ~merge_obs =
+  let mf = header io mf in
+  let sys = build mf in
+  delta io ~baseline:(Fatbin.baseline (System.fatbin sys)) (Machine.mem (System.machine sys));
+  System.sync_state io sys;
+  let obs = System.obs sys in
+  let reading = Wire.is_reading io in
+  let snap =
+    metrics io
+      (if Obs.on obs && not reading then Obs.snapshot obs
+       else { snap_counters = []; snap_histograms = [] })
+  in
+  if reading && merge_obs && Obs.on obs then Obs.Metrics.merge ~into:(Obs.metrics obs) snap;
+  (sys, mf)
+
+(* The manifest of a checkpoint of [sys]; the refusal rule
+   ([System.rewritten_unit]) is checked here, before a byte is
+   written. *)
+let manifest ?(workload = "custom") sys =
   (match System.rewritten_unit sys with
   | Some (which, src) ->
     invalid_arg
       (Printf.sprintf
-         "Snapshot.checkpoint: live %s unit 0x%x was translated from code the program has \
-          since rewritten; restore would rebuild it from the new bytes"
+         "Snapshot.checkpoint: %s unit 0x%x was translated from code the program has since \
+          rewritten; restore would rebuild it from the new bytes"
          (Isa.name which) src)
   | None -> ());
-  let m = System.machine sys in
-  let fb = System.fatbin sys in
-  Wire.str w magic;
-  Wire.int w version;
-  Wire.tag w "MANIFEST";
-  Wire.str w workload;
-  Wire.u8 w (System.mode_tag (System.mode sys));
-  Wire.int w (System.seed sys);
-  Wire.int w (Machine.owner m);
-  Wire.u8 w (Isa.tag (System.start_isa sys));
-  save_config w (System.config sys);
-  Wire.int w (fingerprint fb);
-  Wire.int w (System.instructions sys);
-  Wire.float w (System.cycles sys);
-  save_delta w ~baseline:(Fatbin.baseline fb) (Machine.mem m);
-  System.save_state w sys;
-  let obs = System.obs sys in
-  save_metrics w
-    (if Obs.on obs then Obs.snapshot obs else { snap_counters = []; snap_histograms = [] })
+  {
+    mf_version = version;
+    mf_workload = workload;
+    mf_mode = System.mode sys;
+    mf_seed = System.seed sys;
+    mf_pid = Machine.owner (System.machine sys);
+    mf_start_isa = System.start_isa sys;
+    mf_cfg = System.config sys;
+    mf_fingerprint = fingerprint (System.fatbin sys);
+    mf_instructions = System.instructions sys;
+    mf_cycles = System.cycles sys;
+  }
 
-let checkpoint ?workload sys =
-  let w = Wire.writer () in
-  write_image w ?workload sys;
-  Wire.contents w
-
-let read_image r ?obs ?(merge_obs = true) ?decode_cache ?spare ~fatbin () =
-  let mf = read_header r in
+(* The fresh, un-booted system an image's manifest describes. *)
+let rebuild ?obs ?decode_cache ?spare ~fatbin mf =
   let fp = fingerprint fatbin in
   if fp <> mf.mf_fingerprint then
     Wire.corrupt "binary fingerprint 0x%x does not match the image's 0x%x (wrong program?)" fp
       mf.mf_fingerprint;
-  let sys =
-    System.of_fatbin ?obs ~cfg:mf.mf_cfg ~seed:mf.mf_seed ~start_isa:mf.mf_start_isa
-      ~pid:mf.mf_pid ?decode_cache ~boot:false ?spare ~mode:mf.mf_mode fatbin
-  in
-  load_delta r (Machine.mem (System.machine sys));
-  System.restore_state sys r;
-  let snap = load_metrics r in
-  let obs = System.obs sys in
-  if merge_obs && Obs.on obs then Obs.Metrics.merge ~into:(Obs.metrics obs) snap;
-  (sys, mf)
+  System.of_fatbin ?obs ~cfg:mf.mf_cfg ~seed:mf.mf_seed ~start_isa:mf.mf_start_isa ~pid:mf.mf_pid
+    ?decode_cache ~boot:false ?spare ~mode:mf.mf_mode fatbin
 
-let restore ?obs ?merge_obs ?decode_cache ~fatbin image =
-  let r = Wire.reader image in
-  let sys, mf = read_image r ?obs ?merge_obs ?decode_cache ~fatbin () in
-  Wire.expect_end r;
-  (sys, mf)
+let checkpoint ?workload sys =
+  Wire.encode
+    (fun io sys -> ignore (image io (manifest ?workload sys) ~build:(fun _ -> sys) ~merge_obs:false))
+    sys
+
+let restore ?obs ?(merge_obs = true) ?decode_cache ~fatbin data =
+  Wire.decode (fun io -> image io unread ~build:(rebuild ?obs ?decode_cache ~fatbin) ~merge_obs) data
 
 (* --- process images (fleet live migration) ------------------------- *)
 
-let checkpoint_process ?workload p =
-  let w = Wire.writer () in
-  Wire.str w "HIPSPROC";
-  write_image w ?workload (Process.sys p);
-  Process.save w p;
-  Wire.contents w
+(* A system image behind its own magic, then the process slice around
+   the system: [proc] is the process written, or the blank one a read
+   fills. *)
+let process_image io mf ~build ~merge_obs ~proc =
+  Wire.field io "magic" (C.literal "HIPSPROC") ();
+  let sys, mf = image io mf ~build ~merge_obs in
+  (Process.sync io (proc sys), mf)
 
-let restore_process ?obs ?merge_obs ?spare ~fatbin image =
-  let r = Wire.reader image in
-  let m = Wire.r_str r in
-  if m <> "HIPSPROC" then Wire.corrupt "bad magic %S (not a process snapshot)" m;
-  let sys, mf = read_image r ?obs ?merge_obs ?spare ~fatbin () in
-  let p = Process.reconstitute ~sys r in
-  Wire.expect_end r;
-  (p, mf)
+let checkpoint_process p =
+  let sys = Process.sys p in
+  Wire.encode
+    (fun io p ->
+      ignore (process_image io (manifest sys) ~build:(fun _ -> sys) ~merge_obs:false ~proc:(fun _ -> p)))
+    p
+
+let restore_process ?obs ?(merge_obs = true) ?spare ~fatbin data =
+  Wire.decode
+    (fun io ->
+      process_image io unread ~build:(rebuild ?obs ?spare ~fatbin) ~merge_obs ~proc:Process.blank)
+    data
 
 (* --- warm-start memo artifacts ------------------------------------- *)
 
-let save_memo sys =
-  let w = Wire.writer () in
-  Wire.str w memo_magic;
-  Wire.int w memo_version;
-  Wire.int w (fingerprint (System.fatbin sys));
-  Wire.u8 w (System.mode_tag (System.mode sys));
-  save_config w (System.config sys);
-  System.save_memo w sys;
-  Wire.contents w
-
-let load_memo sys image =
-  let r = Wire.reader image in
-  let m = Wire.r_str r in
-  if m <> memo_magic then Wire.corrupt "bad magic %S (not a memo artifact)" m;
-  let v = Wire.r_int r in
-  if v <> memo_version then
-    Wire.corrupt "memo version %d, this build reads version %d" v memo_version;
-  let fp = Wire.r_int r in
+(* Pinned to the binary, the mode and the config of the system it was
+   taken from: reading demands the target's. *)
+let memo io sys =
+  Wire.field io "magic" (C.literal "HIPMEMO") ();
+  ignore (Wire.field io "version" (C.int_in ~lo:memo_version ~hi:memo_version) memo_version);
   let own = fingerprint (System.fatbin sys) in
-  if fp <> own then
-    Wire.corrupt "binary fingerprint 0x%x does not match the memo's 0x%x" own fp;
-  let mt = Wire.r_u8 r in
-  if mt <> System.mode_tag (System.mode sys) then
-    Wire.corrupt "memo was taken in mode %d, this system is mode %d" mt
-      (System.mode_tag (System.mode sys));
-  let cfg = load_config r in
-  if cfg <> System.config sys then Wire.corrupt "memo config differs from this system's config";
-  System.load_memo sys r;
-  Wire.expect_end r
+  let fp = Wire.field io "fingerprint" C.int own in
+  if fp <> own then Wire.corrupt "binary fingerprint 0x%x does not match the memo's 0x%x" own fp;
+  let mode = Wire.field io "mode" System.mode_codec (System.mode sys) in
+  if mode <> System.mode sys then
+    Wire.corrupt "memo was taken in mode %s, this system is mode %s" (System.mode_name mode)
+      (System.mode_name (System.mode sys));
+  if config io (System.config sys) <> System.config sys then
+    Wire.corrupt "memo config differs from this system's config";
+  System.sync_memo io sys
+
+let save_memo sys = Wire.encode memo sys
+let load_memo sys data = Wire.decode (fun io -> memo io sys) data
 
 (* --- migration cost model ------------------------------------------ *)
 (* Simulated cycle costs of moving an image between pools, charged by

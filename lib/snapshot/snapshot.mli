@@ -8,9 +8,16 @@
     (relocation maps, memo keys, code-cache directory — translated
     bytes re-materialize on restore), the OS state and the metrics
     baseline (empty when the system's observability context is off).
-    The parser is strict: truncated, trailing, version-skewed or
-    wrong-binary images, and a config {!Hipstr_psr.Config.validate}
-    refuses, raise {!Hipstr_util.Wire.Corrupt}.
+    Each record is declared once ({!Hipstr_util.Wire}): one
+    traversal writes it and reads it, with its field ranges. The
+    parser is strict: truncated, trailing, version-skewed or
+    wrong-binary images, a field outside its declared range (the
+    message names the record and the field) and a config
+    {!Hipstr_psr.Config.validate} refuses raise
+    {!Hipstr_util.Wire.Corrupt}. A refused restore may have read part
+    of the image into the system it was building; that system is
+    dropped, never returned, and a refused {!load_memo} leaves its
+    target to be discarded by the caller.
 
     Determinism contract: a checkpoint is a pure read — the system
     that took it runs on exactly as if it had not, its decode caches
@@ -23,13 +30,16 @@
     execution engine either. Span rollups and audit history are not
     checkpointed.
 
-    Refusal rule: an image names each live translated unit by its
-    source address, and restore re-encodes it from the source bytes in
-    the restored memory. Once the program has written a live unit's
-    source bytes since the binary was loaded, those are no longer the
-    bytes its running translation was made from, so {!checkpoint} and
+    Refusal rule: an image names each live translated unit, and each
+    translation-memo entry that travels, by its source address, and
+    restore re-prepares them from the source bytes in the restored
+    memory. Once the program has written those bytes since the unit
+    was translated (a live unit: since the binary was loaded; a memo
+    entry: since the entry was last known clean), they are no longer
+    the bytes the translation was made from, so {!checkpoint} and
     {!checkpoint_process} refuse rather than write an image that would
-    restore different code (or be refused as corrupt). *)
+    restore different code, or a memo hit where the live run
+    translates. *)
 
 type manifest = {
   mf_version : int;
@@ -80,9 +90,10 @@ val manifest_of : string -> manifest
     process images' payload; see {!restore_process} for the latter).
     @raise Hipstr_util.Wire.Corrupt as {!restore}. *)
 
-val checkpoint_process : ?workload:string -> Hipstr_cmp.Process.t -> string
-(** A process image: the full system image plus the scheduler-visible
-    runtime slice (fuel accounting, flags).
+val checkpoint_process : Hipstr_cmp.Process.t -> string
+(** A process image: its own magic, the full system image, then the
+    scheduler-visible runtime slice (fuel accounting, flags). Fleet
+    live migration moves processes with these, in memory.
     @raise Invalid_argument as {!checkpoint}. *)
 
 val restore_process :

@@ -8,10 +8,11 @@
    was taken on nor, with observability off, on what else the process
    ran; the restored system must run the very translated bytes the
    live one was running, and a checkpoint of code the program has
-   rewritten is refused; and the image parser must reject truncated,
-   trailing, version-skewed and wrong-binary images, forged lengths
-   and configs, and forged code-cache, cache-model and
-   branch-predictor state, loudly. *)
+   rewritten, live or saved in the memo, is refused; and the image
+   parser must reject truncated, trailing, version-skewed and
+   wrong-binary images, forged lengths and configs, and forged
+   code-cache, cache-model, branch-predictor and relocation-map state,
+   loudly. *)
 
 module Desc = Hipstr_isa.Desc
 module Isa = Hipstr_isa.Isa
@@ -416,6 +417,73 @@ let test_refuses_rewritten_code () =
       check_fp (Printf.sprintf "refused at 0x%x" at) (fingerprint_of twin o') (fingerprint_of sys o))
     [ unit_src; unit_src + 6 ]
 
+(* A memo entry travels as its source address and map fingerprint, and
+   restore rebuilds it from the restored source bytes, stamped clean. A
+   saved entry whose source the program wrote after the entry was built
+   is a miss in the live run (a full translation) but would be a memo
+   hit after a restore, so the checkpoint refuses it as it refuses a
+   live unit. Under fifo every unit is memoized and saved. At opt level
+   1 gobmk's units overflow a 4 KiB cache, and the unit rewritten here
+   is one the cache has evicted, at a byte whose 64-byte write stamp no
+   live unit's bytes (decode window included) share. The rewrite
+   stores the byte already there: the guard tracks writes, not
+   values. *)
+let test_refuses_rewritten_memo_source () =
+  let fb = Workloads.fatbin (Workloads.find "gobmk") in
+  let cfg =
+    { Config.default with Config.opt_level = 1; cache_bytes = 4096; cc_policy = Code_cache.Fifo }
+  in
+  let sys =
+    System.of_fatbin ~obs:(Obs.create ()) ~cfg ~seed:3 ~start_isa:Desc.Cisc
+      ~mode:System.Psr_only fb
+  in
+  let blocks () = Code_cache.blocks (Vm.cache (System.vm sys Desc.Cisc)) in
+  let seen = Hashtbl.create 64 in
+  for _ = 1 to 10 do
+    (match System.run sys ~fuel:10_000 with
+    | System.Out_of_fuel -> ()
+    | o -> Alcotest.failf "finished before the rewrite (%s)" (outcome_string o));
+    List.iter (fun (b : Code_cache.block) -> Hashtbl.replace seen b.cb_src b.cb_src_spans) (blocks ())
+  done;
+  let live = blocks () in
+  let window = Hipstr_machine.Decode_cache.max_decode_window in
+  let clear_of_live a =
+    let page = a land lnot 63 in
+    List.for_all
+      (fun (b : Code_cache.block) ->
+        List.for_all (fun (lo, len) -> lo + len + window <= page || lo >= page + 64) b.cb_src_spans)
+      live
+  in
+  (* one byte of each 64-byte stamp page a span touches *)
+  let stamp_bytes (lo, len) =
+    List.init (((lo + len - 1) / 64) - (lo / 64) + 1) (fun k -> max lo ((lo / 64 * 64) + (64 * k)))
+  in
+  let src, at =
+    match
+      List.sort compare
+        (Hashtbl.fold
+           (fun src spans acc ->
+             if List.exists (fun (b : Code_cache.block) -> b.cb_src = src) live then acc
+             else
+               match List.filter clear_of_live (List.concat_map stamp_bytes spans) with
+               | at :: _ -> (src, at) :: acc
+               | [] -> acc)
+           seen [])
+    with
+    | c :: _ -> c
+    | [] -> Alcotest.fail "no evicted unit lies clear of the live ones"
+  in
+  ignore (Snapshot.checkpoint sys);
+  let mem = Machine.mem (System.machine sys) in
+  Mem.blit_string mem at (Mem.read_string mem at 1);
+  match Snapshot.checkpoint sys with
+  | exception Invalid_argument m ->
+    let name = Printf.sprintf "0x%x" src in
+    let n = String.length name in
+    let rec names i = i + n <= String.length m && (String.sub m i n = name || names (i + 1)) in
+    if not (names 0) then Alcotest.failf "the refusal does not name unit %s: %s" name m
+  | _ -> Alcotest.failf "a checkpoint after the rewrite of evicted unit 0x%x was taken" src
+
 (* --- strict parser ------------------------------------------------- *)
 
 let expect_corrupt label f =
@@ -622,6 +690,55 @@ let test_rejects_forged_cache_and_predictor () =
   expect_corrupt "2-bit counter at 255" (fun () ->
       restore_bpred (bpred_record ~bad_counter:(4095, 255) ~ras_top:0 ()))
 
+(* Forged relocation maps. Every object [Reloc_map.generate] places
+   lies inside the padded frame, below its reserved top 16 bytes, and
+   the padded frame is the frame plus the pad, so a map that says
+   otherwise sends the restored run's frame accesses to wild addresses
+   (a [vm_temp] at 2^40 made [System.run] raise [Mem.Fault]). Each
+   RMAP record is found by its tag, and its fields are located by the
+   layout the image uses: the name, the frame's three words, slot array
+   and three more words, then [pad], [frame'], [ret_off], [out_off],
+   [locals_off], [scratch_off] and [vm_temp]. *)
+let test_rejects_forged_reloc_map () =
+  let fb = Workloads.fatbin (Workloads.find "gobmk") in
+  let sys =
+    System.of_fatbin ~obs:(Obs.create ()) ~seed:3 ~start_isa:Desc.Cisc ~mode:System.Psr_only fb
+  in
+  ignore (System.run sys ~fuel:50_000);
+  let image = Snapshot.checkpoint sys in
+  let word o = Int64.to_int (String.get_int64_le image o) in
+  let rec maps i acc =
+    match String.index_from_opt image i '\004' with
+    | Some j when j + 5 <= String.length image ->
+      maps (j + 1) (if String.sub image (j + 1) 4 = "RMAP" then (j + 5) :: acc else acc)
+    | _ -> acc
+  in
+  let pads =
+    List.map
+      (fun k ->
+        let frame = k + 8 + word k in
+        frame + 32 + (8 * word (frame + 24)) + 24)
+      (maps 0 [])
+  in
+  Alcotest.(check bool) "the image holds relocation maps" true (pads <> []);
+  ignore (Snapshot.restore ~obs:(Obs.create ()) ~fatbin:fb image);
+  List.iter
+    (fun (label, field, value) ->
+      let b = Bytes.of_string image in
+      List.iter
+        (fun pad ->
+          let at = pad + (8 * field) in
+          Bytes.set_int64_le b at (Int64.of_int (value (word at))))
+        pads;
+      expect_corrupt label (fun () ->
+          Snapshot.restore ~obs:(Obs.create ()) ~fatbin:fb (Bytes.to_string b)))
+    [
+      ("vm_temp at 2^40", 6, fun _ -> 1 lsl 40);
+      ("ret_off at 2^40", 2, fun _ -> 1 lsl 40);
+      ("negative scratch_off", 5, fun _ -> -8);
+      ("frame' past frame + pad", 1, fun v -> v + 16);
+    ]
+
 (* The fingerprint is hashed once at link from the binary's own code
    strings. It must equal its definition: FNV-1a 64 over each ISA's
    main entry, then every function's entry, size and bytes as
@@ -727,6 +844,8 @@ let () =
           Alcotest.test_case "disabled image stands alone" `Quick
             test_disabled_image_stands_alone;
           Alcotest.test_case "refuses rewritten code" `Quick test_refuses_rewritten_code;
+          Alcotest.test_case "refuses a rewritten memo source" `Quick
+            test_refuses_rewritten_memo_source;
         ] );
       ( "strict parser",
         [
@@ -740,6 +859,7 @@ let () =
           Alcotest.test_case "forged code-cache state" `Quick test_rejects_forged_code_cache;
           Alcotest.test_case "forged cache and predictor state" `Quick
             test_rejects_forged_cache_and_predictor;
+          Alcotest.test_case "forged relocation map" `Quick test_rejects_forged_reloc_map;
           Alcotest.test_case "fingerprint hashes the loaded code" `Quick
             test_fingerprint_matches_loaded_code;
         ] );
