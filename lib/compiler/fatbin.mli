@@ -9,6 +9,15 @@
 
 type location = Lreg of int | Lslot of int  (** register, or frame byte offset *)
 
+type decoded = {
+  dc_addr : int array;
+      (** the start of each instruction, ascending, then the end of the
+          last one (one more entry than [dc_instr]) *)
+  dc_instr : Hipstr_isa.Minstr.t array;
+}
+(** A function's code in one ISA as a decoded instruction stream (see
+    {!decoded}). *)
+
 type image = {
   im_entry : int;
   im_size : int;
@@ -22,6 +31,7 @@ type image = {
           decoded once at {!link} from the bytes {!load} writes
           ({!count_reg_uses}) — immutable, shared by every system
           booted from the binary *)
+  im_decoded : decoded option Atomic.t;  (** read it through {!decoded} *)
 }
 
 type func_sym = {
@@ -71,6 +81,20 @@ val baseline : t -> Hipstr_machine.Mem.t
 
 val image : func_sym -> Hipstr_isa.Desc.which -> image
 
+val decoded : func_sym -> Hipstr_isa.Desc.which -> decoded
+(** The function's code in that ISA, decoded once from the bytes
+    {!load} writes: a linear decode from the entry that stops at the
+    end of the code or at the first undecodable byte. It equals a
+    decode of freshly loaded memory, instruction by instruction
+    (decoders read only the bytes of the instruction they decode).
+    Built on first use, per function and ISA, and shared read-only by
+    every VM and domain that uses the binary; never written after it is
+    published. Safe to call from several domains at once. *)
+
+val instr_index : decoded -> int -> int
+(** The index of the instruction that starts at the address (binary
+    search over [dc_addr]), or [-1] if none does. *)
+
 val find_func : t -> string -> func_sym
 (** @raise Not_found *)
 
@@ -78,16 +102,21 @@ val entry : t -> Hipstr_isa.Desc.which -> int
 (** Address of [main]. *)
 
 val func_at : t -> Hipstr_isa.Desc.which -> int -> func_sym option
-(** The function whose code section contains the address. *)
+(** The function whose code section contains the address. A binary
+    search: it relies on {!link} laying the functions out disjoint and
+    in [fb_funcs] order on both ISAs. *)
 
 val block_at : t -> Hipstr_isa.Desc.which -> int -> (func_sym * int) option
-(** The function and IR block label whose code contains the address. *)
+(** The function and IR block label whose code contains the address:
+    the lowest such label of {!func_at}'s function. *)
 
 val block_starting_at : t -> Hipstr_isa.Desc.which -> int -> (func_sym * int) option
-(** The block whose first instruction is at exactly this address. *)
+(** The block whose first instruction is at exactly this address: the
+    lowest such label of {!func_at}'s function. *)
 
 val callsite_of_ret : t -> Hipstr_isa.Desc.which -> int -> (func_sym * int) option
-(** Map a source return address back to (function, site id). *)
+(** Map a source return address back to (function, site id). Only the
+    function holding [addr - 1], the call's last byte, is searched. *)
 
 val callsite_ret : func_sym -> Hipstr_isa.Desc.which -> int -> int option
 (** The return address of call site [site] in the given image — the

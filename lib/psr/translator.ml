@@ -38,15 +38,57 @@ let jmp_same_size (desc : Desc.t) = Isa.length desc.which (Jmp 0) = Isa.length d
    measurable slice of translation-time allocation. *)
 let no_ref = -1
 
+(* Tags of a syscall window or of an argument store for the unit's
+   terminal direct call (see [compute_marks]). *)
+type mark = Mnone | Mphys_dst | Margstore of int (* relocated displacement *)
+
+(* The most body instructions one segment scan takes. *)
+let max_body = 64
+
+(* The working state of one [prepare]. It is reused: each domain keeps
+   one ([scratch]), and [prepare] copies out what the unit keeps, so a
+   translation allocates no emission or scan arrays of its own.
+
+   A segment scan leaves its body, the straight-line instructions
+   before the terminator, in [b_arr.(b_lo)] .. [b_arr.(b_lo + n - 1)]:
+   a range of the function's shared decoded code, or of [mem_body] when
+   it was decoded from memory. [t_len] is the terminator's length, 0
+   when the scan stopped without one. *)
 type st = {
-  cfg : Config.t;
-  desc : Desc.t;
+  mutable desc : Desc.t;
   mutable it_instr : Minstr.t array; (* emitted instructions, [0, emitted) *)
   mutable it_ref : int array; (* parallel stub refs, [no_ref] if none *)
   mutable nstub : int;
   mutable stub_targets : (int * int) list; (* stub idx -> target src, reverse *)
   mutable emitted : int;
+  mem_body : Minstr.t array;
+  marks : mark array; (* per body instruction of the current segment *)
+  mutable b_arr : Minstr.t array;
+  mutable b_lo : int;
+  mutable t_addr : int;
+  mutable t_instr : Minstr.t;
+  mutable t_len : int;
+  mutable seg_end : int;
 }
+
+let scratch : st Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      {
+        desc = Isa.desc Desc.Cisc;
+        it_instr = Array.make 64 Minstr.Nop;
+        it_ref = Array.make 64 no_ref;
+        nstub = 0;
+        stub_targets = [];
+        emitted = 0;
+        mem_body = Array.make max_body Minstr.Nop;
+        marks = Array.make max_body Mnone;
+        b_arr = [||];
+        b_lo = 0;
+        t_addr = 0;
+        t_instr = Minstr.Nop;
+        t_len = 0;
+        seg_end = 0;
+      })
 
 (* Inline traps for indirect transfers carry this flag in their
    operand so layout can tell them apart from ordinary exit stubs
@@ -192,8 +234,6 @@ let emit_mov_x st map temps dst src =
    of a syscall window or as an argument store for the unit's
    terminal direct call. *)
 
-type mark = Mnone | Mphys_dst | Margstore of int (* relocated displacement *)
-
 let rewrite_instr st (map : Reloc_map.t) mark (i : Minstr.t) =
   let temps = fresh_temps (avoid_of_instr map i) in
   (match i with
@@ -321,36 +361,78 @@ let rewrite_instr st (map : Reloc_map.t) mark (i : Minstr.t) =
 (* ------------------------------------------------------------------ *)
 (* Segment scanning. *)
 
-(* Decode a straight-line segment (terminator inclusive). Returns the
-   body in *reverse* with its length — the caller fills an array
-   backwards, which skips the [List.rev] copy the old interface
-   paid per scanned instruction. *)
-let scan_segment st ~read pc ~max_instrs =
-  let rec go addr n acc =
-    if n >= max_instrs then (acc, n, None, addr)
-    else
-      match Isa.decode st.desc.which ~read addr with
-      | None -> (acc, n, None, addr)
-      | Some (i, len) ->
-        if Minstr.is_control i then (acc, n, Some (addr, i, len), addr + len)
-        else go (addr + len) (n + 1) ((addr, i, len) :: acc)
-  in
-  go pc 0 []
+(* Scan a straight-line segment from [pc]: body instructions up to
+   [max_body], then the terminator, which is included. The scan stops
+   after [max_body] body instructions or at undecodable bytes without
+   one. Returns the body length; the segment is left in [st] (see
+   [st]).
 
-let rec fill_rev a l i =
-  match l with
-  | [] -> ()
-  | hd :: tl ->
-    a.(i) <- hd;
-    fill_rev a tl (i - 1)
+   [scan_mem] decodes guest memory through [read]. [scan_code] reads
+   the function's shared decoded code from index [k0], which holds
+   exactly what [scan_mem] would decode while the function's bytes are
+   the ones the binary loaded: it stops where [scan_mem] stops, and
+   hands over to it where the decoded code ends. *)
+let set_term st addr i len =
+  st.t_addr <- addr;
+  st.t_instr <- i;
+  st.t_len <- len;
+  st.seg_end <- addr + len
 
-let body_array rev n =
-  match rev with
-  | [] -> [||]
-  | hd :: _ ->
-    let a = Array.make n hd in
-    fill_rev a rev (n - 1);
-    a
+let rec scan_mem st ~read addr n =
+  if n >= max_body then begin
+    st.seg_end <- addr;
+    n
+  end
+  else
+    match Isa.decode st.desc.which ~read addr with
+    | None ->
+      st.seg_end <- addr;
+      n
+    | Some (i, len) ->
+      if Minstr.is_control i then begin
+        set_term st addr i len;
+        n
+      end
+      else begin
+        st.mem_body.(n) <- i;
+        scan_mem st ~read (addr + len) (n + 1)
+      end
+
+let rec scan_code st ~read (d : Fatbin.decoded) k0 k =
+  let n = k - k0 in
+  let addr = d.dc_addr.(k) in
+  if n >= max_body then begin
+    st.seg_end <- addr;
+    n
+  end
+  else if k >= Array.length d.dc_instr then begin
+    (* past the decoded code: the rest of the segment comes from memory *)
+    Array.blit d.dc_instr k0 st.mem_body 0 n;
+    st.b_arr <- st.mem_body;
+    st.b_lo <- 0;
+    scan_mem st ~read addr n
+  end
+  else
+    let i = d.dc_instr.(k) in
+    if Minstr.is_control i then begin
+      set_term st addr i (d.dc_addr.(k + 1) - addr);
+      n
+    end
+    else scan_code st ~read d k0 (k + 1)
+
+let scan_segment st ~read (code : Fatbin.decoded option) pc =
+  st.t_len <- 0;
+  let k = match code with Some d -> Fatbin.instr_index d pc | None -> -1 in
+  match code with
+  | Some d when k >= 0 ->
+    st.b_arr <- d.dc_instr;
+    st.b_lo <- k;
+    scan_code st ~read d k k
+  | _ ->
+    (* rewritten code, or an entry off the decoded instruction starts *)
+    st.b_arr <- st.mem_body;
+    st.b_lo <- 0;
+    scan_mem st ~read pc 0
 
 (* Identify syscall windows and terminal-call argument stores. The
    scans are top-level recursive functions, not local closures —
@@ -360,12 +442,12 @@ let body_array rev n =
 (* Syscall windows: the run of [mov (reg j), [sp+4j]] loads just
    before each syscall keeps physical destinations; the first
    following [mov _, (reg ret)] keeps a physical source. *)
-let rec syscall_back sp (body : (int * Minstr.t * int) array) marks k =
+let rec syscall_back sp (body : Minstr.t array) lo marks k =
   if k >= 0 then
-    match body.(k) with
-    | _, Mov (Reg r, Mem { base; disp }), _ when base = sp && r <= 3 && disp = 4 * r ->
+    match body.(lo + k) with
+    | Mov (Reg r, Mem { base; disp }) when base = sp && r <= 3 && disp = 4 * r ->
       marks.(k) <- Mphys_dst;
-      syscall_back sp body marks (k - 1)
+      syscall_back sp body lo marks (k - 1)
     | _ -> ()
 
 (* Terminal direct call: the stores into the outgoing region in the
@@ -373,32 +455,36 @@ let rec syscall_back sp (body : (int * Minstr.t * int) array) marks k =
    callee's arguments. The scan stops at the first non-move or at a
    syscall, whose own staging must stay under the generic slot
    coloring. *)
-let rec argstore_back sp out_words callee_map fpad (body : (int * Minstr.t * int) array) marks k =
-  if k >= 0 && marks.(k) = Mnone then
-    match body.(k) with
-    | _, Mov (Mem { base; disp }, _), _ when base = sp && disp >= 0 && disp < 4 * out_words ->
-      let j = disp / 4 in
-      marks.(k) <- Margstore (Reloc_map.arg_off callee_map j - fpad);
-      argstore_back sp out_words callee_map fpad body marks (k - 1)
-    | _, Mov _, _ -> argstore_back sp out_words callee_map fpad body marks (k - 1)
-    | _ -> ()
+let rec argstore_back sp out_words callee_map fpad (body : Minstr.t array) lo marks k =
+  if k >= 0 then
+    match marks.(k) with
+    | Mphys_dst | Margstore _ -> ()
+    | Mnone -> (
+      match body.(lo + k) with
+      | Mov (Mem { base; disp }, _) when base = sp && disp >= 0 && disp < 4 * out_words ->
+        let j = disp / 4 in
+        marks.(k) <- Margstore (Reloc_map.arg_off callee_map j - fpad);
+        argstore_back sp out_words callee_map fpad body lo marks (k - 1)
+      | Mov _ -> argstore_back sp out_words callee_map fpad body lo marks (k - 1)
+      | _ -> ())
 
-let compute_marks st (map_of_callee : int -> Reloc_map.t option) frame_out_words body term =
-  let n = Array.length body in
-  let marks = Array.make n Mnone in
+(* Marks for the [n] body instructions of the segment in [st]. *)
+let compute_marks st (map_of_callee : int -> Reloc_map.t option) frame_out_words n =
+  let marks = st.marks and body = st.b_arr and lo = st.b_lo in
+  Array.fill marks 0 n Mnone;
   let sp = st.desc.sp in
   for idx = 0 to n - 1 do
-    match body.(idx) with
-    | _, Syscall, _ -> syscall_back sp body marks (idx - 1)
+    match body.(lo + idx) with
+    | Syscall -> syscall_back sp body lo marks (idx - 1)
     | _ -> ()
   done;
-  (match term with
-  | Some (_, Call target, _) -> (
+  (match st.t_instr with
+  | Call target when st.t_len > 0 -> (
     match map_of_callee target with
     | None -> ()
     | Some callee_map ->
       let fpad = Reloc_map.padded_frame callee_map in
-      argstore_back sp frame_out_words callee_map fpad body marks (n - 1))
+      argstore_back sp frame_out_words callee_map fpad body lo marks (n - 1))
   | _ -> ());
   marks
 
@@ -431,7 +517,7 @@ let emit_result_fixup st (map : Reloc_map.t) ~outgoing =
    encoding needs the address. [layout] binds a [prepared] to a base —
    repeatably, which is what makes the VM's translation memo sound. *)
 type prepared = {
-  p_st : st;
+  p_which : Desc.which;
   p_src : int;
   p_items : Minstr.t array;
   p_refs : int array; (* parallel stub refs, [no_ref] if none *)
@@ -444,29 +530,28 @@ type prepared = {
   p_instrs : int;
 }
 
+(* Whether a segment already started at [pc] in this unit: every
+   segment records its span, so the spans are the visited set. *)
+let rec visited (pc : int) = function
+  | [] -> false
+  | (p, _) :: rest -> p = pc || visited pc rest
 
-
-let prepare (cfg : Config.t) desc ~read ~fatbin ~map_of ~src =
-  let st =
-    {
-      cfg;
-      desc;
-      it_instr = Array.make 64 Minstr.Nop;
-      it_ref = Array.make 64 no_ref;
-      nstub = 0;
-      stub_targets = [];
-      emitted = 0;
-    }
-  in
+let prepare (cfg : Config.t) desc ~read ~as_loaded ~fatbin ~map_of ~src =
+  let st = Domain.DLS.get scratch in
+  st.desc <- desc;
+  st.nstub <- 0;
+  st.stub_targets <- [];
+  st.emitted <- 0;
   let sp = desc.sp in
   let fs0 =
     match Fatbin.func_at fatbin desc.which src with Some fs -> fs | None -> raise (Wild src)
   in
   let map0 = map_of fs0 in
+  (* Every segment of the unit lies in [fs0] or runs on past its end. *)
+  let code = if as_loaded fs0 then Some (Fatbin.decoded fs0 desc.which) else None in
   let spans = ref [] in
   let consumed = ref 0 in
   let inline_budget = ref (if cfg.opt_level >= 1 then cfg.superblock_budget else 0) in
-  let visited = Hashtbl.create 8 in
   (* Record positions of inline traps: we note the item count before
      emitting so layout can recover offsets. Simpler: traps are
      emitted as items carrying their own target; icall traps are
@@ -485,38 +570,39 @@ let prepare (cfg : Config.t) desc ~read ~fatbin ~map_of ~src =
     | Some _ | None -> None
   in
   (* Translate one segment chain (superblocks follow direct jumps and
-     conditional fall-through). *)
+     conditional fall-through). The segment's body and terminator live
+     in [st] until the next scan, which only the tail calls make. *)
   let first_segment = ref true in
   let rec do_segment fs map pc =
     let unit_start = !first_segment in
     first_segment := false;
-    if Hashtbl.mem visited pc then emit_exit_trap pc
+    if visited pc !spans then emit_exit_trap pc
     else begin
-      Hashtbl.replace visited pc ();
       let im = Fatbin.image fs desc.which in
-      let rev, nbody, term, seg_end = scan_segment st ~read pc ~max_instrs:64 in
+      let n = scan_segment st ~read code pc in
+      let body = st.b_arr and lo = st.b_lo in
+      let has_term = st.t_len > 0 and seg_end = st.seg_end in
       spans := (pc, seg_end - pc) :: !spans;
-      let body = body_array rev nbody in
-      consumed := !consumed + nbody + (match term with Some _ -> 1 | None -> 0);
-      let marks = compute_marks st callee_map_of fs.fs_frame.outgoing_words body term in
+      consumed := !consumed + n + (if has_term then 1 else 0);
+      let marks = compute_marks st callee_map_of fs.fs_frame.outgoing_words n in
       let fbytes = fs.fs_frame.frame_bytes in
       let fbytes' = Reloc_map.padded_frame map in
       let skip = ref 0 in
       (* Prologue rewriting when the segment starts at the entry. *)
       if pc = im.im_entry then begin
-        match (desc.call_pushes_ret, Array.length body) with
-        | true, n when n >= 1 -> (
-          match body.(0) with
-          | _, Binop (Sub, Reg r, Imm k), _ when r = sp && k = fbytes - 4 ->
+        match desc.call_pushes_ret with
+        | true when n >= 1 -> (
+          match body.(lo) with
+          | Binop (Sub, Reg r, Imm k) when r = sp && k = fbytes - 4 ->
             emit st (Binop (Sub, Reg sp, Imm (fbytes' - 4)));
             (* relocate the hardware-pushed return address *)
             emit st (Mov (Reg desc.scratch, Mem { base = sp; disp = fbytes' - 4 }));
             emit st (Mov (Mem { base = sp; disp = Reloc_map.ret_off map }, Reg desc.scratch));
             skip := 1
           | _ -> ())
-        | false, n when n >= 2 -> (
-          match (body.(0), body.(1)) with
-          | (_, Binop (Sub, Reg r, Imm k), _), (_, Mov (Mem { base; disp }, Reg lr), _)
+        | false when n >= 2 -> (
+          match (body.(lo), body.(lo + 1)) with
+          | Binop (Sub, Reg r, Imm k), Mov (Mem { base; disp }, Reg lr)
             when r = sp && k = fbytes && base = sp && disp = fbytes - 4 && Some lr = desc.lr ->
             emit st (Binop (Sub, Reg sp, Imm fbytes'));
             emit st (Mov (Mem { base = sp; disp = Reloc_map.ret_off map }, Reg lr));
@@ -528,16 +614,15 @@ let prepare (cfg : Config.t) desc ~read ~fatbin ~map_of ~src =
          terminator [ret]; the RISC epilogue is the trailing
          [ldr lr]/[add sp] pair before [retr lr]. We detect them and
          let the terminator handler emit the relocated sequence. *)
-      let n = Array.length body in
       let epi_start =
-        match (term, desc.call_pushes_ret) with
-        | Some (_, Ret, _), true when n >= 1 -> (
-          match body.(n - 1) with
-          | _, Binop (Add, Reg r, Imm k), _ when r = sp && k = fbytes - 4 -> n - 1
+        match (has_term, st.t_instr, desc.call_pushes_ret) with
+        | true, Ret, true when n >= 1 -> (
+          match body.(lo + n - 1) with
+          | Binop (Add, Reg r, Imm k) when r = sp && k = fbytes - 4 -> n - 1
           | _ -> n)
-        | Some (_, Retr rr, _), false when n >= 2 -> (
-          match (body.(n - 2), body.(n - 1)) with
-          | (_, Mov (Reg lr, Mem { base; disp }), _), (_, Binop (Add, Reg r2, Imm k2), _)
+        | true, Retr rr, false when n >= 2 -> (
+          match (body.(lo + n - 2), body.(lo + n - 1)) with
+          | Mov (Reg lr, Mem { base; disp }), Binop (Add, Reg r2, Imm k2)
             when Some lr = desc.lr && lr = rr && base = sp && disp = fbytes - 4 && r2 = sp
                  && k2 = fbytes ->
             n - 2
@@ -554,19 +639,19 @@ let prepare (cfg : Config.t) desc ~read ~fatbin ~map_of ~src =
       if unit_start && Fatbin.callsite_of_ret fatbin desc.which pc <> None then
         emit_result_fixup st map ~outgoing:false;
       for idx = !skip to epi_start - 1 do
-        let _, i, _ = body.(idx) in
+        let i = body.(lo + idx) in
         rewrite_instr st map marks.(idx) i;
         match i with
         | Syscall -> emit_result_fixup st map ~outgoing:false
         | _ -> ()
       done;
       (* Terminator. *)
-      match term with
-      | None ->
+      if not has_term then
         (* budget exhausted or undecodable: exit to the VM *)
         emit_exit_trap seg_end
-      | Some (taddr, t, tlen) -> (
-        let next_src = taddr + tlen in
+      else
+        let taddr = st.t_addr and t = st.t_instr in
+        let next_src = seg_end in
         match t with
         | Jmp target ->
           if !inline_budget > 0
@@ -574,7 +659,7 @@ let prepare (cfg : Config.t) desc ~read ~fatbin ~map_of ~src =
                 | Some fs' -> fs'.fs_name = fs.fs_name
                 | None -> false)
           then begin
-            inline_budget := !inline_budget - Array.length body - 1;
+            inline_budget := !inline_budget - n - 1;
             do_segment fs map target
           end
           else emit_exit_trap target
@@ -582,7 +667,7 @@ let prepare (cfg : Config.t) desc ~read ~fatbin ~map_of ~src =
           let stub = new_stub st target in
           emit st ~rf:stub (Jcc (c, 0));
           if !inline_budget > 0 then begin
-            inline_budget := !inline_budget - Array.length body - 1;
+            inline_budget := !inline_budget - n - 1;
             do_segment fs map next_src
           end
           else emit_exit_trap next_src
@@ -606,11 +691,11 @@ let prepare (cfg : Config.t) desc ~read ~fatbin ~map_of ~src =
             let k = ref (n - 1) and cnt = ref 0 in
             let continue_ = ref true in
             while !continue_ && !k >= 0 do
-              (match body.(!k) with
-              | _, Mov (Mem { base; disp }, _), _
+              (match body.(lo + !k) with
+              | Mov (Mem { base; disp }, _)
                 when base = sp && disp >= 0 && disp < 4 * fs.fs_frame.outgoing_words ->
                 incr cnt
-              | _, Mov _, _ -> ()
+              | Mov _ -> ()
               | _ -> continue_ := false);
               decr k
             done;
@@ -658,7 +743,7 @@ let prepare (cfg : Config.t) desc ~read ~fatbin ~map_of ~src =
           assert false (* not terminators *)
         | Trap _ | Callrat _ | Retrat _ ->
           (* pseudo-instructions never appear in source sections *)
-          raise (Wild taddr))
+          raise (Wild taddr)
     end
   in
   do_segment fs0 map0 src;
@@ -672,27 +757,25 @@ let prepare (cfg : Config.t) desc ~read ~fatbin ~map_of ~src =
   in
   let offsets = Array.make (Array.length items) 0 in
   let off = ref 0 in
-  Array.iteri
-    (fun i ins ->
-      offsets.(i) <- !off;
-      off := !off + ilen st ins)
-    items;
+  for i = 0 to Array.length items - 1 do
+    offsets.(i) <- !off;
+    off := !off + ilen st items.(i)
+  done;
   let stub_offs = Array.make st.nstub 0 in
-  Array.iteri
-    (fun i _ ->
-      stub_offs.(i) <- !off;
-      off := !off + ilen st (Trap 0))
-    stub_offs;
-  let total = !off in
+  let trap_len = ilen st (Trap 0) in
+  for i = 0 to st.nstub - 1 do
+    stub_offs.(i) <- !off;
+    off := !off + trap_len
+  done;
   {
-    p_st = st;
+    p_which = desc.which;
     p_src = src;
     p_items = items;
     p_refs = refs;
     p_offsets = offsets;
     p_stub_targets = stub_targets;
     p_stub_offs = stub_offs;
-    p_total = total;
+    p_total = !off;
     p_icalls = List.rev !icall_records;
     p_spans = List.rev !spans;
     p_instrs = !consumed;
@@ -703,7 +786,7 @@ let prepared_spans p = p.p_spans
 
 (* Encode a prepared unit at a concrete cache address. *)
 let layout p ~base =
-  let st = p.p_st in
+  let which = p.p_which in
   let items = p.p_items in
   let offsets = p.p_offsets in
   let stub_offs = p.p_stub_offs in
@@ -737,13 +820,13 @@ let layout p ~base =
         | [] -> assert false)
       | Trap target -> stubs := { es_off = offsets.(i); es_target_src = target } :: !stubs
       | _ -> ());
-      Isa.encode_into st.desc.which buf ~at ins')
+      Isa.encode_into which buf ~at ins')
     items;
   Array.iteri
     (fun s target ->
       let at = base + stub_offs.(s) in
       stubs := { es_off = stub_offs.(s); es_target_src = target } :: !stubs;
-      Isa.encode_into st.desc.which buf ~at (Trap target))
+      Isa.encode_into which buf ~at (Trap target))
     p.p_stub_targets;
   let bytes = Buffer.contents buf in
   assert (String.length bytes = p.p_total);
@@ -755,8 +838,8 @@ let layout p ~base =
     u_icalls = List.rev !icall_out;
     u_src_spans = p.p_spans;
     u_instrs = p.p_instrs;
-    u_emitted = st.emitted;
+    u_emitted = Array.length items;
   }
 
-let translate cfg desc ~read ~fatbin ~map_of ~src ~base =
-  layout (prepare cfg desc ~read ~fatbin ~map_of ~src) ~base
+let translate cfg desc ~read ~as_loaded ~fatbin ~map_of ~src ~base =
+  layout (prepare cfg desc ~read ~as_loaded ~fatbin ~map_of ~src) ~base

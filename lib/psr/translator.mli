@@ -65,12 +65,30 @@ val prepare :
   Config.t ->
   Hipstr_isa.Desc.t ->
   read:(int -> int) ->
+  as_loaded:(Hipstr_compiler.Fatbin.func_sym -> bool) ->
   fatbin:Hipstr_compiler.Fatbin.t ->
   map_of:(Hipstr_compiler.Fatbin.func_sym -> Reloc_map.t) ->
   src:int ->
   prepared
-(** Scan and rewrite the unit starting at source address [src].
-    @raise Wild if [src] is not inside any function of the binary. *)
+(** Scan and rewrite the unit starting at source address [src], whose
+    source bytes [read] fetches.
+
+    Every segment of a unit lies in the function holding [src], or
+    runs on past its end. When [as_loaded] holds for that function —
+    its code, and the decoder's look-ahead past it, still hold the bytes
+    the binary loaded — segments are scanned as index ranges of the
+    binary's shared decoded code ({!Hipstr_compiler.Fatbin.decoded}),
+    which is what a decode through [read] returns then. Memory is
+    decoded through [read] only when [as_loaded] fails, when a segment
+    starts off the decoded instruction starts (a gadget entry), and for
+    the part of a segment past the function's end. The unit is the
+    same either way. The VM passes its source-validity guard as
+    [as_loaded].
+
+    Each domain reuses one set of working arrays across calls, so
+    [prepare] must not be re-entered from [map_of] or [as_loaded].
+    @raise Wild if [src] is not inside any function of the binary, or
+    a segment's terminator is a VM pseudo-instruction. *)
 
 val layout : prepared -> base:int -> unit_code
 (** Encode a prepared unit for placement at cache address [base]. *)
@@ -85,6 +103,7 @@ val translate :
   Config.t ->
   Hipstr_isa.Desc.t ->
   read:(int -> int) ->
+  as_loaded:(Hipstr_compiler.Fatbin.func_sym -> bool) ->
   fatbin:Hipstr_compiler.Fatbin.t ->
   map_of:(Hipstr_compiler.Fatbin.func_sym -> Reloc_map.t) ->
   src:int ->
