@@ -57,7 +57,9 @@ val create :
     image. [boot] (default [true])
     writes the initial stack/pc; snapshot restore passes [false] and
     overwrites the whole machine state instead.
-    @raise Hipstr_compiler.Compile.Error on bad source. *)
+    @raise Hipstr_compiler.Compile.Error on bad source.
+    @raise Invalid_argument with {!Hipstr_psr.Config.validate}'s
+    message when it refuses [cfg]. *)
 
 val of_fatbin :
   ?obs:Hipstr_obs.Obs.t ->
@@ -78,8 +80,9 @@ val of_fatbin :
     retired: it is reset ({!Hipstr_machine.Machine.reset}) and reused
     instead of allocating one, with results identical to a new
     machine. The retired system must not be used again.
-    @raise Invalid_argument when [spare] was built for another mode,
-    configuration, engine or [obs]. *)
+    @raise Invalid_argument with {!Hipstr_psr.Config.validate}'s
+    message when it refuses [cfg], or when [spare] was built for
+    another mode, configuration, engine or [obs]. *)
 
 val fatbin : t -> Hipstr_compiler.Fatbin.t
 val machine : t -> Hipstr_machine.Machine.t

@@ -50,6 +50,10 @@ val lookup : t -> int -> int option
 (** Translated cache address for a source unit start. Under {!Clock}
     this also marks the block recently-used. *)
 
+val find : t -> int -> int option
+(** {!lookup} without marking anything: a pure read, for checks that
+    must not move Clock's eviction order. *)
+
 val next_addr : t -> align:int -> int
 (** Where the next [alloc ~align] will place its block (before any
     wrap-around under {!Fifo}/{!Clock}) — the single source of truth

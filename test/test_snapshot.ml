@@ -739,6 +739,60 @@ let test_rejects_forged_reloc_map () =
       ("frame' past frame + pad", 1, fun v -> v + 16);
     ]
 
+(* A restored chain patch must jump to the live unit of its source,
+   which is what patching wrote; eviction and flush un-patch every jump
+   into a unit they drop. Each patch record is three words: the stub
+   pc, its source target and the cache address the jump lands on.
+   Repointing one patch at another live unit of the same VM must be
+   refused, naming the patch. *)
+let test_rejects_forged_chain_patch () =
+  let w = Workloads.find "gobmk" in
+  let fb = Workloads.fatbin w in
+  let sys = boot ~mode:System.Hipstr fb in
+  ignore (System.run sys ~fuel:(w.Workloads.w_fuel / 5));
+  let image = Snapshot.checkpoint sys in
+  let word o = Int64.to_int (String.get_int64_le image o) in
+  let caches =
+    List.map (fun which -> Code_cache.blocks (Vm.cache (System.vm sys which))) [ Desc.Cisc; Desc.Risc ]
+  in
+  let in_unit pc (b : Code_cache.block) = pc >= b.cb_cache && pc < b.cb_cache + b.cb_size in
+  (* a patch: a stub pc inside a live unit, then the source and cache
+     address of a live unit of the same cache; and another live unit of
+     that cache to repoint it at *)
+  let patch_at o =
+    let pc = word o and src = word (o + 8) and cache = word (o + 16) in
+    List.find_map
+      (fun units ->
+        if
+          List.exists (in_unit pc) units
+          && List.exists (fun (b : Code_cache.block) -> b.cb_src = src && b.cb_cache = cache) units
+        then
+          List.find_map
+            (fun (b : Code_cache.block) -> if b.cb_cache <> cache then Some (pc, b.cb_cache) else None)
+            units
+        else None)
+      caches
+  in
+  let rec find o =
+    if o + 24 > String.length image then Alcotest.fail "the image holds no chain patch"
+    else match patch_at o with Some (pc, other) -> (o, pc, other) | None -> find (o + 1)
+  in
+  let o, pc, other = find 0 in
+  ignore (Snapshot.restore ~obs:(Obs.create ()) ~fatbin:fb image);
+  let forged = Bytes.of_string image in
+  Bytes.set_int64_le forged (o + 16) (Int64.of_int other);
+  match Snapshot.restore ~obs:(Obs.create ()) ~fatbin:fb (Bytes.to_string forged) with
+  | exception Wire.Corrupt m ->
+    let named = Printf.sprintf "0x%x" pc in
+    let rec names i =
+      i + String.length named <= String.length m
+      && (String.sub m i (String.length named) = named || names (i + 1))
+    in
+    if not (names 0) then
+      Alcotest.failf "refusal %S does not name the patch at %s" m named
+  | exception e -> Alcotest.failf "raised %s, wanted Wire.Corrupt" (Printexc.to_string e)
+  | _ -> Alcotest.failf "a patch at 0x%x repointed at 0x%x was accepted" pc other
+
 (* The fingerprint is hashed once at link from the binary's own code
    strings. It must equal its definition: FNV-1a 64 over each ISA's
    main entry, then every function's entry, size and bytes as
@@ -860,6 +914,7 @@ let () =
           Alcotest.test_case "forged cache and predictor state" `Quick
             test_rejects_forged_cache_and_predictor;
           Alcotest.test_case "forged relocation map" `Quick test_rejects_forged_reloc_map;
+          Alcotest.test_case "forged chain patch" `Quick test_rejects_forged_chain_patch;
           Alcotest.test_case "fingerprint hashes the loaded code" `Quick
             test_fingerprint_matches_loaded_code;
         ] );
