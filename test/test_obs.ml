@@ -443,6 +443,50 @@ let test_psr_run_events () =
   Alcotest.(check int) "translation counter = VM translations" translates
     (Hipstr_psr.Vm.stats (System.vm sys Desc.Cisc)).Hipstr_psr.Vm.translations
 
+(* The [translate] span covers the translation miss path. With a
+   hostprof attached, its phase is charged the miss path's allocation,
+   hundreds of words per translation where the span's own bookkeeping
+   is a handful. A translation that raises from inside (a function
+   whose code now starts with a VM pseudo-instruction) still closes its
+   span: it is recorded, and a span entered afterwards has no parent. *)
+let test_translate_span_covers_miss () =
+  let module Vm = Hipstr_psr.Vm in
+  let module Fatbin = Hipstr_compiler.Fatbin in
+  let module Machine = Hipstr_machine.Machine in
+  let obs = Obs.create () in
+  let hp = Obs.Hostprof.create () in
+  Obs.set_hostprof obs hp;
+  let fb = Workloads.fatbin (Workloads.find "mcf") in
+  let sys = System.of_fatbin ~obs ~seed:1 ~start_isa:Desc.Cisc ~mode:System.Psr_only fb in
+  ignore (System.run sys ~fuel:20_000);
+  (match List.find_opt (fun (n, _, _) -> n = "translate") (Obs.Hostprof.phases hp) with
+  | Some (_, spans, words) ->
+    if words /. float_of_int spans < 100. then
+      Alcotest.failf "translate phase: %.0f words over %d spans" words spans
+  | None -> Alcotest.fail "no translate phase");
+  let vm = System.vm sys Desc.Cisc in
+  let fs =
+    List.find
+      (fun (fs : Fatbin.func_sym) ->
+        Hipstr_psr.Code_cache.find (Vm.cache vm) fs.fs_cisc.im_entry = None)
+      (Array.to_list fb.Fatbin.fb_funcs)
+  in
+  let entry = fs.fs_cisc.im_entry in
+  Hipstr_machine.Mem.blit_string
+    (Machine.mem (System.machine sys))
+    entry
+    (Hipstr_isa.Isa.encode Desc.Cisc ~at:entry (Hipstr_isa.Minstr.Trap 0));
+  (match Vm.enter vm entry with
+  | exception Hipstr_psr.Translator.Wild _ -> ()
+  | () -> Alcotest.fail "a pseudo-instruction terminator was translated");
+  let last = List.hd (List.rev (Obs.Span.completed (Obs.spans obs))) in
+  Alcotest.(check string) "the raising translation's span" "translate" (Obs.Span.name last);
+  Alcotest.(check (option string)) "of its function" (Some fs.fs_name) (Obs.Span.attr last "func");
+  let probe = Obs.enter_span obs ~name:"probe" ~cycle:0. () in
+  Obs.exit_span obs probe ~cycle:0.;
+  let probe = List.hd (List.rev (Obs.Span.completed (Obs.spans obs))) in
+  Alcotest.(check (option int)) "no span left open" None (Obs.Span.parent_id probe)
+
 let test_snapshot_stable_across_reentry () =
   let obs = Obs.create () in
   let w = Workloads.find "lbm" in
@@ -580,6 +624,8 @@ let () =
       ( "system",
         [
           Alcotest.test_case "psr run emits events" `Quick test_psr_run_events;
+          Alcotest.test_case "translate span covers the miss path" `Quick
+            test_translate_span_covers_miss;
           Alcotest.test_case "snapshot stable across re-entry" `Quick
             test_snapshot_stable_across_reentry;
           Alcotest.test_case "disabled records nothing" `Quick test_disabled_records_nothing;
