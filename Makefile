@@ -3,7 +3,7 @@
 
 FUZZ_SEEDS ?= 1-25
 
-.PHONY: all build test goldens fuzz wire-gate cmp-smoke profile-smoke cache-smoke interp-smoke alloc-smoke fleet-smoke timeline-smoke migrate-smoke check clean
+.PHONY: all build test goldens fuzz wire-gate inline-gate cmp-smoke profile-smoke cache-smoke interp-smoke alloc-smoke fleet-smoke timeline-smoke migrate-smoke check clean
 
 all: build
 
@@ -43,6 +43,31 @@ wire-gate:
 	if [ -n "$$bad" ]; then \
 	  echo "wire-gate: reader primitives outside lib/util/wire.ml:"; echo "$$bad"; exit 1; fi; \
 	echo "wire-gate: no reader primitive outside lib/util/wire.ml"
+
+# The dispatch loop retires loads, stores and ALU ops with no call on
+# their common path: the memory and ALU flag helpers are [@inline] and
+# inlined across modules. The dev build is -opaque, so that shows only
+# in a release build, made here in its own build directory. The gate
+# fails naming each helper Exec.packed_loop still references, which
+# catches an [@inline] the compiler dropped without a warning because
+# its function stopped qualifying; it also fails when it finds no
+# packed_loop at all.
+RELEASE_BUILD = _build-release
+EXEC_OBJ = $(RELEASE_BUILD)/default/lib/machine/.hipstr_machine.objs/native/hipstr_machine__Exec.o
+HOT_HELPERS = ^caml(Hipstr_machine__Exec[.](read_mem32|write_mem32|dcache_access|apply_binop|set_zs)|Hipstr_machine__Mem[.](read32|write32|get32|set32|touch|touch_range)|Hipstr_util__Wrap32[.](wrap|add|sub|carry_add|borrow_sub|overflow_add|overflow_sub|logand|logor|logxor|shl|shr|sar|mul))_[0-9]+$$
+
+inline-gate:
+	dune build --root . --build-dir $(RELEASE_BUILD) --profile release @lib/machine/all
+	@out=$$(objdump -dr $(EXEC_OBJ) | awk -v re='$(HOT_HELPERS)' ' \
+	  /^[0-9a-f]+ <.*>:$$/ { in_loop = ($$2 ~ /^<camlHipstr_machine__Exec[.]packed_loop_[0-9]+>:$$/); \
+	    if (in_loop) found = 1; next } \
+	  in_loop && /R_X86_64_/ { s = $$NF; sub(/[-+]0x[0-9a-f]+$$/, "", s); \
+	    if (s ~ re && !seen[s]++) { sub(/^camlHipstr_[a-z]+__/, "", s); sub(/_[0-9]+$$/, "", s); \
+	      print "  Exec.packed_loop references " s } } \
+	  END { if (!found) print "  no Exec.packed_loop" }'); \
+	if [ -n "$$out" ]; then \
+	  echo "inline-gate: $(EXEC_OBJ):"; echo "$$out"; exit 1; fi; \
+	echo "inline-gate: Exec.packed_loop calls no memory or ALU helper"
 
 # The CMP scheduler end-to-end: two workloads with suspicious
 # code-cache activity time-sliced across the mixed-ISA pair under the
@@ -192,7 +217,7 @@ migrate-smoke:
 # gobmk/hipstr run with host allocation profiling on, and a
 # 200-connection hipstr fleet at -j 1, each asserting minor GC words
 # per retired instruction stays within its budget. Both counts repeat
-# exactly in a dev build (0.737 and 47.178; the hot loop itself is
+# exactly in a dev build (0.737 and 47.190; the hot loop itself is
 # allocation-free, the residue is boot, block decode, translation,
 # migration edges and the profiler's own bookkeeping), and each
 # budget is its measured value plus under 5%, so a few percent of
@@ -217,7 +242,7 @@ alloc-smoke:
 	dune exec bin/hipstr_cli.exe -- fleet-run --procs 200 --arrival poisson:100 \
 	  --mode hipstr --shards 4 -j 1 --hostprof --assert-alloc 49.5
 
-check: build test fuzz wire-gate cmp-smoke profile-smoke cache-smoke interp-smoke alloc-smoke fleet-smoke timeline-smoke migrate-smoke
+check: build test fuzz wire-gate inline-gate cmp-smoke profile-smoke cache-smoke interp-smoke alloc-smoke fleet-smoke timeline-smoke migrate-smoke
 
 clean:
 	dune clean

@@ -119,6 +119,17 @@ let fig11_rat_sizes () =
     ("average" :: List.map (fun s -> Stats.percent (Stats.mean (Hashtbl.find per_size s))) sizes);
   t
 
+(* Run in 500-instruction slices, within [fuel] in all, while the
+   requested migration has not fired. Slicing never changes outputs
+   ({!System.run}), and with [migrate_prob = 0] nothing after the
+   forced migration can replace it as the last one, so stopping once
+   it fired reads what running to the end would. *)
+let rec run_until_migrated sys fuel =
+  if fuel > 0 && System.migration_pending sys then
+    match System.run sys ~fuel:(Int.min 500 fuel) with
+    | System.Out_of_fuel -> run_until_migrated sys (fuel - 500)
+    | _ -> ()
+
 (* Force a migration at a random checkpoint and report its wall-clock
    cost on the destination core. *)
 let one_migration (w : Workloads.t) ~from_isa ~checkpoint_fuel ~seed =
@@ -127,7 +138,7 @@ let one_migration (w : Workloads.t) ~from_isa ~checkpoint_fuel ~seed =
   match System.run sys ~fuel:checkpoint_fuel with
   | System.Out_of_fuel -> (
     System.request_migration sys;
-    ignore (System.run sys ~fuel:w.w_fuel);
+    run_until_migrated sys w.w_fuel;
     match System.last_migration sys with
     | Some r ->
       let freq = (Core_desc.for_isa (Desc.other from_isa)).freq_ghz in

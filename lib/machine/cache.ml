@@ -9,16 +9,24 @@ type t = {
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
-  (* Last-access memo: the line and tag-array index of the most recent
-     hit or install. Consecutive probes to the same line — the common
-     case for the icache, where a basic block's instructions share a
-     64-byte line — skip the set scan. Model-invisible: the memoised
-     path performs exactly the clock tick, stamp refresh and hit count
-     the scan would have, and tags only change on a miss install,
-     where the memo is re-pointed, or on [flush], where it is
-     cleared. *)
+  (* Two-entry memo of the two most recently accessed distinct lines,
+     each with its tag-array index: [last_*] names the most recent
+     hit or install, [prev_*] the one before it (line -1: none).
+     Consecutive probes to one line — the common case for the icache,
+     where a basic block's instructions share a 64-byte line — skip
+     the set scan through [last_*], and a dcache alternating between
+     a stack slot and a heap line skips it through [prev_*]. A hit on
+     [prev_*] swaps the two, so [last_*] always names the most recent
+     access, which is all an image records. Model-invisible: a
+     memoised hit performs exactly the clock tick, stamp refresh and
+     hit count the scan would have. Tags change only on a miss
+     install, which re-points both entries so that neither names the
+     evicted line, and on [flush], which clears both. [prev_*] is
+     host state: no image carries it, and a restore clears it. *)
   mutable last_line : int;
   mutable last_idx : int;
+  mutable prev_line : int;
+  mutable prev_idx : int;
 }
 
 let log2i n =
@@ -34,7 +42,9 @@ let reset t =
   t.hits <- 0;
   t.misses <- 0;
   t.last_line <- -1;
-  t.last_idx <- 0
+  t.last_idx <- 0;
+  t.prev_line <- -1;
+  t.prev_idx <- 0
 
 let create ?(line = 64) ~size_kb ~assoc ~miss_penalty () =
   let nlines = Int.max assoc (size_kb * 1024 / line) in
@@ -53,6 +63,8 @@ let create ?(line = 64) ~size_kb ~assoc ~miss_penalty () =
       misses = 0;
       last_line = -1;
       last_idx = 0;
+      prev_line = -1;
+      prev_idx = 0;
     }
   in
   reset t;
@@ -74,8 +86,24 @@ let rec find_way (tags : int array) base assoc (line : int) i =
   else if Array.unsafe_get tags (base + i) = line then i
   else find_way tags base assoc line (i + 1)
 
+(* Make [line] at tag index [idx] the most recent memo entry, the
+   previous most recent the second. *)
+let[@inline] memo_push t line idx =
+  t.prev_line <- t.last_line;
+  t.prev_idx <- t.last_idx;
+  t.last_line <- line;
+  t.last_idx <- idx
+
 let access_scan t line =
-  begin
+  if line = t.prev_line then begin
+    (* the second memo entry: the scan's hit work, then the swap *)
+    let idx = t.prev_idx in
+    Array.unsafe_set t.stamps idx t.clock;
+    t.hits <- t.hits + 1;
+    memo_push t line idx;
+    true
+  end
+  else begin
     let set = if t.set_mask >= 0 then line land t.set_mask else line mod t.nsets in
     let base = set * t.assoc in
     let tags = t.tags in
@@ -83,8 +111,7 @@ let access_scan t line =
     if i >= 0 then begin
       Array.unsafe_set t.stamps (base + i) t.clock;
       t.hits <- t.hits + 1;
-      t.last_line <- line;
-      t.last_idx <- base + i;
+      memo_push t line (base + i);
       true
     end
     else begin
@@ -96,10 +123,14 @@ let access_scan t line =
         if Array.unsafe_get stamps (base + i) < Array.unsafe_get stamps (base + !victim) then
           victim := i
       done;
-      Array.unsafe_set tags (base + !victim) line;
-      Array.unsafe_set stamps (base + !victim) t.clock;
-      t.last_line <- line;
-      t.last_idx <- base + !victim;
+      let idx = base + !victim in
+      Array.unsafe_set tags idx line;
+      Array.unsafe_set stamps idx t.clock;
+      (* An install over the most recent entry's way evicts its line,
+         which must not become the second entry; an install over the
+         second entry's way is overwritten by the push. *)
+      if idx = t.last_idx then t.last_line <- -1;
+      memo_push t line idx;
       false
     end
   end
@@ -129,7 +160,8 @@ let reset_stats t =
 
 let flush t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
-  t.last_line <- -1
+  t.last_line <- -1;
+  t.prev_line <- -1
 
 (* --- snapshot ------------------------------------------------------ *)
 (* The cache model is cycle-visible (miss penalties land in the guest
@@ -152,6 +184,7 @@ let sync io t =
   t.misses <- Wire.field io "misses" C.int t.misses;
   t.last_line <- Wire.field io "last_line" C.int t.last_line;
   t.last_idx <- Wire.field io "last_idx" C.int t.last_idx;
+  if Wire.is_reading io then t.prev_line <- -1;
   (* The memo path stamps [last_idx] without a bounds check, so a
      memo that does not point at its own line is refused here. *)
   let line = t.last_line and idx = t.last_idx in

@@ -68,18 +68,21 @@ let charge env fc =
   let p = env.cpu.perf in
   p.cycles_fc <- p.cycles_fc + fc
 
-let dcache_access env addr =
+(* The memory and ALU helpers below are [@inline], so [packed_loop]
+   retires a load, a store or a binop with no call on its common path
+   (the release-build object gate in the Makefile checks this). *)
+let[@inline] dcache_access env addr =
   if not (Cache.access env.dcache addr) then charge env env.p_dcache_miss
 
 let[@inline] icache_probe env pc =
   if not (Cache.access env.icache pc) then charge env env.p_icache_miss
 
-let read_mem32 env addr =
+let[@inline] read_mem32 env addr =
   dcache_access env addr;
   env.cpu.perf.loads <- env.cpu.perf.loads + 1;
   Mem.read32 env.mem addr
 
-let write_mem32 env addr v =
+let[@inline] write_mem32 env addr v =
   dcache_access env addr;
   env.cpu.perf.stores <- env.cpu.perf.stores + 1;
   Mem.write32 env.mem addr v
@@ -95,7 +98,7 @@ let wval env op v =
   | Minstr.Mem { base; disp } -> write_mem32 env (env.cpu.regs.(base) + disp) v
   | Minstr.Imm _ -> raise (Stop (Fault (Bad_fetch env.cpu.pc)))
 
-let set_zs env v =
+let[@inline] set_zs env v =
   env.cpu.flags.zf <- v = 0;
   env.cpu.flags.sf <- v < 0
 
@@ -120,7 +123,7 @@ let eval_cond env (c : Minstr.cond) =
   | Ult -> f.cf
   | Uge -> not f.cf
 
-let apply_binop env (op : Minstr.binop) a b =
+let[@inline] apply_binop env (op : Minstr.binop) a b =
   let f = env.cpu.flags in
   let r =
     match op with

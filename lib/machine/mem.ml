@@ -30,7 +30,11 @@ let zero_page = Bytes.make page_size '\000'
    region. Regions are few (the two code sections and the two
    code-cache regions), fixed at registration, disjoint, and kept
    sorted by [r_lo] so the write hook can stop at the first region
-   starting above the address.
+   starting above the address. In front of that scan sits a byte per
+   64 KiB granule of the address space, set by {!watch} for every
+   granule a region overlaps: a word store whose two ends land in
+   unflagged granules — every data, heap and stack store, with the
+   standard layout — is known to touch no region after one test.
 
    The stamps are paged like the bytes: one chunk of 64 stamps covers
    4 KiB of the region, and every chunk starts as the shared,
@@ -43,6 +47,8 @@ let stamp_bits = 6
 let chunk_bits = page_bits - stamp_bits
 let chunk_mask = (1 lsl chunk_bits) - 1
 let zero_stamps = Array.make (1 lsl chunk_bits) 0
+
+let granule_bits = 16
 
 type region = {
   r_lo : int;
@@ -59,6 +65,7 @@ type t = {
   pages : Bytes.t array;
   size : int;
   mutable regions : region array;
+  granules : Bytes.t;  (* per 64 KiB granule: ['\001'] when some region overlaps it *)
   mutable owned : int list;  (* page slots given a private buffer since the last {!reset} *)
   mutable free_pages : Bytes.t list;  (* page buffers a reset took back, for reuse *)
 }
@@ -69,6 +76,7 @@ let create size =
     pages = Array.make ((size + page_mask) lsr page_bits) zero_page;
     size;
     regions = [||];
+    granules = Bytes.make ((size lsr granule_bits) + 1) '\000';
     owned = [];
     free_pages = [];
   }
@@ -97,6 +105,9 @@ let watch t ~lo ~hi =
     let rs = Array.append t.regions [| r |] in
     Array.sort (fun a b -> compare a.r_lo b.r_lo) rs;
     t.regions <- rs;
+    Bytes.fill t.granules (lo lsr granule_bits)
+      (((hi - 1) lsr granule_bits) - (lo lsr granule_bits) + 1)
+      '\001';
     r
 
 (* [@inline] so the decode cache's one-compare staleness fast path
@@ -169,9 +180,9 @@ let region_of t a = region_scan t.regions (Array.length t.regions) a 0
 
 (* The code-region write hook: bump the generation of the region
    containing [a], if any. Regions are sorted and disjoint, so the
-   scan exits at the first region starting above [a]; with the four
-   standard regions a stack or heap write costs at most three
-   compares on top of the store itself. *)
+   scan exits at the first region starting above [a]. It runs only
+   when [a]'s granule is flagged ({!watched}): a stack or heap write
+   costs one byte test on top of the store itself. *)
 let rec touch_scan rs n a i =
   if i < n then begin
     let r = Array.unsafe_get rs i in
@@ -183,9 +194,14 @@ let rec touch_scan rs n a i =
     else touch_scan rs n a (i + 1)
   end
 
+(* Some region may overlap the granule holding [a]. *)
+let[@inline] watched t a = Bytes.unsafe_get t.granules (a lsr granule_bits) <> '\000'
+
 let touch t a =
-  let rs = t.regions in
-  touch_scan rs (Array.length rs) a 0
+  if watched t a then begin
+    let rs = t.regions in
+    touch_scan rs (Array.length rs) a 0
+  end
 
 (* Bump every region overlapping [lo, hi] (inclusive), each once. *)
 let rec touch_range_scan rs n lo hi i =
@@ -201,7 +217,7 @@ let rec touch_range_scan rs n lo hi i =
     end
   end
 
-let touch_range t lo hi =
+let[@inline] touch_range t lo hi =
   let rs = t.regions in
   touch_range_scan rs (Array.length rs) lo hi 0
 
@@ -286,29 +302,30 @@ let probe8 t a = if a < 0 || a >= t.size then -1 else unsafe_read8 t a
 
 let reader t = probe8 t
 
-(* Word load/store within one page, composed from unsafe byte
-   accesses. The runtime's [Bytes.get_int32_le]/[set_int32_le]
-   primitives traffic in boxed [int32] values — three minor words per
-   guest load on a non-flambda build, the second-largest allocation
-   source the hot loop had — so the word accessors compose the value
-   from four byte reads and sign-extend manually, which is
-   bit-for-bit what [Int32.to_int (Bytes.get_int32_le ...)] produced.
-   Callers have checked that [o .. o+3] lies inside the page. *)
+(* Word load/store within one page: one native 32-bit access. The
+   primitives are declared here rather than called through Stdlib's
+   [Bytes.get_int32_le]/[set_int32_le], which are ordinary functions:
+   a build that does not inline them (the dev profile's [-opaque]
+   never does) boxes an [int32] per access, three minor words per
+   guest load. Applied directly, the primitive's result feeds
+   [Int32.to_int] unboxed in every build, and [Int32.to_int]
+   sign-extends exactly as the byte composition in {!read32_split}
+   does. Guest memory is little-endian on every host: a big-endian
+   host swaps. Callers have checked that [o .. o+3] lies inside the
+   page. *)
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
+let[@inline] get32 b o =
+  let v = get32u b o in
+  Int32.to_int (if Stdlib.Sys.big_endian then bswap32 v else v)
+
+let[@inline] set32 b o v =
+  let v = Int32.of_int v in
+  set32u b o (if Stdlib.Sys.big_endian then bswap32 v else v)
+
 let[@inline] sign32 v = if v land 0x80000000 <> 0 then v - 0x100000000 else v
-
-let get32 b o =
-  sign32
-    (Char.code (Bytes.unsafe_get b o)
-    lor (Char.code (Bytes.unsafe_get b (o + 1)) lsl 8)
-    lor (Char.code (Bytes.unsafe_get b (o + 2)) lsl 16)
-    lor (Char.code (Bytes.unsafe_get b (o + 3)) lsl 24))
-
-let set32 b o v =
-  let u = v land 0xFFFFFFFF in
-  Bytes.unsafe_set b o (Char.unsafe_chr (u land 0xFF));
-  Bytes.unsafe_set b (o + 1) (Char.unsafe_chr ((u lsr 8) land 0xFF));
-  Bytes.unsafe_set b (o + 2) (Char.unsafe_chr ((u lsr 16) land 0xFF));
-  Bytes.unsafe_set b (o + 3) (Char.unsafe_chr ((u lsr 24) land 0xFF))
 
 (* A word crossing a page edge (CISC operands need not be aligned):
    byte by byte, each byte through its own page. *)
@@ -332,18 +349,21 @@ let word_fault t a = raise (Fault (if a < 0 || a >= t.size then a else a + 3))
 (* Word accesses span-check once, then take one page's word helper or,
    across a page edge, the byte-wise split. The bound is
    [a <= t.size - 4], not [a + 3 < t.size]: the sum wraps negative for
-   [a] near [max_int] and would pass the check. *)
-let read32 t a =
+   [a] near [max_int] and would pass the check. A store runs the region
+   scan only when a granule at either end of the word is watched. Both
+   accessors are [@inline]: a caller built without [-opaque] retires a
+   word access with no call on its common path. *)
+let[@inline] read32 t a =
   if a >= 0 && a <= t.size - 4 then
     let o = a land page_mask in
     if o <= page_size - 4 then get32 (page t a) o else read32_split t a
   else word_fault t a
 
-let write32 t a v =
+let[@inline] write32 t a v =
   if a >= 0 && a <= t.size - 4 then begin
     let o = a land page_mask in
     if o <= page_size - 4 then set32 (wpage t a) o v else write32_split t a v;
-    touch_range t a (a + 3)
+    if watched t a || watched t (a + 3) then touch_range t a (a + 3)
   end
   else word_fault t a
 

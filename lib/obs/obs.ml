@@ -553,7 +553,11 @@ end
    to "now" and pauses it; exiting charges the child and restarts the
    parent's mark — so each phase accumulates *self* words, children
    excluded, the same self-time discipline the folded exporter uses
-   for cycles. *)
+   for cycles. A bracket ({!hostprof_phase}) is a hostprof-only phase
+   around work that opens no span. Its words go to [brackets] and to
+   its context's [pending], both float arrays, which take an unboxed
+   add, so a bracket allocates nothing of its own; the next charge of
+   the youngest open span, the bracket's parent, subtracts [pending]. *)
 module Hostprof = struct
   type phase = { mutable ph_spans : int; mutable ph_words : float }
 
@@ -569,6 +573,7 @@ module Hostprof = struct
   type t = {
     mu : Mutex.t;
     phases : (string, phase) Hashtbl.t;
+    brackets : (string, float array) Hashtbl.t;
     mutable run_base : (Gc.stat * float) option;
         (* quick_stat only folds minor words in at collection
            boundaries, so the precise allocation pointer
@@ -577,7 +582,13 @@ module Hostprof = struct
   }
 
   let create () =
-    { mu = Mutex.create (); phases = Hashtbl.create 16; run_base = None; run = None }
+    {
+      mu = Mutex.create ();
+      phases = Hashtbl.create 16;
+      brackets = Hashtbl.create 4;
+      run_base = None;
+      run = None;
+    }
 
   let note t ~phase ~words =
     Metrics.locked t.mu (fun () ->
@@ -587,10 +598,23 @@ module Hostprof = struct
           p.ph_words <- p.ph_words +. words
         | None -> Hashtbl.replace t.phases phase { ph_spans = 1; ph_words = words })
 
+  (* [@inline], so the caller's [words] stays unboxed. *)
+  let[@inline] note_bracket t ~phase ~words =
+    Mutex.lock t.mu;
+    (match Hashtbl.find t.brackets phase with
+    | a ->
+      a.(0) <- a.(0) +. 1.;
+      a.(1) <- a.(1) +. words
+    | exception Not_found -> Hashtbl.replace t.brackets phase [| 1.; words |]);
+    Mutex.unlock t.mu
+
   let phases t =
     Metrics.locked t.mu (fun () ->
         List.sort compare
-          (Hashtbl.fold (fun n p acc -> (n, p.ph_spans, p.ph_words) :: acc) t.phases []))
+          (Hashtbl.fold
+             (fun n p acc -> (n, p.ph_spans, p.ph_words) :: acc)
+             t.phases
+             (Hashtbl.fold (fun n a acc -> (n, int_of_float a.(0), a.(1)) :: acc) t.brackets [])))
 
   let start_run t = t.run_base <- Some (Gc.quick_stat (), Gc.minor_words ())
 
@@ -626,6 +650,9 @@ type t = {
   spans : Span.t;
   audit : Audit.t;
   mutable hostprof : Hostprof.t option;
+  pending : float array;
+      (* one element: hostprof bracket words the youngest open span's
+         next charge must leave out (see {!hostprof_phase}) *)
 }
 
 let create ?(on = true) () =
@@ -635,6 +662,7 @@ let create ?(on = true) () =
     spans = Span.create ();
     audit = Audit.create ();
     hostprof = None;
+    pending = [| 0. |];
   }
 
 let disabled = create ~on:false ()
@@ -669,7 +697,10 @@ let enter_span t ~name ?attrs ~cycle () =
       let now = Gc.minor_words () in
       match top_open_span t with
       | Some parent ->
-        parent.Span.sp_self_words <- parent.Span.sp_self_words +. (now -. parent.Span.sp_mark);
+        let bracketed = t.pending.(0) in
+        t.pending.(0) <- 0.;
+        parent.Span.sp_self_words <-
+          parent.Span.sp_self_words +. (now -. parent.Span.sp_mark -. bracketed);
         parent.Span.sp_mark <- now
       | None -> ()));
     let sp = Span.enter t.spans ~name ?attrs ~cycle () in
@@ -685,7 +716,9 @@ let exit_span t handle ~cycle =
     | None -> ()
     | Some hp ->
       let now = Gc.minor_words () in
-      sp.Span.sp_self_words <- sp.Span.sp_self_words +. (now -. sp.Span.sp_mark);
+      let bracketed = t.pending.(0) in
+      t.pending.(0) <- 0.;
+      sp.Span.sp_self_words <- sp.Span.sp_self_words +. (now -. sp.Span.sp_mark -. bracketed);
       Hostprof.note hp ~phase:sp.Span.sp_name ~words:sp.Span.sp_self_words);
     Span.exit t.spans sp ~cycle;
     (match t.hostprof with
@@ -694,6 +727,33 @@ let exit_span t handle ~cycle =
       match top_open_span t with
       | Some parent -> parent.Span.sp_mark <- Gc.minor_words ()
       | None -> ()))
+
+(* Some span of [spans] is open in a domain's span stack; a top-level
+   scan, so asking allocates nothing. *)
+let rec any_open spans = function
+  | [] -> false
+  | (s, _) :: rest -> s == spans || any_open spans rest
+
+(* Note a bracket's [words] and, when a span is open, leave them for
+   its next charge to take out: the same self words as charging it up
+   to the bracket and restarting its mark after it, without a boxed
+   store. *)
+let[@inline] close_bracket t hp phase words =
+  Hostprof.note_bracket hp ~phase ~words;
+  if any_open t.spans !(Domain.DLS.get Span.stack_key) then t.pending.(0) <- t.pending.(0) +. words
+
+let hostprof_phase t ~phase f a b =
+  match t.hostprof with
+  | Some hp when t.enabled -> (
+    let w0 = Gc.minor_words () in
+    match f a b with
+    | r ->
+      close_bracket t hp phase (Gc.minor_words () -. w0);
+      r
+    | exception e ->
+      close_bracket t hp phase (Gc.minor_words () -. w0);
+      raise e)
+  | _ -> f a b
 
 let audit_emit t ~cycle ~isa ~pid kind =
   if t.enabled then ignore (Audit.record t.audit ~cycle ~isa ~pid kind)

@@ -268,7 +268,8 @@ module Hostprof : sig
       (called by {!exit_span}; exposed for tests). *)
 
   val phases : t -> (string * int * float) list
-  (** Per-phase [(name, spans, minor_words)], sorted by name. *)
+  (** Per-phase [(name, spans, minor_words)], sorted by name; a
+      {!hostprof_phase} bracket counts as one span of its phase. *)
 
   val start_run : t -> unit
   (** Capture a [Gc.quick_stat] baseline. *)
@@ -322,6 +323,16 @@ val set_hostprof : t -> Hostprof.t -> unit
     and fold each completed span's self words into the profiler. *)
 
 val hostprof : t -> Hostprof.t option
+
+val hostprof_phase : t -> phase:string -> ('a -> 'b -> 'c) -> 'a -> 'b -> 'c
+(** [hostprof_phase t ~phase f a b] is [f a b]. With a hostprof
+    attached to an enabled context, the minor words [f] allocates are
+    noted as one entry of [phase] and kept out of the youngest open
+    span's self words, as a child span's would be. It opens no span,
+    so traces, metrics and span ids are those of a direct call, and
+    [f] must open none either. Its own bookkeeping allocates nothing
+    once [phase] has an entry. Without a hostprof it is one match.
+    [phase] must not be a span name. *)
 
 val child : t -> t
 (** A fresh context inheriting [on] and the hostprof (shared, not

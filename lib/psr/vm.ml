@@ -726,13 +726,17 @@ let on_trap t (trap : Exec.trap) =
       Suspicious { target_src = src; kind = Kreturn; resolve = resolve_return t src }
     end
 
-let pretranslate t src =
+let pretranslate_quiet t src =
   let before = (cpu t).perf.Cpu.cycles_fc in
   t.span_quiet <- true;
   let ok = match translate_unit t src with _ -> true | exception Wild_target _ -> false in
   t.span_quiet <- false;
   (cpu t).perf.Cpu.cycles_fc <- before;
   ok
+
+(* No span (see [span_quiet]), but a hostprof phase of its own, so a
+   pretranslation's host allocation is not charged to [exec]. *)
+let pretranslate t src = Obs.hostprof_phase t.pr.obs ~phase:"pretranslate" pretranslate_quiet t src
 
 let complete_call t ~callee_src ~src_ret =
   let c = cpu t in

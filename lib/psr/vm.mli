@@ -120,7 +120,9 @@ val pretranslate : t -> int -> bool
 (** Translate a source unit without transferring control and without
     charging cycles — models the idle core translating concurrently
     when a compulsory miss translates for both ISAs (Section 3.5).
-    Returns false if the address is wild. *)
+    Returns false if the address is wild. It opens no span; with a
+    hostprof attached, its host allocation is one entry of the
+    [pretranslate] phase ({!Hipstr_obs.Obs.hostprof_phase}). *)
 
 val complete_call : t -> callee_src:int -> src_ret:int -> unit
 (** Perform the call side effect (push / link register) with a

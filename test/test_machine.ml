@@ -12,6 +12,7 @@ module Core_desc = Hipstr_machine.Core_desc
 module Minstr = Hipstr_isa.Minstr
 module Desc = Hipstr_isa.Desc
 module Isa = Hipstr_isa.Isa
+module Rng = Hipstr_util.Rng
 open Minstr
 
 let test_mem_rw () =
@@ -56,6 +57,150 @@ let test_mem_bad_span () =
   Mem.blit_string m 62 "";
   Alcotest.(check int) "refused blit left memory untouched" 0 (Mem.read8 m 62)
 
+(* The word accessors against a definition that shares none of their
+   code: a load is the sign-extended little-endian composition of four
+   byte loads, and a store leaves the value's low four bytes, low byte
+   first, and touches no other byte. Pages 0 and 1 stay the shared
+   zero page, pages 2 and 3 are written; every offset of page 0 and of
+   pages 2 and 3 is loaded and stored at (words at a page's last three
+   offsets straddle into the next page), with values at the sign edges
+   and random ones. The last words of memory load and store, and a
+   word past the end faults at [a] when [a] is outside, else at
+   [a + 3]. *)
+let test_mem_word_accessors () =
+  let page = 4096 in
+  let size = (5 * page) + 6 in
+  let m = Mem.create size in
+  let compose a =
+    let u =
+      Mem.read8 m a
+      + (Mem.read8 m (a + 1) * 0x100)
+      + (Mem.read8 m (a + 2) * 0x10000)
+      + (Mem.read8 m (a + 3) * 0x1000000)
+    in
+    if u >= 0x80000000 then u - 0x100000000 else u
+  in
+  let check_load a =
+    let got = Mem.read32 m a and want = compose a in
+    if got <> want then Alcotest.failf "read32 0x%x = %d, bytes compose %d" a got want
+  in
+  let g = Rng.create 41 in
+  for a = 2 * page to (4 * page) - 1 do
+    Mem.write8 m a (Rng.int g 256)
+  done;
+  for a = 0 to page - 1 do
+    check_load a
+  done;
+  for a = 2 * page to (4 * page) - 1 do
+    check_load a
+  done;
+  let values =
+    [ 0; 1; -1; 0x7FFFFFFF; 0x80000000; 0xFFFFFFFF; -0x80000000; 0x1_2345_6789 ]
+    @ List.init 6 (fun _ -> (Rng.bits32 g lsl 8) lxor Rng.bits32 g)
+  in
+  let check_store a v =
+    let before = Mem.read8 m (a - 1) and after = if a + 4 < size then Mem.read8 m (a + 4) else 0 in
+    Mem.write32 m a v;
+    for i = 0 to 3 do
+      let got = Mem.read8 m (a + i) and want = (v lsr (8 * i)) land 0xFF in
+      if got <> want then
+        Alcotest.failf "write32 0x%x %d: byte %d is 0x%x, want 0x%x" a v i got want
+    done;
+    if Mem.read8 m (a - 1) <> before || (a + 4 < size && Mem.read8 m (a + 4) <> after) then
+      Alcotest.failf "write32 0x%x %d wrote outside its word" a v;
+    check_load a;
+    let sv = v land 0xFFFFFFFF in
+    let sv = if sv >= 0x80000000 then sv - 0x100000000 else sv in
+    Alcotest.(check int) (Printf.sprintf "read32 after write32 0x%x" a) sv (Mem.read32 m a)
+  in
+  List.iter
+    (fun v ->
+      for a = 2 * page to (4 * page) - 1 do
+        check_store a v
+      done;
+      for a = size - 8 to size - 4 do
+        check_store a v
+      done)
+    values;
+  for a = 0 to page - 1 do
+    Alcotest.(check int) "the zero page is unwritten" 0 (Mem.read32 m a)
+  done;
+  List.iter
+    (fun a ->
+      let at = if a < 0 || a >= size then a else a + 3 in
+      Alcotest.check_raises (Printf.sprintf "read32 0x%x" a) (Mem.Fault at) (fun () ->
+          ignore (Mem.read32 m a));
+      Alcotest.check_raises (Printf.sprintf "write32 0x%x" a) (Mem.Fault at) (fun () ->
+          Mem.write32 m a 0))
+    [ size - 3; size - 2; size - 1; size; size + 3; -1; -4; max_int - 1; max_int; min_int ]
+
+(* The code-region write hook against the regions' bounds: a 4-byte
+   store bumps the generation of exactly the regions its bytes land
+   in, and dirties exactly the 64-byte stamp pages it writes in each.
+   Every region gets stores at its first and last word, straddling
+   each edge, and in the 64 KiB granules just outside it; data, heap
+   and stack stores bump nothing. Run on the standard layout and on
+   regions that start and end inside a granule, two of them
+   adjacent. *)
+let check_write_hook ~label ~size ~regions ~plain =
+  let m = Mem.create size in
+  let rs = List.map (fun (lo, hi) -> (lo, hi, Mem.watch m ~lo ~hi)) regions in
+  let store a =
+    if a >= 0 && a <= size - 4 then begin
+      let gens = List.map (fun (_, _, r) -> Mem.generation r) rs in
+      Mem.write32 m a 0x5A5A5A5A;
+      List.iter2
+        (fun (lo, hi, r) g0 ->
+          let g1 = Mem.generation r in
+          let lands = a < hi && a + 4 > lo in
+          let fail what =
+            Alcotest.failf "%s: store at 0x%x, region [0x%x, 0x%x): %s" label a lo hi what
+          in
+          if lands then begin
+            if g1 <> g0 + 1 then fail (Printf.sprintf "generation %d -> %d" g0 g1);
+            if Mem.span_clean r ~lo:a ~hi:(a + 4) ~since:g0 then fail "its bytes read clean";
+            let dirty_lo = a land lnot 63 and dirty_hi = ((a + 3) lor 63) + 1 in
+            if
+              not
+                (Mem.span_clean r ~lo ~hi:dirty_lo ~since:g0
+                && Mem.span_clean r ~lo:dirty_hi ~hi ~since:g0)
+            then fail "a stamp page it did not write reads dirty"
+          end
+          else begin
+            if g1 <> g0 then fail (Printf.sprintf "not in it, generation %d -> %d" g0 g1);
+            if not (Mem.span_clean r ~lo ~hi ~since:g0) then fail "not in it, stamps moved"
+          end)
+        rs gens
+    end
+  in
+  List.iter
+    (fun (lo, hi) ->
+      List.iter store
+        [
+          lo; hi - 4; lo - 1; lo - 3; hi - 1; hi - 3; lo - 4; hi;
+          (lo land lnot 0xFFFF) - 4; ((hi - 1) lor 0xFFFF) + 1;
+        ])
+    regions;
+  List.iter store plain
+
+let test_mem_write_hook () =
+  check_write_hook ~label:"standard layout" ~size:Layout.mem_size
+    ~regions:
+      [
+        (Layout.cisc_code_base, Layout.cisc_code_base + Layout.code_region_size);
+        (Layout.risc_code_base, Layout.risc_code_base + Layout.code_region_size);
+        (Layout.cisc_cache_base, Layout.cisc_cache_base + Layout.cache_region_size);
+        (Layout.risc_cache_base, Layout.risc_cache_base + Layout.cache_region_size);
+      ]
+    ~plain:
+      [
+        Layout.data_base; Layout.data_base + Layout.data_size - 4; Layout.heap_base;
+        Layout.heap_limit - 4; Layout.stack_top - 4; Layout.stack_top - 0x10000;
+      ];
+  check_write_hook ~label:"unaligned regions" ~size:0x100000
+    ~regions:[ (0x10010, 0x2FFF2); (0x2FFF2, 0x30101); (0x50003, 0x50100); (0xFFF00, 0x100000) ]
+    ~plain:[ 0; 0x40000; 0x8FFFC; 0xFFEFC ]
+
 let test_cache_behavior () =
   let c = Cache.create ~line:64 ~size_kb:1 ~assoc:2 ~miss_penalty:10 () in
   Alcotest.(check bool) "first access misses" false (Cache.access c 0);
@@ -95,12 +240,13 @@ let test_bpred_ras () =
 
 (* Reference models for the two timing structures every retired
    instruction touches. The cache model keeps each set as a list of
-   lines, most recent first, at most [assoc] long; the real cache's
-   resident lines are read back through [Cache.save] after every
-   access, so a wrong victim shows on the miss that picks it. Streams
-   repeat the previous line a quarter of the time, so the last-access
-   memo path runs, and an occasional flush clears the memo. *)
-module Rng = Hipstr_util.Rng
+   lines, most recent first, at most [assoc] long, and each line's
+   last-access time. A stream of steps touches lines (at an offset
+   inside each) or flushes; after every access the hit, the resident
+   lines of the set, the stamp of every resident line (the clock at
+   its last access), the clock and the counts, read back through
+   [Cache.save], must equal the model's, so a wrong victim shows on
+   the miss that picks it. *)
 module Wire = Hipstr_util.Wire
 
 let cache_tags c =
@@ -110,57 +256,113 @@ let cache_tags c =
   Wire.expect_tag r "CACHE";
   Wire.r_int_array r
 
-let check_cache_against_model ~line ~size_kb ~assoc ~seed =
-  let label = Printf.sprintf "%d KiB, %d-way, %d-byte lines" size_kb assoc line in
+(* The tags, LRU stamps, clock and counts an image of [c] records. *)
+let cache_state c =
+  let n = Array.length (cache_tags c) in
+  let w = Wire.writer () in
+  Cache.save w c;
+  let io = Wire.section (Wire.reading (Wire.reader (Wire.contents w))) "CACHE" in
+  let tags = Array.make n 0 and stamps = Array.make n 0 in
+  Wire.into io "tags" tags;
+  Wire.into io "stamps" stamps;
+  let clock = Wire.field io "clock" Wire.C.int 0 in
+  let hits = Wire.field io "hits" Wire.C.int 0 in
+  let misses = Wire.field io "misses" Wire.C.int 0 in
+  (tags, stamps, clock, hits, misses)
+
+(* [steps nsets] is the stream: [Some (l, off)] touches line [l] at
+   byte [off], [None] flushes. *)
+let check_cache_against_model ~label ~line ~size_kb ~assoc steps =
   let c = Cache.create ~line ~size_kb ~assoc ~miss_penalty:10 () in
   let nsets = Array.length (cache_tags c) / assoc in
-  let sets = Array.make nsets [] in
-  let hits = ref 0 and misses = ref 0 in
-  let model_access l =
+  let sets = Array.make nsets [] and last = Hashtbl.create 64 in
+  let clock = ref 0 and hits = ref 0 and misses = ref 0 in
+  let access l off =
+    incr clock;
     let s = l mod nsets in
-    if List.mem l sets.(s) then begin
-      sets.(s) <- l :: List.filter (fun x -> x <> l) sets.(s);
-      incr hits;
-      true
-    end
-    else begin
-      sets.(s) <- l :: List.filteri (fun i _ -> i < assoc - 1) sets.(s);
-      incr misses;
-      false
-    end
+    let hit = List.mem l sets.(s) in
+    sets.(s) <-
+      (l
+      ::
+      (if hit then List.filter (fun x -> x <> l) sets.(s)
+       else List.filteri (fun i _ -> i < assoc - 1) sets.(s)));
+    Hashtbl.replace last l !clock;
+    if hit then incr hits else incr misses;
+    let got = Cache.access c ((l * line) + off) in
+    if got <> hit then
+      Alcotest.failf "%s: access %d, line %d: cache says hit=%b, model says %b" label !clock l got hit;
+    let tags, stamps, clk, h, m = cache_state c in
+    let resident = Array.sub tags (s * assoc) assoc |> Array.to_list |> List.filter (fun x -> x >= 0) in
+    if List.sort compare resident <> List.sort compare sets.(s) then
+      Alcotest.failf "%s: access %d, set %d holds [%s], model holds [%s]" label !clock s
+        (String.concat " " (List.map string_of_int resident))
+        (String.concat " " (List.map string_of_int sets.(s)));
+    if clk <> !clock || h <> !hits || m <> !misses then
+      Alcotest.failf "%s: access %d: clock %d, hits %d, misses %d; model %d, %d, %d" label !clock clk h
+        m !clock !hits !misses;
+    Array.iteri
+      (fun i t ->
+        if t >= 0 && stamps.(i) <> Hashtbl.find last t then
+          Alcotest.failf "%s: access %d: line %d stamped %d, last touched at %d" label !clock t
+            stamps.(i) (Hashtbl.find last t))
+      tags
   in
+  List.iter
+    (function
+      | Some (l, off) -> access l off
+      | None ->
+        Cache.flush c;
+        Array.fill sets 0 nsets [])
+    (steps nsets)
+
+(* Random lines from a pool three times the cache's; a quarter of the
+   steps repeat the previous line, so the first memo entry serves
+   them, and an occasional flush clears the memo. *)
+let random_steps ~line ~assoc ~seed nsets =
   let g = Rng.create seed in
-  let pool = 3 * nsets * assoc and last = ref 0 in
-  for step = 1 to 3000 do
-    if Rng.int g 500 = 0 then begin
-      Cache.flush c;
-      Array.fill sets 0 nsets []
-    end;
+  let pool = 3 * nsets * assoc and last = ref 0 and steps = ref [] in
+  for _ = 1 to 3000 do
+    if Rng.int g 500 = 0 then steps := None :: !steps;
     let l = if Rng.int g 4 = 0 then !last else Rng.int g pool in
     last := l;
-    let got = Cache.access c ((l * line) + Rng.int g line) in
-    let want = model_access l in
-    if got <> want then
-      Alcotest.failf "%s: step %d, line %d: cache says hit=%b, model says %b" label step l got want;
-    let s = l mod nsets in
-    let resident =
-      Array.sub (cache_tags c) (s * assoc) assoc |> Array.to_list |> List.filter (fun x -> x >= 0)
-    in
-    if List.sort compare resident <> List.sort compare sets.(s) then
-      Alcotest.failf "%s: step %d, set %d holds [%s], model holds [%s]" label step s
-        (String.concat " " (List.map string_of_int resident))
-        (String.concat " " (List.map string_of_int sets.(s)))
+    steps := Some (l, Rng.int g line) :: !steps
   done;
-  Alcotest.(check int) (label ^ ": hits") !hits (Cache.hits c);
-  Alcotest.(check int) (label ^ ": misses") !misses (Cache.misses c)
+  List.rev !steps
+
+(* Aimed at the second memo entry: lines A and B alternate, so the two
+   entries hold them; then [assoc] newer lines of one of their sets
+   evict it (B, or in a separate run A), and both are touched again,
+   the evicted one first, which must miss however the entries
+   moved. *)
+let memo_steps ~assoc ~evict nsets =
+  let a = 0 and b = 1 in
+  let victim, other = if evict = 0 then (a, b) else (b, a) in
+  let touch l = Some (l, 3) in
+  List.concat (List.init 3 (fun _ -> [ touch a; touch b ]))
+  @ List.init assoc (fun k -> touch (victim + ((k + 1) * nsets)))
+  @ [ touch victim; touch other; touch victim; touch other ]
 
 let test_cache_matches_lru_model () =
-  check_cache_against_model ~line:64 ~size_kb:1 ~assoc:1 ~seed:11;
-  check_cache_against_model ~line:64 ~size_kb:1 ~assoc:2 ~seed:12;
-  check_cache_against_model ~line:32 ~size_kb:1 ~assoc:4 ~seed:13;
+  let random ~line ~size_kb ~assoc ~seed =
+    check_cache_against_model
+      ~label:(Printf.sprintf "%d KiB, %d-way, %d-byte lines" size_kb assoc line)
+      ~line ~size_kb ~assoc (random_steps ~line ~assoc ~seed)
+  in
+  random ~line:64 ~size_kb:1 ~assoc:1 ~seed:11;
+  random ~line:64 ~size_kb:1 ~assoc:2 ~seed:12;
+  random ~line:32 ~size_kb:1 ~assoc:4 ~seed:13;
   (* 48 lines in 24 and 12 sets: the set index takes [line mod nsets] *)
-  check_cache_against_model ~line:64 ~size_kb:3 ~assoc:2 ~seed:14;
-  check_cache_against_model ~line:64 ~size_kb:3 ~assoc:4 ~seed:15
+  random ~line:64 ~size_kb:3 ~assoc:2 ~seed:14;
+  random ~line:64 ~size_kb:3 ~assoc:4 ~seed:15;
+  List.iter
+    (fun assoc ->
+      List.iter
+        (fun evict ->
+          check_cache_against_model
+            ~label:(Printf.sprintf "%d-way, evicting %s" assoc (if evict = 0 then "A" else "B"))
+            ~line:64 ~size_kb:1 ~assoc (memo_steps ~assoc ~evict))
+        [ 0; 1 ])
+    [ 1; 2; 4 ]
 
 (* One 2-bit saturating counter per table entry, starting weakly
    not-taken. 0x1400 shares 0x400's entry in the 4096-entry table.
@@ -387,6 +589,8 @@ let () =
       ( "mem",
         [
           Alcotest.test_case "read write" `Quick test_mem_rw;
+          Alcotest.test_case "word accessors match bytes" `Quick test_mem_word_accessors;
+          Alcotest.test_case "write hook" `Quick test_mem_write_hook;
           Alcotest.test_case "faults" `Quick test_mem_fault;
           Alcotest.test_case "strings" `Quick test_mem_strings;
           Alcotest.test_case "bad spans refuse" `Quick test_mem_bad_span;

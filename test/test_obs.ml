@@ -487,6 +487,48 @@ let test_translate_span_covers_miss () =
   let probe = List.hd (List.rev (Obs.Span.completed (Obs.spans obs))) in
   Alcotest.(check (option int)) "no span left open" None (Obs.Span.parent_id probe)
 
+(* A mirror pretranslation opens no span, since its cycle charge is
+   rewound, but with a hostprof attached its allocation is a phase of
+   its own: [pretranslate], one entry per [Vm.pretranslate] call, hit
+   or miss, hundreds of words per entry. The bracket opens no span, so
+   the trace export is byte-identical with and without the hostprof. *)
+let test_pretranslate_phase () =
+  let module Vm = Hipstr_psr.Vm in
+  let module Fatbin = Hipstr_compiler.Fatbin in
+  let fb = Workloads.fatbin (Workloads.find "mcf") in
+  let cfg = { Config.default with migrate_prob = 0.0 } in
+  let run hp =
+    let obs = Obs.create () in
+    Option.iter (Obs.set_hostprof obs) hp;
+    let sys = System.of_fatbin ~cfg ~obs ~seed:1 ~start_isa:Desc.Cisc ~mode:System.Hipstr fb in
+    ignore (System.run sys ~fuel:20_000);
+    (obs, sys)
+  in
+  let hp = Obs.Hostprof.create () in
+  let obs, sys = run (Some hp) in
+  let bare, _ = run None in
+  Alcotest.(check string) "trace export unchanged by the hostprof" (Obs.Export.trace_json bare)
+    (Obs.Export.trace_json obs);
+  let entries () =
+    match List.find_opt (fun (n, _, _) -> n = "pretranslate") (Obs.Hostprof.phases hp) with
+    | Some (_, n, words) -> (n, words)
+    | None -> Alcotest.fail "no pretranslate phase"
+  in
+  let n, words = entries () in
+  (* with no migration, the idle ISA's VM translates only when the
+     mirror pretranslates into it *)
+  let idle = System.vm sys Desc.Risc in
+  let mirrored = (Vm.stats idle).Vm.translations in
+  if mirrored = 0 || n < mirrored then
+    Alcotest.failf "%d pretranslate entries for %d mirrored translations" n mirrored;
+  if words /. float_of_int n < 100. then
+    Alcotest.failf "pretranslate phase: %.0f words over %d entries" words n;
+  let targets =
+    Array.to_list (Array.map (fun (fs : Fatbin.func_sym) -> fs.fs_risc.im_entry) fb.Fatbin.fb_funcs)
+  in
+  List.iter (fun a -> ignore (Vm.pretranslate idle a)) targets;
+  Alcotest.(check int) "one entry per pretranslation" (n + List.length targets) (fst (entries ()))
+
 let test_snapshot_stable_across_reentry () =
   let obs = Obs.create () in
   let w = Workloads.find "lbm" in
@@ -626,6 +668,7 @@ let () =
           Alcotest.test_case "psr run emits events" `Quick test_psr_run_events;
           Alcotest.test_case "translate span covers the miss path" `Quick
             test_translate_span_covers_miss;
+          Alcotest.test_case "pretranslate phase" `Quick test_pretranslate_phase;
           Alcotest.test_case "snapshot stable across re-entry" `Quick
             test_snapshot_stable_across_reentry;
           Alcotest.test_case "disabled records nothing" `Quick test_disabled_records_nothing;
