@@ -3,7 +3,7 @@
 
 FUZZ_SEEDS ?= 1-25
 
-.PHONY: all build test goldens fuzz wire-gate inline-gate cmp-smoke profile-smoke cache-smoke interp-smoke alloc-smoke fleet-smoke timeline-smoke migrate-smoke check clean
+.PHONY: all build test goldens fuzz wire-gate obs-gate inline-gate cmp-smoke profile-smoke cache-smoke interp-smoke alloc-smoke fleet-smoke timeline-smoke migrate-smoke check clean
 
 all: build
 
@@ -44,6 +44,20 @@ wire-gate:
 	  echo "wire-gate: reader primitives outside lib/util/wire.ml:"; echo "$$bad"; exit 1; fi; \
 	echo "wire-gate: no reader primitive outside lib/util/wire.ml"
 
+# An Obs context belongs to one domain at a time, and Obs.disabled,
+# which any number of domains share, is never written: lib/obs needs
+# no lock, atomic or domain-local state. The gate names each line of
+# lib/obs that uses a concurrency primitive, and fails; it also fails
+# when it cannot read lib/obs.
+OBS_CONCURRENCY = \b(Mutex|Atomic|Condition|Semaphore|Domain)[.]
+
+obs-gate:
+	@bad=$$(grep -nE '$(OBS_CONCURRENCY)' lib/obs/*.ml lib/obs/*.mli); st=$$?; \
+	if [ $$st -gt 1 ]; then echo "obs-gate: cannot read lib/obs"; exit 1; fi; \
+	if [ -n "$$bad" ]; then \
+	  echo "obs-gate: concurrency primitives in lib/obs:"; echo "$$bad"; exit 1; fi; \
+	echo "obs-gate: no lock, atomic or domain state in lib/obs"
+
 # The dispatch loop retires loads, stores and ALU ops with no call on
 # their common path: the memory and ALU flag helpers are [@inline] and
 # inlined across modules. The dev build is -opaque, so that shows only
@@ -80,13 +94,12 @@ cmp-smoke:
 	dune exec bin/hipstr_cli.exe -- experiment table1,fig3,ablation-pad -j 2 > /tmp/hipstr-sweep-j2.txt
 	cmp /tmp/hipstr-sweep-j1.txt /tmp/hipstr-sweep-j2.txt
 
-# The observability exporters end-to-end: a CMP run on -j 2 emitting
-# all four artifacts (Chrome trace, folded profile, metrics, audit
-# log), each validated by the same JSON parser the exporters
-# round-trip against.
+# The observability exporters end-to-end: a CMP run emitting all four
+# artifacts (Chrome trace, folded profile, metrics, audit log), each
+# validated by the same JSON parser the exporters round-trip against.
 profile-smoke:
 	dune exec bin/hipstr_cli.exe -- cmp-run mcf libquantum hmmer \
-	  --policy load-balance --migrate-prob 0.3 -j 2 \
+	  --policy load-balance --migrate-prob 0.3 \
 	  --trace-out /tmp/hipstr-smoke-trace.json \
 	  --profile-out /tmp/hipstr-smoke-profile.folded \
 	  --metrics-out /tmp/hipstr-smoke-metrics.json \
@@ -124,29 +137,25 @@ cache-smoke:
 # The predecoded-block interpreter end-to-end: a CMP run on the oracle
 # (--no-decode-cache) whose --verify re-runs every process standalone
 # on the default engine — an end-to-end fast-path/oracle differential
-# — with -j 1 and -j 4 metrics exports demanded byte-identical, and
-# the same CMP run on the fast path, whose metrics export must match
-# the oracle's byte for byte, as must a gobmk run's state dump on the
-# two engines: no host decode counter reaches an export. The
+# — and the same CMP run on the fast path, whose metrics export must
+# match the oracle's byte for byte, as must a gobmk run's state dump
+# on the two engines: no host decode counter reaches an export. The
 # guest-number sweep (BENCH_interp.json: instructions and cycles per
 # workload x mode, each run also asserted bit-identical to the
 # oracle) is a golden in `dune runtest`. Host throughput is
 # hostbench's job, so nothing here needs a release build.
 interp-smoke:
 	dune exec bin/hipstr_cli.exe -- cmp-run gobmk bzip2 mcf --no-decode-cache \
-	  --quantum 2000 --verify -j 1 --metrics-out /tmp/hipstr-interp-j1.json
-	dune exec bin/hipstr_cli.exe -- cmp-run gobmk bzip2 mcf --no-decode-cache \
-	  --quantum 2000 --verify -j 4 --metrics-out /tmp/hipstr-interp-j4.json
-	cmp /tmp/hipstr-interp-j1.json /tmp/hipstr-interp-j4.json
+	  --quantum 2000 --verify --metrics-out /tmp/hipstr-interp-oracle.json
 	dune exec bin/hipstr_cli.exe -- cmp-run gobmk bzip2 mcf \
-	  --quantum 2000 --verify -j 1 --metrics-out /tmp/hipstr-interp-fast.json
-	cmp /tmp/hipstr-interp-j1.json /tmp/hipstr-interp-fast.json
+	  --quantum 2000 --verify --metrics-out /tmp/hipstr-interp-fast.json
+	cmp /tmp/hipstr-interp-oracle.json /tmp/hipstr-interp-fast.json
 	dune exec bin/hipstr_cli.exe -- run gobmk --mode hipstr \
 	  --state-out /tmp/hipstr-interp-fast.dump
 	dune exec bin/hipstr_cli.exe -- run gobmk --mode hipstr --no-decode-cache \
 	  --state-out /tmp/hipstr-interp-oracle.dump
 	cmp /tmp/hipstr-interp-fast.dump /tmp/hipstr-interp-oracle.dump
-	dune exec tools/json_check.exe -- /tmp/hipstr-interp-j1.json
+	dune exec tools/json_check.exe -- /tmp/hipstr-interp-oracle.json
 
 # The fleet serving subsystem end-to-end: one seeded open-loop trace
 # served at -j 1 and -j 4 with metrics and audit exports demanded
@@ -217,7 +226,7 @@ migrate-smoke:
 # gobmk/hipstr run with host allocation profiling on, and a
 # 200-connection hipstr fleet at -j 1, each asserting minor GC words
 # per retired instruction stays within its budget. Both counts repeat
-# exactly in a dev build (0.737 and 47.190; the hot loop itself is
+# exactly in a dev build (0.729 and 45.675; the hot loop itself is
 # allocation-free, the residue is boot, block decode, translation,
 # migration edges and the profiler's own bookkeeping), and each
 # budget is its measured value plus under 5%, so a few percent of
@@ -238,11 +247,11 @@ alloc-smoke:
 	  echo "alloc-smoke: lib/machine calls a polymorphic compare:"; echo "$$bad"; exit 1; fi; \
 	echo "alloc-smoke: no polymorphic compare in $$(echo $$objs | wc -w) lib/machine objects"
 	dune exec bin/hipstr_cli.exe -- run gobmk --mode hipstr \
-	  --hostprof --assert-alloc 0.77
+	  --hostprof --assert-alloc 0.76
 	dune exec bin/hipstr_cli.exe -- fleet-run --procs 200 --arrival poisson:100 \
-	  --mode hipstr --shards 4 -j 1 --hostprof --assert-alloc 49.5
+	  --mode hipstr --shards 4 -j 1 --hostprof --assert-alloc 47.9
 
-check: build test fuzz wire-gate inline-gate cmp-smoke profile-smoke cache-smoke interp-smoke alloc-smoke fleet-smoke timeline-smoke migrate-smoke
+check: build test fuzz wire-gate obs-gate inline-gate cmp-smoke profile-smoke cache-smoke interp-smoke alloc-smoke fleet-smoke timeline-smoke migrate-smoke
 
 clean:
 	dune clean

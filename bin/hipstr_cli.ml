@@ -415,8 +415,8 @@ let print_decode_cache_stats sys isa =
       st.ic_misses
 
 (* ------------------------------------------------------------------ *)
-(* Export flags shared by run, run-file, cmp-run and experiment: the
-   machine-readable side of the observability layer. *)
+(* Export flags shared by run, run-file, restore, cmp-run and
+   fleet-run: the machine-readable side of the observability layer. *)
 
 let export_args =
   let out name docv doc =
@@ -852,18 +852,13 @@ let experiment_cmd =
       & pos 0 (some experiments_conv) None
       & info [] ~docv:"IDS" ~doc:"Experiment id, comma list of ids, or 'all'.")
   in
-  let action es jobs exports =
-    probe_outputs (export_paths exports);
-    List.iter print_string (Registry.run_many ~jobs es);
-    (* experiments report into the ambient global context *)
-    write_exports ~obs:Obs.global exports
-  in
+  let action es jobs = List.iter print_string (Registry.run_many ~jobs es) in
   Cmd.v
     (Cmd.info "experiment"
        ~doc:
          "Regenerate tables/figures from the paper. With -j N, independent experiments run on N \
           domains; output is printed in registry order and is bit-identical to -j 1.")
-    Term.(const action $ ids_arg $ jobs_arg $ export_args)
+    Term.(const action $ ids_arg $ jobs_arg)
 
 let disasm_cmd =
   let func_arg = Arg.(required & pos 1 (some string) None & info [] ~docv:"FUNC" ~doc:"Function name.") in
@@ -971,7 +966,7 @@ let cmp_run_cmd =
     Arg.(value & flag & info [ "trace-schedule" ] ~doc:"Print every scheduling slice.")
   in
   let action ws mode policy cores quantum fuel seed migrate_prob cc_capacity cc_policy no_dcache
-      jobs metrics sched verify tl_args exports =
+      metrics sched verify tl_args exports =
     probe_outputs (timeline_paths tl_args @ export_paths exports);
     let cfg = make_config ?migrate_prob cc_capacity cc_policy in
     let core_arr = Array.of_list cores in
@@ -989,7 +984,7 @@ let cmp_run_cmd =
     in
     let cmp = Cmp.create ~obs ~policy ~quantum ~cores procs in
     let timeline = make_timeline tl_args in
-    Cmp.run ~jobs ?timeline cmp;
+    Cmp.run ?timeline cmp;
     let m = Cmp.metrics cmp in
     Printf.printf "cmp-run: %d processes on %d cores [%s], policy %s, quantum %d\n"
       (List.length ws) (Array.length core_arr)
@@ -1074,7 +1069,7 @@ let cmp_run_cmd =
           ()
       $ policy_arg $ cores_arg $ quantum_arg $ fuel_arg
       $ seed_arg $ migrate_prob_arg $ cc_capacity_arg $ cc_policy_arg $ no_dcache_arg
-      $ jobs_arg $ metrics_arg $ sched_arg $ verify_arg $ timeline_args $ export_args)
+      $ metrics_arg $ sched_arg $ verify_arg $ timeline_args $ export_args)
 
 (* ------------------------------------------------------------------ *)
 (* fleet-run: serve an open-loop trace of staged httpd connections

@@ -91,7 +91,7 @@ type t = {
 
 let default_cores = [ Desc.Cisc; Desc.Risc ]
 
-let create ?(obs = Obs.global) ?(policy = Round_robin) ?(quantum = 20_000)
+let create ?(obs = Obs.disabled) ?(policy = Round_robin) ?(quantum = 20_000)
     ?(cores = default_cores) procs =
   if quantum < 1 then invalid_arg "Cmp.create: quantum must be positive";
   if cores = [] then invalid_arg "Cmp.create: need at least one core";
@@ -287,24 +287,19 @@ let all_done t = Array.for_all (fun p -> not (Process.runnable p)) t.procs
    scheduler audit entries, and each slice's begin stamp (the core's
    cycle clock) are all decided before any slice runs.
 
-   Run (parallel on [crew], serial without one): the slices
-   themselves. Processes share no simulated state, each core has at
-   most one assignment per round, and every scheduling input was fixed
-   in prep — so executing them concurrently cannot change any
-   simulation result. Shared observability is domain-safe (atomic
-   counters, mutex-guarded histograms/spans/audit), and the exporters
-   canonically re-sort, so exported files are byte-identical to the
-   serial run too. Each slice gets a [schedule] span on its core's
-   clock; the nested exec/translate/migration spans land under it via
-   the per-domain stack.
+   Run (core order, on the calling domain): the slices themselves.
+   Processes share no simulated state, each core has at most one
+   assignment per round, and every scheduling input was fixed in prep
+   — so running them one after another is observationally equivalent
+   to running them on concurrent cores. Each slice gets a [schedule]
+   span on its core's clock; the nested exec/translate/migration spans
+   land under it via the span store's open-span stack.
 
-   Account (sequential, core order): fold results into cores, the
-   trace and the queue. With [timeline], the accounting stage ends by
-   delta-sampling the CMP's obs context at the maximum core clock —
-   after the Pool barrier, from the sequential section, so the
-   timeline inherits the round's determinism. Returns how many slices
-   ran. *)
-let step ?crew ?timeline t =
+   Account (core order): fold results into cores, the trace and the
+   queue. With [timeline], the accounting stage ends by
+   delta-sampling the CMP's obs context at the maximum core clock.
+   Returns how many slices ran. *)
+let step ?timeline t =
   let queue = runnable_pids t in
   let assignments =
     (* sort by core id so execution order is the physical core order,
@@ -353,7 +348,7 @@ let step ?crew ?timeline t =
         (core, pid, security, isa0, cold, migrated, core.co_cycles))
       assignments
   in
-  let run_slice _ ((core : core), pid, _security, isa0, _cold, _migrated, begin_cycle) =
+  let run_slice ((core : core), pid, _security, isa0, _cold, _migrated, begin_cycle) =
     let p = proc t pid in
     let sp =
       Obs.enter_span t.obs ~name:"schedule"
@@ -375,11 +370,7 @@ let step ?crew ?timeline t =
     Obs.exit_span t.obs sp ~cycle:(begin_cycle +. sl.System.sl_cycles);
     sl
   in
-  let slices =
-    match crew with
-    | Some c -> Pool.crew_mapi c run_slice prepped
-    | None -> List.mapi run_slice prepped
-  in
+  let slices = List.map run_slice prepped in
   List.iter2
     (fun ((core : core), pid, security, isa0, cold, migrated, _) (sl : System.slice) ->
       let p = proc t pid in
@@ -417,22 +408,18 @@ let step ?crew ?timeline t =
     Obs.Timeline.sample tl ~key:"cmp" ~clock (Obs.snapshot t.obs));
   List.length assignments
 
-(* One crew for the whole run, no wider than the core count: a round
-   runs at most one slice per core, and a helper with nothing to claim
-   would only slow every minor collection. *)
-let run ?(jobs = 1) ?timeline t =
-  Pool.with_crew ~jobs:(min jobs (Array.length t.cores)) (fun crew ->
-      (* Termination: every slice burns quantum from some process's
-         finite fuel budget, and a round with runnable processes always
-         schedules at least one of them (every process is compatible
-         with at least one core, checked at create). *)
-      while not (all_done t) do
-        let scheduled = step ~crew ?timeline t in
-        if scheduled = 0 then
-          (* defensive: cannot happen given the create-time check, but an
-             infinite idle loop would be worse than a crash *)
-          failwith "Cmp.run: no process schedulable"
-      done)
+(* Termination: every slice burns quantum from some process's finite
+   fuel budget, and a round with runnable processes always schedules
+   at least one of them (every process is compatible with at least one
+   core, checked at create). *)
+let run ?timeline t =
+  while not (all_done t) do
+    let scheduled = step ?timeline t in
+    if scheduled = 0 then
+      (* defensive: cannot happen given the create-time check, but an
+         infinite idle loop would be worse than a crash *)
+      failwith "Cmp.run: no process schedulable"
+  done
 
 (* --- results --- *)
 

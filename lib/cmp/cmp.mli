@@ -58,7 +58,9 @@ val create :
   ?cores:Hipstr_isa.Desc.which list ->
   Process.t list ->
   t
-(** [quantum] (default 20k instructions) is the slice length.
+(** [obs] (default {!Hipstr_obs.Obs.disabled}) receives the [cmp.*]
+    counters, the [schedule] spans and the scheduler's audit entries.
+    [quantum] (default 20k instructions) is the slice length.
     [cores] (default {!default_cores}) may be any non-empty ISA mix.
     The process list may be empty — a serving CMP starts idle and
     admits work with {!inject}.
@@ -88,32 +90,25 @@ val core_cycles : t -> float array
 
 val runnable_count : t -> int
 
-val step : ?crew:Pool.crew -> ?timeline:Hipstr_obs.Obs.Timeline.t -> t -> int
+val step : ?timeline:Hipstr_obs.Obs.Timeline.t -> t -> int
 (** One scheduling round: assign runnable processes to cores per the
     policy, run each for a quantum, account. Returns the number of
     slices executed.
 
-    [crew] runs the round's slices on its domains — the
-    simulated-concurrency analogue of the physically concurrent
-    cores; without one they run serially in the caller. All
-    scheduling decisions (assignments, cold flushes, migration
-    requests) are made sequentially before any slice runs, and
-    accounting folds back in core order afterwards, so every
-    simulation result — schedule trace, outputs, metrics, exported
-    trace/profile/audit files — is bit-identical with or without a
-    crew, whatever its size.
+    All scheduling decisions (assignments, cold flushes, migration
+    requests) are made before any slice runs; the slices then run one
+    after another in core order, on the calling domain; accounting
+    folds their results back in core order. Processes share no
+    simulated state, so this is observationally equivalent to the
+    cores running concurrently.
 
     [timeline] delta-samples the CMP's obs context at the end of the
-    accounting stage, stamped at the maximum core clock — after the
-    round barrier, from the sequential section, so per-window
-    translation/cache/migration series stay bit-identical for any
-    crew too. *)
+    accounting stage, stamped at the maximum core clock. *)
 
-val run : ?jobs:int -> ?timeline:Hipstr_obs.Obs.Timeline.t -> t -> unit
-(** {!step} until every process is done. The whole run shares one {!Pool.crew} of
-    [min jobs cores] domains ([jobs] defaults to 1: serial, no domain
-    is spawned). Terminates: each process carries a finite fuel budget
-    and exhausting it retires the process as [Out_of_fuel]. *)
+val run : ?timeline:Hipstr_obs.Obs.Timeline.t -> t -> unit
+(** {!step} until every process is done. Terminates: each process
+    carries a finite fuel budget and exhausting it retires the process
+    as [Out_of_fuel]. *)
 
 val processes : t -> Process.t list
 val proc : t -> int -> Process.t

@@ -1,11 +1,10 @@
 (* A deterministic work-queue over OCaml 5 domains.
 
    The contract that makes `-j N` bit-identical to serial: results
-   land in an array indexed by task, every task draws randomness only
-   from an Rng derived from (seed, task index), and observability
-   goes to a per-task child context folded back in task order after
-   the call. Which domain ran a task, and when, can then never
-   influence anything the caller sees.
+   land in an array indexed by task, and every task draws randomness
+   only from an Rng derived from (seed, task index). Which domain ran
+   a task, and when, can then never influence anything the caller
+   sees.
 
    Work runs on a crew: [jobs - 1] helper domains spawned once for a
    scope and joined when it ends, serving any number of calls in
@@ -17,7 +16,6 @@
    outside parallel work slows the serial code around it. *)
 
 module Rng = Hipstr_util.Rng
-module Obs = Hipstr_obs.Obs
 
 (* One call's tasks. [work] never raises: {!crew_mapi} captures every
    task's exception into its result slot. *)
@@ -156,12 +154,3 @@ let task_seed ~seed i = (seed * 0x9E3779B9) lxor ((i + 1) * 0x85EBCA6B)
 
 let mapi_seeded ?jobs ~seed f items =
   mapi ?jobs (fun i x -> f (Rng.create (task_seed ~seed i)) i x) items
-
-let map_obs ?(jobs = 1) ~obs f items =
-  let n = List.length items in
-  let children = Array.init n (fun _ -> Obs.child obs) in
-  let results = mapi ~jobs (fun i x -> f children.(i) x) items in
-  (* fold per-task contexts back in task order: counter totals and
-     the re-emitted event stream are independent of domain count *)
-  Array.iter (fun c -> Obs.merge ~into:obs c) children;
-  results

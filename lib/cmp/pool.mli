@@ -2,26 +2,28 @@
 
     Fans independent simulations — experiment sweep points, fuzz
     seeds, brute-force trials, fleet shard waves — across domains.
-    Determinism contract: results are collected by task index,
+    Determinism contract: results are collected by task index, and
     per-task randomness comes only from [(seed, index)]
-    ({!mapi_seeded}), and observability flows through per-task child
-    contexts merged back in task order ({!map_obs}). A run with
-    [~jobs:4] is therefore bit-identical to [~jobs:1]; only the wall
-    clock changes.
+    ({!mapi_seeded}). A run with [~jobs:4] is therefore bit-identical
+    to [~jobs:1]; only the wall clock changes.
 
     Tasks must not share mutable state beyond what they guard
     themselves (the repo's memo caches — workload fat binaries, the
     experiment harness baselines — are mutex-guarded and
-    compute-once, so sharing them is deterministic too).
+    compute-once, so sharing them is deterministic too). An enabled
+    {!Hipstr_obs.Obs.t} is such state: give each task its own
+    ({!Hipstr_obs.Obs.child}) and merge them after the call, or run
+    the tasks on {!Hipstr_obs.Obs.disabled}, which any number of
+    domains may share.
 
     If a task raises, the other tasks of the call still run, and the
     exception is re-raised in the caller once every task of the call
     has finished — the lowest-index failure wins, deterministically.
 
     Work runs on a {!crew}: helper domains spawned once for a scope
-    and joined when it ends. A run that fans out many times (a fleet
-    wave, a scheduling round) opens one crew for the whole run instead
-    of spawning domains on every call. *)
+    and joined when it ends. A run that fans out many times (a fleet's
+    waves) opens one crew for the whole run instead of spawning
+    domains on every call. *)
 
 type crew
 (** [jobs - 1] helper domains that, together with the domain that
@@ -52,13 +54,6 @@ val mapi : ?jobs:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
 val mapi_seeded : ?jobs:int -> seed:int -> (Hipstr_util.Rng.t -> int -> 'a -> 'b) -> 'a list -> 'b list
 (** Each task receives a private {!Hipstr_util.Rng.t} derived from
     [(seed, index)] only — never from domain identity or timing. *)
-
-val map_obs :
-  ?jobs:int -> obs:Hipstr_obs.Obs.t -> (Hipstr_obs.Obs.t -> 'a -> 'b) -> 'a list -> 'b list
-(** Each task runs against a fresh {!Hipstr_obs.Obs.child} of [obs];
-    after the call the children are folded into [obs] in task order,
-    so the merged counter totals and event stream match a serial run
-    exactly. *)
 
 val task_seed : seed:int -> int -> int
 (** The seed-mixing function {!mapi_seeded} uses (exposed so callers

@@ -34,7 +34,7 @@ type t = {
   sys_start_isa : Desc.which;
 }
 
-let boot_system ?(obs = Obs.global) ?(cfg = Config.default) ?(seed = 1) ?(start_isa = Desc.Cisc)
+let boot_system ?(obs = Obs.disabled) ?(cfg = Config.default) ?(seed = 1) ?(start_isa = Desc.Cisc)
     ?(pid = 0) ?(decode_cache = true) ?(boot = true) ?spare ~mode fb =
   (match Config.validate cfg with Ok () -> () | Error m -> invalid_arg m);
   let rat_capacity = match mode with Native -> None | Psr_only | Hipstr -> Some cfg.rat_capacity in

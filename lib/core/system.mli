@@ -44,12 +44,11 @@ val create :
   t
 (** Compile [src] (MiniC), load, and boot. [seed] drives every
     randomized decision (default 1). [obs] (default
-    {!Hipstr_obs.Obs.global}) is threaded through the machine, the
-    PSR VMs and the migration engine; pass a fresh context to get
-    isolated metrics, or {!Hipstr_obs.Obs.disabled} for the
-    zero-overhead path. [pid] (default 0) tags every span and audit
-    entry this system emits, so a CMP timeline can attribute
-    per-process work. [decode_cache] (default [true]) controls the
+    {!Hipstr_obs.Obs.disabled}, which records nothing) is threaded
+    through the machine, the PSR VMs and the migration engine; pass a
+    context from {!Hipstr_obs.Obs.create} to get metrics. [pid]
+    (default 0) tags every span and audit entry this system emits, so
+    a CMP timeline can attribute per-process work. [decode_cache] (default [true]) controls the
     host-side predecoded-block cache (chained blocks and
     indirect-branch inline caches, the fast path); [false] runs the
     per-instruction decode oracle, and simulation results are
@@ -163,9 +162,9 @@ val metrics : t -> Hipstr_obs.Obs.Metrics.snapshot
 (** Snapshot of all counters and histograms: [psr.<isa>.*] (VM
     translation/cache events), [machine.<isa>.*] (instructions,
     faults, syscalls), [code_cache.<isa>.*], [migration.*] and
-    [system.migrations.*]. Note that when several systems share one
-    context (the default, {!Hipstr_obs.Obs.global}), the counters
-    aggregate across them. *)
+    [system.migrations.*]. When several systems share one enabled
+    context (a CMP's processes, say), the counters aggregate across
+    them; under {!Hipstr_obs.Obs.disabled} the snapshot is empty. *)
 
 val mode_codec : mode Hipstr_util.Wire.codec
 (** A mode field of snapshot images and memo artifacts: one byte, 0

@@ -46,8 +46,8 @@ let perf_now sys =
 (* The baseline memo caches are shared across experiments — and, when
    a sweep runs under Cmp.Pool, across domains. Computing under the
    lock makes each baseline run exactly once process-wide, so a
-   parallel sweep performs the identical set of simulations (and
-   hence identical obs totals) as a serial one. *)
+   parallel sweep performs the identical set of simulations as a
+   serial one. *)
 let memo mu cache key compute =
   Mutex.protect mu (fun () ->
       match Hashtbl.find_opt cache key with

@@ -150,7 +150,7 @@ let reset t ~active =
   t.risc_fc <- 0;
   t.fc_mark <- 0
 
-let create ?(obs = Obs.global) ?(rat_capacity = None) ?(decode_cache = true) ?spare ~active () =
+let create ?(obs = Obs.disabled) ?(rat_capacity = None) ?(decode_cache = true) ?spare ~active () =
   let shape = { sh_rat = rat_capacity; sh_decode_cache = decode_cache } in
   let t =
     match spare with

@@ -23,7 +23,7 @@ val create :
   t
 (** [rat_capacity] defaults to [None] (native mode, no RAT);
     [Some n] enables the modified call/return macro-ops on both
-    cores. [obs] (default {!Hipstr_obs.Obs.global}) receives
+    cores. [obs] (default {!Hipstr_obs.Obs.disabled}) receives
     per-core instruction/fault/syscall counters and is inherited by
     every component holding this machine (PSR VMs, the migration
     engine). Each core's i- and d-cache has its {!Core_desc} size.

@@ -8,21 +8,22 @@
    load-and-branch. Counter and histogram handles are resolved by name
    once, at component-creation time — never on a hot path.
 
-   Domain safety: one context may be shared by simulations running on
-   several OCaml 5 domains (the Cmp.Pool parallel driver). Counters
-   are lock-free atomics; histograms, the name registry, spans and the
-   audit log are mutex-guarded. The hot path (counter
-   increment) therefore stays a single fetch-and-add; everything else
-   is cold enough that a lock is invisible. *)
+   One domain at a time: an enabled context is written only by the
+   domain running its simulation, and a child context (a fleet shard's)
+   is handed to one domain per wave and folded into its parent after
+   the barrier. So counters are plain ints and nothing here takes a
+   lock. The disabled context holds nothing and is never written: its
+   registry hands out one shared inert handle per kind and registers
+   no name, its child is itself and merging it does nothing, so any
+   number of domains may share it. *)
 
 module Metrics = struct
-  type counter = { c_name : string; c_cell : int Atomic.t }
+  type counter = { c_name : string; mutable c_value : int }
 
   let n_buckets = 32
 
   type histogram = {
     h_name : string;
-    h_mu : Mutex.t;
     mutable h_count : int;
     mutable h_sum : float;
     mutable h_min : float;
@@ -31,65 +32,57 @@ module Metrics = struct
   }
 
   type t = {
-    mu : Mutex.t;  (* guards the registry fields below *)
+    live : bool;  (* false only for the disabled context's registry *)
     mutable rev_counters : counter list;
     mutable rev_histograms : histogram list;
     by_name : (string, [ `C of counter | `H of histogram ]) Hashtbl.t;
   }
 
-  let locked mu f =
-    Mutex.lock mu;
-    match f () with
-    | v ->
-      Mutex.unlock mu;
-      v
-    | exception e ->
-      Mutex.unlock mu;
-      raise e
+  let registry live = { live; rev_counters = []; rev_histograms = []; by_name = Hashtbl.create 64 }
+  let create () = registry true
 
-  let create () =
+  let new_histogram name =
     {
-      mu = Mutex.create ();
-      rev_counters = [];
-      rev_histograms = [];
-      by_name = Hashtbl.create 64;
+      h_name = name;
+      h_count = 0;
+      h_sum = 0.;
+      h_min = 0.;
+      h_max = 0.;
+      h_buckets = Array.make n_buckets 0;
     }
 
+  (* What a registry that is not live hands out: no site writes them,
+     since every write checks [Obs.on] first. *)
+  let inert_counter = { c_name = ""; c_value = 0 }
+  let inert_histogram = new_histogram ""
+
   let counter t name =
-    locked t.mu (fun () ->
-        match Hashtbl.find_opt t.by_name name with
-        | Some (`C c) -> c
-        | Some (`H _) -> invalid_arg ("Obs.Metrics.counter: " ^ name ^ " is a histogram")
-        | None ->
-          let c = { c_name = name; c_cell = Atomic.make 0 } in
-          Hashtbl.replace t.by_name name (`C c);
-          t.rev_counters <- c :: t.rev_counters;
-          c)
+    if not t.live then inert_counter
+    else
+      match Hashtbl.find_opt t.by_name name with
+      | Some (`C c) -> c
+      | Some (`H _) -> invalid_arg ("Obs.Metrics.counter: " ^ name ^ " is a histogram")
+      | None ->
+        let c = { c_name = name; c_value = 0 } in
+        Hashtbl.replace t.by_name name (`C c);
+        t.rev_counters <- c :: t.rev_counters;
+        c
 
   let histogram t name =
-    locked t.mu (fun () ->
-        match Hashtbl.find_opt t.by_name name with
-        | Some (`H h) -> h
-        | Some (`C _) -> invalid_arg ("Obs.Metrics.histogram: " ^ name ^ " is a counter")
-        | None ->
-          let h =
-            {
-              h_name = name;
-              h_mu = Mutex.create ();
-              h_count = 0;
-              h_sum = 0.;
-              h_min = 0.;
-              h_max = 0.;
-              h_buckets = Array.make n_buckets 0;
-            }
-          in
-          Hashtbl.replace t.by_name name (`H h);
-          t.rev_histograms <- h :: t.rev_histograms;
-          h)
+    if not t.live then inert_histogram
+    else
+      match Hashtbl.find_opt t.by_name name with
+      | Some (`H h) -> h
+      | Some (`C _) -> invalid_arg ("Obs.Metrics.histogram: " ^ name ^ " is a counter")
+      | None ->
+        let h = new_histogram name in
+        Hashtbl.replace t.by_name name (`H h);
+        t.rev_histograms <- h :: t.rev_histograms;
+        h
 
   let incr ?(by = 1) c =
     if by < 0 then invalid_arg "Obs.Metrics.incr: counters are monotonic";
-    ignore (Atomic.fetch_and_add c.c_cell by)
+    c.c_value <- c.c_value + by
 
   (* Batched deposit: like [incr ~by] but with a plain int argument —
      no option construction — and tolerant of zero. The interpreter
@@ -98,9 +91,9 @@ module Metrics = struct
      retirement does no counter work at all. *)
   let add c n =
     if n < 0 then invalid_arg "Obs.Metrics.add: counters are monotonic";
-    if n > 0 then ignore (Atomic.fetch_and_add c.c_cell n)
+    c.c_value <- c.c_value + n
 
-  let value c = Atomic.get c.c_cell
+  let value c = c.c_value
 
   (* bucket 0: v < 1; bucket i >= 1: 2^(i-1) <= v < 2^i (last is open) *)
   let bucket_of v =
@@ -110,19 +103,18 @@ module Metrics = struct
       if b >= n_buckets then n_buckets - 1 else b
 
   let observe h v =
-    locked h.h_mu (fun () ->
-        if h.h_count = 0 then begin
-          h.h_min <- v;
-          h.h_max <- v
-        end
-        else begin
-          if v < h.h_min then h.h_min <- v;
-          if v > h.h_max then h.h_max <- v
-        end;
-        h.h_count <- h.h_count + 1;
-        h.h_sum <- h.h_sum +. v;
-        let b = bucket_of v in
-        h.h_buckets.(b) <- h.h_buckets.(b) + 1)
+    if h.h_count = 0 then begin
+      h.h_min <- v;
+      h.h_max <- v
+    end
+    else begin
+      if v < h.h_min then h.h_min <- v;
+      if v > h.h_max then h.h_max <- v
+    end;
+    h.h_count <- h.h_count + 1;
+    h.h_sum <- h.h_sum +. v;
+    let b = bucket_of v in
+    h.h_buckets.(b) <- h.h_buckets.(b) + 1
 
   type histogram_summary = {
     hs_count : int;
@@ -173,26 +165,23 @@ module Metrics = struct
   }
 
   let summarize h =
-    locked h.h_mu (fun () ->
-        {
-          hs_count = h.h_count;
-          hs_sum = h.h_sum;
-          hs_min = h.h_min;
-          hs_max = h.h_max;
-          hs_mean = (if h.h_count = 0 then 0. else h.h_sum /. float_of_int h.h_count);
-          hs_buckets = Array.copy h.h_buckets;
-        })
+    {
+      hs_count = h.h_count;
+      hs_sum = h.h_sum;
+      hs_min = h.h_min;
+      hs_max = h.h_max;
+      hs_mean = (if h.h_count = 0 then 0. else h.h_sum /. float_of_int h.h_count);
+      hs_buckets = Array.copy h.h_buckets;
+    }
 
   let snapshot t =
-    let counters, histograms =
-      locked t.mu (fun () -> (t.rev_counters, t.rev_histograms))
-    in
     {
-      snap_counters = List.sort compare (List.rev_map (fun c -> (c.c_name, value c)) counters);
+      snap_counters =
+        List.sort compare (List.rev_map (fun c -> (c.c_name, value c)) t.rev_counters);
       snap_histograms =
         List.sort
           (fun (a, _) (b, _) -> compare a b)
-          (List.rev_map (fun h -> (h.h_name, summarize h)) histograms);
+          (List.rev_map (fun h -> (h.h_name, summarize h)) t.rev_histograms);
     }
 
   let counter_value snap name =
@@ -305,32 +294,34 @@ module Metrics = struct
 
   (* Fold a snapshot into a live registry: counters add, histograms
      combine exactly (count/sum/min/max/buckets are all mergeable).
-     Folds per-task and per-shard contexts back into the parent after
-     a parallel call, in deterministic task order. *)
+     Folds per-shard contexts back into the parent after a run, and a
+     restored image's counters into its new context. A registry that
+     is not live takes nothing. *)
   let merge ~into:t snap =
-    List.iter
-      (fun (name, v) -> if v > 0 then incr ~by:v (counter t name))
-      snap.snap_counters;
-    List.iter
-      (fun (name, (s : histogram_summary)) ->
-        if s.hs_count > 0 then begin
-          let h = histogram t name in
-          locked h.h_mu (fun () ->
-              if h.h_count = 0 then begin
-                h.h_min <- s.hs_min;
-                h.h_max <- s.hs_max
-              end
-              else begin
-                if s.hs_min < h.h_min then h.h_min <- s.hs_min;
-                if s.hs_max > h.h_max then h.h_max <- s.hs_max
-              end;
-              h.h_count <- h.h_count + s.hs_count;
-              h.h_sum <- h.h_sum +. s.hs_sum;
-              Array.iteri
-                (fun i n -> if i < n_buckets then h.h_buckets.(i) <- h.h_buckets.(i) + n)
-                s.hs_buckets)
-        end)
-      snap.snap_histograms
+    if t.live then begin
+      List.iter
+        (fun (name, v) -> if v > 0 then incr ~by:v (counter t name))
+        snap.snap_counters;
+      List.iter
+        (fun (name, (s : histogram_summary)) ->
+          if s.hs_count > 0 then begin
+            let h = histogram t name in
+            if h.h_count = 0 then begin
+              h.h_min <- s.hs_min;
+              h.h_max <- s.hs_max
+            end
+            else begin
+              if s.hs_min < h.h_min then h.h_min <- s.hs_min;
+              if s.hs_max > h.h_max then h.h_max <- s.hs_max
+            end;
+            h.h_count <- h.h_count + s.hs_count;
+            h.h_sum <- h.h_sum +. s.hs_sum;
+            Array.iteri
+              (fun i n -> if i < n_buckets then h.h_buckets.(i) <- h.h_buckets.(i) + n)
+              s.hs_buckets
+          end)
+        snap.snap_histograms
+    end
 end
 
 (* Nestable, cycle-stamped phase spans. A span attributes a stretch of
@@ -338,20 +329,26 @@ end
    ran on, not wall time) to a named phase: translate, exec,
    stack_transform, migration, context_switch_flush, schedule.
 
-   Nesting is implicit: each domain keeps a stack of its open spans
-   (Domain.DLS), so a translate span begun while an exec span is open
-   records that exec span as its parent without any handle threading
-   through the machine layers. This is sound because one slice of one
-   process runs entirely on one domain — spans open and close in LIFO
-   order per domain even when a CMP interleaves processes, and the
-   parallel round driver gives each slice its own domain.
+   Nesting is implicit: each store keeps the stack of its open spans,
+   so a translate span begun while an exec span is open records that
+   exec span as its parent without any handle threading through the
+   machine layers. This is sound because a store belongs to one
+   context, which one domain writes at a time, and a CMP runs one
+   slice of one process at a time: spans open and close in LIFO order
+   even when processes interleave.
 
-   Completed spans accumulate in an unbounded mutex-guarded list.
-   Span ids and list order depend on domain interleaving under a
-   parallel run; everything the exporters serialize is therefore
-   canonically re-sorted by content (see Export), which restores
-   bit-for-bit determinism. *)
+   Completed spans accumulate in an unbounded list. The exporters
+   re-sort them by content (see Export), so a file depends on the
+   spans recorded, not on their ids or completion order. *)
 module Span = struct
+  (* host-allocation self-attribution marks, live only while a
+     Hostprof is attached to the owning context (see Hostprof):
+     [mark] is the Gc.minor_words reading when the span last became
+     the youngest open span of its store, [self_words] the words
+     charged to it so far. All fields are floats, so the record is
+     stored flat and a store to either boxes nothing. *)
+  type words = { mutable mark : float; mutable self_words : float }
+
   type span = {
     sp_id : int;
     sp_parent : int option;
@@ -359,64 +356,44 @@ module Span = struct
     sp_attrs : (string * string) list;
     sp_begin : float;
     mutable sp_end : float;
-    (* host-allocation self-attribution marks, live only while a
-       Hostprof is attached to the owning context (see Hostprof):
-       [sp_mark] is the Gc.minor_words reading when this span last
-       became the youngest open span on its domain, [sp_self_words]
-       the words charged to it so far. *)
-    mutable sp_mark : float;
-    mutable sp_self_words : float;
+    sp_words : words;
   }
 
-  type t = { mu : Mutex.t; mutable next_id : int; mutable rev_done : span list }
+  type t = {
+    mutable next_id : int;
+    mutable rev_done : span list;
+    mutable open_spans : span list;  (* youngest first *)
+  }
 
-  let create () = { mu = Mutex.create (); next_id = 0; rev_done = [] }
-
-  (* Per-domain stack of open spans, tagged with the store they belong
-     to so interleaved contexts on one domain never cross-link. *)
-  let stack_key : (t * span) list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+  let create () = { next_id = 0; rev_done = []; open_spans = [] }
 
   let enter t ~name ?(attrs = []) ~cycle () =
-    Mutex.lock t.mu;
     let id = t.next_id in
     t.next_id <- id + 1;
-    Mutex.unlock t.mu;
-    let stack = Domain.DLS.get stack_key in
-    let parent = List.find_map (fun (s, sp) -> if s == t then Some sp.sp_id else None) !stack in
     let sp =
       {
         sp_id = id;
-        sp_parent = parent;
+        sp_parent = (match t.open_spans with parent :: _ -> Some parent.sp_id | [] -> None);
         sp_name = name;
         sp_attrs = attrs;
         sp_begin = cycle;
         sp_end = Float.nan;
-        sp_mark = 0.;
-        sp_self_words = 0.;
+        sp_words = { mark = 0.; self_words = 0. };
       }
     in
-    stack := (t, sp) :: !stack;
+    t.open_spans <- sp :: t.open_spans;
     sp
 
   let exit t sp ~cycle =
     sp.sp_end <- (if cycle < sp.sp_begin then sp.sp_begin else cycle);
-    let stack = Domain.DLS.get stack_key in
-    stack := List.filter (fun (_, open_sp) -> open_sp != sp) !stack;
-    Mutex.lock t.mu;
-    t.rev_done <- sp :: t.rev_done;
-    Mutex.unlock t.mu
+    (t.open_spans <-
+       match t.open_spans with
+       | top :: rest when top == sp -> rest
+       | l -> List.filter (fun open_sp -> open_sp != sp) l);
+    t.rev_done <- sp :: t.rev_done
 
-  let completed t =
-    Mutex.lock t.mu;
-    let l = List.rev t.rev_done in
-    Mutex.unlock t.mu;
-    l
-
-  let count t =
-    Mutex.lock t.mu;
-    let n = List.length t.rev_done in
-    Mutex.unlock t.mu;
-    n
+  let completed t = List.rev t.rev_done
+  let count t = List.length t.rev_done
 
   let id sp = sp.sp_id
   let parent_id sp = sp.sp_parent
@@ -428,8 +405,8 @@ module Span = struct
   let duration sp = end_cycle sp -. sp.sp_begin
 
   (* Content-only ordering (ids excluded): any permutation of the same
-     multiset of spans sorts to the same sequence, which is what makes
-     exports from a parallel run byte-identical to the serial run.
+     multiset of spans sorts to the same sequence, so an export does
+     not depend on the order spans completed or stores were merged in.
      Identical-content ties are harmless — swapping equal elements
      changes neither serialization nor float summation. *)
   let canonical spans =
@@ -451,7 +428,6 @@ module Span = struct
      order. *)
   let merge ~into src =
     let spans = completed src in
-    Mutex.lock into.mu;
     let base = into.next_id in
     let remap = Hashtbl.create 64 in
     List.iteri (fun i sp -> Hashtbl.replace remap sp.sp_id (base + i)) spans;
@@ -467,8 +443,7 @@ module Span = struct
           }
         in
         into.rev_done <- copy :: into.rev_done)
-      spans;
-    Mutex.unlock into.mu
+      spans
 end
 
 (* The forensic record the security story needs: every suspicious
@@ -492,30 +467,18 @@ module Audit = struct
 
   type entry = { au_seq : int; au_cycle : float; au_isa : string; au_pid : int; au_kind : kind }
 
-  type t = { mu : Mutex.t; mutable next_seq : int; mutable rev_entries : entry list }
+  type t = { mutable next_seq : int; mutable rev_entries : entry list }
 
-  let create () = { mu = Mutex.create (); next_seq = 0; rev_entries = [] }
+  let create () = { next_seq = 0; rev_entries = [] }
 
   let record t ~cycle ~isa ~pid kind =
-    Mutex.lock t.mu;
     let e = { au_seq = t.next_seq; au_cycle = cycle; au_isa = isa; au_pid = pid; au_kind = kind } in
     t.next_seq <- t.next_seq + 1;
     t.rev_entries <- e :: t.rev_entries;
-    Mutex.unlock t.mu;
     e
 
-  let entries t =
-    Mutex.lock t.mu;
-    let l = List.rev t.rev_entries in
-    Mutex.unlock t.mu;
-    l
-
-  let length t =
-    Mutex.lock t.mu;
-    let n = t.next_seq in
-    Mutex.unlock t.mu;
-    n
-
+  let entries t = List.rev t.rev_entries
+  let length t = t.next_seq
   let count t p = List.length (List.filter p (entries t))
 
   let kind_label = function
@@ -526,41 +489,38 @@ module Audit = struct
     | Sched_migrate _ -> "sched-migrate"
 
   let merge ~into src =
-    let es = entries src in
-    Mutex.lock into.mu;
     List.iter
       (fun e ->
         into.rev_entries <- { e with au_seq = into.next_seq } :: into.rev_entries;
         into.next_seq <- into.next_seq + 1)
-      es;
-    Mutex.unlock into.mu
+      (entries src)
 end
 
 (* Host-side GC/allocation profiling: Gc counters sampled at span
    boundaries and around whole runs. Everything here measures the
    *host* OCaml process — minor-heap words allocated while a phase
-   span was the youngest open span on its domain, Gc.quick_stat
-   deltas over a run — so the numbers vary with the OCaml version,
-   inlining decisions and domain interleaving. Hostprof output is
+   span was the youngest open span of its store, Gc.quick_stat deltas
+   over a run — so the numbers vary with the OCaml version, inlining
+   decisions and what else the process runs. Hostprof output is
    therefore exported in a clearly partitioned non-deterministic
    section and is excluded from the -j1/-j4 byte-identity contract
    (the deterministic timeline and metrics still satisfy it; the
    exporters only include hostprof when explicitly asked).
 
    Attribution discipline: when a hostprof is attached to a context,
-   enter_span/exit_span bracket the per-domain span stack with
+   enter_span/exit_span bracket the store's span stack with
    Gc.minor_words readings — entering a child charges the parent up
    to "now" and pauses it; exiting charges the child and restarts the
    parent's mark — so each phase accumulates *self* words, children
    excluded, the same self-time discipline the folded exporter uses
    for cycles. A bracket ({!hostprof_phase}) is a hostprof-only phase
-   around work that opens no span. Its words go to [brackets] and to
+   around work that opens no span. Its words go to its phase and to
    its context's [pending], both float arrays, which take an unboxed
-   add, so a bracket allocates nothing of its own; the next charge of
-   the youngest open span, the bracket's parent, subtracts [pending]. *)
+   add; the next charge of the youngest open span, the bracket's
+   parent, subtracts [pending]. The profiler's own bookkeeping
+   allocates nothing once a phase has an entry: the marks are a flat
+   float record and [note] is inlined into its callers. *)
 module Hostprof = struct
-  type phase = { mutable ph_spans : int; mutable ph_words : float }
-
   type run_delta = {
     hd_minor_words : float;
     hd_promoted_words : float;
@@ -571,9 +531,7 @@ module Hostprof = struct
   }
 
   type t = {
-    mu : Mutex.t;
-    phases : (string, phase) Hashtbl.t;
-    brackets : (string, float array) Hashtbl.t;
+    phases : (string, float array) Hashtbl.t;  (* [| entries; minor words |] *)
     mutable run_base : (Gc.stat * float) option;
         (* quick_stat only folds minor words in at collection
            boundaries, so the precise allocation pointer
@@ -581,40 +539,24 @@ module Hostprof = struct
     mutable run : run_delta option;
   }
 
-  let create () =
-    {
-      mu = Mutex.create ();
-      phases = Hashtbl.create 16;
-      brackets = Hashtbl.create 4;
-      run_base = None;
-      run = None;
-    }
-
-  let note t ~phase ~words =
-    Metrics.locked t.mu (fun () ->
-        match Hashtbl.find_opt t.phases phase with
-        | Some p ->
-          p.ph_spans <- p.ph_spans + 1;
-          p.ph_words <- p.ph_words +. words
-        | None -> Hashtbl.replace t.phases phase { ph_spans = 1; ph_words = words })
+  let create () = { phases = Hashtbl.create 16; run_base = None; run = None }
 
   (* [@inline], so the caller's [words] stays unboxed. *)
-  let[@inline] note_bracket t ~phase ~words =
-    Mutex.lock t.mu;
-    (match Hashtbl.find t.brackets phase with
+  let[@inline] note_n t ~phase ~n ~words =
+    match Hashtbl.find t.phases phase with
     | a ->
-      a.(0) <- a.(0) +. 1.;
+      a.(0) <- a.(0) +. n;
       a.(1) <- a.(1) +. words
-    | exception Not_found -> Hashtbl.replace t.brackets phase [| 1.; words |]);
-    Mutex.unlock t.mu
+    | exception Not_found -> Hashtbl.replace t.phases phase [| n; words |]
+
+  let[@inline] note t ~phase ~words = note_n t ~phase ~n:1. ~words
+
+  let merge ~into src =
+    Hashtbl.iter (fun phase a -> note_n into ~phase ~n:a.(0) ~words:a.(1)) src.phases
 
   let phases t =
-    Metrics.locked t.mu (fun () ->
-        List.sort compare
-          (Hashtbl.fold
-             (fun n p acc -> (n, p.ph_spans, p.ph_words) :: acc)
-             t.phases
-             (Hashtbl.fold (fun n a acc -> (n, int_of_float a.(0), a.(1)) :: acc) t.brackets [])))
+    List.sort compare
+      (Hashtbl.fold (fun n a acc -> (n, int_of_float a.(0), a.(1)) :: acc) t.phases [])
 
   let start_run t = t.run_base <- Some (Gc.quick_stat (), Gc.minor_words ())
 
@@ -655,18 +597,18 @@ type t = {
          next charge must leave out (see {!hostprof_phase}) *)
 }
 
-let create ?(on = true) () =
+let make ~enabled =
   {
-    enabled = on;
-    metrics = Metrics.create ();
+    enabled;
+    metrics = Metrics.registry enabled;
     spans = Span.create ();
     audit = Audit.create ();
     hostprof = None;
     pending = [| 0. |];
   }
 
-let disabled = create ~on:false ()
-let global = create ()
+let create () = make ~enabled:true
+let disabled = make ~enabled:false
 
 let on t = t.enabled
 let metrics t = t.metrics
@@ -675,13 +617,8 @@ let audit t = t.audit
 
 let snapshot t = Metrics.snapshot t.metrics
 
-let set_hostprof t hp = t.hostprof <- Some hp
+let set_hostprof t hp = if t.enabled then t.hostprof <- Some hp
 let hostprof t = t.hostprof
-
-(* The youngest open span of this context on the current domain. *)
-let top_open_span t =
-  let stack = Domain.DLS.get Span.stack_key in
-  List.find_map (fun (s, sp) -> if s == t.spans then Some sp else None) !stack
 
 (* Span helpers that carry the disabled check themselves: a disabled
    context hands out no handle, so an instrumented region costs one
@@ -691,20 +628,16 @@ let top_open_span t =
 let enter_span t ~name ?attrs ~cycle () =
   if not t.enabled then None
   else begin
-    (match t.hostprof with
-    | None -> ()
-    | Some _ -> (
+    (match (t.hostprof, t.spans.Span.open_spans) with
+    | Some _, parent :: _ ->
       let now = Gc.minor_words () in
-      match top_open_span t with
-      | Some parent ->
-        let bracketed = t.pending.(0) in
-        t.pending.(0) <- 0.;
-        parent.Span.sp_self_words <-
-          parent.Span.sp_self_words +. (now -. parent.Span.sp_mark -. bracketed);
-        parent.Span.sp_mark <- now
-      | None -> ()));
+      let w = parent.Span.sp_words in
+      w.self_words <- w.self_words +. (now -. w.mark -. t.pending.(0));
+      t.pending.(0) <- 0.;
+      w.mark <- now
+    | _ -> ());
     let sp = Span.enter t.spans ~name ?attrs ~cycle () in
-    (match t.hostprof with None -> () | Some _ -> sp.Span.sp_mark <- Gc.minor_words ());
+    (match t.hostprof with None -> () | Some _ -> sp.Span.sp_words.mark <- Gc.minor_words ());
     Some sp
   end
 
@@ -715,32 +648,25 @@ let exit_span t handle ~cycle =
     (match t.hostprof with
     | None -> ()
     | Some hp ->
-      let now = Gc.minor_words () in
-      let bracketed = t.pending.(0) in
+      let w = sp.Span.sp_words in
+      w.self_words <- w.self_words +. (Gc.minor_words () -. w.mark -. t.pending.(0));
       t.pending.(0) <- 0.;
-      sp.Span.sp_self_words <- sp.Span.sp_self_words +. (now -. sp.Span.sp_mark -. bracketed);
-      Hostprof.note hp ~phase:sp.Span.sp_name ~words:sp.Span.sp_self_words);
+      Hostprof.note hp ~phase:sp.Span.sp_name ~words:w.self_words);
     Span.exit t.spans sp ~cycle;
     (match t.hostprof with
     | None -> ()
     | Some _ -> (
-      match top_open_span t with
-      | Some parent -> parent.Span.sp_mark <- Gc.minor_words ()
-      | None -> ()))
-
-(* Some span of [spans] is open in a domain's span stack; a top-level
-   scan, so asking allocates nothing. *)
-let rec any_open spans = function
-  | [] -> false
-  | (s, _) :: rest -> s == spans || any_open spans rest
+      match t.spans.Span.open_spans with
+      | parent :: _ -> parent.Span.sp_words.mark <- Gc.minor_words ()
+      | [] -> ()))
 
 (* Note a bracket's [words] and, when a span is open, leave them for
    its next charge to take out: the same self words as charging it up
    to the bracket and restarting its mark after it, without a boxed
    store. *)
 let[@inline] close_bracket t hp phase words =
-  Hostprof.note_bracket hp ~phase ~words;
-  if any_open t.spans !(Domain.DLS.get Span.stack_key) then t.pending.(0) <- t.pending.(0) +. words
+  Hostprof.note hp ~phase ~words;
+  match t.spans.Span.open_spans with [] -> () | _ :: _ -> t.pending.(0) <- t.pending.(0) +. words
 
 let hostprof_phase t ~phase f a b =
   match t.hostprof with
@@ -758,17 +684,26 @@ let hostprof_phase t ~phase f a b =
 let audit_emit t ~cycle ~isa ~pid kind =
   if t.enabled then ignore (Audit.record t.audit ~cycle ~isa ~pid kind)
 
+(* A disabled context is its own child. An enabled one gets a fresh
+   context, with a fresh hostprof when [t] has one: the child is
+   handed to another domain, so it must share nothing with [t]. *)
 let child t =
-  let c = create ~on:t.enabled () in
-  (* the hostprof (if any) is shared, not copied: per-phase host
-     allocation from every shard/task folds into one table *)
-  c.hostprof <- t.hostprof;
-  c
+  if not t.enabled then t
+  else begin
+    let c = create () in
+    if Option.is_some t.hostprof then c.hostprof <- Some (Hostprof.create ());
+    c
+  end
 
 let merge ~into src =
-  Metrics.merge ~into:into.metrics (Metrics.snapshot src.metrics);
-  Span.merge ~into:into.spans src.spans;
-  Audit.merge ~into:into.audit src.audit
+  if into.enabled && src.enabled then begin
+    Metrics.merge ~into:into.metrics (Metrics.snapshot src.metrics);
+    Span.merge ~into:into.spans src.spans;
+    Audit.merge ~into:into.audit src.audit;
+    match (into.hostprof, src.hostprof) with
+    | Some hp, Some src_hp -> Hostprof.merge ~into:hp src_hp
+    | _ -> ()
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Time-resolved telemetry: windowed delta snapshots keyed to the
@@ -782,12 +717,12 @@ let merge ~into src =
    and [record], which adds caller-computed per-window counts
    directly (e.g. completions per wave).
 
-   Determinism contract: drivers call sample/record from the
-   sequential section after their barrier (Fleet's wave loop after
-   the shard fan-out, Cmp.step's accounting stage), in a fixed source
-   order, at clock stamps that are themselves deterministic — so the
-   full timeline, and every export of it, is byte-identical across
-   -j 1 / -j N. Attribution granularity is the sampling interval:
+   Determinism contract: the simulation loops call sample/record from
+   their sequential sections (Fleet's wave loop after the shard fan-out,
+   Cmp.step's accounting stage), in a fixed source order, at clock
+   stamps that are themselves deterministic — so the full timeline,
+   and every export of it, is byte-identical across fleet -j 1 /
+   -j N. Attribution granularity is the sampling interval:
    work of a wave that straddles a window boundary lands in the window
    containing the wave-end stamp. *)
 module Timeline = struct
@@ -804,7 +739,6 @@ module Timeline = struct
 
   type t = {
     tl_width : float;
-    mu : Mutex.t;
     last : (string, Metrics.snapshot) Hashtbl.t;  (* per source key *)
     wins : (int, acc) Hashtbl.t;
   }
@@ -812,7 +746,7 @@ module Timeline = struct
   let create ~window () =
     if not (Float.is_finite window) || window <= 0. then
       invalid_arg "Obs.Timeline.create: window must be a positive cycle count";
-    { tl_width = window; mu = Mutex.create (); last = Hashtbl.create 8; wins = Hashtbl.create 64 }
+    { tl_width = window; last = Hashtbl.create 8; wins = Hashtbl.create 64 }
 
   let window_cycles t = t.tl_width
 
@@ -841,53 +775,49 @@ module Timeline = struct
         | Some prev -> Metrics.combine_summaries prev d)
 
   let record t ~clock ~counters =
-    Metrics.locked t.mu (fun () ->
-        let a = acc_of t (index_of t clock) in
-        List.iter (fun (n, v) -> add_counter a n v) counters)
+    let a = acc_of t (index_of t clock) in
+    List.iter (fun (n, v) -> add_counter a n v) counters
 
   let sample t ~key ~clock (snap : Metrics.snapshot) =
-    Metrics.locked t.mu (fun () ->
-        let base = Hashtbl.find_opt t.last key in
-        Hashtbl.replace t.last key snap;
-        let a = acc_of t (index_of t clock) in
-        List.iter
-          (fun (n, v) ->
-            let prev = match base with None -> 0 | Some b -> Metrics.counter_value b n in
-            add_counter a n (v - prev))
-          snap.Metrics.snap_counters;
-        List.iter
-          (fun (n, (h : Metrics.histogram_summary)) ->
-            let d =
-              match Option.bind base (fun b -> Metrics.histogram_summary b n) with
-              | None -> h
-              | Some hb -> Metrics.delta ~base:hb h
-            in
-            add_histogram a n d)
-          snap.Metrics.snap_histograms)
+    let base = Hashtbl.find_opt t.last key in
+    Hashtbl.replace t.last key snap;
+    let a = acc_of t (index_of t clock) in
+    List.iter
+      (fun (n, v) ->
+        let prev = match base with None -> 0 | Some b -> Metrics.counter_value b n in
+        add_counter a n (v - prev))
+      snap.Metrics.snap_counters;
+    List.iter
+      (fun (n, (h : Metrics.histogram_summary)) ->
+        let d =
+          match Option.bind base (fun b -> Metrics.histogram_summary b n) with
+          | None -> h
+          | Some hb -> Metrics.delta ~base:hb h
+        in
+        add_histogram a n d)
+      snap.Metrics.snap_histograms
 
   let windows t =
-    Metrics.locked t.mu (fun () ->
-        Hashtbl.fold (fun i a acc -> (i, a) :: acc) t.wins []
-        |> List.sort (fun (i, _) (j, _) -> compare i j)
-        |> List.map (fun (i, a) ->
-               {
-                 tw_index = i;
-                 tw_counters =
-                   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) a.wa_counters []);
-                 tw_histograms =
-                   List.sort
-                     (fun (x, _) (y, _) -> compare x y)
-                     (Hashtbl.fold (fun k v acc -> (k, v) :: acc) a.wa_histograms []);
-               }))
+    Hashtbl.fold (fun i a acc -> (i, a) :: acc) t.wins []
+    |> List.sort (fun (i, _) (j, _) -> compare i j)
+    |> List.map (fun (i, a) ->
+           {
+             tw_index = i;
+             tw_counters =
+               List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) a.wa_counters []);
+             tw_histograms =
+               List.sort
+                 (fun (x, _) (y, _) -> compare x y)
+                 (Hashtbl.fold (fun k v acc -> (k, v) :: acc) a.wa_histograms []);
+           })
 
-  let window_count t = Metrics.locked t.mu (fun () -> Hashtbl.length t.wins)
+  let window_count t = Hashtbl.length t.wins
 
   let span t =
-    Metrics.locked t.mu (fun () ->
-        Hashtbl.fold
-          (fun i _ acc ->
-            match acc with None -> Some (i, i) | Some (lo, hi) -> Some (min lo i, max hi i))
-          t.wins None)
+    Hashtbl.fold
+      (fun i _ acc ->
+        match acc with None -> Some (i, i) | Some (lo, hi) -> Some (min lo i, max hi i))
+      t.wins None
 
   let counter_value w name =
     match List.assoc_opt name w.tw_counters with Some v -> v | None -> 0
@@ -901,14 +831,12 @@ module Timeline = struct
   let merge ~into src =
     if into.tl_width <> src.tl_width then
       invalid_arg "Obs.Timeline.merge: window widths differ";
-    let ws = windows src in
-    Metrics.locked into.mu (fun () ->
-        List.iter
-          (fun w ->
-            let a = acc_of into w.tw_index in
-            List.iter (fun (n, v) -> add_counter a n v) w.tw_counters;
-            List.iter (fun (n, h) -> add_histogram a n h) w.tw_histograms)
-          ws)
+    List.iter
+      (fun w ->
+        let a = acc_of into w.tw_index in
+        List.iter (fun (n, v) -> add_counter a n v) w.tw_counters;
+        List.iter (fun (n, h) -> add_histogram a n h) w.tw_histograms)
+      (windows src)
 end
 
 (* Service-level-objective tracking over a Timeline: a latency target
@@ -973,10 +901,10 @@ module Slo = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Deterministic serializers. All three re-sort their inputs by
-   content before writing, so a parallel run (whose span/audit
-   insertion order depends on domain scheduling) serializes to exactly
-   the bytes of the serial run. *)
+(* Deterministic serializers. Each re-sorts its inputs by content
+   before writing, so a file depends on the facts recorded, not on
+   span ids or on the order spans, audit entries and merged child
+   contexts arrived in. *)
 module Export = struct
   module Json = Hipstr_util.Json
 

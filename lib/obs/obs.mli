@@ -24,13 +24,11 @@
     load-and-branch; handles ({!Metrics.counter} etc.) are resolved
     once at component creation, never on a hot path.
 
-    Domain safety: a context may be shared by simulations running on
-    several OCaml 5 domains (the {!Hipstr_cmp.Pool} parallel driver).
-    Counter increments are lock-free atomics; histogram observation,
-    handle registration, spans and the audit log are mutex-guarded,
-    so concurrent use never loses an update. For
-    deterministic aggregation prefer one {!child} context per task,
-    folded back with {!merge} in task order. *)
+    An enabled context belongs to one domain at a time: nothing here
+    takes a lock. Work handed to another domain gets a {!child},
+    folded back with {!merge} once that domain is done with it.
+    {!disabled} holds nothing and is never written, so any number of
+    domains may share it. *)
 
 module Metrics : sig
   type counter
@@ -40,10 +38,13 @@ module Metrics : sig
   val create : unit -> t
 
   val counter : t -> string -> counter
-  (** Find-or-create by name. @raise Invalid_argument if the name is
-      already registered as a histogram. *)
+  (** Find-or-create by name. The registry of {!disabled} registers
+      nothing and returns one shared inert counter for every name.
+      @raise Invalid_argument if the name is already registered as a
+      histogram. *)
 
   val histogram : t -> string -> histogram
+  (** Find-or-create by name, like {!counter}. *)
 
   val incr : ?by:int -> counter -> unit
   (** @raise Invalid_argument if [by] is negative: counters are
@@ -128,7 +129,8 @@ module Metrics : sig
   val merge : into:t -> snapshot -> unit
   (** Fold a snapshot into a live registry: counters add; histograms
       combine exactly (count, sum, min, max and buckets are all
-      mergeable). Names absent from [into] are created. *)
+      mergeable). Names absent from [into] are created. The registry
+      of {!disabled} takes nothing. *)
 end
 
 (** Nestable, cycle-stamped phase spans.
@@ -138,19 +140,16 @@ end
     time — to a named phase: [exec], [translate], [stack_transform],
     [migration], [context_switch_flush], [schedule].
 
-    Nesting is implicit. Each domain keeps a stack of its open spans
-    (in domain-local storage), so a [translate] span begun while an
-    [exec] span is open records that exec span as its parent with no
-    handle threading through the machine layers. This is sound because
-    one slice of one process runs entirely on one domain: spans open
-    and close in LIFO order per domain even when a CMP interleaves
-    processes, and the parallel round driver gives each slice its own
-    domain (or its own {!child} context).
+    Nesting is implicit. Each store keeps a stack of its open spans,
+    so a [translate] span begun while an [exec] span is open records
+    that exec span as its parent with no handle threading through the
+    machine layers. This is sound because a CMP runs one slice of one
+    process at a time: spans open and close in LIFO order even when
+    processes interleave.
 
-    Completed spans accumulate in an unbounded mutex-guarded store.
-    Span ids and completion order depend on domain interleaving under
-    a parallel run; the exporters therefore re-sort by content
-    ({!canonical}), which restores bit-for-bit determinism. *)
+    Completed spans accumulate in an unbounded store. The exporters
+    re-sort them by content ({!canonical}), so a file does not depend
+    on span ids or completion order. *)
 module Span : sig
   type span
   type t
@@ -159,15 +158,15 @@ module Span : sig
 
   val enter : t -> name:string -> ?attrs:(string * string) list -> cycle:float -> unit -> span
   (** Open a span at simulated cycle [cycle]. The youngest open span
-      of the same store on this domain becomes its parent. *)
+      of the same store becomes its parent. *)
 
   val exit : t -> span -> cycle:float -> unit
   (** Close at [cycle] (clamped to at least the begin stamp) and move
       the span to the completed store. *)
 
   val completed : t -> span list
-  (** Completed spans in completion order (nondeterministic under a
-      parallel run — sort with {!canonical} before consuming). *)
+  (** Completed spans in completion order (merged stores append theirs
+      in merge order; sort with {!canonical} before consuming). *)
 
   val count : t -> int
 
@@ -182,8 +181,8 @@ module Span : sig
 
   val canonical : span list -> span list
   (** Content-only ordering (begin, end, name, attrs — ids excluded):
-      any permutation of the same multiset sorts to the same sequence,
-      making parallel-run exports byte-identical to the serial run. *)
+      any permutation of the same multiset sorts to the same
+      sequence. *)
 
   val total : t -> name:string -> float
   (** Sum of durations of completed spans named [name], folded in
@@ -233,22 +232,22 @@ end
 (** Host-side GC/allocation profiling — the substrate for ROADMAP
     item 2 (allocation-free hot loop). Everything here measures the
     {e host} OCaml process, not the simulation: minor-heap words
-    allocated while each phase span was the youngest open span on its
-    domain (self words, children excluded — the same self-time
+    allocated while each phase span was the youngest open span of its
+    store (self words, children excluded — the same self-time
     discipline the folded exporter uses for cycles), plus
     [Gc.quick_stat] deltas around a whole run, from which
     minor-words-per-retired-instruction falls out.
 
-    Host allocation varies with the OCaml version, inlining and
-    domain interleaving, so Hostprof output is {e non-deterministic}:
-    exporters only include it on request, in a clearly partitioned
-    section, and it is excluded from the [-j 1]/[-j N] byte-identity
-    contract (which the deterministic timeline and metrics still
-    satisfy).
+    Host allocation varies with the OCaml version, inlining and what
+    else the process runs, so Hostprof output is
+    {e non-deterministic}: exporters only include it on request, in a
+    clearly partitioned section, and it is excluded from the
+    [-j 1]/[-j N] byte-identity contract (which the deterministic
+    timeline and metrics still satisfy).
 
-    Attach with {!set_hostprof} before the spans of interest open;
-    {!child} contexts share their parent's hostprof, so per-phase
-    words from a parallel run fold into one table. *)
+    Attach with {!set_hostprof} before the spans of interest open. A
+    {!child} of a profiled context gets a profiler of its own, and
+    {!merge} folds its phases into the parent's. *)
 module Hostprof : sig
   type t
 
@@ -271,6 +270,10 @@ module Hostprof : sig
   (** Per-phase [(name, spans, minor_words)], sorted by name; a
       {!hostprof_phase} bracket counts as one span of its phase. *)
 
+  val merge : into:t -> t -> unit
+  (** Add [src]'s per-phase spans and words to [into]'s. The run
+      delta does not travel. *)
+
   val start_run : t -> unit
   (** Capture a [Gc.quick_stat] baseline. *)
 
@@ -287,18 +290,15 @@ end
 
 type t
 
-val create : ?on:bool -> unit -> t
-(** A fresh observability context: its own metrics registry, span
-    store and audit log. [on] defaults to true. *)
+val create : unit -> t
+(** A fresh enabled observability context: its own metrics registry,
+    span store and audit log. *)
 
 val disabled : t
-(** A shared always-off context — the zero-overhead default for
-    components created outside a [System]. Do not enable it. *)
-
-val global : t
-(** The shared ambient context: components default to it, so metrics
-    from every system in the process aggregate here unless an explicit
-    context is supplied. *)
+(** The shared always-off context, and the default of every [?obs]
+    argument: it records nothing, its registry hands out inert
+    handles and registers no name, and {!snapshot} of it is always
+    empty. *)
 
 val on : t -> bool
 val metrics : t -> Metrics.t
@@ -319,8 +319,9 @@ val audit_emit : t -> cycle:float -> isa:string -> pid:int -> Audit.kind -> unit
 
 val set_hostprof : t -> Hostprof.t -> unit
 (** Attach a host-allocation profiler: from now on the span helpers
-    bracket the per-domain span stack with [Gc.minor_words] readings
-    and fold each completed span's self words into the profiler. *)
+    bracket the span stack with [Gc.minor_words] readings and fold
+    each completed span's self words into the profiler. A no-op on
+    {!disabled}, which opens no span. *)
 
 val hostprof : t -> Hostprof.t option
 
@@ -335,17 +336,16 @@ val hostprof_phase : t -> phase:string -> ('a -> 'b -> 'c) -> 'a -> 'b -> 'c
     [phase] must not be a span name. *)
 
 val child : t -> t
-(** A fresh context inheriting [on] and the hostprof (shared, not
-    copied) of [t]: the per-task context {!Hipstr_cmp.Pool} hands
-    each unit of work so results are independent of domain
-    scheduling. *)
+(** A fresh enabled context for work another domain runs (a fleet
+    shard's), with a fresh {!Hostprof.t} when [t] has one; [t] itself
+    when [t] is disabled. *)
 
 val merge : into:t -> t -> unit
 (** [merge ~into src] folds [src]'s counters and histograms into
-    [into] (exactly — see {!Metrics.merge}) and appends [src]'s spans
-    (ids re-based) and audit entries. Merging the per-task contexts
-    of a parallel run in task order yields byte-identical totals to
-    the serial run. *)
+    [into] (exactly — see {!Metrics.merge}), appends [src]'s spans
+    (ids re-based) and audit entries, and folds [src]'s hostprof
+    phases into [into]'s ({!Hostprof.merge}) when both have one. Does
+    nothing when either context is disabled. *)
 
 (** Time-resolved telemetry: windowed delta snapshots keyed to the
     deterministic guest/fleet clock.
@@ -359,15 +359,15 @@ val merge : into:t -> t -> unit
     {!Timeline.record} adds caller-computed per-window counts
     directly.
 
-    {b Determinism contract.} Drivers feed a timeline from the
-    sequential section after their barrier (Fleet's wave loop after
-    the shard fan-out, [Cmp.step]'s accounting stage) in a fixed
-    source order at deterministic clock stamps — the same
-    fold-after-barrier discipline {!merge} relies on — so the
-    timeline and every export of it are byte-identical across
-    [-j 1] / [-j N]. Attribution granularity is the sampling
-    interval: a wave straddling a window boundary lands
-    whole in the window containing its end stamp. *)
+    {b Determinism contract.} The simulation loops feed a timeline
+    from their sequential sections (Fleet's wave loop after the shard
+    fan-out, [Cmp.step]'s accounting stage) in a fixed source order
+    at deterministic clock stamps — the same fold-after-barrier
+    discipline {!merge} relies on — so the timeline and every export
+    of it are byte-identical across fleet [-j 1] / [-j N].
+    Attribution granularity is the sampling interval: a wave
+    straddling a window boundary lands whole in the window containing
+    its end stamp. *)
 module Timeline : sig
   type window = {
     tw_index : int;
@@ -456,10 +456,9 @@ end
 
 (** Deterministic serializers over a context's metrics, spans and
     audit log. Every export re-sorts its inputs by content before
-    writing, so a parallel run (whose span/audit insertion order
-    depends on domain scheduling) serializes to exactly the bytes of
-    the serial run — the property the exporter-determinism tests
-    check by comparing files.
+    writing, so a file depends on the facts recorded, not on span ids
+    or on the order spans, audit entries and merged child contexts
+    arrived in.
 
     Formats:
     - {!trace_json}: Chrome [trace_event] JSON, loadable in Perfetto

@@ -96,8 +96,8 @@ let check_program seed =
 
 (* HIPSTR_FUZZ_JOBS > 1 fans the seeds of a batch across domains via
    the deterministic pool; each seed is fully independent (own
-   compile, own machines), so the only shared state is the
-   domain-safe Obs.global the systems default to. *)
+   compile, own machines), and the systems run on Obs.disabled, the
+   [?obs] default, which records nothing. *)
 let fuzz_jobs () =
   match Sys.getenv_opt "HIPSTR_FUZZ_JOBS" with
   | None | Some "" -> 1

@@ -262,18 +262,38 @@ let test_hostprof_phases () =
     Alcotest.(check bool) "minor words moved" true (rd.Obs.Hostprof.hd_minor_words > 0.)
   | None -> Alcotest.fail "no run delta after stop_run"
 
-let test_hostprof_shared_by_children () =
+(* A child context goes to another domain (a fleet shard), so it gets
+   a profiler of its own and never writes its parent's table; merging
+   the child adds its phases' spans and words to the parent's. *)
+let test_hostprof_child_owns_and_merges () =
   let obs = Obs.create () in
   let hp = Obs.Hostprof.create () in
   Obs.set_hostprof obs hp;
+  Obs.Hostprof.note hp ~phase:"exec" ~words:100.;
   let child = Obs.child obs in
-  Alcotest.(check bool) "child shares the profiler" true
-    (match Obs.hostprof child with Some h -> h == hp | None -> false);
-  let sp = Obs.enter_span child ~name:"child_phase" ~cycle:0. () in
-  ignore (Sys.opaque_identity (Array.make 1024 0.));
-  Obs.exit_span child sp ~cycle:1.;
-  Alcotest.(check bool) "child span folded into the shared table" true
-    (List.exists (fun (n, _, _) -> n = "child_phase") (Obs.Hostprof.phases hp))
+  let child_hp =
+    match Obs.hostprof child with Some h -> h | None -> Alcotest.fail "child has no profiler"
+  in
+  Alcotest.(check bool) "child's profiler is not the parent's" false (child_hp == hp);
+  List.iter
+    (fun name ->
+      let sp = Obs.enter_span child ~name ~cycle:0. () in
+      ignore (Sys.opaque_identity (List.init 100 Fun.id));
+      Obs.exit_span child sp ~cycle:1.)
+    [ "exec"; "child_phase" ];
+  let phases = Alcotest.(list (triple string int (float 0.))) in
+  Alcotest.check phases "parent untouched by the child's spans" [ ("exec", 1, 100.) ]
+    (Obs.Hostprof.phases hp);
+  let child_words name =
+    match List.find_opt (fun (n, _, _) -> n = name) (Obs.Hostprof.phases child_hp) with
+    | Some (_, 1, w) when w > 0. -> w
+    | _ -> Alcotest.failf "child phase %s: expected one span with words" name
+  in
+  let exec_w = child_words "exec" and child_w = child_words "child_phase" in
+  Obs.merge ~into:obs child;
+  Alcotest.check phases "merge adds the child's spans and words"
+    [ ("child_phase", 1, child_w); ("exec", 2, 100. +. exec_w) ]
+    (Obs.Hostprof.phases hp)
 
 (* --- spans --- *)
 
@@ -552,6 +572,27 @@ let test_snapshot_stable_across_reentry () =
   let s3 = System.metrics sys in
   Alcotest.(check bool) "snapshot has no side effects" true (s3 = s2)
 
+(* Obs.disabled is the context any number of domains may share: systems
+   booted and run on it from two domains at once leave it empty, with
+   no name registered and nothing counted. *)
+let test_disabled_stays_empty_across_domains () =
+  let run name =
+    let w = Workloads.find name in
+    let sys =
+      System.of_fatbin ~obs:Obs.disabled ~start_isa:Desc.Cisc ~mode:System.Hipstr
+        (Workloads.fatbin w)
+    in
+    ignore (System.run sys ~fuel:50_000);
+    System.instructions sys
+  in
+  List.iter
+    (fun n -> Alcotest.(check bool) "instructions retired" true (n > 0))
+    (Hipstr_cmp.Pool.map ~jobs:2 run [ "gobmk"; "mcf" ]);
+  let snap = Obs.snapshot Obs.disabled in
+  Alcotest.(check (list string)) "no counter" [] (List.map fst snap.Obs.Metrics.snap_counters);
+  Alcotest.(check (list string)) "no histogram" []
+    (List.map fst snap.Obs.Metrics.snap_histograms)
+
 let test_disabled_records_nothing () =
   let w = Workloads.find "mcf" in
   let sys =
@@ -647,7 +688,8 @@ let () =
       ( "hostprof",
         [
           Alcotest.test_case "per-phase words and run delta" `Quick test_hostprof_phases;
-          Alcotest.test_case "shared by child contexts" `Quick test_hostprof_shared_by_children;
+          Alcotest.test_case "child owns its profiler; merge folds it" `Quick
+            test_hostprof_child_owns_and_merges;
         ] );
       ( "spans",
         [
@@ -672,6 +714,8 @@ let () =
           Alcotest.test_case "snapshot stable across re-entry" `Quick
             test_snapshot_stable_across_reentry;
           Alcotest.test_case "disabled records nothing" `Quick test_disabled_records_nothing;
+          Alcotest.test_case "disabled stays empty across domains" `Quick
+            test_disabled_stays_empty_across_domains;
         ] );
       ( "invariants",
         [

@@ -338,29 +338,37 @@ let test_image_engine_independent () =
    so it depends on the system alone: booting other systems under the
    shared [Obs.disabled] between two checkpoints of one state changes
    nothing. *)
+(* Run twice: with Obs.disabled given, and with every system on the
+   [?obs] default. Either way the two gobmk systems that run between
+   the checkpoints leave the image as it was. *)
 let test_disabled_image_stands_alone () =
-  let w = Workloads.find "mcf" in
-  let sys =
-    System.of_fatbin ~obs:Obs.disabled ~seed ~start_isa:Desc.Cisc ~mode:System.Psr_only
-      (Workloads.fatbin w)
-  in
-  (match System.run sys ~fuel:20_000 with
-  | System.Out_of_fuel -> ()
-  | o -> Alcotest.failf "finished before the checkpoint (%s)" (outcome_string o));
-  let first = Snapshot.checkpoint sys in
   List.iter
-    (fun seed ->
-      ignore
-        (System.of_fatbin ~obs:Obs.disabled ~seed ~start_isa:Desc.Risc ~mode:System.Hipstr
-           (Workloads.fatbin (Workloads.find "gobmk"))))
-    [ 1; 2 ];
-  let second = Snapshot.checkpoint sys in
-  Alcotest.(check int) "same size" (String.length first) (String.length second);
-  Alcotest.(check bool) "byte-identical" true (String.equal first second);
-  let empty_metrics = "\007METRICS" ^ String.make 16 '\000' in
-  let n = String.length empty_metrics in
-  Alcotest.(check bool) "empty metrics section" true
-    (String.sub first (String.length first - n) n = empty_metrics)
+    (fun (label, obs) ->
+      let boot ~seed ~start_isa ~mode name =
+        System.of_fatbin ?obs ~seed ~start_isa ~mode (Workloads.fatbin (Workloads.find name))
+      in
+      let run_out sys ~fuel =
+        match System.run sys ~fuel with
+        | System.Out_of_fuel -> ()
+        | o -> Alcotest.failf "%s: finished before fuel ran out (%s)" label (outcome_string o)
+      in
+      let sys = boot ~seed ~start_isa:Desc.Cisc ~mode:System.Psr_only "mcf" in
+      run_out sys ~fuel:20_000;
+      let first = Snapshot.checkpoint sys in
+      List.iter
+        (fun seed ->
+          let other = boot ~seed ~start_isa:Desc.Risc ~mode:System.Hipstr "gobmk" in
+          run_out other ~fuel:5_000;
+          Alcotest.(check int) (label ^ ": the other system ran") 5_000 (System.instructions other))
+        [ 1; 2 ];
+      let second = Snapshot.checkpoint sys in
+      Alcotest.(check int) (label ^ ": same size") (String.length first) (String.length second);
+      Alcotest.(check bool) (label ^ ": byte-identical") true (String.equal first second);
+      let empty_metrics = "\007METRICS" ^ String.make 16 '\000' in
+      let n = String.length empty_metrics in
+      Alcotest.(check bool) (label ^ ": empty metrics section") true
+        (String.sub first (String.length first - n) n = empty_metrics))
+    [ ("Obs.disabled", Some Obs.disabled); ("default context", None) ]
 
 (* --- rewritten code ------------------------------------------------- *)
 
