@@ -534,7 +534,8 @@ let hostprof_arg =
            table) and quick_stat deltas over the whole run, from which \
            minor-words-per-retired-instruction is derived. Host-dependent and \
            $(b,non-deterministic) — excluded from the -j byte-identity contract; do not \
-           combine with exports you intend to diff.")
+           combine with exports you intend to diff. $(b,fleet-run) takes it at $(b,-j 1) \
+           only: the run totals count the calling domain's allocation.")
 
 let start_hostprof ~obs enabled =
   if not enabled then None
@@ -1194,6 +1195,12 @@ let fleet_run_cmd =
   let action procs arrival mix policy shards cores quantum mode fuel max_live tenants
       migrate_every seed migrate_prob jobs metrics hostprof assert_alloc tl_args slo_target
       slo_budget exports =
+    (* the run's allocation totals read the calling domain's Gc
+       counters, so other domains' shards would go uncounted *)
+    if hostprof && jobs > 1 then begin
+      prerr_endline "--hostprof requires -j 1";
+      exit 2
+    end;
     probe_outputs (timeline_paths tl_args @ export_paths exports);
     let cfg =
       match (mode, migrate_prob) with

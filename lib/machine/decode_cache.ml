@@ -14,20 +14,28 @@ open Hipstr_isa
    without touching a variant block; the per-instruction decode loop
    ([Exec.run_slow]) is its oracle.
 
-   Validity invariant: every byte any cached decode depended on lies
-   inside [db_region] between [db_start] and [db_end] plus
-   [max_decode_window] bytes of trailing headroom (instructions are
-   only admitted when their full encoding fits; a [db_bad] verdict is
-   only cached with that headroom in-region). A write anywhere in the
-   region bumps its generation, so [db_gen = generation db_region]
-   proves freshness with one compare — checked before every
-   instruction, which makes cached execution bit-identical to
-   per-instruction decode even for code that rewrites itself
-   mid-block. On a generation mismatch {!stale} consults the region's
-   page stamps ([Mem.span_clean]): if no write actually landed on the
-   block's own bytes the block re-stamps [db_gen] and lives on —
-   without this, every stub patch the VM writes would flush every
-   decoded block of the code-cache region. *)
+   Validity invariant: a block stands for its bytes while its guard,
+   the bytes its decode read, is unwritten. This module alone decides
+   which bytes those are ([guard_hi], [source_unwritten]); [Mem]
+   answers whether they were written. Instructions are only admitted
+   when their full encoding fits the region, and a successful decode
+   reads only its own bytes (the decoders' locality, pinned in
+   test_isa), so a block's guard is [db_start, db_end) exactly. A
+   [db_bad] verdict may have read [max_decode_window] bytes from
+   [db_end], so a bad block's guard runs that far, and the verdict is
+   only cached with that much headroom in the region. Where a block
+   stops without a bad verdict (a terminator, the size cap, the
+   region edge) decides only where the dispatcher probes next, not
+   what any instruction does, so the bytes past it are no part of the
+   guard. A write anywhere in the region bumps its generation, so
+   [db_gen = generation db_region] proves freshness with one compare
+   — checked before every instruction, which makes cached execution
+   bit-identical to per-instruction decode even for code that rewrites
+   itself mid-block. On a generation mismatch {!stale} asks
+   [Mem.unwritten] about the guard's page stamps: if no write landed
+   on it the block re-stamps [db_gen] and lives on — without this,
+   every stub patch the VM writes would flush every decoded block of
+   the code-cache region. *)
 type block = {
   db_start : int;
   db_code : int array;
@@ -105,7 +113,8 @@ let max_block_instrs = 128
 (* Upper bound on the bytes a single decode may inspect (the widest
    CISC form reads 10; RISC reads 12 for Callrat). A [None] verdict
    may have depended on that many bytes, so it is only cached with
-   this much in-region headroom. *)
+   this much in-region headroom, and it is part of the guard of a
+   [db_bad] block and of every translation's source span. *)
 let max_decode_window = 16
 
 (* Entry-count safety valve: execution only ever starts blocks at
@@ -185,16 +194,24 @@ let create which mem =
 let stats t = t.st
 let epoch t = t.epoch
 
+(* The end of a block's guard [db_start, guard_hi b), the bytes its
+   decode read: its own instructions, and the look-ahead window past
+   them only when the decode failed there. *)
+let guard_hi b = if b.db_bad then b.db_end + max_decode_window else b.db_end
+
+(* The bytes a translation's scan of the source span [lo, lo + len)
+   read: the span, and the window past it, since the scan may stop at
+   bytes it cannot decode there. *)
+let source_unwritten r ~since (lo, len) =
+  Mem.unwritten r ~lo ~hi:(lo + len + max_decode_window) ~since
+
 (* Slow path, reached only on a generation mismatch: survive if the
-   block's own bytes (decode span plus trailing headroom) are
-   untouched; the re-stamp restores the fast path until the region's
-   next write. ([span_clean] never moves the region generation, so
-   re-reading it here sees the same value the caller compared.) *)
+   block's guard is untouched; the re-stamp restores the fast path
+   until the region's next write. ([Mem.unwritten] never moves the
+   region generation, so re-reading it here sees the same value the
+   caller compared.) *)
 let stale_slow b =
-  if
-    Mem.span_clean b.db_region ~lo:b.db_start ~hi:(b.db_end + max_decode_window)
-      ~since:b.db_gen
-  then begin
+  if Mem.unwritten b.db_region ~lo:b.db_start ~hi:(guard_hi b) ~since:b.db_gen then begin
     b.db_gen <- Mem.generation b.db_region;
     false
   end
@@ -340,8 +357,6 @@ let find t addr =
     end
   | exception Not_found -> decode_install t addr
 
-let lookup t addr = match find t addr with b -> Some b | exception Not_found -> None
-
 (* Drop one stale block (the interpreter noticed a mid-block
    generation change). *)
 let drop t (b : block) =
@@ -384,20 +399,16 @@ let blocks t = List.sort by_start (Hashtbl.fold (fun _ b acc -> b :: acc) t.bloc
    puts it back after the re-install ([adopt]) instead of decoding
    again.
 
-   A block qualifies only if its decode read nothing outside
-   [db_start, db_end): it is not [db_bad] (that verdict read the
-   headroom past [db_end]), it did not stop at the region edge (an
-   encoding crossing the edge, or a near-edge [None], stops a block
-   without marking it bad), and every instruction in it is a [Some]
-   verdict, which reads only its own bytes (the decoders' locality,
-   pinned in test_isa). [db_gen >= since] proves the block was decoded
-   (or re-proven clean) after the blit at generation [since], and one
-   [Mem.span_clean] proves no write has landed on its bytes since —
-   a chain patch, an eviction's restored Trap, or a guest store. *)
-let keepable b ~since =
-  (not b.db_bad) && b.db_gen >= since
-  && b.db_end + max_decode_window <= Mem.region_hi b.db_region
-  && Mem.span_clean b.db_region ~lo:b.db_start ~hi:b.db_end ~since
+   A block qualifies when its guard lies inside the unit [lo, hi), so
+   that the re-install writes back every byte its decode read;
+   [db_gen >= since] proves the block was decoded (or re-proven
+   clean) after the blit at generation [since], and [Mem.unwritten]
+   proves no write has landed on its guard since — a chain patch, an
+   eviction's restored Trap, or a guest store. *)
+let keepable b ~lo ~hi ~since =
+  let ghi = guard_hi b in
+  b.db_start >= lo && ghi <= hi && b.db_gen >= since
+  && Mem.unwritten b.db_region ~lo:b.db_start ~hi:ghi ~since
 
 (* Re-install a kept block after its bytes were blitted back: fresh
    under the current generation, with no chain links (every link it
@@ -436,8 +447,8 @@ let remove_succ (b : block) i =
 
 (* The link scan behind [follow_idx]: a top-level function (a local
    [let rec] would allocate a closure per block dispatch). Returns
-   the index of a followable link in [succs], or [-1]; stats are
-   bumped exactly as the option-returning [follow] always did. *)
+   the index of a followable link in [succs], or [-1], and bumps the
+   chain and inline-cache statistics. *)
 let rec follow_scan t (b : block) succs n pc i =
   if i >= n then begin
     if b.db_indirect then t.st.ic_misses <- t.st.ic_misses + 1;
@@ -460,19 +471,15 @@ let rec follow_scan t (b : block) succs n pc i =
       -1
     end
 
-(* Probe [b]'s link for [pc]; the index form the dispatcher uses
-   (the target block is [b.db_succs.(i).sc_blk]). A matching entry is
-   followable iff its epoch is current and its target is fresh (see
-   [succ]); a dead entry is severed on sight so it cannot pin a
-   dropped block, and the caller falls back to [find] (which
+(* Probe [b]'s links for [pc]: the index [i] of a followable link
+   (the target block is [b.db_succs.(i).sc_blk]), or [-1]. A matching
+   entry is followable iff its epoch is current and its target is
+   fresh (see [succ]); a dead entry is severed on sight so it cannot
+   pin a dropped block, and the caller falls back to [find] (which
    re-decodes and then [patch]es the new block back in). *)
 let follow_idx t (b : block) pc =
   let succs = b.db_succs in
   follow_scan t b succs (Array.length succs) pc 0
-
-let follow t (b : block) pc =
-  let i = follow_idx t b pc in
-  if i < 0 then None else Some (Array.unsafe_get b.db_succs i).sc_blk
 
 (* Install [pred] --[pc]--> [b] after a follow miss. Dead entries are
    pruned first. A full direct set replaces its oldest slot (only

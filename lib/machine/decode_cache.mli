@@ -13,15 +13,29 @@
     interpreter performs before every cached instruction. Any write
     into the region — a PSR translation installed into the code
     cache, a chained-jump patch, eviction restoring trap bytes, an
-    attack payload rewriting code — bumps the generation and so
-    invalidates every block decoded from it, lazily. Addresses
-    outside any watched region (stack or heap execution by wild
-    gadget chains) are never cached and fall back to per-instruction
-    decode.
+    attack payload rewriting code — bumps the generation, and the
+    block then lives on only if no write landed on its guard, the
+    bytes its decode read ({!stale}). Addresses outside any watched
+    region (stack or heap execution by wild gadget chains) are never
+    cached and fall back to per-instruction decode.
 
     The cache is pure simulator-side memoization: it charges no
     cycles, touches no modelled structure, and produces bit-identical
     architectural and timing results to the uncached interpreter.
+
+    {2 The guard}
+
+    This module alone decides which bytes a decode read, and
+    {!Mem.unwritten} alone decides whether they were written since.
+    A successful decode reads only its own bytes, so a block's guard
+    is [\[db_start, db_end)]; a [db_bad] block's guard runs
+    {!max_decode_window} bytes further, over what its failed decode
+    read. A PSR translation's source span always carries the window
+    ({!source_unwritten}), since its scan may stop at undecodable
+    bytes. Every "are these still the bytes we read?" question — a
+    block's staleness, a kept block's survival of a flush, a
+    translation memo hit, the binary's decoded code standing in for
+    memory, a checkpoint's refusal — is answered by these two.
 
     {2 Chaining}
 
@@ -55,7 +69,7 @@ type block = {
   db_indirect : bool;
       (** terminator is an indirect transfer: links form an inline
           cache rather than a direct successor pair *)
-  mutable db_succs : succ array;  (** chain links, owned by {!follow}/{!patch} *)
+  mutable db_succs : succ array;  (** chain links, owned by {!follow_idx}/{!patch} *)
 }
 
 and succ = { sc_pc : int; sc_blk : block; sc_epoch : int }
@@ -73,15 +87,16 @@ type stats = {
   mutable chain_patches : int;  (** links installed (direct and IC) *)
   mutable ic_mono_hits : int;  (** IC hits while the cache held one entry *)
   mutable ic_poly_hits : int;  (** IC hits while the cache held several *)
-  mutable ic_misses : int;  (** IC probes that fell back to {!lookup} *)
+  mutable ic_misses : int;  (** IC probes that fell back to {!find} *)
 }
 
 type t
 
 val max_decode_window : int
 (** Upper bound on the bytes one instruction decode may inspect, past
-    its start address, on either ISA. Anything that caches a decode
-    result must treat this many bytes as read. *)
+    its start address, on either ISA: what a failed decode may have
+    read, and so the part of a guard past a [db_bad] block's end or a
+    source span's end. *)
 
 val create : Hipstr_isa.Desc.which -> Mem.t -> t
 (** Create a cache for one ISA over one memory, watching the four
@@ -92,26 +107,31 @@ val reset : t -> unit
 (** Back to the state {!create} returns: no blocks, epoch 0, every
     statistic 0. *)
 
-val lookup : t -> int -> block option
-(** The block starting at an address: a generation-valid cached entry
-    (hit), or a freshly decoded and installed one (miss). [None] if
-    the address is not cacheable — outside every watched region, or
-    no cacheable block forms there — in which case the caller must
-    single-step. *)
-
 val find : t -> int -> block
-(** Exactly {!lookup}, but raising instead of optioning — the
-    allocation-free probe the dispatcher uses.
-    @raise Not_found when the address is not cacheable. *)
+(** The block starting at an address: a fresh cached entry (hit), or
+    a freshly decoded and installed one (miss) — the allocation-free
+    probe the dispatcher uses.
+    @raise Not_found when the address is not cacheable — outside every
+    watched region, or no cacheable block forms there — and the caller
+    must single-step. *)
 
 val stale : block -> bool
-(** The block's bytes may have been written since it was decoded.
-    Checked by the interpreter before every cached instruction, so
-    the fast path is one integer compare against the region
-    generation; on a mismatch the block's page span is consulted
-    ({!Mem.span_clean}) and [db_gen] re-stamped if the write landed
-    elsewhere in the region — a stub patch in another part of the
-    code cache no longer evicts every decoded block. *)
+(** A write may have landed on the block's guard since it was
+    decoded. Checked by the interpreter before every cached
+    instruction, so the fast path is one integer compare against the
+    region generation, inlined into the dispatch loop; on a mismatch
+    {!Mem.unwritten} reads the guard's write stamps and [db_gen] is
+    re-stamped if the write landed elsewhere in the region — a stub
+    patch in another part of the code cache no longer evicts every
+    decoded block. *)
+
+val source_unwritten : Mem.region -> since:int -> int * int -> bool
+(** [source_unwritten r ~since (lo, len)]: no write has landed since
+    generation [since] of [r] on the bytes a translation's scan of
+    [\[lo, lo + len)] may have read, the span plus
+    {!max_decode_window} bytes past it; false when those bytes leave
+    [r] ({!Mem.unwritten}). The PSR VM's guard for the binary's
+    decoded code, its memo hits and its checkpoint refusal. *)
 
 val drop : t -> block -> unit
 (** Remove one (stale) block. *)
@@ -121,13 +141,12 @@ val invalidate_all : t -> unit
     flushes. Also bumps the epoch, killing
     every chain link installed before the call. *)
 
-val keepable : block -> since:int -> bool
-(** The block was decoded from its own bytes [\[db_start, db_end)]
-    alone (not [db_bad], not stopped at the region edge), and no write
-    has touched those bytes since region generation [since] — a block
-    decoded before that generation never qualifies. The PSR VM keeps
-    such blocks across a code-cache flush for a unit it will blit back
-    byte for byte at the same base. *)
+val keepable : block -> lo:int -> hi:int -> since:int -> bool
+(** The block's guard lies inside the unit [\[lo, hi)], the block was
+    decoded at or after region generation [since], and no write has
+    landed on the guard since. The PSR VM keeps such blocks across a
+    code-cache flush for a unit whose bytes it blitted at generation
+    [since] and will blit back byte for byte at the same base. *)
 
 val adopt : t -> block -> unit
 (** Re-install a {!keepable} block after its bytes were written back
@@ -136,16 +155,13 @@ val adopt : t -> block -> unit
     would, without counting a miss. The caller vouches that the bytes
     are the ones the block was decoded from. *)
 
-val follow : t -> block -> int -> block option
-(** [follow t pred pc] probes [pred]'s links for the block at [pc].
-    Dead links (old epoch, or stale target) are severed and counted
-    as breaks; an indirect probe that finds no valid entry counts an
-    IC miss. *)
-
 val follow_idx : t -> block -> int -> int
-(** {!follow} in index form — the allocation-free probe the
-    dispatcher uses: the index [i] of a followable link (the target
-    is [pred.db_succs.(i).sc_blk]), or [-1]. *)
+(** [follow_idx t pred pc] probes [pred]'s links for the block at
+    [pc] — the allocation-free probe the dispatcher uses: the index
+    [i] of a followable link (the target is [pred.db_succs.(i).sc_blk]),
+    or [-1]. Dead links (old epoch, or stale target) are severed and
+    counted as breaks; an indirect probe that finds no valid entry
+    counts an IC miss. *)
 
 val patch : t -> block -> pc:int -> block -> unit
 (** [patch t pred ~pc b] installs [pred] --[pc]--> [b] after a follow

@@ -24,7 +24,7 @@ let zero_page = Bytes.make page_size '\000'
    stale block is detectable with one integer compare. Alongside the
    region-wide counter each 64-byte stamp page records the generation
    of the last write that touched it, so a block whose region moved on
-   can still prove its own bytes untouched ({!span_clean}) instead of
+   can still prove its own bytes untouched ({!unwritten}) instead of
    being re-decoded — without that, every stub patch the VM writes
    into a code cache would throw away every decoded block of the
    region. Regions are few (the two code sections and the two
@@ -155,15 +155,17 @@ let stamp_pages r lo hi =
 let rec pages_clean r k k1 since =
   k > k1 || (stamp r k <= since && pages_clean r (k + 1) k1 since)
 
-(* No write has touched [lo, hi) (clamped to the region) since
-   generation [since]. *)
-let span_clean r ~lo ~hi ~since =
-  let lo = if lo < r.r_lo then r.r_lo else lo in
-  let hi = if hi > r.r_hi then r.r_hi else hi in
-  lo >= hi
-  ||
-  let base = r.r_lo lsr stamp_bits in
-  pages_clean r ((lo lsr stamp_bits) - base) (((hi - 1) lsr stamp_bits) - base) since
+(* [lo, hi) lies inside the region and no write has touched it since
+   generation [since]: the region generation settles it when nothing
+   was written there at all, the stamps of the span's 64-byte pages
+   otherwise. A span leaving the region was not watched, so it may
+   have been written. *)
+let unwritten r ~lo ~hi ~since =
+  lo >= r.r_lo && hi <= r.r_hi
+  && (r.r_gen = since || lo >= hi
+     ||
+     let base = r.r_lo lsr stamp_bits in
+     pages_clean r ((lo lsr stamp_bits) - base) (((hi - 1) lsr stamp_bits) - base) since)
 
 (* The scan loops below, and the page-split loops further down, are
    top-level functions taking all their state as arguments: a local

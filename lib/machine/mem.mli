@@ -21,7 +21,7 @@
     self-modifying code (the PSR translator installing or patching
     blocks, attack payloads rewriting code bytes, eviction restoring
     trap bytes) invalidates stale decodes with one integer compare.
-    The per-64-byte write stamps behind {!span_clean} are paged the
+    The per-64-byte write stamps behind {!unwritten} are paged the
     same way as the bytes: a 4 KiB stretch of a region gets its stamps
     on the first write into it, so watching a large code-cache region
     costs nothing until code is written there. *)
@@ -72,15 +72,20 @@ val generation : region -> int
     region. Equality with a remembered value proves the region's
     bytes are unchanged since then. *)
 
-val span_clean : region -> lo:int -> hi:int -> since:int -> bool
-(** No write has landed in [\[lo, hi)] (clamped to the region) since
-    generation [since]. Writes are tracked at 64-byte-page
-    granularity, so this lets a decoded block survive writes
+val unwritten : region -> lo:int -> hi:int -> since:int -> bool
+(** [\[lo, hi)] lies inside the region and no write has landed in it
+    since generation [since]: the one check behind every cached decode
+    and translation ("are these still the bytes we read?"). False for
+    a span that leaves the region, whose bytes outside it are not
+    watched. The region generation is compared first; only when it
+    moved are the span's write stamps read. Writes are stamped at
+    64-byte-page granularity, so a decoded block survives writes
     elsewhere in its region (e.g. the VM patching a stub in another
     part of the code cache) — the caller re-stamps its remembered
-    generation on a clean result and re-decodes on a dirty one. May
-    report a clean span dirty when a neighbouring write shares its
-    edge pages (conservative, never the reverse). *)
+    generation on a true result and re-decodes on a false one. May
+    report an unwritten span written when a neighbouring write shares
+    its edge pages (conservative, never the reverse). Which bytes a
+    decode read is {!Decode_cache}'s rule. *)
 
 val region_of : t -> int -> region option
 (** The watched region containing an address, if any. *)

@@ -51,22 +51,9 @@ let insert t ~src ~translated =
     if Hashtbl.length t.table >= t.capacity then evict_lru t;
     Hashtbl.add t.table src { e_tr = translated; e_stamp = t.clock }
 
-let lookup t src =
-  t.clock <- t.clock + 1;
-  match Hashtbl.find_opt t.table src with
-  | Some e ->
-    e.e_stamp <- t.clock;
-    t.hits <- t.hits + 1;
-    Some e.e_tr
-  | None ->
-    t.misses <- t.misses + 1;
-    None
-
-(* Allocation-free lookup for the return hot path: [-1] for a miss
-   instead of an option (translated addresses are non-negative).
-   [Hashtbl.find]'s [Not_found] is a constant exception, so neither
-   arm allocates; [lookup] above keeps the option API for callers off
-   the hot path. *)
+(* The lookup of every [Retrat]: [-1] for a miss instead of an option
+   (translated addresses are non-negative). [Hashtbl.find]'s
+   [Not_found] is a constant exception, so neither arm allocates. *)
 let find_translated t src =
   t.clock <- t.clock + 1;
   match Hashtbl.find t.table src with

@@ -15,14 +15,11 @@ val capacity : t -> int
 
 val insert : t -> src:int -> translated:int -> unit
 
-val lookup : t -> int -> int option
-(** Looks up a source return address; updates recency and hit/miss
-    statistics. *)
-
 val find_translated : t -> int -> int
-(** Exactly {!lookup}, but returns [-1] for a miss instead of an
-    option — the allocation-free form the per-return hot path uses
-    (translated targets are always non-negative addresses). *)
+(** Looks up a source return address: its translated target, or [-1]
+    for a miss (translated targets are always non-negative addresses),
+    with no allocation — the per-return hot path. Updates recency and
+    hit/miss statistics. *)
 
 val hits : t -> int
 val misses : t -> int

@@ -275,7 +275,9 @@ module Hostprof : sig
       delta does not travel. *)
 
   val start_run : t -> unit
-  (** Capture a [Gc.quick_stat] baseline. *)
+  (** Capture a [Gc.quick_stat] baseline. The baseline and the delta
+      {!stop_run} closes are the calling domain's: a run measured this
+      way must retire its instructions on that domain. *)
 
   val stop_run : t -> instructions:int -> unit
   (** Close the run delta against the {!start_run} baseline (no-op

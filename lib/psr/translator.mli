@@ -82,8 +82,9 @@ val prepare :
     decoded through [read] only when [as_loaded] fails, when a segment
     starts off the decoded instruction starts (a gadget entry), and for
     the part of a segment past the function's end. The unit is the
-    same either way. The VM passes its source-validity guard as
-    [as_loaded].
+    same either way. The VM passes the one source-validity guard as
+    [as_loaded]: {!Hipstr_machine.Decode_cache.source_unwritten} over
+    the function's code, since the load.
 
     Each domain reuses one set of working arrays across calls, so
     [prepare] must not be re-entered from [map_of] or [as_loaded].

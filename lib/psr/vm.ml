@@ -234,24 +234,15 @@ let rat t =
   | Some r -> r
   | None -> failwith "psr: machine must be created with a RAT"
 
-(* No write has landed in the source bytes [\[lo, lo + len)], nor in
-   the decoder's look-ahead window after them, since generation
-   [since] of the code section. The region generation alone usually
-   settles it: a guest rarely writes its own code section. *)
-let span_unwritten t ~since (lo, len) =
-  let r = t.src_region in
-  let hi = lo + len + Hipstr_machine.Decode_cache.max_decode_window in
-  lo >= Mem.region_lo r
-  && hi <= Mem.region_hi r
-  && (Mem.generation r = since || Mem.span_clean r ~lo ~hi ~since)
-
-(* The function's code, and the decoder's look-ahead past it, still
-   hold the bytes the binary loaded: the guard under which the binary's
-   shared register counts and decoded code stand in for a decode of
-   this VM's memory. *)
+(* The function's code still holds the bytes the binary loaded: the
+   guard under which the binary's shared register counts and decoded
+   code stand in for a decode of this VM's memory. Every source check
+   of the VM is this one guard ([Decode_cache.source_unwritten]); the
+   region generation alone usually settles it, as a guest rarely
+   writes its own code section. *)
 let as_loaded t (fs : Fatbin.func_sym) =
   let im = Fatbin.image fs t.which in
-  span_unwritten t ~since:t.loaded_gen (im.im_entry, im.im_size)
+  Decode_cache.source_unwritten t.src_region ~since:t.loaded_gen (im.im_entry, im.im_size)
 
 (* Most-used allocatable registers in the function's source code,
    ranked from the binary's shared register-use counts while the
@@ -289,8 +280,9 @@ let prepare t src =
     ~fatbin:t.fatbin ~map_of:(map_of t) ~src
 
 (* Before a flush drops the live units, each one installed from a memo
-   entry's layout hands that layout the decoded blocks inside its bytes
-   that no write has touched since its blit ([Decode_cache.keepable]).
+   entry's layout hands that layout the decoded blocks whose guard lies
+   inside its bytes and has not been written since its blit
+   ([Decode_cache.keepable]).
    A block dirtied by a chain patch stays behind and is decoded again
    after the next install, as is every block of a unit installed
    without a memo entry. Units and blocks are both walked in address
@@ -311,8 +303,7 @@ let harvest t dc =
   and blocks laid ~lo ~hi = function
     | (b : Decode_cache.block) :: bs when b.db_start < hi ->
       (match laid with
-      | Some l when b.db_start >= lo && b.db_end <= hi && Decode_cache.keepable b ~since:l.la_gen
-        ->
+      | Some l when Decode_cache.keepable b ~lo ~hi ~since:l.la_gen ->
         l.la_blocks <- b :: l.la_blocks
       | _ -> ());
       blocks laid ~lo ~hi bs
@@ -381,7 +372,9 @@ let invalidate_block t (b : Code_cache.block) =
 (* No write has landed in the source bytes [e]'s prepare read since
    [me_src_gen], which a clean answer re-stamps. *)
 let source_unchanged t e =
-  List.for_all (span_unwritten t ~since:e.me_src_gen) (Translator.prepared_spans e.me_prep)
+  List.for_all
+    (Decode_cache.source_unwritten t.src_region ~since:e.me_src_gen)
+    (Translator.prepared_spans e.me_prep)
   && begin
     e.me_src_gen <- Mem.generation t.src_region;
     true
@@ -781,11 +774,13 @@ let sorted_keys tbl = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) 
    known clean. An image names each by its source address;
    [rematerialize] re-prepares a live unit, and [rebuild_memo] a saved
    entry, from the restored source bytes, which are no longer the
-   bytes the translation was made from. The memo case asks
-   [span_unwritten] directly: [source_unchanged] would re-stamp the
-   entry, and a checkpoint is a pure read. *)
+   bytes the translation was made from. The memo case asks the guard
+   directly: [source_unchanged] would re-stamp the entry, and a
+   checkpoint is a pure read. *)
 let rewritten_unit t =
-  let written since spans = not (List.for_all (span_unwritten t ~since) spans) in
+  let written since spans =
+    not (List.for_all (Decode_cache.source_unwritten t.src_region ~since) spans)
+  in
   match
     List.find_opt
       (fun (b : Code_cache.block) -> written t.loaded_gen b.cb_src_spans)

@@ -25,10 +25,16 @@
     translation memo keyed by (unit, map fingerprint) re-installs a
     previously translated unit without re-running the translator, but
     only while the unit's source bytes are unwritten since the entry
-    was built. Under {!Code_cache.Flush} the memo also
-    serves re-translations after a flush, as host-only state: a hit
-    is charged, counted and traced exactly like the translation it
-    replaces, and never travels in a snapshot or memo file. Either
+    was built. Every such source check — memo hits, the binary's
+    shared code and register counts standing in for memory, and the
+    checkpoint refusal — is the one guard
+    {!Hipstr_machine.Decode_cache.source_unwritten}: each source span
+    plus the decoder's look-ahead window, inside the code section and
+    unwritten since a remembered generation. Under {!Code_cache.Flush}
+    the memo also serves re-translations after a flush, as host-only
+    state: a hit is charged, counted and traced exactly like the
+    translation it replaces, and never travels in a snapshot or memo
+    file. Either
     way, a source address is in the cache or it is not — the hit/miss
     outcome that classifies an indirect transfer as suspicious is
     policy-independent.
@@ -100,7 +106,7 @@ val prepare : t -> int -> Translator.prepared
     shared decoded code while the function's bytes (plus the decoder's
     look-ahead window) are unwritten since this VM was created, else
     from a decode of current memory ({!Translator.prepare}'s
-    [as_loaded] is that guard). Draws the maps it needs; charges and
+    [as_loaded] is that guard, the VM's one source check). Draws the maps it needs; charges and
     counts nothing.
     @raise Translator.Wild as {!Translator.prepare} does. *)
 

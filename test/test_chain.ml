@@ -31,9 +31,12 @@ let assemble mem at instrs =
     at instrs
 
 let lookup_exn dc pc =
-  match Decode_cache.lookup dc pc with
-  | Some b -> b
-  | None -> Alcotest.failf "pc %#x not cacheable" pc
+  match Decode_cache.find dc pc with
+  | b -> b
+  | exception Not_found -> Alcotest.failf "pc %#x not cacheable" pc
+
+(* [pred] has a followable link for [pc]. *)
+let follows dc pred pc = Decode_cache.follow_idx dc pred pc >= 0
 
 (* ------------------------------------------------------------------ *)
 (* Unit: direct links — patch, follow, sever, epoch *)
@@ -50,19 +53,21 @@ let test_direct_patch_follow () =
   Alcotest.(check bool) "jmp terminator is direct" false a.Decode_cache.db_indirect;
   let st = Decode_cache.stats dc in
   (* no link yet: follow misses without counting a direct break *)
-  Alcotest.(check bool) "unpatched follow misses" true (Decode_cache.follow dc a b_at = None);
+  Alcotest.(check bool) "unpatched follow misses" false (follows dc a b_at);
   Alcotest.(check int) "no break on empty succs" 0 st.Decode_cache.chain_breaks;
   Decode_cache.patch dc a ~pc:b_at b;
   Alcotest.(check int) "patch counted" 1 st.Decode_cache.chain_patches;
-  (match Decode_cache.follow dc a b_at with
-  | Some b' -> Alcotest.(check bool) "follow returns the patched block" true (b' == b)
-  | None -> Alcotest.fail "patched follow missed");
+  (match Decode_cache.follow_idx dc a b_at with
+  | -1 -> Alcotest.fail "patched follow missed"
+  | i ->
+    Alcotest.(check bool) "follow returns the patched block" true
+      (a.Decode_cache.db_succs.(i).sc_blk == b));
   Alcotest.(check int) "follow counted" 1 st.Decode_cache.chain_follows;
   (* a different target pc does not match the link *)
-  Alcotest.(check bool) "wrong pc misses" true (Decode_cache.follow dc a base = None);
+  Alcotest.(check bool) "wrong pc misses" false (follows dc a base);
   (* write into the successor's region: the link must sever *)
   Mem.write8 mem (b_at + 1) 0x90;
-  Alcotest.(check bool) "stale target not followed" true (Decode_cache.follow dc a b_at = None);
+  Alcotest.(check bool) "stale target not followed" false (follows dc a b_at);
   Alcotest.(check int) "break counted" 1 st.Decode_cache.chain_breaks;
   (* severed for good, not re-checked every time *)
   Alcotest.(check int) "entry removed" 0 (Array.length a.Decode_cache.db_succs)
@@ -83,7 +88,7 @@ let test_epoch_invalidation () =
   (* the target block is *not* stale (no write happened) — only the
      epoch guard can reject the link *)
   Alcotest.(check bool) "target unmodified" false (Decode_cache.stale b);
-  Alcotest.(check bool) "old-epoch link dead" true (Decode_cache.follow dc a b_at = None);
+  Alcotest.(check bool) "old-epoch link dead" false (follows dc a b_at);
   Alcotest.(check int) "break counted" 1 (Decode_cache.stats dc).Decode_cache.chain_breaks
 
 (* ------------------------------------------------------------------ *)
@@ -103,15 +108,15 @@ let test_ic_promotion () =
   let t1 = List.nth targets 0 and t2 = List.nth targets 1 in
   (* monomorphic *)
   Decode_cache.patch dc pred ~pc:t1 (lookup_exn dc t1);
-  Alcotest.(check bool) "mono hit" true (Decode_cache.follow dc pred t1 <> None);
+  Alcotest.(check bool) "mono hit" true (follows dc pred t1);
   Alcotest.(check int) "counted as mono" 1 st.Decode_cache.ic_mono_hits;
   (* a probe for an uncached target counts an IC miss *)
-  Alcotest.(check bool) "unknown target misses" true (Decode_cache.follow dc pred t2 = None);
+  Alcotest.(check bool) "unknown target misses" false (follows dc pred t2);
   Alcotest.(check int) "ic miss counted" 1 st.Decode_cache.ic_misses;
   (* polymorphic after the second install *)
   Decode_cache.patch dc pred ~pc:t2 (lookup_exn dc t2);
-  Alcotest.(check bool) "poly hit t1" true (Decode_cache.follow dc pred t1 <> None);
-  Alcotest.(check bool) "poly hit t2" true (Decode_cache.follow dc pred t2 <> None);
+  Alcotest.(check bool) "poly hit t1" true (follows dc pred t1);
+  Alcotest.(check bool) "poly hit t2" true (follows dc pred t2);
   Alcotest.(check int) "counted as poly" 2 st.Decode_cache.ic_poly_hits;
   Alcotest.(check int) "mono count frozen" 1 st.Decode_cache.ic_mono_hits;
   (* fill to capacity (4), then the fifth target goes megamorphic:
@@ -125,7 +130,7 @@ let test_ic_promotion () =
     (Array.for_all (fun s -> s.Decode_cache.sc_pc <> t5) pred.Decode_cache.db_succs);
   (* the first four still hit *)
   Alcotest.(check bool) "cached targets still hit" true
-    (Decode_cache.follow dc pred t1 <> None && Decode_cache.follow dc pred t2 <> None)
+    (follows dc pred t1 && follows dc pred t2)
 
 (* ------------------------------------------------------------------ *)
 (* Machine: self-modifying code must break a followed chain mid-trace.

@@ -275,19 +275,21 @@ let test_mem_watch_across_page_edge () =
   let r = Mem.watch m ~lo:(page - 64) ~hi:(page + 64) in
   Mem.write32 m (page - 1) 0x01020304;
   Alcotest.(check int) "straddling store bumps once" 1 (Mem.generation r);
-  Alcotest.(check bool) "and stamps its span dirty" false
-    (Mem.span_clean r ~lo:(page - 1) ~hi:(page + 3) ~since:0);
+  Alcotest.(check bool) "and stamps its span written" false
+    (Mem.unwritten r ~lo:(page - 1) ~hi:(page + 3) ~since:0);
   Mem.blit_string m (page - 2) "abcd";
   Alcotest.(check int) "straddling blit bumps once" 2 (Mem.generation r)
 
 (* Region stamps are paged too (one chunk per 4 KiB of region, shared
-   all-zero until written). [span_clean] must agree with a flat model
-   of one stamp per 64 bytes over random stores, on a region whose
-   bounds sit off every page and stamp edge, and a write to one
-   memory's region must leave another memory's region clean. A
-   [Mem.reset] in between must leave the memory as [create] and
-   [watch] left it: all zero, at generation 0, with no write stamped,
-   so a second round of stores matches a fresh model. *)
+   all-zero until written). [Mem.unwritten] must agree with a flat
+   model of one stamp per 64 bytes over random stores, on a region
+   whose bounds sit off every page and stamp edge, for each random
+   span clamped to the region; the span itself, when it leaves the
+   region, must read as written. A write to one memory's region must
+   leave another memory's region unwritten. A [Mem.reset] in between
+   must leave the memory as [create] and [watch] left it: all zero,
+   at generation 0, with no write stamped, so a second round of
+   stores matches a fresh model. *)
 let test_mem_stamps_match_flat_model () =
   let g = Hipstr_util.Rng.create 57 in
   let lo = page + 100 and hi = (5 * page) + 37 in
@@ -338,22 +340,27 @@ let test_mem_stamps_match_flat_model () =
         !ok
       in
       Alcotest.(check bool)
-        (Printf.sprintf "span [%d, %d) since %d" a b since)
+        (Printf.sprintf "span [%d, %d) since %d" a' b' since)
         expect
-        (Mem.span_clean r ~lo:a ~hi:b ~since)
+        (Mem.unwritten r ~lo:a' ~hi:b' ~since);
+      if a < lo || b > hi then
+        Alcotest.(check bool)
+          (Printf.sprintf "span [%d, %d) leaves the region" a b)
+          false
+          (Mem.unwritten r ~lo:a ~hi:b ~since)
     done
   in
   round ();
   Mem.reset m;
   Alcotest.(check bool) "reset: all zero again" true (Mem.equal_span m other 0 (6 * page));
   Alcotest.(check int) "reset: generation 0" 0 (Mem.generation r);
-  Alcotest.(check bool) "reset: no write stamped" true (Mem.span_clean r ~lo ~hi ~since:0);
+  Alcotest.(check bool) "reset: no write stamped" true (Mem.unwritten r ~lo ~hi ~since:0);
   Alcotest.(check bool) "reset: the region is still registered" true
     (Mem.watch m ~lo ~hi == r);
   round ();
   Alcotest.(check int) "the other memory's region never moved" 0 (Mem.generation r');
-  Alcotest.(check bool) "and reads clean everywhere" true
-    (Mem.span_clean r' ~lo ~hi ~since:0)
+  Alcotest.(check bool) "and reads unwritten everywhere" true
+    (Mem.unwritten r' ~lo ~hi ~since:0)
 
 let test_mem_equal_span_matches_read_string () =
   let g = Hipstr_util.Rng.create 41 in
@@ -419,36 +426,34 @@ let test_decode_cache_blocks () =
   let dc = Decode_cache.create Desc.Cisc mem in
   let base = Layout.cisc_code_base in
   let _end = assemble mem base [ Minstr.Mov (Reg 0, Imm 5); Minstr.Jmp base ] in
-  (match Decode_cache.lookup dc base with
-  | None -> Alcotest.fail "block not cacheable"
-  | Some b ->
+  (match Decode_cache.find dc base with
+  | exception Not_found -> Alcotest.fail "block not cacheable"
+  | b ->
     Alcotest.(check int) "two instructions" 2 (Array.length b.Decode_cache.db_code / 4);
     Alcotest.(check bool) "ends at terminator, not bad" false b.Decode_cache.db_bad;
     Alcotest.(check bool) "fresh block not stale" false (Decode_cache.stale b));
   let st = Decode_cache.stats dc in
   Alcotest.(check int) "one miss" 1 st.Decode_cache.misses;
-  ignore (Decode_cache.lookup dc base);
+  ignore (Decode_cache.find dc base);
   Alcotest.(check int) "second lookup hits" 1 st.Decode_cache.hits;
   (* outside every watched region: uncacheable *)
-  Alcotest.(check bool) "stack address uncacheable" true
-    (Decode_cache.lookup dc (Layout.stack_top - 64) = None)
+  Alcotest.check_raises "stack address uncacheable" Not_found (fun () ->
+      ignore (Decode_cache.find dc (Layout.stack_top - 64)))
 
 let test_decode_cache_self_modify () =
   let mem = Mem.create Layout.mem_size in
   let dc = Decode_cache.create Desc.Cisc mem in
   let base = Layout.cisc_code_base in
   ignore (assemble mem base [ Minstr.Mov (Reg 0, Imm 5); Minstr.Jmp base ]);
-  let b =
-    match Decode_cache.lookup dc base with Some b -> b | None -> Alcotest.fail "uncacheable"
-  in
+  let b = Decode_cache.find dc base in
   (* any write into the region makes the block stale... *)
   Mem.write8 mem (base + 1) 0x09;
   Alcotest.(check bool) "stale after code write" true (Decode_cache.stale b);
   Decode_cache.drop dc b;
   (* ...and a fresh lookup decodes the current bytes *)
   ignore (assemble mem base [ Minstr.Mov (Reg 0, Imm 9); Minstr.Jmp base ]);
-  (match Decode_cache.lookup dc base with
-  | Some b' -> (
+  (match Decode_cache.find dc base with
+  | b' -> (
     Alcotest.(check bool) "re-decoded block fresh" false (Decode_cache.stale b');
     let code = b'.Decode_cache.db_code in
     match Packed.unpack code.(0) code.(1) code.(2) with
@@ -456,7 +461,7 @@ let test_decode_cache_self_modify () =
     | i, _ ->
       Alcotest.failf "stale decode survived: %s"
         (Minstr.to_string ~reg_name:(Desc.reg_name (Isa.desc Desc.Cisc)) i))
-  | None -> Alcotest.fail "uncacheable after rewrite");
+  | exception Not_found -> Alcotest.fail "uncacheable after rewrite");
   let st = Decode_cache.stats dc in
   Alcotest.(check int) "drop counted" 1 st.Decode_cache.invalidations;
   Decode_cache.invalidate_all dc;
@@ -526,6 +531,38 @@ let test_context_switch_flush_drops_blocks () =
   Alcotest.(check int) "instructions keep counting" 100 (Machine.instructions m)
 
 (* The --no-decode-cache escape hatch really disables it. *)
+(* A block's guard is the bytes its decode read. A block of successful
+   decodes read only its own bytes (the decoders' locality), so a write
+   just past its end leaves it fresh; a [db_bad] block's failed decode
+   may have read the look-ahead window past its end, so a write there
+   makes it stale. Both blocks end on a 64-byte stamp-page edge, so the
+   writes past them land in a stamp page of their own. *)
+let test_decode_cache_guard () =
+  let base = Layout.cisc_code_base in
+  let mem = Mem.create Layout.mem_size in
+  let dc = Decode_cache.create Desc.Cisc mem in
+  let stop = assemble mem base (List.init 59 (fun _ -> Minstr.Nop) @ [ Minstr.Jmp base ]) in
+  Alcotest.(check int) "59 nops and a jmp span 64 bytes" (base + 64) stop;
+  let b = Decode_cache.find dc base in
+  Alcotest.(check bool) "the clean block ends at its jmp" true
+    ((not b.Decode_cache.db_bad) && b.Decode_cache.db_end = stop);
+  Mem.write8 mem (base + 65) 0x99;
+  Alcotest.(check bool) "a write past a clean block leaves it fresh" false (Decode_cache.stale b);
+  Mem.write8 mem (base + 10) 0x99;
+  Alcotest.(check bool) "a write on its bytes makes it stale" true (Decode_cache.stale b);
+  (* 64 nops, then opcode 0x01, whose operand byte (0) is malformed *)
+  let mem = Mem.create Layout.mem_size in
+  let dc = Decode_cache.create Desc.Cisc mem in
+  let stop = assemble mem base (List.init 64 (fun _ -> Minstr.Nop)) in
+  Mem.write8 mem stop 0x01;
+  let b = Decode_cache.find dc base in
+  Alcotest.(check bool) "the bad block's decode fails at base + 64" true
+    (b.Decode_cache.db_bad && b.Decode_cache.db_end = base + 64);
+  Mem.write8 mem (base + 130) 0x99;
+  Alcotest.(check bool) "a write past its window leaves it fresh" false (Decode_cache.stale b);
+  Mem.write8 mem (base + 66) 0x99;
+  Alcotest.(check bool) "a write in its window makes it stale" true (Decode_cache.stale b)
+
 let test_escape_hatch () =
   let m = Machine.create ~obs:Obs.disabled ~decode_cache:false ~active:Desc.Cisc () in
   Alcotest.(check bool) "no stats without a cache" true
@@ -576,5 +613,6 @@ let () =
             test_machine_self_modify_differential;
           Alcotest.test_case "context-switch flush" `Quick test_context_switch_flush_drops_blocks;
           Alcotest.test_case "escape hatch" `Quick test_escape_hatch;
+          Alcotest.test_case "guard: the bytes a decode read" `Quick test_decode_cache_guard;
         ] );
     ]

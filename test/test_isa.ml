@@ -161,11 +161,12 @@ let test_minstr_helpers () =
           (Array.to_list all_conds)))
 
 (* Decoder locality: a successful decode reads only the bytes of the
-   instruction it returns, offsets [0 .. len-1] from its start. The
-   PSR VM keeps decoded blocks across a code-cache flush on the
-   strength of this (Decode_cache.keepable): a block of successful decodes
-   then depends on its own bytes alone, even where the 16-byte decode
-   window runs past its unit's last byte into whatever lies beyond.
+   instruction it returns, offsets [0 .. len-1] from its start. A
+   decoded block's guard rests on this (Decode_cache.stale and
+   keepable): a block of successful decodes depends on its own bytes
+   alone, so a write just past it leaves it fresh, and the PSR VM keeps
+   it across a code-cache flush even where the 16-byte decode window
+   runs past its unit's last byte into whatever lies beyond.
    Checked at every offset of a fixed-seed random buffer and on every
    form the encoder emits, both times with foreign bytes on either
    side of the decode point. *)

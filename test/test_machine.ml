@@ -136,12 +136,14 @@ let test_mem_word_accessors () =
 
 (* The code-region write hook against the regions' bounds: a 4-byte
    store bumps the generation of exactly the regions its bytes land
-   in, and dirties exactly the 64-byte stamp pages it writes in each.
-   Every region gets stores at its first and last word, straddling
-   each edge, and in the 64 KiB granules just outside it; data, heap
-   and stack stores bump nothing. Run on the standard layout and on
-   regions that start and end inside a granule, two of them
-   adjacent. *)
+   in, and dirties exactly the 64-byte stamp pages it writes in each
+   (its bytes are clamped to the region before [Mem.unwritten] reads
+   them; a span leaving the region reads as written whatever the
+   stamps say). Every region gets stores at its first and last word,
+   straddling each edge, and in the 64 KiB granules just outside it;
+   data, heap and stack stores bump nothing. Run on the standard
+   layout and on regions that start and end inside a granule, two of
+   them adjacent. *)
 let check_write_hook ~label ~size ~regions ~plain =
   let m = Mem.create size in
   let rs = List.map (fun (lo, hi) -> (lo, hi, Mem.watch m ~lo ~hi)) regions in
@@ -158,18 +160,21 @@ let check_write_hook ~label ~size ~regions ~plain =
           in
           if lands then begin
             if g1 <> g0 + 1 then fail (Printf.sprintf "generation %d -> %d" g0 g1);
-            if Mem.span_clean r ~lo:a ~hi:(a + 4) ~since:g0 then fail "its bytes read clean";
-            let dirty_lo = a land lnot 63 and dirty_hi = ((a + 3) lor 63) + 1 in
+            if Mem.unwritten r ~lo:(max a lo) ~hi:(min (a + 4) hi) ~since:g0 then
+              fail "its bytes read unwritten";
+            let dirty_lo = max lo (a land lnot 63) and dirty_hi = min hi (((a + 3) lor 63) + 1) in
             if
               not
-                (Mem.span_clean r ~lo ~hi:dirty_lo ~since:g0
-                && Mem.span_clean r ~lo:dirty_hi ~hi ~since:g0)
-            then fail "a stamp page it did not write reads dirty"
+                (Mem.unwritten r ~lo ~hi:dirty_lo ~since:g0
+                && Mem.unwritten r ~lo:dirty_hi ~hi ~since:g0)
+            then fail "a stamp page it did not write reads written"
           end
           else begin
             if g1 <> g0 then fail (Printf.sprintf "not in it, generation %d -> %d" g0 g1);
-            if not (Mem.span_clean r ~lo ~hi ~since:g0) then fail "not in it, stamps moved"
-          end)
+            if not (Mem.unwritten r ~lo ~hi ~since:g0) then fail "not in it, stamps moved"
+          end;
+          if (a < lo || a + 4 > hi) && Mem.unwritten r ~lo:a ~hi:(a + 4) ~since:g1 then
+            fail "its span leaves the region but reads unwritten")
         rs gens
     end
   in
@@ -393,12 +398,12 @@ let test_rat_lru () =
   let r = Rat.create ~capacity:2 in
   Rat.insert r ~src:1 ~translated:101;
   Rat.insert r ~src:2 ~translated:102;
-  Alcotest.(check (option int)) "hit 1" (Some 101) (Rat.lookup r 1);
+  Alcotest.(check int) "hit 1" 101 (Rat.find_translated r 1);
   Rat.insert r ~src:3 ~translated:103;
   (* 2 was least recently used (1 was just touched). *)
-  Alcotest.(check (option int)) "2 evicted" None (Rat.lookup r 2);
-  Alcotest.(check (option int)) "1 kept" (Some 101) (Rat.lookup r 1);
-  Alcotest.(check (option int)) "3 kept" (Some 103) (Rat.lookup r 3);
+  Alcotest.(check int) "2 evicted" (-1) (Rat.find_translated r 2);
+  Alcotest.(check int) "1 kept" 101 (Rat.find_translated r 1);
+  Alcotest.(check int) "3 kept" 103 (Rat.find_translated r 3);
   Alcotest.(check int) "misses counted" 1 (Rat.misses r)
 
 (* Hand-assemble a tiny program into memory and run it natively. *)

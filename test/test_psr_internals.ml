@@ -698,7 +698,8 @@ let test_lookups_match_linear () =
    block that covers the byte. Then:
    - none of those dirtied blocks is ever adopted again;
    - every adopted block still fresh equals a new decode of current
-     memory at its address ([db_code], [db_end], [db_indirect]);
+     memory at its address ([db_code], [db_end], [db_bad],
+     [db_indirect]);
    - the run matches the per-instruction decode oracle, which got the
      same write at the same instruction, bit for bit. *)
 let test_kept_blocks_guard () =
@@ -718,9 +719,11 @@ let test_kept_blocks_guard () =
   let fresh = Decode_cache.create Desc.Cisc mem in
   let decodes_fresh (b : Decode_cache.block) =
     Decode_cache.invalidate_all fresh;
-    match Decode_cache.lookup fresh b.db_start with
-    | Some f -> f.db_code = b.db_code && f.db_end = b.db_end && f.db_indirect = b.db_indirect
-    | None -> false
+    match Decode_cache.find fresh b.db_start with
+    | f ->
+      f.db_code = b.db_code && f.db_end = b.db_end && f.db_bad = b.db_bad
+      && f.db_indirect = b.db_indirect
+    | exception Not_found -> false
   in
   (* first sighting of each block object, with the flush count then *)
   let seen = Hashtbl.create 1024 in
