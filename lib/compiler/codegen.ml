@@ -328,7 +328,7 @@ let retarget ins addr =
   | Mov (d, Imm _) -> Mov (d, Imm addr)
   | _ -> invalid_arg "codegen: cannot retarget instruction"
 
-let resolve_item ~base ~at:_ ~block_addr ~func_entry ~global_addr item =
+let resolve_item ~base ~block_addr ~func_entry ~global_addr item =
   match item.it_target with
   | None -> item.it_ins
   | Some (Tblock l) -> retarget item.it_ins (block_addr l)
@@ -336,12 +336,16 @@ let resolve_item ~base ~at:_ ~block_addr ~func_entry ~global_addr item =
   | Some (Tfunc fn) -> retarget item.it_ins (func_entry fn)
   | Some (Tglobal g) -> retarget item.it_ins (global_addr g)
 
+(* Every length is final at generation time, so the code is one string
+   of exactly [cg_size] bytes. *)
 let encode_all desc ~base ~block_addr ~func_entry ~global_addr t =
-  let buf = Buffer.create 1024 in
-  Array.iter
-    (fun item ->
-      let at = base + Buffer.length buf in
-      let ins = resolve_item ~base ~at ~block_addr ~func_entry ~global_addr item in
-      Isa.encode_into desc.Desc.which buf ~at ins)
-    t.cg_items;
-  Buffer.contents buf
+  let b = Bytes.create t.cg_size in
+  let pos =
+    Array.fold_left
+      (fun pos item ->
+        let ins = resolve_item ~base ~block_addr ~func_entry ~global_addr item in
+        Isa.encode_into desc.Desc.which b ~pos ~at:(base + pos) ins)
+      0 t.cg_items
+  in
+  if pos <> t.cg_size then failwith "codegen: encoded size disagrees with the generated size";
+  Bytes.unsafe_to_string b

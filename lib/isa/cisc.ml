@@ -104,164 +104,95 @@ let check_reg r = if r < 0 || r > 7 then invalid_arg "cisc: register out of rang
 let modrr a b = 0xC0 lor (a lsl 3) lor b
 let modrm a b = 0x40 lor (a lsl 3) lor b
 
-let add_i32 buf v =
-  let v = W32.unsigned v in
-  Buffer.add_char buf (Char.chr (v land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xFF))
+(* Byte writers into a caller-owned [Bytes.t]: each takes the position
+   to write at and returns the position past what it wrote. Every byte
+   value is in 0..255 by construction (an opcode constant, an operand
+   byte over checked registers, or a masked immediate byte), so no
+   [Char.chr] range check runs per byte; [Bytes.set] still checks the
+   position. *)
+let put b p v = Bytes.set b p (Char.unsafe_chr v)
 
-let add_op buf op = Buffer.add_char buf (Char.chr op)
+let put_i32 b p v =
+  put b p (v land 0xFF);
+  put b (p + 1) ((v lsr 8) land 0xFF);
+  put b (p + 2) ((v lsr 16) land 0xFF);
+  put b (p + 3) ((v lsr 24) land 0xFF);
+  p + 4
 
-let add_rr buf a b =
-  check_reg a;
-  check_reg b;
-  Buffer.add_char buf (Char.chr (modrr a b))
+let op1 b p op =
+  put b p op;
+  p + 1
 
-let add_rm buf a b =
-  check_reg a;
-  check_reg b;
-  Buffer.add_char buf (Char.chr (modrm a b))
+(* opcode, then a reg-reg or reg-mem operand byte *)
+let op_rr b p op x y =
+  check_reg x;
+  check_reg y;
+  put b p op;
+  put b (p + 1) (modrr x y);
+  p + 2
+
+let op_rm b p op x y =
+  check_reg x;
+  check_reg y;
+  put b p op;
+  put b (p + 1) (modrm x y);
+  p + 2
+
+let op_i32 b p op k = put_i32 b (op1 b p op) k
 
 (* Relative displacement of [target] from the end of a [len]-byte
-   instruction at [at]. Top-level (not a closure over [at]): encoding
-   runs per emitted instruction in [Translator.layout]. *)
+   instruction at [at]. *)
 let rel at target len = target - (at + len)
 
-(* Encode into a caller-owned buffer: [layout] encodes whole units,
-   and a per-instruction [Buffer.create]/[Buffer.contents] pair was a
-   measurable slice of translation-time allocation. *)
-let encode_into buf ~at (i : Minstr.t) =
+(* Encode at [pos] of a caller-owned byte string: [Translator.layout]
+   encodes a whole unit into one string of its exact size. *)
+let encode_into b ~pos ~at (i : Minstr.t) =
   match i with
-  | Mov (Reg d, Reg s) ->
-    add_op buf 0x01;
-    add_rr buf d s
-  | Mov (Reg d, Imm k) ->
-    add_op buf 0x02;
-    add_rr buf d 0;
-    add_i32 buf k
-  | Mov (Reg d, Mem { base; disp }) ->
-    add_op buf 0x03;
-    add_rm buf d base;
-    add_i32 buf disp
-  | Mov (Mem { base; disp }, Reg s) ->
-    add_op buf 0x04;
-    add_rm buf s base;
-    add_i32 buf disp
-  | Mov (Mem { base; disp }, Imm k) ->
-    add_op buf 0x05;
-    add_rm buf 0 base;
-    add_i32 buf disp;
-    add_i32 buf k
+  | Mov (Reg d, Reg s) -> op_rr b pos 0x01 d s
+  | Mov (Reg d, Imm k) -> put_i32 b (op_rr b pos 0x02 d 0) k
+  | Mov (Reg d, Mem { base; disp }) -> put_i32 b (op_rm b pos 0x03 d base) disp
+  | Mov (Mem { base; disp }, Reg s) -> put_i32 b (op_rm b pos 0x04 s base) disp
+  | Mov (Mem { base; disp }, Imm k) -> put_i32 b (put_i32 b (op_rm b pos 0x05 0 base) disp) k
   | Mov (Imm _, _) | Mov (Mem _, Mem _) -> invalid_arg "cisc: bad mov operands"
-  | Lea (d, b, k) ->
-    add_op buf 0x06;
-    add_rm buf d b;
-    add_i32 buf k
-  | Binop (op, Reg d, Reg s) ->
-    add_op buf (0x10 + binop_index op);
-    add_rr buf d s
-  | Binop (op, Reg d, Imm k) ->
-    add_op buf (0x20 + binop_index op);
-    add_rr buf d 0;
-    add_i32 buf k
+  | Lea (d, base, k) -> put_i32 b (op_rm b pos 0x06 d base) k
+  | Binop (op, Reg d, Reg s) -> op_rr b pos (0x10 + binop_index op) d s
+  | Binop (op, Reg d, Imm k) -> put_i32 b (op_rr b pos (0x20 + binop_index op) d 0) k
   | Binop (op, Reg d, Mem { base; disp }) ->
-    add_op buf (0x30 + binop_index op);
-    add_rm buf d base;
-    add_i32 buf disp
+    put_i32 b (op_rm b pos (0x30 + binop_index op) d base) disp
   | Binop (op, Mem { base; disp }, Reg s) ->
-    add_op buf (0x40 + binop_index op);
-    add_rm buf s base;
-    add_i32 buf disp
+    put_i32 b (op_rm b pos (0x40 + binop_index op) s base) disp
   | Binop (op, Mem { base; disp }, Imm k) ->
-    add_op buf (0x50 + binop_index op);
-    add_rm buf 0 base;
-    add_i32 buf disp;
-    add_i32 buf k
+    put_i32 b (put_i32 b (op_rm b pos (0x50 + binop_index op) 0 base) disp) k
   | Binop (_, Imm _, _) | Binop (_, Mem _, Mem _) -> invalid_arg "cisc: bad binop operands"
-  | Cmp (Reg a, Reg b) ->
-    add_op buf 0x60;
-    add_rr buf a b
-  | Cmp (Reg a, Imm k) ->
-    add_op buf 0x61;
-    add_rr buf a 0;
-    add_i32 buf k
-  | Cmp (Reg a, Mem { base; disp }) ->
-    add_op buf 0x62;
-    add_rm buf a base;
-    add_i32 buf disp
-  | Cmp (Mem { base; disp }, Imm k) ->
-    add_op buf 0x63;
-    add_rm buf 0 base;
-    add_i32 buf disp;
-    add_i32 buf k
-  | Cmp (Mem { base; disp }, Reg b) ->
-    add_op buf 0x64;
-    add_rm buf b base;
-    add_i32 buf disp
+  | Cmp (Reg a, Reg c) -> op_rr b pos 0x60 a c
+  | Cmp (Reg a, Imm k) -> put_i32 b (op_rr b pos 0x61 a 0) k
+  | Cmp (Reg a, Mem { base; disp }) -> put_i32 b (op_rm b pos 0x62 a base) disp
+  | Cmp (Mem { base; disp }, Imm k) -> put_i32 b (put_i32 b (op_rm b pos 0x63 0 base) disp) k
+  | Cmp (Mem { base; disp }, Reg c) -> put_i32 b (op_rm b pos 0x64 c base) disp
   | Cmp (Imm _, _) | Cmp (Mem _, Mem _) -> invalid_arg "cisc: bad cmp operands"
-  | Push (Reg r) ->
-    add_op buf 0x70;
-    add_rr buf r 0
-  | Push (Imm k) ->
-    add_op buf 0x71;
-    add_rr buf 0 0;
-    add_i32 buf k
-  | Push (Mem { base; disp }) ->
-    add_op buf 0x72;
-    add_rm buf 0 base;
-    add_i32 buf disp
-  | Pop (Reg r) ->
-    add_op buf 0x73;
-    add_rr buf r 0
-  | Pop (Mem { base; disp }) ->
-    add_op buf 0x74;
-    add_rm buf 0 base;
-    add_i32 buf disp
+  | Push (Reg r) -> op_rr b pos 0x70 r 0
+  | Push (Imm k) -> put_i32 b (op_rr b pos 0x71 0 0) k
+  | Push (Mem { base; disp }) -> put_i32 b (op_rm b pos 0x72 0 base) disp
+  | Pop (Reg r) -> op_rr b pos 0x73 r 0
+  | Pop (Mem { base; disp }) -> put_i32 b (op_rm b pos 0x74 0 base) disp
   | Pop (Imm _) -> invalid_arg "cisc: pop imm"
-  | Jmp t ->
-    add_op buf 0x80;
-    add_i32 buf (rel at t 5)
-  | Jcc (c, t) ->
-    add_op buf (0x81 + cond_index c);
-    add_i32 buf (rel at t 5)
-  | Jmpr (Reg r) ->
-    add_op buf 0x90;
-    add_rr buf r 0
-  | Jmpr (Mem { base; disp }) ->
-    add_op buf 0x91;
-    add_rm buf 0 base;
-    add_i32 buf disp
+  | Jmp t -> op_i32 b pos 0x80 (rel at t 5)
+  | Jcc (c, t) -> op_i32 b pos (0x81 + cond_index c) (rel at t 5)
+  | Jmpr (Reg r) -> op_rr b pos 0x90 r 0
+  | Jmpr (Mem { base; disp }) -> put_i32 b (op_rm b pos 0x91 0 base) disp
   | Jmpr (Imm _) -> invalid_arg "cisc: jmpr imm"
-  | Call t ->
-    add_op buf 0x92;
-    add_i32 buf (rel at t 5)
-  | Callr (Reg r) ->
-    add_op buf 0x93;
-    add_rr buf r 0
-  | Callr (Mem { base; disp }) ->
-    add_op buf 0x94;
-    add_rm buf 0 base;
-    add_i32 buf disp
+  | Call t -> op_i32 b pos 0x92 (rel at t 5)
+  | Callr (Reg r) -> op_rr b pos 0x93 r 0
+  | Callr (Mem { base; disp }) -> put_i32 b (op_rm b pos 0x94 0 base) disp
   | Callr (Imm _) -> invalid_arg "cisc: callr imm"
-  | Ret -> add_op buf ret_opcode
+  | Ret -> op1 b pos ret_opcode
   | Retr _ -> invalid_arg "cisc: retr is RISC-only"
-  | Syscall -> add_op buf 0xA0
-  | Nop -> add_op buf 0x99
-  | Trap a ->
-    add_op buf 0xA1;
-    add_i32 buf a
-  | Callrat { target; src_ret } ->
-    add_op buf 0xA2;
-    add_i32 buf target;
-    add_i32 buf src_ret
-  | Retrat (Reg r) ->
-    add_op buf 0xA3;
-    add_rr buf r 0
-  | Retrat (Mem { base; disp }) ->
-    add_op buf 0xA4;
-    add_rm buf 0 base;
-    add_i32 buf disp
+  | Syscall -> op1 b pos 0xA0
+  | Nop -> op1 b pos 0x99
+  | Trap a -> op_i32 b pos 0xA1 a
+  | Callrat { target; src_ret } -> put_i32 b (op_i32 b pos 0xA2 target) src_ret
+  | Retrat (Reg r) -> op_rr b pos 0xA3 r 0
+  | Retrat (Mem { base; disp }) -> put_i32 b (op_rm b pos 0xA4 0 base) disp
   | Retrat (Imm _) -> invalid_arg "cisc: retrat imm"
 
 (* Decoding. Any byte sequence may be presented (Galileo decodes at

@@ -23,10 +23,12 @@ val length : Minstr.t -> int
 val encodable : Minstr.t -> bool
 (** [length] does not raise. *)
 
-val encode_into : Buffer.t -> at:int -> Minstr.t -> unit
-(** Append the byte encoding of an instruction placed at address [at]
+val encode_into : Bytes.t -> pos:int -> at:int -> Minstr.t -> int
+(** Write the byte encoding of an instruction placed at address [at]
+    into the bytes at [pos] and return the position past it
     (control-flow targets become PC-relative displacements).
-    @raise Invalid_argument on operand shapes the ISA cannot encode. *)
+    @raise Invalid_argument on operand shapes the ISA cannot encode,
+    or when the bytes end before the encoding does. *)
 
 val decode : read:(int -> int) -> int -> (Minstr.t * int) option
 (** [decode ~read addr] decodes one instruction at [addr], where

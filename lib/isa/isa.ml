@@ -19,13 +19,16 @@ let codec = Hipstr_util.Wire.C.enum [| of_tag 0; of_tag 1 |]
 let length w i = match w with Desc.Cisc -> Cisc.length i | Desc.Risc -> Risc.length i
 let encodable w i = match w with Desc.Cisc -> Cisc.encodable i | Desc.Risc -> Risc.encodable i
 
-let encode_into w buf ~at i =
-  match w with Desc.Cisc -> Cisc.encode_into buf ~at i | Desc.Risc -> Risc.encode_into buf ~at i
+let encode_into w b ~pos ~at i =
+  match w with
+  | Desc.Cisc -> Cisc.encode_into b ~pos ~at i
+  | Desc.Risc -> Risc.encode_into b ~pos ~at i
 
 let encode w ~at i =
-  let buf = Buffer.create 12 in
-  encode_into w buf ~at i;
-  Buffer.contents buf
+  let b = Bytes.create (length w i) in
+  if encode_into w b ~pos:0 ~at i <> Bytes.length b then
+    failwith (name w ^ ": encoding and length disagree");
+  Bytes.unsafe_to_string b
 
 let decode w ~read addr =
   match w with Desc.Cisc -> Cisc.decode ~read addr | Desc.Risc -> Risc.decode ~read addr

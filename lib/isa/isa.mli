@@ -38,12 +38,17 @@ val encodable : Desc.which -> Minstr.t -> bool
 
 val encode : Desc.which -> at:int -> Minstr.t -> string
 (** The bytes of an instruction placed at address [at]; control-flow
-    targets become the ISA's displacement form.
-    @raise Invalid_argument unless {!encodable}. *)
+    targets become the ISA's displacement form. Allocates exactly
+    {!length} bytes.
+    @raise Invalid_argument unless {!encodable}.
+    @raise Failure if the encoder writes other than {!length} bytes. *)
 
-val encode_into : Desc.which -> Buffer.t -> at:int -> Minstr.t -> unit
-(** {!encode} appending to a caller-owned buffer, so encoding a whole
-    unit allocates one buffer, not one per instruction. *)
+val encode_into : Desc.which -> Bytes.t -> pos:int -> at:int -> Minstr.t -> int
+(** {!encode} writing into caller-owned bytes at [pos], returning the
+    position past the instruction, so a whole unit encodes into one
+    string of its exact size with no per-instruction allocation.
+    @raise Invalid_argument unless {!encodable}, or when the bytes end
+    before the encoding does. *)
 
 val decode : Desc.which -> read:(int -> int) -> int -> (Minstr.t * int) option
 (** [decode w ~read addr] decodes one instruction at [addr], where

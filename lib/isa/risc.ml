@@ -87,70 +87,60 @@ let length (i : Minstr.t) =
 
 let check_reg r = if r < 0 || r > 15 then invalid_arg "risc: register out of range"
 
-let word buf op a b imm16 =
-  check_reg a;
-  check_reg b;
-  let imm = imm16 land 0xFFFF in
-  Buffer.add_char buf (Char.chr (op land 0xFF));
-  Buffer.add_char buf (Char.chr ((a lsl 4) lor b));
-  Buffer.add_char buf (Char.chr (imm land 0xFF));
-  Buffer.add_char buf (Char.chr ((imm lsr 8) land 0xFF))
+(* Writers into a caller-owned [Bytes.t], as in the CISC encoder:
+   each returns the position past what it wrote, and every byte value
+   is in 0..255 by construction. *)
+let put b p v = Bytes.set b p (Char.unsafe_chr v)
 
-let extra buf v =
-  let v = W32.unsigned v in
-  Buffer.add_char buf (Char.chr (v land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xFF))
+let word b p op x y imm16 =
+  check_reg x;
+  check_reg y;
+  let imm = imm16 land 0xFFFF in
+  put b p (op land 0xFF);
+  put b (p + 1) ((x lsl 4) lor y);
+  put b (p + 2) (imm land 0xFF);
+  put b (p + 3) (imm lsr 8);
+  p + 4
+
+let extra b p v =
+  put b p (v land 0xFF);
+  put b (p + 1) ((v lsr 8) land 0xFF);
+  put b (p + 2) ((v lsr 16) land 0xFF);
+  put b (p + 3) ((v lsr 24) land 0xFF);
+  p + 4
 
 (* Narrow/wide immediate form: [op] if it fits in imm16, else
    [op lor 0x80] with a zero imm16 field and the value in a second
    word. *)
-let imm_form buf op a b k =
-  if fits16 k then word buf op a b k
-  else begin
-    word buf (op lor 0x80) a b 0;
-    extra buf k
-  end
+let imm_form b p op x y k =
+  if fits16 k then word b p op x y k else extra b (word b p (op lor 0x80) x y 0) k
 
-(* Encode into a caller-owned buffer: [layout] encodes whole units,
-   and a per-instruction [Buffer.create]/[Buffer.contents] pair was a
-   measurable slice of translation-time allocation. *)
-let encode_into buf ~at:_ (i : Minstr.t) =
+(* Encode at [pos] of a caller-owned byte string: [Translator.layout]
+   encodes a whole unit into one string of its exact size. *)
+let encode_into b ~pos ~at:_ (i : Minstr.t) =
   match i with
-  | Mov (Reg d, Reg s) -> word buf 0x01 d s 0
-  | Mov (Reg d, Imm k) -> imm_form buf 0x02 d 0 k
-  | Mov (Reg d, Mem { base; disp }) -> imm_form buf 0x03 d base disp
-  | Mov (Mem { base; disp }, Reg s) -> imm_form buf 0x04 s base disp
-  | Lea (d, b, k) -> imm_form buf 0x06 d b k
-  | Binop (op, Reg d, Reg s) -> word buf (0x10 + binop_index op) d s 0
-  | Binop (op, Reg d, Imm k) -> imm_form buf (0x20 + binop_index op) d 0 k
-  | Cmp (Reg a, Reg b) -> word buf 0x60 a b 0
-  | Cmp (Reg a, Imm k) -> imm_form buf 0x61 a 0 k
-  | Push (Reg r) -> word buf 0x70 r 0 0
-  | Pop (Reg r) -> word buf 0x73 r 0 0
-  | Jmp t ->
-    word buf 0x7B 0 0 0;
-    extra buf t
-  | Jcc (c, t) ->
-    word buf (0x40 + cond_index c) 0 0 0;
-    extra buf t
-  | Call t ->
-    word buf 0x48 0 0 0;
-    extra buf t
-  | Jmpr (Reg r) -> word buf 0x49 r 0 0
-  | Callr (Reg r) -> word buf 0x4A r 0 0
-  | Retr r -> word buf 0x4B r 0 0
-  | Syscall -> word buf 0x4C 0 0 0
-  | Nop -> word buf 0x4D 0 0 0
-  | Trap a ->
-    word buf 0x4E 0 0 0;
-    extra buf a
-  | Callrat { target; src_ret } ->
-    word buf 0x4F 0 0 0;
-    extra buf target;
-    extra buf src_ret
-  | Retrat (Reg r) -> word buf 0x51 r 0 0
+  | Mov (Reg d, Reg s) -> word b pos 0x01 d s 0
+  | Mov (Reg d, Imm k) -> imm_form b pos 0x02 d 0 k
+  | Mov (Reg d, Mem { base; disp }) -> imm_form b pos 0x03 d base disp
+  | Mov (Mem { base; disp }, Reg s) -> imm_form b pos 0x04 s base disp
+  | Lea (d, base, k) -> imm_form b pos 0x06 d base k
+  | Binop (op, Reg d, Reg s) -> word b pos (0x10 + binop_index op) d s 0
+  | Binop (op, Reg d, Imm k) -> imm_form b pos (0x20 + binop_index op) d 0 k
+  | Cmp (Reg x, Reg y) -> word b pos 0x60 x y 0
+  | Cmp (Reg x, Imm k) -> imm_form b pos 0x61 x 0 k
+  | Push (Reg r) -> word b pos 0x70 r 0 0
+  | Pop (Reg r) -> word b pos 0x73 r 0 0
+  | Jmp t -> extra b (word b pos 0x7B 0 0 0) t
+  | Jcc (c, t) -> extra b (word b pos (0x40 + cond_index c) 0 0 0) t
+  | Call t -> extra b (word b pos 0x48 0 0 0) t
+  | Jmpr (Reg r) -> word b pos 0x49 r 0 0
+  | Callr (Reg r) -> word b pos 0x4A r 0 0
+  | Retr r -> word b pos 0x4B r 0 0
+  | Syscall -> word b pos 0x4C 0 0 0
+  | Nop -> word b pos 0x4D 0 0 0
+  | Trap a -> extra b (word b pos 0x4E 0 0 0) a
+  | Callrat { target; src_ret } -> extra b (extra b (word b pos 0x4F 0 0 0) target) src_ret
+  | Retrat (Reg r) -> word b pos 0x51 r 0 0
   | Mov _ | Binop _ | Cmp _ | Push _ | Pop _ | Jmpr _ | Callr _ | Ret | Retrat _ ->
     invalid_arg "risc: unencodable instruction"
 

@@ -25,7 +25,10 @@ val encodable : Minstr.t -> bool
 (** Whether the instruction shape is directly encodable: no memory
     operands on ALU ops, no push of an immediate, no plain [Ret]. *)
 
-val encode_into : Buffer.t -> at:int -> Minstr.t -> unit
-(** @raise Invalid_argument unless [encodable]. *)
+val encode_into : Bytes.t -> pos:int -> at:int -> Minstr.t -> int
+(** Write the encoding into the bytes at [pos] and return the position
+    past it.
+    @raise Invalid_argument unless [encodable], or when the bytes end
+    before the encoding does. *)
 
 val decode : read:(int -> int) -> int -> (Minstr.t * int) option

@@ -1,4 +1,5 @@
 open Hipstr_isa
+module Tbl = Layout.Int_tbl
 
 (* A predecoded basic block: the instructions starting at [db_start],
    decoded under generation [db_gen] of the watched region containing
@@ -83,7 +84,7 @@ type t = {
       (** bounds-check-free byte reader over the backing arena; only
           handed to the decoder when the whole decode window provably
           lies inside a watched region (see [decode_block]) *)
-  blocks : (int, block) Hashtbl.t;
+  blocks : block Tbl.t;
   mutable epoch : int;
       (** bumped by every wholesale invalidation; links recorded under
           an older epoch are dead even though their target block object
@@ -152,7 +153,7 @@ let zero (s : stats) =
 (* Empty, at epoch 0, with every count at 0. [create] allocates and
    then resets. *)
 let reset t =
-  Hashtbl.reset t.blocks;
+  Tbl.reset t.blocks;
   t.epoch <- 0;
   zero t.st
 
@@ -178,7 +179,7 @@ let create which mem =
       mem;
       read = Mem.reader mem;
       read_unsafe = (fun a -> Mem.unsafe_read8 mem a);
-      blocks = Hashtbl.create 16;
+      blocks = Tbl.create 16;
       epoch = 0;
       q1 = Cpu.fc_quotient ~lat:1 ~throughput:core.throughput;
       q2 = Cpu.fc_quotient ~lat:2 ~throughput:core.throughput;
@@ -315,13 +316,13 @@ let decode_block t region start =
       }
 
 let install t (b : block) =
-  if Hashtbl.length t.blocks >= max_entries then begin
-    Hashtbl.reset t.blocks;
+  if Tbl.length t.blocks >= max_entries then begin
+    Tbl.reset t.blocks;
     (* the reset unroots every block, so kill chain links into
        them too instead of letting them pin the old table alive *)
     t.epoch <- t.epoch + 1
   end;
-  Hashtbl.replace t.blocks b.db_start b
+  Tbl.replace t.blocks b.db_start b
 
 (* Decode-and-install slow path of [find].
    @raise Not_found when the address is not cacheable. *)
@@ -344,14 +345,14 @@ let decode_install t addr =
    watched region, or no cacheable block forms there — and the caller
    must fall back to plain single-step execution. *)
 let find t addr =
-  match Hashtbl.find t.blocks addr with
+  match Tbl.find t.blocks addr with
   | b ->
     if not (stale b) then begin
       t.st.hits <- t.st.hits + 1;
       b
     end
     else begin
-      Hashtbl.remove t.blocks addr;
+      Tbl.remove t.blocks addr;
       t.st.invalidations <- t.st.invalidations + 1;
       decode_install t addr
     end
@@ -360,8 +361,8 @@ let find t addr =
 (* Drop one stale block (the interpreter noticed a mid-block
    generation change). *)
 let drop t (b : block) =
-  if Hashtbl.mem t.blocks b.db_start then begin
-    Hashtbl.remove t.blocks b.db_start;
+  if Tbl.mem t.blocks b.db_start then begin
+    Tbl.remove t.blocks b.db_start;
     t.st.invalidations <- t.st.invalidations + 1
   end
 
@@ -373,9 +374,9 @@ let drop t (b : block) =
    grows on demand, so the reset costs what the table held rather than
    a fixed 1024-bucket fill. *)
 let invalidate_all t =
-  let n = Hashtbl.length t.blocks in
+  let n = Tbl.length t.blocks in
   if n > 0 then begin
-    Hashtbl.reset t.blocks;
+    Tbl.reset t.blocks;
     t.st.invalidations <- t.st.invalidations + n
   end;
   (* Epoch bump: every link installed before this point dies at its
@@ -384,10 +385,10 @@ let invalidate_all t =
   t.epoch <- t.epoch + 1;
   t.st.flushes <- t.st.flushes + 1
 
-let entries t = Hashtbl.length t.blocks
+let entries t = Tbl.length t.blocks
 
 let by_start a b = compare a.db_start b.db_start
-let blocks t = List.sort by_start (Hashtbl.fold (fun _ b acc -> b :: acc) t.blocks [])
+let blocks t = List.sort by_start (Tbl.fold (fun _ b acc -> b :: acc) t.blocks [])
 
 (* ------------------------------------------------------------------ *)
 (* Kept blocks: decoded blocks that outlive a wholesale invalidation.

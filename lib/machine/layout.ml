@@ -24,3 +24,18 @@ let cache_base = function Hipstr_isa.Desc.Cisc -> cisc_cache_base | Risc -> risc
 let in_cache_region a =
   (a >= cisc_cache_base && a < cisc_cache_base + cache_region_size)
   || (a >= risc_cache_base && a < risc_cache_base + cache_region_size)
+
+(* Guest addresses are often 4- or 64-byte aligned, so an identity
+   hash would crowd a power-of-two bucket array's low buckets; two
+   multiply-xorshift rounds spread every key bit into the low ones.
+   Typed equality: no probe calls a C generic hash or compare. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+
+  let hash a =
+    let h = (a lxor (a lsr 16)) * 0x45D9F3B in
+    let h = (h lxor (h lsr 16)) * 0x45D9F3B in
+    h lxor (h lsr 16)
+end)

@@ -38,3 +38,9 @@ val in_cache_region : int -> bool
 (** Whether an address falls in either ISA's code-cache region (the
     software-fault-isolation check the PSR VM applies to indirect
     branch targets). *)
+
+module Int_tbl : Hashtbl.S with type key = int
+(** A hash table keyed by ints — guest addresses, mostly — with typed
+    equality and a cheap integer mix for a hash, so a probe calls no C
+    generic hash or compare. Its iteration order is its own: every fold
+    over one sorts what it collects or keeps a minimum. *)

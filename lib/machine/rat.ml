@@ -5,9 +5,11 @@
    only allocated the first time a source return address is seen. *)
 type entry = { mutable e_tr : int; mutable e_stamp : int }
 
+module Tbl = Layout.Int_tbl
+
 type t = {
   capacity : int;
-  table : (int, entry) Hashtbl.t; (* src -> translated, last-use stamp *)
+  table : entry Tbl.t; (* src -> translated, last-use stamp *)
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
@@ -15,16 +17,16 @@ type t = {
 
 (* [create] allocates and then resets: no entries, counts 0. *)
 let reset t =
-  Hashtbl.reset t.table;
+  Tbl.reset t.table;
   t.clock <- 0;
   t.hits <- 0;
   t.misses <- 0
 
 (* The table starts small and grows on demand: a code-cache flush
-   resets it ([clear]), and [Hashtbl.reset] costs the initial bucket
+   resets it ([clear]), and [Tbl.reset] costs the initial bucket
    count every time. *)
 let create ~capacity =
-  let t = { capacity; table = Hashtbl.create 16; clock = 0; hits = 0; misses = 0 } in
+  let t = { capacity; table = Tbl.create 16; clock = 0; hits = 0; misses = 0 } in
   reset t;
   t
 
@@ -32,31 +34,31 @@ let capacity t = t.capacity
 
 let evict_lru t =
   let victim_src = ref (-1) and victim_stamp = ref max_int in
-  Hashtbl.iter
+  Tbl.iter
     (fun src e ->
       if e.e_stamp < !victim_stamp then begin
         victim_src := src;
         victim_stamp := e.e_stamp
       end)
     t.table;
-  if !victim_src >= 0 then Hashtbl.remove t.table !victim_src
+  if !victim_src >= 0 then Tbl.remove t.table !victim_src
 
 let insert t ~src ~translated =
   t.clock <- t.clock + 1;
-  match Hashtbl.find t.table src with
+  match Tbl.find t.table src with
   | e ->
     e.e_tr <- translated;
     e.e_stamp <- t.clock
   | exception Not_found ->
-    if Hashtbl.length t.table >= t.capacity then evict_lru t;
-    Hashtbl.add t.table src { e_tr = translated; e_stamp = t.clock }
+    if Tbl.length t.table >= t.capacity then evict_lru t;
+    Tbl.add t.table src { e_tr = translated; e_stamp = t.clock }
 
 (* The lookup of every [Retrat]: [-1] for a miss instead of an option
-   (translated addresses are non-negative). [Hashtbl.find]'s
+   (translated addresses are non-negative). [Tbl.find]'s
    [Not_found] is a constant exception, so neither arm allocates. *)
 let find_translated t src =
   t.clock <- t.clock + 1;
-  match Hashtbl.find t.table src with
+  match Tbl.find t.table src with
   | e ->
     e.e_stamp <- t.clock;
     t.hits <- t.hits + 1;
@@ -68,15 +70,15 @@ let find_translated t src =
 let hits t = t.hits
 let misses t = t.misses
 
-let clear t = Hashtbl.reset t.table
+let clear t = Tbl.reset t.table
 
 let remove_in_range t ~lo ~hi =
   let stale =
-    Hashtbl.fold
+    Tbl.fold
       (fun src e acc -> if e.e_tr >= lo && e.e_tr < hi then src :: acc else acc)
       t.table []
   in
-  List.iter (Hashtbl.remove t.table) stale
+  List.iter (Tbl.remove t.table) stale
 
 (* --- snapshot ------------------------------------------------------ *)
 (* The RAT is model-visible (a miss traps to the VM), so entries and
@@ -97,13 +99,13 @@ let sync io t =
     (fun () ->
       List.sort
         (fun (a, _, _) (b, _, _) -> Int.compare a b)
-        (Hashtbl.fold (fun src e acc -> (src, e.e_tr, e.e_stamp) :: acc) t.table []))
+        (Tbl.fold (fun src e acc -> (src, e.e_tr, e.e_stamp) :: acc) t.table []))
     (fun es ->
       if List.length es > t.capacity then
         Wire.corrupt "RAT image holds %d entries but capacity is %d" (List.length es) t.capacity;
-      Hashtbl.reset t.table;
+      Tbl.reset t.table;
       List.iter
-        (fun (src, tr, stamp) -> Hashtbl.replace t.table src { e_tr = tr; e_stamp = stamp })
+        (fun (src, tr, stamp) -> Tbl.replace t.table src { e_tr = tr; e_stamp = stamp })
         es);
   t.clock <- Wire.field io "clock" C.int t.clock;
   t.hits <- Wire.field io "hits" C.int t.hits;

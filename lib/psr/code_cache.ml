@@ -20,15 +20,16 @@ type block = {
 }
 
 module Addr_map = Map.Make (Int)
+module Tbl = Hipstr_machine.Layout.Int_tbl
 
 type t = {
   cc_base : int;
   cc_capacity : int;
   cc_policy : policy;
   mutable cursor : int;
-  by_src : (int, int) Hashtbl.t;
+  by_src : int Tbl.t;
   mutable by_addr : block Addr_map.t;
-  referenced : (int, unit) Hashtbl.t;
+  referenced : unit Tbl.t;
   mutable nflushes : int;
   mutable nevictions : int;
   cc_obs : Obs.t;
@@ -46,11 +47,11 @@ let create ?(obs = Obs.disabled) ?(isa = "any") ?(policy = Flush) ~base ~capacit
     cc_capacity = capacity;
     cc_policy = policy;
     cursor = base;
-    (* both reset on every flush, and [Hashtbl.reset] costs the
+    (* both reset on every flush, and [Tbl.reset] costs the
        initial bucket count: start small and grow on demand *)
-    by_src = Hashtbl.create 16;
+    by_src = Tbl.create 16;
     by_addr = Addr_map.empty;
-    referenced = Hashtbl.create 16;
+    referenced = Tbl.create 16;
     nflushes = 0;
     nevictions = 0;
     cc_obs = obs;
@@ -60,12 +61,12 @@ let create ?(obs = Obs.disabled) ?(isa = "any") ?(policy = Flush) ~base ~capacit
     cc_block_bytes = Obs.Metrics.histogram m (name "block_bytes");
   }
 
-let find t src = Hashtbl.find_opt t.by_src src
+let find t src = Tbl.find_opt t.by_src src
 
 let lookup t src =
   match find t src with
   | Some addr ->
-      if t.cc_policy = Clock then Hashtbl.replace t.referenced addr ();
+      if t.cc_policy = Clock then Tbl.replace t.referenced addr ();
       Some addr
   | None -> None
 
@@ -88,8 +89,8 @@ let overlapping t ~lo ~hi =
 
 let evict_block t b =
   t.by_addr <- Addr_map.remove b.cb_cache t.by_addr;
-  Hashtbl.remove t.by_src b.cb_src;
-  Hashtbl.remove t.referenced b.cb_cache;
+  Tbl.remove t.by_src b.cb_src;
+  Tbl.remove t.referenced b.cb_cache;
   t.nevictions <- t.nevictions + 1;
   if Obs.on t.cc_obs then Obs.Metrics.incr t.cc_evictions
 
@@ -111,7 +112,7 @@ let alloc t ?(align = 1) ~src ~func ~size ~src_spans () =
            victim gets a second chance — its bit is cleared and the
            claim skips past it — bounded by the number of set bits so
            the walk always terminates. *)
-        let skips = ref (Hashtbl.length t.referenced) in
+        let skips = ref (Tbl.length t.referenced) in
         let rec claim cursor wraps =
           let start = align_up align cursor in
           if start + size > limit then
@@ -121,11 +122,11 @@ let alloc t ?(align = 1) ~src ~func ~size ~src_spans () =
             let victims = overlapping t ~lo:start ~hi:(start + size) in
             match
               if t.cc_policy = Clock && !skips > 0 then
-                List.find_opt (fun b -> Hashtbl.mem t.referenced b.cb_cache) victims
+                List.find_opt (fun b -> Tbl.mem t.referenced b.cb_cache) victims
               else None
             with
             | Some b ->
-                Hashtbl.remove t.referenced b.cb_cache;
+                Tbl.remove t.referenced b.cb_cache;
                 decr skips;
                 claim (b.cb_cache + b.cb_size) wraps
             | None ->
@@ -138,12 +139,12 @@ let alloc t ?(align = 1) ~src ~func ~size ~src_spans () =
   (* Re-allocating a live src replaces it: drop the stale block so
      [blocks] and per-block accounting never see duplicates. The old
      block may already be gone if the claim just evicted it. *)
-  (match Hashtbl.find_opt t.by_src src with
+  (match Tbl.find_opt t.by_src src with
   | Some old_addr -> (
       match Addr_map.find_opt old_addr t.by_addr with
       | Some old_b ->
           t.by_addr <- Addr_map.remove old_addr t.by_addr;
-          Hashtbl.remove t.referenced old_addr;
+          Tbl.remove t.referenced old_addr;
           evicted := !evicted @ [ old_b ]
       | None -> ())
   | None -> ());
@@ -152,7 +153,7 @@ let alloc t ?(align = 1) ~src ~func ~size ~src_spans () =
     Obs.Metrics.observe t.cc_block_bytes (float_of_int size)
   end;
   t.cursor <- start + size;
-  Hashtbl.replace t.by_src src start;
+  Tbl.replace t.by_src src start;
   t.by_addr <-
     Addr_map.add start
       { cb_src = src; cb_cache = start; cb_size = size; cb_func = func; cb_src_spans = src_spans }
@@ -162,8 +163,8 @@ let alloc t ?(align = 1) ~src ~func ~size ~src_spans () =
 let flush t =
   if Obs.on t.cc_obs then Obs.Metrics.incr t.cc_flushes;
   t.cursor <- t.cc_base;
-  Hashtbl.reset t.by_src;
-  Hashtbl.reset t.referenced;
+  Tbl.reset t.by_src;
+  Tbl.reset t.referenced;
   t.by_addr <- Addr_map.empty;
   t.nflushes <- t.nflushes + 1
 
@@ -233,18 +234,18 @@ let sync io t =
       each_adjacent
         (fun a b -> if a = b then Wire.corrupt "two code-cache blocks translate source 0x%x" a)
         (List.sort compare (List.map (fun b -> b.cb_src) bs));
-      Hashtbl.reset t.by_src;
+      Tbl.reset t.by_src;
       t.by_addr <- Addr_map.empty;
       List.iter
         (fun b ->
-          Hashtbl.replace t.by_src b.cb_src b.cb_cache;
+          Tbl.replace t.by_src b.cb_src b.cb_cache;
           t.by_addr <- Addr_map.add b.cb_cache b t.by_addr)
         bs);
   Wire.derived io "referenced" ints
-    (fun () -> List.sort compare (Hashtbl.fold (fun a () acc -> a :: acc) t.referenced []))
+    (fun () -> List.sort compare (Tbl.fold (fun a () acc -> a :: acc) t.referenced []))
     (fun refs ->
-      Hashtbl.reset t.referenced;
-      List.iter (fun a -> Hashtbl.replace t.referenced a ()) refs);
+      Tbl.reset t.referenced;
+      List.iter (fun a -> Tbl.replace t.referenced a ()) refs);
   t.nflushes <- Wire.field io "nflushes" C.int t.nflushes;
   t.nevictions <- Wire.field io "nevictions" C.int t.nevictions
 

@@ -3,6 +3,7 @@ module Stats = Hipstr_util.Stats
 module Fatbin = Hipstr_compiler.Fatbin
 module Ir = Hipstr_compiler.Ir
 module Frame = Hipstr_compiler.Frame
+module Tbl = Hipstr_machine.Layout.Int_tbl
 open Hipstr_isa
 
 type loc = Lreg of int | Lpad of int
@@ -17,13 +18,14 @@ type t = {
   rm_locals_off : int;
   rm_scratch_off : int;
   rm_vm_temp : int;
-  rm_slot_off : (int, int) Hashtbl.t; (* original value-slot offset -> relocated *)
+  rm_slot_off : int Tbl.t; (* original value-slot offset -> relocated *)
   rm_arg_off : int array;
   rm_reg_map : loc array; (* indexed by register; identity for non-allocatable *)
   rm_hash_key : int;
   rm_nregs_in_regs : int;
 }
 
+let fname t = t.rm_fname
 let padded_frame t = t.rm_frame'
 let pad t = t.rm_pad
 let ret_off t = t.rm_ret_off
@@ -45,22 +47,46 @@ let mark_used used w =
   let b = Char.code (Bytes.get used (w lsr 3)) in
   Bytes.set used (w lsr 3) (Char.unsafe_chr (b lor (1 lsl (w land 7))))
 
-let place rng ~limit ~used size =
-  let words = (size + 3) / 4 in
-  let rec free w0 w = w >= words || ((not (word_used used (w0 + w))) && free w0 (w + 1)) in
-  let rec try_at attempts =
-    if attempts > 10_000 then failwith "reloc_map: placement failed (pad too small)";
-    let off = 4 * Rng.int rng (limit / 4) in
-    if off + size <= limit && free (off / 4) 0 then begin
-      for w = 0 to words - 1 do
-        mark_used used ((off / 4) + w)
-      done;
-      off
-    end
-    else try_at (attempts + 1)
-  in
-  try_at 0
+let rec words_free used w0 words w =
+  w >= words || ((not (word_used used (w0 + w))) && words_free used w0 words (w + 1))
 
+let rec place_at rng ~limit ~used size words attempts =
+  if attempts > 10_000 then failwith "reloc_map: placement failed (pad too small)";
+  let off = 4 * Rng.int rng (limit / 4) in
+  if off + size <= limit && words_free used (off / 4) words 0 then begin
+    for w = 0 to words - 1 do
+      mark_used used ((off / 4) + w)
+    done;
+    off
+  end
+  else place_at rng ~limit ~used size words (attempts + 1)
+
+let place rng ~limit ~used size = place_at rng ~limit ~used size ((size + 3) / 4) 0
+
+(* One shared [Lreg r] per register, for the identity entries and the
+   kept registers of every map. *)
+let lregs = Array.init 16 (fun r -> Lreg r)
+
+let count_kept (keep : bool array) =
+  let n = ref 0 in
+  for r = 0 to Array.length keep - 1 do
+    if keep.(r) then incr n
+  done;
+  !n
+
+let rec keep_first keep k = function
+  | r :: rest when k > 0 ->
+    keep.(r) <- true;
+    keep_first keep (k - 1) rest
+  | _ -> ()
+
+(* The draws, in order: the placements of the outgoing region, the
+   locals, the scratch pair, the VM temps, the return address, each
+   value slot and each parameter; one keep draw per allocatable
+   register; at O3 a shuffle of the allocatable order; the shuffle of
+   the register targets; a pad slot per register not kept; the hash
+   key. A snapshot restores maps drawn from this sequence, so it must
+   not change. *)
 let generate (cfg : Config.t) rng (desc : Desc.t) (fs : Fatbin.func_sym) ~hot_regs =
   let frame = fs.fs_frame in
   let pad = cfg.pad_bytes in
@@ -79,39 +105,53 @@ let generate (cfg : Config.t) rng (desc : Desc.t) (fs : Fatbin.func_sym) ~hot_re
      target slot at +16, and spares. *)
   let vm_temp = place rng ~limit ~used 32 in
   let ret_off = place rng ~limit ~used 4 in
-  let slot_tbl = Hashtbl.create 32 in
-  Array.iter
-    (fun off -> if off >= 0 then Hashtbl.replace slot_tbl off (place rng ~limit ~used 4))
-    frame.slot_off;
-  let nparams = List.length fs.fs_ir.Ir.fn_params in
-  let args = Array.init nparams (fun _ -> place rng ~limit ~used 4) in
+  let slots = frame.slot_off in
+  let slot_tbl = Tbl.create (Array.length slots) in
+  for v = 0 to Array.length slots - 1 do
+    let off = slots.(v) in
+    if off >= 0 then Tbl.replace slot_tbl off (place rng ~limit ~used 4)
+  done;
+  let args = Array.make (List.length fs.fs_ir.Ir.fn_params) 0 in
+  for j = 0 to Array.length args - 1 do
+    args.(j) <- place rng ~limit ~used 4
+  done;
   (* Register reallocation. *)
   let allocatable = Array.of_list desc.allocatable in
   let n = Array.length allocatable in
-  let keep = Hashtbl.create 8 in
+  let keep = Array.make 16 false in
   (* Base policy: high randomization pressure; most registers go to
      the pad. *)
-  Array.iter (fun r -> if Rng.float rng < 0.25 then Hashtbl.replace keep r ()) allocatable;
-  if cfg.opt_level >= 2 then
-    List.iteri (fun i r -> if i < 3 then Hashtbl.replace keep r ()) hot_regs;
+  for i = 0 to n - 1 do
+    if Rng.float rng < 0.25 then keep.(allocatable.(i)) <- true
+  done;
+  if cfg.opt_level >= 2 then keep_first keep 3 hot_regs;
   if cfg.opt_level >= 3 then begin
     let order = Array.copy allocatable in
     Rng.shuffle rng order;
     let i = ref 0 in
-    while Hashtbl.length keep < Int.min 3 n && !i < n do
-      Hashtbl.replace keep order.(!i) ();
+    while count_kept keep < Int.min 3 n && !i < n do
+      keep.(order.(!i)) <- true;
       incr i
     done
   end;
-  let kept = Array.of_list (List.filter (Hashtbl.mem keep) (Array.to_list allocatable)) in
-  (* Injective random assignment of kept registers onto registers. *)
+  (* Injective random assignment of kept registers onto registers:
+     the [k]th kept register, in allocatable order, takes the [k]th
+     shuffled target. *)
   let targets = Array.copy allocatable in
   Rng.shuffle rng targets;
-  let reg_map = Array.init 16 (fun r -> Lreg r) in
-  Array.iteri (fun i r -> reg_map.(r) <- Lreg targets.(i)) kept;
-  Array.iter
-    (fun r -> if not (Hashtbl.mem keep r) then reg_map.(r) <- Lpad (place rng ~limit ~used 4))
-    allocatable;
+  let reg_map = Array.copy lregs in
+  let kept = ref 0 in
+  for i = 0 to n - 1 do
+    let r = allocatable.(i) in
+    if keep.(r) then begin
+      reg_map.(r) <- lregs.(targets.(!kept));
+      incr kept
+    end
+  done;
+  for i = 0 to n - 1 do
+    let r = allocatable.(i) in
+    if not keep.(r) then reg_map.(r) <- Lpad (place rng ~limit ~used 4)
+  done;
   {
     rm_fname = fs.fs_name;
     rm_frame = frame;
@@ -126,7 +166,7 @@ let generate (cfg : Config.t) rng (desc : Desc.t) (fs : Fatbin.func_sym) ~hot_re
     rm_arg_off = args;
     rm_reg_map = reg_map;
     rm_hash_key = Rng.bits32 rng;
-    rm_nregs_in_regs = Array.length kept;
+    rm_nregs_in_regs = !kept;
   }
 
 let map_reg t r = if r >= 0 && r < 16 then t.rm_reg_map.(r) else Lreg r
@@ -152,14 +192,14 @@ let map_slot t k =
   else if k = f.ret_off then t.rm_ret_off
   else if k >= f.scratch_off && k < f.scratch_off + 8 then t.rm_scratch_off + (k - f.scratch_off)
   else
-    match Hashtbl.find_opt t.rm_slot_off k with
-    | Some off -> off
-    | None -> hash_off t k
+    match Tbl.find t.rm_slot_off k with
+    | off -> off
+    | exception Not_found -> hash_off t k
 
 let randomized_locations t =
   let acc = ref [ t.rm_out_off; t.rm_scratch_off; t.rm_vm_temp; t.rm_ret_off ] in
   if t.rm_frame.locals_bytes > 0 then acc := t.rm_locals_off :: !acc;
-  Hashtbl.iter (fun _ v -> acc := v :: !acc) t.rm_slot_off;
+  Tbl.iter (fun _ v -> acc := v :: !acc) t.rm_slot_off;
   Array.iter (fun v -> acc := v :: !acc) t.rm_arg_off;
   Array.iteri
     (fun r loc ->
@@ -167,7 +207,7 @@ let randomized_locations t =
       | Lpad off -> if r < 16 then acc := off :: !acc
       | Lreg _ -> ())
     t.rm_reg_map;
-  !acc
+  List.sort Int.compare !acc
 
 let fingerprint t = t.rm_hash_key
 
@@ -199,11 +239,11 @@ let frame io (f : Frame.t) : Frame.t =
 let table c =
   C.conv
     (fun kvs ->
-      let h = Hashtbl.create (Int.max 8 (List.length kvs)) in
-      List.iter (fun (k, v) -> Hashtbl.replace h k v) kvs;
+      let h = Tbl.create (Int.max 8 (List.length kvs)) in
+      List.iter (fun (k, v) -> Tbl.replace h k v) kvs;
       h)
     (fun h ->
-      List.sort (fun (a, _) (b, _) -> Int.compare a b) (Hashtbl.fold (fun k v acc -> (k, v) :: acc) h []))
+      List.sort (fun (a, _) (b, _) -> Int.compare a b) (Tbl.fold (fun k v acc -> (k, v) :: acc) h []))
     (C.list (C.pair C.int c))
 
 let reg = C.int_in ~lo:0 ~hi:15
@@ -265,6 +305,6 @@ let codec =
   C.record "RMAP"
     ~blank:
       { rm_fname = ""; rm_frame = frame; rm_pad = 0; rm_frame' = 0; rm_ret_off = 0; rm_out_off = 0;
-        rm_locals_off = 0; rm_scratch_off = 0; rm_vm_temp = 0; rm_slot_off = Hashtbl.create 1;
+        rm_locals_off = 0; rm_scratch_off = 0; rm_vm_temp = 0; rm_slot_off = Tbl.create 1;
         rm_arg_off = [||]; rm_reg_map = [||]; rm_hash_key = 0; rm_nregs_in_regs = 0 }
     map

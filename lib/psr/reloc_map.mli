@@ -38,6 +38,9 @@ val generate :
     at O2+; O3 additionally guarantees at least 3 register-resident
     registers). *)
 
+val fname : t -> string
+(** The name of the function the map was drawn for. *)
+
 val padded_frame : t -> int
 (** Original frame plus randomization pad. *)
 
@@ -67,7 +70,8 @@ val regs_in_registers : t -> int
 (** How many allocatable registers are relocated to registers. *)
 
 val randomized_locations : t -> int list
-(** All assigned pad offsets (for tests: distinctness, range). *)
+(** All assigned pad offsets, ascending (for tests: distinctness,
+    range). *)
 
 val fingerprint : t -> int
 (** A value that changes whenever the map is re-drawn (each draw pulls

@@ -7,6 +7,7 @@ module Cpu = Hipstr_machine.Cpu
 module Rat = Hipstr_machine.Rat
 module Layout = Hipstr_machine.Layout
 module Decode_cache = Hipstr_machine.Decode_cache
+module Tbl = Layout.Int_tbl
 module Rng = Hipstr_util.Rng
 module Obs = Hipstr_obs.Obs
 
@@ -125,21 +126,22 @@ type t = {
   fatbin : Fatbin.t;
   machine : Machine.t;
   cache : Code_cache.t;
-  maps : (string, Reloc_map.t) Hashtbl.t;
-  hot : (string, int list) Hashtbl.t;
-  stub_at : (int, stub_info) Hashtbl.t;
+  (* [maps] and [hot] are keyed by function ([func_key]) *)
+  maps : Reloc_map.t Tbl.t;
+  hot : int list Tbl.t;
+  stub_at : stub_info Tbl.t;
   rng : Rng.t;
   st : stats;
   pr : probes;
-  mutable ever_translated : (int, unit) Hashtbl.t;
-  memo : (int, memo_entry) Hashtbl.t;
+  ever_translated : unit Tbl.t;
+  memo : memo_entry Tbl.t;
   src_region : Mem.region;  (* this ISA's code section, watched for memo validity *)
   cache_region : Mem.region;  (* this ISA's code-cache region, watched for kept blocks *)
   loaded_gen : int;  (* [src_region]'s generation at creation, after the binary was loaded *)
-  block_meta : (int, int list) Hashtbl.t;
+  block_meta : int list Tbl.t;
       (* block base -> trap pcs registered at install, so eviction can
          drop exactly that block's stub_at/patch entries *)
-  patches : (int, patch_rec) Hashtbl.t; (* patched stub pc -> what it chained to *)
+  patches : patch_rec Tbl.t; (* patched stub pc -> what it chained to *)
   mutable new_units : int list;
   mutable span_quiet : bool;
       (* suppress translate spans during speculative work whose cycle
@@ -182,10 +184,10 @@ let create cfg ~seed which fatbin machine =
     (* every table starts small and grows on demand: a fleet
        connection translates a few dozen units, and [stub_at],
        [block_meta] and [patches] are reset on every flush, where
-       [Hashtbl.reset] costs the initial bucket count *)
-    maps = Hashtbl.create 16;
-    hot = Hashtbl.create 16;
-    stub_at = Hashtbl.create 16;
+       [Tbl.reset] costs the initial bucket count *)
+    maps = Tbl.create 16;
+    hot = Tbl.create 16;
+    stub_at = Tbl.create 16;
     rng = Rng.create (seed lxor (match which with Desc.Cisc -> 0x11111 | Risc -> 0x22222));
     st =
       {
@@ -204,13 +206,13 @@ let create cfg ~seed which fatbin machine =
         retranslate_cycles = 0.;
       };
     pr;
-    ever_translated = Hashtbl.create 16;
-    memo = Hashtbl.create 16;
+    ever_translated = Tbl.create 16;
+    memo = Tbl.create 16;
     src_region;
     cache_region;
     loaded_gen = Mem.generation src_region;
-    block_meta = Hashtbl.create 16;
-    patches = Hashtbl.create 16;
+    block_meta = Tbl.create 16;
+    patches = Tbl.create 16;
     new_units = [];
     span_quiet = false;
   }
@@ -244,14 +246,19 @@ let as_loaded t (fs : Fatbin.func_sym) =
   let im = Fatbin.image fs t.which in
   Decode_cache.source_unwritten t.src_region ~since:t.loaded_gen (im.im_entry, im.im_size)
 
+(* A function's key in [maps] and [hot]: its CISC entry, which no
+   other function of the binary shares. *)
+let func_key (fs : Fatbin.func_sym) = fs.fs_cisc.im_entry
+
 (* Most-used allocatable registers in the function's source code,
    ranked from the binary's shared register-use counts while the
    function's bytes are still the ones the binary loaded, and from a
    decode of current memory once the guest has written them. *)
 let hot_regs t (fs : Fatbin.func_sym) =
-  match Hashtbl.find_opt t.hot fs.fs_name with
-  | Some l -> l
-  | None ->
+  let key = func_key fs in
+  match Tbl.find t.hot key with
+  | l -> l
+  | exception Not_found ->
     let im = Fatbin.image fs t.which in
     let counts =
       if as_loaded t fs then im.im_reg_uses
@@ -264,15 +271,16 @@ let hot_regs t (fs : Fatbin.func_sym) =
         (fun a b -> compare counts.(b) counts.(a))
         (List.filter (fun r -> counts.(r) > 0) t.desc.allocatable)
     in
-    Hashtbl.replace t.hot fs.fs_name ranked;
+    Tbl.replace t.hot key ranked;
     ranked
 
 let map_of t (fs : Fatbin.func_sym) =
-  match Hashtbl.find_opt t.maps fs.fs_name with
-  | Some m -> m
-  | None ->
+  let key = func_key fs in
+  match Tbl.find t.maps key with
+  | m -> m
+  | exception Not_found ->
     let m = Reloc_map.generate t.cfg t.rng t.desc fs ~hot_regs:(hot_regs t fs) in
-    Hashtbl.replace t.maps fs.fs_name m;
+    Tbl.replace t.maps key m;
     m
 
 let prepare t src =
@@ -295,9 +303,10 @@ let harvest t dc =
     | u :: us ->
       let lo = u.cb_cache and hi = u.cb_cache + u.cb_size in
       let laid =
-        match Hashtbl.find_opt t.memo u.cb_src with
-        | Some { me_laid = Some l as laid; _ } when l.la_base = lo -> laid
+        match Tbl.find t.memo u.cb_src with
+        | { me_laid = Some l as laid; _ } when l.la_base = lo -> laid
         | _ -> None
+        | exception Not_found -> None
       in
       units us (blocks laid ~lo ~hi bs)
   and blocks laid ~lo ~hi = function
@@ -319,9 +328,9 @@ let flush t =
      write generations would catch them lazily, but a flush rewrites
      wholesale, so drop eagerly *)
   Machine.invalidate_decoded t.machine t.which;
-  Hashtbl.reset t.stub_at;
-  Hashtbl.reset t.block_meta;
-  Hashtbl.reset t.patches;
+  Tbl.reset t.stub_at;
+  Tbl.reset t.block_meta;
+  Tbl.reset t.patches;
   (* [ever_translated] is the translation *history*, not cache state:
      it survives flushes so a re-translation after one is classified
      as a capacity miss, not compulsory. *)
@@ -336,6 +345,9 @@ let unit_headroom = 4096
 
 exception Wild_target = Translator.Wild
 
+(* Table entries collected by a fold, in key order. *)
+let by_key (a, _) (b, _) = Int.compare a b
+
 (* An evicted block must leave no way back into its bytes:
    - its own trap registrations (stub_at) and outgoing patch records go;
    - RAT lines whose *translated* target lies in its range go — including
@@ -345,29 +357,29 @@ exception Wild_target = Translator.Wild
      falling into reused cache bytes. Processed in sorted order so the
      walk is schedule-independent. *)
 let invalidate_block t (b : Code_cache.block) =
-  (match Hashtbl.find_opt t.block_meta b.cb_cache with
+  (match Tbl.find_opt t.block_meta b.cb_cache with
   | Some pcs ->
     List.iter
       (fun pc ->
-        Hashtbl.remove t.stub_at pc;
-        Hashtbl.remove t.patches pc)
+        Tbl.remove t.stub_at pc;
+        Tbl.remove t.patches pc)
       pcs;
-    Hashtbl.remove t.block_meta b.cb_cache
+    Tbl.remove t.block_meta b.cb_cache
   | None -> ());
   let lo = b.cb_cache and hi = b.cb_cache + b.cb_size in
   Rat.remove_in_range (rat t) ~lo ~hi;
   let incoming =
-    Hashtbl.fold
+    Tbl.fold
       (fun pc (p : patch_rec) acc ->
         if p.pt_cache >= lo && p.pt_cache < hi then (pc, p) :: acc else acc)
       t.patches []
   in
   List.iter
     (fun (pc, (p : patch_rec)) ->
-      Hashtbl.remove t.patches pc;
+      Tbl.remove t.patches pc;
       Mem.blit_string (mem t) pc (Isa.encode t.which ~at:pc (Minstr.Trap p.pt_src));
-      Hashtbl.replace t.stub_at pc (Sexit p.pt_src))
-    (List.sort compare incoming)
+      Tbl.replace t.stub_at pc (Sexit p.pt_src))
+    (List.sort by_key incoming)
 
 (* No write has landed in the source bytes [e]'s prepare read since
    [me_src_gen], which a clean answer re-stamps. *)
@@ -389,16 +401,16 @@ let install t ~base (unit : Translator.unit_code) =
   List.iter
     (fun (s : Translator.exit_stub) ->
       let pc = base + s.es_off in
-      Hashtbl.replace t.stub_at pc (Sexit s.es_target_src);
+      Tbl.replace t.stub_at pc (Sexit s.es_target_src);
       trap_pcs := pc :: !trap_pcs)
     unit.u_stubs;
   List.iter
     (fun (ic : Translator.icall_site) ->
       let pc = base + ic.is_off in
-      Hashtbl.replace t.stub_at pc (Sicall ic);
+      Tbl.replace t.stub_at pc (Sicall ic);
       trap_pcs := pc :: !trap_pcs)
     unit.u_icalls;
-  Hashtbl.replace t.block_meta base !trap_pcs
+  Tbl.replace t.block_meta base !trap_pcs
 
 (* The miss path of [translate_unit]: [fs] is the function holding
    [src], if any. A wild [src] still flushes and counts its miss before
@@ -409,16 +421,16 @@ let translate_miss t src fs fc_before =
     t.cfg.cc_policy = Code_cache.Flush
     && not (Code_cache.has_room t.cache ~align ~size:unit_headroom)
   then flush t;
-  let compulsory = not (Hashtbl.mem t.ever_translated src) in
+  let compulsory = not (Tbl.mem t.ever_translated src) in
   if compulsory then t.st.compulsory_misses <- t.st.compulsory_misses + 1
   else t.st.capacity_misses <- t.st.capacity_misses + 1;
   if Obs.on t.pr.obs then
     Obs.Metrics.incr (if compulsory then t.pr.c_miss_compulsory else t.pr.c_miss_capacity);
-  Hashtbl.replace t.ever_translated src ();
+  Tbl.replace t.ever_translated src ();
   let fs = match fs with Some fs -> fs | None -> raise (Wild_target src) in
   let fp = Reloc_map.fingerprint (map_of t fs) in
   let flush_policy = t.cfg.cc_policy = Code_cache.Flush in
-  let old = Hashtbl.find_opt t.memo src in
+  let old = Tbl.find_opt t.memo src in
   let hit =
     match old with
     | Some e when e.me_fp = fp && source_unchanged t e -> old
@@ -446,7 +458,7 @@ let translate_miss t src fs fc_before =
             me_laid = None;
           }
         in
-        Hashtbl.replace t.memo src e;
+        Tbl.replace t.memo src e;
         Some e
       end
       else None
@@ -557,8 +569,8 @@ let enter t src = (cpu t).pc <- translate_unit t src
 let patch_stub t ~stub_pc ~target_src ~target_cache =
   let bytes = Isa.encode t.which ~at:stub_pc (Minstr.Jmp target_cache) in
   Mem.blit_string (mem t) stub_pc bytes;
-  Hashtbl.remove t.stub_at stub_pc;
-  Hashtbl.replace t.patches stub_pc { pt_src = target_src; pt_cache = target_cache };
+  Tbl.remove t.stub_at stub_pc;
+  Tbl.replace t.patches stub_pc { pt_src = target_src; pt_cache = target_cache };
   t.st.patches <- t.st.patches + 1;
   if Obs.on t.pr.obs then Obs.Metrics.incr t.pr.c_patches;
   charge t patch_cost
@@ -665,7 +677,7 @@ let on_trap t (trap : Exec.trap) =
   | Exec.Fault f -> Benign (Fault (Exec.string_of_trap (Exec.Fault f)))
   | Exec.Trap_stub _ -> (
     let pc = (cpu t).pc in
-    match Hashtbl.find_opt t.stub_at pc with
+    match Tbl.find_opt t.stub_at pc with
     | Some (Sexit target_src) -> (
       (* direct control flow: never suspicious *)
       match translate_unit t target_src with
@@ -674,7 +686,7 @@ let on_trap t (trap : Exec.trap) =
            stub's own unit; patch only if these bytes still hold a
            trap for this exact target — anything else now occupying
            them would be corrupted by the write *)
-        (match Hashtbl.find_opt t.stub_at pc with
+        (match Tbl.find_opt t.stub_at pc with
         | Some (Sexit s) when s = target_src ->
           patch_stub t ~stub_pc:pc ~target_src ~target_cache:cache_addr
         | _ -> ());
@@ -766,7 +778,7 @@ let drain_new_units t =
 module Wire = Hipstr_util.Wire
 module C = Wire.C
 
-let sorted_keys tbl = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
+let sorted_keys tbl = List.sort Int.compare (Tbl.fold (fun k _ acc -> k :: acc) tbl [])
 
 (* The first unit whose source bytes the program has written since its
    translation was made: a live unit written since the binary was
@@ -788,7 +800,7 @@ let rewritten_unit t =
   with
   | Some b -> Some b.cb_src
   | None ->
-    Hashtbl.fold
+    Tbl.fold
       (fun src e acc ->
         match acc with
         | Some a when a < src -> acc
@@ -809,7 +821,7 @@ let reprepare t src =
    fingerprint cross-checks that the maps in the image really are the
    maps the memo was built against. *)
 let rebuild_memo t keys =
-  Hashtbl.reset t.memo;
+  Tbl.reset t.memo;
   let src_gen = Mem.generation t.src_region in
   List.iter
     (fun (src, fp) ->
@@ -818,7 +830,7 @@ let rebuild_memo t keys =
       | Some fs ->
         if Reloc_map.fingerprint (map_of t fs) <> fp then
           Wire.corrupt "memo entry 0x%x disagrees with its relocation map" src;
-        Hashtbl.replace t.memo src
+        Tbl.replace t.memo src
           {
             me_fp = fp;
             me_prep = reprepare t src;
@@ -834,14 +846,14 @@ let rebuild_memo t keys =
    running at checkpoint time; the size cross-check catches any image
    that lies about either. *)
 let rematerialize t =
-  Hashtbl.reset t.stub_at;
-  Hashtbl.reset t.block_meta;
+  Tbl.reset t.stub_at;
+  Tbl.reset t.block_meta;
   List.iter
     (fun (b : Code_cache.block) ->
       let prep =
-        match Hashtbl.find_opt t.memo b.cb_src with
-        | Some e -> e.me_prep
-        | _ -> reprepare t b.cb_src
+        match Tbl.find t.memo b.cb_src with
+        | e -> e.me_prep
+        | exception Not_found -> reprepare t b.cb_src
       in
       if Translator.prepared_size prep <> b.cb_size then
         Wire.corrupt "re-materialized unit for 0x%x measures %d bytes, image says %d" b.cb_src
@@ -865,6 +877,19 @@ let patches_codec =
           (fun p -> (p.pt_src, p.pt_cache))
           (C.pair C.int C.int)))
 
+(* An image files each map under its function's name, sorted by name.
+   Reading resolves the name to the function's key; a map filed under a
+   name the binary lacks, or under another name than its own, belongs
+   to no function this run could address. *)
+let map_key t name m =
+  match Fatbin.find_func t.fatbin name with
+  | exception Not_found ->
+    Wire.corrupt "relocation map for %S: no such function in this binary" name
+  | fs ->
+    if not (String.equal (Reloc_map.fname m) name) then
+      Wire.corrupt "relocation map filed under %S is the map of %S" name (Reloc_map.fname m);
+    func_key fs
+
 (* The map/memo/history slice, shared by a full VM image and a
    warm-start memo artifact: the rng, the reserved word, the maps, the
    memo keys and the translation history. Reading it rebuilds the memo
@@ -873,23 +898,24 @@ let meta io t =
   Rng.set_state t.rng (Wire.field io "rng" C.i64 (Rng.state t.rng));
   ignore (Wire.field io "reserved" reserved 0);
   Wire.derived io "maps" maps_codec
-    (fun () -> List.map (fun name -> (name, Hashtbl.find t.maps name)) (sorted_keys t.maps))
+    (fun () ->
+      List.sort
+        (fun (a, _) (b, _) -> String.compare a b)
+        (Tbl.fold (fun _ m acc -> (Reloc_map.fname m, m) :: acc) t.maps []))
     (fun ms ->
-      Hashtbl.reset t.maps;
-      Hashtbl.reset t.hot;
-      List.iter (fun (n, m) -> Hashtbl.replace t.maps n m) ms);
+      Tbl.reset t.maps;
+      Tbl.reset t.hot;
+      List.iter (fun (n, m) -> Tbl.replace t.maps (map_key t n m) m) ms);
   Wire.derived io "memo_keys" memo_keys
     (fun () ->
-      List.sort compare
-        (Hashtbl.fold
-           (fun src e acc -> if e.me_saved then (src, e.me_fp) :: acc else acc)
-           t.memo []))
+      List.sort by_key
+        (Tbl.fold (fun src e acc -> if e.me_saved then (src, e.me_fp) :: acc else acc) t.memo []))
     (rebuild_memo t);
   Wire.derived io "translated" ints
     (fun () -> sorted_keys t.ever_translated)
     (fun srcs ->
-      Hashtbl.reset t.ever_translated;
-      List.iter (fun src -> Hashtbl.replace t.ever_translated src ()) srcs)
+      Tbl.reset t.ever_translated;
+      List.iter (fun src -> Tbl.replace t.ever_translated src ()) srcs)
 
 let sync_state io t =
   let io = Wire.section io "PSRVM" in
@@ -897,12 +923,12 @@ let sync_state io t =
   Code_cache.sync io t.cache;
   if Wire.is_reading io then rematerialize t;
   Wire.derived io "patches" patches_codec
-    (fun () -> List.sort compare (Hashtbl.fold (fun pc p acc -> (pc, p) :: acc) t.patches []))
+    (fun () -> List.sort by_key (Tbl.fold (fun pc p acc -> (pc, p) :: acc) t.patches []))
     (fun ps ->
-      Hashtbl.reset t.patches;
+      Tbl.reset t.patches;
       List.iter
         (fun (pc, (p : patch_rec)) ->
-          (match Hashtbl.find_opt t.stub_at pc with
+          (match Tbl.find_opt t.stub_at pc with
           | Some (Sexit s) when s = p.pt_src -> ()
           | _ ->
             Wire.corrupt "chain patch at 0x%x does not cover an exit stub for 0x%x" pc p.pt_src);
@@ -914,8 +940,8 @@ let sync_state io t =
             Wire.corrupt "chain patch at 0x%x jumps to 0x%x, not to the live unit of 0x%x" pc
               p.pt_cache p.pt_src);
           Mem.blit_string (mem t) pc (Isa.encode t.which ~at:pc (Minstr.Jmp p.pt_cache));
-          Hashtbl.remove t.stub_at pc;
-          Hashtbl.replace t.patches pc p)
+          Tbl.remove t.stub_at pc;
+          Tbl.replace t.patches pc p)
         ps);
   t.new_units <- Wire.field io "new_units" ints t.new_units;
   let s = t.st in
@@ -944,4 +970,4 @@ let sync_meta io t = meta (Wire.section io "PSRMETA") t
    so both arms of a warm/cold comparison classify their misses
    identically (capacity) and differ only in what servicing them
    costs. *)
-let forget_memo t = Hashtbl.reset t.memo
+let forget_memo t = Tbl.reset t.memo

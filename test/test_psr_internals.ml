@@ -530,6 +530,52 @@ let laid_out vm which src =
   | p -> Ok (Translator.layout p ~base:(Layout.cache_base which))
   | exception Translator.Wild a -> Error a
 
+(* The translator's output, pinned byte for byte: every function entry
+   of every workload, on both ISAs, at O0 and at the default O3, is
+   prepared by a fresh VM at a fixed seed (which draws the maps in
+   function order) and laid out at the cache base. The digest covers
+   each unit's bytes, size, exit stubs, indirect-call sites, source
+   spans and instruction counts, so a host-side change to the
+   translator, the encoders or map generation that moves one byte of
+   guest code fails here, not only through cycle counts. *)
+let translation_digest = "92c73db42067ce0d82d1d65d3edf98d2"
+
+let test_translation_digest () =
+  let b = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun (w : Workloads.t) ->
+      let fb = Workloads.fatbin w in
+      List.iter
+        (fun opt_level ->
+          let cfg = { Config.default with opt_level } in
+          let sys = System.of_fatbin ~cfg ~seed:11 ~mode:System.Hipstr fb in
+          List.iter
+            (fun which ->
+              let vm = System.vm sys which in
+              Array.iter
+                (fun (fs : Fatbin.func_sym) ->
+                  let src = (Fatbin.image fs which).im_entry in
+                  let u = Translator.layout (Vm.prepare vm src) ~base:(Layout.cache_base which) in
+                  Printf.bprintf b "%s/O%d/%s/%s %x %d %d %d\n" w.w_name opt_level (Isa.name which)
+                    fs.fs_name u.u_src u.u_size u.u_instrs u.u_emitted;
+                  Buffer.add_string b u.u_bytes;
+                  List.iter
+                    (fun (s : Translator.exit_stub) ->
+                      Printf.bprintf b "s%d:%x " s.es_off s.es_target_src)
+                    u.u_stubs;
+                  List.iter
+                    (fun (ic : Translator.icall_site) ->
+                      Printf.bprintf b "i%d:%x:%x:%d:%b " ic.is_off ic.is_src ic.is_src_ret ic.is_nargs
+                        ic.is_call)
+                    u.u_icalls;
+                  List.iter (fun (lo, n) -> Printf.bprintf b "p%x+%d " lo n) u.u_src_spans)
+                fb.Fatbin.fb_funcs)
+            [ Desc.Cisc; Desc.Risc ])
+        [ 0; 3 ])
+    binaries;
+  Alcotest.(check string) "digest of every entry unit" translation_digest
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* A unit prepared through the binary's decoded code lays out exactly
    as one prepared from guest memory. The first pass runs on a fresh
    system, whose code is as loaded, so the VM's guard admits the
@@ -870,5 +916,6 @@ let () =
           Alcotest.test_case "address lookups match the linear scan" `Quick
             test_lookups_match_linear;
           Alcotest.test_case "kept blocks: harvest guard" `Quick test_kept_blocks_guard;
+          Alcotest.test_case "translator digest over every workload" `Quick test_translation_digest;
         ] );
     ]

@@ -48,13 +48,24 @@ let run_binop which op a b =
     | _ -> failwith "bad output")
   | t -> failwith ("run failed: " ^ match t with Some t -> Exec.string_of_trap t | None -> "fuel")
 
+(* Signed division as C defines it, computed with Stdlib [Int32] and
+   not with [Wrap32], which the machine itself divides through: the
+   quotient truncates toward zero, the remainder takes the dividend's
+   sign, and [min_int / -1] wraps to [min_int] (remainder 0). Both
+   ISAs define a zero divisor to give 0. *)
+let int32_divs a b =
+  if b = 0 then 0 else Int32.to_int (Int32.div (Int32.of_int a) (Int32.of_int b))
+
+let int32_rems a b =
+  if b = 0 then 0 else Int32.to_int (Int32.rem (Int32.of_int a) (Int32.of_int b))
+
 let reference op a b =
   match op with
   | Add -> W32.add a b
   | Sub -> W32.sub a b
   | Mul -> W32.mul a b
-  | Divs -> W32.sdiv a b
-  | Rems -> W32.srem a b
+  | Divs -> int32_divs a b
+  | Rems -> int32_rems a b
   | And -> W32.logand a b
   | Or -> W32.logor a b
   | Xor -> W32.logxor a b
@@ -70,6 +81,42 @@ let prop_binop which name =
     (fun (opi, a, b) ->
       let op = all_binops.(opi) in
       run_binop which op a b = reference op a b)
+
+(* Signed division's edge cases, on both ISAs: every sign pairing of a
+   division that leaves a remainder (where truncation and flooring
+   differ, and the remainder's sign shows whose sign it takes), exact
+   divisions, zero divisors and [min_int / -1]. Each expected value is
+   written out as C gives it. *)
+let division_cases =
+  [
+    (7, 2, 3, 1);
+    (-7, 2, -3, -1);
+    (7, -2, -3, 1);
+    (-7, -2, 3, -1);
+    (-1, 2, 0, -1);
+    (1, -2, 0, 1);
+    (-6, 3, -2, 0);
+    (6, -3, -2, 0);
+    (5, 0, 0, 0);
+    (-5, 0, 0, 0);
+    (0, 0, 0, 0);
+    (-2147483648, -1, -2147483648, 0);
+    (-2147483648, 1, -2147483648, 0);
+    (-2147483648, 2, -1073741824, 0);
+    (-2147483647, 2, -1073741823, -1);
+    (2147483647, -2, -1073741823, 1);
+    (-2147483648, 3, -715827882, -2);
+    (-2147483648, 2147483647, -1, -1);
+  ]
+
+let test_division_edges which () =
+  List.iter
+    (fun (a, b, q, r) ->
+      Alcotest.(check int) (Printf.sprintf "reference %d / %d" a b) q (int32_divs a b);
+      Alcotest.(check int) (Printf.sprintf "reference %d %% %d" a b) r (int32_rems a b);
+      Alcotest.(check int) (Printf.sprintf "%d / %d" a b) q (run_binop which Divs a b);
+      Alcotest.(check int) (Printf.sprintf "%d %% %d" a b) r (run_binop which Rems a b))
+    division_cases
 
 (* Conditions: cmp a, b then jcc — the branch outcome must match the
    mathematical comparison. *)
@@ -161,6 +208,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest (prop_binop Desc.Cisc "cisc binops vs reference");
           QCheck_alcotest.to_alcotest (prop_binop Desc.Risc "risc binops vs reference");
+          Alcotest.test_case "cisc signed division edges" `Quick (test_division_edges Desc.Cisc);
+          Alcotest.test_case "risc signed division edges" `Quick (test_division_edges Desc.Risc);
         ] );
       ( "conditions",
         [

@@ -745,7 +745,26 @@ let test_rejects_forged_reloc_map () =
       ("ret_off at 2^40", 2, fun _ -> 1 lsl 40);
       ("negative scratch_off", 5, fun _ -> -8);
       ("frame' past frame + pad", 1, fun v -> v + 16);
-    ]
+    ];
+  (* The image files each map under its function's name, which comes
+     just before the RMAP tag and equals the map's own [fname], the
+     record's first field. A map filed under a name the binary lacks
+     (both names forged alike), or under a name its [fname] disagrees
+     with, belongs to no function the run could address. *)
+  let k = List.fold_left Int.min max_int (maps 0 []) in
+  let len = word k in
+  let key_at = k - 5 - len and fname_at = k + 8 in
+  Alcotest.(check string) "the map is filed under its own name" (String.sub image key_at len)
+    (String.sub image fname_at len);
+  let forge ats =
+    let b = Bytes.of_string image in
+    List.iter (fun at -> Bytes.fill b at len '?') ats;
+    Bytes.to_string b
+  in
+  expect_corrupt "map filed under a name the binary lacks" (fun () ->
+      Snapshot.restore ~obs:(Obs.create ()) ~fatbin:fb (forge [ key_at; fname_at ]));
+  expect_corrupt "map filed under a name its fname disagrees with" (fun () ->
+      Snapshot.restore ~obs:(Obs.create ()) ~fatbin:fb (forge [ fname_at ]))
 
 (* A restored chain patch must jump to the live unit of its source,
    which is what patching wrote; eviction and flush un-patch every jump
