@@ -230,7 +230,7 @@ migrate-smoke:
 # gobmk/hipstr run with host allocation profiling on, and a
 # 200-connection hipstr fleet at -j 1, each asserting minor GC words
 # per retired instruction stays within its budget. Both counts repeat
-# exactly in a dev build (0.551 and 31.575; the hot loop itself is
+# exactly in a dev build (0.446 and 26.540; the hot loop itself is
 # allocation-free, the residue is boot, block decode, translation,
 # migration edges and the profiler's own bookkeeping), and each
 # budget is its measured value plus under 5%, so a few percent of
@@ -253,9 +253,9 @@ alloc-smoke:
 	  echo "alloc-smoke: lib/machine or lib/psr calls a polymorphic compare:"; echo "$$bad"; exit 1; fi; \
 	echo "alloc-smoke: no polymorphic compare in $$(echo $$objs | wc -w) lib/machine and lib/psr objects"
 	dune exec bin/hipstr_cli.exe -- run gobmk --mode hipstr \
-	  --hostprof --assert-alloc 0.57
+	  --hostprof --assert-alloc 0.46
 	dune exec bin/hipstr_cli.exe -- fleet-run --procs 200 --arrival poisson:100 \
-	  --mode hipstr --shards 4 -j 1 --hostprof --assert-alloc 33.1
+	  --mode hipstr --shards 4 -j 1 --hostprof --assert-alloc 27.8
 
 check: build test fuzz wire-gate obs-gate inline-gate cmp-smoke profile-smoke cache-smoke interp-smoke alloc-smoke fleet-smoke timeline-smoke migrate-smoke
 

@@ -284,17 +284,21 @@ let decoded fs which =
     if Atomic.compare_and_set im.im_decoded None (Some d) then d
     else Option.get (Atomic.get im.im_decoded)
 
-(* Binary search for [addr] among the instruction starts. *)
-let instr_index d (addr : int) =
-  let a = d.dc_addr in
-  let rec go lo hi =
-    if lo >= hi then -1
-    else
-      let mid = (lo + hi) lsr 1 in
-      let m = Array.unsafe_get a mid in
-      if m = addr then mid else if m < addr then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length d.dc_instr)
+(* Binary search for [addr] among the instruction starts [a.(lo ..
+   hi - 1)]. This search and [last_at_or_below] below are top-level
+   functions taking all their state as arguments: a local [let rec]
+   capturing it is a closure allocated on every call, and both run on
+   the translation miss path. *)
+let rec index_in (a : int array) (addr : int) lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let m = Array.unsafe_get a mid in
+    if m = addr then mid
+    else if m < addr then index_in a addr (mid + 1) hi
+    else index_in a addr lo mid
+
+let instr_index d (addr : int) = index_in d.dc_addr addr 0 (Array.length d.dc_instr)
 
 let find_func t name =
   let n = Array.length t.fb_funcs in
@@ -311,17 +315,17 @@ let entry t which = (image (find_func t "main") which).im_entry
    both ISAs, disjoint, so the only function that can hold [addr] is
    the last one whose entry is at or below it. This runs on every VM
    trap, translation miss and mirrored unit. *)
+let rec last_at_or_below funcs which (addr : int) lo hi =
+  if lo >= hi then lo - 1
+  else
+    let mid = (lo + hi) lsr 1 in
+    if (image (Array.unsafe_get funcs mid) which).im_entry <= addr then
+      last_at_or_below funcs which addr (mid + 1) hi
+    else last_at_or_below funcs which addr lo mid
+
 let func_at t which (addr : int) =
   let funcs = t.fb_funcs in
-  let rec last_at_or_below lo hi =
-    if lo >= hi then lo - 1
-    else
-      let mid = (lo + hi) lsr 1 in
-      if (image (Array.unsafe_get funcs mid) which).im_entry <= addr then
-        last_at_or_below (mid + 1) hi
-      else last_at_or_below lo mid
-  in
-  let i = last_at_or_below 0 (Array.length funcs) in
+  let i = last_at_or_below funcs which addr 0 (Array.length funcs) in
   if i < 0 then None
   else
     let fs = funcs.(i) in

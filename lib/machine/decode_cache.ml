@@ -3,7 +3,8 @@ module Tbl = Layout.Int_tbl
 
 (* A predecoded basic block: the instructions starting at [db_start],
    decoded under generation [db_gen] of the watched region containing
-   them, up to (and including) the first control transfer. [db_bad]
+   them, up to (and including) the first control transfer, or up to a
+   VM exit's [Trap], which starts a block of its own. [db_bad]
    marks a block whose decode failed at [db_end] — executing past the
    last instruction faults there, exactly as per-instruction decode
    would have.
@@ -16,27 +17,33 @@ module Tbl = Layout.Int_tbl
    ([Exec.run_slow]) is its oracle.
 
    Validity invariant: a block stands for its bytes while its guard,
-   the bytes its decode read, is unwritten. This module alone decides
-   which bytes those are ([guard_hi], [source_unwritten]); [Mem]
-   answers whether they were written. Instructions are only admitted
-   when their full encoding fits the region, and a successful decode
-   reads only its own bytes (the decoders' locality, pinned in
-   test_isa), so a block's guard is [db_start, db_end) exactly. A
+   the bytes its decode read, still holds them. This module alone
+   decides which bytes those are ([guard_end], [source_unwritten]) and
+   keeps a copy of a block's in [db_bytes]; [Mem] answers whether
+   they were written, and whether a write changed them. Instructions
+   are only admitted when their full encoding fits the region, and a
+   successful decode reads only its own bytes (the decoders' locality,
+   pinned in test_isa), so a block's guard is [db_start, db_end)
+   exactly. A
    [db_bad] verdict may have read [max_decode_window] bytes from
    [db_end], so a bad block's guard runs that far, and the verdict is
    only cached with that much headroom in the region. Where a block
-   stops without a bad verdict (a terminator, the size cap, the
-   region edge) decides only where the dispatcher probes next, not
-   what any instruction does, so the bytes past it are no part of the
-   guard. A write anywhere in the region bumps its generation, so
-   [db_gen = generation db_region] proves freshness with one compare
-   — checked before every instruction, which makes cached execution
-   bit-identical to per-instruction decode even for code that rewrites
-   itself mid-block. On a generation mismatch {!stale} asks
-   [Mem.unwritten] about the guard's page stamps: if no write landed
-   on it the block re-stamps [db_gen] and lives on — without this,
-   every stub patch the VM writes would flush every decoded block of
-   the code-cache region. *)
+   stops without a bad verdict (a terminator, an exit [Trap], the size
+   cap, the region edge) decides only where the dispatcher probes
+   next, not what any instruction does, so the bytes past it are no
+   part of the guard. A write anywhere in the region bumps its
+   generation, so [db_gen = generation db_region] proves freshness
+   with one compare — checked before every instruction, which makes
+   cached execution bit-identical to per-instruction decode even for
+   code that rewrites itself mid-block. On a generation mismatch
+   {!stale} asks [Mem.unwritten] about the guard's page stamps first,
+   then, if a write landed on them, compares memory with [db_bytes]
+   ([Mem.holds]): if the guard still holds its bytes the block
+   re-stamps [db_gen] and lives on. Without the stamps every stub
+   patch the VM writes would flush every decoded block of the
+   code-cache region; without the compare, every block sharing a
+   64-byte stamp page with a patched stub, or rewritten with its own
+   bytes, would be decoded again. *)
 type block = {
   db_start : int;
   db_code : int array;
@@ -44,6 +51,9 @@ type block = {
           (meta, payload1, payload2, femtocycle charge) *)
   db_end : int;  (** first address past the last decoded instruction *)
   db_bad : bool;  (** decode failed at [db_end] *)
+  db_bytes : string;
+      (** the block's guard, [db_start, db_start + length db_bytes):
+          the bytes its decode read, as it read them *)
   db_region : Mem.region;
   mutable db_gen : int;
   db_indirect : bool;
@@ -195,10 +205,12 @@ let create which mem =
 let stats t = t.st
 let epoch t = t.epoch
 
-(* The end of a block's guard [db_start, guard_hi b), the bytes its
-   decode read: its own instructions, and the look-ahead window past
-   them only when the decode failed there. *)
-let guard_hi b = if b.db_bad then b.db_end + max_decode_window else b.db_end
+(* The end of the guard of a block decoded up to [db_end]: its own
+   instructions, and the look-ahead window past them only when the
+   decode failed there. [decode_block] copies the guard's bytes into
+   [db_bytes], so a block's guard is [db_start, guard_hi b). *)
+let guard_end ~bad db_end = if bad then db_end + max_decode_window else db_end
+let guard_hi b = b.db_start + String.length b.db_bytes
 
 (* The bytes a translation's scan of the source span [lo, lo + len)
    read: the span, and the window past it, since the scan may stop at
@@ -207,13 +219,19 @@ let source_unwritten r ~since (lo, len) =
   Mem.unwritten r ~lo ~hi:(lo + len + max_decode_window) ~since
 
 (* Slow path, reached only on a generation mismatch: survive if the
-   block's guard is untouched; the re-stamp restores the fast path
-   until the region's next write. ([Mem.unwritten] never moves the
-   region generation, so re-reading it here sees the same value the
-   caller compared.) *)
-let stale_slow b =
-  if Mem.unwritten b.db_region ~lo:b.db_start ~hi:(guard_hi b) ~since:b.db_gen then begin
-    b.db_gen <- Mem.generation b.db_region;
+   guard's write stamps say no write landed on it or, when one did, if
+   memory there still holds the bytes the decode read; the re-stamp
+   restores the fast path until the region's next write. (Neither check
+   moves the region generation, so re-reading it here sees the same
+   value the caller compared.) Out of line: the dispatch loop inlines
+   only [stale]'s compare. *)
+let[@inline never] stale_slow b =
+  let r = b.db_region in
+  if
+    Mem.unwritten r ~lo:b.db_start ~hi:(guard_hi b) ~since:b.db_gen
+    || Mem.holds r b.db_start b.db_bytes
+  then begin
+    b.db_gen <- Mem.generation r;
     false
   end
   else true
@@ -227,6 +245,15 @@ let is_terminator (i : Minstr.t) =
   match i with
   | Jmp _ | Jcc _ | Jmpr _ | Call _ | Callr _ | Ret | Retr _ | Retrat _ | Callrat _ | Trap _ ->
     true
+  | Nop | Mov _ | Lea _ | Binop _ | Cmp _ | Push _ | Pop _ | Syscall -> false
+
+(* A VM exit: the PSR VM chain-patches an exit stub's [Trap] into a
+   jump the first time the stub runs, so [decode_block] gives each Trap
+   a block of its own (see there). *)
+let is_trap (i : Minstr.t) =
+  match i with
+  | Trap _ -> true
+  | Jmp _ | Jcc _ | Jmpr _ | Call _ | Callr _ | Ret | Retr _ | Retrat _ | Callrat _ -> false
   | Nop | Mov _ | Lea _ | Binop _ | Cmp _ | Push _ | Pop _ | Syscall -> false
 
 (* Indirect terminators: the successor pc depends on runtime state
@@ -256,7 +283,15 @@ let charge_fc t (i : Minstr.t) =
    fit the region, or an uncacheable [None] verdict right at the
    start) — the interpreter falls back to single-stepping. Each
    instruction is packed straight into [t.scratch]; the block's
-   [db_code] is one copy of the used prefix. *)
+   [db_code] is one copy of the used prefix, and [db_bytes] a copy of
+   its guard.
+
+   Exits start their own block: the decode stops before a [Trap] that
+   is not the block's first instruction. The VM's chain patch then
+   rewrites a one-instruction block, and the body block in front of
+   the stub keeps its bytes and stays valid. Like the size cap, this
+   decides only where the dispatcher probes next: the Trap's bytes are
+   no part of the body block's guard. *)
 let decode_block t region start =
   let hi = Mem.region_hi region in
   let gen = Mem.generation region in
@@ -285,6 +320,7 @@ let decode_block t region start =
         stop := true
       | Some (i, len) ->
         if !pos + len > hi then stop := true (* encoding crosses the region edge *)
+        else if !count > 0 && is_trap i then stop := true (* an exit starts its own block *)
         else begin
           let j = 4 * !count in
           let m, v1, v2 = Packed.pack i len in
@@ -309,6 +345,7 @@ let decode_block t region start =
         db_code = Array.sub code 0 (4 * !count);
         db_end = !pos;
         db_bad = !bad;
+        db_bytes = Mem.read_string t.mem start (guard_end ~bad:!bad !pos - start);
         db_region = region;
         db_gen = gen;
         db_indirect = !indirect;
@@ -400,16 +437,26 @@ let blocks t = List.sort by_start (Tbl.fold (fun _ b acc -> b :: acc) t.blocks [
    puts it back after the re-install ([adopt]) instead of decoding
    again.
 
-   A block qualifies when its guard lies inside the unit [lo, hi), so
-   that the re-install writes back every byte its decode read;
-   [db_gen >= since] proves the block was decoded (or re-proven
-   clean) after the blit at generation [since], and [Mem.unwritten]
-   proves no write has landed on its guard since — a chain patch, an
-   eviction's restored Trap, or a guest store. *)
-let keepable b ~lo ~hi ~since =
-  let ghi = guard_hi b in
-  b.db_start >= lo && ghi <= hi && b.db_gen >= since
-  && Mem.unwritten b.db_region ~lo:b.db_start ~hi:ghi ~since
+   A block qualifies when its guard lies inside the unit's bytes
+   [bytes], laid at [base], so that the re-install writes back every
+   byte its decode read, and when those are the bytes it was decoded
+   from. Stamps first: [db_gen >= since] proves the block was decoded
+   (or re-proven clean) after the blit at generation [since], and
+   [Mem.unwritten] that no write has landed on its guard since — a
+   chain patch, an eviction's restored Trap, or a guest store. When a
+   write did land there, [db_bytes] is compared with the unit's bytes
+   at the block's offset: a block dirtied by a write that left its
+   bytes as they were, or decoded before the blit from the same bytes,
+   is as valid after the re-install as one the stamps vouch for. *)
+let rec same_bytes s u off i n =
+  i >= n || (String.unsafe_get s i = String.unsafe_get u (off + i) && same_bytes s u off (i + 1) n)
+
+let keepable b ~base ~bytes ~since =
+  let off = b.db_start - base and n = String.length b.db_bytes in
+  off >= 0
+  && off + n <= String.length bytes
+  && ((b.db_gen >= since && Mem.unwritten b.db_region ~lo:b.db_start ~hi:(b.db_start + n) ~since)
+     || same_bytes b.db_bytes bytes off 0 n)
 
 (* Re-install a kept block after its bytes were blitted back: fresh
    under the current generation, with no chain links (every link it

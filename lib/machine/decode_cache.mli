@@ -3,9 +3,10 @@
     Every simulated instruction used to be re-decoded from raw bytes
     on every execution; hot loops decode the same handful of blocks
     millions of times. This cache decodes a basic block once — from
-    its start address up to the first control transfer — into a
-    packed int array ({!Packed}) that the interpreter re-dispatches on
-    every revisit.
+    its start address up to the first control transfer, or up to a VM
+    exit ([Trap]), which starts a block of its own — into a packed int
+    array ({!Packed}) that the interpreter re-dispatches on every
+    revisit.
 
     Correctness under self-modifying code rests on {!Mem.watch}
     generations: a block records the generation of the watched region
@@ -14,10 +15,12 @@
     into the region — a PSR translation installed into the code
     cache, a chained-jump patch, eviction restoring trap bytes, an
     attack payload rewriting code — bumps the generation, and the
-    block then lives on only if no write landed on its guard, the
-    bytes its decode read ({!stale}). Addresses outside any watched
-    region (stack or heap execution by wild gadget chains) are never
-    cached and fall back to per-instruction decode.
+    block then lives on only if its guard, the bytes its decode read,
+    still holds them: the guard's write stamps say no write landed on
+    it, or a byte compare against the copy the block keeps
+    ([db_bytes]) finds them unchanged ({!stale}). Addresses outside any
+    watched region (stack or heap execution by wild gadget chains) are
+    never cached and fall back to per-instruction decode.
 
     The cache is pure simulator-side memoization: it charges no
     cycles, touches no modelled structure, and produces bit-identical
@@ -25,17 +28,21 @@
 
     {2 The guard}
 
-    This module alone decides which bytes a decode read, and
-    {!Mem.unwritten} alone decides whether they were written since.
-    A successful decode reads only its own bytes, so a block's guard
-    is [\[db_start, db_end)]; a [db_bad] block's guard runs
-    {!max_decode_window} bytes further, over what its failed decode
-    read. A PSR translation's source span always carries the window
-    ({!source_unwritten}), since its scan may stop at undecodable
-    bytes. Every "are these still the bytes we read?" question — a
-    block's staleness, a kept block's survival of a flush, a
-    translation memo hit, the binary's decoded code standing in for
-    memory, a checkpoint's refusal — is answered by these two.
+    This module alone decides which bytes a decode read.
+    {!Mem.unwritten} decides whether they were written since, and for a
+    decoded block, whose bytes it keeps, {!Mem.holds} whether a write
+    that landed there changed them. A successful decode reads only its
+    own bytes, so a block's guard is [\[db_start, db_end)]; a [db_bad]
+    block's guard runs {!max_decode_window} bytes further, over what
+    its failed decode read. Where a block stops otherwise (a
+    terminator, an exit [Trap], the size cap, the region edge) decides
+    only where the dispatcher probes next, so the bytes past it are no
+    part of the guard. A PSR translation's source span always carries
+    the window ({!source_unwritten}), since its scan may stop at
+    undecodable bytes. Every "are these still the bytes we read?"
+    question — a block's staleness, a kept block's survival of a
+    flush, a translation memo hit, the binary's decoded code standing
+    in for memory, a checkpoint's refusal — is answered by these.
 
     {2 Chaining}
 
@@ -61,11 +68,15 @@ type block = {
   db_bad : bool;
       (** decode fails at [db_end]: executing past the last
           instruction is a bad fetch there *)
+  db_bytes : string;
+      (** the guard's bytes as the decode read them: the block is a
+          decode of exactly these at [db_start], and its guard is
+          [\[db_start, db_start + length db_bytes)] *)
   db_region : Mem.region;
   mutable db_gen : int;
       (** region generation the block's bytes are known valid under —
           re-stamped by {!stale} when a generation bump proves to have
-          missed the block's pages *)
+          left the guard's bytes as they were *)
   db_indirect : bool;
       (** terminator is an indirect transfer: links form an inline
           cache rather than a direct successor pair *)
@@ -116,14 +127,16 @@ val find : t -> int -> block
     must single-step. *)
 
 val stale : block -> bool
-(** A write may have landed on the block's guard since it was
-    decoded. Checked by the interpreter before every cached
-    instruction, so the fast path is one integer compare against the
-    region generation, inlined into the dispatch loop; on a mismatch
-    {!Mem.unwritten} reads the guard's write stamps and [db_gen] is
-    re-stamped if the write landed elsewhere in the region — a stub
-    patch in another part of the code cache no longer evicts every
-    decoded block. *)
+(** The block's guard may no longer hold the bytes its decode read.
+    Checked by the interpreter before every cached instruction, so the
+    fast path is one integer compare against the region generation,
+    inlined into the dispatch loop. On a mismatch an out-of-line slow
+    path asks {!Mem.unwritten} about the guard's write stamps and, when
+    they say written, compares memory with [db_bytes] ({!Mem.holds});
+    [db_gen] is re-stamped if the write landed elsewhere in the region
+    or left the guard's bytes as they were — a stub patch beside the
+    block, or a store of the value a byte already held, does not cost
+    a decode. *)
 
 val source_unwritten : Mem.region -> since:int -> int * int -> bool
 (** [source_unwritten r ~since (lo, len)]: no write has landed since
@@ -141,12 +154,14 @@ val invalidate_all : t -> unit
     flushes. Also bumps the epoch, killing
     every chain link installed before the call. *)
 
-val keepable : block -> lo:int -> hi:int -> since:int -> bool
-(** The block's guard lies inside the unit [\[lo, hi)], the block was
-    decoded at or after region generation [since], and no write has
-    landed on the guard since. The PSR VM keeps such blocks across a
-    code-cache flush for a unit whose bytes it blitted at generation
-    [since] and will blit back byte for byte at the same base. *)
+val keepable : block -> base:int -> bytes:string -> since:int -> bool
+(** The block's guard lies inside a unit's bytes [bytes] laid at
+    [base], and holds those bytes: either the block was decoded at or
+    after region generation [since] and no write has landed on the
+    guard since (the stamps), or its [db_bytes] equal [bytes] at the
+    block's offset. The PSR VM keeps such blocks across a code-cache
+    flush for a unit whose bytes it blitted at generation [since] and
+    will blit back byte for byte at the same base. *)
 
 val adopt : t -> block -> unit
 (** Re-install a {!keepable} block after its bytes were written back

@@ -53,6 +53,7 @@ let granule_bits = 16
 type region = {
   r_lo : int;
   r_hi : int;
+  r_pages : Bytes.t array;  (* the memory's page table, for {!holds} *)
   mutable r_gen : int;
   r_stamps : int array array;
       (* last-write generation per 64-byte stamp page, in chunks of
@@ -96,6 +97,7 @@ let watch t ~lo ~hi =
       {
         r_lo = lo;
         r_hi = hi;
+        r_pages = t.pages;
         r_gen = 0;
         r_stamps = Array.make nchunks zero_stamps;
         r_owned = [];
@@ -432,6 +434,33 @@ let equal_span t u a n =
   check_span t a n;
   check_span u a n;
   equal_pages t u a n
+
+(* [p.(o ..)] holds [s.(off ..)] for [k] bytes, eight at a time while
+   eight remain. The word loads are the unboxed bytes primitives and the
+   compares are typed, so nothing allocates or calls out. *)
+external bget64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external sget64 : string -> int -> int64 = "%caml_string_get64u"
+
+let rec holds_bytes p o s off k =
+  if k >= 8 then
+    (bget64 p o : int64) = sget64 s off && holds_bytes p (o + 8) s (off + 8) (k - 8)
+  else
+    k <= 0
+    || Bytes.unsafe_get p o = String.unsafe_get s off
+       && holds_bytes p (o + 1) s (off + 1) (k - 1)
+
+(* Page by page through the region's page table; an unwritten page is
+   the zero page and is compared like any other. *)
+let rec holds_pages pages a s off n =
+  n <= 0
+  ||
+  let k = chunk a n in
+  holds_bytes (Array.unsafe_get pages (a lsr page_bits)) (a land page_mask) s off k
+  && holds_pages pages (a + k) s (off + k) (n - k)
+
+let holds r a s =
+  let n = String.length s in
+  a >= r.r_lo && a <= r.r_hi - n && holds_pages r.r_pages a s 0 n
 
 let read_cstring ?(limit = 4096) t a =
   let buf = Buffer.create 16 in

@@ -21,10 +21,14 @@
     self-modifying code (the PSR translator installing or patching
     blocks, attack payloads rewriting code bytes, eviction restoring
     trap bytes) invalidates stale decodes with one integer compare.
-    The per-64-byte write stamps behind {!unwritten} are paged the
-    same way as the bytes: a 4 KiB stretch of a region gets its stamps
-    on the first write into it, so watching a large code-cache region
-    costs nothing until code is written there. *)
+    When the generation moved, the per-64-byte write stamps behind
+    {!unwritten} say whether a write landed on a span, and {!holds}
+    whether the span still holds the bytes a decode read: a write
+    beside a decoded block, or one storing the bytes it already held,
+    leaves the block valid. The stamps are paged the same way as the
+    bytes: a 4 KiB stretch of a region gets its stamps on the first
+    write into it, so watching a large code-cache region costs nothing
+    until code is written there. *)
 
 exception Fault of int
 (** Raised with the offending address. *)
@@ -86,6 +90,13 @@ val unwritten : region -> lo:int -> hi:int -> since:int -> bool
     report an unwritten span written when a neighbouring write shares
     its edge pages (conservative, never the reverse). Which bytes a
     decode read is {!Decode_cache}'s rule. *)
+
+val holds : region -> int -> string -> bool
+(** [holds r a s]: [\[a, a + length s)] lies inside the region and
+    memory there holds exactly the bytes of [s]. A byte compare over
+    the pages, allocation-free: the check that lets a block whose guard
+    was written with the bytes it already held live on, where
+    {!unwritten} can only say that a write landed. *)
 
 val region_of : t -> int -> region option
 (** The watched region containing an address, if any. *)

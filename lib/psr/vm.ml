@@ -289,13 +289,15 @@ let prepare t src =
 
 (* Before a flush drops the live units, each one installed from a memo
    entry's layout hands that layout the decoded blocks whose guard lies
-   inside its bytes and has not been written since its blit
-   ([Decode_cache.keepable]).
-   A block dirtied by a chain patch stays behind and is decoded again
-   after the next install, as is every block of a unit installed
-   without a memo entry. Units and blocks are both walked in address
-   order, so the harvest is one pass over each however many units are
-   live. *)
+   inside its bytes and still holds them ([Decode_cache.keepable]):
+   unwritten since the blit by the stamps, or else equal to the
+   layout's bytes at the block's offset. A chain patch rewrites only
+   its stub's one-instruction block (exits start their own block), so
+   the body blocks around it are kept; the patched stub's block stays
+   behind and is decoded again after the next install, as is every
+   block of a unit installed without a memo entry. Units and blocks
+   are both walked in address order, so the harvest is one pass over
+   each however many units are live. *)
 let harvest t dc =
   let rec units (us : Code_cache.block list) (bs : Decode_cache.block list) =
     match us with
@@ -312,7 +314,8 @@ let harvest t dc =
   and blocks laid ~lo ~hi = function
     | (b : Decode_cache.block) :: bs when b.db_start < hi ->
       (match laid with
-      | Some l when Decode_cache.keepable b ~lo ~hi ~since:l.la_gen ->
+      | Some l when Decode_cache.keepable b ~base:lo ~bytes:l.la_unit.u_bytes ~since:l.la_gen
+        ->
         l.la_blocks <- b :: l.la_blocks
       | _ -> ());
       blocks laid ~lo ~hi bs
@@ -484,8 +487,8 @@ let translate_miss t src fs fc_before =
           {
             la_base = base;
             la_unit = Translator.layout prep ~base;
-            (* no block is keepable until the stamp after the
-               install below *)
+            (* the stamp test keeps no block until the install
+               below records its generation *)
             la_gen = max_int;
             la_blocks = [];
           }

@@ -389,6 +389,40 @@ let test_mem_equal_span_matches_read_string () =
   Alcotest.check_raises "span past the end" (Mem.Bad_span (size - 2, 4)) (fun () ->
       ignore (Mem.equal_span m m' (size - 2) 4))
 
+(* [Mem.holds] against its definition, [read_string r a n = s] for a
+   span inside the region: spans across page edges and over pages never
+   written, strings equal to memory and strings one byte off anywhere,
+   the last byte included; a span leaving the region holds nothing. *)
+let test_mem_holds_matches_read_string () =
+  let g = Hipstr_util.Rng.create 43 in
+  let size = 8 * page in
+  let lo = page + 100 and hi = (6 * page) + 7 in
+  let m = Mem.create size in
+  let r = Mem.watch m ~lo ~hi in
+  for _ = 1 to 60 do
+    Mem.write32 m (lo + Hipstr_util.Rng.int g (hi - lo - 4)) (Hipstr_util.Rng.bits32 g)
+  done;
+  let flip s i =
+    String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 0x40) else c) s
+  in
+  for _ = 1 to 500 do
+    let a = lo + Hipstr_util.Rng.int g (hi - lo) in
+    let n = Hipstr_util.Rng.int g (Int.min (hi - a) (2 * page) + 1) in
+    let s = Mem.read_string m a n in
+    let at = Printf.sprintf "span 0x%x+%d" a n in
+    Alcotest.(check bool) (at ^ ": equal") true (Mem.holds r a s);
+    if n > 0 then begin
+      Alcotest.(check bool) (at ^ ": one byte off") false
+        (Mem.holds r a (flip s (Hipstr_util.Rng.int g n)));
+      Alcotest.(check bool) (at ^ ": last byte off") false (Mem.holds r a (flip s (n - 1)))
+    end
+  done;
+  let s = Mem.read_string m (hi - 8) 16 in
+  Alcotest.(check bool) "a span past the region's end" false (Mem.holds r (hi - 8) s);
+  Alcotest.(check bool) "a span before the region" false
+    (Mem.holds r (lo - 1) (Mem.read_string m (lo - 1) 4));
+  Alcotest.(check bool) "the empty span at the region's end" true (Mem.holds r hi "")
+
 let test_mem_cstring_unterminated () =
   let m = Mem.create 8192 in
   Mem.blit_string m 10 "hello\000";
@@ -535,8 +569,11 @@ let test_context_switch_flush_drops_blocks () =
    decodes read only its own bytes (the decoders' locality), so a write
    just past its end leaves it fresh; a [db_bad] block's failed decode
    may have read the look-ahead window past its end, so a write there
-   makes it stale. Both blocks end on a 64-byte stamp-page edge, so the
-   writes past them land in a stamp page of their own. *)
+   counts. Both blocks end on a 64-byte stamp-page edge, so the writes
+   past them land in a stamp page of their own. A write on the guard
+   makes the block stale only when it changes the bytes there: one that
+   stores the value a byte already held leaves it fresh, and so does
+   putting a changed byte back. *)
 let test_decode_cache_guard () =
   let base = Layout.cisc_code_base in
   let mem = Mem.create Layout.mem_size in
@@ -548,8 +585,19 @@ let test_decode_cache_guard () =
     ((not b.Decode_cache.db_bad) && b.Decode_cache.db_end = stop);
   Mem.write8 mem (base + 65) 0x99;
   Alcotest.(check bool) "a write past a clean block leaves it fresh" false (Decode_cache.stale b);
+  Alcotest.(check int) "a nop is 0x99" 0x99 (Mem.read8 mem (base + 10));
   Mem.write8 mem (base + 10) 0x99;
-  Alcotest.(check bool) "a write on its bytes makes it stale" true (Decode_cache.stale b);
+  Alcotest.(check bool) "a write of a byte's own value leaves it fresh" false
+    (Decode_cache.stale b);
+  Mem.write8 mem (base + 10) 0x98;
+  Alcotest.(check bool) "a write that changes its bytes makes it stale" true
+    (Decode_cache.stale b);
+  Mem.write8 mem (base + 10) 0x99;
+  Alcotest.(check bool) "putting the byte back makes it fresh again" false (Decode_cache.stale b);
+  let last = stop - 1 in
+  Mem.write8 mem last (Mem.read8 mem last lxor 1);
+  Alcotest.(check bool) "a change to the guard's last byte makes it stale" true
+    (Decode_cache.stale b);
   (* 64 nops, then opcode 0x01, whose operand byte (0) is malformed *)
   let mem = Mem.create Layout.mem_size in
   let dc = Decode_cache.create Desc.Cisc mem in
@@ -560,8 +608,61 @@ let test_decode_cache_guard () =
     (b.Decode_cache.db_bad && b.Decode_cache.db_end = base + 64);
   Mem.write8 mem (base + 130) 0x99;
   Alcotest.(check bool) "a write past its window leaves it fresh" false (Decode_cache.stale b);
-  Mem.write8 mem (base + 66) 0x99;
-  Alcotest.(check bool) "a write in its window makes it stale" true (Decode_cache.stale b)
+  Mem.write8 mem (base + 66) 0;
+  Alcotest.(check bool) "a write of the window's own value leaves it fresh" false
+    (Decode_cache.stale b);
+  let last = base + 64 + Decode_cache.max_decode_window - 1 in
+  Mem.write8 mem last 0x99;
+  Alcotest.(check bool) "a change to the window's last byte makes it stale" true
+    (Decode_cache.stale b)
+
+(* Exits start their own block: over every workload in psr and hipstr
+   mode, sampled every 10,000 instructions, no decoded block of either
+   ISA holds a [Trap] anywhere but as its only instruction, and some
+   block is such a one-instruction Trap block. *)
+let test_exits_start_their_own_block () =
+  let trap_blocks = ref 0 in
+  let check_blocks label sys =
+    List.iter
+      (fun isa ->
+        match Machine.decode_cache (System.machine sys) isa with
+        | None -> Alcotest.failf "%s: no decode cache" label
+        | Some dc ->
+          List.iter
+            (fun (b : Decode_cache.block) ->
+              let code = b.db_code in
+              let n = Array.length code / 4 in
+              for k = 0 to n - 1 do
+                match Packed.unpack code.(4 * k) code.((4 * k) + 1) code.((4 * k) + 2) with
+                | Minstr.Trap _, _ ->
+                  if n > 1 then
+                    Alcotest.failf "%s: the block at 0x%x holds a trap as instruction %d of %d"
+                      label b.db_start (k + 1) n;
+                  incr trap_blocks
+                | _ -> ()
+              done)
+            (Decode_cache.blocks dc))
+      [ Desc.Cisc; Desc.Risc ]
+  in
+  List.iter
+    (fun name ->
+      let fb = Workloads.fatbin (Workloads.find name) in
+      List.iter
+        (fun (mlabel, mode) ->
+          let label = name ^ "/" ^ mlabel in
+          let sys =
+            System.of_fatbin ~obs:Obs.disabled ~seed:3 ~start_isa:Desc.Cisc ~decode_cache:true
+              ~mode fb
+          in
+          let rec go k =
+            let o = System.run sys ~fuel:10_000 in
+            check_blocks label sys;
+            if k > 1 && o = System.Out_of_fuel then go (k - 1)
+          in
+          go 10)
+        [ ("psr", System.Psr_only); ("hipstr", System.Hipstr) ])
+    Workloads.names;
+  Alcotest.(check bool) "some exit ran as a block of its own" true (!trap_blocks > 0)
 
 let test_escape_hatch () =
   let m = Machine.create ~obs:Obs.disabled ~decode_cache:false ~active:Desc.Cisc () in
@@ -604,6 +705,7 @@ let () =
           Alcotest.test_case "stamps match a flat model" `Quick test_mem_stamps_match_flat_model;
           Alcotest.test_case "equal_span matches read_string" `Quick
             test_mem_equal_span_matches_read_string;
+          Alcotest.test_case "holds matches read_string" `Quick test_mem_holds_matches_read_string;
         ] );
       ( "decode-cache",
         [
@@ -614,5 +716,6 @@ let () =
           Alcotest.test_case "context-switch flush" `Quick test_context_switch_flush_drops_blocks;
           Alcotest.test_case "escape hatch" `Quick test_escape_hatch;
           Alcotest.test_case "guard: the bytes a decode read" `Quick test_decode_cache_guard;
+          Alcotest.test_case "exits start their own block" `Quick test_exits_start_their_own_block;
         ] );
     ]

@@ -733,43 +733,106 @@ let test_lookups_match_linear () =
 
 (* --- kept blocks --- *)
 
+module Decode_cache = Hipstr_machine.Decode_cache
+module Packed = Hipstr_machine.Packed
+module Obs = Hipstr_obs.Obs
+
+(* The bytes a block's decode read: its own, and the look-ahead window
+   past them when its decode failed there. *)
+let guard_hi (b : Decode_cache.block) =
+  if b.db_bad then b.db_end + Decode_cache.max_decode_window else b.db_end
+
+let covers (b : Decode_cache.block) at = b.db_start <= at && at < guard_hi b
+
+(* A new decode of current memory at the block's address, from an
+   empty cache. *)
+let decode_now fresh (b : Decode_cache.block) =
+  Decode_cache.invalidate_all fresh;
+  match Decode_cache.find fresh b.db_start with
+  | f -> Some f
+  | exception Not_found -> None
+
+(* The block is a decode of current memory: a new decode at its
+   address yields its instructions first, and fails where it failed.
+   Where a block without a bad verdict stops decides only where the
+   dispatcher probes next, so a new decode may run on past its end:
+   into a stub patched since, say. *)
+let agrees_with_memory fresh (b : Decode_cache.block) =
+  match decode_now fresh b with
+  | None -> false
+  | Some f ->
+    let n = Array.length b.db_code in
+    Array.length f.db_code >= n
+    && Array.sub f.db_code 0 n = b.db_code
+    && ((not b.db_bad) || (f.db_bad && f.db_end = b.db_end))
+
+let outcome_string = function
+  | System.Finished c -> Printf.sprintf "finished(%d)" c
+  | System.Out_of_fuel -> "out_of_fuel"
+  | System.Killed m -> "killed(" ^ m ^ ")"
+  | System.Shell_spawned -> "shell"
+
+let check_same_run label ~fast_end ~oracle_end fast oracle =
+  Alcotest.(check string) (label ^ ": outcome") (outcome_string oracle_end)
+    (outcome_string fast_end);
+  Alcotest.(check (list int)) (label ^ ": output") (System.output oracle) (System.output fast);
+  Alcotest.(check int) (label ^ ": instructions") (System.instructions oracle)
+    (System.instructions fast);
+  Alcotest.(check int64) (label ^ ": cycle bits")
+    (Int64.bits_of_float (System.cycles oracle))
+    (Int64.bits_of_float (System.cycles fast))
+
+let tiny_flush = { Config.default with cache_bytes = 4096; cc_policy = Code_cache.Flush }
+
+let boot_tiny ?(name = "gobmk") ?(seed = 5) decode_cache =
+  System.of_fatbin ~obs:Obs.disabled ~cfg:tiny_flush ~seed ~start_isa:Desc.Cisc
+    ~mode:System.Psr_only ~decode_cache
+    (Workloads.fatbin (Workloads.find name))
+
+let is_trap_block (b : Decode_cache.block) =
+  Array.length b.db_code = 4
+  &&
+  match Packed.unpack b.db_code.(0) b.db_code.(1) b.db_code.(2) with
+  | Minstr.Trap _, _ -> true
+  | _ -> false
+
 (* The harvest guard. Under a 4 KiB flush-policy cache nearly every
    translation flushes, and a memo-served unit's next install adopts
    the decoded blocks the flush kept. The run goes in slices; a block
    still in the decode table after a flush emptied it was kept and
    adopted. Once the live unit shows an adopted block, one byte of it
-   is rewritten in place — the same value, so the guest behaves as
-   before, but a write lands on the block's bytes — and the run steps
-   one instruction at a time up to the next flush, collecting every
-   block that covers the byte. Then:
-   - none of those dirtied blocks is ever adopted again;
-   - every adopted block still fresh equals a new decode of current
-     memory at its address ([db_code], [db_end], [db_bad],
-     [db_indirect]);
-   - the run matches the per-instruction decode oracle, which got the
-     same write at the same instruction, bit for bit. *)
-let test_kept_blocks_guard () =
-  let module Decode_cache = Hipstr_machine.Decode_cache in
-  let module Obs = Hipstr_obs.Obs in
+   is rewritten in place, and the run steps one instruction at a time
+   up to the next flush, collecting every block whose guard covers the
+   byte. Two cases:
+   - [~changed:false] writes the byte's own value at the block's start:
+     the guest behaves as before and the bytes are as they were, so
+     the block stays fresh, and some block covering the byte is kept
+     and adopted again;
+   - [~changed:true] flips the last byte of an adopted one-instruction
+     Trap block, the stub's operand, which the VM never reads (it finds
+     stubs by address): the block goes stale. The re-install writes the
+     unit's own byte back, so a block decoded from the changed byte
+     must never be adopted; one that was would differ from a new decode
+     of the restored bytes. (The Trap's own step usually flushes, so
+     such a block is rarely seen in the table before its harvest.)
+   In both, every adopted block still fresh equals a new decode of
+   current memory at its address ([db_code], [db_end], [db_bad],
+   [db_indirect]), and the run matches the per-instruction decode
+   oracle, which got the same write at the same instruction, bit for
+   bit. *)
+let kept_blocks_rewrite ~changed () =
   let w = Workloads.find "gobmk" in
-  let fb = Workloads.fatbin w in
-  let cfg = { Config.default with cache_bytes = 4096; cc_policy = Code_cache.Flush } in
-  let boot decode_cache =
-    System.of_fatbin ~obs:Obs.disabled ~cfg ~seed:5 ~start_isa:Desc.Cisc ~mode:System.Psr_only
-      ~decode_cache fb
-  in
-  let fast = boot true and oracle = boot false in
+  let fast = boot_tiny true and oracle = boot_tiny false in
   let mem = Machine.mem (System.machine fast) in
   let dc = Option.get (Machine.decode_cache (System.machine fast) Desc.Cisc) in
   let cache = Vm.cache (System.vm fast Desc.Cisc) in
   let fresh = Decode_cache.create Desc.Cisc mem in
   let decodes_fresh (b : Decode_cache.block) =
-    Decode_cache.invalidate_all fresh;
-    match Decode_cache.find fresh b.db_start with
-    | f ->
+    match decode_now fresh b with
+    | Some f ->
       f.db_code = b.db_code && f.db_end = b.db_end && f.db_bad = b.db_bad
       && f.db_indirect = b.db_indirect
-    | exception Not_found -> false
+    | None -> false
   in
   (* first sighting of each block object, with the flush count then *)
   let seen = Hashtbl.create 1024 in
@@ -778,20 +841,24 @@ let test_kept_blocks_guard () =
       (fun (b', fl) -> if b' == b then Some fl else None)
       (Hashtbl.find_all seen b.db_start)
   in
-  let dirtied = ref [] and adopted = ref 0 in
+  let dirtied = ref [] and adopted = ref 0 and readopted = ref 0 in
   (* Check the resident blocks; return the adopted ones. *)
   let observe () =
     let fl = Code_cache.flushes cache in
     List.filter
       (fun (b : Decode_cache.block) ->
-        if List.memq b !dirtied then
-          Alcotest.failf "a block dirtied at 0x%x was adopted again" b.db_start;
         match first_seen b with
         | None ->
           Hashtbl.add seen b.db_start (b, fl);
           false
         | Some fl' when fl' < fl ->
           incr adopted;
+          if List.memq b !dirtied then begin
+            if changed then
+              Alcotest.failf "a block decoded from the changed byte at 0x%x was adopted"
+                b.db_start;
+            incr readopted
+          end;
           if (not (Decode_cache.stale b)) && not (decodes_fresh b) then
             Alcotest.failf "adopted block at 0x%x differs from a fresh decode" b.db_start;
           true
@@ -818,24 +885,28 @@ let test_kept_blocks_guard () =
     match
       List.find_opt
         (fun (b : Decode_cache.block) ->
-          b.db_start >= u.cb_cache && b.db_end <= u.cb_cache + u.cb_size)
+          b.db_start >= u.cb_cache
+          && b.db_end <= u.cb_cache + u.cb_size
+          && ((not changed) || is_trap_block b))
         (observe ())
     with
-    | Some b -> (u, b.db_start)
+    | Some b -> (u, b)
     | None -> find_target ()
   in
-  let target, at = find_target () in
+  let target, b = find_target () in
+  let at = if changed then b.db_end - 1 else b.db_start in
+  let value = Mem.read8 mem at lxor if changed then 1 else 0 in
   ignore (run oracle (System.instructions fast));
   Alcotest.(check int) "oracle at the same instruction" (System.instructions fast)
     (System.instructions oracle);
-  List.iter
-    (fun sys ->
-      let m = Machine.mem (System.machine sys) in
-      Mem.write8 m at (Mem.read8 m at))
-    [ fast; oracle ];
+  let before = Decode_cache.blocks dc in
+  List.iter (fun sys -> Mem.write8 (Machine.mem (System.machine sys)) at value) [ fast; oracle ];
+  Alcotest.(check bool) "only a changed byte makes the block stale" changed (Decode_cache.stale b);
+  (* the blocks covering the byte that hold the written value: after a
+     changing write, those decoded since *)
   let covering () =
     List.filter
-      (fun (b : Decode_cache.block) -> b.db_start <= at && at < b.db_end)
+      (fun (b : Decode_cache.block) -> covers b at && not (changed && List.memq b before))
       (Decode_cache.blocks dc)
   in
   let flushes0 = Code_cache.flushes cache in
@@ -843,7 +914,8 @@ let test_kept_blocks_guard () =
   while run fast 1 && Code_cache.flushes cache = flushes0 do
     dirtied := List.filter (fun b -> not (List.memq b !dirtied)) (covering ()) @ !dirtied
   done;
-  if !dirtied = [] then Alcotest.fail "no decoded block covered the rewritten byte";
+  if (not changed) && !dirtied = [] then
+    Alcotest.fail "no decoded block covered the rewritten byte";
   let adopted_before = !adopted and reinstalled = ref 0 in
   while System.instructions fast < 3 * w.w_fuel && run fast 100 do
     ignore (observe ());
@@ -856,20 +928,179 @@ let test_kept_blocks_guard () =
   ignore (observe ());
   if !reinstalled = 0 then Alcotest.fail "the rewritten unit never came back";
   if !adopted = adopted_before then Alcotest.fail "no block was adopted after the rewrite";
-  let outcome = function
-    | System.Finished c -> Printf.sprintf "finished(%d)" c
-    | System.Out_of_fuel -> "out_of_fuel"
-    | System.Killed m -> "killed(" ^ m ^ ")"
-    | System.Shell_spawned -> "shell"
+  if not changed then
+    Alcotest.(check bool) "a block the same-value write covered was kept and adopted again" true
+      (!readopted > 0);
+  let oracle_end = System.run oracle ~fuel:(3 * w.w_fuel) in
+  check_same_run "the oracle" ~fast_end:!fast_end ~oracle_end fast oracle
+
+(* Exits start their own block, so a chain patch rewrites only its
+   stub's block. A workload in psr mode under a 4 KiB flush-policy
+   cache steps one instruction at a time; a step that makes a VM patch
+   ran the trap at the pc it started from, which now holds a jump.
+   Every block that ended at that stub before the step (the unit's
+   body in front of it) is still in the decode table after the patch,
+   fresh, and equal to a new decode of memory at its start, which may
+   run on only into the patched jump. 20 patches are checked on gobmk,
+   whose patched stubs all follow a call, and on bzip2 the run goes on
+   until some checked block fell through into its stub: a body block
+   that the exit rule ended before the Trap rather than at a control
+   transfer of its own. *)
+let chain_patch_keeps_body name ~fall_through =
+  let w = Workloads.find name in
+  let sys = boot_tiny ~name true in
+  let m = System.machine sys in
+  let mem = Machine.mem m in
+  let dc = Option.get (Machine.decode_cache m Desc.Cisc) in
+  let vm = System.vm sys Desc.Cisc in
+  let fresh = Decode_cache.create Desc.Cisc mem in
+  let checked = ref 0 and patches_seen = ref 0 and fell_through = ref 0 in
+  let last_is_control (b : Decode_cache.block) =
+    let j = Array.length b.db_code - 4 in
+    j >= 0
+    && Minstr.is_control (fst (Packed.unpack b.db_code.(j) b.db_code.(j + 1) b.db_code.(j + 2)))
   in
-  Alcotest.(check string) "outcome"
-    (outcome (System.run oracle ~fuel:(3 * w.w_fuel)))
-    (outcome !fast_end);
-  Alcotest.(check (list int)) "output" (System.output oracle) (System.output fast);
-  Alcotest.(check int) "instructions" (System.instructions oracle) (System.instructions fast);
-  Alcotest.(check int64) "cycle bits"
-    (Int64.bits_of_float (System.cycles oracle))
-    (Int64.bits_of_float (System.cycles fast))
+  ignore (System.run sys ~fuel:20_000);
+  while
+    (!checked < 20 || (fall_through && !fell_through = 0))
+    && System.instructions sys < w.w_fuel
+    &&
+    let pc = (Machine.cpu m).pc and patches = (Vm.stats vm).patches in
+    let body =
+      List.filter (fun (b : Decode_cache.block) -> b.db_end = pc) (Decode_cache.blocks dc)
+    in
+    let o = System.run sys ~fuel:1 in
+    if (Vm.stats vm).patches > patches then begin
+      incr patches_seen;
+      (match Isa.decode Desc.Cisc ~read:(Mem.reader mem) pc with
+      | Some (Minstr.Jmp _, _) -> ()
+      | _ -> Alcotest.failf "%s: the stub at 0x%x holds no jump after its patch" name pc);
+      List.iter
+        (fun (b : Decode_cache.block) ->
+          let at =
+            Printf.sprintf "%s: the block at 0x%x before the stub at 0x%x" name b.db_start pc
+          in
+          if not (List.memq b (Decode_cache.blocks dc)) then
+            Alcotest.failf "%s left the decode table" at;
+          if Decode_cache.stale b then Alcotest.failf "%s went stale" at;
+          (match decode_now fresh b with
+          | None -> Alcotest.failf "%s: no new decode" at
+          | Some f ->
+            let n = Array.length b.db_code in
+            let runs_into_jump =
+              Array.length f.db_code = n + 4
+              && f.db_end > pc
+              &&
+              match Packed.unpack f.db_code.(n) f.db_code.(n + 1) f.db_code.(n + 2) with
+              | Minstr.Jmp _, _ -> true
+              | _ -> false
+            in
+            if
+              not
+                (Array.length f.db_code >= n
+                && Array.sub f.db_code 0 n = b.db_code
+                && (Array.length f.db_code = n || runs_into_jump))
+            then Alcotest.failf "%s differs from a new decode" at);
+          if not (last_is_control b) then incr fell_through)
+        body;
+      if body <> [] then incr checked
+    end;
+    o = System.Out_of_fuel
+  do
+    ()
+  done;
+  if !patches_seen = 0 then Alcotest.failf "%s: the run made no chain patch" name;
+  Alcotest.(check bool) (name ^ ": a patched stub had a body block in front of it") true
+    (!checked > 0);
+  if fall_through then
+    Alcotest.(check bool) (name ^ ": a body block fell through into its patched stub") true
+      (!fell_through > 0)
+
+let test_chain_patch_keeps_body () =
+  chain_patch_keeps_body "gobmk" ~fall_through:false;
+  chain_patch_keeps_body "bzip2" ~fall_through:true
+
+(* Random writes into live units. gobmk in psr mode under a 4 KiB
+   flush-policy cache runs in random slices on the fast path and on
+   the decode oracle side by side. After each slice one byte of the
+   live unit is written in both systems at the same instruction: its
+   own value (half the writes), a changed value that is put back before
+   the run goes on, or (one write in eight) a changed value that stays,
+   which the guest may then run into. Right after a changing write
+   every block whose guard covers the byte is stale. After every write
+   and every slice, each block the stamps or the byte check keep fresh
+   agrees with a new decode of memory. A run ends after 150 writes or
+   when the guest stops, and runs on new seeds follow until 300 writes
+   were made. Some block a same-value or put-back write covered must
+   have been kept, and each run matches the oracle's bit for bit. *)
+let test_random_unit_writes () =
+  let kept = ref 0 and writes = ref 0 and seed = ref 0 in
+  while !writes < 300 do
+    incr seed;
+    if !seed > 20 then Alcotest.failf "only %d writes in 20 runs" !writes;
+    let label = Printf.sprintf "seed %d" !seed in
+    let g = Rng.create (100 + !seed) in
+    let fast = boot_tiny ~seed:!seed true and oracle = boot_tiny ~seed:!seed false in
+    let mems = List.map (fun sys -> Machine.mem (System.machine sys)) [ fast; oracle ] in
+    let mem = List.hd mems in
+    let dc = Option.get (Machine.decode_cache (System.machine fast) Desc.Cisc) in
+    let cache = Vm.cache (System.vm fast Desc.Cisc) in
+    let fresh = Decode_cache.create Desc.Cisc mem in
+    let write at v = List.iter (fun m -> Mem.write8 m at v) mems in
+    let check_fresh_blocks when_ =
+      List.iter
+        (fun (b : Decode_cache.block) ->
+          if (not (Decode_cache.stale b)) && not (agrees_with_memory fresh b) then
+            Alcotest.failf "%s, %s: the fresh block at 0x%x disagrees with memory" label when_
+              b.db_start)
+        (Decode_cache.blocks dc)
+    in
+    let count_kept at =
+      List.iter
+        (fun (b : Decode_cache.block) ->
+          if covers b at && not (Decode_cache.stale b) then incr kept)
+        (Decode_cache.blocks dc)
+    in
+    let fast_end = ref System.Out_of_fuel and oracle_end = ref System.Out_of_fuel in
+    let run_writes = ref 0 in
+    while !run_writes < 150 && !fast_end = System.Out_of_fuel do
+      let fuel = 200 + Rng.int g 1800 in
+      fast_end := System.run fast ~fuel;
+      oracle_end := System.run oracle ~fuel;
+      check_fresh_blocks "after a slice";
+      match Code_cache.blocks cache with
+      | [] -> ()
+      | u :: _ ->
+        incr run_writes;
+        let at = u.cb_cache + Rng.int g u.cb_size in
+        let v = Mem.read8 mem at in
+        let flip = v lxor (1 + Rng.int g 255) in
+        let check_stale () =
+          List.iter
+            (fun (b : Decode_cache.block) ->
+              if covers b at && not (Decode_cache.stale b) then
+                Alcotest.failf "%s: the block at 0x%x survived a change to 0x%x" label b.db_start
+                  at)
+            (Decode_cache.blocks dc)
+        in
+        (match Rng.int g 8 with
+        | 0 | 1 | 2 | 3 ->
+          write at v;
+          count_kept at
+        | 4 | 5 | 6 ->
+          write at flip;
+          check_stale ();
+          write at v;
+          count_kept at
+        | _ ->
+          write at flip;
+          check_stale ());
+        check_fresh_blocks "after a write"
+    done;
+    writes := !writes + !run_writes;
+    check_same_run label ~fast_end:!fast_end ~oracle_end:!oracle_end fast oracle
+  done;
+  Alcotest.(check bool) "the byte check kept some block a write covered" true (!kept > 0)
 
 let () =
   Alcotest.run "psr-internals"
@@ -915,7 +1146,13 @@ let () =
             test_translation_after_rewrite;
           Alcotest.test_case "address lookups match the linear scan" `Quick
             test_lookups_match_linear;
-          Alcotest.test_case "kept blocks: harvest guard" `Quick test_kept_blocks_guard;
+          Alcotest.test_case "kept blocks: harvest guard" `Quick
+            (kept_blocks_rewrite ~changed:false);
           Alcotest.test_case "translator digest over every workload" `Quick test_translation_digest;
+          Alcotest.test_case "kept blocks: a changed byte is never adopted" `Quick
+            (kept_blocks_rewrite ~changed:true);
+          Alcotest.test_case "a chain patch leaves the body block" `Quick
+            test_chain_patch_keeps_body;
+          Alcotest.test_case "random writes into live units" `Quick test_random_unit_writes;
         ] );
     ]

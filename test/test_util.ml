@@ -40,6 +40,34 @@ let test_sample_distinct () =
     List.iter (fun v -> if v < 0 || v >= 50 then Alcotest.fail "range") s
   done
 
+(* The streams are pinned: each draw function's first 10^4 values
+   from seed 20161, one per line, digested. The digests were recorded
+   when the generator still kept its state in a boxed [int64]; an
+   unboxed state must draw bit-identical values. [split] is pinned by
+   the derived generator's state. *)
+let test_rng_streams_pinned () =
+  let digest draw =
+    let g = Rng.create 20161 and b = Buffer.create 65536 in
+    for _ = 1 to 10_000 do
+      Buffer.add_string b (draw g);
+      Buffer.add_char b '\n'
+    done;
+    Digest.to_hex (Digest.string (Buffer.contents b))
+  in
+  List.iter
+    (fun (name, expected, draw) -> Alcotest.(check string) name expected (digest draw))
+    [
+      ("int", "8cbf28753f461c6c3830da1e1fe2a66e", fun g -> string_of_int (Rng.int g 1_000_000_007));
+      ("int, small bound", "db4818130ff1d2d4f31f6276e5119702", fun g ->
+        string_of_int (Rng.int g 6));
+      ("bool", "579e42e7cb47339ce89a2f02c20b666f", fun g -> string_of_bool (Rng.bool g));
+      ("bits32", "4ce792ccc60aabb17eb0faf6e9c50bbd", fun g -> string_of_int (Rng.bits32 g));
+      ("float", "ebec3e0322668597b45c84a6a354ccec", fun g ->
+        Int64.to_string (Int64.bits_of_float (Rng.float g)));
+      ("split", "47ed69b6d5638b35fc3494ab6362f1a0", fun g ->
+        Int64.to_string (Rng.state (Rng.split g)));
+    ]
+
 let test_wrap32_basics () =
   Alcotest.(check int) "wrap max" (-2147483648) (W32.wrap 0x80000000);
   Alcotest.(check int) "wrap -1" (-1) (W32.wrap 0xFFFFFFFF);
@@ -186,6 +214,7 @@ let () =
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "permutation" `Quick test_rng_permutation;
           Alcotest.test_case "sample distinct" `Quick test_sample_distinct;
+          Alcotest.test_case "streams pinned" `Quick test_rng_streams_pinned;
         ] );
       ( "wrap32",
         [
